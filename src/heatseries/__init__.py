@@ -40,11 +40,8 @@ from .kernels import (
     j0_product_check,
     weber_integral_check,
 )
+from .variants import VARIANTS, DivergenceDiag, Variant, beta_rule, default_beta
 from .series_cartesian import (
-    DivergenceDiag,
-    SeriesSolution,
-    beta_rule,
-    default_beta,
     cd_coeffs,
     cd_eval,
     ci_classical,
@@ -53,7 +50,6 @@ from .series_cartesian import (
     solve_grid_line,
 )
 from .series_polar import (
-    PolarSeriesSolution,
     pd_coeffs,
     pd_eval,
     pi_coeffs,

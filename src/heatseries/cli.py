@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -40,17 +41,16 @@ from .profiles import (
     parse_profile,
 )
 from .quad import AccuracyError, QuadSpec
-from .series_cartesian import DEFAULT_ORDER, default_beta, solve_grid_line
+from .series_cartesian import DEFAULT_ORDER, solve_grid_line
 from .series_polar import solve_grid_polar
 from .specfun import KernelParams
+from .variants import AXIS, CLASSICAL, LINE, POLAR, default_beta, variant_names
 
-FORWARD_VARIANTS = {
-    "line": ("CD-A", "CD-B", "CD-C", "oracle"),
-    "polar": ("PD-A", "PD-B", "PD-C", "oracle"),
-}
+ORACLE = "oracle"  # the quadrature oracle, a forward pseudo-variant
+FORWARD_VARIANTS = {g: variant_names(g, direct=True) + (ORACLE,) for g in (LINE, POLAR)}
 INVERSE_VARIANTS = {
-    "line": ("CI-A", "CI-B", "CI-C", "CI-classical"),
-    "polar": ("PI-A", "PI-B", "PI-C"),
+    LINE: variant_names(LINE, direct=False) + (CLASSICAL,),
+    POLAR: variant_names(POLAR, direct=False),
 }
 
 
@@ -113,6 +113,8 @@ def _parse_eval_grid(text: str) -> np.ndarray:
         lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise CliError(f"--eval-grid must be numeric lo:hi:n, got {text!r}") from None
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise CliError("--eval-grid bounds must be finite")
     if n < 1:
         raise CliError("--eval-grid needs at least one point")
     if n == 1:
@@ -125,11 +127,12 @@ def _parse_eval_grid(text: str) -> np.ndarray:
 
 
 def _read_sampled(path: str) -> Sampled1D:
-    """Read `x,value` pairs; `#` lines and non-numeric header rows ignored."""
+    """Read `x,value` pairs; `#` lines and non-numeric header rows before the
+    first sample are ignored, any other unreadable or non-finite row is an error."""
     xs, vals = [], []
     try:
         with open(path) as handle:
-            for line in handle:
+            for line_no, line in enumerate(handle, start=1):
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
@@ -137,10 +140,15 @@ def _read_sampled(path: str) -> Sampled1D:
                 if len(parts) < 2:
                     raise CliError(f"{path}: expected x,value per line, got {line!r}")
                 try:
-                    xs.append(float(parts[0]))
-                    vals.append(float(parts[1]))
+                    x, val = float(parts[0]), float(parts[1])
                 except ValueError:
+                    if xs:
+                        raise CliError(f"{path}:{line_no}: non-numeric sample {line!r}") from None
                     continue  # column-header row
+                if not (math.isfinite(x) and math.isfinite(val)):
+                    raise CliError(f"{path}:{line_no}: non-finite sample {line!r}")
+                xs.append(x)
+                vals.append(val)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from None
     if len(xs) < 2:
@@ -155,7 +163,7 @@ def _read_sampled(path: str) -> Sampled1D:
 
 
 def _resolve_beta(args, variant: str, data, geometry: str, tau: float) -> float:
-    if variant in ("oracle", "CI-classical"):
+    if variant in (ORACLE, CLASSICAL):
         return 0.0
     raw = args.beta
     if raw is None:
@@ -165,10 +173,10 @@ def _resolve_beta(args, variant: str, data, geometry: str, tau: float) -> float:
             beta = float(raw)
         except ValueError:
             raise CliError(f"--beta must be a number or 'auto', got {raw!r}") from None
-        if beta <= 0.0:
-            raise CliError("--beta must be positive")
+        if not (math.isfinite(beta) and beta > 0.0):
+            raise CliError("--beta must be positive and finite")
         return beta
-    est = estimate_scale_line(data) if geometry == "line" else estimate_scale_polar(data)
+    est = estimate_scale_line(data) if geometry == LINE else estimate_scale_polar(data)
     return default_beta(variant, est, tau)
 
 
@@ -192,37 +200,47 @@ def _config_echo(args, extra: dict) -> dict:
     return echo
 
 
-def cmd_forward(args) -> int:
+def _check_solve_args(args, variants: dict):
+    """The checks forward and inverse share; returns (data, source, xs)."""
     geometry = args.geometry
-    if args.variant not in FORWARD_VARIANTS[geometry]:
+    if args.variant not in variants[geometry]:
         raise CliError(
-            f"variant {args.variant!r} is not a {geometry} forward variant; "
-            f"choose from {FORWARD_VARIANTS[geometry]}"
+            f"variant {args.variant!r} is not a {geometry} {args.command} variant; "
+            f"choose from {variants[geometry]}"
         )
-    if not (args.tau > 0.0):
-        raise CliError("--tau must be > 0 (the kernel and every series need it)")
+    if not (math.isfinite(args.tau) and args.tau > 0.0):
+        raise CliError("--tau must be positive and finite (the kernel and every series need it)")
+    if args.order < 0:
+        raise CliError("--order must be non-negative")
     data, source = _load_data(args, geometry)
     xs = _parse_eval_grid(args.eval_grid)
-    if geometry == "polar" and np.any(xs < 0.0):
+    if geometry == POLAR and np.any(xs < 0.0):
         raise CliError("polar evaluation radii must be non-negative")
-    beta = _resolve_beta(args, args.variant, data, geometry, args.tau)
+    return data, source, xs
+
+
+def _solve(args, data, xs: np.ndarray, beta: float):
+    """Values and divergence flags of the requested variant on xs."""
     spec = QuadSpec()
     try:
-        if args.variant == "oracle":
-            forward = forward_line if geometry == "line" else forward_polar
-            values = forward(data, args.tau, xs, spec)
-            flags = [False] * xs.size
-        else:
-            params = KernelParams(tau=args.tau, beta=beta)
-            solver = solve_grid_line if geometry == "line" else solve_grid_polar
-            values, diags = solver(
-                args.variant, data, params, args.order, xs, args.constants_mode, spec
+        if args.variant == ORACLE:
+            forward = forward_line if args.geometry == LINE else forward_polar
+            return forward(data, args.tau, xs, spec), [False] * xs.size
+        params = None if args.variant == CLASSICAL else KernelParams(tau=args.tau, beta=beta)
+        if args.geometry == LINE:
+            values, diags = solve_grid_line(
+                args.variant, data, params, args.order, xs, args.constants_mode, spec, tau=args.tau
             )
-            flags = [d.flagged for d in diags]
+        else:
+            values, diags = solve_grid_polar(args.variant, data, params, args.order, xs, args.constants_mode, spec)
     except AccuracyError as exc:
-        raise CliError(f"forward {args.variant}: quadrature did not converge: {exc}", code=3)
+        raise CliError(f"{args.command} {args.variant}: quadrature did not converge: {exc}", code=3)
     except OverflowError as exc:
-        raise CliError(f"forward {args.variant}: overflow: {exc}", code=3)
+        raise CliError(f"{args.command} {args.variant}: overflow: {exc}", code=3)
+    return values, [d.flagged for d in diags]
+
+
+def _solve_metadata(args, source: dict, beta: float, extra: dict) -> dict:
     metadata = _config_echo(args, source)
     metadata.update(
         {
@@ -232,67 +250,39 @@ def cmd_forward(args) -> int:
             "beta_requested": args.beta if args.beta is not None else "",
             "order": args.order,
             "eval_grid": args.eval_grid,
-            "axis": "x" if geometry == "line" else "r",
         }
     )
+    metadata.update(extra)
+    metadata["axis"] = AXIS[args.geometry]
+    return metadata
+
+
+def _emit_field(args, metadata: dict, xs, values, flags) -> None:
     rows = [(float(x), float(v), bool(f)) for x, v, f in zip(xs, values, flags)]
     _emit(args, metadata, [metadata["axis"], "value", "diverged"], rows)
+
+
+def cmd_forward(args) -> int:
+    data, source, xs = _check_solve_args(args, FORWARD_VARIANTS)
+    beta = _resolve_beta(args, args.variant, data, args.geometry, args.tau)
+    values, flags = _solve(args, data, xs, beta)
+    _emit_field(args, _solve_metadata(args, source, beta, {}), xs, values, flags)
     return 0
 
 
 def cmd_inverse(args) -> int:
-    geometry = args.geometry
-    if args.variant not in INVERSE_VARIANTS[geometry]:
-        raise CliError(
-            f"variant {args.variant!r} is not a {geometry} inverse variant; "
-            f"choose from {INVERSE_VARIANTS[geometry]}"
-        )
-    if not (args.tau > 0.0):
-        raise CliError("--tau must be > 0")
-    data, source = _load_data(args, geometry)
-    xs = _parse_eval_grid(args.eval_grid)
-    if geometry == "polar" and np.any(xs < 0.0):
-        raise CliError("polar evaluation radii must be non-negative")
+    data, source, xs = _check_solve_args(args, INVERSE_VARIANTS)
     if args.noise is not None:
         if not isinstance(data, Sampled1D):
             raise CliError("--noise applies to --input sample files only")
-        if args.noise < 0.0:
-            raise CliError("--noise must be non-negative")
+        if not (math.isfinite(args.noise) and args.noise >= 0.0):
+            raise CliError("--noise must be non-negative and finite")
         rng = np.random.default_rng(args.seed)
         data = data.with_noise(args.noise, rng)
-    beta = _resolve_beta(args, args.variant, data, geometry, args.tau)
-    spec = QuadSpec()
-    try:
-        solver = solve_grid_line if geometry == "line" else solve_grid_polar
-        if args.variant == "CI-classical":
-            values, diags = solve_grid_line(
-                "CI-classical", data, None, args.order, xs, args.constants_mode, spec, tau=args.tau
-            )
-        else:
-            params = KernelParams(tau=args.tau, beta=beta)
-            values, diags = solver(
-                args.variant, data, params, args.order, xs, args.constants_mode, spec
-            )
-        flags = [d.flagged for d in diags]
-    except AccuracyError as exc:
-        raise CliError(f"inverse {args.variant}: quadrature did not converge: {exc}", code=3)
-    except OverflowError as exc:
-        raise CliError(f"inverse {args.variant}: overflow: {exc}", code=3)
-    except ValueError as exc:
-        raise CliError(f"inverse {args.variant}: {exc}")
-    metadata = _config_echo(args, source)
-    metadata.update(
-        {
-            "variant": args.variant,
-            "tau": args.tau,
-            "beta": beta,
-            "beta_requested": args.beta if args.beta is not None else "",
-            "order": args.order,
-            "eval_grid": args.eval_grid,
-            "noise": args.noise if args.noise is not None else "",
-            "seed": args.seed,
-            "axis": "x" if geometry == "line" else "r",
-        }
+    beta = _resolve_beta(args, args.variant, data, args.geometry, args.tau)
+    values, flags = _solve(args, data, xs, beta)
+    metadata = _solve_metadata(
+        args, source, beta, {"noise": args.noise if args.noise is not None else "", "seed": args.seed}
     )
     if any(flags):
         metadata["warning"] = "divergence flagged at some evaluation points"
@@ -305,8 +295,7 @@ def cmd_inverse(args) -> int:
         err = np.asarray(values) - truth
         metadata["summary_rel_l2"] = float(np.linalg.norm(err) / np.linalg.norm(truth))
         metadata["summary_rel_max"] = float(np.max(np.abs(err)) / np.max(np.abs(truth)))
-    rows = [(float(x), float(v), bool(f)) for x, v, f in zip(xs, values, flags)]
-    _emit(args, metadata, [metadata["axis"], "value", "diverged"], rows)
+    _emit_field(args, metadata, xs, values, flags)
     return 0
 
 
@@ -523,10 +512,10 @@ def build_parser() -> argparse.ArgumentParser:
         common_io(p)
 
     fwd = sub.add_parser("forward", help="solve the direct problem")
-    common_solve(fwd, sorted(set(FORWARD_VARIANTS["line"] + FORWARD_VARIANTS["polar"])))
+    common_solve(fwd, sorted(set().union(*FORWARD_VARIANTS.values())))
 
     inv = sub.add_parser("inverse", help="solve the backward problem")
-    common_solve(inv, sorted(set(INVERSE_VARIANTS["line"] + INVERSE_VARIANTS["polar"])))
+    common_solve(inv, sorted(set().union(*INVERSE_VARIANTS.values())))
     inv.add_argument("--noise", type=float, help="additive noise std-dev on --input data")
     inv.add_argument("--seed", type=int, default=0, help="noise seed")
     inv.add_argument("--truth", help="reference profile for the error summary")
@@ -574,6 +563,9 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"heatseries {args.command}: {exc}", file=sys.stderr)
         return exc.code
+    except ValueError as exc:  # a library precondition: a configuration error
+        print(f"heatseries {args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -31,9 +31,10 @@ from . import __version__ as _pkg_version
 from .kernels import evolve_line, evolve_polar, forward_line, forward_polar
 from .profiles import AnalyticProfile, Gaussian, Sampled1D, format_profile
 from .quad import QuadSpec
-from .series_cartesian import ci_classical, default_beta, solve_grid_line
-from .series_polar import solve_grid_polar
+from .series_cartesian import cd_coeffs, ci_coeffs, classical_series, line_series, solve_grid_line
+from .series_polar import pd_coeffs, pi_coeffs, polar_series, solve_grid_polar
 from .specfun import KernelParams
+from .variants import CLASSICAL, LINE, POLAR, VARIANTS, default_beta, geometry_of, variant_names
 
 __all__ = [
     "GridGeom",
@@ -58,12 +59,8 @@ POLAR_COMPARE_GRID = np.linspace(0.0, 3.0, 61)
 # optimum (the scale-matched rule would make order 0 already optimal)
 NOISE_STUDY_BETA = {"line": 0.6, "polar": 0.8}
 
-LINE_VARIANTS = ("CD-A", "CD-B", "CD-C", "CI-A", "CI-B", "CI-C", "CI-classical")
-POLAR_VARIANTS = ("PD-A", "PD-B", "PD-C", "PI-A", "PI-B", "PI-C")
-ALL_SERIES_VARIANTS = (
-    "CD-A", "CD-B", "CD-C", "CI-A", "CI-B", "CI-C",
-    "PD-A", "PD-B", "PD-C", "PI-A", "PI-B", "PI-C",
-)
+_COEFFS = {(LINE, True): cd_coeffs, (LINE, False): ci_coeffs, (POLAR, True): pd_coeffs, (POLAR, False): pi_coeffs}
+_SERIES = {LINE: line_series, POLAR: polar_series}
 
 
 @dataclass(frozen=True)
@@ -105,6 +102,9 @@ class StudyConfig:
                 raise ValueError("delta_range must be non-empty")
             if self.study_kind == "beta_map" and not self.beta_range:
                 raise ValueError("beta_map needs an explicit beta_range")
+        for variant in self.variants:
+            if geometry_of(variant) != self.geometry:
+                raise ValueError(f"{variant} is not a {self.geometry} variant")
         if self.grid is None:
             lo = -8.0 if self.geometry == "line" else 0.0
             self.grid = GridGeom(lo, 8.0, 401)
@@ -180,7 +180,7 @@ def _errors(values: np.ndarray, truth: np.ndarray) -> tuple[float, float]:
 
 
 def _solve(variant, data, params, n, xs, mode, spec, tau=None):
-    if variant in LINE_VARIANTS:
+    if geometry_of(variant) == LINE:
         return solve_grid_line(variant, data, params, n, xs, mode, spec, tau=tau)
     return solve_grid_polar(variant, data, params, n, xs, mode, spec)
 
@@ -188,106 +188,86 @@ def _solve(variant, data, params, n, xs, mode, spec, tau=None):
 def _sweep_orders(variant, data, params, n_list, xs, mode, spec, tau=None):
     """Values and divergence flags for every order in n_list.
 
-    Coefficients do not depend on the truncation order, so they are computed
-    once at max(n_list) and sliced; only CI-classical re-derives (cheaply)
-    per order.  Yields (n, values, any_flagged, err) with err set to an
-    exception when that order failed.
+    Coefficients and the term matrix are built once at max(n_list); each
+    order sums its own rows (up to the early stop that order makes), so its
+    values and flag are bit for bit those of evaluating the same
+    coefficients truncated to that order.  A C variant keeps one
+    single-column sum per point.  When the build at max(n_list) overflows,
+    each order is built on its own.  Yields (n, values, any_flagged, err)
+    with err set to an exception when that order failed.
     """
-    from .series_cartesian import cd_coeffs, cd_eval, ci_coeffs, ci_eval
-    from .series_polar import pd_coeffs, pd_eval, pi_coeffs, pi_eval
-
     xs = np.asarray(xs, dtype=float)
     n_list = sorted(int(n) for n in n_list)
     n_max = n_list[-1]
-    if variant == "CI-classical":
-        for n in n_list:
-            try:
-                vals, diags = ci_classical(data, tau if tau is not None else params.tau, n, xs)
-                yield n, vals, any(d.flagged for d in diags), None
-            except (OverflowError, ValueError) as exc:
+    if variant == CLASSICAL:
+        tau = tau if tau is not None else params.tau
+
+        def build(n):
+            return [classical_series(data, tau, n, xs)]
+    else:
+        row = VARIANTS[variant]
+        coeffs_fn, series = _COEFFS[row.geometry, row.direct], _SERIES[row.geometry]
+        try:
+            if row.pointwise:
+                coeffs = [coeffs_fn(variant, data, params, n_max, float(x), spec) for x in xs]
+            else:
+                coeffs = coeffs_fn(variant, data, params, n_max, spec=spec)
+        except (OverflowError, ValueError) as exc:
+            for n in n_list:
                 yield n, None, True, exc
-        return
-    table = {
-        "CD-A": (cd_coeffs, cd_eval, False),
-        "CD-B": (cd_coeffs, cd_eval, False),
-        "CD-C": (cd_coeffs, cd_eval, True),
-        "CI-A": (ci_coeffs, ci_eval, False),
-        "CI-B": (ci_coeffs, ci_eval, False),
-        "CI-C": (ci_coeffs, ci_eval, True),
-        "PD-A": (pd_coeffs, pd_eval, False),
-        "PD-B": (pd_coeffs, pd_eval, False),
-        "PD-C": (pd_coeffs, pd_eval, True),
-        "PI-A": (pi_coeffs, pi_eval, False),
-        "PI-B": (pi_coeffs, pi_eval, False),
-        "PI-C": (pi_coeffs, pi_eval, True),
-    }
-    coeff_fn, eval_fn, pointwise = table[variant]
+            return
+
+        def build(n):
+            if row.pointwise:
+                return [series(row, c[: n + 1], params, np.array([x]), mode) for c, x in zip(coeffs, xs)]
+            return [series(row, coeffs[: n + 1], params, xs, mode)]
+
     try:
-        if pointwise:
-            per_point = [coeff_fn(variant, data, params, n_max, float(x), spec) for x in xs]
-        else:
-            coeffs = coeff_fn(variant, data, params, n_max, spec=spec)
-    except (OverflowError, ValueError) as exc:
-        for n in n_list:
-            yield n, None, True, exc
-        return
+        top = build(n_max)
+    except (OverflowError, ValueError):
+        top = None
     for n in n_list:
         try:
-            if pointwise:
-                vals = np.empty(xs.size)
-                flagged = False
-                for i, x in enumerate(xs):
-                    v, diag = eval_fn(variant, per_point[i][: n + 1], params, float(x), mode)
-                    vals[i] = v
-                    flagged = flagged or diag.flagged
-                yield n, vals, flagged, None
-            else:
-                vals, diags = eval_fn(variant, coeffs[: n + 1], params, xs, mode)
-                yield n, vals, any(d.flagged for d in diags), None
+            parts = top if top is not None else build(n)
+            vals = np.concatenate([p.values(n) for p in parts])
+            yield n, vals, any(bool(np.any(p.flagged(n))) for p in parts), None
         except (OverflowError, ValueError) as exc:
             yield n, None, True, exc
 
 
-def _geometry_of(variant: str) -> str:
-    return "line" if variant in LINE_VARIANTS else "polar"
-
-
 # --- audit ---------------------------------------------------------------------
 
+_AUDIT_FULL_ORDER = 40
+
 # exact-truncation Gaussian configurations (width a = 1) per variant:
-# (tau, beta, probes); C variants also get an off-center probe checked at
-# full order, which is where the published CI-C constants break.
+# (tau, beta, probes, full order); C variants also get an off-center probe
+# checked at full order, which is where the published CI-C constants break.
 _AUDIT_SETUP = {
-    "CD-A": (0.5, 1.0, (-1.3, 0.0, 0.8, 2.1)),
-    "CD-B": (0.4, 0.6, (-1.3, 0.0, 0.8, 2.1)),
-    "CD-C": (0.5, 1.0, (0.0,)),
-    "CI-A": (0.3, 1.0, (-1.3, 0.0, 0.8, 2.1)),
-    "CI-B": (0.3, 1.0, (-1.3, 0.0, 0.8, 2.1)),
-    "CI-C": (0.3, 1.0, (0.0,)),
-    "PD-A": (0.5, 1.0, (0.0, 0.7, 1.6, 2.5)),
-    "PD-B": (0.4, 0.6, (0.0, 0.7, 1.6, 2.5)),
-    "PD-C": (0.5, 1.0, (0.0,)),
-    "PI-A": (0.3, 1.0, (0.0, 0.7, 1.6, 2.5)),
-    "PI-B": (0.3, 1.3, (0.0, 0.7, 1.6, 2.5)),
-    "PI-C": (0.3, 1.0, (0.0,)),
+    "CD-A": (0.5, 1.0, (-1.3, 0.0, 0.8, 2.1), _AUDIT_FULL_ORDER),
+    "CD-B": (0.4, 0.6, (-1.3, 0.0, 0.8, 2.1), _AUDIT_FULL_ORDER),
+    "CD-C": (0.5, 1.0, (0.0,), _AUDIT_FULL_ORDER),
+    "CI-A": (0.3, 1.0, (-1.3, 0.0, 0.8, 2.1), _AUDIT_FULL_ORDER),
+    "CI-B": (0.3, 1.0, (-1.3, 0.0, 0.8, 2.1), 60),  # subgeometric at the outer probe
+    "CI-C": (0.3, 1.0, (0.0,), _AUDIT_FULL_ORDER),
+    "PD-A": (0.5, 1.0, (0.0, 0.7, 1.6, 2.5), _AUDIT_FULL_ORDER),
+    "PD-B": (0.4, 0.6, (0.0, 0.7, 1.6, 2.5), _AUDIT_FULL_ORDER),
+    "PD-C": (0.5, 1.0, (0.0,), _AUDIT_FULL_ORDER),
+    "PI-A": (0.3, 1.0, (0.0, 0.7, 1.6, 2.5), _AUDIT_FULL_ORDER),
+    "PI-B": (0.3, 1.3, (0.0, 0.7, 1.6, 2.5), _AUDIT_FULL_ORDER),
+    "PI-C": (0.3, 1.0, (0.0,), _AUDIT_FULL_ORDER),
 }
 
 _AUDIT_TOL_EXACT = 1e-9     # N in {0, 1, 2} at the exact-truncation config
 _AUDIT_TOL_FULL = 1e-8      # off-center / full-order convergence checks
-_AUDIT_FULL_ORDER = 40
-_CI_B_FULL_ORDER = 60       # CI-B converges subgeometrically at the outer probe
 _OFF_CENTER_PROBE = 1.0
-
-# variants whose published constants differ from the oracle-validated ones
-_LITERAL_SENSITIVE = ("CD-C", "CI-C", "PD-C", "PI-C")
 
 
 def _audit_case(variant: str):
-    tau, beta, probes = _AUDIT_SETUP[variant]
-    geometry = _geometry_of(variant)
+    tau, beta, probes, _ = _AUDIT_SETUP[variant]
+    geometry = VARIANTS[variant].geometry
     f = Gaussian(width_a=1.0)
     evolve = evolve_line if geometry == "line" else evolve_polar
-    if variant.startswith(("CD", "PD")):
+    if VARIANTS[variant].direct:
         data = f
         oracle_fn = (forward_line if geometry == "line" else forward_polar)
         truth = lambda xs: oracle_fn(f, tau, xs)
@@ -311,14 +291,14 @@ def run_audit(config: StudyConfig) -> StudyReport:
     spec = config.quad
     rows: list[StudyRow] = []
     ratios: dict[str, float] = {}
-    for variant in ALL_SERIES_VARIANTS:
+    for variant, row in VARIANTS.items():
         tau, beta, probes, data, truth = _audit_case(variant)
+        full_order = _AUDIT_SETUP[variant][3]
         params = KernelParams(tau=tau, beta=beta)
         truth_vals = np.atleast_1d(truth(probes))
         scale = float(np.max(np.abs(truth_vals)))
         errs = {}
         t0 = time.perf_counter()
-        full_order = _CI_B_FULL_ORDER if variant == "CI-B" else _AUDIT_FULL_ORDER
         for n in (0, 1, 2, full_order):
             vals, diags = _solve(variant, data, params, n, probes, mode, spec)
             err = float(np.max(np.abs(vals - truth_vals))) / scale
@@ -336,7 +316,7 @@ def run_audit(config: StudyConfig) -> StudyReport:
                     runtime_ms=(time.perf_counter() - t0) * 1e3,
                 )
             )
-        if variant in _LITERAL_SENSITIVE:
+        if row.pointwise:
             # value ratio literal/validated of the N=2 truncation at center
             v_lit, _ = _solve(variant, data, params, 2, probes[:1], "paper_literal", spec)
             v_ok, _ = _solve(variant, data, params, 2, probes[:1], "oracle_validated", spec)
@@ -344,14 +324,14 @@ def run_audit(config: StudyConfig) -> StudyReport:
             off = np.array([_OFF_CENTER_PROBE])
             off_vals, _ = _solve(variant, data, params, _AUDIT_FULL_ORDER, off, mode, spec)
             off_err = float(abs(off_vals[0] - np.atleast_1d(truth(off))[0])) / scale
-        if variant == "CI-B":
+        if row.weighted:
             # no exact-truncation configuration exists for the weighted
             # moments; certified by strict error decrease plus full-order
             # convergence to the oracle
             passed = errs[2] < 0.8 * errs[0] and errs[full_order] <= _AUDIT_TOL_FULL
         else:
             passed = all(errs[n] <= _AUDIT_TOL_EXACT for n in (0, 1, 2))
-            if variant in _LITERAL_SENSITIVE:
+            if row.pointwise:
                 passed = passed and off_err <= _AUDIT_TOL_FULL
         status = "pass" if passed else "fail"
         for row in rows:
@@ -366,12 +346,9 @@ def run_audit(config: StudyConfig) -> StudyReport:
 
 def expected_audit_statuses(mode: str) -> dict:
     """The documented pass/fail table per constants mode (the errata guard)."""
-    if mode == "oracle_validated":
-        return {v: "pass" for v in ALL_SERIES_VARIANTS}
-    out = {v: "pass" for v in ALL_SERIES_VARIANTS}
-    for v in _LITERAL_SENSITIVE:
-        out[v] = "fail"
-    return out
+    # the published constants differ from the validated ones for the C variants only
+    literal = mode != "oracle_validated"
+    return {v: "fail" if literal and row.pointwise else "pass" for v, row in VARIANTS.items()}
 
 
 # --- sampled-data scaffolding -----------------------------------------------------
@@ -399,9 +376,7 @@ def _reconstruction_rows(
     truth = config.profile(xs)
     rows = []
     for variant in variants:
-        params = None
-        if variant != "CI-classical":
-            params = KernelParams(tau=config.tau, beta=beta)
+        params = None if variant == CLASSICAL else KernelParams(tau=config.tau, beta=beta)
         t0 = time.perf_counter()
         for n, vals, diverged, exc in _sweep_orders(
             variant, data, params, config.n_range, xs, config.constants_mode, config.quad, tau=config.tau
@@ -418,7 +393,7 @@ def _reconstruction_rows(
                 StudyRow(
                     variant=variant,
                     n=int(n),
-                    beta=0.0 if variant == "CI-classical" else beta,
+                    beta=0.0 if variant == CLASSICAL else beta,
                     delta=delta,
                     error_l2=err_l2,
                     error_max=err_max,
@@ -502,9 +477,7 @@ def run_convergence(config: StudyConfig) -> StudyReport:
     """Error versus truncation order against the forward oracle."""
     if config.study_kind != "convergence":
         raise ValueError("config.study_kind must be 'convergence'")
-    variants = config.variants or (
-        ("CD-A", "CD-B", "CD-C") if config.geometry == "line" else ("PD-A", "PD-B", "PD-C")
-    )
+    variants = config.variants or variant_names(config.geometry, direct=True)
     xs = _compare_grid(config.geometry)
     forward = forward_line if config.geometry == "line" else forward_polar
     truth = forward(config.profile, config.tau, xs, config.quad)
@@ -545,8 +518,7 @@ def run_beta_map(config: StudyConfig) -> StudyReport:
     n = int(config.n_range[-1])
     rows: list = []
     for variant in variants:
-        inverse = variant.startswith(("CI", "PI"))
-        if inverse:
+        if variant == CLASSICAL or not VARIANTS[variant].direct:
             evolve = evolve_line if config.geometry == "line" else evolve_polar
             data = evolve(config.profile, config.tau)
             truth = config.profile(xs)

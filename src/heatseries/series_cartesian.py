@@ -1,8 +1,8 @@
 """Truncated Hermite-series solvers for the line.
 
-Six shifted-series variants plus the classical derivative-based inverse
-baseline, each split into coefficient computation, truncated evaluation and
-divergence monitoring.  With s = tau + beta:
+Six shifted-series variants (rows of `variants.VARIANTS`) plus the classical
+derivative-based inverse baseline, each split into coefficient computation,
+truncated evaluation and divergence monitoring.  With s = tau + beta:
 
 * CD-A (direct): moments of f against H_j(xi/(2 sqrt(beta))), evaluated with
   the Gaussian prefactor at scale s.
@@ -16,9 +16,9 @@ divergence monitoring.  With s = tau + beta:
   data at 0 - the instability baseline that amplifies noise through
   high-order differentiation.
 
-Every evaluation sums in ascending order (reproducibility), stops early
-once three consecutive terms drop below abs_tol, and records term
-magnitudes for the divergence diagnostic.
+Every evaluation goes through the shared path in `variants`: it sums in
+ascending order (reproducibility), stops early once three consecutive terms
+drop below abs_tol, and scans the term magnitudes for divergence.
 
 constants_mode selects between the oracle-certified constants
 ("oracle_validated", default) and the originally published ones
@@ -29,154 +29,39 @@ kernel-oracle certification by documented ratios (see ERRATA.md).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .profiles import Gaussian, Mixture, Sampled1D, profile_support
 from .quad import FiniteInterval, QuadSpec, integrate_vec
 from .specfun import KernelParams, hermite_batch
+from .variants import (
+    CLASSICAL,
+    LINE,
+    DivergenceDiag,
+    beta_rule,
+    check_mode,
+    default_beta,
+    lookup,
+    point_results,
+    ratio_products,
+    series_terms,
+    solve_grid,
+)
 
 __all__ = [
-    "DIRECT_VARIANTS",
-    "INVERSE_VARIANTS",
     "DivergenceDiag",
-    "SeriesSolution",
     "beta_rule",
     "cd_coeffs",
     "cd_eval",
     "ci_classical",
     "ci_coeffs",
     "ci_eval",
+    "default_beta",
     "solve_grid_line",
 ]
 
-DIRECT_VARIANTS = ("CD-A", "CD-B", "CD-C")
-INVERSE_VARIANTS = ("CI-A", "CI-B", "CI-C")
-CONSTANTS_MODES = ("oracle_validated", "paper_literal")
-
 DEFAULT_ORDER = 40
-EARLY_STOP_RUN = 3  # consecutive sub-threshold terms before stopping
-GROWTH_RUN = 5      # consecutive growing terms (from index >= 4) that flag divergence
-GROWTH_MIN_INDEX = 4
-GROWTH_NOISE_REL = 1e-12  # terms this far under the running max count as zero
-
-
-@dataclass(frozen=True)
-class DivergenceDiag:
-    """Empirical growth monitor for one truncated-series evaluation.
-
-    flagged is set when the term magnitudes grow through GROWTH_RUN
-    consecutive comparisons starting at or after index GROWTH_MIN_INDEX;
-    first_growth_index is the start of the first such run.  Terms more than
-    GROWTH_NOISE_REL below the running maximum are numerically zero (parity
-    zeros, quadrature noise) and are invisible to the scan.
-    """
-
-    term_magnitudes: np.ndarray
-    flagged: bool
-    first_growth_index: int | None
-
-
-@dataclass
-class SeriesSolution:
-    """A truncated expansion as an evaluable record.
-
-    constants_mode travels with the record so that serialized outputs always
-    say which constant set produced them.
-    """
-
-    variant: str
-    tau: float
-    beta: float
-    order_n: int
-    coeffs: np.ndarray
-    constants_mode: str = "oracle_validated"
-    x_center: float = 0.0
-    diagnostics: DivergenceDiag | None = None
-
-    def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=float)
-        if self.coeffs.size != self.order_n + 1:
-            raise ValueError(
-                f"coeffs must have length order_n + 1 = {self.order_n + 1}, got {self.coeffs.size}"
-            )
-        if self.variant != "CI-classical" and not (self.beta > 0.0):
-            raise ValueError("beta must be positive for every shifted series")
-        if self.constants_mode not in CONSTANTS_MODES:
-            raise ValueError(f"unknown constants_mode {self.constants_mode!r}")
-
-    def evaluate(self, x):
-        """Evaluate this record at x; returns (value(s), diagnostics)."""
-        params = KernelParams(tau=self.tau, beta=self.beta)
-        if self.variant in DIRECT_VARIANTS:
-            return cd_eval(self.variant, self.coeffs, params, x, self.constants_mode)
-        if self.variant in INVERSE_VARIANTS:
-            return ci_eval(self.variant, self.coeffs, params, x, self.constants_mode)
-        raise ValueError(f"cannot evaluate variant {self.variant!r} from a record")
-
-
-def _scan_divergence(mags: np.ndarray) -> tuple[bool, int | None]:
-    mags = np.abs(mags)
-    running_max = np.maximum.accumulate(np.maximum(mags, 1e-300))
-    idx = np.nonzero(mags > GROWTH_NOISE_REL * running_max)[0]
-    vals = mags[idx]
-    run = 0
-    for k in range(1, idx.size):
-        run = run + 1 if vals[k] > vals[k - 1] else 0
-        if run >= GROWTH_RUN and idx[k - GROWTH_RUN] >= GROWTH_MIN_INDEX:
-            return True, int(idx[k - GROWTH_RUN])
-    return False, None
-
-
-def beta_rule(scale_estimate: float, tau: float, alignment: str = "shifted") -> float:
-    """Shift choice aligning a variant's moment scale with the data scale.
-
-    alignment "shifted" (moments at sqrt(tau+beta); the B variants and every
-    inverse A/C variant): beta = max(scale - tau, tau/2).  alignment "plain"
-    (moments at sqrt(beta); the direct A/C variants and PI-B):
-    beta = max(scale, tau/2).  Either way the matched scale truncates the
-    series exactly for pure Gaussians and the tau/2 floor keeps beta away
-    from 0.  Feed the measured data scale: the profile width for a direct
-    solve, the evolved width for an inverse one.
-    """
-    if not (math.isfinite(scale_estimate) and scale_estimate > 0.0):
-        raise ValueError(f"scale estimate must be positive and finite, got {scale_estimate}")
-    if not (math.isfinite(tau) and tau > 0.0):
-        raise ValueError(f"tau must be positive and finite, got {tau}")
-    if alignment == "shifted":
-        return max(scale_estimate - tau, 0.5 * tau)
-    if alignment == "plain":
-        return max(scale_estimate, 0.5 * tau)
-    raise ValueError(f"unknown alignment {alignment!r}; choose 'shifted' or 'plain'")
-
-
-# which alignment matches each variant's moment scale
-BETA_ALIGNMENT = {
-    "CD-A": "plain",
-    "CD-B": "shifted",
-    "CD-C": "plain",
-    "CI-A": "shifted",
-    "CI-B": "shifted",
-    "CI-C": "shifted",
-    "PD-A": "plain",
-    "PD-B": "shifted",
-    "PD-C": "plain",
-    "PI-A": "shifted",
-    "PI-B": "plain",
-    "PI-C": "shifted",
-}
-
-
-def default_beta(variant: str, scale_estimate: float, tau: float) -> float:
-    """beta_rule with the alignment appropriate to the variant."""
-    if variant == "CI-classical":
-        raise ValueError("CI-classical has no shift parameter")
-    try:
-        alignment = BETA_ALIGNMENT[variant]
-    except KeyError:
-        raise ValueError(f"unknown variant {variant!r}") from None
-    return beta_rule(scale_estimate, tau, alignment)
 
 
 # --- coefficient integrals --------------------------------------------------
@@ -230,6 +115,20 @@ def _hermite_moments(
     return vals
 
 
+def _coeffs(direct: bool, variant: str, data, params: KernelParams, n: int, x_center: float, spec: QuadSpec):
+    row = lookup(variant, LINE, direct)
+    root = row.moment_root(params)
+    return _hermite_moments(
+        data,
+        root,
+        n,
+        spec,
+        weight_root=root if row.weighted else None,
+        diff_center=x_center if row.pointwise else None,
+        even_only=row.pointwise,
+    )
+
+
 def cd_coeffs(
     variant: str,
     f,
@@ -239,16 +138,7 @@ def cd_coeffs(
     spec: QuadSpec = QuadSpec(),
 ) -> np.ndarray:
     """Direct-problem moments f_j (f_{2j} for CD-C, which are x-dependent)."""
-    s = params.shifted
-    if variant == "CD-A":
-        return _hermite_moments(f, math.sqrt(params.beta), n, spec)
-    if variant == "CD-B":
-        return _hermite_moments(f, math.sqrt(s), n, spec)
-    if variant == "CD-C":
-        return _hermite_moments(
-            f, math.sqrt(params.beta), n, spec, diff_center=x_center, even_only=True
-        )
-    raise ValueError(f"unknown direct variant {variant!r}")
+    return _coeffs(True, variant, f, params, n, x_center, spec)
 
 
 def ci_coeffs(
@@ -260,136 +150,35 @@ def ci_coeffs(
     spec: QuadSpec = QuadSpec(),
 ) -> np.ndarray:
     """Inverse-problem moments u_j; the two scales swap roles versus cd_coeffs."""
-    s = params.shifted
-    if variant == "CI-A":
-        return _hermite_moments(u, math.sqrt(s), n, spec)
-    if variant == "CI-B":
-        return _hermite_moments(
-            u, math.sqrt(params.beta), n, spec, weight_root=math.sqrt(params.beta)
-        )
-    if variant == "CI-C":
-        return _hermite_moments(
-            u, math.sqrt(s), n, spec, diff_center=x_center, even_only=True
-        )
-    raise ValueError(f"unknown inverse variant {variant!r}")
+    return _coeffs(False, variant, u, params, n, x_center, spec)
 
 
 # --- truncated evaluation ---------------------------------------------------
 
-def _hermite_series_terms(
-    coeffs: np.ndarray,
-    arg_scale: float,
-    num_scale: float,
-    den_scale: float,
-    pref_scale: float | None,
-    x: np.ndarray,
-) -> np.ndarray:
-    """Terms c_j H_j(x/(2 sqrt(arg))) (sqrt(num)/(2 sqrt(den)))^j / j! [* prefactor].
-
-    Returns the term matrix (n+1, len(x)).
-    """
+def _hermite_terms(coeffs: np.ndarray, arg: float, g: float, pref, x: np.ndarray, abs_tol: float):
+    """Terms c_j H_j(x/(2 sqrt(arg))) g^j / j! [* Gaussian prefactor at time pref]."""
     n = coeffs.size - 1
-    h = hermite_batch(n, x / (2.0 * math.sqrt(arg_scale)))
-    g = math.sqrt(num_scale) / (2.0 * math.sqrt(den_scale))
-    w = np.empty(n + 1)
-    w[0] = 1.0
-    for j in range(n):
-        w[j + 1] = w[j] * g / (j + 1)
-    terms = coeffs[:, None] * w[:, None] * h
-    if pref_scale is not None:
-        pref = np.exp(-(x * x) / (4.0 * pref_scale)) / (
-            2.0 * math.sqrt(math.pi * pref_scale)
-        )
-        terms = terms * pref[None, :]
-    if not np.all(np.isfinite(terms)):
-        raise OverflowError("series terms overflowed double precision")
-    return terms
+    h = hermite_batch(n, x / (2.0 * math.sqrt(arg)))
+    w = ratio_products(1.0, n, lambda w, j: w * g / (j + 1))
+    if pref is not None:
+        pref = np.exp(-(x * x) / (4.0 * pref)) / (2.0 * math.sqrt(math.pi * pref))
+    return series_terms(coeffs * w, h, pref, abs_tol)
 
 
-def _even_series_terms(coeffs: np.ndarray, kappa0: float, ratio, x: np.ndarray) -> np.ndarray:
-    """Terms kappa_j c_j for the even-only (C) variants; kappa_{j+1} = kappa_j ratio(j)."""
-    n = coeffs.size - 1
-    kappa = np.empty(n + 1)
-    kappa[0] = kappa0
-    for j in range(n):
-        kappa[j + 1] = kappa[j] * ratio(j)
-    terms = (kappa * coeffs)[:, None] * np.ones_like(x)[None, :]
-    if not np.all(np.isfinite(terms)):
-        raise OverflowError("series terms overflowed double precision")
-    return terms
+def line_series(row, coeffs: np.ndarray, params: KernelParams, x: np.ndarray, mode: str, abs_tol: float = 1e-14):
+    """The term matrix of one line variant at the points x (internal)."""
+    check_mode(mode)
+    if row.pointwise:
+        n = coeffs.size - 1
+        return series_terms(row.kappa(params, mode, n) * coeffs, np.ones((1, x.size)), None, abs_tol)
+    arg, num, den, pref = row.times(params)
+    return _hermite_terms(coeffs, arg, math.sqrt(num) / (2.0 * math.sqrt(den)), pref, x, abs_tol)
 
 
-def _early_stop(terms: np.ndarray, abs_tol: float) -> np.ndarray:
-    """Truncate the term matrix after EARLY_STOP_RUN consecutive tiny rows."""
-    mags = np.max(np.abs(terms), axis=1)
-    run = 0
-    for j, m in enumerate(mags):
-        run = run + 1 if m < abs_tol else 0
-        if run >= EARLY_STOP_RUN:
-            return terms[: j + 1]
-    return terms
-
-
-def _scales_direct(variant: str, params: KernelParams, mode: str):
-    s = params.shifted
-    if variant == "CD-A":
-        return dict(arg=s, num=params.beta, den=s, pref=s)
-    if variant == "CD-B":
-        sigma = 2.0 * params.tau + params.beta
-        return dict(arg=sigma, num=s, den=sigma, pref=sigma)
-    if variant == "CD-C":
-        if mode == "paper_literal":
-            return dict(kappa0=1.0 / (2.0 * math.sqrt(s)), rho=-params.beta / (8.0 * s), fact="j")
-        return dict(kappa0=1.0 / (2.0 * math.sqrt(math.pi * s)), rho=-params.beta / (4.0 * s), fact="j")
-    raise ValueError(f"unknown direct variant {variant!r}")
-
-
-def _scales_inverse(variant: str, params: KernelParams, mode: str):
-    s = params.shifted
-    if variant == "CI-A":
-        return dict(arg=params.beta, num=s, den=params.beta, pref=params.beta)
-    if variant == "CI-B":
-        return dict(arg=s, num=s, den=params.beta, pref=None)
-    if variant == "CI-C":
-        if mode == "paper_literal":
-            return dict(
-                kappa0=1.0 / (2.0 * math.sqrt(math.pi * params.beta)),
-                rho=-s / (8.0 * params.beta),
-                fact="2j",
-            )
-        return dict(
-            kappa0=1.0 / (2.0 * math.sqrt(math.pi * params.beta)),
-            rho=-s / (4.0 * params.beta),
-            fact="j",
-        )
-    raise ValueError(f"unknown inverse variant {variant!r}")
-
-
-def _c_ratio(rho: float, fact: str):
-    if fact == "j":
-        return lambda j: rho / (j + 1)
-    return lambda j: rho / ((2 * j + 1) * (2 * j + 2))  # 1/(2j)! updates
-
-
-def _eval_terms(scales: dict, coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    if "kappa0" in scales:
-        return _even_series_terms(coeffs, scales["kappa0"], _c_ratio(scales["rho"], scales["fact"]), x)
-    return _hermite_series_terms(
-        coeffs, scales["arg"], scales["num"], scales["den"], scales["pref"], x
-    )
-
-
-def _eval_series(scales, coeffs, x, abs_tol):
+def _eval(direct: bool, variant: str, coeffs, params: KernelParams, x, mode: str, abs_tol: float):
+    row = lookup(variant, LINE, direct)
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    terms = _early_stop(_eval_terms(scales, coeffs, x_arr), abs_tol)
-    values = np.sum(terms, axis=0)
-    diags = []
-    for col in range(x_arr.size):
-        flagged, idx = _scan_divergence(np.abs(terms[:, col]))
-        diags.append(DivergenceDiag(np.abs(terms[:, col]), flagged, idx))
-    if np.ndim(x) == 0:
-        return float(values[0]), diags[0]
-    return values, diags
+    return point_results(line_series(row, np.asarray(coeffs, float), params, x_arr, mode, abs_tol), x)
 
 
 def cd_eval(
@@ -405,8 +194,7 @@ def cd_eval(
     CD-C coefficients are tied to the x they were computed for; pass the
     same point here.
     """
-    _check_mode(constants_mode)
-    return _eval_series(_scales_direct(variant, params, constants_mode), np.asarray(coeffs, float), x, abs_tol)
+    return _eval(True, variant, coeffs, params, x, constants_mode, abs_tol)
 
 
 def ci_eval(
@@ -418,13 +206,7 @@ def ci_eval(
     abs_tol: float = 1e-14,
 ):
     """Evaluate a truncated inverse series; returns (value, diagnostics)."""
-    _check_mode(constants_mode)
-    return _eval_series(_scales_inverse(variant, params, constants_mode), np.asarray(coeffs, float), x, abs_tol)
-
-
-def _check_mode(mode: str) -> None:
-    if mode not in CONSTANTS_MODES:
-        raise ValueError(f"unknown constants_mode {mode!r}; choose from {CONSTANTS_MODES}")
+    return _eval(False, variant, coeffs, params, x, constants_mode, abs_tol)
 
 
 # --- classical derivative-based inverse baseline -----------------------------
@@ -488,6 +270,16 @@ def _fd_derivs_at_zero(data: Sampled1D, n: int) -> np.ndarray:
     return out
 
 
+def classical_series(u, tau: float, n: int, x: np.ndarray, abs_tol: float = 1e-14):
+    """The term matrix of the classical baseline at the points x (internal)."""
+    if not (tau > 0.0):
+        raise ValueError(f"tau must be positive, got {tau}")
+    if n < 0:
+        raise ValueError("order must be non-negative")
+    derivs = _fd_derivs_at_zero(u, n) if isinstance(u, Sampled1D) else _analytic_derivs_at_zero(u, n)
+    return _hermite_terms(derivs, tau, math.sqrt(tau), None, x, abs_tol)
+
+
 def ci_classical(u, tau: float, n: int, x, abs_tol: float = 1e-14):
     """Derivative-based inverse baseline.
 
@@ -495,33 +287,7 @@ def ci_classical(u, tau: float, n: int, x, abs_tol: float = 1e-14):
     Derivatives come in closed form for Gaussian data and from raw central
     differences for sampled data.  Returns (value, diagnostics).
     """
-    if not (tau > 0.0):
-        raise ValueError(f"tau must be positive, got {tau}")
-    if n < 0:
-        raise ValueError("order must be non-negative")
-    if isinstance(u, Sampled1D):
-        derivs = _fd_derivs_at_zero(u, n)
-    else:
-        derivs = _analytic_derivs_at_zero(u, n)
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    hmat = hermite_batch(n, x_arr / (2.0 * math.sqrt(tau)))
-    w = np.empty(n + 1)
-    w[0] = 1.0
-    root = math.sqrt(tau)
-    for j in range(n):
-        w[j + 1] = w[j] * root / (j + 1)
-    terms = (derivs * w)[:, None] * hmat
-    if not np.all(np.isfinite(terms)):
-        raise OverflowError("classical series terms overflowed double precision")
-    terms = _early_stop(terms, abs_tol)
-    values = np.sum(terms, axis=0)
-    diags = [
-        DivergenceDiag(np.abs(terms[:, c]), *(_scan_divergence(np.abs(terms[:, c]))))
-        for c in range(x_arr.size)
-    ]
-    if np.ndim(x) == 0:
-        return float(values[0]), diags[0]
-    return values, diags
+    return point_results(classical_series(u, tau, n, np.atleast_1d(np.asarray(x, dtype=float)), abs_tol), x)
 
 
 # --- grid driver -------------------------------------------------------------
@@ -538,35 +304,12 @@ def solve_grid_line(
 ) -> tuple[np.ndarray, list[DivergenceDiag]]:
     """Evaluate one line variant on a grid, recomputing per-point coefficients
     where the variant requires it (CD-C / CI-C)."""
-    xs = np.asarray(xs, dtype=float)
-    if variant == "CI-classical":
+    if variant == CLASSICAL:
         if tau is None:
             tau = params.tau if params is not None else None
         if tau is None:
             raise ValueError("CI-classical needs tau")
-        return ci_classical(data, tau, n, xs)
-    if params is None:
-        raise ValueError(f"{variant} needs KernelParams")
-    if variant in ("CD-A", "CD-B"):
-        coeffs = cd_coeffs(variant, data, params, n, spec=spec)
-        return cd_eval(variant, coeffs, params, xs, constants_mode)
-    if variant in ("CI-A", "CI-B"):
-        coeffs = ci_coeffs(variant, data, params, n, spec=spec)
-        return ci_eval(variant, coeffs, params, xs, constants_mode)
-    values = np.empty(xs.size)
-    diags: list[DivergenceDiag] = []
-    for i, xc in enumerate(xs):
-        try:
-            if variant == "CD-C":
-                coeffs = cd_coeffs(variant, data, params, n, x_center=float(xc), spec=spec)
-                val, diag = cd_eval(variant, coeffs, params, float(xc), constants_mode)
-            elif variant == "CI-C":
-                coeffs = ci_coeffs(variant, data, params, n, x_center=float(xc), spec=spec)
-                val, diag = ci_eval(variant, coeffs, params, float(xc), constants_mode)
-            else:
-                raise ValueError(f"unknown line variant {variant!r}")
-        except OverflowError as exc:
-            raise OverflowError(f"{variant} at x = {xc:g}: {exc}") from exc
-        values[i] = val
-        diags.append(diag)
-    return values, diags
+        return ci_classical(data, tau, n, np.asarray(xs, dtype=float))
+    row = lookup(variant, LINE)
+    coeffs_fn, eval_fn = (cd_coeffs, cd_eval) if row.direct else (ci_coeffs, ci_eval)
+    return solve_grid(row, coeffs_fn, eval_fn, data, params, n, xs, constants_mode, spec)

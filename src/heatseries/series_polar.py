@@ -11,8 +11,9 @@ xi d(xi) on [0, inf).  With s = tau + beta:
 * PI-A / PI-B / PI-C (inverse): scale roles exchanged.  PI-B needs
   beta > tau: its prefactor lives at beta - tau.
 
-The divergence diagnostic and constants_mode behave exactly as in the
-Cartesian module; the published C-variant constants fail the oracle
+The scales and constants of each variant are rows of `variants.VARIANTS`;
+evaluation, the divergence diagnostic and constants_mode go through the same
+path as on the line.  The published C-variant constants fail the oracle
 certification by documented ratios (ERRATA.md).
 """
 
@@ -25,18 +26,21 @@ import numpy as np
 from .profiles import Sampled1D, profile_support
 from .quad import FiniteInterval, QuadSpec, integrate_vec
 from .specfun import KernelParams, w_poly_batch
-from .series_cartesian import (
-    CONSTANTS_MODES,
+from .variants import (
+    POLAR,
     DivergenceDiag,
-    _early_stop,
-    _scan_divergence,
+    check_mode,
+    lookup,
+    point_results,
+    ratio_products,
+    series_terms,
+    solve_grid,
+    variant_names,
 )
-from dataclasses import dataclass
 
 __all__ = [
     "PD_VARIANTS",
     "PI_VARIANTS",
-    "PolarSeriesSolution",
     "pd_coeffs",
     "pd_eval",
     "pi_coeffs",
@@ -44,42 +48,11 @@ __all__ = [
     "solve_grid_polar",
 ]
 
-PD_VARIANTS = ("PD-A", "PD-B", "PD-C")
-PI_VARIANTS = ("PI-A", "PI-B", "PI-C")
+PD_VARIANTS = variant_names(POLAR, direct=True)
+PI_VARIANTS = variant_names(POLAR, direct=False)
 
 _ANGULAR_NODES_START = 64
 _ANGULAR_NODES_MAX = 512
-
-
-@dataclass
-class PolarSeriesSolution:
-    variant: str
-    tau: float
-    beta: float
-    order_n: int
-    coeffs: np.ndarray
-    constants_mode: str = "oracle_validated"
-    r_center: float = 0.0
-    diagnostics: DivergenceDiag | None = None
-
-    def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=float)
-        if self.coeffs.size != self.order_n + 1:
-            raise ValueError(
-                f"coeffs must have length order_n + 1 = {self.order_n + 1}, got {self.coeffs.size}"
-            )
-        if not (self.beta > 0.0):
-            raise ValueError("beta must be positive")
-        if self.constants_mode not in CONSTANTS_MODES:
-            raise ValueError(f"unknown constants_mode {self.constants_mode!r}")
-
-    def evaluate(self, r):
-        params = KernelParams(tau=self.tau, beta=self.beta)
-        if self.variant in PD_VARIANTS:
-            return pd_eval(self.variant, self.coeffs, params, r, self.constants_mode)
-        if self.variant in PI_VARIANTS:
-            return pi_eval(self.variant, self.coeffs, params, r, self.constants_mode)
-        raise ValueError(f"cannot evaluate variant {self.variant!r} from a record")
 
 
 def _radial_window(data, spec: QuadSpec) -> tuple[float, float]:
@@ -145,6 +118,13 @@ def _w_angular_moments(data, root: float, n: int, r: float, spec: QuadSpec) -> n
     return vals
 
 
+def _coeffs(direct: bool, variant: str, data, params: KernelParams, n: int, r_center: float, spec: QuadSpec):
+    row = lookup(variant, POLAR, direct)
+    if row.pointwise:
+        return _w_angular_moments(data, row.moment_root(params), n, r_center, spec)
+    return _w_radial_moments(data, row.moment_root(params), n, spec)
+
+
 def pd_coeffs(
     variant: str,
     f,
@@ -154,14 +134,7 @@ def pd_coeffs(
     spec: QuadSpec = QuadSpec(),
 ) -> np.ndarray:
     """Direct radial moments f_j (r-dependent for PD-C)."""
-    s = params.shifted
-    if variant == "PD-A":
-        return _w_radial_moments(f, math.sqrt(params.beta), n, spec)
-    if variant == "PD-B":
-        return _w_radial_moments(f, math.sqrt(s), n, spec)
-    if variant == "PD-C":
-        return _w_angular_moments(f, math.sqrt(params.beta), n, r_center, spec)
-    raise ValueError(f"unknown direct polar variant {variant!r}")
+    return _coeffs(True, variant, f, params, n, r_center, spec)
 
 
 def pi_coeffs(
@@ -173,105 +146,34 @@ def pi_coeffs(
     spec: QuadSpec = QuadSpec(),
 ) -> np.ndarray:
     """Inverse radial moments u_j; scales swapped versus pd_coeffs."""
-    s = params.shifted
-    if variant == "PI-A":
-        return _w_radial_moments(u, math.sqrt(s), n, spec)
-    if variant == "PI-B":
-        return _w_radial_moments(u, math.sqrt(params.beta), n, spec)
-    if variant == "PI-C":
-        return _w_angular_moments(u, math.sqrt(s), n, r_center, spec)
-    raise ValueError(f"unknown inverse polar variant {variant!r}")
+    return _coeffs(False, variant, u, params, n, r_center, spec)
 
 
 # --- evaluation ---------------------------------------------------------------
 
-def _radial_series_terms(
-    coeffs: np.ndarray,
-    arg_scale: float,
-    ratio: float,
-    pref_scale: float,
-    r: np.ndarray,
-) -> np.ndarray:
-    """Terms c_j W_j(r/(2 sqrt(arg))) ratio^j j!^2/(2j)!^2 * kernel prefactor."""
-    n = coeffs.size - 1
-    wmat = w_poly_batch(n, r / (2.0 * math.sqrt(arg_scale)))
-    w = np.empty(n + 1)
-    w[0] = 1.0
-    for j in range(n):
-        w[j + 1] = w[j] * ratio / (2.0 * (2 * j + 1)) ** 2
-    pref = np.exp(-(r * r) / (4.0 * pref_scale)) / (2.0 * pref_scale)
-    terms = (coeffs * w)[:, None] * wmat * pref[None, :]
-    if not np.all(np.isfinite(terms)):
-        raise OverflowError("series terms overflowed double precision")
-    return terms
+def polar_series(row, coeffs: np.ndarray, params: KernelParams, r: np.ndarray, mode: str, abs_tol: float = 1e-14):
+    """The term matrix of one polar variant at the radii r (internal).
 
-
-def _scales_pd(variant: str, params: KernelParams, mode: str):
-    s = params.shifted
-    if variant == "PD-A":
-        return dict(arg=s, ratio=params.beta / s, pref=s)
-    if variant == "PD-B":
-        sigma = 2.0 * params.tau + params.beta
-        return dict(arg=sigma, ratio=s / sigma, pref=sigma)
-    if variant == "PD-C":
-        if mode == "paper_literal":
-            return dict(kappa0=math.sqrt(math.pi) / (2.0 * math.sqrt(s)), rho=-params.beta / s, fact="gamma")
-        return dict(kappa0=1.0 / (2.0 * math.pi * s), rho=-params.beta / s, fact="half")
-    raise ValueError(f"unknown direct polar variant {variant!r}")
-
-
-def _scales_pi(variant: str, params: KernelParams, mode: str):
-    s = params.shifted
-    if variant == "PI-A":
-        return dict(arg=params.beta, ratio=s / params.beta, pref=params.beta)
-    if variant == "PI-B":
-        sigma = params.beta - params.tau
-        if sigma <= 0.0:
-            raise ValueError(
-                f"PI-B requires beta > tau (the shift must exceed the horizon); "
-                f"got beta={params.beta}, tau={params.tau}"
-            )
-        return dict(arg=sigma, ratio=params.beta / sigma, pref=sigma)
-    if variant == "PI-C":
-        if mode == "paper_literal":
-            return dict(kappa0=math.sqrt(math.pi) / (2.0 * math.sqrt(params.tau)), rho=-s / params.tau, fact="gamma")
-        return dict(kappa0=1.0 / (2.0 * math.pi * params.beta), rho=-s / params.beta, fact="half")
-    raise ValueError(f"unknown inverse polar variant {variant!r}")
-
-
-def _polar_c_ratio(rho: float, fact: str):
-    # "half": kappa_{j+1}/kappa_j = rho j!/(2j)! updates -> rho/(2(2j+1))
-    # "gamma": published Gamma(j+1/2) form -> rho/(4(j+1))
-    if fact == "half":
-        return lambda j: rho / (2.0 * (2 * j + 1))
-    return lambda j: rho / (4.0 * (j + 1))
-
-
-def _eval_polar(scales: dict, coeffs: np.ndarray, r, abs_tol: float):
-    r_arr = np.atleast_1d(np.asarray(r, dtype=float))
-    if np.any(r_arr < 0.0):
+    A/B terms: c_j W_j(r/(2 sqrt(arg))) (num/den)^j j!^2/(2j)!^2 * kernel prefactor.
+    """
+    check_mode(mode)
+    if np.any(r < 0.0):
         raise ValueError("radius must be non-negative")
-    if "kappa0" in scales:
-        n = coeffs.size - 1
-        kappa = np.empty(n + 1)
-        kappa[0] = scales["kappa0"]
-        ratio = _polar_c_ratio(scales["rho"], scales["fact"])
-        for j in range(n):
-            kappa[j + 1] = kappa[j] * ratio(j)
-        terms = (kappa * coeffs)[:, None] * np.ones_like(r_arr)[None, :]
-        if not np.all(np.isfinite(terms)):
-            raise OverflowError("series terms overflowed double precision")
-    else:
-        terms = _radial_series_terms(coeffs, scales["arg"], scales["ratio"], scales["pref"], r_arr)
-    terms = _early_stop(terms, abs_tol)
-    values = np.sum(terms, axis=0)
-    diags = [
-        DivergenceDiag(np.abs(terms[:, c]), *(_scan_divergence(np.abs(terms[:, c]))))
-        for c in range(r_arr.size)
-    ]
-    if np.ndim(r) == 0:
-        return float(values[0]), diags[0]
-    return values, diags
+    n = coeffs.size - 1
+    if row.pointwise:
+        return series_terms(row.kappa(params, mode, n) * coeffs, np.ones((1, r.size)), None, abs_tol)
+    arg, num, den, pref = row.times(params)
+    wmat = w_poly_batch(n, r / (2.0 * math.sqrt(arg)))
+    ratio = num / den
+    w = ratio_products(1.0, n, lambda w, j: w * ratio / (2.0 * (2 * j + 1)) ** 2)
+    pref = np.exp(-(r * r) / (4.0 * pref)) / (2.0 * pref)
+    return series_terms(coeffs * w, wmat, pref, abs_tol)
+
+
+def _eval(direct: bool, variant: str, coeffs, params: KernelParams, r, mode: str, abs_tol: float):
+    row = lookup(variant, POLAR, direct)
+    r_arr = np.atleast_1d(np.asarray(r, dtype=float))
+    return point_results(polar_series(row, np.asarray(coeffs, float), params, r_arr, mode, abs_tol), r)
 
 
 def pd_eval(
@@ -283,9 +185,7 @@ def pd_eval(
     abs_tol: float = 1e-14,
 ):
     """Evaluate a truncated direct polar series; returns (value, diagnostics)."""
-    if constants_mode not in CONSTANTS_MODES:
-        raise ValueError(f"unknown constants_mode {constants_mode!r}")
-    return _eval_polar(_scales_pd(variant, params, constants_mode), np.asarray(coeffs, float), r, abs_tol)
+    return _eval(True, variant, coeffs, params, r, constants_mode, abs_tol)
 
 
 def pi_eval(
@@ -297,9 +197,7 @@ def pi_eval(
     abs_tol: float = 1e-14,
 ):
     """Evaluate a truncated inverse polar series; returns (value, diagnostics)."""
-    if constants_mode not in CONSTANTS_MODES:
-        raise ValueError(f"unknown constants_mode {constants_mode!r}")
-    return _eval_polar(_scales_pi(variant, params, constants_mode), np.asarray(coeffs, float), r, abs_tol)
+    return _eval(False, variant, coeffs, params, r, constants_mode, abs_tol)
 
 
 def solve_grid_polar(
@@ -311,28 +209,8 @@ def solve_grid_polar(
     constants_mode: str = "oracle_validated",
     spec: QuadSpec = QuadSpec(),
 ) -> tuple[np.ndarray, list[DivergenceDiag]]:
-    """Evaluate one polar variant on a grid of radii."""
-    rs = np.asarray(rs, dtype=float)
-    if variant in ("PD-A", "PD-B"):
-        coeffs = pd_coeffs(variant, data, params, n, spec=spec)
-        return pd_eval(variant, coeffs, params, rs, constants_mode)
-    if variant in ("PI-A", "PI-B"):
-        coeffs = pi_coeffs(variant, data, params, n, spec=spec)
-        return pi_eval(variant, coeffs, params, rs, constants_mode)
-    values = np.empty(rs.size)
-    diags: list[DivergenceDiag] = []
-    for i, rc in enumerate(rs):
-        try:
-            if variant == "PD-C":
-                coeffs = pd_coeffs(variant, data, params, n, r_center=float(rc), spec=spec)
-                val, diag = pd_eval(variant, coeffs, params, float(rc), constants_mode)
-            elif variant == "PI-C":
-                coeffs = pi_coeffs(variant, data, params, n, r_center=float(rc), spec=spec)
-                val, diag = pi_eval(variant, coeffs, params, float(rc), constants_mode)
-            else:
-                raise ValueError(f"unknown polar variant {variant!r}")
-        except OverflowError as exc:
-            raise OverflowError(f"{variant} at r = {rc:g}: {exc}") from exc
-        values[i] = val
-        diags.append(diag)
-    return values, diags
+    """Evaluate one polar variant on a grid of radii, recomputing per-point
+    coefficients where the variant requires it (PD-C / PI-C)."""
+    row = lookup(variant, POLAR)
+    coeffs_fn, eval_fn = (pd_coeffs, pd_eval) if row.direct else (pi_coeffs, pi_eval)
+    return solve_grid(row, coeffs_fn, eval_fn, data, params, n, rs, constants_mode, spec)

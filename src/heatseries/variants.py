@@ -1,0 +1,341 @@
+"""The twelve shifted-series variants as one table, and the evaluation path
+they share.
+
+Every variant is a moment pass at one time scale followed by a truncated sum
+at another.  With s = tau + beta, one row of VARIANTS records:
+
+* geometry (line: Hermite polynomials; polar: the radial polynomials W_j
+  with the measure xi dxi) and direction (direct CD/PD, inverse CI/PI);
+* the moment scale: the polynomials take xi / (2 sqrt(moment));
+* for A/B, the times (arg, num, den, pref) of the sum: basis polynomials at
+  x / (2 sqrt(arg)), a per-order ratio num/den (its square root on the line)
+  and the heat-kernel prefactor at time pref (none for CI-B, whose moments
+  carry the kernel at time beta instead);
+* for C, whose coefficients depend on the evaluation point, the constants
+  kappa_j for each constants mode; the published ("paper_literal") ones fail
+  the oracle certification by the ratios recorded in ERRATA.md;
+* the beta alignment that matches the moment scale with the data scale.
+
+Evaluation builds the term matrix (orders x points), stops early after
+EARLY_STOP_RUN consecutive rows below abs_tol, sums each point in ascending
+order, and scans every point's term magnitudes for divergence.  The matrix is
+kept whole so an order sweep can sum each order's own rows.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
+
+import numpy as np
+
+LINE, POLAR = "line", "polar"
+CLASSICAL = "CI-classical"  # the derivative-based line baseline; no shift, no table row
+CONSTANTS_MODES = ("oracle_validated", "paper_literal")
+AXIS = {LINE: "x", POLAR: "r"}
+
+EARLY_STOP_RUN = 3  # consecutive sub-threshold terms before stopping
+GROWTH_RUN = 5      # consecutive growing terms (from index >= 4) that flag divergence
+GROWTH_MIN_INDEX = 4
+GROWTH_NOISE_REL = 1e-12  # terms this far under the running max count as zero
+
+# the times a formula scales by
+TIMES = {
+    "beta": lambda p: p.beta,
+    "tau+beta": lambda p: p.shifted,
+    "2tau+beta": lambda p: 2.0 * p.tau + p.beta,
+    "beta-tau": lambda p: p.beta - p.tau,
+}
+_B, _S, _D, _E = "beta", "tau+beta", "2tau+beta", "beta-tau"  # shorthand for the table
+
+
+class Constants(NamedTuple):
+    """kappa_0 and kappa_{j+1} = kappa_j * rho / step(j) of a C variant."""
+
+    kappa0: Callable
+    rho: Callable
+    step: Callable
+
+
+_FACT = lambda j: j + 1                        # noqa: E731  kappa_j ~ rho^j / j!
+_FACT2 = lambda j: (2 * j + 1) * (2 * j + 2)   # noqa: E731  rho^j / (2j)!
+_HALF = lambda j: 2 * (2 * j + 1)              # noqa: E731  rho^j j! / (2j)!
+_GAMMA = lambda j: 4 * (j + 1)                 # noqa: E731  the published Gamma(j+1/2) form
+
+
+@dataclass(frozen=True)
+class Variant:
+    name: str
+    geometry: str
+    direct: bool
+    moment: str
+    alignment: str            # beta_rule alignment matching the moment scale
+    scales: tuple = ()        # A/B: times (arg, num, den, pref); pref None: no prefactor
+    constants: tuple = ()     # C: Constants per constants mode
+    weighted: bool = False    # moments weighted by the heat kernel at time beta (CI-B)
+
+    @property
+    def pointwise(self) -> bool:
+        """C variants: the coefficients depend on the evaluation point."""
+        return bool(self.constants)
+
+    def moment_root(self, params) -> float:
+        return math.sqrt(TIMES[self.moment](params))
+
+    def times(self, params) -> tuple:
+        """(arg, num, den, pref) of an A/B sum."""
+        out = tuple(None if t is None else TIMES[t](params) for t in self.scales)
+        if any(t is not None and t <= 0.0 for t in out):
+            raise ValueError(
+                f"{self.name} requires beta > tau (the shift must exceed the horizon); "
+                f"got beta={params.beta}, tau={params.tau}"
+            )
+        return out
+
+    def kappa(self, params, mode: str, n: int) -> np.ndarray:
+        """kappa_0 .. kappa_n of a C sum."""
+        c = self.constants[CONSTANTS_MODES.index(mode)]
+        rho = c.rho(params)
+        return ratio_products(c.kappa0(params), n, lambda k, j: k * (rho / c.step(j)))
+
+
+# name, geometry, direct, moment time, alignment; then the A/B times
+# (arg, num, den, pref) or the C constants (oracle_validated, paper_literal)
+VARIANTS = {v.name: v for v in (
+    Variant("CD-A", LINE, True, _B, "plain", scales=(_S, _B, _S, _S)),
+    Variant("CD-B", LINE, True, _S, "shifted", scales=(_D, _S, _D, _D)),
+    Variant("CD-C", LINE, True, _B, "plain", constants=(
+        Constants(lambda p: 1.0 / (2.0 * math.sqrt(math.pi * p.shifted)),
+                  lambda p: -p.beta / (4.0 * p.shifted), _FACT),
+        Constants(lambda p: 1.0 / (2.0 * math.sqrt(p.shifted)),
+                  lambda p: -p.beta / (8.0 * p.shifted), _FACT),
+    )),
+    Variant("CI-A", LINE, False, _S, "shifted", scales=(_B, _S, _B, _B)),
+    Variant("CI-B", LINE, False, _B, "shifted", scales=(_S, _S, _B, None), weighted=True),
+    Variant("CI-C", LINE, False, _S, "shifted", constants=(
+        Constants(lambda p: 1.0 / (2.0 * math.sqrt(math.pi * p.beta)),
+                  lambda p: -p.shifted / (4.0 * p.beta), _FACT),
+        Constants(lambda p: 1.0 / (2.0 * math.sqrt(math.pi * p.beta)),
+                  lambda p: -p.shifted / (8.0 * p.beta), _FACT2),
+    )),
+    Variant("PD-A", POLAR, True, _B, "plain", scales=(_S, _B, _S, _S)),
+    Variant("PD-B", POLAR, True, _S, "shifted", scales=(_D, _S, _D, _D)),
+    Variant("PD-C", POLAR, True, _B, "plain", constants=(
+        Constants(lambda p: 1.0 / (2.0 * math.pi * p.shifted), lambda p: -p.beta / p.shifted, _HALF),
+        Constants(lambda p: math.sqrt(math.pi) / (2.0 * math.sqrt(p.shifted)),
+                  lambda p: -p.beta / p.shifted, _GAMMA),
+    )),
+    Variant("PI-A", POLAR, False, _S, "shifted", scales=(_B, _S, _B, _B)),
+    Variant("PI-B", POLAR, False, _B, "plain", scales=(_E, _B, _E, _E)),
+    Variant("PI-C", POLAR, False, _S, "shifted", constants=(
+        Constants(lambda p: 1.0 / (2.0 * math.pi * p.beta), lambda p: -p.shifted / p.beta, _HALF),
+        Constants(lambda p: math.sqrt(math.pi) / (2.0 * math.sqrt(p.tau)),
+                  lambda p: -p.shifted / p.tau, _GAMMA),
+    )),
+)}
+
+
+def variant_names(geometry: str | None = None, direct: bool | None = None) -> tuple:
+    """Table order: CD, CI, PD, PI, each A/B/C."""
+    return tuple(
+        v.name for v in VARIANTS.values()
+        if geometry in (None, v.geometry) and direct in (None, v.direct)
+    )
+
+
+def lookup(name: str, geometry: str | None = None, direct: bool | None = None) -> Variant:
+    """The row of a variant that must belong to the given geometry and direction."""
+    if name not in variant_names(geometry, direct):
+        kind = {None: "", True: "direct ", False: "inverse "}[direct] + (f"{geometry} " if geometry else "")
+        raise ValueError(f"unknown {kind}variant {name!r}")
+    return VARIANTS[name]
+
+
+def geometry_of(name: str) -> str:
+    return LINE if name == CLASSICAL else lookup(name).geometry
+
+
+def check_mode(mode: str) -> None:
+    if mode not in CONSTANTS_MODES:
+        raise ValueError(f"unknown constants_mode {mode!r}; choose from {CONSTANTS_MODES}")
+
+
+# --- shift choice -------------------------------------------------------------
+
+def beta_rule(scale_estimate: float, tau: float, alignment: str = "shifted") -> float:
+    """Shift choice aligning a variant's moment scale with the data scale.
+
+    alignment "shifted" (moments at sqrt(tau+beta); the B variants and every
+    inverse A/C variant): beta = max(scale - tau, tau/2).  alignment "plain"
+    (moments at sqrt(beta); the direct A/C variants and PI-B):
+    beta = max(scale, tau/2).  Either way the matched scale truncates the
+    series exactly for pure Gaussians and the tau/2 floor keeps beta away
+    from 0.  Feed the measured data scale: the profile width for a direct
+    solve, the evolved width for an inverse one.
+    """
+    if not (math.isfinite(scale_estimate) and scale_estimate > 0.0):
+        raise ValueError(f"scale estimate must be positive and finite, got {scale_estimate}")
+    if not (math.isfinite(tau) and tau > 0.0):
+        raise ValueError(f"tau must be positive and finite, got {tau}")
+    if alignment == "shifted":
+        return max(scale_estimate - tau, 0.5 * tau)
+    if alignment == "plain":
+        return max(scale_estimate, 0.5 * tau)
+    raise ValueError(f"unknown alignment {alignment!r}; choose 'shifted' or 'plain'")
+
+
+def default_beta(variant: str, scale_estimate: float, tau: float) -> float:
+    """beta_rule with the alignment appropriate to the variant."""
+    if variant == CLASSICAL:
+        raise ValueError("CI-classical has no shift parameter")
+    return beta_rule(scale_estimate, tau, lookup(variant).alignment)
+
+
+# --- evaluation -----------------------------------------------------------------
+
+@dataclass(frozen=True)
+class DivergenceDiag:
+    """Empirical growth monitor for one truncated-series evaluation.
+
+    flagged is set when the term magnitudes grow through GROWTH_RUN
+    consecutive comparisons starting at or after index GROWTH_MIN_INDEX;
+    first_growth_index is the start of the first such run.  Terms more than
+    GROWTH_NOISE_REL below the running maximum are numerically zero (parity
+    zeros, quadrature noise) and are invisible to the scan.
+    """
+
+    term_magnitudes: np.ndarray
+    flagged: bool
+    first_growth_index: int | None
+
+
+def ratio_products(first: float, n: int, update) -> np.ndarray:
+    """out[0] = first, out[j+1] = update(out[j], j): factorial-bearing weights
+    by multiplicative updates, never by factorials."""
+    out = np.empty(n + 1)
+    out[0] = first
+    for j in range(n):
+        out[j + 1] = update(out[j], j)
+    return out
+
+
+def _run_lengths(flags: np.ndarray) -> np.ndarray:
+    """Length of the run of True ending at each row, down axis 0."""
+    k = np.arange(flags.shape[0]).reshape((-1,) + (1,) * (flags.ndim - 1))
+    return k - np.maximum.accumulate(np.where(flags, -1, k), axis=0)
+
+
+def _scan(mags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Divergence scan of every column of a magnitude matrix.
+
+    Returns, per column, the row at which the flag fires (the row count if
+    it never does) and the first growth index (-1 if none).  Whether a row
+    fires depends on the rows above it only, so a truncation to L rows is
+    flagged exactly when its column fires at a row below L.
+    """
+    rows = mags.shape[0]
+    running_max = np.maximum.accumulate(np.maximum(mags, 1e-300), axis=0)
+    visible = mags > GROWTH_NOISE_REL * running_max
+    # each column's visible rows first, in ascending order
+    order = np.argsort(~visible, axis=0, kind="stable")
+    seq = np.take_along_axis(mags, order, axis=0)
+    valid = np.arange(rows)[:, None] < np.count_nonzero(visible, axis=0)
+    grows = np.zeros_like(valid)
+    grows[1:] = valid[1:] & (seq[1:] > seq[:-1])
+    start = np.full_like(order, -1)
+    start[GROWTH_RUN:] = order[:-GROWTH_RUN]
+    fires = (_run_lengths(grows) >= GROWTH_RUN) & (start >= GROWTH_MIN_INDEX)
+    first = np.argmax(fires, axis=0)
+    cols = np.arange(mags.shape[1])
+    hit = fires[first, cols]
+    return np.where(hit, order[first, cols], rows), np.where(hit, start[first, cols], -1)
+
+
+@dataclass(frozen=True)
+class SeriesTerms:
+    """A truncated series at a set of points, with every order's answer.
+
+    terms is the full (n+1, points) matrix.  The order-m truncation keeps
+    rows(m) rows: the early stop depends on the rows above it only, as does
+    the divergence scan, so slicing gives exactly what a separate evaluation
+    at order m would.
+    """
+
+    terms: np.ndarray
+    stop: int               # rows kept by the early stop at full order
+    finite: int             # rows before the first non-finite term
+    fires: np.ndarray       # per point: the row at which divergence is flagged
+    growth: np.ndarray      # per point: the first growth index, -1 if none
+
+    @property
+    def order(self) -> int:
+        return self.terms.shape[0] - 1
+
+    def rows(self, m: int) -> int:
+        return min(self.stop, m + 1)
+
+    def values(self, m: int) -> np.ndarray:
+        if self.finite <= m:
+            raise OverflowError("series terms overflowed double precision")
+        return np.sum(self.terms[: self.rows(m)], axis=0)
+
+    def flagged(self, m: int) -> np.ndarray:
+        return self.fires < self.rows(m)
+
+
+def series_terms(weights: np.ndarray, basis: np.ndarray, pref, abs_tol: float) -> SeriesTerms:
+    """terms[j, k] = weights[j] basis[j, k] (* pref[k]), early stop and scan."""
+    terms = weights[:, None] * basis
+    if pref is not None:
+        terms = terms * pref[None, :]
+    n = terms.shape[0] - 1
+    mags = np.abs(terms)
+    bad = np.nonzero(~np.all(np.isfinite(terms), axis=1))[0]
+    stops = np.nonzero(_run_lengths(np.max(mags, axis=1) < abs_tol) >= EARLY_STOP_RUN)[0]
+    fires, growth = _scan(mags)
+    return SeriesTerms(
+        terms,
+        int(stops[0]) + 1 if stops.size else n + 1,
+        int(bad[0]) if bad.size else n + 1,
+        fires,
+        growth,
+    )
+
+
+def point_results(series: SeriesTerms, x):
+    """The public (value, diag) for a scalar x, (values, diags) for an array."""
+    n = series.order
+    values = series.values(n)
+    rows = series.rows(n)
+    mags = np.abs(series.terms[:rows])
+    flagged = series.flagged(n)
+    diags = [
+        DivergenceDiag(mags[:, c], bool(flagged[c]), int(series.growth[c]) if flagged[c] else None)
+        for c in range(mags.shape[1])
+    ]
+    if np.ndim(x) == 0:
+        return float(values[0]), diags[0]
+    return values, diags
+
+
+def solve_grid(row: Variant, coeffs_fn, eval_fn, data, params, n: int, xs, mode: str, spec):
+    """Evaluate one variant on a grid through its public coefficient and
+    evaluation functions.  A pointwise (C) variant recomputes its
+    coefficients at every point and sums each point on its own."""
+    if params is None:
+        raise ValueError(f"{row.name} needs KernelParams")
+    xs = np.asarray(xs, dtype=float)
+    if not row.pointwise:
+        coeffs = coeffs_fn(row.name, data, params, n, spec=spec)
+        return eval_fn(row.name, coeffs, params, xs, mode)
+    values = np.empty(xs.size)
+    diags: list[DivergenceDiag] = []
+    for i, x in enumerate(xs):
+        try:
+            coeffs = coeffs_fn(row.name, data, params, n, float(x), spec)
+            values[i], diag = eval_fn(row.name, coeffs, params, float(x), mode)
+        except OverflowError as exc:
+            raise OverflowError(f"{row.name} at {AXIS[row.geometry]} = {x:g}: {exc}") from exc
+        diags.append(diag)
+    return values, diags

@@ -258,3 +258,117 @@ def test_input_rejects_nonuniform_grid(tmp_path):
         "--input", str(data), "--eval-grid", "0:1:3",
     )
     assert code == 2
+
+
+# --- bad input fails at the boundary with exit 2 ----------------------------------
+
+def evolved_samples(tmp_path, replace_row=None):
+    """Gaussian a=1 evolved to tau=0.3 on -10:10:401; replace_row = (x, text)."""
+    path = tmp_path / "u.csv"
+    assert 0 == run_cli(
+        "forward", "--variant", "oracle", "--tau", "0.3", "--profile", "gaussian:a=1",
+        "--eval-grid", "-10:10:401", "--output", str(path),
+    )
+    if replace_row is not None:
+        x, text = replace_row
+        lines = read(path).splitlines()
+        row = next(i for i, l in enumerate(lines) if l.split(",")[0] == x)
+        lines[row] = text
+        path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def assert_rejected(capsys, code, *fragments):
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    for fragment in fragments:
+        assert fragment in captured.err
+
+
+def test_input_row_with_non_numeric_value_is_rejected(tmp_path, capsys):
+    # the row used to be dropped after its x was kept, shifting every later
+    # sample; CI-A at x = 0 then printed 0.977 with exit 0
+    path = evolved_samples(tmp_path, ("-5", "-5,abc"))
+    code = run_cli(
+        "inverse", "--variant", "CI-A", "--tau", "0.3", "--beta", "auto",
+        "--input", str(path), "--eval-grid", "0:0:1",
+    )
+    assert_rejected(capsys, code, "non-numeric sample")
+
+
+def test_input_nan_sample_rejected_with_auto_beta(tmp_path, capsys):
+    path = evolved_samples(tmp_path, ("0", "0,nan"))
+    code = run_cli(
+        "inverse", "--variant", "CI-A", "--tau", "0.3", "--beta", "auto",
+        "--input", str(path), "--eval-grid", "0:0:1",
+    )
+    assert_rejected(capsys, code, "non-finite sample")
+
+
+def test_input_nan_sample_rejected_with_explicit_beta(tmp_path, capsys):
+    # used to refine the quadrature to 4096 panels and exit 3
+    path = evolved_samples(tmp_path, ("0", "0,nan"))
+    code = run_cli(
+        "inverse", "--variant", "CI-A", "--tau", "0.3", "--beta", "1",
+        "--input", str(path), "--eval-grid", "0:0:1",
+    )
+    assert_rejected(capsys, code, "non-finite sample")
+
+
+def forward_cd_a(*extra):
+    """A small CD-A forward solve with some flags replaced."""
+    args = {"--variant": "CD-A", "--tau": "0.5", "--beta": "1", "--order": "10", "--eval-grid": "0:1:3"}
+    args.update(zip(extra[::2], extra[1::2]))
+    argv = ["forward", "--profile", "gaussian:a=1"]
+    for flag, value in args.items():
+        argv += [flag, value]
+    return run_cli(*argv)
+
+
+def test_negative_order_rejected(capsys):
+    assert_rejected(capsys, forward_cd_a("--order", "-3"), "--order")
+
+
+def test_infinite_tau_rejected_on_series_variant(capsys):
+    assert_rejected(capsys, forward_cd_a("--tau", "inf"), "--tau")
+
+
+def test_infinite_tau_rejected_on_oracle(capsys):
+    # used to print 0 with exit 0
+    assert_rejected(capsys, forward_cd_a("--variant", "oracle", "--tau", "inf"), "--tau")
+
+
+def test_nan_beta_rejected(capsys):
+    assert_rejected(capsys, forward_cd_a("--beta", "nan"), "--beta")
+
+
+def test_nan_noise_rejected(tmp_path, capsys):
+    path = evolved_samples(tmp_path)
+    code = run_cli(
+        "inverse", "--variant", "CI-A", "--tau", "0.3", "--beta", "1", "--input", str(path),
+        "--noise", "nan", "--eval-grid", "0:0:1",
+    )
+    assert_rejected(capsys, code, "--noise")
+
+
+def test_library_value_error_exits_2(capsys):
+    # PI-B's own precondition, raised inside the library
+    code = run_cli(
+        "inverse", "--geometry", "polar", "--variant", "PI-B", "--tau", "0.3", "--beta", "0.2",
+        "--profile", "gaussian:a=1.3", "--eval-grid", "0:1:3",
+    )
+    assert_rejected(capsys, code, "requires beta > tau")
+
+
+def test_infinite_eval_grid_rejected(capsys):
+    assert_rejected(capsys, forward_cd_a("--eval-grid", "0:inf:3"), "--eval-grid")
+
+
+@pytest.mark.parametrize("variants", ["XX-Q", "PD-A"])
+def test_study_variant_outside_geometry_rejected(tmp_path, capsys, variants):
+    # an unknown name used to escape as a KeyError traceback from the sweep
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"[study]\nkind = noise\ngeometry = line\nvariants = {variants}\n")
+    assert_rejected(capsys, run_cli("study", "--config", str(cfg)), variants)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,19 +7,18 @@ import pytest
 from heatseries.kernels import evolve_line, forward_line
 from heatseries.profiles import Gaussian, Mixture, Sampled1D
 from heatseries.series_cartesian import (
-    _eval_series,
     default_beta,
-    _scales_direct,
-    _scales_inverse,
     beta_rule,
     cd_coeffs,
     cd_eval,
     ci_classical,
     ci_coeffs,
     ci_eval,
+    line_series,
     solve_grid_line,
 )
 from heatseries.specfun import KernelParams
+from heatseries.variants import VARIANTS
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -187,14 +187,15 @@ def test_structural_symmetry_cd_a_ci_a():
     xs = np.array([-1.1, 0.0, 0.7, 2.2])
     ci_vals, _ = ci_eval("CI-A", coeffs, params, xs)
     s = params.shifted
-    swapped = dict(arg=params.beta, num=s, den=params.beta, pref=params.beta)
-    direct_core_vals, _ = _eval_series(swapped, coeffs, xs, 1e-14)
-    np.testing.assert_array_equal(ci_vals, direct_core_vals)
+    cd_a = VARIANTS["CD-A"]
+    swap = {"beta": "tau+beta", "tau+beta": "beta"}
+    swapped = replace(cd_a, scales=tuple(swap[t] for t in cd_a.scales))
+    direct_core = line_series(swapped, coeffs, params, xs, "oracle_validated", 1e-14)
+    np.testing.assert_array_equal(ci_vals, direct_core.values(coeffs.size - 1))
     # and the swap really is CD-A's scale set with beta <-> tau+beta
-    cd = _scales_direct("CD-A", params, "oracle_validated")
-    assert (cd["arg"], cd["num"], cd["den"], cd["pref"]) == (s, params.beta, s, s)
-    ci = _scales_inverse("CI-A", params, "oracle_validated")
-    assert (ci["arg"], ci["num"], ci["den"], ci["pref"]) == (params.beta, s, params.beta, params.beta)
+    assert swapped.scales == VARIANTS["CI-A"].scales
+    assert cd_a.times(params) == (s, params.beta, s, s)
+    assert VARIANTS["CI-A"].times(params) == (params.beta, s, params.beta, params.beta)
 
 
 # --- errata guards ------------------------------------------------------------------
@@ -346,25 +347,7 @@ def test_beta_rule_aligns_shifted_scale_with_data():
     assert b > 0.0 and math.isfinite(b)
 
 
-# --- solution records & properties -------------------------------------------------
-
-def test_series_solution_record_roundtrip():
-    from heatseries.series_cartesian import SeriesSolution
-
-    g = Gaussian(width_a=1.0)
-    params = KernelParams(tau=0.5, beta=1.0)
-    coeffs = cd_coeffs("CD-A", g, params, 12)
-    sol = SeriesSolution("CD-A", 0.5, 1.0, 12, coeffs)
-    val, diag = sol.evaluate(0.7)
-    direct, _ = cd_eval("CD-A", coeffs, params, 0.7)
-    assert val == direct
-    with pytest.raises(ValueError):
-        SeriesSolution("CD-A", 0.5, 1.0, 3, coeffs)  # wrong length
-    with pytest.raises(ValueError):
-        SeriesSolution("CD-A", 0.5, -1.0, 12, coeffs)
-    with pytest.raises(ValueError):
-        SeriesSolution("CD-A", 0.5, 1.0, 12, coeffs, constants_mode="nope")
-
+# --- properties ------------------------------------------------------------------
 
 from hypothesis import given, settings
 from hypothesis import strategies as st

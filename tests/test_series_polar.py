@@ -163,20 +163,26 @@ def test_inverse_zero_data_gives_zero():
 def test_structural_symmetry_pd_a_pi_a():
     # PI-A is PD-A with the prefactor/argument scale and the ratio inverted;
     # identical coefficient lists give identical values through the shared core
-    from heatseries.series_polar import _eval_polar, _scales_pd, _scales_pi
+    from dataclasses import replace
+
+    from heatseries.series_polar import polar_series
+    from heatseries.variants import VARIANTS
 
     coeffs = np.array([1.1, -0.2, 0.31, 0.07])
     params = KernelParams(tau=0.4, beta=0.6)
     rs = np.array([0.0, 0.8, 1.7])
     pi_vals, _ = pi_eval("PI-A", coeffs, params, rs)
     s = params.shifted
-    swapped = dict(arg=params.beta, ratio=s / params.beta, pref=params.beta)
-    core_vals, _ = _eval_polar(swapped, coeffs, rs, 1e-14)
-    np.testing.assert_array_equal(pi_vals, core_vals)
-    pd = _scales_pd("PD-A", params, "oracle_validated")
-    pi = _scales_pi("PI-A", params, "oracle_validated")
-    assert (pd["arg"], pd["pref"]) == (s, s) and pd["ratio"] == pytest.approx(params.beta / s)
-    assert (pi["arg"], pi["pref"]) == (params.beta, params.beta) and pi["ratio"] == pytest.approx(s / params.beta)
+    pd_a = VARIANTS["PD-A"]
+    swap = {"beta": "tau+beta", "tau+beta": "beta"}
+    swapped = replace(pd_a, scales=tuple(swap[t] for t in pd_a.scales))
+    core = polar_series(swapped, coeffs, params, rs, "oracle_validated", 1e-14)
+    np.testing.assert_array_equal(pi_vals, core.values(coeffs.size - 1))
+    # scales as (arg, num, den, pref), the ratio being num/den
+    pd = pd_a.times(params)
+    pi = VARIANTS["PI-A"].times(params)
+    assert (pd[0], pd[3]) == (s, s) and pd[1] / pd[2] == pytest.approx(params.beta / s)
+    assert (pi[0], pi[3]) == (params.beta, params.beta) and pi[1] / pi[2] == pytest.approx(s / params.beta)
 
 
 # --- errata guards ------------------------------------------------------------------

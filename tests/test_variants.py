@@ -1,0 +1,216 @@
+"""The variant table and the shared evaluation path.
+
+The vectorised divergence scan and early stop are checked against the
+per-point loops they replaced, and the order sweep against separate solves.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from heatseries import experiments
+from heatseries.kernels import evolve_line, evolve_polar
+from heatseries.profiles import Gaussian, Mixture, Sampled1D
+from heatseries.quad import QuadSpec
+from heatseries.series_cartesian import ci_coeffs, ci_eval, cd_coeffs, cd_eval, solve_grid_line
+from heatseries.series_polar import pd_coeffs, pd_eval, pi_coeffs, pi_eval, solve_grid_polar
+from heatseries.specfun import KernelParams
+from heatseries.variants import (
+    CONSTANTS_MODES,
+    VARIANTS,
+    point_results,
+    series_terms,
+    variant_names,
+)
+
+# --- reference: the per-point loops of the previous implementation ---------------
+
+def reference_scan(mags):
+    mags = np.abs(mags)
+    running_max = np.maximum.accumulate(np.maximum(mags, 1e-300))
+    idx = np.nonzero(mags > 1e-12 * running_max)[0]
+    vals = mags[idx]
+    run = 0
+    for k in range(1, idx.size):
+        run = run + 1 if vals[k] > vals[k - 1] else 0
+        if run >= 5 and idx[k - 5] >= 4:
+            return True, int(idx[k - 5])
+    return False, None
+
+
+def reference_early_stop(terms, abs_tol):
+    mags = np.max(np.abs(terms), axis=1)
+    run = 0
+    for j, m in enumerate(mags):
+        run = run + 1 if m < abs_tol else 0
+        if run >= 3:
+            return terms[: j + 1]
+    return terms
+
+
+# magnitudes that produce ties, parity zeros and values under the noise floor
+_LEVELS = [0.0, 1e-300, 1e-20, 1e-13, 1e-12, 0.25, 0.5, 1.0, 1.0, 2.0, 3.0, 7.5]
+
+
+@st.composite
+def columns(draw, rows):
+    kind = draw(st.sampled_from(["levels", "floats", "growth"]))
+    if kind == "levels":
+        col = draw(st.lists(st.sampled_from(_LEVELS), min_size=rows, max_size=rows))
+    elif kind == "floats":
+        col = draw(st.lists(st.floats(0.0, 1e3, allow_nan=False), min_size=rows, max_size=rows))
+    else:
+        # a growth run starting anywhere, possibly before index 4, with parity
+        # zeros and sub-floor noise interleaved
+        start = draw(st.integers(0, rows))
+        length = draw(st.integers(0, rows))
+        base = draw(st.floats(1e-3, 1.0))
+        col = [draw(st.sampled_from(_LEVELS)) for _ in range(rows)]
+        for i in range(start, min(rows, start + length)):
+            col[i] = base * 1.5 ** (i - start)
+            if draw(st.booleans()) and i + 1 < rows:
+                col[i + 1] = 0.0
+    signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=rows, max_size=rows))
+    return [s * v for s, v in zip(signs, col)]
+
+
+@st.composite
+def term_matrices(draw):
+    rows = draw(st.integers(1, 24))
+    cols = draw(st.integers(1, 5))
+    return np.array([draw(columns(rows)) for _ in range(cols)]).T
+
+
+@given(term_matrices(), st.sampled_from([1e-14, 1e-12, 0.3, 1.0, 5.0]))
+@settings(max_examples=400, deadline=None)
+def test_vectorised_scan_matches_reference_loops(terms, abs_tol):
+    series = series_terms(np.ones(terms.shape[0]), terms, None, abs_tol)
+    # every truncation order: the early-stop row and each column's flag and
+    # first growth index
+    for m in range(terms.shape[0]):
+        kept = reference_early_stop(terms[: m + 1], abs_tol)
+        assert series.rows(m) == kept.shape[0]
+        np.testing.assert_array_equal(series.values(m), np.sum(kept, axis=0))
+        flagged = series.flagged(m)
+        for c in range(terms.shape[1]):
+            ref_flag, ref_idx = reference_scan(kept[:, c])
+            assert bool(flagged[c]) == ref_flag
+            if ref_flag:
+                assert int(series.growth[c]) == ref_idx
+    values, diags = point_results(series, np.zeros(terms.shape[1]))
+    kept = reference_early_stop(terms, abs_tol)
+    for c, diag in enumerate(diags):
+        np.testing.assert_array_equal(diag.term_magnitudes, np.abs(kept[:, c]))
+        assert (diag.flagged, diag.first_growth_index) == reference_scan(kept[:, c])
+
+
+def test_scan_flags_growth_run_that_starts_before_index_4():
+    # growth from index 2: the flag fires once the last five comparisons
+    # start at index 4, so the reported start is 4, not 2
+    col = np.array([1.0, 0.5, 0.1, 0.2, 0.4, 0.8, 1.6, 3.2, 6.4, 12.8])
+    series = series_terms(np.ones(col.size), col[:, None], None, 1e-14)
+    assert reference_scan(col) == (True, 4)
+    assert bool(series.flagged(9)[0]) and int(series.growth[0]) == 4
+    assert not series.flagged(8)[0]
+
+
+def test_overflow_reported_per_order():
+    terms = np.array([[1.0], [0.5], [np.inf], [1.0]])
+    series = series_terms(np.ones(4), terms, None, 1e-14)
+    np.testing.assert_array_equal(series.values(1), [1.5])
+    with pytest.raises(OverflowError):
+        series.values(2)
+
+
+# --- the table -----------------------------------------------------------------
+
+def test_table_rows_are_complete():
+    assert variant_names() == tuple(VARIANTS)
+    assert len(VARIANTS) == 12
+    for row in VARIANTS.values():
+        if row.pointwise:
+            assert len(row.constants) == len(CONSTANTS_MODES) and not row.scales
+        else:
+            assert len(row.scales) == 4 and not row.constants
+    assert [v for v, row in VARIANTS.items() if row.weighted] == ["CI-B"]
+    assert [v for v, row in VARIANTS.items() if row.pointwise] == ["CD-C", "CI-C", "PD-C", "PI-C"]
+
+
+# --- order sweeps ------------------------------------------------------------------
+
+MIX = Mixture((Gaussian(width_a=0.9, center=-0.5), Gaussian(width_a=1.4, center=0.7, amplitude=0.7)))
+XS = np.linspace(-3.0, 3.0, 13)
+RS = np.linspace(0.0, 3.0, 4)
+_COEFFS_EVAL = {
+    "CD-A": (cd_coeffs, cd_eval),
+    "CI-B": (ci_coeffs, ci_eval),
+    "PD-C": (pd_coeffs, pd_eval),
+    "PI-B": (pi_coeffs, pi_eval),
+}
+
+
+@pytest.mark.parametrize(
+    "variant, data, params, grid, orders",
+    [
+        ("CD-A", MIX, KernelParams(0.5, 0.8), XS, (0, 1, 2, 5, 10, 20, 40)),
+        ("CI-B", evolve_line(MIX, 0.3), KernelParams(0.3, 0.8), XS, (0, 1, 2, 5, 10, 20, 40)),
+        ("PD-C", Gaussian(width_a=1.3), KernelParams(0.5, 0.8), RS, (0, 1, 3, 8)),
+        ("PI-B", evolve_polar(Gaussian(width_a=1.0), 0.3), KernelParams(0.3, 0.9), RS, (0, 1, 2, 5, 10, 20)),
+    ],
+)
+def test_sweep_equals_independent_solves(variant, data, params, grid, orders):
+    # a sweep computes the moments once at the top order; each order equals
+    # a separate evaluation of those moments truncated to that order, and the
+    # top order equals a separate grid solve.  (Moments computed for a lower
+    # order alone differ in the last bits: the adaptive quadrature refines
+    # on all requested orders together.)
+    spec = QuadSpec()
+    solver = solve_grid_line if VARIANTS[variant].geometry == "line" else solve_grid_polar
+    coeffs_fn, eval_fn = _COEFFS_EVAL[variant]
+    pointwise = VARIANTS[variant].pointwise
+    top = orders[-1]
+    if pointwise:
+        coeffs = [coeffs_fn(variant, data, params, top, float(x), spec) for x in grid]
+    else:
+        coeffs = coeffs_fn(variant, data, params, top, spec=spec)
+    swept = list(experiments._sweep_orders(variant, data, params, orders, grid, "oracle_validated", spec))
+    assert [n for n, *_ in swept] == list(orders)
+    for n, vals, flagged, err in swept:
+        assert err is None
+        if pointwise:
+            pairs = [eval_fn(variant, c[: n + 1], params, float(x)) for c, x in zip(coeffs, grid)]
+            ref_vals = np.array([v for v, _ in pairs])
+            ref_flag = any(d.flagged for _, d in pairs)
+        else:
+            ref_vals, diags = eval_fn(variant, coeffs[: n + 1], params, grid)
+            ref_flag = any(d.flagged for d in diags)
+        np.testing.assert_array_equal(vals, ref_vals)
+        assert flagged == ref_flag
+    solved, diags = solver(variant, data, params, top, grid)
+    np.testing.assert_array_equal(swept[-1][1], solved)
+    assert swept[-1][2] == any(d.flagged for d in diags)
+
+
+@pytest.mark.parametrize("data", [evolve_line(Gaussian(width_a=1.0), 0.3), "sampled"])
+def test_sweep_equals_independent_solves_classical(data):
+    # no quadrature: every order equals a separate solve bit for bit, and on
+    # a short grid the orders whose stencil leaves the grid fail on their own
+    if data == "sampled":
+        data = Sampled1D.from_function(evolve_line(Gaussian(width_a=1.0), 0.3), -8.0, 8.0, 41)
+    orders = tuple(range(0, 57, 4))
+    swept = list(experiments._sweep_orders(
+        "CI-classical", data, None, orders, XS, "oracle_validated", QuadSpec(), tau=0.3
+    ))
+    failed = 0
+    for n, vals, flagged, err in swept:
+        try:
+            ref_vals, diags = solve_grid_line("CI-classical", data, None, n, XS, tau=0.3)
+        except ValueError:
+            assert isinstance(err, ValueError) and flagged
+            failed += 1
+            continue
+        assert err is None
+        np.testing.assert_array_equal(vals, ref_vals)
+        assert flagged == any(d.flagged for d in diags)
+    assert failed == (4 if isinstance(data, Sampled1D) else 0)
