@@ -192,9 +192,10 @@ def _sweep_orders(variant, data, params, n_list, xs, mode, spec, tau=None):
     order sums its own rows (up to the early stop that order makes), so its
     values and flag are bit for bit those of evaluating the same
     coefficients truncated to that order.  A C variant keeps one
-    single-column sum per point.  When the build at max(n_list) overflows,
-    each order is built on its own.  Yields (n, values, any_flagged, err)
-    with err set to an exception when that order failed.
+    single-column sum per point of its one coefficient pass.  When the build
+    at max(n_list) overflows, each order is built on its own.  Yields
+    (n, values, any_flagged, err) with err set to an exception when that
+    order failed.
     """
     xs = np.asarray(xs, dtype=float)
     n_list = sorted(int(n) for n in n_list)
@@ -208,10 +209,7 @@ def _sweep_orders(variant, data, params, n_list, xs, mode, spec, tau=None):
         row = VARIANTS[variant]
         coeffs_fn, series = _COEFFS[row.geometry, row.direct], _SERIES[row.geometry]
         try:
-            if row.pointwise:
-                coeffs = [coeffs_fn(variant, data, params, n_max, float(x), spec) for x in xs]
-            else:
-                coeffs = coeffs_fn(variant, data, params, n_max, spec=spec)
+            coeffs = coeffs_fn(variant, data, params, n_max, xs, spec)
         except (OverflowError, ValueError) as exc:
             for n in n_list:
                 yield n, None, True, exc
@@ -219,7 +217,7 @@ def _sweep_orders(variant, data, params, n_list, xs, mode, spec, tau=None):
 
         def build(n):
             if row.pointwise:
-                return [series(row, c[: n + 1], params, np.array([x]), mode) for c, x in zip(coeffs, xs)]
+                return [series(row, coeffs[: n + 1, i], params, xs[i : i + 1], mode) for i in range(xs.size)]
             return [series(row, coeffs[: n + 1], params, xs, mode)]
 
     try:

@@ -8,7 +8,11 @@ truncated evaluation and divergence monitoring.  With s = tau + beta:
   the Gaussian prefactor at scale s.
 * CD-B (direct): moments at scale sqrt(s), prefactor at scale 2*tau + beta.
 * CD-C (direct): even-order moments in the shifted argument
-  (x - xi)/(2 sqrt(beta)); the coefficients depend on the evaluation point.
+  (x - xi)/(2 sqrt(beta)).  They depend on the evaluation point, but the
+  Hermite addition formula (DLMF 18.18) writes them through the plain
+  moments M_k of CD-A up to order 2N:
+  c_j(x) = sum_d C(2j, d) (-x/sqrt(beta))^d M_{2j-d}, so one moment pass
+  serves the whole grid.
 * CI-A / CI-B / CI-C (inverse): the same structures with the roles of the
   two scales exchanged; CI-B weights its moments with the Gaussian kernel at
   scale beta instead of carrying a prefactor.
@@ -45,6 +49,7 @@ from .variants import (
     lookup,
     point_results,
     ratio_products,
+    recombine,
     series_terms,
     solve_grid,
 )
@@ -74,36 +79,21 @@ def _moment_window(data, spec: QuadSpec, weight_root: float | None) -> tuple[flo
     return lo, hi
 
 
-def _hermite_moments(
-    data,
-    root: float,
-    n: int,
-    spec: QuadSpec,
-    weight_root: float | None = None,
-    diff_center: float | None = None,
-    even_only: bool = False,
-) -> np.ndarray:
+def _hermite_moments(data, root: float, n: int, spec: QuadSpec, weight_root: float | None = None) -> np.ndarray:
     """Moments of the data against Hermite polynomials at the given scale.
 
     Plain form: int H_j(xi/(2 root)) data(xi) dxi.
     weight_root b: the integrand additionally carries e^{-xi^2/(4b^2)}/(2b sqrt(pi)).
-    diff_center x: the polynomial argument becomes (x - xi)/(2 root).
-    even_only: return orders 0, 2, ..., 2n (length n+1).
     """
     if n < 0:
         raise ValueError("order must be non-negative")
     lo, hi = _moment_window(data, spec, weight_root)
     if lo >= hi:
         return np.zeros(n + 1)
-    top = 2 * n if even_only else n
     breakpoints = data.nodes if isinstance(data, Sampled1D) else None
 
     def integrand(xi):
-        arg = (diff_center - xi) if diff_center is not None else xi
-        h = hermite_batch(top, arg / (2.0 * root))
-        if even_only:
-            h = h[::2]
-        vals = h * data(xi)[None, :]
+        vals = hermite_batch(n, xi / (2.0 * root)) * data(xi)[None, :]
         if weight_root is not None:
             w = np.exp(-(xi * xi) / (4.0 * weight_root * weight_root)) / (
                 2.0 * weight_root * math.sqrt(math.pi)
@@ -115,18 +105,16 @@ def _hermite_moments(
     return vals
 
 
-def _coeffs(direct: bool, variant: str, data, params: KernelParams, n: int, x_center: float, spec: QuadSpec):
+def _coeffs(direct: bool, variant: str, data, params: KernelParams, n: int, x_center, spec: QuadSpec):
     row = lookup(variant, LINE, direct)
     root = row.moment_root(params)
-    return _hermite_moments(
-        data,
-        root,
-        n,
-        spec,
-        weight_root=root if row.weighted else None,
-        diff_center=x_center if row.pointwise else None,
-        even_only=row.pointwise,
-    )
+    if not row.pointwise:
+        return _hermite_moments(data, root, n, spec, weight_root=root if row.weighted else None)
+    moments = _hermite_moments(data, root, 2 * n, spec)
+    # table[j, d] = C(2j, d) M_{2j-d}; C(2j, d) = 0 for d > 2j
+    binom = np.array([[math.comb(2 * j, d) for d in range(2 * n + 1)] for j in range(n + 1)], dtype=float)
+    shift = 2 * np.arange(n + 1)[:, None] - np.arange(2 * n + 1)
+    return recombine(binom * moments[np.maximum(shift, 0)], x_center, lambda x: -x / root)
 
 
 def cd_coeffs(
@@ -134,10 +122,17 @@ def cd_coeffs(
     f,
     params: KernelParams,
     n: int,
-    x_center: float = 0.0,
+    x_center: float | np.ndarray = 0.0,
     spec: QuadSpec = QuadSpec(),
 ) -> np.ndarray:
-    """Direct-problem moments f_j (f_{2j} for CD-C, which are x-dependent)."""
+    """Direct-problem moments f_j.
+
+    CD-C: the shifted even moments f_{2j}(x) at x_center, recombined from
+    one moment pass (README, "C variants", states where that is as accurate
+    as per-point quadrature); an array of points gives one column per point.
+    Where the shift overflows, a column is non-finite and evaluating it
+    raises OverflowError.
+    """
     return _coeffs(True, variant, f, params, n, x_center, spec)
 
 
@@ -146,10 +141,11 @@ def ci_coeffs(
     u,
     params: KernelParams,
     n: int,
-    x_center: float = 0.0,
+    x_center: float | np.ndarray = 0.0,
     spec: QuadSpec = QuadSpec(),
 ) -> np.ndarray:
-    """Inverse-problem moments u_j; the two scales swap roles versus cd_coeffs."""
+    """Inverse-problem moments u_j; the two scales swap roles versus cd_coeffs
+    (CI-C at x_center, as CD-C)."""
     return _coeffs(False, variant, u, params, n, x_center, spec)
 
 
@@ -302,8 +298,8 @@ def solve_grid_line(
     spec: QuadSpec = QuadSpec(),
     tau: float | None = None,
 ) -> tuple[np.ndarray, list[DivergenceDiag]]:
-    """Evaluate one line variant on a grid, recomputing per-point coefficients
-    where the variant requires it (CD-C / CI-C)."""
+    """Evaluate one line variant on a grid from one coefficient pass; CD-C
+    and CI-C sum each point's own coefficients."""
     if variant == CLASSICAL:
         if tau is None:
             tau = params.tau if params is not None else None

@@ -7,7 +7,11 @@ xi d(xi) on [0, inf).  With s = tau + beta:
 * PD-A (direct): moments xi W_j(xi/(2 sqrt(beta))), kernel prefactor at s.
 * PD-B (direct): moments at sqrt(s), prefactor at 2*tau + beta.
 * PD-C (direct): angular-averaged moments of W_j over the triangle radius
-  sqrt(r^2 + xi^2 - 2 r xi cos(phi)) at scale sqrt(beta); r-dependent.
+  sqrt(r^2 + xi^2 - 2 r xi cos(phi)) at scale sqrt(beta).  They depend on r,
+  but Neumann's addition theorem for I0 (DLMF 10.44) writes them through the
+  radial moments M_k of PD-A:
+  c_j(r) = pi sum_d C(2j, 2d) C(2d, d) (r/(2 sqrt(beta)))^{2d} M_{j-d},
+  so one moment pass serves the whole grid.
 * PI-A / PI-B / PI-C (inverse): scale roles exchanged.  PI-B needs
   beta > tau: its prefactor lives at beta - tau.
 
@@ -33,6 +37,7 @@ from .variants import (
     lookup,
     point_results,
     ratio_products,
+    recombine,
     series_terms,
     solve_grid,
     variant_names,
@@ -50,10 +55,6 @@ __all__ = [
 
 PD_VARIANTS = variant_names(POLAR, direct=True)
 PI_VARIANTS = variant_names(POLAR, direct=False)
-
-_ANGULAR_NODES_START = 64
-_ANGULAR_NODES_MAX = 512
-
 
 def _radial_window(data, spec: QuadSpec) -> tuple[float, float]:
     lo, hi = profile_support(data, spec.truncation_radius_sigmas)
@@ -77,52 +78,18 @@ def _w_radial_moments(data, root: float, n: int, spec: QuadSpec) -> np.ndarray:
     return vals
 
 
-def _angular_average(n: int, r: float, xi: np.ndarray, root: float, rel_tol: float) -> np.ndarray:
-    """int_0^pi W_j(sqrt(r^2 + xi^2 - 2 r xi cos phi)/(2 root)) dphi, batched.
-
-    Fixed Gauss-Legendre rule on [0, pi], doubled until stable; the integrand
-    is a polynomial of degree <= 2n in cos(phi), so the starting rule is
-    already exact for n <= 63 and one doubling certifies it.
-    """
-    prev = None
-    m = _ANGULAR_NODES_START
-    while m <= _ANGULAR_NODES_MAX:
-        nodes, weights = np.polynomial.legendre.leggauss(m)
-        phi = 0.5 * math.pi * (nodes + 1.0)
-        wts = 0.5 * math.pi * weights
-        rad = np.sqrt(
-            np.maximum(r * r + xi[None, :] ** 2 - 2.0 * r * xi[None, :] * np.cos(phi[:, None]), 0.0)
-        )
-        w = w_poly_batch(n, rad / (2.0 * root))  # (n+1, m, len(xi))
-        cur = np.tensordot(wts, np.moveaxis(w, 1, 0), axes=([0], [0]))
-        if prev is not None:
-            scale = np.maximum(np.max(np.abs(cur), axis=1, keepdims=True), 1e-300)
-            if np.max(np.abs(cur - prev) / scale) < rel_tol:
-                return cur
-        prev = cur
-        m *= 2
-    return prev
-
-
-def _w_angular_moments(data, root: float, n: int, r: float, spec: QuadSpec) -> np.ndarray:
-    lo, hi = _radial_window(data, spec)
-    if lo >= hi:
-        return np.zeros(n + 1)
-    breakpoints = data.nodes if isinstance(data, Sampled1D) else None
-
-    def integrand(xi):
-        ang = _angular_average(n, r, xi, root, spec.rel_tol)
-        return ang * (xi * data(xi))[None, :]
-
-    vals, _ = integrate_vec(integrand, FiniteInterval(lo, hi), spec, breakpoints=breakpoints)
-    return vals
-
-
-def _coeffs(direct: bool, variant: str, data, params: KernelParams, n: int, r_center: float, spec: QuadSpec):
+def _coeffs(direct: bool, variant: str, data, params: KernelParams, n: int, r_center, spec: QuadSpec):
     row = lookup(variant, POLAR, direct)
-    if row.pointwise:
-        return _w_angular_moments(data, row.moment_root(params), n, r_center, spec)
-    return _w_radial_moments(data, row.moment_root(params), n, spec)
+    root = row.moment_root(params)
+    moments = _w_radial_moments(data, root, n, spec)
+    if not row.pointwise:
+        return moments
+    # table[j, d] = pi C(2j, 2d) C(2d, d) M_{j-d}; C(2j, 2d) = 0 for d > j
+    binom = np.array(
+        [[math.comb(2 * j, 2 * d) * math.comb(2 * d, d) for d in range(n + 1)] for j in range(n + 1)], dtype=float
+    )
+    shift = np.arange(n + 1)[:, None] - np.arange(n + 1)
+    return recombine(math.pi * binom * moments[np.maximum(shift, 0)], r_center, lambda r: (r / (2.0 * root)) ** 2)
 
 
 def pd_coeffs(
@@ -130,10 +97,17 @@ def pd_coeffs(
     f,
     params: KernelParams,
     n: int,
-    r_center: float = 0.0,
+    r_center: float | np.ndarray = 0.0,
     spec: QuadSpec = QuadSpec(),
 ) -> np.ndarray:
-    """Direct radial moments f_j (r-dependent for PD-C)."""
+    """Direct radial moments f_j.
+
+    PD-C: the angular-averaged moments at r_center, recombined from one
+    moment pass (README, "C variants", states where that is as accurate as
+    per-point quadrature); an array of radii gives one column per radius.
+    Where the shift overflows, a column is non-finite and evaluating it
+    raises OverflowError.
+    """
     return _coeffs(True, variant, f, params, n, r_center, spec)
 
 
@@ -142,10 +116,11 @@ def pi_coeffs(
     u,
     params: KernelParams,
     n: int,
-    r_center: float = 0.0,
+    r_center: float | np.ndarray = 0.0,
     spec: QuadSpec = QuadSpec(),
 ) -> np.ndarray:
-    """Inverse radial moments u_j; scales swapped versus pd_coeffs."""
+    """Inverse radial moments u_j; scales swapped versus pd_coeffs (PI-C at
+    r_center, as PD-C)."""
     return _coeffs(False, variant, u, params, n, r_center, spec)
 
 
@@ -209,8 +184,8 @@ def solve_grid_polar(
     constants_mode: str = "oracle_validated",
     spec: QuadSpec = QuadSpec(),
 ) -> tuple[np.ndarray, list[DivergenceDiag]]:
-    """Evaluate one polar variant on a grid of radii, recomputing per-point
-    coefficients where the variant requires it (PD-C / PI-C)."""
+    """Evaluate one polar variant on a grid of radii from one coefficient
+    pass; PD-C and PI-C sum each radius's own coefficients."""
     row = lookup(variant, POLAR)
     coeffs_fn, eval_fn = (pd_coeffs, pd_eval) if row.direct else (pi_coeffs, pi_eval)
     return solve_grid(row, coeffs_fn, eval_fn, data, params, n, rs, constants_mode, spec)

@@ -16,6 +16,10 @@ at another.  With s = tau + beta, one row of VARIANTS records:
   the oracle certification by the ratios recorded in ERRATA.md;
 * the beta alignment that matches the moment scale with the data scale.
 
+A C variant's coefficients come from the same point-independent moments as
+its A sibling: one moment pass per grid, then an addition theorem recombines
+them at each point (`recombine`).
+
 Evaluation builds the term matrix (orders x points), stops early after
 EARLY_STOP_RUN consecutive rows below abs_tol, sums each point in ascending
 order, and scans every point's term magnitudes for divergence.  The matrix is
@@ -220,6 +224,23 @@ def ratio_products(first: float, n: int, update) -> np.ndarray:
     return out
 
 
+def recombine(table: np.ndarray, x, shift) -> np.ndarray:
+    """C coefficients at the points x from point-independent moments.
+
+    Column k is sum_d table[:, d] u_k^d with u_k = shift(x_k), the addition
+    theorem of the geometry written as a polynomial in u (orders x points;
+    1-D for a scalar x).  Where the powers overflow, the coefficients are
+    non-finite and the evaluation at that point raises OverflowError.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = shift(np.atleast_1d(np.asarray(x, dtype=float)))
+        powers = u[None, :] ** np.arange(table.shape[1])[:, None]
+        # summed column by column in ascending d, so a point's coefficients
+        # do not depend on the other points of the grid
+        coeffs = sum(table[:, d, None] * powers[d] for d in range(table.shape[1]))
+    return coeffs[:, 0] if np.ndim(x) == 0 else coeffs
+
+
 def _run_lengths(flags: np.ndarray) -> np.ndarray:
     """Length of the run of True ending at each row, down axis 0."""
     k = np.arange(flags.shape[0]).reshape((-1,) + (1,) * (flags.ndim - 1))
@@ -321,20 +342,20 @@ def point_results(series: SeriesTerms, x):
 
 def solve_grid(row: Variant, coeffs_fn, eval_fn, data, params, n: int, xs, mode: str, spec):
     """Evaluate one variant on a grid through its public coefficient and
-    evaluation functions.  A pointwise (C) variant recomputes its
-    coefficients at every point and sums each point on its own."""
+    evaluation functions, with one coefficient pass per grid.  A pointwise
+    (C) variant's pass gives one coefficient column per point, and each
+    point is summed on its own."""
     if params is None:
         raise ValueError(f"{row.name} needs KernelParams")
     xs = np.asarray(xs, dtype=float)
+    coeffs = coeffs_fn(row.name, data, params, n, xs, spec)  # the points matter to C only
     if not row.pointwise:
-        coeffs = coeffs_fn(row.name, data, params, n, spec=spec)
         return eval_fn(row.name, coeffs, params, xs, mode)
     values = np.empty(xs.size)
     diags: list[DivergenceDiag] = []
     for i, x in enumerate(xs):
         try:
-            coeffs = coeffs_fn(row.name, data, params, n, float(x), spec)
-            values[i], diag = eval_fn(row.name, coeffs, params, float(x), mode)
+            values[i], diag = eval_fn(row.name, coeffs[:, i], params, float(x), mode)
         except OverflowError as exc:
             raise OverflowError(f"{row.name} at {AXIS[row.geometry]} = {x:g}: {exc}") from exc
         diags.append(diag)
