@@ -192,7 +192,7 @@ def _sweep_orders(variant, data, params, n_list, xs, mode, spec, tau=None):
     order sums its own rows (up to the early stop that order makes), so its
     values and flag are bit for bit those of evaluating the same
     coefficients truncated to that order.  A C variant keeps one
-    single-column sum per point of its one coefficient pass.  When the build
+    single-column sum per point of its one coefficient call.  When the build
     at max(n_list) overflows, each order is built on its own.  Yields
     (n, values, any_flagged, err) with err set to an exception when that
     order failed.

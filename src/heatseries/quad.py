@@ -11,6 +11,11 @@ max(abs_tol, rel_tol*|I|, 32*eps*int|f|).  Oscillatory polynomial-times-
 Gaussian integrands of high order cancel massively, and no quadrature can
 deliver relative accuracy past eps * int|f| / |I|; the floor term makes the
 engine converge to exactly the accuracy that is attainable.
+
+An integrand may return np.longdouble values (the plane C moments) to be
+summed in that precision.  The rule and the floor stay float64: the rule's
+rounding perturbs every integral alike, which the C recombinations do not
+amplify; the rounding of values and sums is what they amplify.
 """
 
 from __future__ import annotations
@@ -134,7 +139,8 @@ def _level_sum(f, edges: np.ndarray, rule) -> tuple[np.ndarray, np.ndarray]:
     half = 0.5 * (edges[1:] - edges[:-1])
     nodes = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
     weights = (half[:, None] * wg[None, :]).ravel()
-    vals = np.asarray(f(nodes), dtype=float)
+    vals = np.asarray(f(nodes))
+    vals = vals.astype(np.result_type(vals.dtype, float), copy=False)  # float64, or a wider float as given
     if vals.shape[-1] != nodes.shape[0]:
         raise ValueError(
             "integrand must be vectorized: f(nodes) must return an array whose "

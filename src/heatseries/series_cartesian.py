@@ -8,11 +8,13 @@ truncated evaluation and divergence monitoring.  With s = tau + beta:
   the Gaussian prefactor at scale s.
 * CD-B (direct): moments at scale sqrt(s), prefactor at scale 2*tau + beta.
 * CD-C (direct): even-order moments in the shifted argument
-  (x - xi)/(2 sqrt(beta)).  They depend on the evaluation point, but the
-  Hermite addition formula (DLMF 18.18) writes them through the plain
-  moments M_k of CD-A up to order 2N:
-  c_j(x) = sum_d C(2j, d) (-x/sqrt(beta))^d M_{2j-d}, so one moment pass
-  serves the whole grid.
+  (x - xi)/(2 R), R = sqrt(beta).  By the Hermite addition formula (DLMF
+  18.18) they are c_j(x) = sum_d C(2j, d) (-(x - c)/R)^d M_{2j-d}(c) with
+  the moments M_k(c) = int H_k((xi - c)/(2R)) f(xi) dxi about any centre c
+  (CD-A's at c = 0).  The binomial weights amplify the moments' rounding
+  noise about e^{|x - c| sqrt(N)/R}-fold, so each point takes the nearest
+  centre of a lattice with |x - c|/R <= 6/sqrt(N), and one moment pass per
+  centre serves every point near it.
 * CI-A / CI-B / CI-C (inverse): the same structures with the roles of the
   two scales exchanged; CI-B weights its moments with the Gaussian kernel at
   scale beta instead of carrying a prefactor.
@@ -79,10 +81,12 @@ def _moment_window(data, spec: QuadSpec, weight_root: float | None) -> tuple[flo
     return lo, hi
 
 
-def _hermite_moments(data, root: float, n: int, spec: QuadSpec, weight_root: float | None = None) -> np.ndarray:
+def _hermite_moments(
+    data, root: float, n: int, spec: QuadSpec, weight_root: float | None = None, center: float = 0.0
+) -> np.ndarray:
     """Moments of the data against Hermite polynomials at the given scale.
 
-    Plain form: int H_j(xi/(2 root)) data(xi) dxi.
+    Plain form: int H_j((xi - center)/(2 root)) data(xi) dxi.
     weight_root b: the integrand additionally carries e^{-xi^2/(4b^2)}/(2b sqrt(pi)).
     """
     if n < 0:
@@ -93,7 +97,7 @@ def _hermite_moments(data, root: float, n: int, spec: QuadSpec, weight_root: flo
     breakpoints = data.nodes if isinstance(data, Sampled1D) else None
 
     def integrand(xi):
-        vals = hermite_batch(n, xi / (2.0 * root)) * data(xi)[None, :]
+        vals = hermite_batch(n, (xi - center) / (2.0 * root)) * data(xi)[None, :]
         if weight_root is not None:
             w = np.exp(-(xi * xi) / (4.0 * weight_root * weight_root)) / (
                 2.0 * weight_root * math.sqrt(math.pi)
@@ -105,16 +109,35 @@ def _hermite_moments(data, root: float, n: int, spec: QuadSpec, weight_root: flo
     return vals
 
 
+def _centres(x: np.ndarray, root: float, n: int) -> np.ndarray:
+    """Each point's expansion centre: the nearest node of the lattice with
+    spacing 12 root / sqrt(n), so that |x - c| / root <= 6 / sqrt(n).  It
+    depends on the point alone, and x = 0 is its own centre."""
+    if n == 0:
+        return np.zeros_like(x)  # c_0 = M_0 about any centre
+    step = 12.0 * root / math.sqrt(n)
+    return step * np.round(x / step)
+
+
 def _coeffs(direct: bool, variant: str, data, params: KernelParams, n: int, x_center, spec: QuadSpec):
     row = lookup(variant, LINE, direct)
     root = row.moment_root(params)
     if not row.pointwise:
         return _hermite_moments(data, root, n, spec, weight_root=root if row.weighted else None)
-    moments = _hermite_moments(data, root, 2 * n, spec)
     # table[j, d] = C(2j, d) M_{2j-d}; C(2j, d) = 0 for d > 2j
     binom = np.array([[math.comb(2 * j, d) for d in range(2 * n + 1)] for j in range(n + 1)], dtype=float)
-    shift = 2 * np.arange(n + 1)[:, None] - np.arange(2 * n + 1)
-    return recombine(binom * moments[np.maximum(shift, 0)], x_center, lambda x: -x / root)
+    shift = np.maximum(2 * np.arange(n + 1)[:, None] - np.arange(2 * n + 1), 0)
+    x = np.atleast_1d(np.asarray(x_center, dtype=float))
+    centres = _centres(x, root, n)
+    out = np.full((n + 1, x.size), np.nan)  # a point without a centre (x = nan) stays non-finite
+    for c in np.unique(centres):
+        at = centres == c
+        try:
+            moments = _hermite_moments(data, root, 2 * n, spec, center=float(c))
+        except OverflowError:  # far from the data: these points' sums overflow as well
+            moments = np.full(2 * n + 1, np.nan)
+        out[:, at] = recombine(binom * moments[shift], x[at] - c, lambda d: -d / root)
+    return out[:, 0] if np.ndim(x_center) == 0 else out
 
 
 def cd_coeffs(
@@ -128,10 +151,10 @@ def cd_coeffs(
     """Direct-problem moments f_j.
 
     CD-C: the shifted even moments f_{2j}(x) at x_center, recombined from
-    one moment pass (README, "C variants", states where that is as accurate
-    as per-point quadrature); an array of points gives one column per point.
-    Where the shift overflows, a column is non-finite and evaluating it
-    raises OverflowError.
+    one moment pass about the point's lattice centre (README, "C
+    variants"); an array of points gives one column per point and one pass
+    per centre.  Where the shift overflows, a column is non-finite and
+    evaluating it raises OverflowError.
     """
     return _coeffs(True, variant, f, params, n, x_center, spec)
 

@@ -11,7 +11,11 @@ xi d(xi) on [0, inf).  With s = tau + beta:
   but Neumann's addition theorem for I0 (DLMF 10.44) writes them through the
   radial moments M_k of PD-A:
   c_j(r) = pi sum_d C(2j, 2d) C(2d, d) (r/(2 sqrt(beta)))^{2d} M_{j-d},
-  so one moment pass serves the whole grid.
+  so one moment pass serves the whole grid.  The theorem expands about the
+  origin only, and its binomial weights amplify the moments' rounding noise
+  (measured: up to 3e3-fold for r/(2 sqrt(beta)) <= 6, N <= 40), so that
+  pass and the recombination run in np.longdouble (2048 times finer than
+  float64 on x86-64; where longdouble is float64 the noise stays amplified).
 * PI-A / PI-B / PI-C (inverse): scale roles exchanged.  PI-B needs
   beta > tau: its prefactor lives at beta - tau.
 
@@ -56,13 +60,15 @@ __all__ = [
 PD_VARIANTS = variant_names(POLAR, direct=True)
 PI_VARIANTS = variant_names(POLAR, direct=False)
 
+
 def _radial_window(data, spec: QuadSpec) -> tuple[float, float]:
     lo, hi = profile_support(data, spec.truncation_radius_sigmas)
     return max(0.0, lo), hi
 
 
-def _w_radial_moments(data, root: float, n: int, spec: QuadSpec) -> np.ndarray:
-    """int_0^inf xi W_j(xi/(2 root)) data(xi) dxi for j = 0..n."""
+def _w_radial_moments(data, root: float, n: int, spec: QuadSpec, dtype=float) -> np.ndarray:
+    """int_0^inf xi W_j(xi/(2 root)) data(xi) dxi for j = 0..n, evaluated and
+    summed in dtype."""
     if n < 0:
         raise ValueError("order must be non-negative")
     lo, hi = _radial_window(data, spec)
@@ -71,7 +77,7 @@ def _w_radial_moments(data, root: float, n: int, spec: QuadSpec) -> np.ndarray:
     breakpoints = data.nodes if isinstance(data, Sampled1D) else None
 
     def integrand(xi):
-        w = w_poly_batch(n, xi / (2.0 * root))
+        w = w_poly_batch(n, xi.astype(dtype) / (2.0 * root))
         return w * (xi * data(xi))[None, :]
 
     vals, _ = integrate_vec(integrand, FiniteInterval(lo, hi), spec, breakpoints=breakpoints)
@@ -81,12 +87,13 @@ def _w_radial_moments(data, root: float, n: int, spec: QuadSpec) -> np.ndarray:
 def _coeffs(direct: bool, variant: str, data, params: KernelParams, n: int, r_center, spec: QuadSpec):
     row = lookup(variant, POLAR, direct)
     root = row.moment_root(params)
-    moments = _w_radial_moments(data, root, n, spec)
     if not row.pointwise:
-        return moments
+        return _w_radial_moments(data, root, n, spec)
+    moments = _w_radial_moments(data, root, n, spec, dtype=np.longdouble)
     # table[j, d] = pi C(2j, 2d) C(2d, d) M_{j-d}; C(2j, 2d) = 0 for d > j
     binom = np.array(
-        [[math.comb(2 * j, 2 * d) * math.comb(2 * d, d) for d in range(n + 1)] for j in range(n + 1)], dtype=float
+        [[math.comb(2 * j, 2 * d) * math.comb(2 * d, d) for d in range(n + 1)] for j in range(n + 1)],
+        dtype=np.longdouble,
     )
     shift = np.arange(n + 1)[:, None] - np.arange(n + 1)
     return recombine(math.pi * binom * moments[np.maximum(shift, 0)], r_center, lambda r: (r / (2.0 * root)) ** 2)
@@ -103,10 +110,9 @@ def pd_coeffs(
     """Direct radial moments f_j.
 
     PD-C: the angular-averaged moments at r_center, recombined from one
-    moment pass (README, "C variants", states where that is as accurate as
-    per-point quadrature); an array of radii gives one column per radius.
-    Where the shift overflows, a column is non-finite and evaluating it
-    raises OverflowError.
+    extended-precision moment pass (README, "C variants"); an array of radii
+    gives one column per radius.  Where the shift overflows, a column is
+    non-finite and evaluating it raises OverflowError.
     """
     return _coeffs(True, variant, f, params, n, r_center, spec)
 

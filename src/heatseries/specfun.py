@@ -178,15 +178,16 @@ def w_poly_batch(n: int, z):
     """
     if n < 0:
         raise ValueError("order must be non-negative")
-    z = np.asarray(z, dtype=float)
+    z = np.asarray(z)
+    z = z.astype(np.result_type(z.dtype, float), copy=False)  # np.longdouble stays extended
     y = z * z
-    out = np.empty((n + 1,) + y.shape)
+    out = np.empty((n + 1,) + y.shape, dtype=y.dtype)
     lag_prev = np.ones_like(y)
     out[0] = lag_prev
     with np.errstate(over="ignore", invalid="ignore"):
         if n >= 1:
             lag = 1.0 - y
-            pref = -2.0
+            pref = y.dtype.type(-2.0)  # in the precision of z: an exact integer while it fits
             out[1] = pref * lag
             for j in range(1, n):
                 lag_next = ((2 * j + 1 - y) * lag - j * lag_prev) / (j + 1)

@@ -16,9 +16,10 @@ at another.  With s = tau + beta, one row of VARIANTS records:
   the oracle certification by the ratios recorded in ERRATA.md;
 * the beta alignment that matches the moment scale with the data scale.
 
-A C variant's coefficients come from the same point-independent moments as
-its A sibling: one moment pass per grid, then an addition theorem recombines
-them at each point (`recombine`).
+A C variant recombines moments like its A sibling's, which do not depend on
+the evaluation point, at each point by an addition theorem (`recombine`;
+series_cartesian and series_polar say about which centre and in which
+precision).
 
 Evaluation builds the term matrix (orders x points), stops early after
 EARLY_STOP_RUN consecutive rows below abs_tol, sums each point in ascending
@@ -225,19 +226,20 @@ def ratio_products(first: float, n: int, update) -> np.ndarray:
 
 
 def recombine(table: np.ndarray, x, shift) -> np.ndarray:
-    """C coefficients at the points x from point-independent moments.
+    """C coefficients at the points x from moments that do not depend on them.
 
     Column k is sum_d table[:, d] u_k^d with u_k = shift(x_k), the addition
     theorem of the geometry written as a polynomial in u (orders x points;
-    1-D for a scalar x).  Where the powers overflow, the coefficients are
-    non-finite and the evaluation at that point raises OverflowError.
+    1-D for a scalar x).  The sum runs in the table's precision and returns
+    float64.  Where it overflows, the coefficients are non-finite and the
+    evaluation at that point raises OverflowError.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        u = shift(np.atleast_1d(np.asarray(x, dtype=float)))
+        u = shift(np.atleast_1d(np.asarray(x, dtype=table.dtype)))
         powers = u[None, :] ** np.arange(table.shape[1])[:, None]
         # summed column by column in ascending d, so a point's coefficients
         # do not depend on the other points of the grid
-        coeffs = sum(table[:, d, None] * powers[d] for d in range(table.shape[1]))
+        coeffs = sum(table[:, d, None] * powers[d] for d in range(table.shape[1])).astype(float)
     return coeffs[:, 0] if np.ndim(x) == 0 else coeffs
 
 
@@ -342,8 +344,8 @@ def point_results(series: SeriesTerms, x):
 
 def solve_grid(row: Variant, coeffs_fn, eval_fn, data, params, n: int, xs, mode: str, spec):
     """Evaluate one variant on a grid through its public coefficient and
-    evaluation functions, with one coefficient pass per grid.  A pointwise
-    (C) variant's pass gives one coefficient column per point, and each
+    evaluation functions, with one coefficient call per grid.  A pointwise
+    (C) variant's call gives one coefficient column per point, and each
     point is summed on its own."""
     if params is None:
         raise ValueError(f"{row.name} needs KernelParams")
