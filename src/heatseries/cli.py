@@ -367,7 +367,8 @@ def _parse_study_config(path: str) -> StudyConfig:
     sections = {"study": {}, "grid": {}, "sweep": {}}
     current = None
     try:
-        lines = open(path).read().splitlines()
+        with open(path) as handle:
+            lines = handle.read().splitlines()
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from None
     for line_no, raw in enumerate(lines, start=1):

@@ -191,8 +191,8 @@ def _sweep_orders(variant, data, params, n_list, xs, mode, spec, tau=None):
     Coefficients and the term matrix are built once at max(n_list); each
     order sums its own rows (up to the early stop that order makes), so its
     values and flag are bit for bit those of evaluating the same
-    coefficients truncated to that order.  A C variant keeps one
-    single-column sum per point of its one coefficient call.  When the build
+    coefficients truncated to that order.  A C variant's term matrix has one
+    column per point, each summed as on its own.  When the build
     at max(n_list) overflows, each order is built on its own.  Yields
     (n, values, any_flagged, err) with err set to an exception when that
     order failed.
@@ -204,7 +204,7 @@ def _sweep_orders(variant, data, params, n_list, xs, mode, spec, tau=None):
         tau = tau if tau is not None else params.tau
 
         def build(n):
-            return [classical_series(data, tau, n, xs)]
+            return classical_series(data, tau, n, xs)
     else:
         row = VARIANTS[variant]
         coeffs_fn, series = _COEFFS[row.geometry, row.direct], _SERIES[row.geometry]
@@ -216,9 +216,7 @@ def _sweep_orders(variant, data, params, n_list, xs, mode, spec, tau=None):
             return
 
         def build(n):
-            if row.pointwise:
-                return [series(row, coeffs[: n + 1, i], params, xs[i : i + 1], mode) for i in range(xs.size)]
-            return [series(row, coeffs[: n + 1], params, xs, mode)]
+            return series(row, coeffs[: n + 1], params, xs, mode)
 
     try:
         top = build(n_max)
@@ -226,9 +224,8 @@ def _sweep_orders(variant, data, params, n_list, xs, mode, spec, tau=None):
         top = None
     for n in n_list:
         try:
-            parts = top if top is not None else build(n)
-            vals = np.concatenate([p.values(n) for p in parts])
-            yield n, vals, any(bool(np.any(p.flagged(n))) for p in parts), None
+            terms = top if top is not None else build(n)
+            yield n, terms.values(n), bool(np.any(terms.flagged(n))), None
         except (OverflowError, ValueError) as exc:
             yield n, None, True, exc
 

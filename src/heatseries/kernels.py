@@ -109,8 +109,15 @@ def forward_line(data, tau: float, x, spec: QuadSpec = QuadSpec()):
     norm = 2.0 * math.sqrt(math.pi * tau)
 
     def integrand(xi):
-        kern = np.exp(-((x_arr[:, None] - xi[None, :]) ** 2) / (4.0 * tau)) / norm
-        return kern * data(xi)[None, :]
+        # exp(-(x - xi)^2 / (4 tau)) / norm * data, built in one buffer
+        kern = np.subtract(x_arr[:, None], xi[None, :])
+        np.square(kern, out=kern)
+        np.negative(kern, out=kern)
+        np.divide(kern, 4.0 * tau, out=kern)
+        np.exp(kern, out=kern)
+        np.divide(kern, norm, out=kern)
+        kern *= data(xi)
+        return kern
 
     vals, _ = integrate_vec(integrand, FiniteInterval(lo, hi), spec, breakpoints=_breakpoints(data))
     return float(vals[0]) if np.ndim(x) == 0 else vals
@@ -137,7 +144,8 @@ def forward_polar(data, tau: float, r, spec: QuadSpec = QuadSpec()):
 
     def integrand(xi):
         kern = scaled_polar_kernel(r_arr[:, None], xi[None, :], tau)
-        return kern * (xi * data(xi))[None, :]
+        kern *= xi * data(xi)
+        return kern
 
     vals, _ = integrate_vec(integrand, FiniteInterval(lo, hi), spec, breakpoints=_breakpoints(data))
     return float(vals[0]) if np.ndim(r) == 0 else vals

@@ -12,10 +12,13 @@ Gaussian integrands of high order cancel massively, and no quadrature can
 deliver relative accuracy past eps * int|f| / |I|; the floor term makes the
 engine converge to exactly the accuracy that is attainable.
 
-An integrand may return np.longdouble values (the plane C moments) to be
-summed in that precision.  The rule and the floor stay float64: the rule's
-rounding perturbs every integral alike, which the C recombinations do not
-amplify; the rounding of values and sums is what they amplify.
+The integrand hands over the array it returns: the engine may overwrite an
+array that owns its memory (it takes the magnitudes for the floor in place)
+and leaves a view alone, so an integrand returns a fresh array, never one it
+keeps.  An integrand may return np.longdouble values (the plane C moments)
+to be summed in that precision.  The rule and the floor stay float64: the
+rule's rounding perturbs every integral alike, which the C recombinations do
+not amplify; the rounding of values and sums is what they amplify.
 """
 
 from __future__ import annotations
@@ -146,7 +149,11 @@ def _level_sum(f, edges: np.ndarray, rule) -> tuple[np.ndarray, np.ndarray]:
             "integrand must be vectorized: f(nodes) must return an array whose "
             "last axis matches the nodes"
         )
-    return vals @ weights, np.abs(vals) @ weights
+    total = vals @ weights
+    # the integrand's own fresh array takes its magnitudes in place; a view
+    # (of data the caller may still hold) is left alone
+    owned = vals.flags.owndata and vals.flags.writeable
+    return total, np.abs(vals, out=vals if owned else None) @ weights
 
 
 def _bisect(edges: np.ndarray) -> np.ndarray:
@@ -164,6 +171,9 @@ def integrate_vec(f, domain, spec: QuadSpec = QuadSpec(), breakpoints=None):
     integrated on the same refined panel grid and must individually satisfy
     the convergence test.  err_estimate is the largest refinement difference
     at acceptance.  Raises AccuracyError when max_panels is exhausted.
+
+    f returns a fresh array; the engine may overwrite it.  An array that
+    does not own its memory (a view) is never written to.
     """
     lo, hi = _resolve(domain, spec)
     rule = _gl_rule(spec.nodes_per_panel)

@@ -34,6 +34,7 @@ kernel-oracle certification by documented ratios (see ERRATA.md).
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -50,6 +51,7 @@ from .variants import (
     default_beta,
     lookup,
     point_results,
+    pointwise_terms,
     ratio_products,
     recombine,
     series_terms,
@@ -97,12 +99,12 @@ def _hermite_moments(
     breakpoints = data.nodes if isinstance(data, Sampled1D) else None
 
     def integrand(xi):
-        vals = hermite_batch(n, (xi - center) / (2.0 * root)) * data(xi)[None, :]
+        vals = hermite_batch(n, (xi - center) / (2.0 * root))
+        vals *= data(xi)
         if weight_root is not None:
-            w = np.exp(-(xi * xi) / (4.0 * weight_root * weight_root)) / (
+            vals *= np.exp(-(xi * xi) / (4.0 * weight_root * weight_root)) / (
                 2.0 * weight_root * math.sqrt(math.pi)
             )
-            vals = vals * w[None, :]
         return vals
 
     vals, _ = integrate_vec(integrand, FiniteInterval(lo, hi), spec, breakpoints=breakpoints)
@@ -119,14 +121,23 @@ def _centres(x: np.ndarray, root: float, n: int) -> np.ndarray:
     return step * np.round(x / step)
 
 
+@functools.lru_cache(maxsize=16)
+def _binomials(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """C(2j, d) and the moment index 2j - d (0 where d > 2j, where C(2j, d)
+    = 0), j = 0..n, d = 0..2n; read-only, shared by every call at order n."""
+    binom = np.array([[math.comb(2 * j, d) for d in range(2 * n + 1)] for j in range(n + 1)], dtype=float)
+    shift = np.maximum(2 * np.arange(n + 1)[:, None] - np.arange(2 * n + 1), 0)
+    binom.flags.writeable = shift.flags.writeable = False
+    return binom, shift
+
+
 def _coeffs(direct: bool, variant: str, data, params: KernelParams, n: int, x_center, spec: QuadSpec):
     row = lookup(variant, LINE, direct)
     root = row.moment_root(params)
     if not row.pointwise:
         return _hermite_moments(data, root, n, spec, weight_root=root if row.weighted else None)
-    # table[j, d] = C(2j, d) M_{2j-d}; C(2j, d) = 0 for d > 2j
-    binom = np.array([[math.comb(2 * j, d) for d in range(2 * n + 1)] for j in range(n + 1)], dtype=float)
-    shift = np.maximum(2 * np.arange(n + 1)[:, None] - np.arange(2 * n + 1), 0)
+    # table[j, d] = C(2j, d) M_{2j-d}
+    binom, shift = _binomials(n)
     x = np.atleast_1d(np.asarray(x_center, dtype=float))
     centres = _centres(x, root, n)
     out = np.full((n + 1, x.size), np.nan)  # a point without a centre (x = nan) stays non-finite
@@ -188,8 +199,7 @@ def line_series(row, coeffs: np.ndarray, params: KernelParams, x: np.ndarray, mo
     """The term matrix of one line variant at the points x (internal)."""
     check_mode(mode)
     if row.pointwise:
-        n = coeffs.size - 1
-        return series_terms(row.kappa(params, mode, n) * coeffs, np.ones((1, x.size)), None, abs_tol)
+        return pointwise_terms(row.kappa(params, mode, coeffs.shape[0] - 1), coeffs, x.size, abs_tol)
     arg, num, den, pref = row.times(params)
     return _hermite_terms(coeffs, arg, math.sqrt(num) / (2.0 * math.sqrt(den)), pref, x, abs_tol)
 
@@ -211,7 +221,7 @@ def cd_eval(
     """Evaluate a truncated direct series; returns (value, diagnostics).
 
     CD-C coefficients are tied to the x they were computed for; pass the
-    same point here.
+    same point here (or the same points, one coefficient column each).
     """
     return _eval(True, variant, coeffs, params, x, constants_mode, abs_tol)
 

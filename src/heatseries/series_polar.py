@@ -27,6 +27,7 @@ certification by documented ratios (ERRATA.md).
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -40,6 +41,7 @@ from .variants import (
     check_mode,
     lookup,
     point_results,
+    pointwise_terms,
     ratio_products,
     recombine,
     series_terms,
@@ -78,10 +80,26 @@ def _w_radial_moments(data, root: float, n: int, spec: QuadSpec, dtype=float) ->
 
     def integrand(xi):
         w = w_poly_batch(n, xi.astype(dtype) / (2.0 * root))
-        return w * (xi * data(xi))[None, :]
+        w *= xi * data(xi)
+        return w
 
     vals, _ = integrate_vec(integrand, FiniteInterval(lo, hi), spec, breakpoints=breakpoints)
     return vals
+
+
+@functools.lru_cache(maxsize=16)
+def _binomials(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """pi C(2j, 2d) C(2d, d) in np.longdouble and the moment index j - d (0
+    where d > j, where C(2j, 2d) = 0), j, d = 0..n; read-only, shared by
+    every call at order n."""
+    binom = np.array(
+        [[math.comb(2 * j, 2 * d) * math.comb(2 * d, d) for d in range(n + 1)] for j in range(n + 1)],
+        dtype=np.longdouble,
+    )
+    weights = math.pi * binom
+    shift = np.maximum(np.arange(n + 1)[:, None] - np.arange(n + 1), 0)
+    weights.flags.writeable = shift.flags.writeable = False
+    return weights, shift
 
 
 def _coeffs(direct: bool, variant: str, data, params: KernelParams, n: int, r_center, spec: QuadSpec):
@@ -90,13 +108,9 @@ def _coeffs(direct: bool, variant: str, data, params: KernelParams, n: int, r_ce
     if not row.pointwise:
         return _w_radial_moments(data, root, n, spec)
     moments = _w_radial_moments(data, root, n, spec, dtype=np.longdouble)
-    # table[j, d] = pi C(2j, 2d) C(2d, d) M_{j-d}; C(2j, 2d) = 0 for d > j
-    binom = np.array(
-        [[math.comb(2 * j, 2 * d) * math.comb(2 * d, d) for d in range(n + 1)] for j in range(n + 1)],
-        dtype=np.longdouble,
-    )
-    shift = np.arange(n + 1)[:, None] - np.arange(n + 1)
-    return recombine(math.pi * binom * moments[np.maximum(shift, 0)], r_center, lambda r: (r / (2.0 * root)) ** 2)
+    # table[j, d] = pi C(2j, 2d) C(2d, d) M_{j-d}
+    weights, shift = _binomials(n)
+    return recombine(weights * moments[shift], r_center, lambda r: (r / (2.0 * root)) ** 2)
 
 
 def pd_coeffs(
@@ -140,9 +154,9 @@ def polar_series(row, coeffs: np.ndarray, params: KernelParams, r: np.ndarray, m
     check_mode(mode)
     if np.any(r < 0.0):
         raise ValueError("radius must be non-negative")
-    n = coeffs.size - 1
     if row.pointwise:
-        return series_terms(row.kappa(params, mode, n) * coeffs, np.ones((1, r.size)), None, abs_tol)
+        return pointwise_terms(row.kappa(params, mode, coeffs.shape[0] - 1), coeffs, r.size, abs_tol)
+    n = coeffs.size - 1
     arg, num, den, pref = row.times(params)
     wmat = w_poly_batch(n, r / (2.0 * math.sqrt(arg)))
     ratio = num / den

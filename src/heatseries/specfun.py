@@ -95,18 +95,29 @@ def hermite_batch(n: int, z):
 
     z may be a scalar or an ndarray; the result has shape (n+1,) + z.shape.
     Raises OverflowError instead of returning infinities.
+
+    Each row is written in place into the result, in the operation order of
+    (2z) H_j - (2j) H_{j-1}, so the values are those of the plain expression
+    bit for bit.  Only the last row is checked: a non-finite entry of row
+    j >= 1 makes the same entry of every later row non-finite (an infinite
+    H_j gives 2z H_j = +-inf, or nan at z = 0, and nan stays nan), and row 0
+    is all ones.
     """
     if n < 0:
         raise ValueError("order must be non-negative")
     z = np.asarray(z, dtype=float)
     out = np.empty((n + 1,) + z.shape)
-    out[0] = 1.0
+    rows = out.reshape(n + 1, z.size)  # a view: scalar and 0-d z give one column
+    rows[0] = 1.0
     with np.errstate(over="ignore", invalid="ignore"):
         if n >= 1:
-            out[1] = 2.0 * z
-        for j in range(1, n):
-            out[j + 1] = 2.0 * z * out[j] - 2.0 * j * out[j - 1]
-    _check_finite(out, "Hermite recurrence", n, z)
+            z2 = 2.0 * z.reshape(z.size)
+            rows[1] = z2
+            work = np.empty_like(z2)
+            for j in range(1, n):
+                row = np.multiply(z2, rows[j], out=rows[j + 1])
+                row -= np.multiply(2.0 * j, rows[j - 1], out=work)
+    _check_finite(rows[n], "Hermite recurrence", n, z)
     return out
 
 
@@ -174,27 +185,44 @@ def w_poly_batch(n: int, z):
 
     W_j(z) = (-1)^j (2j)!/j! L_j(z^2), so the batch runs the Laguerre
     recurrence in z^2 and scales by a ratio-updated prefactor.  Agreement
-    with the monomial route is a test-suite property.
+    with the monomial route is a test-suite property.  A np.longdouble z is
+    evaluated in that precision.
+
+    The Laguerre rows are updated in place in the operation order of
+    ((2j+1 - y) L_j - j L_{j-1}) / (j+1), so the values are those of the plain
+    expression bit for bit.  A non-finite Laguerre entry stays non-finite in
+    every later row, as does an infinite prefactor, so the last row shows
+    them.  A scaled row pref_j L_j can also overflow on its own at some j < n;
+    since |L_j(y)| <= e^{y/2} for y >= 0 (DLMF 18.14.8) and |pref_j| grows
+    with j, that cannot happen while |pref_n| e^{max y / 2} stays well inside
+    the float range, and only otherwise are all rows checked.
     """
     if n < 0:
         raise ValueError("order must be non-negative")
     z = np.asarray(z)
     z = z.astype(np.result_type(z.dtype, float), copy=False)  # np.longdouble stays extended
-    y = z * z
-    out = np.empty((n + 1,) + y.shape, dtype=y.dtype)
-    lag_prev = np.ones_like(y)
-    out[0] = lag_prev
+    y = (z * z).reshape(z.size)
+    out = np.empty((n + 1,) + z.shape, dtype=y.dtype)
+    rows = out.reshape(n + 1, z.size)  # a view: scalar and 0-d z give one column
+    rows[0] = 1.0
+    pref = y.dtype.type(-2.0)  # in the precision of z: an exact integer while it fits
     with np.errstate(over="ignore", invalid="ignore"):
         if n >= 1:
-            lag = 1.0 - y
-            pref = y.dtype.type(-2.0)  # in the precision of z: an exact integer while it fits
-            out[1] = pref * lag
+            lag_prev, lag, work = np.ones_like(y), 1.0 - y, np.empty_like(y)
+            np.multiply(pref, lag, out=rows[1])
             for j in range(1, n):
-                lag_next = ((2 * j + 1 - y) * lag - j * lag_prev) / (j + 1)
-                lag_prev, lag = lag, lag_next
+                np.subtract(2 * j + 1, y, out=work)
+                work *= lag
+                lag_prev *= j
+                work -= lag_prev
+                work /= j + 1
+                lag_prev, lag, work = lag, work, lag_prev
                 pref *= -2.0 * (2 * j + 1)
-                out[j + 1] = pref * lag
-    _check_finite(out, "W recurrence", n, z)
+                np.multiply(pref, lag, out=rows[j + 1])
+    bounded = y.dtype.kind == "f" and (
+        y.size == 0 or np.log(abs(pref)) + 0.5 * np.max(y) < np.log(np.finfo(y.dtype).max) - 16.0
+    )
+    _check_finite(rows[n] if bounded else rows, "W recurrence", n, z)
     return out
 
 

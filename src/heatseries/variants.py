@@ -24,7 +24,9 @@ precision).
 Evaluation builds the term matrix (orders x points), stops early after
 EARLY_STOP_RUN consecutive rows below abs_tol, sums each point in ascending
 order, and scans every point's term magnitudes for divergence.  The matrix is
-kept whole so an order sweep can sum each order's own rows.
+kept whole so an order sweep can sum each order's own rows.  A/B rows stop
+together (the largest term of a row decides); every C column is a series of
+its own, with its own early stop and overflow row.
 """
 
 from __future__ import annotations
@@ -282,29 +284,65 @@ class SeriesTerms:
     terms is the full (n+1, points) matrix.  The order-m truncation keeps
     rows(m) rows: the early stop depends on the rows above it only, as does
     the divergence scan, so slicing gives exactly what a separate evaluation
-    at order m would.
+    at order m would.  stop and finite are one count for the grid (A/B: the
+    largest term of a row decides), or one per point when every column is a
+    series of its own (C: `pointwise_terms`).
     """
 
     terms: np.ndarray
-    stop: int               # rows kept by the early stop at full order
-    finite: int             # rows before the first non-finite term
-    fires: np.ndarray       # per point: the row at which divergence is flagged
-    growth: np.ndarray      # per point: the first growth index, -1 if none
+    stop: int | np.ndarray    # rows kept by the early stop at full order
+    finite: int | np.ndarray  # rows before the first non-finite term
+    fires: np.ndarray         # per point: the row at which divergence is flagged
+    growth: np.ndarray        # per point: the first growth index, -1 if none
 
     @property
     def order(self) -> int:
         return self.terms.shape[0] - 1
 
-    def rows(self, m: int) -> int:
-        return min(self.stop, m + 1)
+    @property
+    def pointwise(self) -> bool:
+        return np.ndim(self.stop) > 0
+
+    def rows(self, m: int):
+        return np.minimum(self.stop, m + 1)
 
     def values(self, m: int) -> np.ndarray:
-        if self.finite <= m:
+        if np.any(self.finite <= m):
             raise OverflowError("series terms overflowed double precision")
-        return np.sum(self.terms[: self.rows(m)], axis=0)
+        rows = self.rows(m)
+        if not self.pointwise:
+            return np.sum(self.terms[:rows], axis=0)
+        # each point alone, as numpy sums one column: a contiguous (pairwise)
+        # sum of its kept rows, for the points of each row count together
+        out = np.empty(self.terms.shape[1])
+        for r in np.unique(rows):
+            at = rows == r
+            out[at] = np.sum(np.ascontiguousarray(self.terms[:r].T[at]), axis=1)
+        return out
 
     def flagged(self, m: int) -> np.ndarray:
         return self.fires < self.rows(m)
+
+
+def _first(flags: np.ndarray) -> np.ndarray:
+    """Per column, the first row that is True (the row count if none)."""
+    return np.where(np.any(flags, axis=0), np.argmax(flags, axis=0), flags.shape[0])
+
+
+def _series(terms: np.ndarray, abs_tol: float, pointwise: bool) -> SeriesTerms:
+    mags = np.abs(terms)
+    bad = ~np.isfinite(terms)
+    if pointwise:
+        small = mags < abs_tol
+    else:  # one stop for the grid: the largest term of each row decides
+        small = np.max(mags, axis=1, keepdims=True) < abs_tol
+        bad = np.any(bad, axis=1, keepdims=True)
+    stop = np.minimum(_first(_run_lengths(small) >= EARLY_STOP_RUN) + 1, terms.shape[0])
+    finite = _first(bad)
+    fires, growth = _scan(mags)
+    if not pointwise:
+        stop, finite = int(stop[0]), int(finite[0])
+    return SeriesTerms(terms, stop, finite, fires, growth)
 
 
 def series_terms(weights: np.ndarray, basis: np.ndarray, pref, abs_tol: float) -> SeriesTerms:
@@ -312,29 +350,26 @@ def series_terms(weights: np.ndarray, basis: np.ndarray, pref, abs_tol: float) -
     terms = weights[:, None] * basis
     if pref is not None:
         terms = terms * pref[None, :]
-    n = terms.shape[0] - 1
-    mags = np.abs(terms)
-    bad = np.nonzero(~np.all(np.isfinite(terms), axis=1))[0]
-    stops = np.nonzero(_run_lengths(np.max(mags, axis=1) < abs_tol) >= EARLY_STOP_RUN)[0]
-    fires, growth = _scan(mags)
-    return SeriesTerms(
-        terms,
-        int(stops[0]) + 1 if stops.size else n + 1,
-        int(bad[0]) if bad.size else n + 1,
-        fires,
-        growth,
-    )
+    return _series(terms, abs_tol, pointwise=False)
+
+
+def pointwise_terms(kappa: np.ndarray, coeffs: np.ndarray, points: int, abs_tol: float) -> SeriesTerms:
+    """terms[j, k] = kappa[j] coeffs[j, k], every column a series of its own
+    (the C variants): early stop, overflow and scan per column, and each
+    column summed as it would be alone.  1-D coeffs serve every point."""
+    terms = kappa[:, None] * coeffs.reshape(kappa.size, -1)
+    return _series(np.broadcast_to(terms, (kappa.size, points)), abs_tol, pointwise=True)
 
 
 def point_results(series: SeriesTerms, x):
     """The public (value, diag) for a scalar x, (values, diags) for an array."""
     n = series.order
     values = series.values(n)
-    rows = series.rows(n)
-    mags = np.abs(series.terms[:rows])
+    rows = np.broadcast_to(series.rows(n), series.fires.shape)
+    mags = np.abs(series.terms)
     flagged = series.flagged(n)
     diags = [
-        DivergenceDiag(mags[:, c], bool(flagged[c]), int(series.growth[c]) if flagged[c] else None)
+        DivergenceDiag(mags[: rows[c], c], bool(flagged[c]), int(series.growth[c]) if flagged[c] else None)
         for c in range(mags.shape[1])
     ]
     if np.ndim(x) == 0:
@@ -344,21 +379,21 @@ def point_results(series: SeriesTerms, x):
 
 def solve_grid(row: Variant, coeffs_fn, eval_fn, data, params, n: int, xs, mode: str, spec):
     """Evaluate one variant on a grid through its public coefficient and
-    evaluation functions, with one coefficient call per grid.  A pointwise
-    (C) variant's call gives one coefficient column per point, and each
-    point is summed on its own."""
+    evaluation functions, with one coefficient call and one evaluation per
+    grid.  A pointwise (C) variant's call gives one coefficient column per
+    point, and each point is summed on its own."""
     if params is None:
         raise ValueError(f"{row.name} needs KernelParams")
     xs = np.asarray(xs, dtype=float)
     coeffs = coeffs_fn(row.name, data, params, n, xs, spec)  # the points matter to C only
-    if not row.pointwise:
+    try:
         return eval_fn(row.name, coeffs, params, xs, mode)
-    values = np.empty(xs.size)
-    diags: list[DivergenceDiag] = []
-    for i, x in enumerate(xs):
-        try:
-            values[i], diag = eval_fn(row.name, coeffs[:, i], params, float(x), mode)
-        except OverflowError as exc:
-            raise OverflowError(f"{row.name} at {AXIS[row.geometry]} = {x:g}: {exc}") from exc
-        diags.append(diag)
-    return values, diags
+    except OverflowError:
+        if not row.pointwise:
+            raise
+        for i, x in enumerate(xs):  # name the first point whose own sum overflows
+            try:
+                eval_fn(row.name, coeffs[:, i], params, float(x), mode)
+            except OverflowError as exc:
+                raise OverflowError(f"{row.name} at {AXIS[row.geometry]} = {x:g}: {exc}") from exc
+        raise

@@ -1,5 +1,8 @@
+import gc
 import json
 import math
+import sys
+import warnings
 
 import pytest
 
@@ -248,6 +251,20 @@ def test_study_unknown_key_rejected(tmp_path, capsys):
     cfg.write_text("[study]\nkind = noise\nwavelength = 3\n")
     assert 2 == run_cli("study", "--config", str(cfg))
     assert "wavelength" in capsys.readouterr().err
+
+
+def test_study_closes_its_config_file(tmp_path, monkeypatch, capsys):
+    # a leaked handle warns when it is collected; under "error" that warning
+    # is raised inside the finaliser and lands in sys.unraisablehook
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text(STUDY_CFG)
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        assert 0 == run_cli("study", "--config", str(cfg))
+        gc.collect()
+    assert [str(u.exc_value) for u in unraisable] == []
 
 
 def test_input_rejects_nonuniform_grid(tmp_path):

@@ -20,6 +20,7 @@ from heatseries.variants import (
     CONSTANTS_MODES,
     VARIANTS,
     point_results,
+    pointwise_terms,
     series_terms,
     variant_names,
 )
@@ -121,6 +122,78 @@ def test_overflow_reported_per_order():
     np.testing.assert_array_equal(series.values(1), [1.5])
     with pytest.raises(OverflowError):
         series.values(2)
+
+
+# --- C points: one matrix, every column a series of its own ------------------------
+
+def reference_point(kappa, column, abs_tol):
+    """The previous C path: one single-column series per point."""
+    return series_terms(kappa * column, np.ones((1, 1)), None, abs_tol)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_pointwise_matches_reference(kappa, coeffs, abs_tol):
+    series = pointwise_terms(kappa, coeffs, coeffs.shape[1], abs_tol)
+    refs = [reference_point(kappa, coeffs[:, c], abs_tol) for c in range(coeffs.shape[1])]
+    for m in range(coeffs.shape[0]):
+        np.testing.assert_array_equal(series.rows(m), [ref.rows(m) for ref in refs])
+        np.testing.assert_array_equal(series.flagged(m), [ref.flagged(m)[0] for ref in refs])
+        try:
+            expected = np.concatenate([ref.values(m) for ref in refs])
+        except OverflowError:
+            with pytest.raises(OverflowError, match="series terms overflowed double precision"):
+                series.values(m)
+            continue
+        assert same_bits(series.values(m), expected)
+    np.testing.assert_array_equal(series.growth, [ref.growth[0] for ref in refs])
+
+
+@given(term_matrices(), st.sampled_from([1e-14, 1e-12, 0.3, 1.0, 5.0]), st.integers(-1, 24))
+@settings(max_examples=400, deadline=None)
+def test_pointwise_terms_are_the_single_point_series(coeffs, abs_tol, overflow_row):
+    # early stop, overflow, flags and the sum of every column as a lone point,
+    # at every truncation order; some columns overflow at overflow_row
+    coeffs = coeffs.copy()
+    if 0 <= overflow_row < coeffs.shape[0]:
+        coeffs[overflow_row, ::2] = np.inf
+    kappa = 0.5 ** np.arange(coeffs.shape[0])
+    assert_pointwise_matches_reference(kappa, coeffs, abs_tol)
+    if not np.all(np.isfinite(coeffs)):
+        return
+    series = pointwise_terms(kappa, coeffs, coeffs.shape[1], abs_tol)
+    values, diags = point_results(series, np.zeros(coeffs.shape[1]))
+    for c, diag in enumerate(diags):
+        ref_value, ref_diag = point_results(reference_point(kappa, coeffs[:, c], abs_tol), 0.0)
+        assert same_bits(values[c], ref_value)
+        assert same_bits(diag.term_magnitudes, ref_diag.term_magnitudes)
+        assert (diag.flagged, diag.first_growth_index) == (ref_diag.flagged, ref_diag.first_growth_index)
+
+
+def test_pointwise_sums_are_one_column_sums_on_random_shapes():
+    # numpy sums a lone column pairwise and a matrix row by row; at more than
+    # eight rows the two differ in the last bits, and each C point keeps the
+    # former whatever the other points' row counts
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        rows, cols = int(rng.integers(1, 200)), int(rng.integers(1, 12))
+        coeffs = rng.normal(size=(rows, cols)) * 10.0 ** rng.integers(-3, 4, size=(rows, cols))
+        coeffs[rng.integers(0, rows, size=cols), np.arange(cols)] = 0.0
+        kappa = rng.uniform(0.5, 2.0, size=rows)
+        abs_tol = float(10.0 ** rng.integers(-14, 1))
+        series = pointwise_terms(kappa, coeffs, cols, abs_tol)
+        for m in {0, rows // 3, rows - 1}:
+            expected = [np.sum((kappa * coeffs[:, c])[: ref.rows(m)]) for c, ref in
+                        enumerate(reference_point(kappa, coeffs[:, c], abs_tol) for c in range(cols))]
+            assert same_bits(series.values(m), expected)
+
+
+def test_one_coefficient_column_serves_every_point():
+    series = pointwise_terms(np.ones(3), np.array([1.0, 0.5, 0.25]), 4, 1e-14)
+    assert same_bits(series.values(2), np.full(4, 1.75))
 
 
 # --- the table -----------------------------------------------------------------
