@@ -190,12 +190,9 @@ def w_poly_batch(n: int, z):
 
     The Laguerre rows are updated in place in the operation order of
     ((2j+1 - y) L_j - j L_{j-1}) / (j+1), so the values are those of the plain
-    expression bit for bit.  A non-finite Laguerre entry stays non-finite in
-    every later row, as does an infinite prefactor, so the last row shows
-    them.  A scaled row pref_j L_j can also overflow on its own at some j < n;
-    since |L_j(y)| <= e^{y/2} for y >= 0 (DLMF 18.14.8) and |pref_j| grows
-    with j, that cannot happen while |pref_n| e^{max y / 2} stays well inside
-    the float range, and only otherwise are all rows checked.
+    expression bit for bit.  Every row is checked: a scaled row pref_j L_j
+    can overflow on its own at some j < n while row n stays finite (near a
+    zero of L_n).
     """
     if n < 0:
         raise ValueError("order must be non-negative")
@@ -219,10 +216,7 @@ def w_poly_batch(n: int, z):
                 lag_prev, lag, work = lag, work, lag_prev
                 pref *= -2.0 * (2 * j + 1)
                 np.multiply(pref, lag, out=rows[j + 1])
-    bounded = y.dtype.kind == "f" and (
-        y.size == 0 or np.log(abs(pref)) + 0.5 * np.max(y) < np.log(np.finfo(y.dtype).max) - 16.0
-    )
-    _check_finite(rows[n] if bounded else rows, "W recurrence", n, z)
+    _check_finite(rows, "W recurrence", n, z)
     return out
 
 

@@ -307,8 +307,12 @@ class SeriesTerms:
         return np.minimum(self.stop, m + 1)
 
     def values(self, m: int) -> np.ndarray:
+        """The order-m sums.  An overflow raises OverflowError whose `point`
+        is the first overflowing column (C), None for A/B."""
         if np.any(self.finite <= m):
-            raise OverflowError("series terms overflowed double precision")
+            exc = OverflowError("series terms overflowed double precision")
+            exc.point = int(np.argmax(self.finite <= m)) if self.pointwise else None
+            raise exc
         rows = self.rows(m)
         if not self.pointwise:
             return np.sum(self.terms[:rows], axis=0)
@@ -388,12 +392,8 @@ def solve_grid(row: Variant, coeffs_fn, eval_fn, data, params, n: int, xs, mode:
     coeffs = coeffs_fn(row.name, data, params, n, xs, spec)  # the points matter to C only
     try:
         return eval_fn(row.name, coeffs, params, xs, mode)
-    except OverflowError:
+    except OverflowError as exc:
         if not row.pointwise:
             raise
-        for i, x in enumerate(xs):  # name the first point whose own sum overflows
-            try:
-                eval_fn(row.name, coeffs[:, i], params, float(x), mode)
-            except OverflowError as exc:
-                raise OverflowError(f"{row.name} at {AXIS[row.geometry]} = {x:g}: {exc}") from exc
-        raise
+        x = float(xs[exc.point])  # the first point whose own sum overflows
+        raise OverflowError(f"{row.name} at {AXIS[row.geometry]} = {x:g}: {exc}") from exc

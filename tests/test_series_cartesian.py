@@ -272,6 +272,26 @@ def test_convergent_case_not_flagged():
     assert diag.first_growth_index is None
 
 
+@pytest.mark.parametrize("variant, coeffs_fn, eval_fn", [("CD-C", cd_coeffs, cd_eval), ("CI-C", ci_coeffs, ci_eval)])
+def test_c_grid_overflow_names_the_first_point_that_overflows_alone(variant, coeffs_fn, eval_fn):
+    # the grid is evaluated as one matrix; its error names the first point
+    # whose own evaluation overflows, in that evaluation's words
+    g, params = Gaussian(width_a=1.0), KernelParams(tau=0.5, beta=0.7)
+    xs = np.array([0.0, 20.0, 100.0, -60.0, 60.0, -100.0])
+    coeffs = coeffs_fn(variant, g, params, 80, xs)
+    first = None
+    for i, x in enumerate(xs):
+        try:
+            eval_fn(variant, coeffs[:, i], params, float(x))
+        except OverflowError as exc:
+            first = f"{variant} at x = {x:g}: {exc}"
+            break
+    assert first is not None and not first.startswith(f"{variant} at x = 0:")
+    with pytest.raises(OverflowError) as info:
+        solve_grid_line(variant, g, params, 80, xs)
+    assert str(info.value) == first
+
+
 # --- classical baseline ---------------------------------------------------------------
 
 def test_ci_classical_even_data_odd_terms_vanish():

@@ -145,8 +145,9 @@ def assert_pointwise_matches_reference(kappa, coeffs, abs_tol):
         try:
             expected = np.concatenate([ref.values(m) for ref in refs])
         except OverflowError:
-            with pytest.raises(OverflowError, match="series terms overflowed double precision"):
+            with pytest.raises(OverflowError, match="series terms overflowed double precision") as info:
                 series.values(m)
+            assert info.value.point == next(c for c, ref in enumerate(refs) if ref.finite <= m)
             continue
         assert same_bits(series.values(m), expected)
     np.testing.assert_array_equal(series.growth, [ref.growth[0] for ref in refs])
