@@ -18,6 +18,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -41,8 +42,8 @@ from .profiles import (
     parse_profile,
 )
 from .quad import AccuracyError, QuadSpec
-from .series_cartesian import DEFAULT_ORDER, solve_grid_line
-from .series_polar import solve_grid_polar
+from .series_cartesian import DEFAULT_ORDER, grid_series_line
+from .series_polar import grid_series_polar
 from .specfun import KernelParams
 from .variants import AXIS, CLASSICAL, LINE, POLAR, default_beta, variant_names
 
@@ -81,11 +82,14 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _render_csv(metadata: dict, header: list, rows: list) -> str:
+def _render_csv(metadata: dict, header: list, rows: list, row_format: str | None = None) -> str:
+    """row_format: one %-format for every row, the text _fmt gives its values."""
     lines = [f"# {key} = {_fmt(val)}" for key, val in metadata.items()]
     lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    if row_format is not None:
+        lines.extend(row_format % row for row in rows)
+    else:
+        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -97,8 +101,11 @@ def _render_json(metadata: dict, header: list, rows: list) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _emit(args, metadata: dict, header: list, rows: list) -> None:
-    text = (_render_json if args.format == "json" else _render_csv)(metadata, header, rows)
+def _emit(args, metadata: dict, header: list, rows: list, row_format: str | None = None) -> None:
+    if args.format == "json":
+        text = _render_json(metadata, header, rows)
+    else:
+        text = _render_csv(metadata, header, rows, row_format)
     if args.output:
         _atomic_write(args.output, text)
     else:
@@ -126,9 +133,57 @@ def _parse_eval_grid(text: str) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
-def _read_sampled(path: str) -> Sampled1D:
-    """Read `x,value` pairs; `#` lines and non-numeric header rows before the
-    first sample are ignored, any other unreadable or non-finite row is an error."""
+# the characters a sample row may hold for np.loadtxt to parse it as float()
+# does: printable ASCII and tab (loadtxt also strips controls such as \x1c)
+_PLAIN_TEXT = bytes(range(0x20, 0x7F)) + b"\t\n"
+
+
+def _load_samples(path: str):
+    """(x, values) of a sample file in one vectorised pass, or None where the
+    line loop must decide: it names a bad line, and reports a file it cannot
+    read or decode as it reads.
+
+    The rows before the first sample are classified as the loop does; the
+    rest go to np.loadtxt, which on plain text parses exactly the fields
+    float() parses, to the same values.  A row the loop would reject (short,
+    non-numeric or non-finite) makes this pass give up, and so do rows the
+    loop skips after the first sample (blank-looking or commented) and rows
+    with a different number of columns."""
+    try:
+        with open(path) as handle:
+            lines = handle.read().split("\n")
+    except (OSError, ValueError):
+        return None
+    for start, line in enumerate(lines):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split(",")
+        if len(parts) < 2:
+            return None
+        try:
+            float(parts[0]), float(parts[1])
+        except ValueError:
+            continue  # column-header row
+        break
+    else:
+        return None
+    body = lines[start:]
+    joined = "\n".join(body)
+    if not joined.isascii() or joined.encode("ascii").translate(None, _PLAIN_TEXT):
+        return None
+    try:
+        table = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if table.shape[1] < 2 or not np.all(np.isfinite(table[:, :2])):
+        return None
+    return table[:, 0].copy(), table[:, 1].copy()
+
+
+def _scan_samples(path: str):
+    """(x, values) of a sample file, line by line; raises CliError naming the
+    first bad line."""
     xs, vals = [], []
     try:
         with open(path) as handle:
@@ -151,15 +206,22 @@ def _read_sampled(path: str) -> Sampled1D:
                 vals.append(val)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from None
-    if len(xs) < 2:
+    return np.asarray(xs), np.asarray(vals)
+
+
+def _read_sampled(path: str) -> Sampled1D:
+    """Read `x,value` pairs; `#` lines and non-numeric header rows before the
+    first sample are ignored, any other unreadable or non-finite row is an error."""
+    samples = _load_samples(path)
+    xs_arr, vals = samples if samples is not None else _scan_samples(path)
+    if xs_arr.size < 2:
         raise CliError(f"{path}: need at least two samples")
-    xs_arr = np.asarray(xs)
     steps = np.diff(xs_arr)
     if np.any(steps <= 0.0):
         raise CliError(f"{path}: sample abscissae must be strictly increasing")
     if np.max(np.abs(steps - steps[0])) > 1e-9 * max(abs(steps[0]), 1e-300):
         raise CliError(f"{path}: samples must sit on a uniform grid")
-    return Sampled1D(float(xs_arr[0]), float(xs_arr[-1]), np.asarray(vals))
+    return Sampled1D(float(xs_arr[0]), float(xs_arr[-1]), vals)
 
 
 def _resolve_beta(args, variant: str, data, geometry: str, tau: float) -> float:
@@ -225,19 +287,19 @@ def _solve(args, data, xs: np.ndarray, beta: float):
     try:
         if args.variant == ORACLE:
             forward = forward_line if args.geometry == LINE else forward_polar
-            return forward(data, args.tau, xs, spec), [False] * xs.size
+            return forward(data, args.tau, xs, spec), np.zeros(xs.size, dtype=bool)
         params = None if args.variant == CLASSICAL else KernelParams(tau=args.tau, beta=beta)
         if args.geometry == LINE:
-            values, diags = solve_grid_line(
+            series = grid_series_line(
                 args.variant, data, params, args.order, xs, args.constants_mode, spec, tau=args.tau
             )
         else:
-            values, diags = solve_grid_polar(args.variant, data, params, args.order, xs, args.constants_mode, spec)
+            series = grid_series_polar(args.variant, data, params, args.order, xs, args.constants_mode, spec)
+        return series.values(args.order), series.flagged(args.order)
     except AccuracyError as exc:
         raise CliError(f"{args.command} {args.variant}: quadrature did not converge: {exc}", code=3)
     except OverflowError as exc:
         raise CliError(f"{args.command} {args.variant}: overflow: {exc}", code=3)
-    return values, [d.flagged for d in diags]
 
 
 def _solve_metadata(args, source: dict, beta: float, extra: dict) -> dict:
@@ -258,8 +320,8 @@ def _solve_metadata(args, source: dict, beta: float, extra: dict) -> dict:
 
 
 def _emit_field(args, metadata: dict, xs, values, flags) -> None:
-    rows = [(float(x), float(v), bool(f)) for x, v, f in zip(xs, values, flags)]
-    _emit(args, metadata, [metadata["axis"], "value", "diverged"], rows)
+    rows = list(zip(xs.tolist(), values.tolist(), flags.tolist()))
+    _emit(args, metadata, [metadata["axis"], "value", "diverged"], rows, "%.17g,%.17g,%d")
 
 
 def cmd_forward(args) -> int:
@@ -284,7 +346,7 @@ def cmd_inverse(args) -> int:
     metadata = _solve_metadata(
         args, source, beta, {"noise": args.noise if args.noise is not None else "", "seed": args.seed}
     )
-    if any(flags):
+    if np.any(flags):
         metadata["warning"] = "divergence flagged at some evaluation points"
     if args.truth:
         try:
@@ -554,11 +616,16 @@ def _merge_grid_args(argv):
     return out
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """One parser per process: parse_args leaves no state in it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    args = parser.parse_args(_merge_grid_args(list(argv)))
+    args = _parser().parse_args(_merge_grid_args(list(argv)))
     try:
         return _COMMANDS[args.command](args)
     except CliError as exc:

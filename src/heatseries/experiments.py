@@ -31,8 +31,8 @@ from . import __version__ as _pkg_version
 from .kernels import evolve_line, evolve_polar, forward_line, forward_polar
 from .profiles import AnalyticProfile, Gaussian, Sampled1D, format_profile
 from .quad import QuadSpec
-from .series_cartesian import cd_coeffs, ci_coeffs, classical_series, line_series, solve_grid_line
-from .series_polar import pd_coeffs, pi_coeffs, polar_series, solve_grid_polar
+from .series_cartesian import cd_coeffs, ci_coeffs, classical_series, grid_series_line, line_series
+from .series_polar import grid_series_polar, pd_coeffs, pi_coeffs, polar_series
 from .specfun import KernelParams
 from .variants import CLASSICAL, LINE, POLAR, VARIANTS, default_beta, geometry_of, variant_names
 
@@ -180,9 +180,12 @@ def _errors(values: np.ndarray, truth: np.ndarray) -> tuple[float, float]:
 
 
 def _solve(variant, data, params, n, xs, mode, spec, tau=None):
+    """Values and divergence flags of one order-n grid solve."""
     if geometry_of(variant) == LINE:
-        return solve_grid_line(variant, data, params, n, xs, mode, spec, tau=tau)
-    return solve_grid_polar(variant, data, params, n, xs, mode, spec)
+        series = grid_series_line(variant, data, params, n, xs, mode, spec, tau=tau)
+    else:
+        series = grid_series_polar(variant, data, params, n, xs, mode, spec)
+    return series.values(n), series.flagged(n)
 
 
 def _sweep_orders(variant, data, params, n_list, xs, mode, spec, tau=None):
@@ -295,7 +298,7 @@ def run_audit(config: StudyConfig) -> StudyReport:
         errs = {}
         t0 = time.perf_counter()
         for n in (0, 1, 2, full_order):
-            vals, diags = _solve(variant, data, params, n, probes, mode, spec)
+            vals, flags = _solve(variant, data, params, n, probes, mode, spec)
             err = float(np.max(np.abs(vals - truth_vals))) / scale
             errs[n] = err
             rows.append(
@@ -306,7 +309,7 @@ def run_audit(config: StudyConfig) -> StudyReport:
                     delta=0.0,
                     error_l2=err,
                     error_max=err,
-                    diverged=any(d.flagged for d in diags),
+                    diverged=bool(np.any(flags)),
                     status="",
                     runtime_ms=(time.perf_counter() - t0) * 1e3,
                 )
@@ -524,9 +527,9 @@ def run_beta_map(config: StudyConfig) -> StudyReport:
             params = KernelParams(tau=config.tau, beta=beta)
             t0 = time.perf_counter()
             try:
-                vals, diags = _solve(variant, data, params, n, xs, config.constants_mode, config.quad)
+                vals, flags = _solve(variant, data, params, n, xs, config.constants_mode, config.quad)
                 err_l2, err_max = _errors(vals, truth)
-                diverged = any(d.flagged for d in diags)
+                diverged = bool(np.any(flags))
                 status = "ok"
             except (OverflowError, ValueError) as exc:
                 err_l2 = err_max = float("nan")

@@ -12,6 +12,16 @@ Gaussian integrands of high order cancel massively, and no quadrature can
 deliver relative accuracy past eps * int|f| / |I|; the floor term makes the
 engine converge to exactly the accuracy that is attainable.
 
+One exact level replaces refinement where the caller knows the integrand
+is a polynomial of at most some degree d between consecutive breakpoints
+(the moments of sampled data, which is linear between its nodes, against a
+polynomial basis): `integrate_vec(..., degree=d)` sums one level of the
+floor(d/2)+1-point rule on each panel between the breakpoints, which is
+exact for degree 2 floor(d/2) + 1 >= d, so the result is the integral up to
+rounding, with no error estimate to trust and no refinement.  The level is
+evaluated in blocks of EXACT_BLOCK nodes, so the integrand's memory stays
+bounded however many panels the breakpoints make.
+
 The integrand hands over the array it returns: the engine may overwrite an
 array that owns its memory (it takes the magnitudes for the floor in place)
 and leaves a view alone, so an integrand returns a fresh array, never one it
@@ -41,6 +51,7 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(float).eps)
+EXACT_BLOCK = 4096  # nodes per integrand call of an exact level
 
 
 class AccuracyError(RuntimeError):
@@ -136,12 +147,15 @@ def _panel_edges(lo: float, hi: float, n_panels: int, breakpoints) -> np.ndarray
     return edges
 
 
-def _level_sum(f, edges: np.ndarray, rule) -> tuple[np.ndarray, np.ndarray]:
+def _level(edges: np.ndarray, rule) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of one level: the rule on every panel."""
     xg, wg = rule
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-    weights = (half[:, None] * wg[None, :]).ravel()
+    return (mid[:, None] + half[:, None] * xg[None, :]).ravel(), (half[:, None] * wg[None, :]).ravel()
+
+
+def _values(f, nodes: np.ndarray) -> np.ndarray:
     vals = np.asarray(f(nodes))
     vals = vals.astype(np.result_type(vals.dtype, float), copy=False)  # float64, or a wider float as given
     if vals.shape[-1] != nodes.shape[0]:
@@ -149,11 +163,27 @@ def _level_sum(f, edges: np.ndarray, rule) -> tuple[np.ndarray, np.ndarray]:
             "integrand must be vectorized: f(nodes) must return an array whose "
             "last axis matches the nodes"
         )
+    return vals
+
+
+def _level_sum(f, edges: np.ndarray, rule) -> tuple[np.ndarray, np.ndarray]:
+    nodes, weights = _level(edges, rule)
+    vals = _values(f, nodes)
     total = vals @ weights
     # the integrand's own fresh array takes its magnitudes in place; a view
     # (of data the caller may still hold) is left alone
     owned = vals.flags.owndata and vals.flags.writeable
     return total, np.abs(vals, out=vals if owned else None) @ weights
+
+
+def _exact_sum(f, edges: np.ndarray, rule) -> np.ndarray:
+    """One level summed block by block, in ascending order of the nodes."""
+    nodes, weights = _level(edges, rule)
+    total = 0.0
+    for start in range(0, nodes.size, EXACT_BLOCK):
+        block = slice(start, start + EXACT_BLOCK)
+        total = total + _values(f, nodes[block]) @ weights[block]
+    return total
 
 
 def _bisect(edges: np.ndarray) -> np.ndarray:
@@ -164,7 +194,7 @@ def _bisect(edges: np.ndarray) -> np.ndarray:
     return out
 
 
-def integrate_vec(f, domain, spec: QuadSpec = QuadSpec(), breakpoints=None):
+def integrate_vec(f, domain, spec: QuadSpec = QuadSpec(), breakpoints=None, degree: int | None = None):
     """Integrate a vector-valued integrand; returns (values, err_estimate).
 
     f maps an ndarray of nodes to an array (..., n_nodes); all components are
@@ -172,12 +202,20 @@ def integrate_vec(f, domain, spec: QuadSpec = QuadSpec(), breakpoints=None):
     the convergence test.  err_estimate is the largest refinement difference
     at acceptance.  Raises AccuracyError when max_panels is exhausted.
 
+    degree: f is a polynomial of at most this degree between consecutive
+    breakpoints (and the domain's ends); one exact level replaces the
+    refinement (module docstring) and err_estimate is 0.
+
     f returns a fresh array; the engine may overwrite it.  An array that
     does not own its memory (a view) is never written to.
     """
     lo, hi = _resolve(domain, spec)
-    rule = _gl_rule(spec.nodes_per_panel)
     edges = _panel_edges(lo, hi, min(8, spec.max_panels), breakpoints)
+    if degree is not None:
+        if degree < 0:
+            raise ValueError(f"degree must be non-negative, got {degree}")
+        return _exact_sum(f, edges, _gl_rule(degree // 2 + 1)), 0.0
+    rule = _gl_rule(spec.nodes_per_panel)
     prev, _ = _level_sum(f, edges, rule)
     while True:
         edges = _bisect(edges)

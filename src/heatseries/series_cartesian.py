@@ -46,16 +46,17 @@ from .variants import (
     CLASSICAL,
     LINE,
     DivergenceDiag,
+    SeriesTerms,
     beta_rule,
     check_mode,
     default_beta,
+    grid_series,
     lookup,
     point_results,
     pointwise_terms,
     ratio_products,
     recombine,
     series_terms,
-    solve_grid,
 )
 
 __all__ = [
@@ -90,13 +91,17 @@ def _hermite_moments(
 
     Plain form: int H_j((xi - center)/(2 root)) data(xi) dxi.
     weight_root b: the integrand additionally carries e^{-xi^2/(4b^2)}/(2b sqrt(pi)).
+    Plain moments of sampled data take one exact level: between its nodes
+    the data is linear, so the integrand is a polynomial of degree n + 1.
     """
     if n < 0:
         raise ValueError("order must be non-negative")
     lo, hi = _moment_window(data, spec, weight_root)
     if lo >= hi:
         return np.zeros(n + 1)
-    breakpoints = data.nodes if isinstance(data, Sampled1D) else None
+    sampled = isinstance(data, Sampled1D)
+    breakpoints = data.nodes if sampled else None
+    degree = n + 1 if sampled and weight_root is None else None
 
     def integrand(xi):
         vals = hermite_batch(n, (xi - center) / (2.0 * root))
@@ -107,7 +112,7 @@ def _hermite_moments(
             )
         return vals
 
-    vals, _ = integrate_vec(integrand, FiniteInterval(lo, hi), spec, breakpoints=breakpoints)
+    vals, _ = integrate_vec(integrand, FiniteInterval(lo, hi), spec, breakpoints=breakpoints, degree=degree)
     return vals
 
 
@@ -321,6 +326,30 @@ def ci_classical(u, tau: float, n: int, x, abs_tol: float = 1e-14):
 
 # --- grid driver -------------------------------------------------------------
 
+def grid_series_line(
+    variant: str,
+    data,
+    params: KernelParams | None,
+    n: int,
+    xs: np.ndarray,
+    constants_mode: str = "oracle_validated",
+    spec: QuadSpec = QuadSpec(),
+    tau: float | None = None,
+) -> SeriesTerms:
+    """The term matrix of one line variant on a grid (internal): values and
+    flags of every order from one coefficient pass; CD-C and CI-C sum each
+    point's own coefficients."""
+    if variant == CLASSICAL:
+        if tau is None:
+            tau = params.tau if params is not None else None
+        if tau is None:
+            raise ValueError("CI-classical needs tau")
+        return classical_series(data, tau, n, np.atleast_1d(np.asarray(xs, dtype=float)))
+    row = lookup(variant, LINE)
+    coeffs_fn = cd_coeffs if row.direct else ci_coeffs
+    return grid_series(row, coeffs_fn, line_series, data, params, n, xs, constants_mode, spec)
+
+
 def solve_grid_line(
     variant: str,
     data,
@@ -333,12 +362,4 @@ def solve_grid_line(
 ) -> tuple[np.ndarray, list[DivergenceDiag]]:
     """Evaluate one line variant on a grid from one coefficient pass; CD-C
     and CI-C sum each point's own coefficients."""
-    if variant == CLASSICAL:
-        if tau is None:
-            tau = params.tau if params is not None else None
-        if tau is None:
-            raise ValueError("CI-classical needs tau")
-        return ci_classical(data, tau, n, np.asarray(xs, dtype=float))
-    row = lookup(variant, LINE)
-    coeffs_fn, eval_fn = (cd_coeffs, cd_eval) if row.direct else (ci_coeffs, ci_eval)
-    return solve_grid(row, coeffs_fn, eval_fn, data, params, n, xs, constants_mode, spec)
+    return point_results(grid_series_line(variant, data, params, n, xs, constants_mode, spec, tau), xs)

@@ -38,14 +38,15 @@ from .specfun import KernelParams, w_poly_batch
 from .variants import (
     POLAR,
     DivergenceDiag,
+    SeriesTerms,
     check_mode,
+    grid_series,
     lookup,
     point_results,
     pointwise_terms,
     ratio_products,
     recombine,
     series_terms,
-    solve_grid,
     variant_names,
 )
 
@@ -70,20 +71,24 @@ def _radial_window(data, spec: QuadSpec) -> tuple[float, float]:
 
 def _w_radial_moments(data, root: float, n: int, spec: QuadSpec, dtype=float) -> np.ndarray:
     """int_0^inf xi W_j(xi/(2 root)) data(xi) dxi for j = 0..n, evaluated and
-    summed in dtype."""
+    summed in dtype.  Sampled data takes one exact level: between its nodes
+    the data is linear, so the integrand is a polynomial of degree 2n + 2."""
     if n < 0:
         raise ValueError("order must be non-negative")
     lo, hi = _radial_window(data, spec)
     if lo >= hi:
         return np.zeros(n + 1)
-    breakpoints = data.nodes if isinstance(data, Sampled1D) else None
+    sampled = isinstance(data, Sampled1D)
+    breakpoints = data.nodes if sampled else None
 
     def integrand(xi):
         w = w_poly_batch(n, xi.astype(dtype) / (2.0 * root))
         w *= xi * data(xi)
         return w
 
-    vals, _ = integrate_vec(integrand, FiniteInterval(lo, hi), spec, breakpoints=breakpoints)
+    vals, _ = integrate_vec(
+        integrand, FiniteInterval(lo, hi), spec, breakpoints=breakpoints, degree=2 * n + 2 if sampled else None
+    )
     return vals
 
 
@@ -195,6 +200,23 @@ def pi_eval(
     return _eval(False, variant, coeffs, params, r, constants_mode, abs_tol)
 
 
+def grid_series_polar(
+    variant: str,
+    data,
+    params: KernelParams,
+    n: int,
+    rs: np.ndarray,
+    constants_mode: str = "oracle_validated",
+    spec: QuadSpec = QuadSpec(),
+) -> SeriesTerms:
+    """The term matrix of one polar variant on a grid of radii (internal):
+    values and flags of every order from one coefficient pass; PD-C and PI-C
+    sum each radius's own coefficients."""
+    row = lookup(variant, POLAR)
+    coeffs_fn = pd_coeffs if row.direct else pi_coeffs
+    return grid_series(row, coeffs_fn, polar_series, data, params, n, rs, constants_mode, spec)
+
+
 def solve_grid_polar(
     variant: str,
     data,
@@ -206,6 +228,4 @@ def solve_grid_polar(
 ) -> tuple[np.ndarray, list[DivergenceDiag]]:
     """Evaluate one polar variant on a grid of radii from one coefficient
     pass; PD-C and PI-C sum each radius's own coefficients."""
-    row = lookup(variant, POLAR)
-    coeffs_fn, eval_fn = (pd_coeffs, pd_eval) if row.direct else (pi_coeffs, pi_eval)
-    return solve_grid(row, coeffs_fn, eval_fn, data, params, n, rs, constants_mode, spec)
+    return point_results(grid_series_polar(variant, data, params, n, rs, constants_mode, spec), rs)

@@ -23,6 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .quad import _gl_rule
+
 __all__ = [
     "KernelParams",
     "PolynomialFamily",
@@ -198,12 +200,12 @@ def w_poly_batch(n: int, z):
         raise ValueError("order must be non-negative")
     z = np.asarray(z)
     z = z.astype(np.result_type(z.dtype, float), copy=False)  # np.longdouble stays extended
-    y = (z * z).reshape(z.size)
-    out = np.empty((n + 1,) + z.shape, dtype=y.dtype)
+    out = np.empty((n + 1,) + z.shape, dtype=z.dtype)
     rows = out.reshape(n + 1, z.size)  # a view: scalar and 0-d z give one column
     rows[0] = 1.0
-    pref = y.dtype.type(-2.0)  # in the precision of z: an exact integer while it fits
+    pref = z.dtype.type(-2.0)  # in the precision of z: an exact integer while it fits
     with np.errstate(over="ignore", invalid="ignore"):
+        y = (z * z).reshape(z.size)  # inf for |z| > ~1e154: the rows it enters fail the check
         if n >= 1:
             lag_prev, lag, work = np.ones_like(y), 1.0 - y, np.empty_like(y)
             np.multiply(pref, lag, out=rows[1])
@@ -243,10 +245,10 @@ def gamma_half(j: int) -> float:
 # J0: alternating power series up to x = 8 (max term ~ 1e2, so ~1e-13
 # relative), the averaged-cosine integral representation on (8, 18]
 # (fixed 96-node Gauss-Legendre rule on [0, pi], spectrally accurate for
-# fewer than ~6 oscillations), and the Hankel asymptotic expansion above 18
-# where its smallest term is below 1e-15.  The plain series + asymptotic
-# pair cannot bridge 8 < x < 18 at 1e-12 in double precision, hence the
-# integral branch.
+# fewer than ~6 oscillations; quad's cached rule, built on first use), and
+# the Hankel asymptotic expansion above 18 where its smallest term is below
+# 1e-15.  The plain series + asymptotic pair cannot bridge 8 < x < 18 at
+# 1e-12 in double precision, hence the integral branch.
 # ---------------------------------------------------------------------------
 
 _I0_SERIES_CUT = 30.0
@@ -320,14 +322,11 @@ def _j0_series(x: np.ndarray) -> np.ndarray:
     return acc
 
 
-_J0_GL_NODES, _J0_GL_WEIGHTS = np.polynomial.legendre.leggauss(96)
-_J0_THETA = 0.5 * math.pi * (_J0_GL_NODES + 1.0)
-_J0_WEIGHT = 0.5 * _J0_GL_WEIGHTS  # weights for the average over [0, pi]
-
-
 def _j0_integral(x: np.ndarray) -> np.ndarray:
     # J0(x) = (1/pi) int_0^pi cos(x sin theta) d theta
-    return np.cos(x[:, None] * np.sin(_J0_THETA)[None, :]) @ _J0_WEIGHT
+    nodes, weights = _gl_rule(96)
+    theta = 0.5 * math.pi * (nodes + 1.0)
+    return np.cos(x[:, None] * np.sin(theta)[None, :]) @ (0.5 * weights)  # the average over [0, pi]
 
 
 def _j0_asymptotic(x: np.ndarray) -> np.ndarray:

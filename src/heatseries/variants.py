@@ -24,9 +24,11 @@ precision).
 Evaluation builds the term matrix (orders x points), stops early after
 EARLY_STOP_RUN consecutive rows below abs_tol, sums each point in ascending
 order, and scans every point's term magnitudes for divergence.  The matrix is
-kept whole so an order sweep can sum each order's own rows.  A/B rows stop
-together (the largest term of a row decides); every C column is a series of
-its own, with its own early stop and overflow row.
+kept whole so an order sweep can sum each order's own rows, and a grid solve
+(`grid_series`) reads its values and flags from it; the per-point
+`DivergenceDiag` records are built for the public (values, diags) functions
+only.  A/B rows stop together (the largest term of a row decides); every C
+column is a series of its own, with its own early stop and overflow row.
 """
 
 from __future__ import annotations
@@ -306,13 +308,17 @@ class SeriesTerms:
     def rows(self, m: int):
         return np.minimum(self.stop, m + 1)
 
-    def values(self, m: int) -> np.ndarray:
-        """The order-m sums.  An overflow raises OverflowError whose `point`
-        is the first overflowing column (C), None for A/B."""
+    def check(self, m: int) -> None:
+        """Raise the OverflowError of the order-m sums, if they overflow; its
+        `point` is the first overflowing column (C), None for A/B."""
         if np.any(self.finite <= m):
             exc = OverflowError("series terms overflowed double precision")
             exc.point = int(np.argmax(self.finite <= m)) if self.pointwise else None
             raise exc
+
+    def values(self, m: int) -> np.ndarray:
+        """The order-m sums; raises as `check` does."""
+        self.check(m)
         rows = self.rows(m)
         if not self.pointwise:
             return np.sum(self.terms[:rows], axis=0)
@@ -381,19 +387,23 @@ def point_results(series: SeriesTerms, x):
     return values, diags
 
 
-def solve_grid(row: Variant, coeffs_fn, eval_fn, data, params, n: int, xs, mode: str, spec):
-    """Evaluate one variant on a grid through its public coefficient and
-    evaluation functions, with one coefficient call and one evaluation per
-    grid.  A pointwise (C) variant's call gives one coefficient column per
-    point, and each point is summed on its own."""
+def grid_series(row: Variant, coeffs_fn, series_fn, data, params, n: int, xs, mode: str, spec) -> SeriesTerms:
+    """The term matrix of one variant on a grid, from one coefficient call
+    through the public coefficient function and one series build; a
+    pointwise (C) variant's call gives one coefficient column per point,
+    each summed on its own.  The order-n sums are checked here, so an
+    overflowing C grid names its first overflowing point."""
     if params is None:
         raise ValueError(f"{row.name} needs KernelParams")
     xs = np.asarray(xs, dtype=float)
     coeffs = coeffs_fn(row.name, data, params, n, xs, spec)  # the points matter to C only
+    points = np.atleast_1d(xs)
+    series = series_fn(row, np.asarray(coeffs, float), params, points, mode)
     try:
-        return eval_fn(row.name, coeffs, params, xs, mode)
+        series.check(n)
     except OverflowError as exc:
         if not row.pointwise:
             raise
-        x = float(xs[exc.point])  # the first point whose own sum overflows
+        x = float(points[exc.point])  # the first point whose own sum overflows
         raise OverflowError(f"{row.name} at {AXIS[row.geometry]} = {x:g}: {exc}") from exc
+    return series

@@ -5,8 +5,13 @@ import sys
 import warnings
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from heatseries import cli
 from heatseries.cli import main
+
+ORIGINAL_BUILD = cli.build_parser
 
 
 def run_cli(*argv):
@@ -389,3 +394,128 @@ def test_study_variant_outside_geometry_rejected(tmp_path, capsys, variants):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(f"[study]\nkind = noise\ngeometry = line\nvariants = {variants}\n")
     assert_rejected(capsys, run_cli("study", "--config", str(cfg)), variants)
+
+
+# --- one parser per process -------------------------------------------------------
+
+def test_cached_parser_carries_nothing_from_one_call_to_the_next(tmp_path, capsys, monkeypatch):
+    path = str(evolved_samples(tmp_path))
+    capsys.readouterr()
+    inverse = ("inverse", "--variant", "CI-A", "--tau", "0.3", "--beta", "auto", "--order", "8",
+               "--input", path, "--eval-grid", "-1:1:5")
+    calls = [
+        inverse + ("--noise", "1e-3", "--seed", "5", "--truth", "gaussian:a=1"),
+        inverse,
+        inverse + ("--bogus",),  # rejected by argparse
+        ("forward", "--variant", "CD-A", "--tau", "0.5", "--beta", "1", "--profile", "gaussian:a=1",
+         "--eval-grid", "-1:1:5"),
+    ]
+
+    def run(argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or ORIGINAL_BUILD())
+    cli._parser.cache_clear()
+    in_sequence = [run(argv) for argv in calls]
+    assert len(built) == 1
+    alone = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        alone.append(run(argv))
+    cli._parser.cache_clear()
+    assert in_sequence == alone
+    assert [c for c, _, _ in in_sequence] == [0, 0, ("SystemExit", 2), 0]
+    plain = in_sequence[1][1]
+    assert "# noise = \n" in plain and "# seed = 0\n" in plain and "summary_rel_l2" not in plain
+
+
+# --- field rows -------------------------------------------------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.floats(allow_nan=True, allow_infinity=True), flag=st.booleans())
+def test_row_format_is_the_text_of_fmt(x, flag):
+    assert "%.17g,%.17g,%d" % (x, -x, flag) == ",".join(cli._fmt(v) for v in (x, -x, flag))
+
+
+# --- sample files -----------------------------------------------------------------
+
+JUNK_ROWS = [
+    "", "   ", "\t", "# a comment", "x,value", "abc,def", "1", "1;2", "nan,1", "1,inf", "-inf,0",
+    "1,2#c", " ,2", "1,", "1_0,2", "1\x1c,2", "\xa01,2", "١,2", "0x1,2", "1,2,3,4", "1e400,1",
+]
+NUMBER_FORMATS = ["%.17g", "%r", "%.3e", "%+.6f", " %s ", "%.17g\t"]
+
+
+@st.composite
+def sample_files(draw):
+    """Sample file text: a prelude of comments, blanks and headers, then rows
+    on a grid (sometimes decreasing, uneven or short) with decorated fields
+    and junk rows mixed in."""
+    n = draw(st.integers(0, 30))
+    lo = draw(st.sampled_from([-4.0, -1.5, 0.0, 0.3]))
+    step = draw(st.sampled_from([0.25, 0.1, 1.0 / 3.0, 1e-3]))
+    xs = [lo + i * step for i in range(n)]
+    if draw(st.booleans()):
+        xs.reverse()
+    if n > 3 and draw(st.integers(0, 4)) == 0:
+        xs[n // 2] += step / 3.0
+    values = draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n))
+    fmt = draw(st.sampled_from(NUMBER_FORMATS))
+    pad = draw(st.sampled_from(["", " ", "\t", "  "]))
+    extra = draw(st.sampled_from(["", ",", ",abc", ",1,2", ",nan"]))
+    rows = [f"{pad}{fmt % x},{fmt % v}{extra}{pad}" for x, v in zip(xs, values)]
+    for _ in range(draw(st.integers(0, 2))):
+        rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(JUNK_ROWS)))
+    prelude = draw(st.lists(st.sampled_from(["# written by hand", "x,value", "", "r , u", "x,value,note"]), max_size=3))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(prelude + rows) + (newline if draw(st.booleans()) else "")
+
+
+@pytest.mark.parametrize("junk", JUNK_ROWS)
+@pytest.mark.parametrize("where", [0, 1, 20, 41])
+def test_every_junk_row_reads_as_the_line_loop_reads_it(tmp_path, monkeypatch, junk, where):
+    rows = [f"{x:.17g},{math.exp(-x * x / 4.0):.17g}" for x in (-4.0 + 0.2 * i for i in range(41))]
+    rows.insert(where, junk)
+    path = tmp_path / "u.csv"
+    path.write_text("# header\nx,value\n" + "\n".join(rows) + "\n")
+    fast = read_outcome(str(path))
+    monkeypatch.setattr(cli, "_load_samples", lambda _: None)
+    assert fast == read_outcome(str(path))
+
+
+def read_outcome(path):
+    """The Sampled1D a reader returns, or the CliError it raises."""
+    try:
+        data = cli._read_sampled(path)
+    except cli.CliError as exc:
+        return str(exc)
+    return data.lo, data.hi, data.values.tobytes()
+
+
+@settings(max_examples=250, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=sample_files())
+def test_sample_files_read_as_the_line_loop_reads_them(tmp_path, monkeypatch, capsys, text):
+    path = tmp_path / "u.csv"
+    with open(path, "w", newline="") as handle:
+        handle.write(text)
+    fast = read_outcome(str(path))
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_load_samples", lambda _: None)  # the line loop alone
+        loop = read_outcome(str(path))
+    assert fast == loop
+    capsys.readouterr()
+    code = run_cli(
+        "inverse", "--variant", "CI-A", "--tau", "0.3", "--beta", "1", "--order", "4",
+        "--input", str(path), "--eval-grid", "0:0:1",
+    )
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err
+    if isinstance(loop, str):
+        assert err == f"heatseries inverse: {loop}\n"

@@ -1,0 +1,230 @@
+"""Moments of sampled data from one exact Gauss-Legendre level.
+
+Sampled data is linear between its nodes, so every moment integrand is a
+polynomial on each panel between them: degree k + 1 for the Hermite moments
+(2n + 1 for the line C moments, taken at order 2n), 2j + 2 for the radial
+xi W_j moments.  The exact level must give the integral of the interpolant
+up to rounding: within C_EXACT eps int|f_k| of a 30-digit mpmath integral,
+and within the adaptive engine's own tolerance of that engine at
+rel_tol = 1e-13.  CI-B's Gaussian-weighted moments and the analytic inputs
+stay adaptive.
+"""
+
+import functools
+import math
+
+import mpmath
+import numpy as np
+import pytest
+
+from heatseries import quad, series_cartesian, series_polar
+from heatseries.profiles import Mixture, Gaussian, Sampled1D
+from heatseries.specfun import KernelParams
+
+EPS = float(np.finfo(float).eps)
+# measured: at most 1.9 (Hermite, k <= 80, both centres), 1.8 (xi W_j,
+# float64) and 0.7 (xi W_j, longdouble: the rule stays float64) eps int|f_k|
+C_EXACT = 8.0
+
+LINE_NODES = np.linspace(-8.0, 8.0, 97)
+LINE = Sampled1D(-8.0, 8.0, Mixture((Gaussian(0.9, -0.5, 1.0), Gaussian(1.4, 0.7, 0.7)))(LINE_NODES))
+POLAR_NODES = np.linspace(0.0, 8.0, 33)
+POLAR = Sampled1D(0.0, 8.0, np.exp(-POLAR_NODES ** 2 / 4.0))
+ROOT_LINE, ROOT_POLAR = 1.1, 0.9
+WIDE = quad.QuadSpec(rel_tol=1e-4, max_panels=1 << 14)  # for int|f_k|, a scale only
+
+
+def l1_norms(integrand, lo, hi, nodes):
+    vals, _ = quad.integrate_vec(lambda xi: np.abs(integrand(xi)), quad.FiniteInterval(lo, hi), WIDE, nodes)
+    return vals.astype(float)
+
+
+def mp_hermite_moments(data, root, center, n):
+    """int H_k((xi - c)/(2R)) data(xi) dxi, k = 0..n, segment by segment from
+    the antiderivatives int H_k = H_{k+1}/(2(k+1)) and
+    int y H_k = H_{k+2}/(4(k+2)) + H_k/2 (y H_k = H_{k+1}/2 + k H_{k-1})."""
+    with mpmath.workdps(40):
+        two_r = 2 * mpmath.mpf(root)
+        c = mpmath.mpf(center)
+        xs = [mpmath.mpf(float(x)) for x in data.nodes]
+        fs = [mpmath.mpf(float(v)) for v in data.values]
+
+        def hermite(y):
+            h = [mpmath.mpf(1), 2 * y]
+            for j in range(1, n + 2):
+                h.append(2 * y * h[j] - 2 * j * h[j - 1])
+            return h
+
+        hs = [hermite((x - c) / two_r) for x in xs]
+        out = [mpmath.mpf(0)] * (n + 1)
+        for i in range(len(xs) - 1):
+            slope = (fs[i + 1] - fs[i]) / (xs[i + 1] - xs[i])
+            alpha, beta = fs[i] + slope * (c - xs[i]), two_r * slope  # data = alpha + beta y
+            ha, hb = hs[i], hs[i + 1]
+            for k in range(n + 1):
+                a_int = (hb[k + 1] - ha[k + 1]) / (2 * (k + 1))
+                b_int = (hb[k + 2] - ha[k + 2]) / (4 * (k + 2)) + ((hb[k] - ha[k]) / 2 if k else 0)
+                out[k] += two_r * (alpha * a_int + beta * b_int)
+        return np.array([float(v) for v in out])
+
+
+def mp_w_moments(data, root, n):
+    """int xi W_j(xi/(2R)) data(xi) dxi, j = 0..n, from the monomial form
+    W_j(z) = sum_k (2j)! (-1)^{j-k} / (k!^2 (j-k)!) z^{2k}, in 60 digits
+    (the alternating monomial sums cancel)."""
+    with mpmath.workdps(60):
+        scale = 1 / (2 * mpmath.mpf(root)) ** 2
+        xs = [mpmath.mpf(float(x)) for x in data.nodes]
+        fs = [mpmath.mpf(float(v)) for v in data.values]
+        out = []
+        for j in range(n + 1):
+            coeffs = [mpmath.mpf(math.factorial(2 * j) * (-1) ** (j - k))
+                      / (math.factorial(k) ** 2 * math.factorial(j - k)) * scale ** k for k in range(j + 1)]
+            total = mpmath.mpf(0)
+            for i in range(len(xs) - 1):
+                slope = (fs[i + 1] - fs[i]) / (xs[i + 1] - xs[i])
+                p = fs[i] - slope * xs[i]  # data = p + slope xi
+
+                def anti(x):
+                    return sum(ck * (p * x ** (2 * k + 2) / (2 * k + 2) + slope * x ** (2 * k + 3) / (2 * k + 3))
+                               for k, ck in enumerate(coeffs))
+
+                total += anti(xs[i + 1]) - anti(xs[i])
+            out.append(float(total))
+        return np.array(out)
+
+
+@functools.lru_cache(maxsize=None)
+def polar_reference(n):
+    return mp_w_moments(POLAR, ROOT_POLAR, n)
+
+
+def hermite_integrand(data, root, center, n):
+    return lambda xi: series_cartesian.hermite_batch(n, (xi - center) / (2.0 * root)) * data(xi)
+
+
+def w_integrand(data, root, n):
+    return lambda xi: series_polar.w_poly_batch(n, xi / (2.0 * root)) * (xi * data(xi))
+
+
+@pytest.mark.parametrize("center", [0.0, 1.7])
+def test_hermite_moments_are_the_interpolants_up_to_rounding(center):
+    n = 80
+    exact = series_cartesian._hermite_moments(LINE, ROOT_LINE, n, quad.QuadSpec(), center=center)
+    ref = mp_hermite_moments(LINE, ROOT_LINE, center, n)
+    l1 = l1_norms(hermite_integrand(LINE, ROOT_LINE, center, n), LINE.lo, LINE.hi, LINE.nodes)
+    assert np.all(np.abs(exact - ref) <= C_EXACT * EPS * l1)
+
+
+@pytest.mark.parametrize("dtype", [float, np.longdouble])
+def test_radial_moments_are_the_interpolants_up_to_rounding(dtype):
+    n = 40
+    exact = series_polar._w_radial_moments(POLAR, ROOT_POLAR, n, quad.QuadSpec(), dtype=dtype)
+    assert exact.dtype == np.dtype(dtype)
+    ref = polar_reference(n)
+    l1 = l1_norms(w_integrand(POLAR, ROOT_POLAR, n), POLAR.lo, POLAR.hi, POLAR.nodes)
+    assert np.all(np.abs(exact - ref).astype(float) <= C_EXACT * EPS * l1)
+
+
+TIGHT = quad.QuadSpec(rel_tol=1e-13, max_panels=1 << 14)
+
+
+@pytest.mark.parametrize("center", [0.0, 1.7])
+def test_hermite_moments_match_the_adaptive_engine(center):
+    n = 80
+    exact = series_cartesian._hermite_moments(LINE, ROOT_LINE, n, quad.QuadSpec(), center=center)
+    f = hermite_integrand(LINE, ROOT_LINE, center, n)
+    adaptive, _ = quad.integrate_vec(f, quad.FiniteInterval(LINE.lo, LINE.hi), TIGHT, LINE.nodes)
+    l1 = l1_norms(f, LINE.lo, LINE.hi, LINE.nodes)
+    # the adaptive engine's acceptance test: rel_tol |I| or its 32 eps int|f| floor
+    assert np.all(np.abs(exact - adaptive) <= np.maximum(1e-13 * np.abs(adaptive), 32.0 * EPS * l1))
+
+
+def test_radial_moments_match_the_adaptive_engine():
+    n = 40
+    exact = series_polar._w_radial_moments(POLAR, ROOT_POLAR, n, quad.QuadSpec())
+    f = w_integrand(POLAR, ROOT_POLAR, n)
+    adaptive, _ = quad.integrate_vec(f, quad.FiniteInterval(POLAR.lo, POLAR.hi), TIGHT, POLAR.nodes)
+    l1 = l1_norms(f, POLAR.lo, POLAR.hi, POLAR.nodes)
+    assert np.all(np.abs(exact - adaptive) <= np.maximum(1e-13 * np.abs(adaptive), 32.0 * EPS * l1))
+
+
+# --- which passes take the exact level ------------------------------------------
+
+def degrees_passed(module, call):
+    """The degree each integrate_vec call of a solve was given."""
+    seen = []
+    original = module.integrate_vec
+
+    def spy(f, *args, **kwargs):
+        seen.append(kwargs.get("degree"))
+        return original(f, *args, **kwargs)
+
+    module.integrate_vec = spy
+    try:
+        call()
+    finally:
+        module.integrate_vec = original
+    return seen
+
+
+PARAMS = KernelParams(tau=0.3, beta=0.9)
+
+
+@pytest.mark.parametrize("variant, degree", [("CD-A", 13), ("CI-A", 13), ("CI-B", None), ("CD-C", 25)])
+def test_line_moment_passes_take_the_exact_level_except_ci_b(variant, degree):
+    coeffs = series_cartesian.cd_coeffs if variant.startswith("CD") else series_cartesian.ci_coeffs
+    seen = degrees_passed(series_cartesian, lambda: coeffs(variant, LINE, PARAMS, 12, 0.0))
+    assert seen == [degree]  # line C: the 2n + 1 of its order-2n moments
+    analytic = degrees_passed(series_cartesian, lambda: coeffs(variant, Gaussian(1.0), PARAMS, 12, 0.0))
+    assert analytic == [None]
+
+
+@pytest.mark.parametrize("variant", ["PD-A", "PI-B", "PD-C"])
+def test_radial_moment_passes_take_the_exact_level(variant):
+    coeffs = series_polar.pd_coeffs if variant.startswith("PD") else series_polar.pi_coeffs
+    params = KernelParams(tau=0.3, beta=1.2)
+    assert degrees_passed(series_polar, lambda: coeffs(variant, POLAR, params, 12, 0.5)) == [26]
+    assert degrees_passed(series_polar, lambda: coeffs(variant, Gaussian(1.0), params, 12, 0.5)) == [None]
+
+
+def test_exact_level_runs_in_bounded_blocks_in_ascending_order():
+    sizes, firsts = [], []
+
+    def integrand(xi):
+        sizes.append(xi.size)
+        firsts.append(xi[0])
+        return np.vstack([np.ones_like(xi), xi ** 3])
+
+    nodes = np.linspace(-1.0, 3.0, 4001)
+    vals, err = quad.integrate_vec(integrand, quad.FiniteInterval(-1.0, 3.0), breakpoints=nodes, degree=3)
+    assert err == 0.0
+    assert max(sizes) <= quad.EXACT_BLOCK and len(sizes) > 1
+    assert firsts == sorted(firsts)
+    assert vals == pytest.approx([4.0, (3.0 ** 4 - 1.0) / 4.0], rel=1e-14)
+
+
+def test_one_exact_level_integrates_its_degree_exactly():
+    rng = np.random.default_rng(3)
+    coeffs = rng.normal(size=12)
+    seen = []
+
+    def poly(degree):
+        def f(xi):
+            seen.append(xi.size)
+            return np.polynomial.polynomial.polyval(xi, coeffs[: degree + 1])[None, :]
+
+        return f
+
+    def exact(degree):
+        anti = np.polynomial.polynomial.polyint(coeffs[: degree + 1])
+        return np.polynomial.polynomial.polyval(2.0, anti) - np.polynomial.polynomial.polyval(-1.0, anti)
+
+    domain = quad.FiniteInterval(-1.0, 2.0)
+    for degree in range(11):
+        seen.clear()
+        vals, _ = quad.integrate_vec(poly(degree), domain, degree=degree)
+        assert vals[0] == pytest.approx(exact(degree), rel=1e-13, abs=1e-13)
+        assert seen == [8 * (degree // 2 + 1)]  # floor(d/2) + 1 nodes on each of the 8 panels
+    with pytest.raises(ValueError, match="degree"):
+        quad.integrate_vec(poly(1), domain, degree=-1)
