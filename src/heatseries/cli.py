@@ -28,23 +28,20 @@ import tempfile
 import numpy as np
 
 from .experiments import (
+    _ORACLE,
+    _SCALE_ESTIMATE,
+    _STUDY_GRID,
     GridGeom,
     StudyConfig,
+    _grid_solve,
+    _kernel_params,
     expected_audit_statuses,
     run_audit,
     run_study,
 )
-from .kernels import forward_line, forward_polar
-from .profiles import (
-    Sampled1D,
-    estimate_scale_line,
-    estimate_scale_polar,
-    parse_profile,
-)
+from .profiles import Sampled1D, parse_profile
 from .quad import AccuracyError, QuadSpec
-from .series_cartesian import DEFAULT_ORDER, grid_series_line
-from .series_polar import grid_series_polar
-from .specfun import KernelParams
+from .series_cartesian import DEFAULT_ORDER
 from .variants import AXIS, CLASSICAL, LINE, POLAR, default_beta, variant_names
 
 ORACLE = "oracle"  # the quadrature oracle, a forward pseudo-variant
@@ -238,8 +235,7 @@ def _resolve_beta(args, variant: str, data, geometry: str, tau: float) -> float:
         if not (math.isfinite(beta) and beta > 0.0):
             raise CliError("--beta must be positive and finite")
         return beta
-    est = estimate_scale_line(data) if geometry == LINE else estimate_scale_polar(data)
-    return default_beta(variant, est, tau)
+    return default_beta(variant, _SCALE_ESTIMATE[geometry](data), tau)
 
 
 def _load_data(args, geometry: str):
@@ -286,15 +282,9 @@ def _solve(args, data, xs: np.ndarray, beta: float):
     spec = QuadSpec()
     try:
         if args.variant == ORACLE:
-            forward = forward_line if args.geometry == LINE else forward_polar
-            return forward(data, args.tau, xs, spec), np.zeros(xs.size, dtype=bool)
-        params = None if args.variant == CLASSICAL else KernelParams(tau=args.tau, beta=beta)
-        if args.geometry == LINE:
-            series = grid_series_line(
-                args.variant, data, params, args.order, xs, args.constants_mode, spec, tau=args.tau
-            )
-        else:
-            series = grid_series_polar(args.variant, data, params, args.order, xs, args.constants_mode, spec)
+            return _ORACLE[args.geometry](data, args.tau, xs, spec), np.zeros(xs.size, dtype=bool)
+        params = _kernel_params(args.variant, args.tau, beta)
+        series = _grid_solve(args.variant, data, params, args.order, xs, args.constants_mode, spec, tau=args.tau)
         return series.values(args.order), series.flagged(args.order)
     except AccuracyError as exc:
         raise CliError(f"{args.command} {args.variant}: quadrature did not converge: {exc}", code=3)
@@ -485,9 +475,10 @@ def _parse_study_config(path: str) -> StudyConfig:
         raise CliError(f"{path}:{study[key][1]}: unknown [study] key {key!r}")
 
     grid_sec = sections["grid"]
-    lo = number(grid_sec, "lo", -8.0 if geometry == "line" else 0.0)
-    hi = number(grid_sec, "hi", 8.0)
-    n = number(grid_sec, "n", 401, int)
+    default = _STUDY_GRID.get(geometry, _STUDY_GRID[POLAR])  # StudyConfig rejects an unknown geometry
+    lo = number(grid_sec, "lo", default.lo)
+    hi = number(grid_sec, "hi", default.hi)
+    n = number(grid_sec, "n", default.n, int)
     if grid_sec:
         key = sorted(grid_sec)[0]
         raise CliError(f"{path}:{grid_sec[key][1]}: unknown [grid] key {key!r}")

@@ -13,6 +13,12 @@ Five study kinds:
 * classical_compare: the derivative-based inverse baseline against the
   moment-based series on identical noisy data.
 
+This module also holds the geometry dispatch: the one map from a geometry
+(and a direction) to the functions that serve it - coefficient pass, term
+matrix, oracle, exact evolution, scale estimate - and to the study defaults.
+The CLI, the audit and every study solve through `_grid_solve` and
+`_sweep_orders`, which look the functions up there.
+
 Reports are deterministic given (config, seed): noise comes from a recorded
 numpy PCG64 stream, summation orders are fixed, and rows are sorted
 canonically.  Row runtimes are wall-clock measurements and are the one
@@ -29,12 +35,14 @@ import numpy as np
 
 from . import __version__ as _pkg_version
 from .kernels import evolve_line, evolve_polar, forward_line, forward_polar
-from .profiles import AnalyticProfile, Gaussian, Sampled1D, format_profile
+from .profiles import AnalyticProfile, Gaussian, Sampled1D, estimate_scale_line, estimate_scale_polar, format_profile
 from .quad import QuadSpec
-from .series_cartesian import cd_coeffs, ci_coeffs, classical_series, grid_series_line, line_series
-from .series_polar import grid_series_polar, pd_coeffs, pi_coeffs, polar_series
+from .series_cartesian import cd_coeffs, ci_coeffs, classical_series, classical_time, line_series
+from .series_polar import pd_coeffs, pi_coeffs, polar_series
 from .specfun import KernelParams
-from .variants import CLASSICAL, LINE, POLAR, VARIANTS, default_beta, geometry_of, variant_names
+from .variants import (
+    CLASSICAL, LINE, POLAR, VARIANTS, checked, default_beta, geometry_of, grid_series, lookup, variant_names,
+)
 
 __all__ = [
     "GridGeom",
@@ -51,17 +59,6 @@ __all__ = [
 
 PRNG_NAME = "numpy-PCG64"
 
-LINE_COMPARE_GRID = np.linspace(-3.0, 3.0, 121)
-POLAR_COMPARE_GRID = np.linspace(0.0, 3.0, 61)
-
-# fixed shift for the noise studies: deliberately scale-mismatched so the
-# truncation bias is visible and the bias/variance tradeoff has an interior
-# optimum (the scale-matched rule would make order 0 already optimal)
-NOISE_STUDY_BETA = {"line": 0.6, "polar": 0.8}
-
-_COEFFS = {(LINE, True): cd_coeffs, (LINE, False): ci_coeffs, (POLAR, True): pd_coeffs, (POLAR, False): pi_coeffs}
-_SERIES = {LINE: line_series, POLAR: polar_series}
-
 
 @dataclass(frozen=True)
 class GridGeom:
@@ -72,6 +69,33 @@ class GridGeom:
     def __post_init__(self):
         if self.n < 2 or not (self.lo < self.hi):
             raise ValueError(f"bad grid geometry [{self.lo}, {self.hi}] n={self.n}")
+
+
+# --- geometry dispatch -----------------------------------------------------------
+# Flat dicts of functions: a wrapper rebound over module globals and the dicts
+# they hold (perfbench's tracer) reaches every call made through them.
+
+_COEFF_PASS = {(LINE, True): cd_coeffs, (LINE, False): ci_coeffs, (POLAR, True): pd_coeffs, (POLAR, False): pi_coeffs}
+_TERM_MATRIX = {LINE: line_series, POLAR: polar_series}
+_ORACLE = {LINE: forward_line, POLAR: forward_polar}
+_EVOLVE = {LINE: evolve_line, POLAR: evolve_polar}
+_SCALE_ESTIMATE = {LINE: estimate_scale_line, POLAR: estimate_scale_polar}
+
+# study defaults per geometry
+_STUDY_GRID = {LINE: GridGeom(-8.0, 8.0, 401), POLAR: GridGeom(0.0, 8.0, 401)}
+_COMPARE_GRID = {LINE: np.linspace(-3.0, 3.0, 121), POLAR: np.linspace(0.0, 3.0, 61)}
+_STUDY_VARIANTS = {
+    ("convergence", LINE): variant_names(LINE, direct=True),
+    ("convergence", POLAR): variant_names(POLAR, direct=True),
+    ("beta_map", LINE): ("CD-B",),
+    ("beta_map", POLAR): ("PD-B",),
+    ("noise", LINE): ("CI-A", CLASSICAL),
+    ("noise", POLAR): ("PI-A",),
+}
+# fixed shift for the noise studies: deliberately scale-mismatched so the
+# truncation bias is visible and the bias/variance tradeoff has an interior
+# optimum (the scale-matched rule would make order 0 already optimal)
+NOISE_STUDY_BETA = {LINE: 0.6, POLAR: 0.8}
 
 
 @dataclass
@@ -106,8 +130,7 @@ class StudyConfig:
             if geometry_of(variant) != self.geometry:
                 raise ValueError(f"{variant} is not a {self.geometry} variant")
         if self.grid is None:
-            lo = -8.0 if self.geometry == "line" else 0.0
-            self.grid = GridGeom(lo, 8.0, 401)
+            self.grid = _STUDY_GRID[self.geometry]
 
 
 @dataclass
@@ -167,10 +190,6 @@ def _base_metadata(config: StudyConfig) -> dict:
     }
 
 
-def _compare_grid(geometry: str) -> np.ndarray:
-    return LINE_COMPARE_GRID if geometry == "line" else POLAR_COMPARE_GRID
-
-
 def _errors(values: np.ndarray, truth: np.ndarray) -> tuple[float, float]:
     denom_l2 = float(np.linalg.norm(truth))
     denom_max = float(np.max(np.abs(truth)))
@@ -179,48 +198,65 @@ def _errors(values: np.ndarray, truth: np.ndarray) -> tuple[float, float]:
     return err_l2, err_max
 
 
-def _solve(variant, data, params, n, xs, mode, spec, tau=None):
-    """Values and divergence flags of one order-n grid solve."""
-    if geometry_of(variant) == LINE:
-        series = grid_series_line(variant, data, params, n, xs, mode, spec, tau=tau)
-    else:
-        series = grid_series_polar(variant, data, params, n, xs, mode, spec)
-    return series.values(n), series.flagged(n)
+def _problem(variant: str, f: AnalyticProfile, tau: float):
+    """(data, truth): what a variant solves from, for initial data f and time
+    tau, and truth(xs, spec) that its values are measured against.  A direct
+    variant maps f to the oracle's field at tau; an inverse one maps the
+    exact evolution of f back to f."""
+    geometry = geometry_of(variant)
+    if variant != CLASSICAL and VARIANTS[variant].direct:
+        return f, lambda xs, spec=QuadSpec(): _ORACLE[geometry](f, tau, xs, spec)
+    return _EVOLVE[geometry](f, tau), lambda xs, spec=None: f(np.asarray(xs, dtype=float))
+
+
+def _kernel_params(variant: str, tau: float, beta: float) -> KernelParams | None:
+    """The parameters of a solve; None for CI-classical, which has no shift."""
+    return None if variant == CLASSICAL else KernelParams(tau=tau, beta=beta)
+
+
+def _terms(variant, data, params, n, xs, mode, spec, tau=None):
+    """build(m): the term matrix of orders 0..m <= n of one variant on the
+    points xs, from one coefficient pass at order n through the dispatch.
+
+    CI-classical has no shift and no table row (`_kernel_params`): its time
+    is `classical_time(params, tau)`, and each build takes the data's
+    derivatives (no quadrature).
+    """
+    if variant != CLASSICAL:
+        row = lookup(variant)
+        coeffs_fn = _COEFF_PASS[row.geometry, row.direct]
+        return grid_series(row, coeffs_fn, _TERM_MATRIX[row.geometry], data, params, n, xs, mode, spec)
+    tau = classical_time(params, tau)
+    points = np.atleast_1d(np.asarray(xs, dtype=float))
+    return lambda m: classical_series(data, tau, m, points)
+
+
+def _grid_solve(variant, data, params, n, xs, mode, spec, tau=None):
+    """The order-n term matrix of one variant on a grid, its sums checked:
+    an overflowing C grid names its first overflowing point."""
+    return checked(_terms(variant, data, params, n, xs, mode, spec, tau)(n), variant, xs, n)
 
 
 def _sweep_orders(variant, data, params, n_list, xs, mode, spec, tau=None):
     """Values and divergence flags for every order in n_list.
 
-    Coefficients and the term matrix are built once at max(n_list); each
-    order sums its own rows (up to the early stop that order makes), so its
-    values and flag are bit for bit those of evaluating the same
-    coefficients truncated to that order.  A C variant's term matrix has one
-    column per point, each summed as on its own.  When the build
-    at max(n_list) overflows, each order is built on its own.  Yields
-    (n, values, any_flagged, err) with err set to an exception when that
-    order failed.
+    Coefficients are computed once at max(n_list) and the term matrix is
+    built once from them; each order sums its own rows (up to the early stop
+    that order makes), so its values and flag are bit for bit those of
+    evaluating the same coefficients truncated to that order.  A C variant's
+    term matrix has one column per point, each summed as on its own.  When
+    the build at max(n_list) overflows, each order is built on its own.
+    Yields (n, values, any_flagged, err) with err set to an exception when
+    that order failed.
     """
-    xs = np.asarray(xs, dtype=float)
     n_list = sorted(int(n) for n in n_list)
     n_max = n_list[-1]
-    if variant == CLASSICAL:
-        tau = tau if tau is not None else params.tau
-
-        def build(n):
-            return classical_series(data, tau, n, xs)
-    else:
-        row = VARIANTS[variant]
-        coeffs_fn, series = _COEFFS[row.geometry, row.direct], _SERIES[row.geometry]
-        try:
-            coeffs = coeffs_fn(variant, data, params, n_max, xs, spec)
-        except (OverflowError, ValueError) as exc:
-            for n in n_list:
-                yield n, None, True, exc
-            return
-
-        def build(n):
-            return series(row, coeffs[: n + 1], params, xs, mode)
-
+    try:
+        build = _terms(variant, data, params, n_max, xs, mode, spec, tau)
+    except (OverflowError, ValueError) as exc:
+        for n in n_list:
+            yield n, None, True, exc
+        return
     try:
         top = build(n_max)
     except (OverflowError, ValueError):
@@ -260,21 +296,6 @@ _AUDIT_TOL_FULL = 1e-8      # off-center / full-order convergence checks
 _OFF_CENTER_PROBE = 1.0
 
 
-def _audit_case(variant: str):
-    tau, beta, probes, _ = _AUDIT_SETUP[variant]
-    geometry = VARIANTS[variant].geometry
-    f = Gaussian(width_a=1.0)
-    evolve = evolve_line if geometry == "line" else evolve_polar
-    if VARIANTS[variant].direct:
-        data = f
-        oracle_fn = (forward_line if geometry == "line" else forward_polar)
-        truth = lambda xs: oracle_fn(f, tau, xs)
-    else:
-        data = evolve(f, tau)
-        truth = lambda xs: f(np.asarray(xs, dtype=float))
-    return tau, beta, np.asarray(probes), data, truth
-
-
 def run_audit(config: StudyConfig) -> StudyReport:
     """Certify all 12 series variants at N in {0, 1, 2} against the oracle.
 
@@ -290,16 +311,17 @@ def run_audit(config: StudyConfig) -> StudyReport:
     rows: list[StudyRow] = []
     ratios: dict[str, float] = {}
     for variant, row in VARIANTS.items():
-        tau, beta, probes, data, truth = _audit_case(variant)
-        full_order = _AUDIT_SETUP[variant][3]
+        tau, beta, probes, full_order = _AUDIT_SETUP[variant]
+        probes = np.asarray(probes)
+        data, truth = _problem(variant, Gaussian(width_a=1.0), tau)
         params = KernelParams(tau=tau, beta=beta)
         truth_vals = np.atleast_1d(truth(probes))
         scale = float(np.max(np.abs(truth_vals)))
         errs = {}
         t0 = time.perf_counter()
         for n in (0, 1, 2, full_order):
-            vals, flags = _solve(variant, data, params, n, probes, mode, spec)
-            err = float(np.max(np.abs(vals - truth_vals))) / scale
+            series = _grid_solve(variant, data, params, n, probes, mode, spec)
+            err = float(np.max(np.abs(series.values(n) - truth_vals))) / scale
             errs[n] = err
             rows.append(
                 StudyRow(
@@ -309,18 +331,18 @@ def run_audit(config: StudyConfig) -> StudyReport:
                     delta=0.0,
                     error_l2=err,
                     error_max=err,
-                    diverged=bool(np.any(flags)),
+                    diverged=bool(np.any(series.flagged(n))),
                     status="",
                     runtime_ms=(time.perf_counter() - t0) * 1e3,
                 )
             )
         if row.pointwise:
             # value ratio literal/validated of the N=2 truncation at center
-            v_lit, _ = _solve(variant, data, params, 2, probes[:1], "paper_literal", spec)
-            v_ok, _ = _solve(variant, data, params, 2, probes[:1], "oracle_validated", spec)
+            v_lit = _grid_solve(variant, data, params, 2, probes[:1], "paper_literal", spec).values(2)
+            v_ok = _grid_solve(variant, data, params, 2, probes[:1], "oracle_validated", spec).values(2)
             ratios[variant] = float(v_lit[0] / v_ok[0])
             off = np.array([_OFF_CENTER_PROBE])
-            off_vals, _ = _solve(variant, data, params, _AUDIT_FULL_ORDER, off, mode, spec)
+            off_vals = _grid_solve(variant, data, params, _AUDIT_FULL_ORDER, off, mode, spec).values(_AUDIT_FULL_ORDER)
             off_err = float(abs(off_vals[0] - np.atleast_1d(truth(off))[0])) / scale
         if row.weighted:
             # no exact-truncation configuration exists for the weighted
@@ -352,59 +374,39 @@ def expected_audit_statuses(mode: str) -> dict:
 # --- sampled-data scaffolding -----------------------------------------------------
 
 def _sampled_forward(config: StudyConfig) -> Sampled1D:
-    evolve = evolve_line if config.geometry == "line" else evolve_polar
-    u = evolve(config.profile, config.tau)
+    u = _EVOLVE[config.geometry](config.profile, config.tau)
     return Sampled1D.from_function(u, config.grid.lo, config.grid.hi, config.grid.n)
 
 
-def _noise_betas(config: StudyConfig) -> float:
-    if config.beta_range:
-        return config.beta_range[0]
-    return NOISE_STUDY_BETA[config.geometry]
+def _study_variants(config: StudyConfig) -> tuple:
+    return config.variants or _STUDY_VARIANTS[config.study_kind, config.geometry]
 
 
-def _reconstruction_rows(
-    config: StudyConfig,
-    variants,
-    data: Sampled1D,
-    delta: float,
-    beta: float,
-) -> list:
-    xs = _compare_grid(config.geometry)
-    truth = config.profile(xs)
+def _sweep_rows(config: StudyConfig, variant: str, data, params, truth: np.ndarray, delta: float = 0.0) -> list:
+    """One StudyRow per order of config.n_range: the sweep of one variant on
+    the compare grid against truth (CI-classical: params None, beta 0)."""
     rows = []
-    for variant in variants:
-        params = None if variant == CLASSICAL else KernelParams(tau=config.tau, beta=beta)
+    t0 = time.perf_counter()
+    for n, vals, diverged, exc in _sweep_orders(
+        variant, data, params, config.n_range, _COMPARE_GRID[config.geometry], config.constants_mode, config.quad,
+        tau=config.tau,
+    ):
+        if exc is not None:
+            err_l2 = err_max = float("nan")
+            status = f"error:{type(exc).__name__}"
+        else:
+            err_l2, err_max = _errors(vals, truth)
+            status = "ok"
+            if not (math.isfinite(err_l2) and math.isfinite(err_max)):
+                status = "error:nonfinite"
+        beta = 0.0 if params is None else params.beta
+        rows.append(StudyRow(variant, int(n), beta, delta, err_l2, err_max, diverged, status,
+                             (time.perf_counter() - t0) * 1e3))
         t0 = time.perf_counter()
-        for n, vals, diverged, exc in _sweep_orders(
-            variant, data, params, config.n_range, xs, config.constants_mode, config.quad, tau=config.tau
-        ):
-            if exc is not None:
-                err_l2 = err_max = float("nan")
-                status = f"error:{type(exc).__name__}"
-            else:
-                err_l2, err_max = _errors(vals, truth)
-                status = "ok"
-                if not (math.isfinite(err_l2) and math.isfinite(err_max)):
-                    status = "error:nonfinite"
-            rows.append(
-                StudyRow(
-                    variant=variant,
-                    n=int(n),
-                    beta=0.0 if variant == CLASSICAL else beta,
-                    delta=delta,
-                    error_l2=err_l2,
-                    error_max=err_max,
-                    diverged=diverged,
-                    status=status,
-                    runtime_ms=(time.perf_counter() - t0) * 1e3,
-                )
-            )
-            t0 = time.perf_counter()
     return rows
 
 
-def _semi_convergence_summary(rows, n_range) -> dict:
+def _semi_convergence_summary(rows) -> dict:
     """Per (variant, delta): the minimizing order and the U-shape indicator."""
     summary = {}
     by_key: dict = {}
@@ -440,21 +442,20 @@ def run_noise_study(config: StudyConfig) -> StudyReport:
     """
     if config.study_kind != "noise":
         raise ValueError("config.study_kind must be 'noise'")
-    variants = config.variants or (
-        ("CI-A", "CI-classical") if config.geometry == "line" else ("PI-A",)
-    )
     clean = _sampled_forward(config)
-    beta = _noise_betas(config)
+    beta = config.beta_range[0] if config.beta_range else NOISE_STUDY_BETA[config.geometry]
+    truth = config.profile(_COMPARE_GRID[config.geometry])
     rng = np.random.default_rng(config.seed)
     shape = rng.standard_normal(clean.n_nodes)
     rows: list = []
     for delta in config.delta_range:
         data = Sampled1D(clean.lo, clean.hi, clean.values + delta * shape)
-        rows.extend(_reconstruction_rows(config, variants, data, delta, beta))
+        for variant in _study_variants(config):
+            rows.extend(_sweep_rows(config, variant, data, _kernel_params(variant, config.tau, beta), truth, delta))
     metadata = _base_metadata(config)
     metadata["beta_used"] = beta
     report = StudyReport("noise", metadata, rows).finalize()
-    metadata["semi_convergence"] = _semi_convergence_summary(report.rows, config.n_range)
+    metadata["semi_convergence"] = _semi_convergence_summary(report.rows)
     return report
 
 
@@ -475,33 +476,12 @@ def run_convergence(config: StudyConfig) -> StudyReport:
     """Error versus truncation order against the forward oracle."""
     if config.study_kind != "convergence":
         raise ValueError("config.study_kind must be 'convergence'")
-    variants = config.variants or variant_names(config.geometry, direct=True)
-    xs = _compare_grid(config.geometry)
-    forward = forward_line if config.geometry == "line" else forward_polar
-    truth = forward(config.profile, config.tau, xs, config.quad)
-    from .profiles import estimate_scale_line, estimate_scale_polar
-
-    est = estimate_scale_line if config.geometry == "line" else estimate_scale_polar
-    scale = est(config.profile)
+    truth = _ORACLE[config.geometry](config.profile, config.tau, _COMPARE_GRID[config.geometry], config.quad)
+    scale = _SCALE_ESTIMATE[config.geometry](config.profile)
     rows: list = []
-    for variant in variants:
+    for variant in _study_variants(config):
         beta = config.beta_range[0] if config.beta_range else default_beta(variant, scale, config.tau)
-        params = KernelParams(tau=config.tau, beta=beta)
-        t0 = time.perf_counter()
-        for n, vals, diverged, exc in _sweep_orders(
-            variant, config.profile, params, config.n_range, xs, config.constants_mode, config.quad
-        ):
-            if exc is not None:
-                err_l2 = err_max = float("nan")
-                status = f"error:{type(exc).__name__}"
-            else:
-                err_l2, err_max = _errors(vals, truth)
-                status = "ok"
-            rows.append(
-                StudyRow(variant, int(n), beta, 0.0, err_l2, err_max, diverged, status,
-                         (time.perf_counter() - t0) * 1e3)
-            )
-            t0 = time.perf_counter()
+        rows.extend(_sweep_rows(config, variant, config.profile, KernelParams(tau=config.tau, beta=beta), truth))
     metadata = _base_metadata(config)
     return StudyReport("convergence", metadata, rows).finalize()
 
@@ -510,26 +490,19 @@ def run_beta_map(config: StudyConfig) -> StudyReport:
     """Error and divergence flag over an explicit grid of shifts."""
     if config.study_kind != "beta_map":
         raise ValueError("config.study_kind must be 'beta_map'")
-    variants = config.variants or (("CD-B",) if config.geometry == "line" else ("PD-B",))
-    xs = _compare_grid(config.geometry)
-    forward = forward_line if config.geometry == "line" else forward_polar
+    xs = _COMPARE_GRID[config.geometry]
     n = int(config.n_range[-1])
     rows: list = []
-    for variant in variants:
-        if variant == CLASSICAL or not VARIANTS[variant].direct:
-            evolve = evolve_line if config.geometry == "line" else evolve_polar
-            data = evolve(config.profile, config.tau)
-            truth = config.profile(xs)
-        else:
-            data = config.profile
-            truth = forward(config.profile, config.tau, xs, config.quad)
+    for variant in _study_variants(config):
+        data, truth = _problem(variant, config.profile, config.tau)
+        truth = truth(xs, config.quad)
         for beta in config.beta_range:
             params = KernelParams(tau=config.tau, beta=beta)
             t0 = time.perf_counter()
             try:
-                vals, flags = _solve(variant, data, params, n, xs, config.constants_mode, config.quad)
-                err_l2, err_max = _errors(vals, truth)
-                diverged = bool(np.any(flags))
+                series = _grid_solve(variant, data, params, n, xs, config.constants_mode, config.quad)
+                err_l2, err_max = _errors(series.values(n), truth)
+                diverged = bool(np.any(series.flagged(n)))
                 status = "ok"
             except (OverflowError, ValueError) as exc:
                 err_l2 = err_max = float("nan")

@@ -40,8 +40,6 @@ def _breakpoints(data) -> np.ndarray | None:
         return data.nodes
     if isinstance(data, Bump):
         return np.array([data.center - data.radius, data.center + data.radius])
-    if isinstance(data, Mixture):
-        return None
     return None
 
 
@@ -111,7 +109,8 @@ def forward_line(data, tau: float, x, spec: QuadSpec = QuadSpec()):
     def integrand(xi):
         # exp(-(x - xi)^2 / (4 tau)) / norm * data, built in one buffer
         kern = np.subtract(x_arr[:, None], xi[None, :])
-        np.square(kern, out=kern)
+        with np.errstate(over="ignore"):  # inf far out: a zero kernel
+            np.square(kern, out=kern)
         np.negative(kern, out=kern)
         np.divide(kern, 4.0 * tau, out=kern)
         np.exp(kern, out=kern)

@@ -26,6 +26,12 @@ __all__ = [
 ]
 
 
+def _check_finite_params(profile) -> None:
+    for name, value in vars(profile).items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class Gaussian:
     """amplitude * exp(-(x-center)^2 / (4 width_a)); width_a is time-like."""
@@ -37,6 +43,7 @@ class Gaussian:
     def __post_init__(self):
         if not (self.width_a > 0.0):
             raise ValueError(f"width_a must be positive, got {self.width_a}")
+        _check_finite_params(self)
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -76,6 +83,7 @@ class Bump:
     def __post_init__(self):
         if not (self.radius > 0.0):
             raise ValueError(f"radius must be positive, got {self.radius}")
+        _check_finite_params(self)
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -153,14 +161,17 @@ def profile_support(data, radius_sigmas: float = 12.0) -> tuple[float, float]:
 
 
 def _moments_012(data, polar: bool) -> tuple[float, float, float]:
+    """m0, m1, m2 by the trapezoid rule; non-finite where they overflow
+    (the estimators reject them)."""
     lo, hi = profile_support(data)
     if polar:
         lo = max(lo, 0.0)
-    x = np.linspace(lo, hi, 4001)
-    w = np.abs(data(x)) * (x if polar else 1.0)
-    m0 = float(np.trapezoid(w, x))
-    m1 = float(np.trapezoid(w * x, x))
-    m2 = float(np.trapezoid(w * x * x, x))
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = np.linspace(lo, hi, 4001)
+        w = np.abs(data(x)) * (x if polar else 1.0)
+        m0 = float(np.trapezoid(w, x))
+        m1 = float(np.trapezoid(w * x, x))
+        m2 = float(np.trapezoid(w * x * x, x))
     return m0, m1, m2
 
 

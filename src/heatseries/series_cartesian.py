@@ -25,6 +25,9 @@ truncated evaluation and divergence monitoring.  With s = tau + beta:
 Every evaluation goes through the shared path in `variants`: it sums in
 ascending order (reproducibility), stops early once three consecutive terms
 drop below abs_tol, and scans the term magnitudes for divergence.
+`solve_grid_line` is the library's grid solve; the CLI and the studies reach
+`cd_coeffs`/`ci_coeffs` and `line_series` through the geometry dispatch of
+`experiments`.
 
 constants_mode selects between the oracle-certified constants
 ("oracle_validated", default) and the originally published ones
@@ -46,9 +49,9 @@ from .variants import (
     CLASSICAL,
     LINE,
     DivergenceDiag,
-    SeriesTerms,
     beta_rule,
     check_mode,
+    checked,
     default_beta,
     grid_series,
     lookup,
@@ -196,7 +199,8 @@ def _hermite_terms(coeffs: np.ndarray, arg: float, g: float, pref, x: np.ndarray
     h = hermite_batch(n, x / (2.0 * math.sqrt(arg)))
     w = ratio_products(1.0, n, lambda w, j: w * g / (j + 1))
     if pref is not None:
-        pref = np.exp(-(x * x) / (4.0 * pref)) / (2.0 * math.sqrt(math.pi * pref))
+        with np.errstate(over="ignore"):  # x * x = inf far out: a zero prefactor
+            pref = np.exp(-(x * x) / (4.0 * pref)) / (2.0 * math.sqrt(math.pi * pref))
     return series_terms(coeffs * w, h, pref, abs_tol)
 
 
@@ -260,7 +264,7 @@ def _analytic_derivs_at_zero(profile, n: int) -> np.ndarray:
         return out
     if isinstance(profile, Mixture):
         return np.sum([_analytic_derivs_at_zero(g, n) for g in profile.components], axis=0)
-    raise TypeError(
+    raise ValueError(
         "analytic derivatives are available for Gaussian data only; sample "
         "other profiles onto a grid first"
     )
@@ -304,6 +308,14 @@ def _fd_derivs_at_zero(data: Sampled1D, n: int) -> np.ndarray:
     return out
 
 
+def classical_time(params: KernelParams | None, tau: float | None) -> float:
+    """The time CI-classical runs at: tau, or params.tau when tau is None (it
+    has no shift, so params may be None)."""
+    if tau is None and params is None:
+        raise ValueError("CI-classical needs tau")
+    return params.tau if tau is None else tau
+
+
 def classical_series(u, tau: float, n: int, x: np.ndarray, abs_tol: float = 1e-14):
     """The term matrix of the classical baseline at the points x (internal)."""
     if not (tau > 0.0):
@@ -324,31 +336,7 @@ def ci_classical(u, tau: float, n: int, x, abs_tol: float = 1e-14):
     return point_results(classical_series(u, tau, n, np.atleast_1d(np.asarray(x, dtype=float)), abs_tol), x)
 
 
-# --- grid driver -------------------------------------------------------------
-
-def grid_series_line(
-    variant: str,
-    data,
-    params: KernelParams | None,
-    n: int,
-    xs: np.ndarray,
-    constants_mode: str = "oracle_validated",
-    spec: QuadSpec = QuadSpec(),
-    tau: float | None = None,
-) -> SeriesTerms:
-    """The term matrix of one line variant on a grid (internal): values and
-    flags of every order from one coefficient pass; CD-C and CI-C sum each
-    point's own coefficients."""
-    if variant == CLASSICAL:
-        if tau is None:
-            tau = params.tau if params is not None else None
-        if tau is None:
-            raise ValueError("CI-classical needs tau")
-        return classical_series(data, tau, n, np.atleast_1d(np.asarray(xs, dtype=float)))
-    row = lookup(variant, LINE)
-    coeffs_fn = cd_coeffs if row.direct else ci_coeffs
-    return grid_series(row, coeffs_fn, line_series, data, params, n, xs, constants_mode, spec)
-
+# --- grid solve --------------------------------------------------------------
 
 def solve_grid_line(
     variant: str,
@@ -361,5 +349,11 @@ def solve_grid_line(
     tau: float | None = None,
 ) -> tuple[np.ndarray, list[DivergenceDiag]]:
     """Evaluate one line variant on a grid from one coefficient pass; CD-C
-    and CI-C sum each point's own coefficients."""
-    return point_results(grid_series_line(variant, data, params, n, xs, constants_mode, spec, tau), xs)
+    and CI-C sum each point's own coefficients.  CI-classical takes tau, or
+    params.tau when tau is None."""
+    if variant == CLASSICAL:
+        return ci_classical(data, classical_time(params, tau), n, xs)
+    row = lookup(variant, LINE)
+    coeffs_fn = cd_coeffs if row.direct else ci_coeffs
+    build = grid_series(row, coeffs_fn, line_series, data, params, n, xs, constants_mode, spec)
+    return point_results(checked(build(n), variant, xs, n), xs)

@@ -21,8 +21,10 @@ xi d(xi) on [0, inf).  With s = tau + beta:
 
 The scales and constants of each variant are rows of `variants.VARIANTS`;
 evaluation, the divergence diagnostic and constants_mode go through the same
-path as on the line.  The published C-variant constants fail the oracle
-certification by documented ratios (ERRATA.md).
+path as on the line, and the CLI and the studies reach `pd_coeffs`/`pi_coeffs`
+and `polar_series` through the same geometry dispatch of `experiments`.  The
+published C-variant constants fail the oracle certification by documented
+ratios (ERRATA.md).
 """
 
 from __future__ import annotations
@@ -38,8 +40,8 @@ from .specfun import KernelParams, w_poly_batch
 from .variants import (
     POLAR,
     DivergenceDiag,
-    SeriesTerms,
     check_mode,
+    checked,
     grid_series,
     lookup,
     point_results,
@@ -166,7 +168,8 @@ def polar_series(row, coeffs: np.ndarray, params: KernelParams, r: np.ndarray, m
     wmat = w_poly_batch(n, r / (2.0 * math.sqrt(arg)))
     ratio = num / den
     w = ratio_products(1.0, n, lambda w, j: w * ratio / (2.0 * (2 * j + 1)) ** 2)
-    pref = np.exp(-(r * r) / (4.0 * pref)) / (2.0 * pref)
+    with np.errstate(over="ignore"):  # r * r = inf far out: a zero prefactor
+        pref = np.exp(-(r * r) / (4.0 * pref)) / (2.0 * pref)
     return series_terms(coeffs * w, wmat, pref, abs_tol)
 
 
@@ -200,23 +203,6 @@ def pi_eval(
     return _eval(False, variant, coeffs, params, r, constants_mode, abs_tol)
 
 
-def grid_series_polar(
-    variant: str,
-    data,
-    params: KernelParams,
-    n: int,
-    rs: np.ndarray,
-    constants_mode: str = "oracle_validated",
-    spec: QuadSpec = QuadSpec(),
-) -> SeriesTerms:
-    """The term matrix of one polar variant on a grid of radii (internal):
-    values and flags of every order from one coefficient pass; PD-C and PI-C
-    sum each radius's own coefficients."""
-    row = lookup(variant, POLAR)
-    coeffs_fn = pd_coeffs if row.direct else pi_coeffs
-    return grid_series(row, coeffs_fn, polar_series, data, params, n, rs, constants_mode, spec)
-
-
 def solve_grid_polar(
     variant: str,
     data,
@@ -228,4 +214,7 @@ def solve_grid_polar(
 ) -> tuple[np.ndarray, list[DivergenceDiag]]:
     """Evaluate one polar variant on a grid of radii from one coefficient
     pass; PD-C and PI-C sum each radius's own coefficients."""
-    return point_results(grid_series_polar(variant, data, params, n, rs, constants_mode, spec), rs)
+    row = lookup(variant, POLAR)
+    coeffs_fn = pd_coeffs if row.direct else pi_coeffs
+    build = grid_series(row, coeffs_fn, polar_series, data, params, n, rs, constants_mode, spec)
+    return point_results(checked(build(n), variant, rs, n), rs)

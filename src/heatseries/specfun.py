@@ -85,11 +85,12 @@ class PolynomialFamily:
 
 
 def _check_finite(out, what, order, z) -> None:
+    """Raise OverflowError unless out is finite, naming (up to three of) the
+    arguments whose columns are not; out holds one column per entry of z."""
     if not np.all(np.isfinite(out)):
-        raise OverflowError(
-            f"{what} overflowed at order {order} for argument(s) near "
-            f"{np.asarray(z).ravel()[:3]}"
-        )
+        z = np.asarray(z).ravel()
+        bad = ~np.all(np.isfinite(out).reshape(-1, z.size), axis=0)
+        raise OverflowError(f"{what} overflowed at order {order} for argument(s) near {z[bad][:3]}")
 
 
 def hermite_batch(n: int, z):
@@ -389,5 +390,6 @@ def scaled_polar_kernel(r, xi, t: float):
     if np.any(r < 0.0) or np.any(xi < 0.0):
         raise ValueError("radial arguments must be non-negative")
     b = r * xi / (2.0 * t)
-    out = np.exp(-((r - xi) ** 2) / (4.0 * t)) * bessel_i0_scaled(b) / (2.0 * t)
+    with np.errstate(over="ignore"):  # (r - xi)^2 = inf far out: a zero kernel
+        out = np.exp(-((r - xi) ** 2) / (4.0 * t)) * bessel_i0_scaled(b) / (2.0 * t)
     return float(out) if np.ndim(out) == 0 else out

@@ -25,10 +25,16 @@ Evaluation builds the term matrix (orders x points), stops early after
 EARLY_STOP_RUN consecutive rows below abs_tol, sums each point in ascending
 order, and scans every point's term magnitudes for divergence.  The matrix is
 kept whole so an order sweep can sum each order's own rows, and a grid solve
-(`grid_series`) reads its values and flags from it; the per-point
-`DivergenceDiag` records are built for the public (values, diags) functions
-only.  A/B rows stop together (the largest term of a row decides); every C
-column is a series of its own, with its own early stop and overflow row.
+reads its values and flags from it; the per-point `DivergenceDiag` records
+are built for the public (values, diags) functions only.  A/B rows stop
+together (the largest term of a row decides); every C column is a series of
+its own, with its own early stop and overflow row.
+
+`grid_series` builds the term matrices of one variant on a grid from one
+coefficient pass, with the coefficient and series functions of its geometry
+passed in: the series modules pass their own (`solve_grid_line`,
+`solve_grid_polar`), and `experiments` holds the one map from a geometry to
+them that the CLI and every study use.
 """
 
 from __future__ import annotations
@@ -224,8 +230,9 @@ def ratio_products(first: float, n: int, update) -> np.ndarray:
     by multiplicative updates, never by factorials."""
     out = np.empty(n + 1)
     out[0] = first
-    for j in range(n):
-        out[j + 1] = update(out[j], j)
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf weight makes its terms fail `check`
+        for j in range(n):
+            out[j + 1] = update(out[j], j)
     return out
 
 
@@ -366,8 +373,10 @@ def series_terms(weights: np.ndarray, basis: np.ndarray, pref, abs_tol: float) -
 def pointwise_terms(kappa: np.ndarray, coeffs: np.ndarray, points: int, abs_tol: float) -> SeriesTerms:
     """terms[j, k] = kappa[j] coeffs[j, k], every column a series of its own
     (the C variants): early stop, overflow and scan per column, and each
-    column summed as it would be alone.  1-D coeffs serve every point."""
-    terms = kappa[:, None] * coeffs.reshape(kappa.size, -1)
+    column summed as it would be alone.  1-D coeffs serve every point; an
+    overflowing column (inf times a zero kappa: nan) stays non-finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = kappa[:, None] * coeffs.reshape(kappa.size, -1)
     return _series(np.broadcast_to(terms, (kappa.size, points)), abs_tol, pointwise=True)
 
 
@@ -387,23 +396,27 @@ def point_results(series: SeriesTerms, x):
     return values, diags
 
 
-def grid_series(row: Variant, coeffs_fn, series_fn, data, params, n: int, xs, mode: str, spec) -> SeriesTerms:
-    """The term matrix of one variant on a grid, from one coefficient call
-    through the public coefficient function and one series build; a
-    pointwise (C) variant's call gives one coefficient column per point,
-    each summed on its own.  The order-n sums are checked here, so an
-    overflowing C grid names its first overflowing point."""
+def grid_series(row: Variant, coeffs_fn, series_fn, data, params, n: int, xs, mode: str, spec):
+    """build(m): the term matrix of orders 0..m <= n of one variant on a grid,
+    from one coefficient call at order n through the public coefficient
+    function; a pointwise (C) variant's call gives one coefficient column per
+    point, each summed on its own."""
     if params is None:
         raise ValueError(f"{row.name} needs KernelParams")
     xs = np.asarray(xs, dtype=float)
-    coeffs = coeffs_fn(row.name, data, params, n, xs, spec)  # the points matter to C only
+    coeffs = np.asarray(coeffs_fn(row.name, data, params, n, xs, spec), float)  # the points matter to C only
     points = np.atleast_1d(xs)
-    series = series_fn(row, np.asarray(coeffs, float), params, points, mode)
+    return lambda m: series_fn(row, coeffs[: m + 1], params, points, mode)
+
+
+def checked(series: SeriesTerms, name: str, xs, n: int) -> SeriesTerms:
+    """The series with its order-n sums checked; an overflowing pointwise
+    (C) grid names its first overflowing point."""
     try:
         series.check(n)
     except OverflowError as exc:
-        if not row.pointwise:
+        if exc.point is None:
             raise
-        x = float(points[exc.point])  # the first point whose own sum overflows
-        raise OverflowError(f"{row.name} at {AXIS[row.geometry]} = {x:g}: {exc}") from exc
+        x = float(np.atleast_1d(xs)[exc.point])  # the first point whose own sum overflows
+        raise OverflowError(f"{name} at {AXIS[geometry_of(name)]} = {x:g}: {exc}") from exc
     return series

@@ -21,10 +21,12 @@ from heatseries.profiles import Gaussian, Mixture, Sampled1D
 
 
 def _old_check_finite(out, what, order, z):
+    # every row checked; the message names the arguments of the non-finite columns
     if not np.all(np.isfinite(out)):
+        finite = np.isfinite(out).reshape(out.shape[0], -1).all(axis=0)
         raise OverflowError(
             f"{what} overflowed at order {order} for argument(s) near "
-            f"{np.asarray(z).ravel()[:3]}"
+            f"{np.asarray(z).ravel()[~finite][:3]}"
         )
 
 

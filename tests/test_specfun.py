@@ -295,3 +295,16 @@ def test_kernel_params_validation():
         KernelParams(tau=1.0, beta=0.0)
     p = KernelParams(tau=0.25, beta=0.5)
     assert p.shifted == pytest.approx(0.75)
+
+
+@pytest.mark.parametrize(
+    "batch, n, finite",
+    [(hermite_batch, 200, [1e-3, 2e-3, 3e-3]), (w_poly_batch, 100, [1e-3, 2e-3, 3e-3])],
+)
+def test_overflow_names_the_arguments_that_overflowed(batch, n, finite):
+    # the finite columns come first; the message names the two that overflow
+    big = [50.0, 60.0] if batch is w_poly_batch else [500.0, 600.0]
+    for z in (finite + big, big[:1] + finite + big[1:]):
+        with pytest.raises(OverflowError) as exc:
+            batch(n, np.array(z))
+        assert str(exc.value).endswith(f"near {np.array(big)}")
