@@ -15,7 +15,8 @@ so every path they echo is relative and a record does not depend on where
 the checkout lives.  A command that writes --output has that file recorded
 too.  The runtime_ms column of study reports is wall-clock time and is
 masked.  --compare lists the commands whose records differ and exits 1 if
-any does.
+any does; where two records differ in numeric tokens only, it adds how many
+numbers differ and the largest absolute and relative difference.
 """
 
 from __future__ import annotations
@@ -243,6 +244,20 @@ def record(path: str) -> int:
     return 0
 
 
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def _numeric_diff(a, b):
+    """(numbers that differ, max abs, max rel difference) when the texts a
+    and b differ in numeric tokens only, else None."""
+    if not (isinstance(a, str) and isinstance(b, str)) or _NUMBER.sub("#", a) != _NUMBER.sub("#", b):
+        return None
+    pairs = [(float(x), float(y)) for x, y in zip(_NUMBER.findall(a), _NUMBER.findall(b)) if x != y]
+    diffs = [abs(x - y) for x, y in pairs]
+    rels = [d / max(abs(x), abs(y)) if d else 0.0 for d, (x, y) in zip(diffs, pairs)]
+    return len(pairs), max(diffs, default=0.0), max(rels, default=0.0)
+
+
 def compare(path_a: str, path_b: str) -> int:
     with open(path_a) as handle:
         a = json.load(handle)
@@ -255,7 +270,12 @@ def compare(path_a: str, path_b: str) -> int:
             continue
         fields = [key for key in ("argv", "exit", "stdout", "stderr", "output") if a[name].get(key) != b[name].get(key)]
         if fields:
-            differ.append(f"{name}: {', '.join(fields)} differ")
+            line = f"{name}: {', '.join(fields)} differ"
+            numeric = [_numeric_diff(a[name].get(key), b[name].get(key)) for key in fields]
+            if None not in numeric:
+                counts, d_abs, d_rel = zip(*numeric)
+                line += f" in {sum(counts)} numbers only (max abs {max(d_abs):.3g}, max rel {max(d_rel):.3g})"
+            differ.append(line)
         else:
             same += 1
     for line in differ:

@@ -5,7 +5,11 @@ Five study kinds:
 * audit: certifies every series variant at truncation orders 0, 1, 2
   against the kernel-quadrature oracle under its exact-truncation Gaussian
   configuration, in both constants modes.  This is the arbitration protocol
-  for the published-vs-validated constant sets.
+  for the published-vs-validated constant sets.  Each variant takes one
+  coefficient pass at its full order; orders 0, 1, 2, the full order, a C
+  variant's off-center probe (one more point of the pass) and its
+  literal/validated ratio (the same coefficients in both modes) are all
+  read from it, as an order sweep reads its orders.
 * convergence: error versus truncation order for the direct variants.
 * beta_map: error and divergence flag over a grid of shift values.
 * noise: reconstruction error under additive grid noise; locates the
@@ -16,8 +20,9 @@ Five study kinds:
 This module also holds the geometry dispatch: the one map from a geometry
 (and a direction) to the functions that serve it - coefficient pass, term
 matrix, oracle, exact evolution, scale estimate - and to the study defaults.
-The CLI, the audit and every study solve through `_grid_solve` and
-`_sweep_orders`, which look the functions up there.
+The CLI, the audit and every study build their term matrices through
+`_terms` (the CLI and the beta map by way of `_grid_solve`, the sweeps by
+way of `_sweep_orders`), which looks the functions up there.
 
 Reports are deterministic given (config, seed): noise comes from a recorded
 numpy PCG64 stream, summation orders are fixed, and rows are sorted
@@ -159,18 +164,6 @@ class StudyReport:
         self.rows.sort(key=StudyRow.sort_key)
         return self
 
-    def rows_equal(self, other: "StudyReport", ignore_timing: bool = True) -> bool:
-        if len(self.rows) != len(other.rows):
-            return False
-        for a, b in zip(self.rows, other.rows):
-            fields_a = (a.variant, a.n, a.beta, a.delta, a.error_l2, a.error_max, a.diverged, a.status)
-            fields_b = (b.variant, b.n, b.beta, b.delta, b.error_l2, b.error_max, b.diverged, b.status)
-            if fields_a != fields_b:
-                return False
-            if not ignore_timing and a.runtime_ms != b.runtime_ms:
-                return False
-        return True
-
 
 def _base_metadata(config: StudyConfig) -> dict:
     return {
@@ -216,7 +209,9 @@ def _kernel_params(variant: str, tau: float, beta: float) -> KernelParams | None
 
 def _terms(variant, data, params, n, xs, mode, spec, tau=None):
     """build(m): the term matrix of orders 0..m <= n of one variant on the
-    points xs, from one coefficient pass at order n through the dispatch.
+    points xs, from one coefficient pass at order n through the dispatch
+    (a series variant's build(m, other_mode) reads the same coefficients
+    under the other constant set).
 
     CI-classical has no shift and no table row (`_kernel_params`): its time
     is `classical_time(params, tau)`, and each build takes the data's
@@ -299,51 +294,37 @@ _OFF_CENTER_PROBE = 1.0
 def run_audit(config: StudyConfig) -> StudyReport:
     """Certify all 12 series variants at N in {0, 1, 2} against the oracle.
 
-    In oracle_validated mode every variant must pass.  In paper_literal mode
-    the C variants fail by their documented constant ratios, which the
-    report records in metadata["literal_value_ratios"] (the truncated-value
-    ratio at the exact-truncation configuration).
+    Each variant takes one coefficient pass at its full order (a C variant's
+    off-center probe is one more point of it), and every audited order, the
+    full one included, is a truncation of that one term matrix, as in an
+    order sweep.  In oracle_validated mode every variant must pass.  In
+    paper_literal mode the C variants fail by their documented constant
+    ratios, which the report records in metadata["literal_value_ratios"]
+    (the truncated-value ratio at the exact-truncation configuration, from
+    the same coefficients in both constants modes).
     """
     if config.study_kind != "audit":
         raise ValueError("config.study_kind must be 'audit'")
     mode = config.constants_mode
-    spec = config.quad
     rows: list[StudyRow] = []
     ratios: dict[str, float] = {}
     for variant, row in VARIANTS.items():
         tau, beta, probes, full_order = _AUDIT_SETUP[variant]
-        probes = np.asarray(probes)
         data, truth = _problem(variant, Gaussian(width_a=1.0), tau)
-        params = KernelParams(tau=tau, beta=beta)
-        truth_vals = np.atleast_1d(truth(probes))
+        truth_vals = np.atleast_1d(truth(np.asarray(probes)))
         scale = float(np.max(np.abs(truth_vals)))
-        errs = {}
+        points = np.asarray(probes + ((_OFF_CENTER_PROBE,) if row.pointwise else ()))
+        on_probes = slice(len(probes))
+        orders = (0, 1, 2, full_order)
         t0 = time.perf_counter()
-        for n in (0, 1, 2, full_order):
-            series = _grid_solve(variant, data, params, n, probes, mode, spec)
-            err = float(np.max(np.abs(series.values(n) - truth_vals))) / scale
+        build = _terms(variant, data, KernelParams(tau=tau, beta=beta), full_order, points, mode, config.quad)
+        series = checked(build(full_order), variant, points, full_order)
+        errs = {}
+        for n in orders:
+            err = float(np.max(np.abs(series.values(n)[on_probes] - truth_vals))) / scale
             errs[n] = err
-            rows.append(
-                StudyRow(
-                    variant=variant,
-                    n=n,
-                    beta=beta,
-                    delta=0.0,
-                    error_l2=err,
-                    error_max=err,
-                    diverged=bool(np.any(series.flagged(n))),
-                    status="",
-                    runtime_ms=(time.perf_counter() - t0) * 1e3,
-                )
-            )
-        if row.pointwise:
-            # value ratio literal/validated of the N=2 truncation at center
-            v_lit = _grid_solve(variant, data, params, 2, probes[:1], "paper_literal", spec).values(2)
-            v_ok = _grid_solve(variant, data, params, 2, probes[:1], "oracle_validated", spec).values(2)
-            ratios[variant] = float(v_lit[0] / v_ok[0])
-            off = np.array([_OFF_CENTER_PROBE])
-            off_vals = _grid_solve(variant, data, params, _AUDIT_FULL_ORDER, off, mode, spec).values(_AUDIT_FULL_ORDER)
-            off_err = float(abs(off_vals[0] - np.atleast_1d(truth(off))[0])) / scale
+            diverged = bool(np.any(series.flagged(n)[on_probes]))
+            rows.append(StudyRow(variant, n, beta, 0.0, err, err, diverged, "", (time.perf_counter() - t0) * 1e3))
         if row.weighted:
             # no exact-truncation configuration exists for the weighted
             # moments; certified by strict error decrease plus full-order
@@ -351,12 +332,15 @@ def run_audit(config: StudyConfig) -> StudyReport:
             passed = errs[2] < 0.8 * errs[0] and errs[full_order] <= _AUDIT_TOL_FULL
         else:
             passed = all(errs[n] <= _AUDIT_TOL_EXACT for n in (0, 1, 2))
-            if row.pointwise:
-                passed = passed and off_err <= _AUDIT_TOL_FULL
-        status = "pass" if passed else "fail"
-        for row in rows:
-            if row.variant == variant:
-                row.status = status
+        if row.pointwise:
+            # value ratio literal/validated of the N=2 truncation at center
+            v_lit, v_ok = (build(2, m).values(2)[0] for m in ("paper_literal", "oracle_validated"))
+            ratios[variant] = float(v_lit / v_ok)
+            off_val = series.values(full_order)[-1]
+            off_err = float(abs(off_val - np.atleast_1d(truth(points[-1:]))[0])) / scale
+            passed = passed and off_err <= _AUDIT_TOL_FULL
+        for audited in rows[-len(orders):]:
+            audited.status = "pass" if passed else "fail"
     metadata = _base_metadata(config)
     metadata["tolerances"] = {"exact": _AUDIT_TOL_EXACT, "full": _AUDIT_TOL_FULL}
     if ratios:

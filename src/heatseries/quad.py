@@ -167,13 +167,19 @@ def _values(f, nodes: np.ndarray) -> np.ndarray:
 
 
 def _level_sum(f, edges: np.ndarray, rule) -> tuple[np.ndarray, np.ndarray]:
+    """One refinement level: the sums and the sums of magnitudes.  Raises
+    OverflowError when a sum is not finite, which no refinement mends."""
     nodes, weights = _level(edges, rule)
     vals = _values(f, nodes)
-    total = vals @ weights
     # the integrand's own fresh array takes its magnitudes in place; a view
     # (of data the caller may still hold) is left alone
     owned = vals.flags.owndata and vals.flags.writeable
-    return total, np.abs(vals, out=vals if owned else None) @ weights
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum raises below
+        total = vals @ weights
+        l1 = np.abs(vals, out=vals if owned else None) @ weights
+    if not np.all(np.isfinite(total)):
+        raise OverflowError(f"quadrature level sum is not finite on [{float(edges[0])}, {float(edges[-1])}]")
+    return total, l1
 
 
 def _exact_sum(f, edges: np.ndarray, rule) -> np.ndarray:
@@ -200,7 +206,8 @@ def integrate_vec(f, domain, spec: QuadSpec = QuadSpec(), breakpoints=None, degr
     f maps an ndarray of nodes to an array (..., n_nodes); all components are
     integrated on the same refined panel grid and must individually satisfy
     the convergence test.  err_estimate is the largest refinement difference
-    at acceptance.  Raises AccuracyError when max_panels is exhausted.
+    at acceptance.  Raises AccuracyError when max_panels is exhausted, and
+    OverflowError at the first level whose sum is not finite.
 
     degree: f is a polynomial of at most this degree between consecutive
     breakpoints (and the domain's ends); one exact level replaces the

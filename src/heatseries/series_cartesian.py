@@ -196,11 +196,12 @@ def ci_coeffs(
 def _hermite_terms(coeffs: np.ndarray, arg: float, g: float, pref, x: np.ndarray, abs_tol: float):
     """Terms c_j H_j(x/(2 sqrt(arg))) g^j / j! [* Gaussian prefactor at time pref]."""
     n = coeffs.size - 1
-    h = hermite_batch(n, x / (2.0 * math.sqrt(arg)))
-    w = ratio_products(1.0, n, lambda w, j: w * g / (j + 1))
-    if pref is not None:
-        with np.errstate(over="ignore"):  # x * x = inf far out: a zero prefactor
+    # an infinite argument fails the Hermite batch; x * x = inf far out: a zero prefactor
+    with np.errstate(over="ignore"):
+        h = hermite_batch(n, x / (2.0 * math.sqrt(arg)))
+        if pref is not None:
             pref = np.exp(-(x * x) / (4.0 * pref)) / (2.0 * math.sqrt(math.pi * pref))
+    w = ratio_products(1.0, n, lambda w, j: w * g / (j + 1))
     return series_terms(coeffs * w, h, pref, abs_tol)
 
 

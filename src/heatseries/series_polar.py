@@ -85,7 +85,8 @@ def _w_radial_moments(data, root: float, n: int, spec: QuadSpec, dtype=float) ->
 
     def integrand(xi):
         w = w_poly_batch(n, xi.astype(dtype) / (2.0 * root))
-        w *= xi * data(xi)
+        with np.errstate(over="ignore"):  # an overflowing moment fails its level sum (integrate_vec)
+            w *= xi * data(xi)
         return w
 
     vals, _ = integrate_vec(
@@ -165,11 +166,12 @@ def polar_series(row, coeffs: np.ndarray, params: KernelParams, r: np.ndarray, m
         return pointwise_terms(row.kappa(params, mode, coeffs.shape[0] - 1), coeffs, r.size, abs_tol)
     n = coeffs.size - 1
     arg, num, den, pref = row.times(params)
-    wmat = w_poly_batch(n, r / (2.0 * math.sqrt(arg)))
+    # an infinite argument fails the W batch; r * r = inf far out: a zero prefactor
+    with np.errstate(over="ignore"):
+        wmat = w_poly_batch(n, r / (2.0 * math.sqrt(arg)))
+        pref = np.exp(-(r * r) / (4.0 * pref)) / (2.0 * pref)
     ratio = num / den
     w = ratio_products(1.0, n, lambda w, j: w * ratio / (2.0 * (2 * j + 1)) ** 2)
-    with np.errstate(over="ignore"):  # r * r = inf far out: a zero prefactor
-        pref = np.exp(-(r * r) / (4.0 * pref)) / (2.0 * pref)
     return series_terms(coeffs * w, wmat, pref, abs_tol)
 
 

@@ -364,9 +364,10 @@ def _series(terms: np.ndarray, abs_tol: float, pointwise: bool) -> SeriesTerms:
 
 def series_terms(weights: np.ndarray, basis: np.ndarray, pref, abs_tol: float) -> SeriesTerms:
     """terms[j, k] = weights[j] basis[j, k] (* pref[k]), early stop and scan."""
-    terms = weights[:, None] * basis
-    if pref is not None:
-        terms = terms * pref[None, :]
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite term fails `check`
+        terms = weights[:, None] * basis
+        if pref is not None:
+            terms = terms * pref[None, :]
     return _series(terms, abs_tol, pointwise=False)
 
 
@@ -397,16 +398,17 @@ def point_results(series: SeriesTerms, x):
 
 
 def grid_series(row: Variant, coeffs_fn, series_fn, data, params, n: int, xs, mode: str, spec):
-    """build(m): the term matrix of orders 0..m <= n of one variant on a grid,
-    from one coefficient call at order n through the public coefficient
+    """build(m, mode): the term matrix of orders 0..m <= n of one variant on a
+    grid, from one coefficient call at order n through the public coefficient
     function; a pointwise (C) variant's call gives one coefficient column per
-    point, each summed on its own."""
+    point, each summed on its own.  The coefficients do not depend on the
+    constants mode, so one pass serves both (mode defaults to the given one)."""
     if params is None:
         raise ValueError(f"{row.name} needs KernelParams")
     xs = np.asarray(xs, dtype=float)
     coeffs = np.asarray(coeffs_fn(row.name, data, params, n, xs, spec), float)  # the points matter to C only
     points = np.atleast_1d(xs)
-    return lambda m: series_fn(row, coeffs[: m + 1], params, points, mode)
+    return lambda m, mode=mode: series_fn(row, coeffs[: m + 1], params, points, mode)
 
 
 def checked(series: SeriesTerms, name: str, xs, n: int) -> SeriesTerms:

@@ -1,12 +1,14 @@
 """The CLI's solve path through the geometry dispatch of `experiments`, and a
 fuzz of the profile strings and numeric flags at the command boundary."""
 
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from heatseries import experiments
+from heatseries import experiments, quad
 from heatseries.cli import FORWARD_VARIANTS, INVERSE_VARIANTS, main
 from heatseries.kernels import evolve_line, evolve_polar
 from heatseries.profiles import Gaussian, Mixture, estimate_scale_line, estimate_scale_polar, format_profile
@@ -78,6 +80,26 @@ def test_c_overflow_is_exit_3_without_a_warning(capsys, variant):
     err = capsys.readouterr().err
     assert code == 3
     assert err.count("\n") == 1 and f"{variant} at " in err
+
+
+@pytest.mark.parametrize("variant", ["PD-A", "PD-B", "PI-A", "PI-B", "CD-C", "CI-C"])
+def test_overflowing_moments_are_exit_3_at_once(capsys, monkeypatch, variant):
+    # a profile too wide for the moment integrand overflows its first level
+    # sums: one clean error line, no refinement toward 4096 panels
+    row = VARIANTS[variant]
+    levels = []
+    values = quad._values
+    monkeypatch.setattr(quad, "_values", lambda f, nodes: levels.append(nodes.size) or values(f, nodes))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["forward" if row.direct else "inverse", "--geometry", row.geometry, "--variant", variant,
+                     "--tau", "1", "--beta", "1", "--order", "1", "--eval-grid", "0:1:2",
+                     "--profile", "gaussian:a=1e300"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.count("\n") == 1 and "overflow" in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert len(levels) <= 2
 
 
 @pytest.mark.parametrize("geometry, lo", [(LINE, -8.0), (POLAR, 0.0)])
@@ -162,6 +184,13 @@ _GRIDS = _mostly(
     grid=_GRIDS,
     mode=st.sampled_from(["oracle_validated", "paper_literal"]),
 )
+# a shift of 1e-300 overflows the basis argument (far grid) or the terms
+@example(command="inverse", geometry=LINE, pick=0, profile="bump:center=0.0,radius=1.0", tau="1.0", beta="1e-300",
+         order=2, grid="-1e300:1e300:5", mode="oracle_validated")
+@example(command="inverse", geometry=LINE, pick=0, profile="bump:center=0.0,radius=1.0", tau="1.0", beta="1e-300",
+         order=2, grid="0.0:1.0:2", mode="oracle_validated")
+@example(command="inverse", geometry=POLAR, pick=0, profile="bump:center=0.0,radius=1.0", tau="1.0", beta="1e-300",
+         order=2, grid="0:1e300:3", mode="oracle_validated")
 def test_fuzzed_profiles_and_flags_exit_cleanly(capsys, command, geometry, pick, profile, tau, beta, order, grid,
                                                 mode):
     variants = (FORWARD_VARIANTS if command == "forward" else INVERSE_VARIANTS)[geometry]

@@ -136,3 +136,18 @@ def test_gaussian_mass_closed_form_property(amp, center, sigma):
 def test_vector_integrand_shape_check():
     with pytest.raises(ValueError):
         integrate_vec(lambda x: np.ones(3), FiniteInterval(0.0, 1.0))
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan, 1e308])
+def test_non_finite_level_sum_raises_at_once(bad):
+    # no refinement mends a sum that is not finite: the first such level
+    # raises OverflowError naming the interval, without a RuntimeWarning
+    calls = []
+
+    def f(x):
+        calls.append(x.size)
+        return np.stack([np.ones_like(x), np.full_like(x, bad)])
+
+    with pytest.raises(OverflowError, match=r"not finite on \[0.0, 2.0\]"):
+        integrate_vec(f, FiniteInterval(0.0, 2.0))
+    assert len(calls) == 1
