@@ -6,7 +6,9 @@ in-process and record the stdout, stderr and exit code of each command.
 
 The list holds the perfbench commands; forward/inverse of every series
 variant, CI-classical and both oracles in both constants modes, as CSV and
-JSON, on analytic, evolved and sampled data; overflow (exit 3) and
+JSON, on analytic, evolved and sampled data (CI-B and both oracles also on
+16 001-node files, whose quadrature levels span many integrand blocks);
+overflow (exit 3) and
 configuration (exit 2) cases; `validate` in both modes; and study configs of
 every kind, the shipped ones included.
 
@@ -30,6 +32,8 @@ import re
 import shutil
 import sys
 import tempfile
+
+import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
@@ -66,6 +70,11 @@ STUDY_CONFIGS = {
     "wrong_geometry.cfg": "[study]\nkind = noise\ngeometry = polar\nvariants = CI-A\n",
     "polar_classical.cfg": "[study]\nkind = classical_compare\ngeometry = polar\n",
 }
+
+
+# 16 001 samples of the Gaussian evolved to tau = 0.3: every sample is a
+# breakpoint, so an adaptive level holds some 256 000 nodes, 63 blocks
+LARGE_FILES = {"u_line16001.csv": (ref.line_field, -10.0), "u_polar16001.csv": (ref.polar_field, 0.0)}
 
 
 def _solve(command, geometry, variant, tau, grid, *rest):
@@ -143,6 +152,12 @@ def _own_commands() -> list:
                                "--noise", noise, "--seed", seed, "--truth", gauss)))
     out.append(("inv-CI-A-truth-json", _solve("inverse", "line", "CI-A", 0.3, "-3:3:13", "--beta", "auto",
                                                "--profile", line_u, "--truth", line_mix, "--format", "json")))
+    out.append(("inv-CI-B-line16001", _solve("inverse", "line", "CI-B", 0.3, "-3:3:25", "--beta", "auto",
+                                              "--input", "u_line16001.csv")))
+    out.append(("fwd-oracle-line16001", _solve("forward", "line", "oracle", 0.5, "-3:3:25", "--input",
+                                                "u_line16001.csv")))
+    out.append(("fwd-oracle-polar16001", _solve("forward", "polar", "oracle", 0.5, "0:3:13", "--input",
+                                                 "u_polar16001.csv")))
     out.append(("fwd-single-point", _solve("forward", "line", "CD-C", 0.5, "0.7:0.7:1", "--beta", "auto",
                                             "--profile", line_mix)))
     # configuration errors: exit 2
@@ -225,6 +240,10 @@ def record(path: str) -> int:
         xs = [0.05 + 0.1 * k for k in range(-20, 20)]  # a uniform grid without the node x = 0
         with open("shifted.csv", "w") as handle:
             handle.write(ref.samples_text(xs, ref.line_field(GAUSS, 0.3, xs)))
+        for name, (field, lo) in LARGE_FILES.items():
+            xs = np.linspace(lo, 10.0, 16001)
+            with open(name, "w") as handle:
+                handle.write(ref.samples_text(xs, field(GAUSS, 0.3, xs)))
         commands += [(name, argv, None) for name, argv in _own_commands()]
         results = {}
         for name, argv, output in commands:

@@ -18,9 +18,19 @@ is a polynomial of at most some degree d between consecutive breakpoints
 polynomial basis): `integrate_vec(..., degree=d)` sums one level of the
 floor(d/2)+1-point rule on each panel between the breakpoints, which is
 exact for degree 2 floor(d/2) + 1 >= d, so the result is the integral up to
-rounding, with no error estimate to trust and no refinement.  The level is
-evaluated in blocks of EXACT_BLOCK nodes, so the integrand's memory stays
-bounded however many panels the breakpoints make.
+rounding, with no error estimate to trust and no refinement.
+
+Every level, adaptive or exact, is evaluated by one block loop: each
+integrand call gets at most EXACT_BLOCK nodes, and the blocks' sums are
+added in ascending order of the nodes.  Every sample of sampled data is a
+breakpoint, so a level can hold far more nodes than a block; the
+integrand's memory stays bounded however many panels the breakpoints make.
+The first two levels of a refinement, which every adaptive integral
+computes, take one integrand call when together they fit in a block; each
+level is summed from its own contiguous part of the values, so the sums are
+bitwise those of two calls.  A non-finite level-0 sum raises after
+that call, and an integrand that raises in it is called again level by
+level, so the exception is the one the levels raise.
 
 The integrand hands over the array it returns: the engine may overwrite an
 array that owns its memory (it takes the magnitudes for the floor in place)
@@ -51,7 +61,7 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(float).eps)
-EXACT_BLOCK = 4096  # nodes per integrand call of an exact level
+EXACT_BLOCK = 4096  # most nodes per integrand call, on every level
 
 
 class AccuracyError(RuntimeError):
@@ -166,30 +176,70 @@ def _values(f, nodes: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _level_sum(f, edges: np.ndarray, rule) -> tuple[np.ndarray, np.ndarray]:
-    """One refinement level: the sums and the sums of magnitudes.  Raises
-    OverflowError when a sum is not finite, which no refinement mends."""
-    nodes, weights = _level(edges, rule)
-    vals = _values(f, nodes)
-    # the integrand's own fresh array takes its magnitudes in place; a view
-    # (of data the caller may still hold) is left alone
-    owned = vals.flags.owndata and vals.flags.writeable
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum raises below
+def _owned(vals: np.ndarray) -> bool:
+    """Whether the engine may overwrite vals: the integrand's own fresh array."""
+    return vals.flags.owndata and vals.flags.writeable
+
+
+def _sums(vals: np.ndarray, weights: np.ndarray, writable: bool, magnitudes: bool = True) -> tuple:
+    """The weighted sum of vals and, with magnitudes, of |vals|, taken in
+    place when writable.  Not-finite sums are left to the caller."""
+    with np.errstate(over="ignore", invalid="ignore"):
         total = vals @ weights
-        l1 = np.abs(vals, out=vals if owned else None) @ weights
-    if not np.all(np.isfinite(total)):
-        raise OverflowError(f"quadrature level sum is not finite on [{float(edges[0])}, {float(edges[-1])}]")
-    return total, l1
+        if not magnitudes:
+            return (total,)
+        return total, np.abs(vals, out=vals if writable else None) @ weights
 
 
-def _exact_sum(f, edges: np.ndarray, rule) -> np.ndarray:
-    """One level summed block by block, in ascending order of the nodes."""
-    nodes, weights = _level(edges, rule)
-    total = 0.0
+def _block_sums(f, nodes: np.ndarray, weights: np.ndarray, magnitudes: bool = True) -> tuple:
+    """The sums of one level (as _sums), EXACT_BLOCK nodes per integrand call
+    and the blocks' sums added in ascending order of the nodes."""
+    parts = []
     for start in range(0, nodes.size, EXACT_BLOCK):
         block = slice(start, start + EXACT_BLOCK)
-        total = total + _values(f, nodes[block]) @ weights[block]
-    return total
+        vals = _values(f, nodes[block])
+        parts.append(_sums(vals, weights[block], _owned(vals), magnitudes))
+        del vals  # freed before the next block is evaluated, which then reuses its memory
+    with np.errstate(over="ignore", invalid="ignore"):
+        return tuple(functools.reduce(np.add, column) for column in zip(*parts))
+
+
+def _checked(sums: tuple, edges: np.ndarray) -> tuple:
+    """A refinement level's sums; OverflowError when a sum is not finite,
+    which no refinement mends."""
+    if not np.all(np.isfinite(sums[0])):
+        raise OverflowError(f"quadrature level sum is not finite on [{float(edges[0])}, {float(edges[-1])}]")
+    return sums
+
+
+def _level_sum(f, edges: np.ndarray, rule) -> tuple[np.ndarray, np.ndarray]:
+    """One refinement level: the sums and the sums of magnitudes."""
+    return _checked(_block_sums(f, *_level(edges, rule)), edges)
+
+
+def _first_levels(f, edges: np.ndarray, rule) -> tuple:
+    """Levels 0 and 1 of the refinement: (level 0 sums, level 1 edges, level 1
+    sums).  When together they fit in one block they take one integrand call,
+    each level summed from its own contiguous part of the values, which gives
+    the sums of separate calls bit for bit."""
+    fine = _bisect(edges)
+    if 3 * (edges.size - 1) * rule[0].size <= EXACT_BLOCK:  # level 1 has twice the panels of level 0
+        (x0, w0), (x1, w1) = _level(edges, rule), _level(fine, rule)
+        try:
+            vals = _values(f, np.concatenate([x0, x1]))
+        except Exception:  # the level-by-level calls below raise the sequence's own exception
+            pass
+        else:
+            owned = _owned(vals)
+            coarse = np.ascontiguousarray(vals[..., : x0.size])
+            refined = np.ascontiguousarray(vals[..., x0.size :])
+            # a part that is still a view (one row) is the integrand's memory
+            return (
+                _checked(_sums(coarse, w0, owned or coarse.flags.owndata), edges),
+                fine,
+                _checked(_sums(refined, w1, owned or refined.flags.owndata), fine),
+            )
+    return _level_sum(f, edges, rule), fine, _level_sum(f, fine, rule)
 
 
 def _bisect(edges: np.ndarray) -> np.ndarray:
@@ -213,20 +263,19 @@ def integrate_vec(f, domain, spec: QuadSpec = QuadSpec(), breakpoints=None, degr
     breakpoints (and the domain's ends); one exact level replaces the
     refinement (module docstring) and err_estimate is 0.
 
-    f returns a fresh array; the engine may overwrite it.  An array that
-    does not own its memory (a view) is never written to.
+    f is called with at most EXACT_BLOCK nodes at a time.  It returns a
+    fresh array; the engine may overwrite it.  An array that does not own
+    its memory (a view) is never written to.
     """
     lo, hi = _resolve(domain, spec)
     edges = _panel_edges(lo, hi, min(8, spec.max_panels), breakpoints)
     if degree is not None:
         if degree < 0:
             raise ValueError(f"degree must be non-negative, got {degree}")
-        return _exact_sum(f, edges, _gl_rule(degree // 2 + 1)), 0.0
+        return _block_sums(f, *_level(edges, _gl_rule(degree // 2 + 1)), magnitudes=False)[0], 0.0
     rule = _gl_rule(spec.nodes_per_panel)
-    prev, _ = _level_sum(f, edges, rule)
+    (prev, _), edges, (cur, l1) = _first_levels(f, edges, rule)
     while True:
-        edges = _bisect(edges)
-        cur, l1 = _level_sum(f, edges, rule)
         diff = np.abs(cur - prev)
         tol = np.maximum(spec.abs_tol, np.maximum(spec.rel_tol * np.abs(cur), 32.0 * _EPS * l1))
         if np.all(diff <= tol):
@@ -239,6 +288,8 @@ def integrate_vec(f, domain, spec: QuadSpec = QuadSpec(), breakpoints=None, degr
                 float(np.max(diff)),
             )
         prev = cur
+        edges = _bisect(edges)
+        cur, l1 = _level_sum(f, edges, rule)
 
 
 def integrate(f, domain, spec: QuadSpec = QuadSpec(), breakpoints=None):
@@ -252,21 +303,6 @@ def integrate(f, domain, spec: QuadSpec = QuadSpec(), breakpoints=None):
 
     vals, err = integrate_vec(wrapped, domain, spec, breakpoints)
     return float(vals[0]), err
-
-
-def _refinement_trace(f, domain, spec: QuadSpec = QuadSpec(), levels: int = 6):
-    """Successive refinement differences, for the monotone-refinement tests."""
-    lo, hi = _resolve(domain, spec)
-    rule = _gl_rule(spec.nodes_per_panel)
-    edges = _panel_edges(lo, hi, 8, None)
-    prev, _ = _level_sum(lambda x: np.asarray(f(x), dtype=float)[None, :], edges, rule)
-    trace = []
-    for _ in range(levels):
-        edges = _bisect(edges)
-        cur, _ = _level_sum(lambda x: np.asarray(f(x), dtype=float)[None, :], edges, rule)
-        trace.append(float(np.abs(cur - prev)[0]))
-        prev = cur
-    return trace
 
 
 def hermite_moment(j: int, c: float) -> float:

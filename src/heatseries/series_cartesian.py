@@ -108,11 +108,12 @@ def _hermite_moments(
 
     def integrand(xi):
         vals = hermite_batch(n, (xi - center) / (2.0 * root))
-        vals *= data(xi)
-        if weight_root is not None:
-            vals *= np.exp(-(xi * xi) / (4.0 * weight_root * weight_root)) / (
-                2.0 * weight_root * math.sqrt(math.pi)
-            )
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite moment fails its level or the series
+            vals *= data(xi)
+            if weight_root is not None:
+                vals *= np.exp(-(xi * xi) / (4.0 * weight_root * weight_root)) / (
+                    2.0 * weight_root * math.sqrt(math.pi)
+                )
         return vals
 
     vals, _ = integrate_vec(integrand, FiniteInterval(lo, hi), spec, breakpoints=breakpoints, degree=degree)
@@ -155,7 +156,9 @@ def _coeffs(direct: bool, variant: str, data, params: KernelParams, n: int, x_ce
             moments = _hermite_moments(data, root, 2 * n, spec, center=float(c))
         except OverflowError:  # far from the data: these points' sums overflow as well
             moments = np.full(2 * n + 1, np.nan)
-        out[:, at] = recombine(binom * moments[shift], x[at] - c, lambda d: -d / root)
+        with np.errstate(over="ignore"):  # an overflowing term fails the series check
+            table = binom * moments[shift]
+        out[:, at] = recombine(table, x[at] - c, lambda d: -d / root)
     return out[:, 0] if np.ndim(x_center) == 0 else out
 
 
@@ -259,9 +262,10 @@ def _analytic_derivs_at_zero(profile, n: int) -> np.ndarray:
         scale = profile.amplitude * math.exp(-(y0 * y0))
         out = np.empty(n + 1)
         p = 1.0
-        for j in range(n + 1):
-            out[j] = scale * p * h[j]
-            p *= -1.0 / root
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite term fails the series check
+            for j in range(n + 1):
+                out[j] = scale * p * h[j]
+                p *= -1.0 / root
         return out
     if isinstance(profile, Mixture):
         return np.sum([_analytic_derivs_at_zero(g, n) for g in profile.components], axis=0)

@@ -172,7 +172,9 @@ def polar_series(row, coeffs: np.ndarray, params: KernelParams, r: np.ndarray, m
         pref = np.exp(-(r * r) / (4.0 * pref)) / (2.0 * pref)
     ratio = num / den
     w = ratio_products(1.0, n, lambda w, j: w * ratio / (2.0 * (2 * j + 1)) ** 2)
-    return series_terms(coeffs * w, wmat, pref, abs_tol)
+    with np.errstate(over="ignore"):  # an overflowing weight fails the series check
+        weighted = coeffs * w
+    return series_terms(weighted, wmat, pref, abs_tol)
 
 
 def _eval(direct: bool, variant: str, coeffs, params: KernelParams, r, mode: str, abs_tol: float):

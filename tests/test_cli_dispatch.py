@@ -102,6 +102,32 @@ def test_overflowing_moments_are_exit_3_at_once(capsys, monkeypatch, variant):
     assert len(levels) <= 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # inf times a zero derivative
+        ["inverse", "--variant", "CI-classical", "--order", "6", "--profile", "gaussian:a=1e-150"],
+        ["inverse", "--geometry", "polar", "--variant", "PI-B", "--order", "6", "--beta", "auto",
+         "--profile", "gaussian:a=1,amp=1e300"],
+        # moments near the overflow threshold, analytic and sampled
+        ["forward", "--variant", "CD-C", "--order", "12", "--beta", "1", "--profile", "gaussian:a=1,amp=1e300"],
+        ["inverse", "--variant", "CI-C", "--order", "40", "--beta", "auto", "--input", "big.csv"],
+        ["inverse", "--variant", "CI-B", "--order", "40", "--beta", "auto", "--input", "big.csv"],
+    ],
+)
+def test_overflowing_terms_and_moments_are_exit_3_without_a_warning(capsys, tmp_path, monkeypatch, argv):
+    xs = np.linspace(-10.0, 10.0, 201)
+    (tmp_path / "big.csv").write_text("x,u\n" + "".join(f"{x:.17g},{1e300 * np.exp(-x * x / 4.0):.17g}\n" for x in xs))
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([*argv, "--tau", "1", "--eval-grid", "0:1:3"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.count("\n") == 1 and "overflow" in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 @pytest.mark.parametrize("geometry, lo", [(LINE, -8.0), (POLAR, 0.0)])
 def test_study_grid_defaults_are_written_once(tmp_path, geometry, lo):
     # a config with no [grid] and one with only n take the same default grid
@@ -119,9 +145,8 @@ def test_study_grid_defaults_are_written_once(tmp_path, geometry, lo):
 
 # --- fuzz: profile strings and numeric flags -----------------------------------------
 
-# profile values stay within 1e+-12: beyond, the moment quadrature itself
-# overflows (tau, --beta and grid bounds do take 1e300)
-_EXTREME = st.sampled_from(["0", "-1", "1e-12", "1e12", "1e400", "inf", "-inf", "nan", "-0.0"])
+# profile values reach 1e+-300, as tau, --beta and the grid bounds do
+_EXTREME = st.sampled_from(["0", "-1", "1e-300", "1e-12", "1e12", "1e300", "1e400", "inf", "-inf", "nan", "-0.0"])
 _JUNK = st.sampled_from(["", "x", "1,5", "0x1", "1e"])
 
 

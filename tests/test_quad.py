@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heatseries import quad
 from heatseries.quad import (
     AccuracyError,
     FiniteInterval,
     HalfLine,
     QuadSpec,
     WholeLine,
-    _refinement_trace,
     hermite_moment,
     integrate,
     integrate_vec,
@@ -19,6 +19,25 @@ from heatseries.quad import (
 from heatseries.specfun import hermite_batch
 
 SQRT_PI = math.sqrt(math.pi)
+
+
+def _refinement_trace(f, domain, spec: QuadSpec = QuadSpec(), levels: int = 6):
+    """Successive refinement differences of a scalar integrand, level by level."""
+    lo, hi = quad._resolve(domain, spec)
+    rule = quad._gl_rule(spec.nodes_per_panel)
+    edges = quad._panel_edges(lo, hi, 8, None)
+
+    def vec(x):
+        return np.asarray(f(x), dtype=float)[None, :]
+
+    prev, _ = quad._level_sum(vec, edges, rule)
+    trace = []
+    for _ in range(levels):
+        edges = quad._bisect(edges)
+        cur, _ = quad._level_sum(vec, edges, rule)
+        trace.append(float(np.abs(cur - prev)[0]))
+        prev = cur
+    return trace
 
 
 def test_gaussian_integral_whole_line():

@@ -1,0 +1,305 @@
+"""The quadrature engine's one block loop against the level-by-level sequence.
+
+`reference_integrate_vec` keeps the adaptive loop the engine ran before every
+level went through the block loop: each refinement level is one integrand
+call on all its nodes, summed by one matrix-vector product.  A pass whose
+levels fit in one block must give its values and error estimate bit for bit
+(levels 0 and 1 now share one integrand call, each summed from its own
+contiguous part).  A level above the block size adds its blocks' sums in
+node order instead: the same acceptance level, and every component within
+4 eps int|f| of the reference.  Integrand memory no longer grows with the
+sample count, which the tracemalloc bounds at the end pin.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from heatseries import kernels, quad, series_cartesian, series_polar
+from heatseries.profiles import Gaussian, Mixture, Sampled1D
+from heatseries.specfun import KernelParams
+from heatseries.variants import VARIANTS
+
+EPS = float(np.finfo(float).eps)
+
+# --- reference: the level-by-level sequence ------------------------------------------
+
+
+def _reference_level_sum(f, edges, rule):
+    nodes, weights = quad._level(edges, rule)
+    vals = quad._values(f, nodes)
+    owned = vals.flags.owndata and vals.flags.writeable
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = vals @ weights
+        l1 = np.abs(vals, out=vals if owned else None) @ weights
+    if not np.all(np.isfinite(total)):
+        raise OverflowError(f"quadrature level sum is not finite on [{float(edges[0])}, {float(edges[-1])}]")
+    return total, l1
+
+
+def reference_integrate_vec(f, domain, spec=quad.QuadSpec(), breakpoints=None):
+    """(values, err_estimate, int|f| of the accepted level), one call per level."""
+    lo, hi = quad._resolve(domain, spec)
+    edges = quad._panel_edges(lo, hi, min(8, spec.max_panels), breakpoints)
+    rule = quad._gl_rule(spec.nodes_per_panel)
+    prev, _ = _reference_level_sum(f, edges, rule)
+    while True:
+        edges = quad._bisect(edges)
+        cur, l1 = _reference_level_sum(f, edges, rule)
+        diff = np.abs(cur - prev)
+        tol = np.maximum(spec.abs_tol, np.maximum(spec.rel_tol * np.abs(cur), 32.0 * EPS * l1))
+        if np.all(diff <= tol):
+            return cur, float(np.max(diff)), l1
+        if edges.size - 1 >= spec.max_panels:
+            raise quad.AccuracyError(
+                f"quadrature did not reach tolerance within {spec.max_panels} panels on [{lo}, {hi}]",
+                cur,
+                float(np.max(diff)),
+            )
+        prev = cur
+
+
+# --- helpers ---------------------------------------------------------------------------
+
+
+def bitwise_equal(a, b) -> bool:
+    """Same dtype, shape and values, signed zeros and nans included (the
+    padding bytes of np.longdouble carry no value)."""
+    a, b = np.asarray(a), np.asarray(b)
+    return (
+        a.dtype == b.dtype
+        and a.shape == b.shape
+        and np.array_equal(a, b, equal_nan=True)
+        and np.array_equal(np.signbit(a), np.signbit(b))
+    )
+
+
+def counted(f, sizes):
+    """f, recording the node count of every call in sizes."""
+
+    def wrapper(x):
+        sizes.append(x.size)
+        return f(x)
+
+    return wrapper
+
+
+def adaptive_passes(modules, call):
+    """(integrand, args, kwargs) of every adaptive integrate_vec call a call makes."""
+    seen = []
+    originals = {module: module.integrate_vec for module in modules}
+
+    def spy(f, *args, **kwargs):
+        if kwargs.get("degree") is None:
+            seen.append((f, args, {k: v for k, v in kwargs.items() if k != "degree"}))
+        return quad.integrate_vec(f, *args, **kwargs)
+
+    for module in modules:
+        module.integrate_vec = spy
+    try:
+        call()
+    finally:
+        for module, original in originals.items():
+            module.integrate_vec = original
+    return seen
+
+
+def outcome(run):
+    """The result of run(), or the type and text of what it raised."""
+    try:
+        return run()
+    except (OverflowError, ValueError, quad.AccuracyError) as exc:
+        return type(exc), str(exc), getattr(exc, "value", None), getattr(exc, "err_estimate", None)
+
+
+LINE_MIX = Mixture((Gaussian(0.9, -0.5, 1.0), Gaussian(1.4, 0.7, 0.7)))
+POLAR_MIX = Mixture((Gaussian(0.9, 0.0, 1.0), Gaussian(1.3, 0.0, 0.8)))
+PARAMS = KernelParams(tau=0.3, beta=1.1)
+COEFFS = {
+    (True, "line"): series_cartesian.cd_coeffs,
+    (False, "line"): series_cartesian.ci_coeffs,
+    (True, "polar"): series_polar.pd_coeffs,
+    (False, "polar"): series_polar.pi_coeffs,
+}
+
+
+def variant_pass(variant, n):
+    row = VARIANTS[variant]
+    data = LINE_MIX if row.geometry == "line" else POLAR_MIX
+    points = np.linspace(-3.0, 3.0, 7) if row.geometry == "line" else np.linspace(0.0, 3.0, 7)
+    fn = COEFFS[(row.direct, row.geometry)]
+    return lambda: fn(variant, data, PARAMS, n, points)
+
+
+ONE_BLOCK = {f"{variant}-N{n}": variant_pass(variant, n) for variant in VARIANTS for n in (0, 8, 40)}
+ONE_BLOCK["oracle-line"] = lambda: kernels.forward_line(LINE_MIX, 0.5, np.linspace(-3.0, 3.0, 121))
+ONE_BLOCK["oracle-polar"] = lambda: kernels.forward_polar(POLAR_MIX, 0.5, np.linspace(0.0, 3.0, 61))
+MODULES = (kernels, series_cartesian, series_polar)
+
+
+# --- equality with the reference -------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(ONE_BLOCK))
+def test_passes_within_one_block_are_the_reference_bit_for_bit(name):
+    passes = adaptive_passes(MODULES, ONE_BLOCK[name])
+    assert passes
+    for f, args, kwargs in passes:
+        sizes, ref_sizes = [], []
+        vals, err = quad.integrate_vec(counted(f, sizes), *args, **kwargs)
+        ref_vals, ref_err, _ = reference_integrate_vec(counted(f, ref_sizes), *args, **kwargs)
+        assert max(ref_sizes) <= quad.EXACT_BLOCK  # every level fits in one block
+        assert bitwise_equal(vals, ref_vals)
+        assert err == ref_err
+        assert sum(sizes) == sum(ref_sizes)
+        assert len(sizes) == len(ref_sizes) - 1  # levels 0 and 1 in one call
+    if name.startswith("PD-C"):
+        assert vals.dtype == np.longdouble
+
+
+LINE_FILE = Sampled1D(-10.0, 10.0, np.exp(-np.linspace(-10.0, 10.0, 1601) ** 2 / 5.2) * 0.877)
+POLAR_FILE = Sampled1D(0.0, 10.0, np.exp(-np.linspace(0.0, 10.0, 1601) ** 2 / 5.2) * 0.77)
+ABOVE_BLOCK = {
+    "CI-B-file": lambda: series_cartesian.ci_coeffs("CI-B", LINE_FILE, PARAMS, 40),
+    "oracle-line-file": lambda: kernels.forward_line(LINE_FILE, 0.5, np.linspace(-3.0, 3.0, 121)),
+    "oracle-polar-file": lambda: kernels.forward_polar(POLAR_FILE, 0.5, np.linspace(0.0, 3.0, 61)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ABOVE_BLOCK))
+def test_levels_above_the_block_size_stay_within_rounding_of_the_reference(name):
+    (f, args, kwargs), = adaptive_passes(MODULES, ABOVE_BLOCK[name])
+    sizes, ref_sizes = [], []
+    vals, _ = quad.integrate_vec(counted(f, sizes), *args, **kwargs)
+    ref_vals, _, l1 = reference_integrate_vec(counted(f, ref_sizes), *args, **kwargs)
+    assert min(ref_sizes) > quad.EXACT_BLOCK
+    assert max(sizes) <= quad.EXACT_BLOCK
+    assert sum(sizes) == sum(ref_sizes)  # the same acceptance level
+    assert np.all(np.abs(vals - ref_vals) <= 4.0 * EPS * l1)
+
+
+# --- the engine's contract -------------------------------------------------------------
+
+SPAN = quad.FiniteInterval(0.0, 2.0)
+RULE = quad._gl_rule(quad.QuadSpec().nodes_per_panel)
+LEVEL_1 = quad._level(quad._bisect(quad._panel_edges(0.0, 2.0, 8, None)), RULE)[0]
+
+
+def level_1_fails(with_error):
+    def f(x):
+        if with_error and np.isin(x, LEVEL_1).any():
+            raise ValueError("the integrand fails on level-1 nodes")
+        return np.vstack([np.cos(x), np.where(np.isin(x, LEVEL_1), np.inf, 1.0)])
+
+    return f
+
+
+def needle(x):
+    return np.exp(-((x / 1e-4) ** 2))[None, :]
+
+
+@pytest.mark.parametrize(
+    "f, spec",
+    [
+        (lambda x: np.vstack([np.ones_like(x), np.full_like(x, np.nan)]), quad.QuadSpec()),  # level 0
+        (level_1_fails(False), quad.QuadSpec()),  # non-finite on level 1 only
+        (level_1_fails(True), quad.QuadSpec()),  # raises on level-1 nodes only
+        (needle, quad.QuadSpec(rel_tol=1e-13, abs_tol=1e-300, max_panels=8)),  # AccuracyError at level 1
+        (needle, quad.QuadSpec(rel_tol=1e-13, abs_tol=1e-300, max_panels=64)),  # AccuracyError later
+        (lambda x: np.ones(3), quad.QuadSpec()),  # not vectorised
+    ],
+)
+def test_exceptions_are_those_of_the_level_by_level_sequence(f, spec):
+    got = outcome(lambda: quad.integrate_vec(f, SPAN, spec))
+    want = outcome(lambda: reference_integrate_vec(f, SPAN, spec)[:2])
+    assert isinstance(got[0], type) and got[:2] == want[:2]
+    if got[0] is quad.AccuracyError:
+        assert bitwise_equal(got[2], want[2]) and got[3] == want[3]
+
+
+def test_a_non_finite_level_0_raises_after_one_call():
+    sizes = []
+    f = counted(lambda x: np.vstack([np.ones_like(x), np.full_like(x, np.inf)]), sizes)
+    with pytest.raises(OverflowError, match=r"not finite on \[0.0, 2.0\]"):
+        quad.integrate_vec(f, SPAN)
+    assert sizes == [3 * 8 * 16]
+
+
+def test_a_paired_call_that_fails_is_run_level_by_level():
+    sizes = []
+
+    def f(x):  # fails on the paired call alone
+        sizes.append(x.size)
+        if x.size > 256:
+            raise MemoryError("too many nodes at once")
+        return np.vstack([np.sin(x), x * x])
+
+    vals, err = quad.integrate_vec(f, SPAN)
+    ref_vals, ref_err, _ = reference_integrate_vec(f, SPAN)
+    assert bitwise_equal(vals, ref_vals) and err == ref_err
+    assert sizes[:3] == [384, 128, 256]
+
+
+def test_call_counts_and_node_totals():
+    sizes = []
+    vals, _ = quad.integrate_vec(counted(lambda x: np.vstack([np.ones_like(x), x]), sizes), SPAN)
+    assert sizes == [3 * 8 * 16]  # accepted at level 1: one call
+    assert vals == pytest.approx([2.0, 2.0], rel=1e-15)
+    # a pass with levels above the block size: no call beyond it, the same node total
+    nodes = np.linspace(0.0, 2.0, 801)
+    sizes, ref_sizes = [], []
+    f = lambda x: np.vstack([np.sin(x), np.exp(-x * x)])  # noqa: E731
+    quad.integrate_vec(counted(f, sizes), SPAN, breakpoints=nodes)
+    reference_integrate_vec(counted(f, ref_sizes), SPAN, breakpoints=nodes)
+    assert max(sizes) == quad.EXACT_BLOCK and sum(sizes) == sum(ref_sizes)
+
+
+@pytest.mark.parametrize("breakpoints", [None, np.linspace(0.0, 2.0, 801)])
+def test_arrays_the_integrand_does_not_own_are_never_written(breakpoints):
+    held = []
+
+    def one_row_view(x):  # as `integrate` hands over a scalar integrand's array
+        held.append(np.sin(x) - 2.0)
+        return held[-1][None, :]
+
+    def read_only(x):
+        held.append(np.vstack([np.sin(x) - 2.0, np.cos(x) - 2.0]))
+        held[-1].flags.writeable = False
+        return held[-1]
+
+    for f in (one_row_view, read_only):
+        held.clear()
+        vals, _ = quad.integrate_vec(f, SPAN, breakpoints=breakpoints)
+        assert np.all(vals < 0.0)
+        assert held and all(np.all(arr < 0.0) for arr in held)  # never replaced by magnitudes
+
+
+# --- memory: integrand arrays bounded by the block, not by the sample count ------------
+
+BIG_NODES = np.linspace(-10.0, 10.0, 16001)
+BIG_FILE = Sampled1D(-10.0, 10.0, np.sqrt(1.0 / 1.3) * np.exp(-BIG_NODES ** 2 / 5.2))
+MIB = 1 << 20
+
+
+def traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: series_cartesian.ci_coeffs("CI-B", BIG_FILE, KernelParams(tau=0.3, beta=1.0), 40),
+        lambda: kernels.forward_line(BIG_FILE, 0.5, np.linspace(-3.0, 3.0, 121)),
+    ],
+    ids=["CI-B-moments-N40", "oracle-line-121"],
+)
+def test_a_16001_node_pass_peaks_below_32_mib(call):
+    assert traced_peak(call) < 32 * MIB
+
