@@ -9,8 +9,9 @@ variant, CI-classical and both oracles in both constants modes, as CSV and
 JSON, on analytic, evolved and sampled data (CI-B and both oracles also on
 16 001-node files, whose quadrature levels span many integrand blocks);
 overflow (exit 3) and
-configuration (exit 2) cases; `validate` in both modes; and study configs of
-every kind, the shipped ones included.
+configuration (exit 2) cases; `validate` in both modes; study configs of
+every kind, the shipped ones included; and malformed study configs and
+study flags (exit 2).
 
 Commands run in a fresh temporary directory that holds their input files,
 so every path they echo is relative and a record does not depend on where
@@ -69,6 +70,23 @@ STUDY_CONFIGS = {
     "unknown_key.cfg": "[study]\nkind = noise\nwidth = 3\n",
     "wrong_geometry.cfg": "[study]\nkind = noise\ngeometry = polar\nvariants = CI-A\n",
     "polar_classical.cfg": "[study]\nkind = classical_compare\ngeometry = polar\n",
+    # malformed configs: exit 2, naming the file (and the line where there is one)
+    "error_unknown_section.cfg": "[study]\nkind = noise\n\n[output]\nformat = csv\n",
+    "error_key_outside.cfg": "kind = noise\n\n[study]\ntau = 0.3\n",
+    "error_missing_equals.cfg": "[study]\nkind noise\n",
+    "error_missing_kind.cfg": "[study]\ngeometry = line\ntau = 0.3\n",
+    "error_bad_profile.cfg": "[study]\nkind = noise\nprofile = gaussian:a=-1\n",
+    "error_word_tau.cfg": "[study]\nkind = noise\ntau = soon\n",
+    "error_word_seed.cfg": "[study]\nkind = noise\nseed = 1.5\n",
+    "error_word_grid_n.cfg": "[study]\nkind = noise\n\n[grid]\nn = many\n",
+    "error_range_parts.cfg": "[study]\nkind = noise\n\n[sweep]\norders = 0:8\n",
+    "error_range_reversed.cfg": "[study]\nkind = noise\n\n[sweep]\norders = 8:0:2\n",
+    "error_empty_list.cfg": "[study]\nkind = noise\n\n[sweep]\ndeltas = ,\n",
+    "negative_order.cfg": (
+        "[study]\nkind = convergence\ntau = 0.5\nvariants = CD-A\n\n[grid]\nn = 101\n\n[sweep]\norders = -2, 4\n"
+    ),
+    "negative_delta.cfg": "[study]\nkind = noise\ntau = 0.3\n\n[sweep]\norders = 0:4:2\ndeltas = -1e-3\n",
+    "float_range.cfg": "[study]\nkind = beta_map\ntau = 0.3\n\n[sweep]\norders = 8\nbetas = 0.5:1.5:0.1\n",
 }
 
 
@@ -189,6 +207,9 @@ def _own_commands() -> list:
         out.append((f"study-{name}", ["study", "--config", name]))
     out.append(("study-noise-line-json", ["study", "--config", "scripts/configs/noise_line.cfg", "--format", "json"]))
     out.append(("study-missing", ["study", "--config", "none.cfg"]))
+    # a study takes its constants mode from its config file only
+    out.append(("study-constants-mode-flag",
+                ["study", "--config", "noise_polar_default.cfg", "--constants-mode", "paper_literal"]))
     return out
 
 

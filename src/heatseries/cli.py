@@ -40,7 +40,7 @@ from .experiments import (
     run_study,
 )
 from .profiles import Sampled1D, parse_profile
-from .quad import AccuracyError, QuadSpec
+from .quad import AccuracyError
 from .series_cartesian import DEFAULT_ORDER
 from .variants import AXIS, CLASSICAL, LINE, POLAR, default_beta, variant_names
 
@@ -279,12 +279,11 @@ def _check_solve_args(args, variants: dict):
 
 def _solve(args, data, xs: np.ndarray, beta: float):
     """Values and divergence flags of the requested variant on xs."""
-    spec = QuadSpec()
     try:
         if args.variant == ORACLE:
-            return _ORACLE[args.geometry](data, args.tau, xs, spec), np.zeros(xs.size, dtype=bool)
+            return _ORACLE[args.geometry](data, args.tau, xs), np.zeros(xs.size, dtype=bool)
         params = _kernel_params(args.variant, args.tau, beta)
-        series = _grid_solve(args.variant, data, params, args.order, xs, args.constants_mode, spec, tau=args.tau)
+        series = _grid_solve(args.variant, data, params, args.order, xs, args.constants_mode, tau=args.tau)
         return series.values(args.order), series.flagged(args.order)
     except AccuracyError as exc:
         raise CliError(f"{args.command} {args.variant}: quadrature did not converge: {exc}", code=3)
@@ -394,13 +393,14 @@ def _parse_number_list(text: str, line_no: int, path: str, integer: bool = False
             lo, hi, step = (int(p) if integer else float(p) for p in parts)
         except ValueError:
             raise CliError(f"{path}:{line_no}: non-numeric range {text!r}") from None
-        if step <= 0 or hi < lo:
+        if not all(math.isfinite(p) for p in (lo, hi, step)) or step <= 0 or hi < lo:
             raise CliError(f"{path}:{line_no}: bad range {text!r}")
-        val = lo
-        while val <= hi:
-            out.append(val)
-            val += step
-        return tuple(out)
+        if integer:
+            steps = (hi - lo) // step
+        else:  # hi is kept when it is a whole number of steps up to rounding
+            span = (hi - lo) / step
+            steps = round(span) if math.isclose(span, round(span), rel_tol=1e-9) else math.floor(span)
+        return tuple(lo + k * step for k in range(steps + 1))
     for piece in text.split(","):
         piece = piece.strip()
         if not piece:
@@ -544,15 +544,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common_io(p):
+    def common_io(p, constants_mode=True):
         p.add_argument("--output", help="output file (default: stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument(
-            "--constants-mode",
-            dest="constants_mode",
-            choices=("oracle_validated", "paper_literal"),
-            default="oracle_validated",
-        )
+        if constants_mode:  # a study takes its mode from its config file
+            p.add_argument(
+                "--constants-mode",
+                dest="constants_mode",
+                choices=("oracle_validated", "paper_literal"),
+                default="oracle_validated",
+            )
 
     def common_solve(p, variants):
         p.add_argument("--geometry", choices=("line", "polar"), default="line")
@@ -579,7 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     stu = sub.add_parser("study", help="run a configured study")
     stu.add_argument("--config", required=True, help="study config file")
-    common_io(stu)
+    common_io(stu, constants_mode=False)
 
     return parser
 

@@ -41,7 +41,6 @@ import numpy as np
 from . import __version__ as _pkg_version
 from .kernels import evolve_line, evolve_polar, forward_line, forward_polar
 from .profiles import AnalyticProfile, Gaussian, Sampled1D, estimate_scale_line, estimate_scale_polar, format_profile
-from .quad import QuadSpec
 from .series_cartesian import cd_coeffs, ci_coeffs, classical_series, classical_time, line_series
 from .series_polar import pd_coeffs, pi_coeffs, polar_series
 from .specfun import KernelParams
@@ -116,7 +115,6 @@ class StudyConfig:
     seed: int = 20250808
     variants: tuple = ()
     constants_mode: str = "oracle_validated"
-    quad: QuadSpec = field(default_factory=QuadSpec)
 
     def __post_init__(self):
         kinds = ("audit", "convergence", "beta_map", "noise", "classical_compare")
@@ -131,6 +129,10 @@ class StudyConfig:
                 raise ValueError("delta_range must be non-empty")
             if self.study_kind == "beta_map" and not self.beta_range:
                 raise ValueError("beta_map needs an explicit beta_range")
+        if any(n < 0 for n in self.n_range):
+            raise ValueError(f"orders (n_range) must be non-negative, got {min(self.n_range)}")
+        if not all(math.isfinite(d) and d >= 0.0 for d in self.delta_range):
+            raise ValueError(f"deltas (delta_range) must be non-negative and finite, got {list(self.delta_range)}")
         for variant in self.variants:
             if geometry_of(variant) != self.geometry:
                 raise ValueError(f"{variant} is not a {self.geometry} variant")
@@ -193,13 +195,13 @@ def _errors(values: np.ndarray, truth: np.ndarray) -> tuple[float, float]:
 
 def _problem(variant: str, f: AnalyticProfile, tau: float):
     """(data, truth): what a variant solves from, for initial data f and time
-    tau, and truth(xs, spec) that its values are measured against.  A direct
+    tau, and truth(xs) that its values are measured against.  A direct
     variant maps f to the oracle's field at tau; an inverse one maps the
     exact evolution of f back to f."""
     geometry = geometry_of(variant)
     if variant != CLASSICAL and VARIANTS[variant].direct:
-        return f, lambda xs, spec=QuadSpec(): _ORACLE[geometry](f, tau, xs, spec)
-    return _EVOLVE[geometry](f, tau), lambda xs, spec=None: f(np.asarray(xs, dtype=float))
+        return f, lambda xs: _ORACLE[geometry](f, tau, xs)
+    return _EVOLVE[geometry](f, tau), lambda xs: f(np.asarray(xs, dtype=float))
 
 
 def _kernel_params(variant: str, tau: float, beta: float) -> KernelParams | None:
@@ -207,7 +209,7 @@ def _kernel_params(variant: str, tau: float, beta: float) -> KernelParams | None
     return None if variant == CLASSICAL else KernelParams(tau=tau, beta=beta)
 
 
-def _terms(variant, data, params, n, xs, mode, spec, tau=None):
+def _terms(variant, data, params, n, xs, mode, tau=None):
     """build(m): the term matrix of orders 0..m <= n of one variant on the
     points xs, from one coefficient pass at order n through the dispatch
     (a series variant's build(m, other_mode) reads the same coefficients
@@ -220,19 +222,19 @@ def _terms(variant, data, params, n, xs, mode, spec, tau=None):
     if variant != CLASSICAL:
         row = lookup(variant)
         coeffs_fn = _COEFF_PASS[row.geometry, row.direct]
-        return grid_series(row, coeffs_fn, _TERM_MATRIX[row.geometry], data, params, n, xs, mode, spec)
+        return grid_series(row, coeffs_fn, _TERM_MATRIX[row.geometry], data, params, n, xs, mode)
     tau = classical_time(params, tau)
     points = np.atleast_1d(np.asarray(xs, dtype=float))
     return lambda m: classical_series(data, tau, m, points)
 
 
-def _grid_solve(variant, data, params, n, xs, mode, spec, tau=None):
+def _grid_solve(variant, data, params, n, xs, mode, tau=None):
     """The order-n term matrix of one variant on a grid, its sums checked:
     an overflowing C grid names its first overflowing point."""
-    return checked(_terms(variant, data, params, n, xs, mode, spec, tau)(n), variant, xs, n)
+    return checked(_terms(variant, data, params, n, xs, mode, tau)(n), variant, xs, n)
 
 
-def _sweep_orders(variant, data, params, n_list, xs, mode, spec, tau=None):
+def _sweep_orders(variant, data, params, n_list, xs, mode, tau=None):
     """Values and divergence flags for every order in n_list.
 
     Coefficients are computed once at max(n_list) and the term matrix is
@@ -247,7 +249,7 @@ def _sweep_orders(variant, data, params, n_list, xs, mode, spec, tau=None):
     n_list = sorted(int(n) for n in n_list)
     n_max = n_list[-1]
     try:
-        build = _terms(variant, data, params, n_max, xs, mode, spec, tau)
+        build = _terms(variant, data, params, n_max, xs, mode, tau)
     except (OverflowError, ValueError) as exc:
         for n in n_list:
             yield n, None, True, exc
@@ -317,7 +319,7 @@ def run_audit(config: StudyConfig) -> StudyReport:
         on_probes = slice(len(probes))
         orders = (0, 1, 2, full_order)
         t0 = time.perf_counter()
-        build = _terms(variant, data, KernelParams(tau=tau, beta=beta), full_order, points, mode, config.quad)
+        build = _terms(variant, data, KernelParams(tau=tau, beta=beta), full_order, points, mode)
         series = checked(build(full_order), variant, points, full_order)
         errs = {}
         for n in orders:
@@ -372,8 +374,7 @@ def _sweep_rows(config: StudyConfig, variant: str, data, params, truth: np.ndarr
     rows = []
     t0 = time.perf_counter()
     for n, vals, diverged, exc in _sweep_orders(
-        variant, data, params, config.n_range, _COMPARE_GRID[config.geometry], config.constants_mode, config.quad,
-        tau=config.tau,
+        variant, data, params, config.n_range, _COMPARE_GRID[config.geometry], config.constants_mode, tau=config.tau
     ):
         if exc is not None:
             err_l2 = err_max = float("nan")
@@ -460,7 +461,7 @@ def run_convergence(config: StudyConfig) -> StudyReport:
     """Error versus truncation order against the forward oracle."""
     if config.study_kind != "convergence":
         raise ValueError("config.study_kind must be 'convergence'")
-    truth = _ORACLE[config.geometry](config.profile, config.tau, _COMPARE_GRID[config.geometry], config.quad)
+    truth = _ORACLE[config.geometry](config.profile, config.tau, _COMPARE_GRID[config.geometry])
     scale = _SCALE_ESTIMATE[config.geometry](config.profile)
     rows: list = []
     for variant in _study_variants(config):
@@ -479,12 +480,12 @@ def run_beta_map(config: StudyConfig) -> StudyReport:
     rows: list = []
     for variant in _study_variants(config):
         data, truth = _problem(variant, config.profile, config.tau)
-        truth = truth(xs, config.quad)
+        truth = truth(xs)
         for beta in config.beta_range:
             params = KernelParams(tau=config.tau, beta=beta)
             t0 = time.perf_counter()
             try:
-                series = _grid_solve(variant, data, params, n, xs, config.constants_mode, config.quad)
+                series = _grid_solve(variant, data, params, n, xs, config.constants_mode)
                 err_l2, err_max = _errors(series.values(n), truth)
                 diverged = bool(np.any(series.flagged(n)))
                 status = "ok"

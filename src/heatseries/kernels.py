@@ -21,7 +21,7 @@ from .profiles import (
     Sampled1D,
     profile_support,
 )
-from .quad import FiniteInterval, QuadSpec, integrate, integrate_vec
+from .quad import TRUNCATION_RADIUS_SIGMAS, FiniteInterval, integrate, integrate_vec
 from .specfun import bessel_j0, scaled_polar_kernel
 
 __all__ = [
@@ -83,15 +83,15 @@ def evolve_polar(profile: AnalyticProfile, tau: float) -> AnalyticProfile:
     raise TypeError("closed-form polar evolution exists only for radial Gaussians")
 
 
-def _line_window(data, xs: np.ndarray, tau: float, spec: QuadSpec) -> tuple[float, float]:
-    lo_f, hi_f = profile_support(data, spec.truncation_radius_sigmas)
-    reach = spec.truncation_radius_sigmas * math.sqrt(2.0 * tau)
+def _line_window(data, xs: np.ndarray, tau: float) -> tuple[float, float]:
+    lo_f, hi_f = profile_support(data)
+    reach = TRUNCATION_RADIUS_SIGMAS * math.sqrt(2.0 * tau)
     lo = max(lo_f, float(np.min(xs)) - reach)
     hi = min(hi_f, float(np.max(xs)) + reach)
     return lo, hi
 
 
-def forward_line(data, tau: float, x, spec: QuadSpec = QuadSpec()):
+def forward_line(data, tau: float, x):
     """Solution of the forward problem on the line at time tau, point(s) x.
 
     Quadrature of the Gaussian kernel against the data; sampled inputs are
@@ -100,7 +100,7 @@ def forward_line(data, tau: float, x, spec: QuadSpec = QuadSpec()):
     if not (tau > 0.0):
         raise ValueError(f"tau must be positive, got {tau}")
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    lo, hi = _line_window(data, x_arr, tau, spec)
+    lo, hi = _line_window(data, x_arr, tau)
     if lo >= hi:
         out = np.zeros_like(x_arr)
         return float(out[0]) if np.ndim(x) == 0 else out
@@ -118,11 +118,11 @@ def forward_line(data, tau: float, x, spec: QuadSpec = QuadSpec()):
         kern *= data(xi)
         return kern
 
-    vals, _ = integrate_vec(integrand, FiniteInterval(lo, hi), spec, breakpoints=_breakpoints(data))
+    vals, _ = integrate_vec(integrand, FiniteInterval(lo, hi), breakpoints=_breakpoints(data))
     return float(vals[0]) if np.ndim(x) == 0 else vals
 
 
-def forward_polar(data, tau: float, r, spec: QuadSpec = QuadSpec()):
+def forward_polar(data, tau: float, r):
     """Radial forward solution: int_0^inf xi K(r, xi, tau) f(xi) dxi.
 
     The measure weight xi is part of the radial (Hankel) structure and is
@@ -133,8 +133,8 @@ def forward_polar(data, tau: float, r, spec: QuadSpec = QuadSpec()):
     r_arr = np.atleast_1d(np.asarray(r, dtype=float))
     if np.any(r_arr < 0.0):
         raise ValueError("radius must be non-negative")
-    lo_f, hi_f = profile_support(data, spec.truncation_radius_sigmas)
-    reach = spec.truncation_radius_sigmas * math.sqrt(2.0 * tau)
+    lo_f, hi_f = profile_support(data)
+    reach = TRUNCATION_RADIUS_SIGMAS * math.sqrt(2.0 * tau)
     lo = max(0.0, lo_f)
     hi = min(hi_f, float(np.max(r_arr)) + reach)
     if lo >= hi:
@@ -146,11 +146,11 @@ def forward_polar(data, tau: float, r, spec: QuadSpec = QuadSpec()):
         kern *= xi * data(xi)
         return kern
 
-    vals, _ = integrate_vec(integrand, FiniteInterval(lo, hi), spec, breakpoints=_breakpoints(data))
+    vals, _ = integrate_vec(integrand, FiniteInterval(lo, hi), breakpoints=_breakpoints(data))
     return float(vals[0]) if np.ndim(r) == 0 else vals
 
 
-def weber_integral_check(r: float, xi: float, t: float, spec: QuadSpec = QuadSpec()):
+def weber_integral_check(r: float, xi: float, t: float):
     """Two sides of the radial spectral identity, both by independent routes.
 
     lhs: int_0^inf lam e^{-lam^2 t} J0(lam r) J0(lam xi) dlam by quadrature,
@@ -164,12 +164,12 @@ def weber_integral_check(r: float, xi: float, t: float, spec: QuadSpec = QuadSpe
     def integrand(lam):
         return lam * np.exp(-lam * lam * t) * bessel_j0(lam * r) * bessel_j0(lam * xi)
 
-    lhs, _ = integrate(integrand, FiniteInterval(0.0, lam_max), spec)
+    lhs, _ = integrate(integrand, FiniteInterval(0.0, lam_max))
     rhs = scaled_polar_kernel(r, xi, t)
     return lhs, rhs
 
 
-def j0_product_check(lam: float, x: float, y: float, spec: QuadSpec = QuadSpec()):
+def j0_product_check(lam: float, x: float, y: float):
     """J0(lam x) J0(lam y) versus its average over the angle.
 
     rhs: (1/pi) int_0^pi J0(lam sqrt(x^2 + y^2 - 2xy cos(phi))) dphi.
@@ -182,5 +182,5 @@ def j0_product_check(lam: float, x: float, y: float, spec: QuadSpec = QuadSpec()
         rad = np.sqrt(np.maximum(x * x + y * y - 2.0 * x * y * np.cos(phi), 0.0))
         return bessel_j0(lam * rad) / math.pi
 
-    rhs, _ = integrate(integrand, FiniteInterval(0.0, math.pi), spec)
+    rhs, _ = integrate(integrand, FiniteInterval(0.0, math.pi))
     return lhs, rhs

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .quad import TRUNCATION_RADIUS_SIGMAS
+
 __all__ = [
     "AnalyticProfile",
     "Bump",
@@ -145,13 +147,14 @@ class Sampled1D:
         return Sampled1D(self.lo, self.hi, noisy)
 
 
-def profile_support(data, radius_sigmas: float = 12.0) -> tuple[float, float]:
-    """Interval outside which the data is negligible (or exactly zero)."""
+def profile_support(data) -> tuple[float, float]:
+    """Interval outside which the data is negligible (or exactly zero): a
+    Gaussian's tails are cut at TRUNCATION_RADIUS_SIGMAS widths."""
     if isinstance(data, Gaussian):
-        r = radius_sigmas * data.sigma
+        r = TRUNCATION_RADIUS_SIGMAS * data.sigma
         return data.center - r, data.center + r
     if isinstance(data, Mixture):
-        spans = [profile_support(g, radius_sigmas) for g in data.components]
+        spans = [profile_support(g) for g in data.components]
         return min(s[0] for s in spans), max(s[1] for s in spans)
     if isinstance(data, Bump):
         return data.center - data.radius, data.center + data.radius

@@ -2,8 +2,13 @@
 
 One engine backs every oracle and every coefficient integral in the package:
 fixed-order Gauss-Legendre panels, refined by global bisection until two
-successive refinement levels agree.  Infinite domains are truncated at a
-caller-declared number of decay scales.
+successive refinement levels agree.  Infinite domains, and every profile's
+support (`profiles.profile_support`), are truncated at
+TRUNCATION_RADIUS_SIGMAS decay scales.
+
+The package computes at one quadrature configuration, the one the audit
+certifies: these constants and the default QuadSpec.  QuadSpec is the
+engine's own argument only; no oracle or coefficient integral takes one.
 
 The convergence test allows for the conditioning floor of a finite-precision
 sum: a component is accepted once the refinement difference is below
@@ -62,6 +67,8 @@ __all__ = [
 
 _EPS = float(np.finfo(float).eps)
 EXACT_BLOCK = 4096  # most nodes per integrand call, on every level
+TRUNCATION_RADIUS_SIGMAS = 12.0  # decay scales kept of an infinite domain or a profile's tails
+NODES_PER_PANEL = 16  # Gauss-Legendre nodes per panel of an adaptive level
 
 
 class AccuracyError(RuntimeError):
@@ -79,23 +86,18 @@ class AccuracyError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadSpec:
-    """Quadrature configuration shared by oracles and coefficient integrals."""
+    """The engine's acceptance test and refinement budget; the package's
+    oracles and coefficient integrals run at the default."""
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-14
-    truncation_radius_sigmas: float = 12.0
     max_panels: int = 4096
-    nodes_per_panel: int = 16
 
     def __post_init__(self):
         if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
             raise ValueError("tolerances must be positive")
-        if self.truncation_radius_sigmas < 6.0:
-            raise ValueError("truncation radius must be at least 6 decay scales")
         if self.max_panels < 4:
             raise ValueError("max_panels must be at least 4")
-        if self.nodes_per_panel < 2:
-            raise ValueError("nodes_per_panel must be at least 2")
 
 
 @dataclass(frozen=True)
@@ -110,7 +112,7 @@ class FiniteInterval:
 
 @dataclass(frozen=True)
 class WholeLine:
-    """(-inf, inf), truncated at center +- radius_sigmas * decay_scale."""
+    """(-inf, inf), truncated at center +- TRUNCATION_RADIUS_SIGMAS * decay_scale."""
 
     decay_scale: float
     center: float = 0.0
@@ -122,7 +124,8 @@ class WholeLine:
 
 @dataclass(frozen=True)
 class HalfLine:
-    """[0, inf), truncated at max(0, center - R*scale) .. center + R*scale."""
+    """[0, inf), truncated at max(0, center - R*scale) .. center + R*scale,
+    R = TRUNCATION_RADIUS_SIGMAS."""
 
     decay_scale: float
     center: float = 0.0
@@ -132,10 +135,10 @@ class HalfLine:
             raise ValueError("decay_scale must be positive")
 
 
-def _resolve(domain, spec: QuadSpec) -> tuple[float, float]:
+def _resolve(domain) -> tuple[float, float]:
     if isinstance(domain, FiniteInterval):
         return domain.a, domain.b
-    radius = spec.truncation_radius_sigmas * domain.decay_scale
+    radius = TRUNCATION_RADIUS_SIGMAS * domain.decay_scale
     if isinstance(domain, WholeLine):
         return domain.center - radius, domain.center + radius
     if isinstance(domain, HalfLine):
@@ -267,13 +270,13 @@ def integrate_vec(f, domain, spec: QuadSpec = QuadSpec(), breakpoints=None, degr
     fresh array; the engine may overwrite it.  An array that does not own
     its memory (a view) is never written to.
     """
-    lo, hi = _resolve(domain, spec)
+    lo, hi = _resolve(domain)
     edges = _panel_edges(lo, hi, min(8, spec.max_panels), breakpoints)
     if degree is not None:
         if degree < 0:
             raise ValueError(f"degree must be non-negative, got {degree}")
         return _block_sums(f, *_level(edges, _gl_rule(degree // 2 + 1)), magnitudes=False)[0], 0.0
-    rule = _gl_rule(spec.nodes_per_panel)
+    rule = _gl_rule(NODES_PER_PANEL)
     (prev, _), edges, (cur, l1) = _first_levels(f, edges, rule)
     while True:
         diff = np.abs(cur - prev)

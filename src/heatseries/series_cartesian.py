@@ -24,7 +24,8 @@ truncated evaluation and divergence monitoring.  With s = tau + beta:
 
 Every evaluation goes through the shared path in `variants`: it sums in
 ascending order (reproducibility), stops early once three consecutive terms
-drop below abs_tol, and scans the term magnitudes for divergence.
+drop below `variants.EARLY_STOP_TOL`, and scans the term magnitudes for
+divergence.
 `solve_grid_line` is the library's grid solve; the CLI and the studies reach
 `cd_coeffs`/`ci_coeffs` and `line_series` through the geometry dispatch of
 `experiments`.
@@ -43,7 +44,7 @@ import math
 import numpy as np
 
 from .profiles import Gaussian, Mixture, Sampled1D, profile_support
-from .quad import FiniteInterval, QuadSpec, integrate_vec
+from .quad import TRUNCATION_RADIUS_SIGMAS, FiniteInterval, integrate_vec
 from .specfun import KernelParams, hermite_batch
 from .variants import (
     CLASSICAL,
@@ -79,17 +80,15 @@ DEFAULT_ORDER = 40
 
 # --- coefficient integrals --------------------------------------------------
 
-def _moment_window(data, spec: QuadSpec, weight_root: float | None) -> tuple[float, float]:
-    lo, hi = profile_support(data, spec.truncation_radius_sigmas)
+def _moment_window(data, weight_root: float | None) -> tuple[float, float]:
+    lo, hi = profile_support(data)
     if weight_root is not None:
-        reach = spec.truncation_radius_sigmas * weight_root * math.sqrt(2.0)
+        reach = TRUNCATION_RADIUS_SIGMAS * weight_root * math.sqrt(2.0)
         lo, hi = max(lo, -reach), min(hi, reach)
     return lo, hi
 
 
-def _hermite_moments(
-    data, root: float, n: int, spec: QuadSpec, weight_root: float | None = None, center: float = 0.0
-) -> np.ndarray:
+def _hermite_moments(data, root: float, n: int, weight_root: float | None = None, center: float = 0.0) -> np.ndarray:
     """Moments of the data against Hermite polynomials at the given scale.
 
     Plain form: int H_j((xi - center)/(2 root)) data(xi) dxi.
@@ -99,7 +98,7 @@ def _hermite_moments(
     """
     if n < 0:
         raise ValueError("order must be non-negative")
-    lo, hi = _moment_window(data, spec, weight_root)
+    lo, hi = _moment_window(data, weight_root)
     if lo >= hi:
         return np.zeros(n + 1)
     sampled = isinstance(data, Sampled1D)
@@ -116,7 +115,7 @@ def _hermite_moments(
                 )
         return vals
 
-    vals, _ = integrate_vec(integrand, FiniteInterval(lo, hi), spec, breakpoints=breakpoints, degree=degree)
+    vals, _ = integrate_vec(integrand, FiniteInterval(lo, hi), breakpoints=breakpoints, degree=degree)
     return vals
 
 
@@ -140,11 +139,11 @@ def _binomials(n: int) -> tuple[np.ndarray, np.ndarray]:
     return binom, shift
 
 
-def _coeffs(direct: bool, variant: str, data, params: KernelParams, n: int, x_center, spec: QuadSpec):
+def _coeffs(direct: bool, variant: str, data, params: KernelParams, n: int, x_center):
     row = lookup(variant, LINE, direct)
     root = row.moment_root(params)
     if not row.pointwise:
-        return _hermite_moments(data, root, n, spec, weight_root=root if row.weighted else None)
+        return _hermite_moments(data, root, n, weight_root=root if row.weighted else None)
     # table[j, d] = C(2j, d) M_{2j-d}
     binom, shift = _binomials(n)
     x = np.atleast_1d(np.asarray(x_center, dtype=float))
@@ -153,7 +152,7 @@ def _coeffs(direct: bool, variant: str, data, params: KernelParams, n: int, x_ce
     for c in np.unique(centres):
         at = centres == c
         try:
-            moments = _hermite_moments(data, root, 2 * n, spec, center=float(c))
+            moments = _hermite_moments(data, root, 2 * n, center=float(c))
         except OverflowError:  # far from the data: these points' sums overflow as well
             moments = np.full(2 * n + 1, np.nan)
         with np.errstate(over="ignore"):  # an overflowing term fails the series check
@@ -162,14 +161,7 @@ def _coeffs(direct: bool, variant: str, data, params: KernelParams, n: int, x_ce
     return out[:, 0] if np.ndim(x_center) == 0 else out
 
 
-def cd_coeffs(
-    variant: str,
-    f,
-    params: KernelParams,
-    n: int,
-    x_center: float | np.ndarray = 0.0,
-    spec: QuadSpec = QuadSpec(),
-) -> np.ndarray:
+def cd_coeffs(variant: str, f, params: KernelParams, n: int, x_center: float | np.ndarray = 0.0) -> np.ndarray:
     """Direct-problem moments f_j.
 
     CD-C: the shifted even moments f_{2j}(x) at x_center, recombined from
@@ -178,25 +170,18 @@ def cd_coeffs(
     per centre.  Where the shift overflows, a column is non-finite and
     evaluating it raises OverflowError.
     """
-    return _coeffs(True, variant, f, params, n, x_center, spec)
+    return _coeffs(True, variant, f, params, n, x_center)
 
 
-def ci_coeffs(
-    variant: str,
-    u,
-    params: KernelParams,
-    n: int,
-    x_center: float | np.ndarray = 0.0,
-    spec: QuadSpec = QuadSpec(),
-) -> np.ndarray:
+def ci_coeffs(variant: str, u, params: KernelParams, n: int, x_center: float | np.ndarray = 0.0) -> np.ndarray:
     """Inverse-problem moments u_j; the two scales swap roles versus cd_coeffs
     (CI-C at x_center, as CD-C)."""
-    return _coeffs(False, variant, u, params, n, x_center, spec)
+    return _coeffs(False, variant, u, params, n, x_center)
 
 
 # --- truncated evaluation ---------------------------------------------------
 
-def _hermite_terms(coeffs: np.ndarray, arg: float, g: float, pref, x: np.ndarray, abs_tol: float):
+def _hermite_terms(coeffs: np.ndarray, arg: float, g: float, pref, x: np.ndarray):
     """Terms c_j H_j(x/(2 sqrt(arg))) g^j / j! [* Gaussian prefactor at time pref]."""
     n = coeffs.size - 1
     # an infinite argument fails the Hermite batch; x * x = inf far out: a zero prefactor
@@ -205,50 +190,36 @@ def _hermite_terms(coeffs: np.ndarray, arg: float, g: float, pref, x: np.ndarray
         if pref is not None:
             pref = np.exp(-(x * x) / (4.0 * pref)) / (2.0 * math.sqrt(math.pi * pref))
     w = ratio_products(1.0, n, lambda w, j: w * g / (j + 1))
-    return series_terms(coeffs * w, h, pref, abs_tol)
+    return series_terms(coeffs * w, h, pref)
 
 
-def line_series(row, coeffs: np.ndarray, params: KernelParams, x: np.ndarray, mode: str, abs_tol: float = 1e-14):
+def line_series(row, coeffs: np.ndarray, params: KernelParams, x: np.ndarray, mode: str):
     """The term matrix of one line variant at the points x (internal)."""
     check_mode(mode)
     if row.pointwise:
-        return pointwise_terms(row.kappa(params, mode, coeffs.shape[0] - 1), coeffs, x.size, abs_tol)
+        return pointwise_terms(row.kappa(params, mode, coeffs.shape[0] - 1), coeffs, x.size)
     arg, num, den, pref = row.times(params)
-    return _hermite_terms(coeffs, arg, math.sqrt(num) / (2.0 * math.sqrt(den)), pref, x, abs_tol)
+    return _hermite_terms(coeffs, arg, math.sqrt(num) / (2.0 * math.sqrt(den)), pref, x)
 
 
-def _eval(direct: bool, variant: str, coeffs, params: KernelParams, x, mode: str, abs_tol: float):
+def _eval(direct: bool, variant: str, coeffs, params: KernelParams, x, mode: str):
     row = lookup(variant, LINE, direct)
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    return point_results(line_series(row, np.asarray(coeffs, float), params, x_arr, mode, abs_tol), x)
+    return point_results(line_series(row, np.asarray(coeffs, float), params, x_arr, mode), x)
 
 
-def cd_eval(
-    variant: str,
-    coeffs: np.ndarray,
-    params: KernelParams,
-    x,
-    constants_mode: str = "oracle_validated",
-    abs_tol: float = 1e-14,
-):
+def cd_eval(variant: str, coeffs: np.ndarray, params: KernelParams, x, constants_mode: str = "oracle_validated"):
     """Evaluate a truncated direct series; returns (value, diagnostics).
 
     CD-C coefficients are tied to the x they were computed for; pass the
     same point here (or the same points, one coefficient column each).
     """
-    return _eval(True, variant, coeffs, params, x, constants_mode, abs_tol)
+    return _eval(True, variant, coeffs, params, x, constants_mode)
 
 
-def ci_eval(
-    variant: str,
-    coeffs: np.ndarray,
-    params: KernelParams,
-    x,
-    constants_mode: str = "oracle_validated",
-    abs_tol: float = 1e-14,
-):
+def ci_eval(variant: str, coeffs: np.ndarray, params: KernelParams, x, constants_mode: str = "oracle_validated"):
     """Evaluate a truncated inverse series; returns (value, diagnostics)."""
-    return _eval(False, variant, coeffs, params, x, constants_mode, abs_tol)
+    return _eval(False, variant, coeffs, params, x, constants_mode)
 
 
 # --- classical derivative-based inverse baseline -----------------------------
@@ -321,24 +292,24 @@ def classical_time(params: KernelParams | None, tau: float | None) -> float:
     return params.tau if tau is None else tau
 
 
-def classical_series(u, tau: float, n: int, x: np.ndarray, abs_tol: float = 1e-14):
+def classical_series(u, tau: float, n: int, x: np.ndarray):
     """The term matrix of the classical baseline at the points x (internal)."""
     if not (tau > 0.0):
         raise ValueError(f"tau must be positive, got {tau}")
     if n < 0:
         raise ValueError("order must be non-negative")
     derivs = _fd_derivs_at_zero(u, n) if isinstance(u, Sampled1D) else _analytic_derivs_at_zero(u, n)
-    return _hermite_terms(derivs, tau, math.sqrt(tau), None, x, abs_tol)
+    return _hermite_terms(derivs, tau, math.sqrt(tau), None, x)
 
 
-def ci_classical(u, tau: float, n: int, x, abs_tol: float = 1e-14):
+def ci_classical(u, tau: float, n: int, x):
     """Derivative-based inverse baseline.
 
     f(x) ~= sum_{j<=n} u^(j)(0) tau^{j/2} / j! * H_j(x/(2 sqrt(tau))).
     Derivatives come in closed form for Gaussian data and from raw central
     differences for sampled data.  Returns (value, diagnostics).
     """
-    return point_results(classical_series(u, tau, n, np.atleast_1d(np.asarray(x, dtype=float)), abs_tol), x)
+    return point_results(classical_series(u, tau, n, np.atleast_1d(np.asarray(x, dtype=float))), x)
 
 
 # --- grid solve --------------------------------------------------------------
@@ -350,7 +321,6 @@ def solve_grid_line(
     n: int,
     xs: np.ndarray,
     constants_mode: str = "oracle_validated",
-    spec: QuadSpec = QuadSpec(),
     tau: float | None = None,
 ) -> tuple[np.ndarray, list[DivergenceDiag]]:
     """Evaluate one line variant on a grid from one coefficient pass; CD-C
@@ -360,5 +330,5 @@ def solve_grid_line(
         return ci_classical(data, classical_time(params, tau), n, xs)
     row = lookup(variant, LINE)
     coeffs_fn = cd_coeffs if row.direct else ci_coeffs
-    build = grid_series(row, coeffs_fn, line_series, data, params, n, xs, constants_mode, spec)
+    build = grid_series(row, coeffs_fn, line_series, data, params, n, xs, constants_mode)
     return point_results(checked(build(n), variant, xs, n), xs)

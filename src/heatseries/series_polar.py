@@ -35,7 +35,7 @@ import math
 import numpy as np
 
 from .profiles import Sampled1D, profile_support
-from .quad import FiniteInterval, QuadSpec, integrate_vec
+from .quad import FiniteInterval, integrate_vec
 from .specfun import KernelParams, w_poly_batch
 from .variants import (
     POLAR,
@@ -66,18 +66,18 @@ PD_VARIANTS = variant_names(POLAR, direct=True)
 PI_VARIANTS = variant_names(POLAR, direct=False)
 
 
-def _radial_window(data, spec: QuadSpec) -> tuple[float, float]:
-    lo, hi = profile_support(data, spec.truncation_radius_sigmas)
+def _radial_window(data) -> tuple[float, float]:
+    lo, hi = profile_support(data)
     return max(0.0, lo), hi
 
 
-def _w_radial_moments(data, root: float, n: int, spec: QuadSpec, dtype=float) -> np.ndarray:
+def _w_radial_moments(data, root: float, n: int, dtype=float) -> np.ndarray:
     """int_0^inf xi W_j(xi/(2 root)) data(xi) dxi for j = 0..n, evaluated and
     summed in dtype.  Sampled data takes one exact level: between its nodes
     the data is linear, so the integrand is a polynomial of degree 2n + 2."""
     if n < 0:
         raise ValueError("order must be non-negative")
-    lo, hi = _radial_window(data, spec)
+    lo, hi = _radial_window(data)
     if lo >= hi:
         return np.zeros(n + 1)
     sampled = isinstance(data, Sampled1D)
@@ -90,7 +90,7 @@ def _w_radial_moments(data, root: float, n: int, spec: QuadSpec, dtype=float) ->
         return w
 
     vals, _ = integrate_vec(
-        integrand, FiniteInterval(lo, hi), spec, breakpoints=breakpoints, degree=2 * n + 2 if sampled else None
+        integrand, FiniteInterval(lo, hi), breakpoints=breakpoints, degree=2 * n + 2 if sampled else None
     )
     return vals
 
@@ -110,25 +110,18 @@ def _binomials(n: int) -> tuple[np.ndarray, np.ndarray]:
     return weights, shift
 
 
-def _coeffs(direct: bool, variant: str, data, params: KernelParams, n: int, r_center, spec: QuadSpec):
+def _coeffs(direct: bool, variant: str, data, params: KernelParams, n: int, r_center):
     row = lookup(variant, POLAR, direct)
     root = row.moment_root(params)
     if not row.pointwise:
-        return _w_radial_moments(data, root, n, spec)
-    moments = _w_radial_moments(data, root, n, spec, dtype=np.longdouble)
+        return _w_radial_moments(data, root, n)
+    moments = _w_radial_moments(data, root, n, dtype=np.longdouble)
     # table[j, d] = pi C(2j, 2d) C(2d, d) M_{j-d}
     weights, shift = _binomials(n)
     return recombine(weights * moments[shift], r_center, lambda r: (r / (2.0 * root)) ** 2)
 
 
-def pd_coeffs(
-    variant: str,
-    f,
-    params: KernelParams,
-    n: int,
-    r_center: float | np.ndarray = 0.0,
-    spec: QuadSpec = QuadSpec(),
-) -> np.ndarray:
+def pd_coeffs(variant: str, f, params: KernelParams, n: int, r_center: float | np.ndarray = 0.0) -> np.ndarray:
     """Direct radial moments f_j.
 
     PD-C: the angular-averaged moments at r_center, recombined from one
@@ -136,25 +129,18 @@ def pd_coeffs(
     gives one column per radius.  Where the shift overflows, a column is
     non-finite and evaluating it raises OverflowError.
     """
-    return _coeffs(True, variant, f, params, n, r_center, spec)
+    return _coeffs(True, variant, f, params, n, r_center)
 
 
-def pi_coeffs(
-    variant: str,
-    u,
-    params: KernelParams,
-    n: int,
-    r_center: float | np.ndarray = 0.0,
-    spec: QuadSpec = QuadSpec(),
-) -> np.ndarray:
+def pi_coeffs(variant: str, u, params: KernelParams, n: int, r_center: float | np.ndarray = 0.0) -> np.ndarray:
     """Inverse radial moments u_j; scales swapped versus pd_coeffs (PI-C at
     r_center, as PD-C)."""
-    return _coeffs(False, variant, u, params, n, r_center, spec)
+    return _coeffs(False, variant, u, params, n, r_center)
 
 
 # --- evaluation ---------------------------------------------------------------
 
-def polar_series(row, coeffs: np.ndarray, params: KernelParams, r: np.ndarray, mode: str, abs_tol: float = 1e-14):
+def polar_series(row, coeffs: np.ndarray, params: KernelParams, r: np.ndarray, mode: str):
     """The term matrix of one polar variant at the radii r (internal).
 
     A/B terms: c_j W_j(r/(2 sqrt(arg))) (num/den)^j j!^2/(2j)!^2 * kernel prefactor.
@@ -163,7 +149,7 @@ def polar_series(row, coeffs: np.ndarray, params: KernelParams, r: np.ndarray, m
     if np.any(r < 0.0):
         raise ValueError("radius must be non-negative")
     if row.pointwise:
-        return pointwise_terms(row.kappa(params, mode, coeffs.shape[0] - 1), coeffs, r.size, abs_tol)
+        return pointwise_terms(row.kappa(params, mode, coeffs.shape[0] - 1), coeffs, r.size)
     n = coeffs.size - 1
     arg, num, den, pref = row.times(params)
     # an infinite argument fails the W batch; r * r = inf far out: a zero prefactor
@@ -174,37 +160,23 @@ def polar_series(row, coeffs: np.ndarray, params: KernelParams, r: np.ndarray, m
     w = ratio_products(1.0, n, lambda w, j: w * ratio / (2.0 * (2 * j + 1)) ** 2)
     with np.errstate(over="ignore"):  # an overflowing weight fails the series check
         weighted = coeffs * w
-    return series_terms(weighted, wmat, pref, abs_tol)
+    return series_terms(weighted, wmat, pref)
 
 
-def _eval(direct: bool, variant: str, coeffs, params: KernelParams, r, mode: str, abs_tol: float):
+def _eval(direct: bool, variant: str, coeffs, params: KernelParams, r, mode: str):
     row = lookup(variant, POLAR, direct)
     r_arr = np.atleast_1d(np.asarray(r, dtype=float))
-    return point_results(polar_series(row, np.asarray(coeffs, float), params, r_arr, mode, abs_tol), r)
+    return point_results(polar_series(row, np.asarray(coeffs, float), params, r_arr, mode), r)
 
 
-def pd_eval(
-    variant: str,
-    coeffs: np.ndarray,
-    params: KernelParams,
-    r,
-    constants_mode: str = "oracle_validated",
-    abs_tol: float = 1e-14,
-):
+def pd_eval(variant: str, coeffs: np.ndarray, params: KernelParams, r, constants_mode: str = "oracle_validated"):
     """Evaluate a truncated direct polar series; returns (value, diagnostics)."""
-    return _eval(True, variant, coeffs, params, r, constants_mode, abs_tol)
+    return _eval(True, variant, coeffs, params, r, constants_mode)
 
 
-def pi_eval(
-    variant: str,
-    coeffs: np.ndarray,
-    params: KernelParams,
-    r,
-    constants_mode: str = "oracle_validated",
-    abs_tol: float = 1e-14,
-):
+def pi_eval(variant: str, coeffs: np.ndarray, params: KernelParams, r, constants_mode: str = "oracle_validated"):
     """Evaluate a truncated inverse polar series; returns (value, diagnostics)."""
-    return _eval(False, variant, coeffs, params, r, constants_mode, abs_tol)
+    return _eval(False, variant, coeffs, params, r, constants_mode)
 
 
 def solve_grid_polar(
@@ -214,11 +186,10 @@ def solve_grid_polar(
     n: int,
     rs: np.ndarray,
     constants_mode: str = "oracle_validated",
-    spec: QuadSpec = QuadSpec(),
 ) -> tuple[np.ndarray, list[DivergenceDiag]]:
     """Evaluate one polar variant on a grid of radii from one coefficient
     pass; PD-C and PI-C sum each radius's own coefficients."""
     row = lookup(variant, POLAR)
     coeffs_fn = pd_coeffs if row.direct else pi_coeffs
-    build = grid_series(row, coeffs_fn, polar_series, data, params, n, rs, constants_mode, spec)
+    build = grid_series(row, coeffs_fn, polar_series, data, params, n, rs, constants_mode)
     return point_results(checked(build(n), variant, rs, n), rs)

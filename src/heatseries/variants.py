@@ -22,9 +22,10 @@ series_cartesian and series_polar say about which centre and in which
 precision).
 
 Evaluation builds the term matrix (orders x points), stops early after
-EARLY_STOP_RUN consecutive rows below abs_tol, sums each point in ascending
-order, and scans every point's term magnitudes for divergence.  The matrix is
-kept whole so an order sweep can sum each order's own rows, and a grid solve
+EARLY_STOP_RUN consecutive rows below EARLY_STOP_TOL (one threshold for
+every series; no caller sets another), sums each point in ascending order,
+and scans every point's term magnitudes for divergence.  The matrix is kept
+whole so an order sweep can sum each order's own rows, and a grid solve
 reads its values and flags from it; the per-point `DivergenceDiag` records
 are built for the public (values, diags) functions only.  A/B rows stop
 together (the largest term of a row decides); every C column is a series of
@@ -51,6 +52,7 @@ CONSTANTS_MODES = ("oracle_validated", "paper_literal")
 AXIS = {LINE: "x", POLAR: "r"}
 
 EARLY_STOP_RUN = 3  # consecutive sub-threshold terms before stopping
+EARLY_STOP_TOL = 1e-14  # the threshold: a term below it is negligible
 GROWTH_RUN = 5      # consecutive growing terms (from index >= 4) that flag divergence
 GROWTH_MIN_INDEX = 4
 GROWTH_NOISE_REL = 1e-12  # terms this far under the running max count as zero
@@ -346,13 +348,13 @@ def _first(flags: np.ndarray) -> np.ndarray:
     return np.where(np.any(flags, axis=0), np.argmax(flags, axis=0), flags.shape[0])
 
 
-def _series(terms: np.ndarray, abs_tol: float, pointwise: bool) -> SeriesTerms:
+def _series(terms: np.ndarray, pointwise: bool) -> SeriesTerms:
     mags = np.abs(terms)
     bad = ~np.isfinite(terms)
     if pointwise:
-        small = mags < abs_tol
+        small = mags < EARLY_STOP_TOL
     else:  # one stop for the grid: the largest term of each row decides
-        small = np.max(mags, axis=1, keepdims=True) < abs_tol
+        small = np.max(mags, axis=1, keepdims=True) < EARLY_STOP_TOL
         bad = np.any(bad, axis=1, keepdims=True)
     stop = np.minimum(_first(_run_lengths(small) >= EARLY_STOP_RUN) + 1, terms.shape[0])
     finite = _first(bad)
@@ -362,23 +364,23 @@ def _series(terms: np.ndarray, abs_tol: float, pointwise: bool) -> SeriesTerms:
     return SeriesTerms(terms, stop, finite, fires, growth)
 
 
-def series_terms(weights: np.ndarray, basis: np.ndarray, pref, abs_tol: float) -> SeriesTerms:
+def series_terms(weights: np.ndarray, basis: np.ndarray, pref) -> SeriesTerms:
     """terms[j, k] = weights[j] basis[j, k] (* pref[k]), early stop and scan."""
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite term fails `check`
         terms = weights[:, None] * basis
         if pref is not None:
             terms = terms * pref[None, :]
-    return _series(terms, abs_tol, pointwise=False)
+    return _series(terms, pointwise=False)
 
 
-def pointwise_terms(kappa: np.ndarray, coeffs: np.ndarray, points: int, abs_tol: float) -> SeriesTerms:
+def pointwise_terms(kappa: np.ndarray, coeffs: np.ndarray, points: int) -> SeriesTerms:
     """terms[j, k] = kappa[j] coeffs[j, k], every column a series of its own
     (the C variants): early stop, overflow and scan per column, and each
     column summed as it would be alone.  1-D coeffs serve every point; an
     overflowing column (inf times a zero kappa: nan) stays non-finite."""
     with np.errstate(over="ignore", invalid="ignore"):
         terms = kappa[:, None] * coeffs.reshape(kappa.size, -1)
-    return _series(np.broadcast_to(terms, (kappa.size, points)), abs_tol, pointwise=True)
+    return _series(np.broadcast_to(terms, (kappa.size, points)), pointwise=True)
 
 
 def point_results(series: SeriesTerms, x):
@@ -397,7 +399,7 @@ def point_results(series: SeriesTerms, x):
     return values, diags
 
 
-def grid_series(row: Variant, coeffs_fn, series_fn, data, params, n: int, xs, mode: str, spec):
+def grid_series(row: Variant, coeffs_fn, series_fn, data, params, n: int, xs, mode: str):
     """build(m, mode): the term matrix of orders 0..m <= n of one variant on a
     grid, from one coefficient call at order n through the public coefficient
     function; a pointwise (C) variant's call gives one coefficient column per
@@ -406,7 +408,7 @@ def grid_series(row: Variant, coeffs_fn, series_fn, data, params, n: int, xs, mo
     if params is None:
         raise ValueError(f"{row.name} needs KernelParams")
     xs = np.asarray(xs, dtype=float)
-    coeffs = np.asarray(coeffs_fn(row.name, data, params, n, xs, spec), float)  # the points matter to C only
+    coeffs = np.asarray(coeffs_fn(row.name, data, params, n, xs), float)  # the points matter to C only
     points = np.atleast_1d(xs)
     return lambda m, mode=mode: series_fn(row, coeffs[: m + 1], params, points, mode)
 

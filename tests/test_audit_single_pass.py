@@ -36,7 +36,7 @@ from heatseries.variants import CONSTANTS_MODES, VARIANTS
 EPS = float(np.finfo(float).eps)
 
 
-def per_order_audit(mode, spec):
+def per_order_audit(mode):
     """The audit as one solve per order: {variant: (errors by order,
     diverged by order, off-center error or None, status)} and the ratios."""
     out, ratios = {}, {}
@@ -49,15 +49,15 @@ def per_order_audit(mode, spec):
         scale = float(np.max(np.abs(truth_vals)))
         errs, diverged, off_err = {}, {}, None
         for n in (0, 1, 2, full_order):
-            series = _grid_solve(variant, data, params, n, probes, mode, spec)
+            series = _grid_solve(variant, data, params, n, probes, mode)
             errs[n] = float(np.max(np.abs(series.values(n) - truth_vals))) / scale
             diverged[n] = bool(np.any(series.flagged(n)))
         if row.pointwise:
-            v_lit = _grid_solve(variant, data, params, 2, probes[:1], "paper_literal", spec).values(2)
-            v_ok = _grid_solve(variant, data, params, 2, probes[:1], "oracle_validated", spec).values(2)
+            v_lit = _grid_solve(variant, data, params, 2, probes[:1], "paper_literal").values(2)
+            v_ok = _grid_solve(variant, data, params, 2, probes[:1], "oracle_validated").values(2)
             ratios[variant] = float(v_lit[0] / v_ok[0])
             off = np.array([_OFF_CENTER_PROBE])
-            off_vals = _grid_solve(variant, data, params, _AUDIT_FULL_ORDER, off, mode, spec).values(_AUDIT_FULL_ORDER)
+            off_vals = _grid_solve(variant, data, params, _AUDIT_FULL_ORDER, off, mode).values(_AUDIT_FULL_ORDER)
             off_err = float(abs(off_vals[0] - np.atleast_1d(truth(off))[0])) / scale
         if row.weighted:
             passed = errs[2] < 0.8 * errs[0] and errs[full_order] <= _AUDIT_TOL_FULL
@@ -80,7 +80,7 @@ def counted(table, monkeypatch):
 @pytest.mark.parametrize("mode", CONSTANTS_MODES)
 def test_single_pass_audit_matches_the_per_order_audit(monkeypatch, mode):
     config = StudyConfig(study_kind="audit", constants_mode=mode)
-    reference, ref_ratios = per_order_audit(mode, config.quad)
+    reference, ref_ratios = per_order_audit(mode)
     coeff_calls = counted(experiments._COEFF_PASS, monkeypatch)
     oracle_calls = counted(experiments._ORACLE, monkeypatch)
     passes, checked = {}, experiments.checked

@@ -54,15 +54,15 @@ def _solver(variant):
 
 # --- the per-point quadrature route (reference) ------------------------------------
 
-def ref_line_coeffs(data, root: float, n: int, x: float, spec: QuadSpec = QuadSpec()) -> np.ndarray:
+def ref_line_coeffs(data, root: float, n: int, x: float) -> np.ndarray:
     """int H_{2j}((x - xi)/(2 root)) data(xi) dxi for j = 0..n, by quadrature at x."""
-    lo, hi = profile_support(data, spec.truncation_radius_sigmas)
+    lo, hi = profile_support(data)
     breakpoints = data.nodes if isinstance(data, Sampled1D) else None
 
     def integrand(xi):
         return hermite_batch(2 * n, (x - xi) / (2.0 * root))[::2] * data(xi)[None, :]
 
-    vals, _ = integrate_vec(integrand, FiniteInterval(lo, hi), spec, breakpoints=breakpoints)
+    vals, _ = integrate_vec(integrand, FiniteInterval(lo, hi), breakpoints=breakpoints)
     return vals
 
 
@@ -87,15 +87,15 @@ def _angular_average(n: int, r: float, xi: np.ndarray, root: float, rel_tol: flo
     return prev
 
 
-def ref_polar_coeffs(data, root: float, n: int, r: float, spec: QuadSpec = QuadSpec()) -> np.ndarray:
+def ref_polar_coeffs(data, root: float, n: int, r: float) -> np.ndarray:
     """int_0^pi int_0^inf xi W_j(|r - xi e^{i phi}|/(2 root)) data(xi) dxi dphi, by quadrature at r."""
-    lo, hi = profile_support(data, spec.truncation_radius_sigmas)
+    lo, hi = profile_support(data)
     breakpoints = data.nodes if isinstance(data, Sampled1D) else None
 
     def integrand(xi):
-        return _angular_average(n, r, xi, root, spec.rel_tol) * (xi * data(xi))[None, :]
+        return _angular_average(n, r, xi, root, QuadSpec().rel_tol) * (xi * data(xi))[None, :]
 
-    vals, _ = integrate_vec(integrand, FiniteInterval(max(0.0, lo), hi), spec, breakpoints=breakpoints)
+    vals, _ = integrate_vec(integrand, FiniteInterval(max(0.0, lo), hi), breakpoints=breakpoints)
     return vals
 
 
@@ -199,7 +199,7 @@ def test_one_pass_matches_the_quadrature_route(variant, kind):
                 continue
             assert exact is not None, (n, x, new_vals[k], ref_val, new_diags[k].flagged, ref_diag.flagged)
             terms = np.array([float(kj * cj) for kj, cj in zip(kappa[: n + 1], exact[k])])
-            exact_series = series_terms(terms, np.ones((n + 1, 1)), None, 1e-14)
+            exact_series = series_terms(terms, np.ones((n + 1, 1)), None)
             sum_n = float(mp.fsum(kj * cj for kj, cj in zip(kappa[: exact_series.rows(n)], exact[k])))
             assert abs(new_vals[k] - sum_n) <= 2.0 * abs(ref_val - sum_n) + floor, (n, x, new_vals[k], ref_val, sum_n)
             if new_diags[k].flagged != ref_diag.flagged:
@@ -236,7 +236,7 @@ def test_center_coefficients_are_the_sibling_moments(variant):
     # exactly, and pi times the sibling's float64 moments to the quadrature's
     # floor (32 eps int|f|, which exceeds 1e-7 |M_j| where the moments cancel)
     root = VARIANTS[variant].moment_root(params)
-    extended = sp._w_radial_moments(data, root, n, QuadSpec(), dtype=np.longdouble)
+    extended = sp._w_radial_moments(data, root, n, dtype=np.longdouble)
     np.testing.assert_array_equal(center, (math.pi * extended).astype(float))
     np.testing.assert_allclose(center, math.pi * coeffs_fn(SIBLING[variant], data, params, n), rtol=1e-6)
 

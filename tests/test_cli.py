@@ -258,6 +258,51 @@ def test_study_unknown_key_rejected(tmp_path, capsys):
     assert "wavelength" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "kind, sweep, fragment",
+    [
+        ("convergence", "orders = -2, 4", "orders"),
+        ("noise", "orders = 0:4:2\ndeltas = -1e-3", "deltas"),
+        ("noise", "orders = 0:4:2\ndeltas = 0, nan", "deltas"),
+        ("noise", "orders = 0:4:2\ndeltas = inf", "deltas"),
+    ],
+    ids=["negative-order", "negative-delta", "nan-delta", "inf-delta"],
+)
+def test_study_rejects_negative_orders_and_bad_deltas(tmp_path, capsys, kind, sweep, fragment):
+    # a negative order would sum every term row but the last; a negative
+    # delta would flip the noise, which `inverse --noise` rejects
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"[study]\nkind = {kind}\n\n[sweep]\n{sweep}\n")
+    assert_rejected(capsys, run_cli("study", "--config", str(cfg)), str(cfg), fragment)
+
+
+def test_study_float_range_is_not_accumulated():
+    # lo + k step: no drift, and hi is kept when it is a whole number of steps
+    betas = cli._parse_number_list("0.5:1.5:0.1", 1, "x.cfg")
+    assert len(betas) == 11 and betas[0] == 0.5 and betas[-1] == 1.5
+    assert betas == tuple(0.5 + k * 0.1 for k in range(11))
+    for k, beta in enumerate(betas):
+        assert abs(beta - (5 + k) / 10) <= math.ulp((5 + k) / 10)
+    assert cli._parse_number_list("0:1:0.3", 1, "x.cfg") == (0.0, 0.3, 0.6, 0.3 * 3)
+    assert cli._parse_number_list("0.25:0.25:0.5", 1, "x.cfg") == (0.25,)
+    # integer ranges are unchanged
+    assert cli._parse_number_list("0:12:5", 1, "x.cfg", integer=True) == (0, 5, 10)
+    assert cli._parse_number_list("0:12:4", 1, "x.cfg", integer=True) == (0, 4, 8, 12)
+    for bad in ("0:1:0", "1:0:0.1", "0:inf:0.1", "0:1:nan"):
+        with pytest.raises(cli.CliError, match="bad range"):
+            cli._parse_number_list(bad, 1, "x.cfg")
+
+
+def test_study_rejects_constants_mode_flag(tmp_path, capsys):
+    # the config's constants_mode key is the one place to set a study's mode
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text(STUDY_CFG)
+    with pytest.raises(SystemExit) as info:
+        run_cli("study", "--config", str(cfg), "--constants-mode", "paper_literal")
+    assert info.value.code == 2
+    assert "--constants-mode" in capsys.readouterr().err
+
+
 def test_study_closes_its_config_file(tmp_path, monkeypatch, capsys):
     # a leaked handle warns when it is collected; under "error" that warning
     # is raised inside the finaliser and lands in sys.unraisablehook

@@ -110,7 +110,7 @@ def w_integrand(data, root, n):
 @pytest.mark.parametrize("center", [0.0, 1.7])
 def test_hermite_moments_are_the_interpolants_up_to_rounding(center):
     n = 80
-    exact = series_cartesian._hermite_moments(LINE, ROOT_LINE, n, quad.QuadSpec(), center=center)
+    exact = series_cartesian._hermite_moments(LINE, ROOT_LINE, n, center=center)
     ref = mp_hermite_moments(LINE, ROOT_LINE, center, n)
     l1 = l1_norms(hermite_integrand(LINE, ROOT_LINE, center, n), LINE.lo, LINE.hi, LINE.nodes)
     assert np.all(np.abs(exact - ref) <= C_EXACT * EPS * l1)
@@ -119,7 +119,7 @@ def test_hermite_moments_are_the_interpolants_up_to_rounding(center):
 @pytest.mark.parametrize("dtype", [float, np.longdouble])
 def test_radial_moments_are_the_interpolants_up_to_rounding(dtype):
     n = 40
-    exact = series_polar._w_radial_moments(POLAR, ROOT_POLAR, n, quad.QuadSpec(), dtype=dtype)
+    exact = series_polar._w_radial_moments(POLAR, ROOT_POLAR, n, dtype=dtype)
     assert exact.dtype == np.dtype(dtype)
     ref = polar_reference(n)
     l1 = l1_norms(w_integrand(POLAR, ROOT_POLAR, n), POLAR.lo, POLAR.hi, POLAR.nodes)
@@ -132,7 +132,7 @@ TIGHT = quad.QuadSpec(rel_tol=1e-13, max_panels=1 << 14)
 @pytest.mark.parametrize("center", [0.0, 1.7])
 def test_hermite_moments_match_the_adaptive_engine(center):
     n = 80
-    exact = series_cartesian._hermite_moments(LINE, ROOT_LINE, n, quad.QuadSpec(), center=center)
+    exact = series_cartesian._hermite_moments(LINE, ROOT_LINE, n, center=center)
     f = hermite_integrand(LINE, ROOT_LINE, center, n)
     adaptive, _ = quad.integrate_vec(f, quad.FiniteInterval(LINE.lo, LINE.hi), TIGHT, LINE.nodes)
     l1 = l1_norms(f, LINE.lo, LINE.hi, LINE.nodes)
@@ -142,7 +142,7 @@ def test_hermite_moments_match_the_adaptive_engine(center):
 
 def test_radial_moments_match_the_adaptive_engine():
     n = 40
-    exact = series_polar._w_radial_moments(POLAR, ROOT_POLAR, n, quad.QuadSpec())
+    exact = series_polar._w_radial_moments(POLAR, ROOT_POLAR, n)
     f = w_integrand(POLAR, ROOT_POLAR, n)
     adaptive, _ = quad.integrate_vec(f, quad.FiniteInterval(POLAR.lo, POLAR.hi), TIGHT, POLAR.nodes)
     l1 = l1_norms(f, POLAR.lo, POLAR.hi, POLAR.nodes)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -44,6 +45,31 @@ def test_config_validation():
         StudyConfig(study_kind="beta_map", beta_range=())
     with pytest.raises(ValueError):
         GridGeom(1.0, 1.0, 10)
+    with pytest.raises(ValueError, match="orders"):
+        StudyConfig(study_kind="convergence", n_range=(-2, 4))
+    for deltas in ((-1e-3,), (0.0, math.nan), (math.inf,)):
+        with pytest.raises(ValueError, match="deltas"):
+            StudyConfig(study_kind="noise", delta_range=deltas)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        StudyConfig(study_kind="audit"),
+        StudyConfig(study_kind="convergence", n_range=(0, 2), variants=("CD-A",), grid=GridGeom(-6.0, 6.0, 41)),
+        StudyConfig(study_kind="beta_map", n_range=(2,), beta_range=(0.8,), variants=("CD-B",)),
+        StudyConfig(study_kind="noise", geometry="polar", n_range=(0, 2), delta_range=(1e-3,),
+                    grid=GridGeom(0.0, 6.0, 41)),
+        StudyConfig(study_kind="classical_compare", n_range=(0, 2), delta_range=(0.0,), grid=GridGeom(-6.0, 6.0, 41)),
+    ],
+    ids=lambda config: config.study_kind,
+)
+def test_metadata_records_every_config_field(config):
+    # the CLI header promises metadata sufficient to re-run a study: every
+    # knob of StudyConfig must be echoed, so none can change results unseen
+    report = run_study(config)
+    missing = {f.name for f in dataclasses.fields(StudyConfig)} - set(report.metadata)
+    assert not missing
 
 
 def test_audit_passes_in_oracle_mode():

@@ -252,13 +252,13 @@ def test_hermite_moment_integrand_is_the_allocating_one(data, center, weighted):
     weight_root = 0.8 if weighted else None
     (integrand,), moments = captured_integrands(
         series_cartesian,
-        lambda: series_cartesian._hermite_moments(f, root, n, quad.QuadSpec(), weight_root, center),
+        lambda: series_cartesian._hermite_moments(f, root, n, weight_root, center),
     )
     assert bitwise_equal(integrand(NODES), old_hermite_integrand(f, root, n, center, weight_root)(NODES))
     sampled = isinstance(f, Sampled1D)
     ref, _ = quad.integrate_vec(
         old_hermite_integrand(f, root, n, center, weight_root),
-        quad.FiniteInterval(*series_cartesian._moment_window(f, quad.QuadSpec(), weight_root)),
+        quad.FiniteInterval(*series_cartesian._moment_window(f, weight_root)),
         breakpoints=f.nodes if sampled else None,
         # plain moments of sampled data: one exact level for degree n + 1
         degree=n + 1 if sampled and weight_root is None else None,
@@ -271,7 +271,7 @@ def test_hermite_moment_integrand_is_the_allocating_one(data, center, weighted):
 def test_w_moment_integrand_is_the_allocating_one(data, dtype):
     f, root, n = POLAR_DATA[data], 0.9, 40
     (integrand,), _ = captured_integrands(
-        series_polar, lambda: series_polar._w_radial_moments(f, root, n, quad.QuadSpec(), dtype=dtype)
+        series_polar, lambda: series_polar._w_radial_moments(f, root, n, dtype=dtype)
     )
     xi = np.abs(NODES)
     assert bitwise_equal(integrand(xi), old_w_integrand(f, root, n, dtype)(xi))
@@ -283,7 +283,7 @@ def test_forward_line_kernel_is_the_allocating_one(data, tau):
     f, x = LINE_DATA[data], np.linspace(-4.0, 4.0, 121)
     (integrand,), values = captured_integrands(kernels, lambda: kernels.forward_line(f, tau, x))
     assert bitwise_equal(integrand(NODES), old_forward_line_integrand(f, tau, x)(NODES))
-    lo, hi = kernels._line_window(f, x, tau, quad.QuadSpec())
+    lo, hi = kernels._line_window(f, x, tau)
     ref, _ = quad.integrate_vec(
         old_forward_line_integrand(f, tau, x), quad.FiniteInterval(lo, hi), breakpoints=kernels._breakpoints(f)
     )

@@ -21,10 +21,10 @@ from heatseries.specfun import hermite_batch
 SQRT_PI = math.sqrt(math.pi)
 
 
-def _refinement_trace(f, domain, spec: QuadSpec = QuadSpec(), levels: int = 6):
+def _refinement_trace(f, domain, levels: int = 6):
     """Successive refinement differences of a scalar integrand, level by level."""
-    lo, hi = quad._resolve(domain, spec)
-    rule = quad._gl_rule(spec.nodes_per_panel)
+    lo, hi = quad._resolve(domain)
+    rule = quad._gl_rule(quad.NODES_PER_PANEL)
     edges = quad._panel_edges(lo, hi, 8, None)
 
     def vec(x):
@@ -67,8 +67,6 @@ def test_half_line_truncation():
 def test_invalid_specs_rejected():
     with pytest.raises(ValueError):
         QuadSpec(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        QuadSpec(truncation_radius_sigmas=4.0)
     with pytest.raises(ValueError):
         QuadSpec(max_panels=2)
     with pytest.raises(ValueError):

@@ -40,9 +40,9 @@ def _reference_level_sum(f, edges, rule):
 
 def reference_integrate_vec(f, domain, spec=quad.QuadSpec(), breakpoints=None):
     """(values, err_estimate, int|f| of the accepted level), one call per level."""
-    lo, hi = quad._resolve(domain, spec)
+    lo, hi = quad._resolve(domain)
     edges = quad._panel_edges(lo, hi, min(8, spec.max_panels), breakpoints)
-    rule = quad._gl_rule(spec.nodes_per_panel)
+    rule = quad._gl_rule(quad.NODES_PER_PANEL)
     prev, _ = _reference_level_sum(f, edges, rule)
     while True:
         edges = quad._bisect(edges)
@@ -182,7 +182,7 @@ def test_levels_above_the_block_size_stay_within_rounding_of_the_reference(name)
 # --- the engine's contract -------------------------------------------------------------
 
 SPAN = quad.FiniteInterval(0.0, 2.0)
-RULE = quad._gl_rule(quad.QuadSpec().nodes_per_panel)
+RULE = quad._gl_rule(quad.NODES_PER_PANEL)
 LEVEL_1 = quad._level(quad._bisect(quad._panel_edges(0.0, 2.0, 8, None)), RULE)[0]
 
 

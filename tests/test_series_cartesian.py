@@ -190,7 +190,7 @@ def test_structural_symmetry_cd_a_ci_a():
     cd_a = VARIANTS["CD-A"]
     swap = {"beta": "tau+beta", "tau+beta": "beta"}
     swapped = replace(cd_a, scales=tuple(swap[t] for t in cd_a.scales))
-    direct_core = line_series(swapped, coeffs, params, xs, "oracle_validated", 1e-14)
+    direct_core = line_series(swapped, coeffs, params, xs, "oracle_validated")
     np.testing.assert_array_equal(ci_vals, direct_core.values(coeffs.size - 1))
     # and the swap really is CD-A's scale set with beta <-> tau+beta
     assert swapped.scales == VARIANTS["CI-A"].scales

@@ -176,7 +176,7 @@ def test_structural_symmetry_pd_a_pi_a():
     pd_a = VARIANTS["PD-A"]
     swap = {"beta": "tau+beta", "tau+beta": "beta"}
     swapped = replace(pd_a, scales=tuple(swap[t] for t in pd_a.scales))
-    core = polar_series(swapped, coeffs, params, rs, "oracle_validated", 1e-14)
+    core = polar_series(swapped, coeffs, params, rs, "oracle_validated")
     np.testing.assert_array_equal(pi_vals, core.values(coeffs.size - 1))
     # scales as (arg, num, den, pref), the ratio being num/den
     pd = pd_a.times(params)

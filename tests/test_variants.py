@@ -4,15 +4,16 @@ The vectorised divergence scan and early stop are checked against the
 per-point loops they replaced, and the order sweep against separate solves.
 """
 
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heatseries import experiments
+from heatseries import experiments, variants
 from heatseries.kernels import evolve_line, evolve_polar
 from heatseries.profiles import Gaussian, Mixture, Sampled1D
-from heatseries.quad import QuadSpec
 from heatseries.series_cartesian import ci_coeffs, ci_eval, cd_coeffs, cd_eval, solve_grid_line
 from heatseries.series_polar import pd_coeffs, pd_eval, pi_coeffs, pi_eval, solve_grid_polar
 from heatseries.specfun import KernelParams
@@ -48,6 +49,14 @@ def reference_early_stop(terms, abs_tol):
         if run >= 3:
             return terms[: j + 1]
     return terms
+
+
+@contextlib.contextmanager
+def early_stop_tol(value):
+    """variants.EARLY_STOP_TOL set to value inside the block."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(variants, "EARLY_STOP_TOL", value)
+        yield
 
 
 # magnitudes that produce ties, parity zeros and values under the noise floor
@@ -86,7 +95,8 @@ def term_matrices(draw):
 @given(term_matrices(), st.sampled_from([1e-14, 1e-12, 0.3, 1.0, 5.0]))
 @settings(max_examples=400, deadline=None)
 def test_vectorised_scan_matches_reference_loops(terms, abs_tol):
-    series = series_terms(np.ones(terms.shape[0]), terms, None, abs_tol)
+    with early_stop_tol(abs_tol):
+        series = series_terms(np.ones(terms.shape[0]), terms, None)
     # every truncation order: the early-stop row and each column's flag and
     # first growth index
     for m in range(terms.shape[0]):
@@ -110,7 +120,7 @@ def test_scan_flags_growth_run_that_starts_before_index_4():
     # growth from index 2: the flag fires once the last five comparisons
     # start at index 4, so the reported start is 4, not 2
     col = np.array([1.0, 0.5, 0.1, 0.2, 0.4, 0.8, 1.6, 3.2, 6.4, 12.8])
-    series = series_terms(np.ones(col.size), col[:, None], None, 1e-14)
+    series = series_terms(np.ones(col.size), col[:, None], None)
     assert reference_scan(col) == (True, 4)
     assert bool(series.flagged(9)[0]) and int(series.growth[0]) == 4
     assert not series.flagged(8)[0]
@@ -118,7 +128,7 @@ def test_scan_flags_growth_run_that_starts_before_index_4():
 
 def test_overflow_reported_per_order():
     terms = np.array([[1.0], [0.5], [np.inf], [1.0]])
-    series = series_terms(np.ones(4), terms, None, 1e-14)
+    series = series_terms(np.ones(4), terms, None)
     np.testing.assert_array_equal(series.values(1), [1.5])
     with pytest.raises(OverflowError):
         series.values(2)
@@ -126,9 +136,9 @@ def test_overflow_reported_per_order():
 
 # --- C points: one matrix, every column a series of its own ------------------------
 
-def reference_point(kappa, column, abs_tol):
+def reference_point(kappa, column):
     """The previous C path: one single-column series per point."""
-    return series_terms(kappa * column, np.ones((1, 1)), None, abs_tol)
+    return series_terms(kappa * column, np.ones((1, 1)), None)
 
 
 def same_bits(a, b):
@@ -136,9 +146,9 @@ def same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def assert_pointwise_matches_reference(kappa, coeffs, abs_tol):
-    series = pointwise_terms(kappa, coeffs, coeffs.shape[1], abs_tol)
-    refs = [reference_point(kappa, coeffs[:, c], abs_tol) for c in range(coeffs.shape[1])]
+def assert_pointwise_matches_reference(kappa, coeffs):
+    series = pointwise_terms(kappa, coeffs, coeffs.shape[1])
+    refs = [reference_point(kappa, coeffs[:, c]) for c in range(coeffs.shape[1])]
     for m in range(coeffs.shape[0]):
         np.testing.assert_array_equal(series.rows(m), [ref.rows(m) for ref in refs])
         np.testing.assert_array_equal(series.flagged(m), [ref.flagged(m)[0] for ref in refs])
@@ -162,16 +172,17 @@ def test_pointwise_terms_are_the_single_point_series(coeffs, abs_tol, overflow_r
     if 0 <= overflow_row < coeffs.shape[0]:
         coeffs[overflow_row, ::2] = np.inf
     kappa = 0.5 ** np.arange(coeffs.shape[0])
-    assert_pointwise_matches_reference(kappa, coeffs, abs_tol)
-    if not np.all(np.isfinite(coeffs)):
-        return
-    series = pointwise_terms(kappa, coeffs, coeffs.shape[1], abs_tol)
-    values, diags = point_results(series, np.zeros(coeffs.shape[1]))
-    for c, diag in enumerate(diags):
-        ref_value, ref_diag = point_results(reference_point(kappa, coeffs[:, c], abs_tol), 0.0)
-        assert same_bits(values[c], ref_value)
-        assert same_bits(diag.term_magnitudes, ref_diag.term_magnitudes)
-        assert (diag.flagged, diag.first_growth_index) == (ref_diag.flagged, ref_diag.first_growth_index)
+    with early_stop_tol(abs_tol):
+        assert_pointwise_matches_reference(kappa, coeffs)
+        if not np.all(np.isfinite(coeffs)):
+            return
+        series = pointwise_terms(kappa, coeffs, coeffs.shape[1])
+        values, diags = point_results(series, np.zeros(coeffs.shape[1]))
+        for c, diag in enumerate(diags):
+            ref_value, ref_diag = point_results(reference_point(kappa, coeffs[:, c]), 0.0)
+            assert same_bits(values[c], ref_value)
+            assert same_bits(diag.term_magnitudes, ref_diag.term_magnitudes)
+            assert (diag.flagged, diag.first_growth_index) == (ref_diag.flagged, ref_diag.first_growth_index)
 
 
 def test_pointwise_sums_are_one_column_sums_on_random_shapes():
@@ -185,15 +196,16 @@ def test_pointwise_sums_are_one_column_sums_on_random_shapes():
         coeffs[rng.integers(0, rows, size=cols), np.arange(cols)] = 0.0
         kappa = rng.uniform(0.5, 2.0, size=rows)
         abs_tol = float(10.0 ** rng.integers(-14, 1))
-        series = pointwise_terms(kappa, coeffs, cols, abs_tol)
-        for m in {0, rows // 3, rows - 1}:
-            expected = [np.sum((kappa * coeffs[:, c])[: ref.rows(m)]) for c, ref in
-                        enumerate(reference_point(kappa, coeffs[:, c], abs_tol) for c in range(cols))]
-            assert same_bits(series.values(m), expected)
+        with early_stop_tol(abs_tol):
+            series = pointwise_terms(kappa, coeffs, cols)
+            for m in {0, rows // 3, rows - 1}:
+                expected = [np.sum((kappa * coeffs[:, c])[: ref.rows(m)]) for c, ref in
+                            enumerate(reference_point(kappa, coeffs[:, c]) for c in range(cols))]
+                assert same_bits(series.values(m), expected)
 
 
 def test_one_coefficient_column_serves_every_point():
-    series = pointwise_terms(np.ones(3), np.array([1.0, 0.5, 0.25]), 4, 1e-14)
+    series = pointwise_terms(np.ones(3), np.array([1.0, 0.5, 0.25]), 4)
     assert same_bits(series.values(2), np.full(4, 1.75))
 
 
@@ -239,16 +251,15 @@ def test_sweep_equals_independent_solves(variant, data, params, grid, orders):
     # top order equals a separate grid solve.  (Moments computed for a lower
     # order alone differ in the last bits: the adaptive quadrature refines
     # on all requested orders together.)
-    spec = QuadSpec()
     solver = solve_grid_line if VARIANTS[variant].geometry == "line" else solve_grid_polar
     coeffs_fn, eval_fn = _COEFFS_EVAL[variant]
     pointwise = VARIANTS[variant].pointwise
     top = orders[-1]
     if pointwise:
-        coeffs = [coeffs_fn(variant, data, params, top, float(x), spec) for x in grid]
+        coeffs = [coeffs_fn(variant, data, params, top, float(x)) for x in grid]
     else:
-        coeffs = coeffs_fn(variant, data, params, top, spec=spec)
-    swept = list(experiments._sweep_orders(variant, data, params, orders, grid, "oracle_validated", spec))
+        coeffs = coeffs_fn(variant, data, params, top)
+    swept = list(experiments._sweep_orders(variant, data, params, orders, grid, "oracle_validated"))
     assert [n for n, *_ in swept] == list(orders)
     for n, vals, flagged, err in swept:
         assert err is None
@@ -273,9 +284,7 @@ def test_sweep_equals_independent_solves_classical(data):
     if data == "sampled":
         data = Sampled1D.from_function(evolve_line(Gaussian(width_a=1.0), 0.3), -8.0, 8.0, 41)
     orders = tuple(range(0, 57, 4))
-    swept = list(experiments._sweep_orders(
-        "CI-classical", data, None, orders, XS, "oracle_validated", QuadSpec(), tau=0.3
-    ))
+    swept = list(experiments._sweep_orders("CI-classical", data, None, orders, XS, "oracle_validated", tau=0.3))
     failed = 0
     for n, vals, flagged, err in swept:
         try:
