@@ -86,6 +86,9 @@ STUDY_CONFIGS = {
         "[study]\nkind = convergence\ntau = 0.5\nvariants = CD-A\n\n[grid]\nn = 101\n\n[sweep]\norders = -2, 4\n"
     ),
     "negative_delta.cfg": "[study]\nkind = noise\ntau = 0.3\n\n[sweep]\norders = 0:4:2\ndeltas = -1e-3\n",
+    "negative_seed.cfg": "[study]\nkind = noise\ntau = 0.3\nseed = -1\n\n[sweep]\norders = 0:4:2\n",
+    "negative_beta.cfg": "[study]\nkind = beta_map\ntau = 0.3\n\n[sweep]\norders = 8\nbetas = 0.5, -1\n",
+    "nan_beta.cfg": "[study]\nkind = noise\ntau = 0.3\n\n[sweep]\norders = 0:4:2\nbetas = nan\n",
     "float_range.cfg": "[study]\nkind = beta_map\ntau = 0.3\n\n[sweep]\norders = 8\nbetas = 0.5:1.5:0.1\n",
 }
 

@@ -20,14 +20,11 @@ from .profiles import (
 from .quad import AccuracyError, FiniteInterval, HalfLine, QuadSpec, WholeLine, hermite_moment, integrate
 from .specfun import (
     KernelParams,
-    PolynomialFamily,
     bessel_i0,
     bessel_i0_scaled,
     bessel_j0,
-    gamma_half,
     hermite_at_zero,
     hermite_batch,
-    hermite_eval,
     scaled_polar_kernel,
     w_poly_batch,
     w_poly_eval,
@@ -40,7 +37,7 @@ from .kernels import (
     j0_product_check,
     weber_integral_check,
 )
-from .variants import VARIANTS, DivergenceDiag, Variant, beta_rule, default_beta
+from .variants import VARIANTS, SeriesTerms, Variant, beta_rule, default_beta
 from .series_cartesian import (
     cd_coeffs,
     cd_eval,

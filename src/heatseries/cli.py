@@ -30,11 +30,12 @@ import numpy as np
 from .experiments import (
     _ORACLE,
     _SCALE_ESTIMATE,
+    _SOLVE,
     _STUDY_GRID,
     GridGeom,
     StudyConfig,
-    _grid_solve,
     _kernel_params,
+    _time,
     expected_audit_statuses,
     run_audit,
     run_study,
@@ -283,7 +284,9 @@ def _solve(args, data, xs: np.ndarray, beta: float):
         if args.variant == ORACLE:
             return _ORACLE[args.geometry](data, args.tau, xs), np.zeros(xs.size, dtype=bool)
         params = _kernel_params(args.variant, args.tau, beta)
-        series = _grid_solve(args.variant, data, params, args.order, xs, args.constants_mode, tau=args.tau)
+        series = _SOLVE[args.geometry](
+            args.variant, data, params, args.order, xs, args.constants_mode, **_time(args.variant, args.tau)
+        )
         return series.values(args.order), series.flagged(args.order)
     except AccuracyError as exc:
         raise CliError(f"{args.command} {args.variant}: quadrature did not converge: {exc}", code=3)

@@ -18,11 +18,12 @@ Five study kinds:
   moment-based series on identical noisy data.
 
 This module also holds the geometry dispatch: the one map from a geometry
-(and a direction) to the functions that serve it - coefficient pass, term
-matrix, oracle, exact evolution, scale estimate - and to the study defaults.
-The CLI, the audit and every study build their term matrices through
-`_terms` (the CLI and the beta map by way of `_grid_solve`, the sweeps by
-way of `_sweep_orders`), which looks the functions up there.
+to the functions that serve it - its series module's grid builder and grid
+solve, oracle, exact evolution, scale estimate - and to the study defaults.
+Each series module picks its own coefficient and evaluation functions by
+direction.  The CLI and the beta map solve through `solve_grid_line` /
+`solve_grid_polar`, and the audit and the sweeps (`_sweep_orders`) build
+through the same modules' builders.
 
 Reports are deterministic given (config, seed): noise comes from a recorded
 numpy PCG64 stream, summation orders are fixed, and rows are sorted
@@ -39,14 +40,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import __version__ as _pkg_version
+from . import series_cartesian, series_polar
 from .kernels import evolve_line, evolve_polar, forward_line, forward_polar
 from .profiles import AnalyticProfile, Gaussian, Sampled1D, estimate_scale_line, estimate_scale_polar, format_profile
-from .series_cartesian import cd_coeffs, ci_coeffs, classical_series, classical_time, line_series
-from .series_polar import pd_coeffs, pi_coeffs, polar_series
 from .specfun import KernelParams
-from .variants import (
-    CLASSICAL, LINE, POLAR, VARIANTS, checked, default_beta, geometry_of, grid_series, lookup, variant_names,
-)
+from .variants import CLASSICAL, LINE, POLAR, VARIANTS, checked, default_beta, geometry_of, variant_names
 
 __all__ = [
     "GridGeom",
@@ -77,10 +75,12 @@ class GridGeom:
 
 # --- geometry dispatch -----------------------------------------------------------
 # Flat dicts of functions: a wrapper rebound over module globals and the dicts
-# they hold (perfbench's tracer) reaches every call made through them.
+# they hold (perfbench's tracer) reaches every call made through them.  A grid
+# builder and a grid solve take (variant, data, params, n, xs, mode), and
+# CI-classical, a line variant without a shift, its time as well (`_time`).
 
-_COEFF_PASS = {(LINE, True): cd_coeffs, (LINE, False): ci_coeffs, (POLAR, True): pd_coeffs, (POLAR, False): pi_coeffs}
-_TERM_MATRIX = {LINE: line_series, POLAR: polar_series}
+_GRID_TERMS = {LINE: series_cartesian._grid_terms, POLAR: series_polar._grid_terms}
+_SOLVE = {LINE: series_cartesian.solve_grid_line, POLAR: series_polar.solve_grid_polar}
 _ORACLE = {LINE: forward_line, POLAR: forward_polar}
 _EVOLVE = {LINE: evolve_line, POLAR: evolve_polar}
 _SCALE_ESTIMATE = {LINE: estimate_scale_line, POLAR: estimate_scale_polar}
@@ -133,6 +133,10 @@ class StudyConfig:
             raise ValueError(f"orders (n_range) must be non-negative, got {min(self.n_range)}")
         if not all(math.isfinite(d) and d >= 0.0 for d in self.delta_range):
             raise ValueError(f"deltas (delta_range) must be non-negative and finite, got {list(self.delta_range)}")
+        if not all(math.isfinite(b) and b > 0.0 for b in self.beta_range):
+            raise ValueError(f"betas (beta_range) must be positive and finite, got {list(self.beta_range)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         for variant in self.variants:
             if geometry_of(variant) != self.geometry:
                 raise ValueError(f"{variant} is not a {self.geometry} variant")
@@ -209,29 +213,10 @@ def _kernel_params(variant: str, tau: float, beta: float) -> KernelParams | None
     return None if variant == CLASSICAL else KernelParams(tau=tau, beta=beta)
 
 
-def _terms(variant, data, params, n, xs, mode, tau=None):
-    """build(m): the term matrix of orders 0..m <= n of one variant on the
-    points xs, from one coefficient pass at order n through the dispatch
-    (a series variant's build(m, other_mode) reads the same coefficients
-    under the other constant set).
-
-    CI-classical has no shift and no table row (`_kernel_params`): its time
-    is `classical_time(params, tau)`, and each build takes the data's
-    derivatives (no quadrature).
-    """
-    if variant != CLASSICAL:
-        row = lookup(variant)
-        coeffs_fn = _COEFF_PASS[row.geometry, row.direct]
-        return grid_series(row, coeffs_fn, _TERM_MATRIX[row.geometry], data, params, n, xs, mode)
-    tau = classical_time(params, tau)
-    points = np.atleast_1d(np.asarray(xs, dtype=float))
-    return lambda m: classical_series(data, tau, m, points)
-
-
-def _grid_solve(variant, data, params, n, xs, mode, tau=None):
-    """The order-n term matrix of one variant on a grid, its sums checked:
-    an overflowing C grid names its first overflowing point."""
-    return checked(_terms(variant, data, params, n, xs, mode, tau)(n), variant, xs, n)
+def _time(variant: str, tau: float | None) -> dict:
+    """The keyword a builder or solve takes for CI-classical: its time, which
+    no KernelParams carries (`_kernel_params`)."""
+    return {"tau": tau} if variant == CLASSICAL else {}
 
 
 def _sweep_orders(variant, data, params, n_list, xs, mode, tau=None):
@@ -249,7 +234,7 @@ def _sweep_orders(variant, data, params, n_list, xs, mode, tau=None):
     n_list = sorted(int(n) for n in n_list)
     n_max = n_list[-1]
     try:
-        build = _terms(variant, data, params, n_max, xs, mode, tau)
+        build = _GRID_TERMS[geometry_of(variant)](variant, data, params, n_max, xs, mode, **_time(variant, tau))
     except (OverflowError, ValueError) as exc:
         for n in n_list:
             yield n, None, True, exc
@@ -319,7 +304,7 @@ def run_audit(config: StudyConfig) -> StudyReport:
         on_probes = slice(len(probes))
         orders = (0, 1, 2, full_order)
         t0 = time.perf_counter()
-        build = _terms(variant, data, KernelParams(tau=tau, beta=beta), full_order, points, mode)
+        build = _GRID_TERMS[row.geometry](variant, data, KernelParams(tau=tau, beta=beta), full_order, points, mode)
         series = checked(build(full_order), variant, points, full_order)
         errs = {}
         for n in orders:
@@ -485,7 +470,7 @@ def run_beta_map(config: StudyConfig) -> StudyReport:
             params = KernelParams(tau=config.tau, beta=beta)
             t0 = time.perf_counter()
             try:
-                series = _grid_solve(variant, data, params, n, xs, config.constants_mode)
+                series = _SOLVE[geometry_of(variant)](variant, data, params, n, xs, config.constants_mode)
                 err_l2, err_max = _errors(series.values(n), truth)
                 diverged = bool(np.any(series.flagged(n)))
                 status = "ok"

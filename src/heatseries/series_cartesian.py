@@ -22,13 +22,13 @@ truncated evaluation and divergence monitoring.  With s = tau + beta:
   data at 0 - the instability baseline that amplifies noise through
   high-order differentiation.
 
-Every evaluation goes through the shared path in `variants`: it sums in
-ascending order (reproducibility), stops early once three consecutive terms
-drop below `variants.EARLY_STOP_TOL`, and scans the term magnitudes for
-divergence.
-`solve_grid_line` is the library's grid solve; the CLI and the studies reach
-`cd_coeffs`/`ci_coeffs` and `line_series` through the geometry dispatch of
-`experiments`.
+Every evaluation (`cd_eval`, `ci_eval`, `ci_classical`) returns the
+`variants.SeriesTerms` of the shared path: it sums in ascending order
+(reproducibility), stops early once three consecutive terms drop below
+`variants.EARLY_STOP_TOL`, and scans the term magnitudes for divergence.
+`_grid_terms` is the one place that picks the coefficient and evaluation
+functions of a line variant by its direction; `solve_grid_line`, the CLI and
+the studies all build their term matrices through it.
 
 constants_mode selects between the oracle-certified constants
 ("oracle_validated", default) and the originally published ones
@@ -49,14 +49,13 @@ from .specfun import KernelParams, hermite_batch
 from .variants import (
     CLASSICAL,
     LINE,
-    DivergenceDiag,
+    SeriesTerms,
     beta_rule,
     check_mode,
     checked,
     default_beta,
     grid_series,
     lookup,
-    point_results,
     pointwise_terms,
     ratio_products,
     recombine,
@@ -64,7 +63,6 @@ from .variants import (
 )
 
 __all__ = [
-    "DivergenceDiag",
     "beta_rule",
     "cd_coeffs",
     "cd_eval",
@@ -193,23 +191,21 @@ def _hermite_terms(coeffs: np.ndarray, arg: float, g: float, pref, x: np.ndarray
     return series_terms(coeffs * w, h, pref)
 
 
-def line_series(row, coeffs: np.ndarray, params: KernelParams, x: np.ndarray, mode: str):
-    """The term matrix of one line variant at the points x (internal)."""
+def _eval(direct: bool, variant: str, coeffs, params: KernelParams, x, mode: str) -> SeriesTerms:
+    """The term matrix of one line variant at the points x (cd_eval, ci_eval)."""
+    row = lookup(variant, LINE, direct)
     check_mode(mode)
+    coeffs = np.asarray(coeffs, float)
+    x = np.atleast_1d(np.asarray(x, dtype=float))
     if row.pointwise:
         return pointwise_terms(row.kappa(params, mode, coeffs.shape[0] - 1), coeffs, x.size)
     arg, num, den, pref = row.times(params)
     return _hermite_terms(coeffs, arg, math.sqrt(num) / (2.0 * math.sqrt(den)), pref, x)
 
 
-def _eval(direct: bool, variant: str, coeffs, params: KernelParams, x, mode: str):
-    row = lookup(variant, LINE, direct)
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    return point_results(line_series(row, np.asarray(coeffs, float), params, x_arr, mode), x)
-
-
 def cd_eval(variant: str, coeffs: np.ndarray, params: KernelParams, x, constants_mode: str = "oracle_validated"):
-    """Evaluate a truncated direct series; returns (value, diagnostics).
+    """The truncated direct series at x (scalar or array): its `SeriesTerms`,
+    one column per point, unchecked (`values(n)` raises an overflow).
 
     CD-C coefficients are tied to the x they were computed for; pass the
     same point here (or the same points, one coefficient column each).
@@ -218,7 +214,7 @@ def cd_eval(variant: str, coeffs: np.ndarray, params: KernelParams, x, constants
 
 
 def ci_eval(variant: str, coeffs: np.ndarray, params: KernelParams, x, constants_mode: str = "oracle_validated"):
-    """Evaluate a truncated inverse series; returns (value, diagnostics)."""
+    """The truncated inverse series at x, as cd_eval."""
     return _eval(False, variant, coeffs, params, x, constants_mode)
 
 
@@ -292,27 +288,40 @@ def classical_time(params: KernelParams | None, tau: float | None) -> float:
     return params.tau if tau is None else tau
 
 
-def classical_series(u, tau: float, n: int, x: np.ndarray):
-    """The term matrix of the classical baseline at the points x (internal)."""
+def ci_classical(u, tau: float, n: int, x) -> SeriesTerms:
+    """Derivative-based inverse baseline.
+
+    f(x) ~= sum_{j<=n} u^(j)(0) tau^{j/2} / j! * H_j(x/(2 sqrt(tau))).
+    Derivatives come in closed form for Gaussian data and from raw central
+    differences for sampled data.  Returns the `SeriesTerms` at x, as
+    cd_eval.
+    """
     if not (tau > 0.0):
         raise ValueError(f"tau must be positive, got {tau}")
     if n < 0:
         raise ValueError("order must be non-negative")
     derivs = _fd_derivs_at_zero(u, n) if isinstance(u, Sampled1D) else _analytic_derivs_at_zero(u, n)
-    return _hermite_terms(derivs, tau, math.sqrt(tau), None, x)
-
-
-def ci_classical(u, tau: float, n: int, x):
-    """Derivative-based inverse baseline.
-
-    f(x) ~= sum_{j<=n} u^(j)(0) tau^{j/2} / j! * H_j(x/(2 sqrt(tau))).
-    Derivatives come in closed form for Gaussian data and from raw central
-    differences for sampled data.  Returns (value, diagnostics).
-    """
-    return point_results(classical_series(u, tau, n, np.atleast_1d(np.asarray(x, dtype=float))), x)
+    return _hermite_terms(derivs, tau, math.sqrt(tau), None, np.atleast_1d(np.asarray(x, dtype=float)))
 
 
 # --- grid solve --------------------------------------------------------------
+
+def _grid_terms(variant: str, data, params: KernelParams | None, n: int, xs, mode: str, tau: float | None = None):
+    """build(m): the term matrix of orders 0..m <= n of one line variant on
+    the points xs, from one coefficient pass at order n (a series variant's
+    build(m, other_mode) reads the same coefficients under the other
+    constant set).  CI-classical has no shift and no table row: it runs at
+    `classical_time(params, tau)`, and each build takes the data's
+    derivatives (no quadrature)."""
+    if variant == CLASSICAL:
+        tau = classical_time(params, tau)
+        points = np.atleast_1d(np.asarray(xs, dtype=float))
+        return lambda m: ci_classical(data, tau, m, points)
+    direct = lookup(variant, LINE).direct
+    return grid_series(
+        variant, cd_coeffs if direct else ci_coeffs, cd_eval if direct else ci_eval, data, params, n, xs, mode
+    )
+
 
 def solve_grid_line(
     variant: str,
@@ -322,13 +331,9 @@ def solve_grid_line(
     xs: np.ndarray,
     constants_mode: str = "oracle_validated",
     tau: float | None = None,
-) -> tuple[np.ndarray, list[DivergenceDiag]]:
-    """Evaluate one line variant on a grid from one coefficient pass; CD-C
-    and CI-C sum each point's own coefficients.  CI-classical takes tau, or
-    params.tau when tau is None."""
-    if variant == CLASSICAL:
-        return ci_classical(data, classical_time(params, tau), n, xs)
-    row = lookup(variant, LINE)
-    coeffs_fn = cd_coeffs if row.direct else ci_coeffs
-    build = grid_series(row, coeffs_fn, line_series, data, params, n, xs, constants_mode)
-    return point_results(checked(build(n), variant, xs, n), xs)
+) -> SeriesTerms:
+    """One line variant on a grid from one coefficient pass, checked at order
+    n (an overflowing CD-C or CI-C point is named); CD-C and CI-C sum each
+    point's own coefficients.  CI-classical takes tau, or params.tau when
+    tau is None."""
+    return checked(_grid_terms(variant, data, params, n, xs, constants_mode, tau)(n), variant, xs, n)

@@ -20,9 +20,10 @@ xi d(xi) on [0, inf).  With s = tau + beta:
   beta > tau: its prefactor lives at beta - tau.
 
 The scales and constants of each variant are rows of `variants.VARIANTS`;
-evaluation, the divergence diagnostic and constants_mode go through the same
-path as on the line, and the CLI and the studies reach `pd_coeffs`/`pi_coeffs`
-and `polar_series` through the same geometry dispatch of `experiments`.  The
+evaluation (`pd_eval`, `pi_eval`: the `variants.SeriesTerms` at the radii),
+the divergence diagnostic and constants_mode go through the same path as on
+the line, and `_grid_terms` picks the functions of a polar variant by its
+direction for `solve_grid_polar`, the CLI and the studies alike.  The
 published C-variant constants fail the oracle certification by documented
 ratios (ERRATA.md).
 """
@@ -39,12 +40,11 @@ from .quad import FiniteInterval, integrate_vec
 from .specfun import KernelParams, w_poly_batch
 from .variants import (
     POLAR,
-    DivergenceDiag,
+    SeriesTerms,
     check_mode,
     checked,
     grid_series,
     lookup,
-    point_results,
     pointwise_terms,
     ratio_products,
     recombine,
@@ -140,12 +140,15 @@ def pi_coeffs(variant: str, u, params: KernelParams, n: int, r_center: float | n
 
 # --- evaluation ---------------------------------------------------------------
 
-def polar_series(row, coeffs: np.ndarray, params: KernelParams, r: np.ndarray, mode: str):
-    """The term matrix of one polar variant at the radii r (internal).
+def _eval(direct: bool, variant: str, coeffs, params: KernelParams, r, mode: str) -> SeriesTerms:
+    """The term matrix of one polar variant at the radii r (pd_eval, pi_eval).
 
     A/B terms: c_j W_j(r/(2 sqrt(arg))) (num/den)^j j!^2/(2j)!^2 * kernel prefactor.
     """
+    row = lookup(variant, POLAR, direct)
     check_mode(mode)
+    coeffs = np.asarray(coeffs, float)
+    r = np.atleast_1d(np.asarray(r, dtype=float))
     if np.any(r < 0.0):
         raise ValueError("radius must be non-negative")
     if row.pointwise:
@@ -163,20 +166,26 @@ def polar_series(row, coeffs: np.ndarray, params: KernelParams, r: np.ndarray, m
     return series_terms(weighted, wmat, pref)
 
 
-def _eval(direct: bool, variant: str, coeffs, params: KernelParams, r, mode: str):
-    row = lookup(variant, POLAR, direct)
-    r_arr = np.atleast_1d(np.asarray(r, dtype=float))
-    return point_results(polar_series(row, np.asarray(coeffs, float), params, r_arr, mode), r)
-
-
 def pd_eval(variant: str, coeffs: np.ndarray, params: KernelParams, r, constants_mode: str = "oracle_validated"):
-    """Evaluate a truncated direct polar series; returns (value, diagnostics)."""
+    """The truncated direct polar series at r (scalar or array): its
+    `SeriesTerms`, one column per radius, unchecked (`values(n)` raises an
+    overflow)."""
     return _eval(True, variant, coeffs, params, r, constants_mode)
 
 
 def pi_eval(variant: str, coeffs: np.ndarray, params: KernelParams, r, constants_mode: str = "oracle_validated"):
-    """Evaluate a truncated inverse polar series; returns (value, diagnostics)."""
+    """The truncated inverse polar series at r, as pd_eval."""
     return _eval(False, variant, coeffs, params, r, constants_mode)
+
+
+def _grid_terms(variant: str, data, params: KernelParams, n: int, rs, mode: str):
+    """build(m): the term matrix of orders 0..m <= n of one polar variant on
+    the radii rs, from one coefficient pass at order n (build(m, other_mode)
+    reads the same coefficients under the other constant set)."""
+    direct = lookup(variant, POLAR).direct
+    return grid_series(
+        variant, pd_coeffs if direct else pi_coeffs, pd_eval if direct else pi_eval, data, params, n, rs, mode
+    )
 
 
 def solve_grid_polar(
@@ -186,10 +195,8 @@ def solve_grid_polar(
     n: int,
     rs: np.ndarray,
     constants_mode: str = "oracle_validated",
-) -> tuple[np.ndarray, list[DivergenceDiag]]:
-    """Evaluate one polar variant on a grid of radii from one coefficient
-    pass; PD-C and PI-C sum each radius's own coefficients."""
-    row = lookup(variant, POLAR)
-    coeffs_fn = pd_coeffs if row.direct else pi_coeffs
-    build = grid_series(row, coeffs_fn, polar_series, data, params, n, rs, constants_mode)
-    return point_results(checked(build(n), variant, rs, n), rs)
+) -> SeriesTerms:
+    """One polar variant on a grid of radii from one coefficient pass,
+    checked at order n (an overflowing PD-C or PI-C radius is named); PD-C
+    and PI-C sum each radius's own coefficients."""
+    return checked(_grid_terms(variant, data, params, n, rs, constants_mode)(n), variant, rs, n)

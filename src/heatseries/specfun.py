@@ -1,8 +1,8 @@
 """Special functions used throughout the solvers.
 
 Hermite polynomials H_j, the even radial polynomials W_j generated by
-e^{-t^2} I0(2tz), the Bessel functions I0 and J0, half-integer Gamma values,
-and the radial heat kernel in overflow-safe form.
+e^{-t^2} I0(2tz), the Bessel functions I0 and J0, and the radial heat
+kernel in overflow-safe form.
 
 Every routine is a pure function of its arguments.  Accuracy targets at
 double precision (relative error):
@@ -27,14 +27,11 @@ from .quad import _gl_rule
 
 __all__ = [
     "KernelParams",
-    "PolynomialFamily",
     "bessel_i0",
     "bessel_i0_scaled",
     "bessel_j0",
-    "gamma_half",
     "hermite_at_zero",
     "hermite_batch",
-    "hermite_eval",
     "scaled_polar_kernel",
     "w_poly_batch",
     "w_poly_coefficients",
@@ -61,27 +58,6 @@ class KernelParams:
     def shifted(self) -> float:
         """tau + beta, the scale the direct series evaluate at."""
         return self.tau + self.beta
-
-
-@dataclass(frozen=True)
-class PolynomialFamily:
-    """One of the two polynomial families, evaluated in batch up to max_order."""
-
-    kind: str  # "hermite" | "w" (case-insensitive)
-    max_order: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "kind", self.kind.lower())
-        if self.kind not in ("hermite", "w"):
-            raise ValueError(f"unknown polynomial family {self.kind!r}")
-        if self.max_order < 0:
-            raise ValueError("max_order must be non-negative")
-
-    def values(self, z):
-        """Values of orders 0..max_order at z (scalar or array)."""
-        if self.kind == "hermite":
-            return hermite_batch(self.max_order, z)
-        return w_poly_batch(self.max_order, z)
 
 
 def _check_finite(out, what, order, z) -> None:
@@ -122,11 +98,6 @@ def hermite_batch(n: int, z):
                 row -= np.multiply(2.0 * j, rows[j - 1], out=work)
     _check_finite(rows[n], "Hermite recurrence", n, z)
     return out
-
-
-def hermite_eval(j: int, z):
-    """H_j(z) for scalar or array z."""
-    return hermite_batch(j, z)[j]
 
 
 def hermite_at_zero(j: int) -> float:
@@ -221,18 +192,6 @@ def w_poly_batch(n: int, z):
                 np.multiply(pref, lag, out=rows[j + 1])
     _check_finite(rows, "W recurrence", n, z)
     return out
-
-
-def gamma_half(j: int) -> float:
-    """Gamma(j + 1/2) = sqrt(pi) * prod_{i=1..j} (i - 1/2)."""
-    if j < 0:
-        raise ValueError("order must be non-negative")
-    val = math.sqrt(math.pi)
-    for i in range(1, j + 1):
-        val *= i - 0.5
-        if val > _HUGE:
-            raise OverflowError(f"Gamma({j}+1/2) exceeds double range")
-    return val
 
 
 # ---------------------------------------------------------------------------

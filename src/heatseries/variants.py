@@ -25,17 +25,16 @@ Evaluation builds the term matrix (orders x points), stops early after
 EARLY_STOP_RUN consecutive rows below EARLY_STOP_TOL (one threshold for
 every series; no caller sets another), sums each point in ascending order,
 and scans every point's term magnitudes for divergence.  The matrix is kept
-whole so an order sweep can sum each order's own rows, and a grid solve
-reads its values and flags from it; the per-point `DivergenceDiag` records
-are built for the public (values, diags) functions only.  A/B rows stop
-together (the largest term of a row decides); every C column is a series of
-its own, with its own early stop and overflow row.
+whole (`SeriesTerms`, the one result of every evaluation) so an order sweep
+can sum each order's own rows, and a grid solve reads its values and flags
+from it.  A/B rows stop together (the largest term of a row decides); every
+C column is a series of its own, with its own early stop and overflow row.
 
 `grid_series` builds the term matrices of one variant on a grid from one
-coefficient pass, with the coefficient and series functions of its geometry
-passed in: the series modules pass their own (`solve_grid_line`,
-`solve_grid_polar`), and `experiments` holds the one map from a geometry to
-them that the CLI and every study use.
+coefficient pass, with the public coefficient and evaluation functions of
+its geometry passed in: each series module picks them by direction in its
+own grid builder, which its grid solve (`solve_grid_line`,
+`solve_grid_polar`), the CLI and every study use.
 """
 
 from __future__ import annotations
@@ -211,22 +210,6 @@ def default_beta(variant: str, scale_estimate: float, tau: float) -> float:
 
 # --- evaluation -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DivergenceDiag:
-    """Empirical growth monitor for one truncated-series evaluation.
-
-    flagged is set when the term magnitudes grow through GROWTH_RUN
-    consecutive comparisons starting at or after index GROWTH_MIN_INDEX;
-    first_growth_index is the start of the first such run.  Terms more than
-    GROWTH_NOISE_REL below the running maximum are numerically zero (parity
-    zeros, quadrature noise) and are invisible to the scan.
-    """
-
-    term_magnitudes: np.ndarray
-    flagged: bool
-    first_growth_index: int | None
-
-
 def ratio_products(first: float, n: int, update) -> np.ndarray:
     """out[0] = first, out[j+1] = update(out[j], j): factorial-bearing weights
     by multiplicative updates, never by factorials."""
@@ -383,34 +366,20 @@ def pointwise_terms(kappa: np.ndarray, coeffs: np.ndarray, points: int) -> Serie
     return _series(np.broadcast_to(terms, (kappa.size, points)), pointwise=True)
 
 
-def point_results(series: SeriesTerms, x):
-    """The public (value, diag) for a scalar x, (values, diags) for an array."""
-    n = series.order
-    values = series.values(n)
-    rows = np.broadcast_to(series.rows(n), series.fires.shape)
-    mags = np.abs(series.terms)
-    flagged = series.flagged(n)
-    diags = [
-        DivergenceDiag(mags[: rows[c], c], bool(flagged[c]), int(series.growth[c]) if flagged[c] else None)
-        for c in range(mags.shape[1])
-    ]
-    if np.ndim(x) == 0:
-        return float(values[0]), diags[0]
-    return values, diags
-
-
-def grid_series(row: Variant, coeffs_fn, series_fn, data, params, n: int, xs, mode: str):
+def grid_series(variant: str, coeffs_fn, eval_fn, data, params, n: int, xs, mode: str):
     """build(m, mode): the term matrix of orders 0..m <= n of one variant on a
-    grid, from one coefficient call at order n through the public coefficient
-    function; a pointwise (C) variant's call gives one coefficient column per
-    point, each summed on its own.  The coefficients do not depend on the
-    constants mode, so one pass serves both (mode defaults to the given one)."""
+    grid, from one coefficient call at order n: coeffs_fn and eval_fn are the
+    public coefficient and evaluation functions of its geometry and
+    direction.  A pointwise (C) variant's call gives one coefficient column
+    per point, each summed on its own.  The coefficients do not depend on
+    the constants mode, so one pass serves both (mode defaults to the given
+    one)."""
     if params is None:
-        raise ValueError(f"{row.name} needs KernelParams")
+        raise ValueError(f"{variant} needs KernelParams")
     xs = np.asarray(xs, dtype=float)
-    coeffs = np.asarray(coeffs_fn(row.name, data, params, n, xs), float)  # the points matter to C only
+    coeffs = np.asarray(coeffs_fn(variant, data, params, n, xs), float)  # the points matter to C only
     points = np.atleast_1d(xs)
-    return lambda m, mode=mode: series_fn(row, coeffs[: m + 1], params, points, mode)
+    return lambda m, mode=mode: eval_fn(variant, coeffs[: m + 1], params, points, mode)
 
 
 def checked(series: SeriesTerms, name: str, xs, n: int) -> SeriesTerms:

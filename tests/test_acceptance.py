@@ -39,7 +39,6 @@ from heatseries.specfun import (
     KernelParams,
     bessel_i0,
     hermite_batch,
-    hermite_eval,
     w_poly_batch,
 )
 
@@ -86,7 +85,7 @@ def test_criterion_1_special_function_identities():
     assert worst_w <= 1e-10
 
     for k in range(0, 15):
-        assert hermite_eval(2 * k + 1, 0.0) == 0.0
+        assert hermite_batch(2 * k + 1, 0.0)[2 * k + 1] == 0.0
 
     # Bessel-operator eigenrelation at O(h^2)
     worst_ratio = 0.0
@@ -157,10 +156,10 @@ def test_criterion_3_formula_audit():
     u = evolve_line(f, tau)
     params = KernelParams(tau=tau, beta=1.0)
     coeffs = ci_coeffs("CI-C", u, params, 1, x_center=1.0)
-    s0o, _ = ci_eval("CI-C", coeffs[:1], params, 1.0)
-    s1o, _ = ci_eval("CI-C", coeffs, params, 1.0)
-    s0l, _ = ci_eval("CI-C", coeffs[:1], params, 1.0, constants_mode="paper_literal")
-    s1l, _ = ci_eval("CI-C", coeffs, params, 1.0, constants_mode="paper_literal")
+    s0o = ci_eval("CI-C", coeffs[:1], params, 1.0).values(0)[0]
+    s1o = ci_eval("CI-C", coeffs, params, 1.0).values(1)[0]
+    s0l = ci_eval("CI-C", coeffs[:1], params, 1.0, constants_mode="paper_literal").values(0)[0]
+    s1l = ci_eval("CI-C", coeffs, params, 1.0, constants_mode="paper_literal").values(1)[0]
     assert (s1l - s0l) / (s1o - s0o) == pytest.approx(0.25, rel=1e-12)
     report(3, f"(12/12 validated pass; literal CD-C ratio {ratios['CD-C']:.10f}, CI-C term ratio 0.25)")
 
@@ -178,16 +177,18 @@ def test_criterion_4_direct_problem_equivalence():
         scale_line = float(np.max(np.abs(truth_line)))
         for variant in ("CD-A", "CD-B", "CD-C"):
             params = KernelParams(tau=tau, beta=default_beta(variant, a_line, tau))
-            vals, diags = solve_grid_line(variant, LINE_MIX, params, 40, xs)
-            assert not any(d.flagged for d in diags), (variant, tau)
+            series = solve_grid_line(variant, LINE_MIX, params, 40, xs)
+            vals = series.values(40)
+            assert not np.any(series.flagged(40)), (variant, tau)
             err = float(np.max(np.abs(vals - truth_line))) / scale_line
             worst[variant] = max(worst.get(variant, 0.0), err)
         truth_polar = forward_polar(POLAR_MIX, tau, rs)
         scale_polar = float(np.max(np.abs(truth_polar)))
         for variant in ("PD-A", "PD-B", "PD-C"):
             params = KernelParams(tau=tau, beta=default_beta(variant, a_polar, tau))
-            vals, diags = solve_grid_polar(variant, POLAR_MIX, params, 40, rs)
-            assert not any(d.flagged for d in diags), (variant, tau)
+            series = solve_grid_polar(variant, POLAR_MIX, params, 40, rs)
+            vals = series.values(40)
+            assert not np.any(series.flagged(40)), (variant, tau)
             err = float(np.max(np.abs(vals - truth_polar))) / scale_polar
             worst[variant] = max(worst.get(variant, 0.0), err)
     assert all(err <= 1e-6 for err in worst.values()), worst
@@ -201,14 +202,14 @@ def test_criterion_5_inverse_round_trips():
     xs = np.linspace(-3.0, 3.0, 25)
     u = evolve_line(f, tau)
     params = KernelParams(tau=tau, beta=default_beta("CI-A", 1.0 + tau, tau))
-    vals, _ = solve_grid_line("CI-A", u, params, 40, xs)
+    vals = solve_grid_line("CI-A", u, params, 40, xs).values(40)
     rel_line = float(np.linalg.norm(vals - f(xs)) / np.linalg.norm(f(xs)))
     assert rel_line <= 1e-3
 
     rs = np.linspace(0.0, 3.0, 25)
     up = evolve_polar(f, tau)
     params_p = KernelParams(tau=tau, beta=default_beta("PI-A", 1.0 + tau, tau))
-    vals_p, _ = solve_grid_polar("PI-A", up, params_p, 40, rs)
+    vals_p = solve_grid_polar("PI-A", up, params_p, 40, rs).values(40)
     rel_polar = float(np.linalg.norm(vals_p - f(rs)) / np.linalg.norm(f(rs)))
     assert rel_polar <= 1e-3
     report(5, f"(CI-A rel L2 {rel_line:.1e}, PI-A rel L2 {rel_polar:.1e})")
@@ -248,13 +249,13 @@ def test_criterion_7_exact_truncation_cases():
     assert np.all(np.abs(pol[1:]) <= 1e-10 * abs(pol[0]))
 
     xs = np.linspace(-3.0, 3.0, 13)
-    vals, _ = solve_grid_line("CD-A", g, params, 0, xs)
+    vals = solve_grid_line("CD-A", g, params, 0, xs).values(0)
     truth = forward_line(g, tau, xs)
     line_err = float(np.max(np.abs(vals - truth)) / np.max(np.abs(truth)))
     assert line_err <= 1e-10
 
     rs = np.linspace(0.0, 3.0, 7)
-    vals_p, _ = solve_grid_polar("PD-A", g, params, 0, rs)
+    vals_p = solve_grid_polar("PD-A", g, params, 0, rs).values(0)
     truth_p = forward_polar(g, tau, rs)
     polar_err = float(np.max(np.abs(vals_p - truth_p)) / np.max(np.abs(truth_p)))
     assert polar_err <= 1e-10

@@ -16,7 +16,7 @@ so they agree to a few units of rounding.
 import numpy as np
 import pytest
 
-from heatseries import experiments
+from heatseries import experiments, series_cartesian, series_polar
 from heatseries.experiments import (
     _AUDIT_FULL_ORDER,
     _AUDIT_SETUP,
@@ -24,14 +24,15 @@ from heatseries.experiments import (
     _AUDIT_TOL_FULL,
     _OFF_CENTER_PROBE,
     StudyConfig,
-    _grid_solve,
     _problem,
     expected_audit_statuses,
     run_audit,
 )
 from heatseries.profiles import Gaussian
 from heatseries.specfun import KernelParams
-from heatseries.variants import CONSTANTS_MODES, VARIANTS
+from heatseries.series_cartesian import solve_grid_line
+from heatseries.series_polar import solve_grid_polar
+from heatseries.variants import CONSTANTS_MODES, LINE, VARIANTS
 
 EPS = float(np.finfo(float).eps)
 
@@ -47,17 +48,18 @@ def per_order_audit(mode):
         params = KernelParams(tau=tau, beta=beta)
         truth_vals = np.atleast_1d(truth(probes))
         scale = float(np.max(np.abs(truth_vals)))
+        solve = solve_grid_line if row.geometry == LINE else solve_grid_polar
         errs, diverged, off_err = {}, {}, None
         for n in (0, 1, 2, full_order):
-            series = _grid_solve(variant, data, params, n, probes, mode)
+            series = solve(variant, data, params, n, probes, mode)
             errs[n] = float(np.max(np.abs(series.values(n) - truth_vals))) / scale
             diverged[n] = bool(np.any(series.flagged(n)))
         if row.pointwise:
-            v_lit = _grid_solve(variant, data, params, 2, probes[:1], "paper_literal").values(2)
-            v_ok = _grid_solve(variant, data, params, 2, probes[:1], "oracle_validated").values(2)
+            v_lit = solve(variant, data, params, 2, probes[:1], "paper_literal").values(2)
+            v_ok = solve(variant, data, params, 2, probes[:1], "oracle_validated").values(2)
             ratios[variant] = float(v_lit[0] / v_ok[0])
             off = np.array([_OFF_CENTER_PROBE])
-            off_vals = _grid_solve(variant, data, params, _AUDIT_FULL_ORDER, off, mode).values(_AUDIT_FULL_ORDER)
+            off_vals = solve(variant, data, params, _AUDIT_FULL_ORDER, off, mode).values(_AUDIT_FULL_ORDER)
             off_err = float(abs(off_vals[0] - np.atleast_1d(truth(off))[0])) / scale
         if row.weighted:
             passed = errs[2] < 0.8 * errs[0] and errs[full_order] <= _AUDIT_TOL_FULL
@@ -77,11 +79,22 @@ def counted(table, monkeypatch):
     return calls
 
 
+def counted_coefficients(monkeypatch):
+    """Wrap the public coefficient passes of both series modules, which
+    their builders call by name; returns the call counter."""
+    calls = []
+    for module, names in ((series_cartesian, ("cd_coeffs", "ci_coeffs")), (series_polar, ("pd_coeffs", "pi_coeffs"))):
+        for name in names:
+            monkeypatch.setattr(module, name, lambda v, *a, _fn=getattr(module, name), **k:
+                                calls.append(v) or _fn(v, *a, **k))
+    return calls
+
+
 @pytest.mark.parametrize("mode", CONSTANTS_MODES)
 def test_single_pass_audit_matches_the_per_order_audit(monkeypatch, mode):
     config = StudyConfig(study_kind="audit", constants_mode=mode)
     reference, ref_ratios = per_order_audit(mode)
-    coeff_calls = counted(experiments._COEFF_PASS, monkeypatch)
+    coeff_calls = counted_coefficients(monkeypatch)
     oracle_calls = counted(experiments._ORACLE, monkeypatch)
     passes, checked = {}, experiments.checked
 
@@ -91,7 +104,7 @@ def test_single_pass_audit_matches_the_per_order_audit(monkeypatch, mode):
 
     monkeypatch.setattr(experiments, "checked", keep)
     report = run_audit(config)
-    assert len(coeff_calls) == 12 and len(oracle_calls) == 8
+    assert sorted(coeff_calls) == sorted(VARIANTS) and len(oracle_calls) == 8
     assert set(passes) == set(VARIANTS)
 
     for row in report.rows:

@@ -276,6 +276,25 @@ def test_study_rejects_negative_orders_and_bad_deltas(tmp_path, capsys, kind, sw
     assert_rejected(capsys, run_cli("study", "--config", str(cfg)), str(cfg), fragment)
 
 
+@pytest.mark.parametrize(
+    "study, sweep, fragment",
+    [
+        ("seed = -1\n", "orders = 0:4:2", "seed"),
+        ("", "orders = 0:4:2\nbetas = -1", "betas"),
+        ("", "orders = 0:4:2\nbetas = 0", "betas"),
+        ("", "orders = 0:4:2\nbetas = 0.6, nan", "betas"),
+        ("", "orders = 0:4:2\nbetas = inf", "betas"),
+    ],
+    ids=["negative-seed", "negative-beta", "zero-beta", "nan-beta", "inf-beta"],
+)
+def test_study_rejects_negative_seed_and_bad_betas(tmp_path, capsys, study, sweep, fragment):
+    # both used to fail mid-run (numpy's generator, KernelParams) without
+    # naming the config file
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"[study]\nkind = noise\n{study}\n[sweep]\n{sweep}\n")
+    assert_rejected(capsys, run_cli("study", "--config", str(cfg)), str(cfg), fragment)
+
+
 def test_study_float_range_is_not_accumulated():
     # lo + k step: no drift, and hi is kept when it is a whole number of steps
     betas = cli._parse_number_list("0.5:1.5:0.1", 1, "x.cfg")

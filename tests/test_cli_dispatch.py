@@ -1,5 +1,6 @@
-"""The CLI's solve path through the geometry dispatch of `experiments`, and a
-fuzz of the profile strings and numeric flags at the command boundary."""
+"""The CLI's solve path through the geometry dispatch of `experiments` (the
+public grid solves), and a fuzz of the profile strings and numeric flags at
+the command boundary."""
 
 import warnings
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from heatseries import experiments, quad
+from heatseries import experiments, quad, series_cartesian, series_polar
 from heatseries.cli import FORWARD_VARIANTS, INVERSE_VARIANTS, main
 from heatseries.kernels import evolve_line, evolve_polar
 from heatseries.profiles import Gaussian, Mixture, estimate_scale_line, estimate_scale_polar, format_profile
@@ -32,10 +33,24 @@ def cli_values(capsys, *argv):
     return np.array([float(v) for _, v, _ in rows]), np.array([f == "1" for _, _, f in rows])
 
 
-def test_the_dispatch_covers_every_geometry_and_direction():
-    for name, row in VARIANTS.items():
-        assert (row.geometry, row.direct) in experiments._COEFF_PASS
-    for table in (experiments._TERM_MATRIX, experiments._ORACLE, experiments._EVOLVE,
+COEFFS = {(LINE, True): "cd_coeffs", (LINE, False): "ci_coeffs", (POLAR, True): "pd_coeffs",
+          (POLAR, False): "pi_coeffs"}
+
+
+def test_the_dispatch_covers_every_geometry_and_direction(monkeypatch):
+    # every variant builds through its geometry's builder, which takes the
+    # public coefficient pass of the variant's direction
+    calls = []
+    for (geometry, _), name in COEFFS.items():
+        module = series_cartesian if geometry == LINE else series_polar
+        monkeypatch.setattr(module, name, lambda v, *a, _fn=getattr(module, name), _name=name, **k:
+                            calls.append((v, _name)) or _fn(v, *a, **k))
+    params = KernelParams(tau=0.3, beta=1.0)
+    for variant, row in VARIANTS.items():
+        experiments._GRID_TERMS[row.geometry](variant, Gaussian(width_a=1.0), params, 2, np.array([0.5]),
+                                              "oracle_validated")
+    assert calls == [(variant, COEFFS[row.geometry, row.direct]) for variant, row in VARIANTS.items()]
+    for table in (experiments._GRID_TERMS, experiments._SOLVE, experiments._ORACLE, experiments._EVOLVE,
                   experiments._SCALE_ESTIMATE, experiments._STUDY_GRID, experiments._COMPARE_GRID):
         assert set(table) == {LINE, POLAR}
 
@@ -56,17 +71,17 @@ def test_cli_solve_is_the_library_grid_solve(capsys, variant):
     argv = ["forward" if direct else "inverse", "--geometry", geometry, "--variant", variant, "--tau", "0.3",
             "--order", str(order), "--eval-grid", grid, "--profile", profile]
     if variant == CLASSICAL:
-        ref_vals, diags = solve_grid_line(variant, data, None, order, xs, tau=tau)
+        ref = solve_grid_line(variant, data, None, order, xs, tau=tau)
     else:
         estimate = estimate_scale_line if geometry == LINE else estimate_scale_polar
         beta = default_beta(variant, estimate(data), tau)
         params = KernelParams(tau=tau, beta=beta)
         solver = solve_grid_line if geometry == LINE else solve_grid_polar
-        ref_vals, diags = solver(variant, data, params, order, xs)
+        ref = solver(variant, data, params, order, xs)
         argv += ["--beta", "auto"]
     vals, flags = cli_values(capsys, *argv)
-    np.testing.assert_array_equal(vals, ref_vals)
-    np.testing.assert_array_equal(flags, [d.flagged for d in diags])
+    np.testing.assert_array_equal(vals, ref.values(order))
+    np.testing.assert_array_equal(flags, ref.flagged(order))
 
 
 @pytest.mark.parametrize("variant", ["PD-C", "PI-C", "CD-C", "CI-C"])

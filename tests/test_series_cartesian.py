@@ -14,13 +14,22 @@ from heatseries.series_cartesian import (
     ci_classical,
     ci_coeffs,
     ci_eval,
-    line_series,
     solve_grid_line,
 )
 from heatseries.specfun import KernelParams
 from heatseries.variants import VARIANTS
 
 SQRT_PI = math.sqrt(math.pi)
+
+
+def value(series):
+    """The full-order sum at the first point of an evaluation."""
+    return float(series.values(series.order)[0])
+
+
+def flagged(series):
+    """Whether the full-order sum is flagged at the first point."""
+    return bool(series.flagged(series.order)[0])
 
 
 def hermite_moment_scaled(j, root, a, amp=1.0):
@@ -98,7 +107,7 @@ def test_cd_a_order_zero_value_and_oracle_gap():
     params = KernelParams(tau=0.5, beta=0.5)
     g = Gaussian(width_a=1.0)
     coeffs = cd_coeffs("CD-A", g, params, 0)
-    val, _ = cd_eval("CD-A", coeffs, params, 0.0)
+    val = value(cd_eval("CD-A", coeffs, params, 0.0))
     assert val == pytest.approx(1.0, rel=1e-10)
     oracle = forward_line(g, 0.5, 0.0)
     assert oracle == pytest.approx(math.sqrt(1.0 / 1.5), rel=1e-10)
@@ -111,19 +120,19 @@ def test_direct_series_match_oracle_on_gaussian(variant):
     tau = 0.5
     params = KernelParams(tau=tau, beta=default_beta(variant, 1.0, tau))
     xs = np.linspace(-3.0, 3.0, 9)
-    vals, diags = solve_grid_line(variant, g, params, 40, xs)
+    series = solve_grid_line(variant, g, params, 40, xs)
     oracle = forward_line(g, tau, xs)
     scale = float(np.max(np.abs(oracle)))
-    np.testing.assert_allclose(vals, oracle, rtol=0.0, atol=1e-6 * scale)
-    assert not any(d.flagged for d in diags)
+    np.testing.assert_allclose(series.values(40), oracle, rtol=0.0, atol=1e-6 * scale)
+    assert not np.any(series.flagged(40))
 
 
 def test_direct_series_even_profile_parity():
     g = Gaussian(width_a=0.8)
     params = KernelParams(tau=0.3, beta=0.8)
     coeffs = cd_coeffs("CD-A", g, params, 20)
-    plus, _ = cd_eval("CD-A", coeffs, params, 1.2)
-    minus, _ = cd_eval("CD-A", coeffs, params, -1.2)
+    plus = value(cd_eval("CD-A", coeffs, params, 1.2))
+    minus = value(cd_eval("CD-A", coeffs, params, -1.2))
     assert plus == pytest.approx(minus, rel=1e-12)
 
 
@@ -135,7 +144,7 @@ def test_ci_a_round_trip_reconstruction():
     u = evolve_line(f, tau)
     params = KernelParams(tau=tau, beta=beta_rule(1.3, tau))  # evolved scale 1.3
     xs = np.linspace(-3.0, 3.0, 25)
-    vals, _ = solve_grid_line("CI-A", u, params, 40, xs)
+    vals = solve_grid_line("CI-A", u, params, 40, xs).values(40)
     truth = f(xs)
     rel_l2 = np.linalg.norm(vals - truth) / np.linalg.norm(truth)
     assert rel_l2 <= 1e-3
@@ -147,7 +156,7 @@ def test_ci_b_round_trip_reconstruction():
     u = evolve_line(f, tau)
     params = KernelParams(tau=tau, beta=0.25)  # CI-B converges for any beta > 0
     xs = np.linspace(-2.0, 2.0, 9)
-    vals, _ = solve_grid_line("CI-B", u, params, 60, xs)
+    vals = solve_grid_line("CI-B", u, params, 60, xs).values(60)
     np.testing.assert_allclose(vals, f(xs), rtol=0.0, atol=2e-6)
 
 
@@ -157,7 +166,7 @@ def test_ci_c_round_trip_reconstruction():
     u = evolve_line(f, tau)
     params = KernelParams(tau=tau, beta=1.0)
     xs = np.linspace(-2.0, 2.0, 7)
-    vals, _ = solve_grid_line("CI-C", u, params, 40, xs)
+    vals = solve_grid_line("CI-C", u, params, 40, xs).values(40)
     np.testing.assert_allclose(vals, f(xs), rtol=0.0, atol=1e-8)
 
 
@@ -166,8 +175,7 @@ def test_inverse_of_zero_data_is_zero():
     zero = Sampled1D(-4.0, 4.0, np.zeros(81))
     for variant in ("CI-A", "CI-B"):
         coeffs = ci_coeffs(variant, zero, params, 10)
-        val, _ = ci_eval(variant, coeffs, params, 0.7)
-        assert val == 0.0
+        assert value(ci_eval(variant, coeffs, params, 0.7)) == 0.0
 
 
 def test_ci_a_small_tau_is_near_self_expansion():
@@ -175,7 +183,7 @@ def test_ci_a_small_tau_is_near_self_expansion():
     u = Gaussian(width_a=0.9)
     params = KernelParams(tau=1e-6, beta=0.9)
     xs = np.array([-1.0, 0.0, 0.5, 1.5])
-    vals, _ = solve_grid_line("CI-A", u, params, 40, xs)
+    vals = solve_grid_line("CI-A", u, params, 40, xs).values(40)
     np.testing.assert_allclose(vals, u(xs), rtol=0.0, atol=1e-5)
 
 
@@ -185,12 +193,15 @@ def test_structural_symmetry_cd_a_ci_a():
     coeffs = np.array([0.9, -0.3, 0.08, 0.21, -0.05])
     params = KernelParams(tau=0.4, beta=0.6)
     xs = np.array([-1.1, 0.0, 0.7, 2.2])
-    ci_vals, _ = ci_eval("CI-A", coeffs, params, xs)
+    ci_vals = ci_eval("CI-A", coeffs, params, xs).values(coeffs.size - 1)
     s = params.shifted
     cd_a = VARIANTS["CD-A"]
     swap = {"beta": "tau+beta", "tau+beta": "beta"}
     swapped = replace(cd_a, scales=tuple(swap[t] for t in cd_a.scales))
-    direct_core = line_series(swapped, coeffs, params, xs, "oracle_validated")
+    # the public CD-A evaluator with CD-A's row swapped in the table
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(VARIANTS, "CD-A", swapped)
+        direct_core = cd_eval("CD-A", coeffs, params, xs)
     np.testing.assert_array_equal(ci_vals, direct_core.values(coeffs.size - 1))
     # and the swap really is CD-A's scale set with beta <-> tau+beta
     assert swapped.scales == VARIANTS["CI-A"].scales
@@ -207,8 +218,8 @@ def test_cd_c_paper_literal_fails_by_sqrt_pi():
     params = KernelParams(tau=0.5, beta=1.0)
     coeffs = cd_coeffs("CD-C", g, params, 2, x_center=0.0)
     oracle = forward_line(g, 0.5, 0.0)
-    val_ok, _ = cd_eval("CD-C", coeffs, params, 0.0)
-    val_lit, _ = cd_eval("CD-C", coeffs, params, 0.0, constants_mode="paper_literal")
+    val_ok = value(cd_eval("CD-C", coeffs, params, 0.0))
+    val_lit = value(cd_eval("CD-C", coeffs, params, 0.0, constants_mode="paper_literal"))
     assert val_ok == pytest.approx(oracle, rel=1e-9)
     assert val_lit / val_ok == pytest.approx(SQRT_PI, rel=1e-12)
 
@@ -222,10 +233,10 @@ def test_ci_c_paper_literal_first_order_term_ratio_is_quarter():
     params = KernelParams(tau=tau, beta=1.0)
     x = 1.0
     coeffs = ci_coeffs("CI-C", u, params, 1, x_center=x)
-    s0_ok, _ = ci_eval("CI-C", coeffs[:1], params, x)
-    s1_ok, _ = ci_eval("CI-C", coeffs, params, x)
-    s0_lit, _ = ci_eval("CI-C", coeffs[:1], params, x, constants_mode="paper_literal")
-    s1_lit, _ = ci_eval("CI-C", coeffs, params, x, constants_mode="paper_literal")
+    s0_ok = value(ci_eval("CI-C", coeffs[:1], params, x))
+    s1_ok = value(ci_eval("CI-C", coeffs, params, x))
+    s0_lit = value(ci_eval("CI-C", coeffs[:1], params, x, constants_mode="paper_literal"))
+    s1_lit = value(ci_eval("CI-C", coeffs, params, x, constants_mode="paper_literal"))
     assert s0_lit == pytest.approx(s0_ok, rel=1e-13)
     assert (s1_lit - s0_lit) / (s1_ok - s0_ok) == pytest.approx(0.25, rel=1e-12)
 
@@ -237,7 +248,7 @@ def test_ci_c_paper_literal_converges_to_wrong_limit():
     params = KernelParams(tau=tau, beta=1.0)
     x = 1.0
     coeffs = ci_coeffs("CI-C", u, params, 40, x_center=x)
-    val_lit, _ = ci_eval("CI-C", coeffs, params, x, constants_mode="paper_literal")
+    val_lit = value(ci_eval("CI-C", coeffs, params, x, constants_mode="paper_literal"))
     # closed form of the published series at the matched scale: cos(x/sqrt(8a))
     assert val_lit == pytest.approx(math.cos(x / math.sqrt(8.0)), rel=1e-8)
     assert abs(val_lit - f(x)) > 0.1
@@ -258,18 +269,18 @@ def test_cd_b_divergence_flagged_outside_its_region():
     g = Gaussian(width_a=4.0)
     params = KernelParams(tau=0.1, beta=0.1)
     coeffs = cd_coeffs("CD-B", g, params, 40)
-    val, diag = cd_eval("CD-B", coeffs, params, 0.5)
-    assert diag.flagged
-    assert diag.first_growth_index is not None and diag.first_growth_index >= 4
+    series = cd_eval("CD-B", coeffs, params, 0.5)
+    assert flagged(series)
+    assert series.growth[0] >= 4
 
 
 def test_convergent_case_not_flagged():
     g = Gaussian(width_a=1.0)
     params = KernelParams(tau=0.5, beta=0.5)
     coeffs = cd_coeffs("CD-B", g, params, 40)
-    _, diag = cd_eval("CD-B", coeffs, params, 0.5)
-    assert not diag.flagged
-    assert diag.first_growth_index is None
+    series = cd_eval("CD-B", coeffs, params, 0.5)
+    assert not flagged(series)
+    assert series.fires[0] == series.terms.shape[0]  # no growth run fires at any order
 
 
 @pytest.mark.parametrize("variant, coeffs_fn, eval_fn", [("CD-C", cd_coeffs, cd_eval), ("CI-C", ci_coeffs, ci_eval)])
@@ -282,7 +293,7 @@ def test_c_grid_overflow_names_the_first_point_that_overflows_alone(variant, coe
     first = None
     for i, x in enumerate(xs):
         try:
-            eval_fn(variant, coeffs[:, i], params, float(x))
+            value(eval_fn(variant, coeffs[:, i], params, float(x)))
         except OverflowError as exc:
             first = f"{variant} at x = {x:g}: {exc}"
             break
@@ -296,19 +307,19 @@ def test_c_grid_overflow_names_the_first_point_that_overflows_alone(variant, coe
 
 def test_ci_classical_even_data_odd_terms_vanish():
     u = Gaussian(width_a=1.3)  # even about 0
-    val, diag = ci_classical(u, 0.3, 9, 0.8)
+    series = ci_classical(u, 0.3, 9, 0.8)
     # odd-index magnitudes are exactly zero
-    assert np.all(diag.term_magnitudes[1::2] == 0.0)
+    assert np.all(np.abs(series.terms[: series.rows(9), 0])[1::2] == 0.0)
 
 
 def test_ci_classical_reconstructs_gaussian_with_exact_derivatives():
     f = Gaussian(width_a=1.0)
     tau = 0.3
     u = evolve_line(f, tau)
-    val, _ = ci_classical(u, tau, 30, 0.0)
+    val = value(ci_classical(u, tau, 30, 0.0))
     assert val == pytest.approx(1.0, abs=1e-4)
     # off-center too, inside the convergence region
-    val1, _ = ci_classical(u, tau, 40, 1.0)
+    val1 = value(ci_classical(u, tau, 40, 1.0))
     assert val1 == pytest.approx(float(f(1.0)), abs=1e-4)
 
 
@@ -322,7 +333,7 @@ def test_ci_classical_noise_amplification_ordering():
     truth = f(xs)
 
     def err(n):
-        vals, _ = ci_classical(noisy, tau, n, xs)
+        vals = ci_classical(noisy, tau, n, xs).values(n)
         return np.linalg.norm(vals - truth) / np.linalg.norm(truth)
 
     assert err(20) >= 10.0 * err(6)
@@ -399,7 +410,8 @@ def test_noiseless_round_trip_error_non_increasing():
     coeffs = ci_coeffs("CI-A", u, params, 44)
     errs = []
     for n in range(0, 45, 2):
-        vals, diags = ci_eval("CI-A", coeffs[: n + 1], params, xs)
-        assert not any(d.flagged for d in diags)
+        series = ci_eval("CI-A", coeffs[: n + 1], params, xs)
+        vals = series.values(n)
+        assert not np.any(series.flagged(n))
         errs.append(float(np.linalg.norm(vals - f(xs)) / np.linalg.norm(f(xs))))
     assert all(b <= a + 1e-9 for a, b in zip(errs, errs[1:]))

@@ -15,6 +15,11 @@ from heatseries.series_polar import (
 )
 from heatseries.specfun import KernelParams, w_poly_coefficients
 
+def value(series):
+    """The full-order sum at the first radius of an evaluation."""
+    return float(series.values(series.order)[0])
+
+
 RADIAL_MIX = Mixture(
     (Gaussian(width_a=0.9, amplitude=1.0), Gaussian(width_a=1.3, amplitude=0.8))
 )
@@ -82,7 +87,7 @@ def test_pd_a_order_zero_exact_at_matched_scale():
     g = Gaussian(width_a=1.0)
     params = KernelParams(tau=0.5, beta=1.0)
     coeffs = pd_coeffs("PD-A", g, params, 0)
-    val, _ = pd_eval("PD-A", coeffs, params, 0.0)
+    val = value(pd_eval("PD-A", coeffs, params, 0.0))
     assert val == pytest.approx(2.0 / 3.0, rel=1e-10)
     assert val == pytest.approx(forward_polar(g, 0.5, 0.0), rel=1e-9)
 
@@ -93,11 +98,11 @@ def test_direct_polar_series_match_oracle(variant):
     params = KernelParams(tau=tau, beta=default_beta(variant, 1.0, tau))
     g = Gaussian(width_a=1.0)
     rs = np.linspace(0.0, 3.0, 7)
-    vals, diags = solve_grid_polar(variant, g, params, 40, rs)
+    series = solve_grid_polar(variant, g, params, 40, rs)
     oracle = forward_polar(g, tau, rs)
     scale = float(np.max(np.abs(oracle)))
-    np.testing.assert_allclose(vals, oracle, rtol=0.0, atol=1e-6 * scale)
-    assert not any(d.flagged for d in diags)
+    np.testing.assert_allclose(series.values(40), oracle, rtol=0.0, atol=1e-6 * scale)
+    assert not np.any(series.flagged(40))
 
 
 def test_pd_a_expansion_limit_small_tau():
@@ -105,7 +110,7 @@ def test_pd_a_expansion_limit_small_tau():
     g = Gaussian(width_a=1.0)
     params = KernelParams(tau=1e-9, beta=1.0)
     rs = np.linspace(0.0, 3.0, 7)
-    vals, _ = solve_grid_polar("PD-A", g, params, 0, rs)
+    vals = solve_grid_polar("PD-A", g, params, 0, rs).values(0)
     np.testing.assert_allclose(vals, g(rs), rtol=0.0, atol=1e-8)
 
 
@@ -113,7 +118,7 @@ def test_direct_polar_nonnegative_data_stays_nonnegative():
     tau = 0.5
     params = KernelParams(tau=tau, beta=default_beta("PD-A", 1.05, tau))
     rs = np.linspace(0.0, 3.0, 13)
-    vals, _ = solve_grid_polar("PD-A", RADIAL_MIX, params, 40, rs)
+    vals = solve_grid_polar("PD-A", RADIAL_MIX, params, 40, rs).values(40)
     assert np.all(vals >= -1e-8 * float(np.max(np.abs(RADIAL_MIX(rs)))))
 
 
@@ -125,7 +130,7 @@ def test_pi_a_round_trip():
     u = evolve_polar(f, tau)
     params = KernelParams(tau=tau, beta=default_beta("PI-A", 1.3, tau))
     rs = np.linspace(0.0, 3.0, 25)
-    vals, _ = solve_grid_polar("PI-A", u, params, 40, rs)
+    vals = solve_grid_polar("PI-A", u, params, 40, rs).values(40)
     rel_l2 = np.linalg.norm(vals - f(rs)) / np.linalg.norm(f(rs))
     assert rel_l2 <= 1e-3
 
@@ -136,7 +141,7 @@ def test_pi_b_round_trip_and_guard():
     u = evolve_polar(f, tau)
     params = KernelParams(tau=tau, beta=1.3)
     rs = np.linspace(0.0, 2.5, 9)
-    vals, _ = solve_grid_polar("PI-B", u, params, 40, rs)
+    vals = solve_grid_polar("PI-B", u, params, 40, rs).values(40)
     np.testing.assert_allclose(vals, f(rs), rtol=0.0, atol=1e-8)
     with pytest.raises(ValueError):
         pi_eval("PI-B", np.ones(3), KernelParams(tau=0.5, beta=0.4), 0.0)
@@ -148,7 +153,7 @@ def test_pi_c_round_trip():
     u = evolve_polar(f, tau)
     params = KernelParams(tau=tau, beta=1.0)
     rs = np.linspace(0.0, 2.0, 5)
-    vals, _ = solve_grid_polar("PI-C", u, params, 30, rs)
+    vals = solve_grid_polar("PI-C", u, params, 30, rs).values(30)
     np.testing.assert_allclose(vals, f(rs), rtol=0.0, atol=1e-7)
 
 
@@ -156,8 +161,7 @@ def test_inverse_zero_data_gives_zero():
     params = KernelParams(tau=0.3, beta=1.0)
     zero = Sampled1D(0.0, 5.0, np.zeros(51))
     coeffs = pi_coeffs("PI-A", zero, params, 8)
-    val, _ = pi_eval("PI-A", coeffs, params, 1.0)
-    assert val == 0.0
+    assert value(pi_eval("PI-A", coeffs, params, 1.0)) == 0.0
 
 
 def test_structural_symmetry_pd_a_pi_a():
@@ -165,18 +169,20 @@ def test_structural_symmetry_pd_a_pi_a():
     # identical coefficient lists give identical values through the shared core
     from dataclasses import replace
 
-    from heatseries.series_polar import polar_series
     from heatseries.variants import VARIANTS
 
     coeffs = np.array([1.1, -0.2, 0.31, 0.07])
     params = KernelParams(tau=0.4, beta=0.6)
     rs = np.array([0.0, 0.8, 1.7])
-    pi_vals, _ = pi_eval("PI-A", coeffs, params, rs)
+    pi_vals = pi_eval("PI-A", coeffs, params, rs).values(coeffs.size - 1)
     s = params.shifted
     pd_a = VARIANTS["PD-A"]
     swap = {"beta": "tau+beta", "tau+beta": "beta"}
     swapped = replace(pd_a, scales=tuple(swap[t] for t in pd_a.scales))
-    core = polar_series(swapped, coeffs, params, rs, "oracle_validated")
+    # the public PD-A evaluator with PD-A's row swapped in the table
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(VARIANTS, "PD-A", swapped)
+        core = pd_eval("PD-A", coeffs, params, rs)
     np.testing.assert_array_equal(pi_vals, core.values(coeffs.size - 1))
     # scales as (arg, num, den, pref), the ratio being num/den
     pd = pd_a.times(params)
@@ -193,8 +199,8 @@ def test_pd_c_paper_literal_fails_by_documented_ratio():
     s = params.shifted
     coeffs = pd_coeffs("PD-C", g, params, 2, r_center=0.0)
     oracle = forward_polar(g, 0.5, 0.0)
-    ok, _ = pd_eval("PD-C", coeffs, params, 0.0)
-    lit, _ = pd_eval("PD-C", coeffs, params, 0.0, constants_mode="paper_literal")
+    ok = value(pd_eval("PD-C", coeffs, params, 0.0))
+    lit = value(pd_eval("PD-C", coeffs, params, 0.0, constants_mode="paper_literal"))
     assert ok == pytest.approx(oracle, rel=1e-9)
     assert lit / ok == pytest.approx(math.pi**1.5 * math.sqrt(s), rel=1e-12)
 
@@ -205,8 +211,8 @@ def test_pi_c_paper_literal_fails_by_documented_ratio():
     u = evolve_polar(f, tau)
     params = KernelParams(tau=tau, beta=1.0)
     coeffs = pi_coeffs("PI-C", u, params, 2, r_center=0.0)
-    ok, _ = pi_eval("PI-C", coeffs, params, 0.0)
-    lit, _ = pi_eval("PI-C", coeffs, params, 0.0, constants_mode="paper_literal")
+    ok = value(pi_eval("PI-C", coeffs, params, 0.0))
+    lit = value(pi_eval("PI-C", coeffs, params, 0.0, constants_mode="paper_literal"))
     assert ok == pytest.approx(float(f(0.0)), rel=1e-9)
     expected_ratio = math.pi**1.5 * params.beta / math.sqrt(tau)
     assert lit / ok == pytest.approx(expected_ratio, rel=1e-12)
@@ -218,8 +224,7 @@ def test_pd_b_divergence_flagged_outside_region():
     g = Gaussian(width_a=4.0)
     params = KernelParams(tau=0.1, beta=0.1)
     coeffs = pd_coeffs("PD-B", g, params, 40)
-    _, diag = pd_eval("PD-B", coeffs, params, 0.5)
-    assert diag.flagged
+    assert pd_eval("PD-B", coeffs, params, 0.5).flagged(40)[0]
 
 
 def test_linearity_in_data():

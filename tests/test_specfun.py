@@ -7,22 +7,16 @@ from hypothesis import strategies as st
 
 from heatseries.specfun import (
     KernelParams,
-    PolynomialFamily,
     bessel_i0,
     bessel_i0_scaled,
     bessel_j0,
-    gamma_half,
     hermite_at_zero,
     hermite_batch,
-    hermite_eval,
     scaled_polar_kernel,
     w_poly_batch,
     w_poly_coefficients,
     w_poly_eval,
 )
-
-SQRT_PI = math.sqrt(math.pi)
-
 
 # --- Hermite ----------------------------------------------------------------
 
@@ -37,13 +31,13 @@ def test_hermite_low_orders_match_explicit_polynomials():
         5: lambda z: 32 * z**5 - 160 * z**3 + 120 * z,
     }
     for j, poly in explicit.items():
-        np.testing.assert_allclose(hermite_eval(j, zs), poly(zs), rtol=1e-13)
+        np.testing.assert_allclose(hermite_batch(j, zs)[j], poly(zs), rtol=1e-13)
 
 
 def test_hermite_spec_values():
-    assert hermite_eval(0, 0.7) == 1.0
-    assert hermite_eval(1, 0.5) == 1.0
-    assert hermite_eval(3, 1.0) == -4.0
+    assert hermite_batch(0, 0.7)[0] == 1.0
+    assert hermite_batch(1, 0.5)[1] == 1.0
+    assert hermite_batch(3, 1.0)[3] == -4.0
 
 
 def test_hermite_at_zero_values():
@@ -152,13 +146,6 @@ def test_w_batch_matches_monomial_route():
         cond = np.abs(w_poly_coefficients(j)) @ (zs[None, :] ** (2 * np.arange(j + 1)[:, None]))
         tol = 1e-13 * cond + 1e-13 * np.abs(mono)
         assert np.all(np.abs(batch[j] - mono) <= tol)
-
-
-def test_polynomial_family_order_zero_is_one():
-    for kind in ("hermite", "w"):
-        fam = PolynomialFamily(kind, 5)
-        vals = fam.values(np.array([-2.0, 0.3, 4.0]))
-        np.testing.assert_array_equal(vals[0], np.ones(3))
 
 
 # --- Bessel -----------------------------------------------------------------
@@ -276,16 +263,6 @@ def test_scaled_polar_kernel_no_overflow_at_extreme_range():
     assert np.isfinite(scaled_polar_kernel(big, big, t))
     with pytest.raises(ValueError):
         scaled_polar_kernel(1.0, 1.0, 0.0)
-
-
-def test_gamma_half_values():
-    assert gamma_half(0) == pytest.approx(SQRT_PI, rel=1e-15)
-    assert gamma_half(1) == pytest.approx(SQRT_PI / 2, rel=1e-15)
-    assert gamma_half(2) == pytest.approx(3 * SQRT_PI / 4, rel=1e-15)
-    # closed form (2j)! sqrt(pi) / (4^j j!)
-    for j in (3, 7, 15):
-        exact = math.factorial(2 * j) * SQRT_PI / (4**j * math.factorial(j))
-        assert gamma_half(j) == pytest.approx(exact, rel=1e-13)
 
 
 def test_kernel_params_validation():

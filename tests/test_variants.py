@@ -20,7 +20,6 @@ from heatseries.specfun import KernelParams
 from heatseries.variants import (
     CONSTANTS_MODES,
     VARIANTS,
-    point_results,
     pointwise_terms,
     series_terms,
     variant_names,
@@ -109,11 +108,15 @@ def test_vectorised_scan_matches_reference_loops(terms, abs_tol):
             assert bool(flagged[c]) == ref_flag
             if ref_flag:
                 assert int(series.growth[c]) == ref_idx
-    values, diags = point_results(series, np.zeros(terms.shape[1]))
+    # the full order: each column's kept magnitudes, flag and first growth
+    # index (-1 when unflagged stands for the reference's None)
+    n = terms.shape[0] - 1
     kept = reference_early_stop(terms, abs_tol)
-    for c, diag in enumerate(diags):
-        np.testing.assert_array_equal(diag.term_magnitudes, np.abs(kept[:, c]))
-        assert (diag.flagged, diag.first_growth_index) == reference_scan(kept[:, c])
+    flagged = series.flagged(n)
+    for c in range(terms.shape[1]):
+        np.testing.assert_array_equal(np.abs(series.terms[: series.rows(n), c]), np.abs(kept[:, c]))
+        growth = int(series.growth[c]) if flagged[c] else None
+        assert (bool(flagged[c]), growth) == reference_scan(kept[:, c])
 
 
 def test_scan_flags_growth_run_that_starts_before_index_4():
@@ -176,13 +179,18 @@ def test_pointwise_terms_are_the_single_point_series(coeffs, abs_tol, overflow_r
         assert_pointwise_matches_reference(kappa, coeffs)
         if not np.all(np.isfinite(coeffs)):
             return
+        n = coeffs.shape[0] - 1
         series = pointwise_terms(kappa, coeffs, coeffs.shape[1])
-        values, diags = point_results(series, np.zeros(coeffs.shape[1]))
-        for c, diag in enumerate(diags):
-            ref_value, ref_diag = point_results(reference_point(kappa, coeffs[:, c]), 0.0)
-            assert same_bits(values[c], ref_value)
-            assert same_bits(diag.term_magnitudes, ref_diag.term_magnitudes)
-            assert (diag.flagged, diag.first_growth_index) == (ref_diag.flagged, ref_diag.first_growth_index)
+        values, flagged = series.values(n), series.flagged(n)
+        rows = np.broadcast_to(series.rows(n), flagged.shape)
+        for c in range(coeffs.shape[1]):
+            ref = reference_point(kappa, coeffs[:, c])
+            ref_flagged = bool(ref.flagged(n)[0])
+            assert same_bits(values[c], ref.values(n)[0])
+            assert same_bits(np.abs(series.terms[: rows[c], c]), np.abs(ref.terms[: ref.rows(n), 0]))
+            assert bool(flagged[c]) == ref_flagged
+            if ref_flagged:
+                assert series.growth[c] == ref.growth[0]
 
 
 def test_pointwise_sums_are_one_column_sums_on_random_shapes():
@@ -264,17 +272,18 @@ def test_sweep_equals_independent_solves(variant, data, params, grid, orders):
     for n, vals, flagged, err in swept:
         assert err is None
         if pointwise:
-            pairs = [eval_fn(variant, c[: n + 1], params, float(x)) for c, x in zip(coeffs, grid)]
-            ref_vals = np.array([v for v, _ in pairs])
-            ref_flag = any(d.flagged for _, d in pairs)
+            points = [eval_fn(variant, c[: n + 1], params, float(x)) for c, x in zip(coeffs, grid)]
+            ref_vals = np.concatenate([p.values(n) for p in points])
+            ref_flag = any(p.flagged(n)[0] for p in points)
         else:
-            ref_vals, diags = eval_fn(variant, coeffs[: n + 1], params, grid)
-            ref_flag = any(d.flagged for d in diags)
+            series = eval_fn(variant, coeffs[: n + 1], params, grid)
+            ref_vals = series.values(n)
+            ref_flag = bool(np.any(series.flagged(n)))
         np.testing.assert_array_equal(vals, ref_vals)
         assert flagged == ref_flag
-    solved, diags = solver(variant, data, params, top, grid)
-    np.testing.assert_array_equal(swept[-1][1], solved)
-    assert swept[-1][2] == any(d.flagged for d in diags)
+    solved = solver(variant, data, params, top, grid)
+    np.testing.assert_array_equal(swept[-1][1], solved.values(top))
+    assert swept[-1][2] == bool(np.any(solved.flagged(top)))
 
 
 @pytest.mark.parametrize("data", [evolve_line(Gaussian(width_a=1.0), 0.3), "sampled"])
@@ -288,12 +297,12 @@ def test_sweep_equals_independent_solves_classical(data):
     failed = 0
     for n, vals, flagged, err in swept:
         try:
-            ref_vals, diags = solve_grid_line("CI-classical", data, None, n, XS, tau=0.3)
+            ref = solve_grid_line("CI-classical", data, None, n, XS, tau=0.3)
         except ValueError:
             assert isinstance(err, ValueError) and flagged
             failed += 1
             continue
         assert err is None
-        np.testing.assert_array_equal(vals, ref_vals)
-        assert flagged == any(d.flagged for d in diags)
+        np.testing.assert_array_equal(vals, ref.values(n))
+        assert flagged == bool(np.any(ref.flagged(n)))
     assert failed == (4 if isinstance(data, Sampled1D) else 0)
