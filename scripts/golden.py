@@ -90,6 +90,16 @@ STUDY_CONFIGS = {
     "negative_beta.cfg": "[study]\nkind = beta_map\ntau = 0.3\n\n[sweep]\norders = 8\nbetas = 0.5, -1\n",
     "nan_beta.cfg": "[study]\nkind = noise\ntau = 0.3\n\n[sweep]\norders = 0:4:2\nbetas = nan\n",
     "float_range.cfg": "[study]\nkind = beta_map\ntau = 0.3\n\n[sweep]\norders = 8\nbetas = 0.5:1.5:0.1\n",
+    "bogus_mode.cfg": "[study]\nkind = convergence\ntau = 0.5\nconstants_mode = bogus\n\n[sweep]\norders = 0:4:2\n",
+    "negative_tau.cfg": "[study]\nkind = convergence\ntau = -1\n\n[sweep]\norders = 0:4:2\n",
+    "bump_noise.cfg": "[study]\nkind = noise\ntau = 0.3\nprofile = bump:radius=1\n\n[sweep]\norders = 0:4:2\n",
+    "bump_classical_compare.cfg": (
+        "[study]\nkind = classical_compare\ntau = 0.3\nprofile = bump:radius=1\n\n[sweep]\norders = 0:4:2\n"
+    ),
+    "bump_beta_map.cfg": (
+        "[study]\nkind = beta_map\ntau = 0.3\nvariants = CI-A\nprofile = bump:radius=1\n\n"
+        "[sweep]\norders = 4\nbetas = 0.5\n"
+    ),
 }
 
 

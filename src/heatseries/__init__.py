@@ -17,25 +17,21 @@ from .profiles import (
     estimate_scale_polar,
     parse_profile,
 )
-from .quad import AccuracyError, FiniteInterval, HalfLine, QuadSpec, WholeLine, hermite_moment, integrate
+from .quad import AccuracyError
 from .specfun import (
     KernelParams,
     bessel_i0,
     bessel_i0_scaled,
     bessel_j0,
-    hermite_at_zero,
     hermite_batch,
     scaled_polar_kernel,
     w_poly_batch,
-    w_poly_eval,
 )
 from .kernels import (
     evolve_line,
     evolve_polar,
     forward_line,
     forward_polar,
-    j0_product_check,
-    weber_integral_check,
 )
 from .variants import VARIANTS, SeriesTerms, Variant, beta_rule, default_beta
 from .series_cartesian import (

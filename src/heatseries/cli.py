@@ -24,6 +24,7 @@ import math
 import os
 import sys
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 
@@ -32,7 +33,6 @@ from .experiments import (
     _SCALE_ESTIMATE,
     _SOLVE,
     _STUDY_GRID,
-    GridGeom,
     StudyConfig,
     _kernel_params,
     _time,
@@ -442,81 +442,60 @@ def _parse_study_config(path: str) -> StudyConfig:
             raise CliError(f"{path}:{line_no}: expected key = value, got {raw!r}")
         key, val = (s.strip() for s in line.split("=", 1))
         sections[current][key] = (val, line_no)
-    study = sections["study"]
-
-    def take(section: dict, key: str, default=None):
-        if key in section:
-            return section.pop(key)
-        return (default, None)
-
-    kind, ln = take(study, "kind")
+    study, grid_sec, sweep = sections["study"], sections["grid"], sections["sweep"]
+    kind, _ = study.pop("kind", (None, None))
     if kind is None:
         raise CliError(f"{path}: [study] must set kind")
-    geometry, _ = take(study, "geometry", "line")
-    profile_text, pln = take(study, "profile", "gaussian:a=1")
-    try:
-        profile = parse_profile(profile_text)
-    except ValueError as exc:
-        raise CliError(f"{path}:{pln or 0}: bad profile: {exc}") from None
+    fields, grid = {"study_kind": kind}, {}  # the keys the file sets: StudyConfig declares the defaults
 
-    def number(section, key, default, caster=float):
-        val, line_no = take(section, key, None)
-        if val is None:
-            return default
+    def take(section: dict, key: str, into: dict, name: str | None = None, parse=lambda val, line_no: val):
+        if key in section:
+            into[name or key] = parse(*section.pop(key))
+
+    def number(key: str, caster=float):
+        def parse(val, line_no):
+            try:
+                return caster(val)
+            except ValueError:
+                raise CliError(f"{path}:{line_no}: {key} must be numeric, got {val!r}") from None
+
+        return parse
+
+    def profile(val, line_no):
         try:
-            return caster(val)
-        except ValueError:
-            raise CliError(f"{path}:{line_no}: {key} must be numeric, got {val!r}") from None
+            return parse_profile(val)
+        except ValueError as exc:
+            raise CliError(f"{path}:{line_no}: bad profile: {exc}") from None
 
-    tau = number(study, "tau", 0.3)
-    seed = number(study, "seed", 20250808, int)
-    mode, _ = take(study, "constants_mode", "oracle_validated")
-    variants_text, _ = take(study, "variants", "")
-    variants = tuple(v.strip() for v in variants_text.split(",") if v.strip())
-    if study:
-        key = sorted(study)[0]
-        raise CliError(f"{path}:{study[key][1]}: unknown [study] key {key!r}")
+    def numbers(integer=False):
+        return lambda val, line_no: _parse_number_list(val, line_no, path, integer=integer)
 
-    grid_sec = sections["grid"]
-    default = _STUDY_GRID.get(geometry, _STUDY_GRID[POLAR])  # StudyConfig rejects an unknown geometry
-    lo = number(grid_sec, "lo", default.lo)
-    hi = number(grid_sec, "hi", default.hi)
-    n = number(grid_sec, "n", default.n, int)
-    if grid_sec:
-        key = sorted(grid_sec)[0]
-        raise CliError(f"{path}:{grid_sec[key][1]}: unknown [grid] key {key!r}")
+    def unknown(section: dict, name: str) -> None:
+        if section:
+            key = sorted(section)[0]
+            raise CliError(f"{path}:{section[key][1]}: unknown [{name}] key {key!r}")
 
-    sweep = sections["sweep"]
-    orders_val, oln = take(sweep, "orders", None)
-    n_range = (
-        _parse_number_list(orders_val, oln, path, integer=True)
-        if orders_val is not None
-        else tuple(range(0, 45, 2))
-    )
-    deltas_val, dln = take(sweep, "deltas", None)
-    delta_range = (
-        _parse_number_list(deltas_val, dln, path) if deltas_val is not None else (0.0, 1e-3)
-    )
-    betas_val, bln = take(sweep, "betas", None)
-    beta_range = _parse_number_list(betas_val, bln, path) if betas_val is not None else ()
-    if sweep:
-        key = sorted(sweep)[0]
-        raise CliError(f"{path}:{sweep[key][1]}: unknown [sweep] key {key!r}")
+    take(study, "geometry", fields)
+    take(study, "profile", fields, parse=profile)
+    take(study, "tau", fields, parse=number("tau"))
+    take(study, "seed", fields, parse=number("seed", int))
+    take(study, "constants_mode", fields)
+    take(study, "variants", fields, parse=lambda val, _: tuple(v.strip() for v in val.split(",") if v.strip()))
+    unknown(study, "study")
+    for key, caster in (("lo", float), ("hi", float), ("n", int)):
+        take(grid_sec, key, grid, parse=number(key, caster))
+    unknown(grid_sec, "grid")
+    take(sweep, "orders", fields, "n_range", numbers(integer=True))
+    take(sweep, "deltas", fields, "delta_range", numbers())
+    take(sweep, "betas", fields, "beta_range", numbers())
+    unknown(sweep, "sweep")
 
     try:
-        return StudyConfig(
-            study_kind=kind,
-            geometry=geometry,
-            profile=profile,
-            tau=tau,
-            n_range=n_range,
-            delta_range=delta_range,
-            beta_range=beta_range,
-            grid=GridGeom(lo, hi, n),
-            seed=seed,
-            variants=variants,
-            constants_mode=mode,
-        )
+        if grid:  # the fields the file leaves unset keep the geometry's study grid
+            geometry = fields.get("geometry", StudyConfig.geometry)
+            default = _STUDY_GRID.get(geometry, _STUDY_GRID[POLAR])  # StudyConfig rejects an unknown geometry
+            fields["grid"] = replace(default, **grid)
+        return StudyConfig(**fields)
     except ValueError as exc:
         raise CliError(f"{path}: {exc}") from None
 

@@ -44,7 +44,7 @@ from . import series_cartesian, series_polar
 from .kernels import evolve_line, evolve_polar, forward_line, forward_polar
 from .profiles import AnalyticProfile, Gaussian, Sampled1D, estimate_scale_line, estimate_scale_polar, format_profile
 from .specfun import KernelParams
-from .variants import CLASSICAL, LINE, POLAR, VARIANTS, checked, default_beta, geometry_of, variant_names
+from .variants import CLASSICAL, LINE, POLAR, VARIANTS, check_mode, checked, default_beta, geometry_of, variant_names
 
 __all__ = [
     "GridGeom",
@@ -122,6 +122,9 @@ class StudyConfig:
             raise ValueError(f"study_kind must be one of {kinds}")
         if self.geometry not in ("line", "polar"):
             raise ValueError("geometry must be 'line' or 'polar'")
+        check_mode(self.constants_mode)
+        if not (self.tau > 0.0 and math.isfinite(self.tau)):
+            raise ValueError(f"tau must be positive and finite, got {self.tau}")
         if self.study_kind != "audit":
             if not self.n_range:
                 raise ValueError("n_range must be non-empty")

@@ -1,4 +1,4 @@
-"""Ground-truth forward solvers and kernel-identity checks.
+"""Ground-truth forward solvers.
 
 The Gaussian convolution kernel on the line and the radial I0 kernel in
 polar coordinates, applied by direct quadrature, are the oracles every
@@ -21,16 +21,14 @@ from .profiles import (
     Sampled1D,
     profile_support,
 )
-from .quad import TRUNCATION_RADIUS_SIGMAS, FiniteInterval, integrate, integrate_vec
-from .specfun import bessel_j0, scaled_polar_kernel
+from .quad import TRUNCATION_RADIUS_SIGMAS, integrate_vec
+from .specfun import scaled_polar_kernel
 
 __all__ = [
     "evolve_line",
     "evolve_polar",
     "forward_line",
     "forward_polar",
-    "j0_product_check",
-    "weber_integral_check",
 ]
 
 
@@ -59,7 +57,7 @@ def evolve_line(profile: AnalyticProfile, tau: float) -> AnalyticProfile:
         )
     if isinstance(profile, Mixture):
         return Mixture(tuple(evolve_line(g, tau) for g in profile.components))
-    raise TypeError("closed-form line evolution exists only for Gaussian data")
+    raise ValueError("closed-form line evolution exists only for Gaussian data")
 
 
 def evolve_polar(profile: AnalyticProfile, tau: float) -> AnalyticProfile:
@@ -80,7 +78,7 @@ def evolve_polar(profile: AnalyticProfile, tau: float) -> AnalyticProfile:
         )
     if isinstance(profile, Mixture):
         return Mixture(tuple(evolve_polar(g, tau) for g in profile.components))
-    raise TypeError("closed-form polar evolution exists only for radial Gaussians")
+    raise ValueError("closed-form polar evolution exists only for radial Gaussians")
 
 
 def _line_window(data, xs: np.ndarray, tau: float) -> tuple[float, float]:
@@ -118,7 +116,7 @@ def forward_line(data, tau: float, x):
         kern *= data(xi)
         return kern
 
-    vals, _ = integrate_vec(integrand, FiniteInterval(lo, hi), breakpoints=_breakpoints(data))
+    vals, _ = integrate_vec(integrand, lo, hi, breakpoints=_breakpoints(data))
     return float(vals[0]) if np.ndim(x) == 0 else vals
 
 
@@ -146,41 +144,5 @@ def forward_polar(data, tau: float, r):
         kern *= xi * data(xi)
         return kern
 
-    vals, _ = integrate_vec(integrand, FiniteInterval(lo, hi), breakpoints=_breakpoints(data))
+    vals, _ = integrate_vec(integrand, lo, hi, breakpoints=_breakpoints(data))
     return float(vals[0]) if np.ndim(r) == 0 else vals
-
-
-def weber_integral_check(r: float, xi: float, t: float):
-    """Two sides of the radial spectral identity, both by independent routes.
-
-    lhs: int_0^inf lam e^{-lam^2 t} J0(lam r) J0(lam xi) dlam by quadrature,
-    truncated where the Gaussian damping is below 1e-30.
-    rhs: the closed radial kernel e^{-(r^2+xi^2)/(4t)} I0(r xi/(2t)) / (2t).
-    """
-    if not (t > 0.0):
-        raise ValueError(f"t must be positive, got {t}")
-    lam_max = math.sqrt(69.1 / t)  # e^{-lam^2 t} < 1e-30 beyond
-
-    def integrand(lam):
-        return lam * np.exp(-lam * lam * t) * bessel_j0(lam * r) * bessel_j0(lam * xi)
-
-    lhs, _ = integrate(integrand, FiniteInterval(0.0, lam_max))
-    rhs = scaled_polar_kernel(r, xi, t)
-    return lhs, rhs
-
-
-def j0_product_check(lam: float, x: float, y: float):
-    """J0(lam x) J0(lam y) versus its average over the angle.
-
-    rhs: (1/pi) int_0^pi J0(lam sqrt(x^2 + y^2 - 2xy cos(phi))) dphi.
-    """
-    if x < 0.0 or y < 0.0:
-        raise ValueError("x and y must be non-negative")
-    lhs = float(bessel_j0(lam * x) * bessel_j0(lam * y))
-
-    def integrand(phi):
-        rad = np.sqrt(np.maximum(x * x + y * y - 2.0 * x * y * np.cos(phi), 0.0))
-        return bessel_j0(lam * rad) / math.pi
-
-    rhs, _ = integrate(integrand, FiniteInterval(0.0, math.pi))
-    return lhs, rhs

@@ -1,18 +1,18 @@
-"""Adaptive composite Gauss-Legendre quadrature.
+"""Adaptive composite Gauss-Legendre quadrature on a finite interval.
 
 One engine backs every oracle and every coefficient integral in the package:
-fixed-order Gauss-Legendre panels, refined by global bisection until two
-successive refinement levels agree.  Infinite domains, and every profile's
-support (`profiles.profile_support`), are truncated at
-TRUNCATION_RADIUS_SIGMAS decay scales.
+fixed-order Gauss-Legendre panels on [lo, hi], refined by global bisection
+until two successive refinement levels agree.  Callers truncate infinite
+domains, and every profile's support (`profiles.profile_support`), at
+TRUNCATION_RADIUS_SIGMAS decay scales before they call it.
 
 The package computes at one quadrature configuration, the one the audit
-certifies: these constants and the default QuadSpec.  QuadSpec is the
-engine's own argument only; no oracle or coefficient integral takes one.
+certifies: the module constants below.  `integrate_vec(f, lo, hi, ...)` is
+the one entry point, and it reads them at call time; no caller sets them.
 
 The convergence test allows for the conditioning floor of a finite-precision
 sum: a component is accepted once the refinement difference is below
-max(abs_tol, rel_tol*|I|, 32*eps*int|f|).  Oscillatory polynomial-times-
+max(ABS_TOL, REL_TOL*|I|, 32*eps*int|f|).  Oscillatory polynomial-times-
 Gaussian integrands of high order cancel massively, and no quadrature can
 deliver relative accuracy past eps * int|f| / |I|; the floor term makes the
 engine converge to exactly the accuracy that is attainable.
@@ -26,10 +26,11 @@ exact for degree 2 floor(d/2) + 1 >= d, so the result is the integral up to
 rounding, with no error estimate to trust and no refinement.
 
 Every level, adaptive or exact, is evaluated by one block loop: each
-integrand call gets at most EXACT_BLOCK nodes, and the blocks' sums are
-added in ascending order of the nodes.  Every sample of sampled data is a
-breakpoint, so a level can hold far more nodes than a block; the
-integrand's memory stays bounded however many panels the breakpoints make.
+integrand call gets at most EXACT_BLOCK nodes, built from the panels that
+block covers only, and the blocks' sums are added in ascending order of the
+nodes.  Every sample of sampled data is a breakpoint, so a level can hold
+far more nodes than a block; neither the integrand's memory nor the
+engine's grows with the number of panels beyond their edges.
 The first two levels of a refinement, which every adaptive integral
 computes, take one integrand call when together they fit in a block; each
 level is summed from its own contiguous part of the values, so the sums are
@@ -49,30 +50,22 @@ not amplify; the rounding of values and sums is what they amplify.
 from __future__ import annotations
 
 import functools
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "AccuracyError",
-    "FiniteInterval",
-    "HalfLine",
-    "QuadSpec",
-    "WholeLine",
-    "hermite_moment",
-    "integrate",
-    "integrate_vec",
-]
+__all__ = ["AccuracyError", "integrate_vec"]
 
 _EPS = float(np.finfo(float).eps)
 EXACT_BLOCK = 4096  # most nodes per integrand call, on every level
 TRUNCATION_RADIUS_SIGMAS = 12.0  # decay scales kept of an infinite domain or a profile's tails
 NODES_PER_PANEL = 16  # Gauss-Legendre nodes per panel of an adaptive level
+REL_TOL = 1e-10  # acceptance: relative refinement difference
+ABS_TOL = 1e-14  # acceptance: absolute refinement difference
+MAX_PANELS = 4096  # refinement budget of an adaptive pass
 
 
 class AccuracyError(RuntimeError):
-    """Requested tolerance not reached within max_panels.
+    """Requested tolerance not reached within MAX_PANELS.
 
     Carries the best estimate and its error estimate so callers can decide
     whether the partial answer is usable.
@@ -82,68 +75,6 @@ class AccuracyError(RuntimeError):
         super().__init__(message)
         self.value = value
         self.err_estimate = err_estimate
-
-
-@dataclass(frozen=True)
-class QuadSpec:
-    """The engine's acceptance test and refinement budget; the package's
-    oracles and coefficient integrals run at the default."""
-
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-14
-    max_panels: int = 4096
-
-    def __post_init__(self):
-        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
-            raise ValueError("tolerances must be positive")
-        if self.max_panels < 4:
-            raise ValueError("max_panels must be at least 4")
-
-
-@dataclass(frozen=True)
-class FiniteInterval:
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if not (self.a < self.b):
-            raise ValueError(f"need a < b, got [{self.a}, {self.b}]")
-
-
-@dataclass(frozen=True)
-class WholeLine:
-    """(-inf, inf), truncated at center +- TRUNCATION_RADIUS_SIGMAS * decay_scale."""
-
-    decay_scale: float
-    center: float = 0.0
-
-    def __post_init__(self):
-        if not (self.decay_scale > 0.0):
-            raise ValueError("decay_scale must be positive")
-
-
-@dataclass(frozen=True)
-class HalfLine:
-    """[0, inf), truncated at max(0, center - R*scale) .. center + R*scale,
-    R = TRUNCATION_RADIUS_SIGMAS."""
-
-    decay_scale: float
-    center: float = 0.0
-
-    def __post_init__(self):
-        if not (self.decay_scale > 0.0):
-            raise ValueError("decay_scale must be positive")
-
-
-def _resolve(domain) -> tuple[float, float]:
-    if isinstance(domain, FiniteInterval):
-        return domain.a, domain.b
-    radius = TRUNCATION_RADIUS_SIGMAS * domain.decay_scale
-    if isinstance(domain, WholeLine):
-        return domain.center - radius, domain.center + radius
-    if isinstance(domain, HalfLine):
-        return max(0.0, domain.center - radius), domain.center + radius
-    raise TypeError(f"unknown integration domain {domain!r}")
 
 
 @functools.lru_cache(maxsize=32)
@@ -160,12 +91,18 @@ def _panel_edges(lo: float, hi: float, n_panels: int, breakpoints) -> np.ndarray
     return edges
 
 
-def _level(edges: np.ndarray, rule) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of one level: the rule on every panel."""
+def _level(edges: np.ndarray, rule, start: int = 0, stop: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights start:stop of one level (the rule on every panel, in
+    panel order), built from the panels they fall in only."""
     xg, wg = rule
+    size = xg.size
+    stop = (edges.size - 1) * size if stop is None else stop
+    first, last = start // size, -(-stop // size)
+    edges = edges[first : last + 1]
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
-    return (mid[:, None] + half[:, None] * xg[None, :]).ravel(), (half[:, None] * wg[None, :]).ravel()
+    cut = slice(start - first * size, stop - first * size)
+    return (mid[:, None] + half[:, None] * xg[None, :]).ravel()[cut], (half[:, None] * wg[None, :]).ravel()[cut]
 
 
 def _values(f, nodes: np.ndarray) -> np.ndarray:
@@ -194,14 +131,16 @@ def _sums(vals: np.ndarray, weights: np.ndarray, writable: bool, magnitudes: boo
         return total, np.abs(vals, out=vals if writable else None) @ weights
 
 
-def _block_sums(f, nodes: np.ndarray, weights: np.ndarray, magnitudes: bool = True) -> tuple:
-    """The sums of one level (as _sums), EXACT_BLOCK nodes per integrand call
-    and the blocks' sums added in ascending order of the nodes."""
+def _block_sums(f, edges: np.ndarray, rule, magnitudes: bool = True) -> tuple:
+    """The sums of one level (as _sums), EXACT_BLOCK nodes per integrand call,
+    each block's nodes built from its own panels, and the blocks' sums added
+    in ascending order of the nodes."""
     parts = []
-    for start in range(0, nodes.size, EXACT_BLOCK):
-        block = slice(start, start + EXACT_BLOCK)
-        vals = _values(f, nodes[block])
-        parts.append(_sums(vals, weights[block], _owned(vals), magnitudes))
+    total = (edges.size - 1) * rule[0].size
+    for start in range(0, total, EXACT_BLOCK):
+        nodes, weights = _level(edges, rule, start, min(start + EXACT_BLOCK, total))
+        vals = _values(f, nodes)
+        parts.append(_sums(vals, weights, _owned(vals), magnitudes))
         del vals  # freed before the next block is evaluated, which then reuses its memory
     with np.errstate(over="ignore", invalid="ignore"):
         return tuple(functools.reduce(np.add, column) for column in zip(*parts))
@@ -217,7 +156,7 @@ def _checked(sums: tuple, edges: np.ndarray) -> tuple:
 
 def _level_sum(f, edges: np.ndarray, rule) -> tuple[np.ndarray, np.ndarray]:
     """One refinement level: the sums and the sums of magnitudes."""
-    return _checked(_block_sums(f, *_level(edges, rule)), edges)
+    return _checked(_block_sums(f, edges, rule), edges)
 
 
 def _first_levels(f, edges: np.ndarray, rule) -> tuple:
@@ -253,77 +192,45 @@ def _bisect(edges: np.ndarray) -> np.ndarray:
     return out
 
 
-def integrate_vec(f, domain, spec: QuadSpec = QuadSpec(), breakpoints=None, degree: int | None = None):
-    """Integrate a vector-valued integrand; returns (values, err_estimate).
+def integrate_vec(f, lo: float, hi: float, breakpoints=None, degree: int | None = None):
+    """Integrate a vector-valued integrand over [lo, hi]; returns (values,
+    err_estimate).
 
     f maps an ndarray of nodes to an array (..., n_nodes); all components are
     integrated on the same refined panel grid and must individually satisfy
     the convergence test.  err_estimate is the largest refinement difference
-    at acceptance.  Raises AccuracyError when max_panels is exhausted, and
-    OverflowError at the first level whose sum is not finite.
+    at acceptance.  Raises ValueError unless lo < hi, AccuracyError when
+    MAX_PANELS is exhausted, and OverflowError at the first level whose sum
+    is not finite.
 
     degree: f is a polynomial of at most this degree between consecutive
-    breakpoints (and the domain's ends); one exact level replaces the
-    refinement (module docstring) and err_estimate is 0.
+    breakpoints (and lo, hi); one exact level replaces the refinement
+    (module docstring) and err_estimate is 0.
 
     f is called with at most EXACT_BLOCK nodes at a time.  It returns a
     fresh array; the engine may overwrite it.  An array that does not own
     its memory (a view) is never written to.
     """
-    lo, hi = _resolve(domain)
-    edges = _panel_edges(lo, hi, min(8, spec.max_panels), breakpoints)
+    if not (lo < hi):
+        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
+    edges = _panel_edges(lo, hi, min(8, MAX_PANELS), breakpoints)
     if degree is not None:
         if degree < 0:
             raise ValueError(f"degree must be non-negative, got {degree}")
-        return _block_sums(f, *_level(edges, _gl_rule(degree // 2 + 1)), magnitudes=False)[0], 0.0
+        return _block_sums(f, edges, _gl_rule(degree // 2 + 1), magnitudes=False)[0], 0.0
     rule = _gl_rule(NODES_PER_PANEL)
     (prev, _), edges, (cur, l1) = _first_levels(f, edges, rule)
     while True:
         diff = np.abs(cur - prev)
-        tol = np.maximum(spec.abs_tol, np.maximum(spec.rel_tol * np.abs(cur), 32.0 * _EPS * l1))
+        tol = np.maximum(ABS_TOL, np.maximum(REL_TOL * np.abs(cur), 32.0 * _EPS * l1))
         if np.all(diff <= tol):
             return cur, float(np.max(diff))
-        if edges.size - 1 >= spec.max_panels:
+        if edges.size - 1 >= MAX_PANELS:
             raise AccuracyError(
-                f"quadrature did not reach tolerance within {spec.max_panels} panels "
-                f"on [{lo}, {hi}]",
+                f"quadrature did not reach tolerance within {MAX_PANELS} panels on [{lo}, {hi}]",
                 cur,
                 float(np.max(diff)),
             )
         prev = cur
         edges = _bisect(edges)
         cur, l1 = _level_sum(f, edges, rule)
-
-
-def integrate(f, domain, spec: QuadSpec = QuadSpec(), breakpoints=None):
-    """Integrate a scalar integrand; returns (value, err_estimate).
-
-    The integrand must accept an ndarray of nodes and return the values at
-    those nodes (numpy-vectorized).
-    """
-    def wrapped(x):
-        return np.asarray(f(x), dtype=float)[None, :]
-
-    vals, err = integrate_vec(wrapped, domain, spec, breakpoints)
-    return float(vals[0]), err
-
-
-def hermite_moment(j: int, c: float) -> float:
-    """Closed form of int_-inf^inf H_j(y) e^{-c y^2} dy for c > 0.
-
-    Zero for odd j; for j = 2k the generating function gives
-    sqrt(pi/c) * ((1-c)/c)^k * (2k)!/k!.  This is the anti-hallucination
-    oracle for every Gaussian coefficient integral; its agreement with
-    `integrate` is asserted in the test suite.
-    """
-    if c <= 0.0:
-        raise ValueError(f"c must be positive, got {c}")
-    if j < 0:
-        raise ValueError("order must be non-negative")
-    if j % 2 == 1:
-        return 0.0
-    val = math.sqrt(math.pi / c)
-    ratio = (1.0 - c) / c
-    for k in range(1, j // 2 + 1):
-        val *= ratio * 2.0 * (2 * k - 1)  # ((1-c)/c)^k (2k)!/k! one k at a time
-    return val

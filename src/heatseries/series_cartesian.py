@@ -44,7 +44,7 @@ import math
 import numpy as np
 
 from .profiles import Gaussian, Mixture, Sampled1D, profile_support
-from .quad import TRUNCATION_RADIUS_SIGMAS, FiniteInterval, integrate_vec
+from .quad import TRUNCATION_RADIUS_SIGMAS, integrate_vec
 from .specfun import KernelParams, hermite_batch
 from .variants import (
     CLASSICAL,
@@ -113,7 +113,7 @@ def _hermite_moments(data, root: float, n: int, weight_root: float | None = None
                 )
         return vals
 
-    vals, _ = integrate_vec(integrand, FiniteInterval(lo, hi), breakpoints=breakpoints, degree=degree)
+    vals, _ = integrate_vec(integrand, lo, hi, breakpoints=breakpoints, degree=degree)
     return vals
 
 

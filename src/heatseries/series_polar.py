@@ -36,7 +36,7 @@ import math
 import numpy as np
 
 from .profiles import Sampled1D, profile_support
-from .quad import FiniteInterval, integrate_vec
+from .quad import integrate_vec
 from .specfun import KernelParams, w_poly_batch
 from .variants import (
     POLAR,
@@ -89,9 +89,7 @@ def _w_radial_moments(data, root: float, n: int, dtype=float) -> np.ndarray:
             w *= xi * data(xi)
         return w
 
-    vals, _ = integrate_vec(
-        integrand, FiniteInterval(lo, hi), breakpoints=breakpoints, degree=2 * n + 2 if sampled else None
-    )
+    vals, _ = integrate_vec(integrand, lo, hi, breakpoints=breakpoints, degree=2 * n + 2 if sampled else None)
     return vals
 
 

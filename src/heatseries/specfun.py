@@ -30,15 +30,10 @@ __all__ = [
     "bessel_i0",
     "bessel_i0_scaled",
     "bessel_j0",
-    "hermite_at_zero",
     "hermite_batch",
     "scaled_polar_kernel",
     "w_poly_batch",
-    "w_poly_coefficients",
-    "w_poly_eval",
 ]
-
-_HUGE = 1e300
 
 
 @dataclass(frozen=True)
@@ -98,60 +93,6 @@ def hermite_batch(n: int, z):
                 row -= np.multiply(2.0 * j, rows[j - 1], out=work)
     _check_finite(rows[n], "Hermite recurrence", n, z)
     return out
-
-
-def hermite_at_zero(j: int) -> float:
-    """H_j(0): zero for odd j, (-1)^k (2k)!/k! for j = 2k.
-
-    The even value follows from the Rodrigues definition; it is cross-checked
-    against the recurrence in the test suite.
-    """
-    if j < 0:
-        raise ValueError("order must be non-negative")
-    if j % 2 == 1:
-        return 0.0
-    val = 1.0
-    for k in range(1, j // 2 + 1):
-        val *= -2.0 * (2 * k - 1)  # (-1)^k (2k)!/k! updated one k at a time
-        if abs(val) > _HUGE:
-            raise OverflowError(f"H_{j}(0) exceeds double range")
-    return val
-
-
-def w_poly_coefficients(j: int) -> np.ndarray:
-    """Monomial coefficients c_k of W_j(z) = sum_k c_k z^{2k}, k = 0..j.
-
-    W_j is the t^{2j} coefficient of e^{-t^2} I0(2tz) times (2j)!; the product
-    of the two power series gives
-    c_k = (2j)! (-1)^{j-k} / (k!^2 (j-k)!).
-    Coefficients are generated by the exact ratio c_{k+1}/c_k = -(j-k)/(k+1)^2
-    starting from c_0 = (-1)^j (2j)!/j!, which stays inside double range up to
-    j ~ 128.
-    """
-    if j < 0:
-        raise ValueError("order must be non-negative")
-    c0 = 1.0
-    for i in range(1, j + 1):
-        c0 *= -2.0 * (2 * i - 1)  # (-1)^j (2j)!/j!
-        if abs(c0) > _HUGE:
-            raise OverflowError(f"W_{j} leading coefficient exceeds double range")
-    coeffs = np.empty(j + 1)
-    coeffs[0] = c0
-    for k in range(j):
-        coeffs[k + 1] = coeffs[k] * (-(j - k)) / ((k + 1) * (k + 1))
-    return coeffs
-
-
-def w_poly_eval(j: int, z):
-    """W_j(z) from its monomial coefficients (Horner in z^2)."""
-    coeffs = w_poly_coefficients(j)
-    z = np.asarray(z, dtype=float)
-    y = z * z
-    acc = np.full(y.shape, coeffs[j])
-    for k in range(j - 1, -1, -1):
-        acc = acc * y + coeffs[k]
-    _check_finite(acc, "W polynomial", j, z)
-    return acc if acc.shape else float(acc)
 
 
 def w_poly_batch(n: int, z):

@@ -1,0 +1,176 @@
+"""Reference functions the test suite checks the package against.
+
+None of these is on a solve path of the package, so they live with the
+tests: a scalar front end to the quadrature engine with the truncation
+windows of infinite domains, the closed forms of Gaussian Hermite moments,
+of H_j(0) and of the monomial coefficients of W_j, and the two Bessel
+identities behind the radial kernel.
+"""
+
+import contextlib
+import math
+
+import numpy as np
+import pytest
+
+from heatseries import quad
+from heatseries.quad import TRUNCATION_RADIUS_SIGMAS, integrate_vec
+from heatseries.specfun import _check_finite, bessel_j0, scaled_polar_kernel
+
+_HUGE = 1e300
+
+# --- quadrature ------------------------------------------------------------------
+
+
+@contextlib.contextmanager
+def quad_settings(**values):
+    """The engine's constants set inside the block, for example
+    quad_settings(REL_TOL=1e-13, MAX_PANELS=1 << 14) for a tighter oracle."""
+    with pytest.MonkeyPatch.context() as patch:
+        for name, value in values.items():
+            patch.setattr(quad, name, value)
+        yield
+
+
+def whole_line(decay_scale: float, center: float = 0.0) -> tuple[float, float]:
+    """(-inf, inf) truncated at center +- TRUNCATION_RADIUS_SIGMAS * decay_scale."""
+    radius = TRUNCATION_RADIUS_SIGMAS * decay_scale
+    return center - radius, center + radius
+
+
+def half_line(decay_scale: float, center: float = 0.0) -> tuple[float, float]:
+    """[0, inf) truncated at max(0, center - R*scale) .. center + R*scale,
+    R = TRUNCATION_RADIUS_SIGMAS."""
+    radius = TRUNCATION_RADIUS_SIGMAS * decay_scale
+    return max(0.0, center - radius), center + radius
+
+
+def integrate(f, lo: float, hi: float, breakpoints=None):
+    """Integrate a scalar integrand over [lo, hi]; returns (value, err_estimate).
+
+    The integrand must accept an ndarray of nodes and return the values at
+    those nodes (numpy-vectorized).  The engine sees a one-row view of them.
+    """
+
+    def wrapped(x):
+        return np.asarray(f(x), dtype=float)[None, :]
+
+    vals, err = integrate_vec(wrapped, lo, hi, breakpoints)
+    return float(vals[0]), err
+
+
+def hermite_moment(j: int, c: float) -> float:
+    """Closed form of int_-inf^inf H_j(y) e^{-c y^2} dy for c > 0.
+
+    Zero for odd j; for j = 2k the generating function gives
+    sqrt(pi/c) * ((1-c)/c)^k * (2k)!/k!.  This is the oracle for every
+    Gaussian coefficient integral; its agreement with the engine is asserted
+    in test_quad.
+    """
+    if c <= 0.0:
+        raise ValueError(f"c must be positive, got {c}")
+    if j < 0:
+        raise ValueError("order must be non-negative")
+    if j % 2 == 1:
+        return 0.0
+    val = math.sqrt(math.pi / c)
+    ratio = (1.0 - c) / c
+    for k in range(1, j // 2 + 1):
+        val *= ratio * 2.0 * (2 * k - 1)  # ((1-c)/c)^k (2k)!/k! one k at a time
+    return val
+
+
+# --- kernel identities -----------------------------------------------------------
+
+
+def weber_integral_check(r: float, xi: float, t: float):
+    """Two sides of the radial spectral identity, both by independent routes.
+
+    lhs: int_0^inf lam e^{-lam^2 t} J0(lam r) J0(lam xi) dlam by quadrature,
+    truncated where the Gaussian damping is below 1e-30.
+    rhs: the closed radial kernel e^{-(r^2+xi^2)/(4t)} I0(r xi/(2t)) / (2t).
+    """
+    if not (t > 0.0):
+        raise ValueError(f"t must be positive, got {t}")
+    lam_max = math.sqrt(69.1 / t)  # e^{-lam^2 t} < 1e-30 beyond
+
+    def integrand(lam):
+        return lam * np.exp(-lam * lam * t) * bessel_j0(lam * r) * bessel_j0(lam * xi)
+
+    lhs, _ = integrate(integrand, 0.0, lam_max)
+    rhs = scaled_polar_kernel(r, xi, t)
+    return lhs, rhs
+
+
+def j0_product_check(lam: float, x: float, y: float):
+    """J0(lam x) J0(lam y) versus its average over the angle.
+
+    rhs: (1/pi) int_0^pi J0(lam sqrt(x^2 + y^2 - 2xy cos(phi))) dphi.
+    """
+    if x < 0.0 or y < 0.0:
+        raise ValueError("x and y must be non-negative")
+    lhs = float(bessel_j0(lam * x) * bessel_j0(lam * y))
+
+    def integrand(phi):
+        rad = np.sqrt(np.maximum(x * x + y * y - 2.0 * x * y * np.cos(phi), 0.0))
+        return bessel_j0(lam * rad) / math.pi
+
+    rhs, _ = integrate(integrand, 0.0, math.pi)
+    return lhs, rhs
+
+
+# --- special-function closed forms -----------------------------------------------
+
+
+def hermite_at_zero(j: int) -> float:
+    """H_j(0): zero for odd j, (-1)^k (2k)!/k! for j = 2k.
+
+    The even value follows from the Rodrigues definition; it is cross-checked
+    against the recurrence in test_specfun.
+    """
+    if j < 0:
+        raise ValueError("order must be non-negative")
+    if j % 2 == 1:
+        return 0.0
+    val = 1.0
+    for k in range(1, j // 2 + 1):
+        val *= -2.0 * (2 * k - 1)  # (-1)^k (2k)!/k! updated one k at a time
+        if abs(val) > _HUGE:
+            raise OverflowError(f"H_{j}(0) exceeds double range")
+    return val
+
+
+def w_poly_coefficients(j: int) -> np.ndarray:
+    """Monomial coefficients c_k of W_j(z) = sum_k c_k z^{2k}, k = 0..j.
+
+    W_j is the t^{2j} coefficient of e^{-t^2} I0(2tz) times (2j)!; the product
+    of the two power series gives
+    c_k = (2j)! (-1)^{j-k} / (k!^2 (j-k)!).
+    Coefficients are generated by the exact ratio c_{k+1}/c_k = -(j-k)/(k+1)^2
+    starting from c_0 = (-1)^j (2j)!/j!, which stays inside double range up to
+    j ~ 128.
+    """
+    if j < 0:
+        raise ValueError("order must be non-negative")
+    c0 = 1.0
+    for i in range(1, j + 1):
+        c0 *= -2.0 * (2 * i - 1)  # (-1)^j (2j)!/j!
+        if abs(c0) > _HUGE:
+            raise OverflowError(f"W_{j} leading coefficient exceeds double range")
+    coeffs = np.empty(j + 1)
+    coeffs[0] = c0
+    for k in range(j):
+        coeffs[k + 1] = coeffs[k] * (-(j - k)) / ((k + 1) * (k + 1))
+    return coeffs
+
+
+def w_poly_eval(j: int, z):
+    """W_j(z) from its monomial coefficients (Horner in z^2)."""
+    coeffs = w_poly_coefficients(j)
+    z = np.asarray(z, dtype=float)
+    y = z * z
+    acc = np.full(y.shape, coeffs[j])
+    for k in range(j - 1, -1, -1):
+        acc = acc * y + coeffs[k]
+    _check_finite(acc, "W polynomial", j, z)
+    return acc if acc.shape else float(acc)

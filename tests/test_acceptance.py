@@ -22,11 +22,8 @@ from heatseries.kernels import (
     evolve_polar,
     forward_line,
     forward_polar,
-    j0_product_check,
-    weber_integral_check,
 )
 from heatseries.profiles import Gaussian, Mixture
-from heatseries.quad import WholeLine, integrate
 from heatseries.series_cartesian import (
     cd_coeffs,
     ci_coeffs,
@@ -41,6 +38,7 @@ from heatseries.specfun import (
     hermite_batch,
     w_poly_batch,
 )
+from references import integrate, j0_product_check, weber_integral_check, whole_line
 
 LINE_MIX = Mixture(
     (
@@ -129,10 +127,8 @@ def test_criterion_2_kernel_identity_suite():
     assert semip <= 1e-8
 
     # mass conservation on the line
-    mass_f, _ = integrate(LINE_MIX, WholeLine(decay_scale=2.0))
-    mass_u, _ = integrate(
-        lambda x: forward_line(LINE_MIX, 0.5, x), WholeLine(decay_scale=3.0)
-    )
+    mass_f, _ = integrate(LINE_MIX, *whole_line(2.0))
+    mass_u, _ = integrate(lambda x: forward_line(LINE_MIX, 0.5, x), *whole_line(3.0))
     assert abs(mass_u - mass_f) <= 1e-8 * abs(mass_f)
     report(2, f"(weber {worst:.1e}, j0-product {worst_j:.1e}, semigroup {max(semi, semip):.1e})")
 

@@ -19,6 +19,7 @@ import pytest
 
 import heatseries.series_cartesian as sc
 import heatseries.series_polar as sp
+from heatseries import quad
 from heatseries.cli import main
 from heatseries.kernels import evolve_line, evolve_polar
 from heatseries.profiles import (
@@ -29,9 +30,10 @@ from heatseries.profiles import (
     estimate_scale_polar,
     profile_support,
 )
-from heatseries.quad import FiniteInterval, QuadSpec, integrate, integrate_vec
+from heatseries.quad import integrate_vec
 from heatseries.specfun import KernelParams, bessel_i0_scaled, hermite_batch, w_poly_batch
 from heatseries.variants import VARIANTS, default_beta, series_terms
+from references import integrate, quad_settings
 
 try:
     import mpmath as mp  # the exact order-N sums of the agreement test
@@ -62,7 +64,7 @@ def ref_line_coeffs(data, root: float, n: int, x: float) -> np.ndarray:
     def integrand(xi):
         return hermite_batch(2 * n, (x - xi) / (2.0 * root))[::2] * data(xi)[None, :]
 
-    vals, _ = integrate_vec(integrand, FiniteInterval(lo, hi), breakpoints=breakpoints)
+    vals, _ = integrate_vec(integrand, lo, hi, breakpoints=breakpoints)
     return vals
 
 
@@ -93,9 +95,9 @@ def ref_polar_coeffs(data, root: float, n: int, r: float) -> np.ndarray:
     breakpoints = data.nodes if isinstance(data, Sampled1D) else None
 
     def integrand(xi):
-        return _angular_average(n, r, xi, root, QuadSpec().rel_tol) * (xi * data(xi))[None, :]
+        return _angular_average(n, r, xi, root, quad.REL_TOL) * (xi * data(xi))[None, :]
 
-    vals, _ = integrate_vec(integrand, FiniteInterval(max(0.0, lo), hi), breakpoints=breakpoints)
+    vals, _ = integrate_vec(integrand, max(0.0, lo), hi, breakpoints=breakpoints)
     return vals
 
 
@@ -213,12 +215,13 @@ def test_one_pass_matches_the_quadrature_route(variant, kind):
 @pytest.mark.parametrize("t, a, b", [(0.3, 0.5, 1.2), (1.0, 2.0, 0.7), (2.5, 1.1, 1.1), (6.0, 3.0, 2.5), (0.7, 0.0, 4.0)])
 def test_neumann_addition_theorem_for_i0(t, a, b):
     # (1/pi) int_0^pi I0(2t sqrt(a^2 + b^2 - 2ab cos phi)) dphi = I0(2ta) I0(2tb),
-    # both sides scaled by e^{-2t(a+b)}; the I0 twin of j0_product_check
+    # both sides scaled by e^{-2t(a+b)}; the I0 twin of references.j0_product_check
     def integrand(phi):
         rho = np.sqrt(np.maximum(a * a + b * b - 2.0 * a * b * np.cos(phi), 0.0))
         return np.exp(2.0 * t * (rho - a - b)) * bessel_i0_scaled(2.0 * t * rho) / math.pi
 
-    lhs, _ = integrate(integrand, FiniteInterval(0.0, math.pi), QuadSpec(rel_tol=1e-13))
+    with quad_settings(REL_TOL=1e-13):
+        lhs, _ = integrate(integrand, 0.0, math.pi)
     rhs = float(bessel_i0_scaled(2.0 * t * a) * bessel_i0_scaled(2.0 * t * b))
     assert lhs == pytest.approx(rhs, rel=1e-11)
 

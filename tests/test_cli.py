@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import math
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from heatseries import cli
 from heatseries.cli import main
+from heatseries.experiments import StudyConfig
 
 ORIGINAL_BUILD = cli.build_parser
 
@@ -293,6 +295,59 @@ def test_study_rejects_negative_seed_and_bad_betas(tmp_path, capsys, study, swee
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(f"[study]\nkind = noise\n{study}\n[sweep]\n{sweep}\n")
     assert_rejected(capsys, run_cli("study", "--config", str(cfg)), str(cfg), fragment)
+
+
+@pytest.mark.parametrize(
+    "study, fragment",
+    [
+        ("kind = convergence\nconstants_mode = bogus", "constants_mode"),
+        ("kind = noise\nconstants_mode = bogus", "constants_mode"),
+        ("kind = beta_map\nconstants_mode = bogus", "constants_mode"),
+        ("kind = convergence\ntau = -1", "tau must be positive and finite"),
+        ("kind = noise\ntau = 0", "tau must be positive and finite"),
+        ("kind = noise\ntau = nan", "tau must be positive and finite"),
+        ("kind = beta_map\ntau = inf", "tau must be positive and finite"),
+    ],
+    ids=["mode-convergence", "mode-noise", "mode-beta-map", "negative-tau", "zero-tau", "nan-tau", "inf-tau"],
+)
+def test_study_rejects_bad_constants_mode_and_tau(tmp_path, capsys, study, fragment):
+    # a bogus mode used to run to exit 0 with every row error:ValueError, and
+    # a negative tau failed mid-run without naming the config file
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"[study]\n{study}\n\n[sweep]\norders = 0:4:2\nbetas = 0.5\n")
+    assert_rejected(capsys, run_cli("study", "--config", str(cfg)), f"{cfg}: ", fragment)
+
+
+@pytest.mark.parametrize(
+    "study",
+    [
+        "kind = noise",
+        "kind = noise\ngeometry = polar",
+        "kind = classical_compare",
+        "kind = beta_map\nvariants = CI-A",
+    ],
+    ids=["noise", "noise-polar", "classical-compare", "beta-map-inverse"],
+)
+def test_study_that_evolves_non_gaussian_data_exits_2(tmp_path, capsys, study):
+    # the closed-form evolution of the data exists for Gaussians only; a
+    # bump used to escape as a TypeError traceback (exit 1)
+    cfg = tmp_path / "bump.cfg"
+    cfg.write_text(f"[study]\n{study}\nprofile = bump:radius=1\n\n[sweep]\norders = 0:4:2\nbetas = 0.5\n")
+    assert_rejected(capsys, run_cli("study", "--config", str(cfg)), "closed-form", "evolution exists only for")
+
+
+@pytest.mark.parametrize("kind", ["audit", "convergence", "noise"])
+@pytest.mark.parametrize("geometry", ["", "geometry = polar\n"])
+def test_study_config_takes_its_defaults_from_study_config(tmp_path, kind, geometry):
+    # the parser passes only the keys the file sets; a [grid] key replaces
+    # that one field of the geometry's study grid
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text(f"[study]\nkind = {kind}\n{geometry}")
+    config = cli._parse_study_config(str(cfg))
+    default = StudyConfig(kind, **({"geometry": "polar"} if geometry else {}))
+    assert config == default
+    cfg.write_text(f"[study]\nkind = {kind}\n{geometry}\n[grid]\nn = 101\n")
+    assert cli._parse_study_config(str(cfg)) == dataclasses.replace(default, grid=dataclasses.replace(default.grid, n=101))
 
 
 def test_study_float_range_is_not_accumulated():

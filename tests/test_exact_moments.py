@@ -6,7 +6,7 @@ polynomial on each panel between them: degree k + 1 for the Hermite moments
 xi W_j moments.  The exact level must give the integral of the interpolant
 up to rounding: within C_EXACT eps int|f_k| of a 30-digit mpmath integral,
 and within the adaptive engine's own tolerance of that engine at
-rel_tol = 1e-13.  CI-B's Gaussian-weighted moments and the analytic inputs
+REL_TOL = 1e-13.  CI-B's Gaussian-weighted moments and the analytic inputs
 stay adaptive.
 """
 
@@ -20,6 +20,7 @@ import pytest
 from heatseries import quad, series_cartesian, series_polar
 from heatseries.profiles import Mixture, Gaussian, Sampled1D
 from heatseries.specfun import KernelParams
+from references import quad_settings
 
 EPS = float(np.finfo(float).eps)
 # measured: at most 1.9 (Hermite, k <= 80, both centres), 1.8 (xi W_j,
@@ -31,11 +32,12 @@ LINE = Sampled1D(-8.0, 8.0, Mixture((Gaussian(0.9, -0.5, 1.0), Gaussian(1.4, 0.7
 POLAR_NODES = np.linspace(0.0, 8.0, 33)
 POLAR = Sampled1D(0.0, 8.0, np.exp(-POLAR_NODES ** 2 / 4.0))
 ROOT_LINE, ROOT_POLAR = 1.1, 0.9
-WIDE = quad.QuadSpec(rel_tol=1e-4, max_panels=1 << 14)  # for int|f_k|, a scale only
+WIDE = dict(REL_TOL=1e-4, MAX_PANELS=1 << 14)  # for int|f_k|, a scale only
 
 
 def l1_norms(integrand, lo, hi, nodes):
-    vals, _ = quad.integrate_vec(lambda xi: np.abs(integrand(xi)), quad.FiniteInterval(lo, hi), WIDE, nodes)
+    with quad_settings(**WIDE):
+        vals, _ = quad.integrate_vec(lambda xi: np.abs(integrand(xi)), lo, hi, nodes)
     return vals.astype(float)
 
 
@@ -126,7 +128,7 @@ def test_radial_moments_are_the_interpolants_up_to_rounding(dtype):
     assert np.all(np.abs(exact - ref).astype(float) <= C_EXACT * EPS * l1)
 
 
-TIGHT = quad.QuadSpec(rel_tol=1e-13, max_panels=1 << 14)
+TIGHT = dict(REL_TOL=1e-13, MAX_PANELS=1 << 14)
 
 
 @pytest.mark.parametrize("center", [0.0, 1.7])
@@ -134,7 +136,8 @@ def test_hermite_moments_match_the_adaptive_engine(center):
     n = 80
     exact = series_cartesian._hermite_moments(LINE, ROOT_LINE, n, center=center)
     f = hermite_integrand(LINE, ROOT_LINE, center, n)
-    adaptive, _ = quad.integrate_vec(f, quad.FiniteInterval(LINE.lo, LINE.hi), TIGHT, LINE.nodes)
+    with quad_settings(**TIGHT):
+        adaptive, _ = quad.integrate_vec(f, LINE.lo, LINE.hi, LINE.nodes)
     l1 = l1_norms(f, LINE.lo, LINE.hi, LINE.nodes)
     # the adaptive engine's acceptance test: rel_tol |I| or its 32 eps int|f| floor
     assert np.all(np.abs(exact - adaptive) <= np.maximum(1e-13 * np.abs(adaptive), 32.0 * EPS * l1))
@@ -144,7 +147,8 @@ def test_radial_moments_match_the_adaptive_engine():
     n = 40
     exact = series_polar._w_radial_moments(POLAR, ROOT_POLAR, n)
     f = w_integrand(POLAR, ROOT_POLAR, n)
-    adaptive, _ = quad.integrate_vec(f, quad.FiniteInterval(POLAR.lo, POLAR.hi), TIGHT, POLAR.nodes)
+    with quad_settings(**TIGHT):
+        adaptive, _ = quad.integrate_vec(f, POLAR.lo, POLAR.hi, POLAR.nodes)
     l1 = l1_norms(f, POLAR.lo, POLAR.hi, POLAR.nodes)
     assert np.all(np.abs(exact - adaptive) <= np.maximum(1e-13 * np.abs(adaptive), 32.0 * EPS * l1))
 
@@ -197,7 +201,7 @@ def test_exact_level_runs_in_bounded_blocks_in_ascending_order():
         return np.vstack([np.ones_like(xi), xi ** 3])
 
     nodes = np.linspace(-1.0, 3.0, 4001)
-    vals, err = quad.integrate_vec(integrand, quad.FiniteInterval(-1.0, 3.0), breakpoints=nodes, degree=3)
+    vals, err = quad.integrate_vec(integrand, -1.0, 3.0, breakpoints=nodes, degree=3)
     assert err == 0.0
     assert max(sizes) <= quad.EXACT_BLOCK and len(sizes) > 1
     assert firsts == sorted(firsts)
@@ -220,11 +224,10 @@ def test_one_exact_level_integrates_its_degree_exactly():
         anti = np.polynomial.polynomial.polyint(coeffs[: degree + 1])
         return np.polynomial.polynomial.polyval(2.0, anti) - np.polynomial.polynomial.polyval(-1.0, anti)
 
-    domain = quad.FiniteInterval(-1.0, 2.0)
     for degree in range(11):
         seen.clear()
-        vals, _ = quad.integrate_vec(poly(degree), domain, degree=degree)
+        vals, _ = quad.integrate_vec(poly(degree), -1.0, 2.0, degree=degree)
         assert vals[0] == pytest.approx(exact(degree), rel=1e-13, abs=1e-13)
         assert seen == [8 * (degree // 2 + 1)]  # floor(d/2) + 1 nodes on each of the 8 panels
     with pytest.raises(ValueError, match="degree"):
-        quad.integrate_vec(poly(1), domain, degree=-1)
+        quad.integrate_vec(poly(1), -1.0, 2.0, degree=-1)

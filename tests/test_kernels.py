@@ -8,12 +8,10 @@ from heatseries.kernels import (
     evolve_polar,
     forward_line,
     forward_polar,
-    j0_product_check,
-    weber_integral_check,
 )
 from heatseries.profiles import Bump, Gaussian, Mixture, Sampled1D
-from heatseries.quad import WholeLine, integrate
 from heatseries.specfun import bessel_j0
+from references import integrate, j0_product_check, weber_integral_check, whole_line
 
 MIX = Mixture(
     (
@@ -73,9 +71,9 @@ def test_semigroup_property_line():
 
 def test_mass_conservation_line():
     for tau in (0.3, 1.0):
-        mass_f, _ = integrate(MIX, WholeLine(decay_scale=2.0))
+        mass_f, _ = integrate(MIX, *whole_line(2.0))
         u = lambda x: forward_line(MIX, tau, x)
-        mass_u, _ = integrate(u, WholeLine(decay_scale=3.0))
+        mass_u, _ = integrate(u, *whole_line(3.0))
         assert mass_u == pytest.approx(mass_f, abs=1e-8 * abs(mass_f))
 
 

@@ -11,6 +11,7 @@ node order instead: the same acceptance level, and every component within
 sample count, which the tracemalloc bounds at the end pin.
 """
 
+import functools
 import tracemalloc
 
 import numpy as np
@@ -20,14 +21,23 @@ from heatseries import kernels, quad, series_cartesian, series_polar
 from heatseries.profiles import Gaussian, Mixture, Sampled1D
 from heatseries.specfun import KernelParams
 from heatseries.variants import VARIANTS
+from references import quad_settings
 
 EPS = float(np.finfo(float).eps)
 
 # --- reference: the level-by-level sequence ------------------------------------------
 
 
+def whole_level(edges, rule):
+    """Nodes and weights of a whole level, built at once: the rule on every panel."""
+    xg, wg = rule
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    return (mid[:, None] + half[:, None] * xg[None, :]).ravel(), (half[:, None] * wg[None, :]).ravel()
+
+
 def _reference_level_sum(f, edges, rule):
-    nodes, weights = quad._level(edges, rule)
+    nodes, weights = whole_level(edges, rule)
     vals = quad._values(f, nodes)
     owned = vals.flags.owndata and vals.flags.writeable
     with np.errstate(over="ignore", invalid="ignore"):
@@ -38,26 +48,37 @@ def _reference_level_sum(f, edges, rule):
     return total, l1
 
 
-def reference_integrate_vec(f, domain, spec=quad.QuadSpec(), breakpoints=None):
-    """(values, err_estimate, int|f| of the accepted level), one call per level."""
-    lo, hi = quad._resolve(domain)
-    edges = quad._panel_edges(lo, hi, min(8, spec.max_panels), breakpoints)
+def reference_integrate_vec(f, lo, hi, breakpoints=None):
+    """(values, err_estimate, int|f| of the accepted level), one call per
+    level, at the engine's constants as they are set when it is called."""
+    edges = quad._panel_edges(lo, hi, min(8, quad.MAX_PANELS), breakpoints)
     rule = quad._gl_rule(quad.NODES_PER_PANEL)
     prev, _ = _reference_level_sum(f, edges, rule)
     while True:
         edges = quad._bisect(edges)
         cur, l1 = _reference_level_sum(f, edges, rule)
         diff = np.abs(cur - prev)
-        tol = np.maximum(spec.abs_tol, np.maximum(spec.rel_tol * np.abs(cur), 32.0 * EPS * l1))
+        tol = np.maximum(quad.ABS_TOL, np.maximum(quad.REL_TOL * np.abs(cur), 32.0 * EPS * l1))
         if np.all(diff <= tol):
             return cur, float(np.max(diff)), l1
-        if edges.size - 1 >= spec.max_panels:
+        if edges.size - 1 >= quad.MAX_PANELS:
             raise quad.AccuracyError(
-                f"quadrature did not reach tolerance within {spec.max_panels} panels on [{lo}, {hi}]",
+                f"quadrature did not reach tolerance within {quad.MAX_PANELS} panels on [{lo}, {hi}]",
                 cur,
                 float(np.max(diff)),
             )
         prev = cur
+
+
+def reference_block_sums(f, nodes, weights, magnitudes=True):
+    """A level's sums from its whole node and weight arrays, cut into blocks
+    of EXACT_BLOCK nodes."""
+    parts = []
+    for start in range(0, nodes.size, quad.EXACT_BLOCK):
+        block = slice(start, start + quad.EXACT_BLOCK)
+        vals = quad._values(f, nodes[block])
+        parts.append(quad._sums(vals, weights[block], quad._owned(vals), magnitudes))
+    return tuple(functools.reduce(np.add, column) for column in zip(*parts))
 
 
 # --- helpers ---------------------------------------------------------------------------
@@ -179,11 +200,30 @@ def test_levels_above_the_block_size_stay_within_rounding_of_the_reference(name)
     assert np.all(np.abs(vals - ref_vals) <= 4.0 * EPS * l1)
 
 
+@pytest.mark.parametrize("size", [3, 16, 21, 41])
+def test_each_block_is_built_from_its_own_panels_bit_for_bit(size):
+    # blocks of EXACT_BLOCK nodes start inside a panel unless the rule's size
+    # divides it; each is the same slice of the whole level, and so are the sums
+    rule = quad._gl_rule(size)
+    edges = quad._panel_edges(-10.0, 10.0, 8, np.linspace(-10.0, 10.0, 1601))
+    nodes, weights = whole_level(edges, rule)
+    for start in range(0, nodes.size, quad.EXACT_BLOCK):
+        stop = min(start + quad.EXACT_BLOCK, nodes.size)
+        block_nodes, block_weights = quad._level(edges, rule, start, stop)
+        assert bitwise_equal(block_nodes, nodes[start:stop])
+        assert bitwise_equal(block_weights, weights[start:stop])
+    f = lambda x: np.vstack([np.sin(x), np.exp(-x * x), x ** 3])  # noqa: E731
+    for magnitudes in (True, False):
+        got = quad._block_sums(f, edges, rule, magnitudes)
+        want = reference_block_sums(f, nodes, weights, magnitudes)
+        assert len(got) == len(want) and all(bitwise_equal(a, b) for a, b in zip(got, want))
+
+
 # --- the engine's contract -------------------------------------------------------------
 
-SPAN = quad.FiniteInterval(0.0, 2.0)
+SPAN = (0.0, 2.0)
 RULE = quad._gl_rule(quad.NODES_PER_PANEL)
-LEVEL_1 = quad._level(quad._bisect(quad._panel_edges(0.0, 2.0, 8, None)), RULE)[0]
+LEVEL_1 = whole_level(quad._bisect(quad._panel_edges(0.0, 2.0, 8, None)), RULE)[0]
 
 
 def level_1_fails(with_error):
@@ -202,17 +242,18 @@ def needle(x):
 @pytest.mark.parametrize(
     "f, spec",
     [
-        (lambda x: np.vstack([np.ones_like(x), np.full_like(x, np.nan)]), quad.QuadSpec()),  # level 0
-        (level_1_fails(False), quad.QuadSpec()),  # non-finite on level 1 only
-        (level_1_fails(True), quad.QuadSpec()),  # raises on level-1 nodes only
-        (needle, quad.QuadSpec(rel_tol=1e-13, abs_tol=1e-300, max_panels=8)),  # AccuracyError at level 1
-        (needle, quad.QuadSpec(rel_tol=1e-13, abs_tol=1e-300, max_panels=64)),  # AccuracyError later
-        (lambda x: np.ones(3), quad.QuadSpec()),  # not vectorised
+        (lambda x: np.vstack([np.ones_like(x), np.full_like(x, np.nan)]), {}),  # level 0
+        (level_1_fails(False), {}),  # non-finite on level 1 only
+        (level_1_fails(True), {}),  # raises on level-1 nodes only
+        (needle, dict(REL_TOL=1e-13, ABS_TOL=1e-300, MAX_PANELS=8)),  # AccuracyError at level 1
+        (needle, dict(REL_TOL=1e-13, ABS_TOL=1e-300, MAX_PANELS=64)),  # AccuracyError later
+        (lambda x: np.ones(3), {}),  # not vectorised
     ],
 )
 def test_exceptions_are_those_of_the_level_by_level_sequence(f, spec):
-    got = outcome(lambda: quad.integrate_vec(f, SPAN, spec))
-    want = outcome(lambda: reference_integrate_vec(f, SPAN, spec)[:2])
+    with quad_settings(**spec):
+        got = outcome(lambda: quad.integrate_vec(f, *SPAN))
+        want = outcome(lambda: reference_integrate_vec(f, *SPAN)[:2])
     assert isinstance(got[0], type) and got[:2] == want[:2]
     if got[0] is quad.AccuracyError:
         assert bitwise_equal(got[2], want[2]) and got[3] == want[3]
@@ -222,7 +263,7 @@ def test_a_non_finite_level_0_raises_after_one_call():
     sizes = []
     f = counted(lambda x: np.vstack([np.ones_like(x), np.full_like(x, np.inf)]), sizes)
     with pytest.raises(OverflowError, match=r"not finite on \[0.0, 2.0\]"):
-        quad.integrate_vec(f, SPAN)
+        quad.integrate_vec(f, *SPAN)
     assert sizes == [3 * 8 * 16]
 
 
@@ -235,23 +276,23 @@ def test_a_paired_call_that_fails_is_run_level_by_level():
             raise MemoryError("too many nodes at once")
         return np.vstack([np.sin(x), x * x])
 
-    vals, err = quad.integrate_vec(f, SPAN)
-    ref_vals, ref_err, _ = reference_integrate_vec(f, SPAN)
+    vals, err = quad.integrate_vec(f, *SPAN)
+    ref_vals, ref_err, _ = reference_integrate_vec(f, *SPAN)
     assert bitwise_equal(vals, ref_vals) and err == ref_err
     assert sizes[:3] == [384, 128, 256]
 
 
 def test_call_counts_and_node_totals():
     sizes = []
-    vals, _ = quad.integrate_vec(counted(lambda x: np.vstack([np.ones_like(x), x]), sizes), SPAN)
+    vals, _ = quad.integrate_vec(counted(lambda x: np.vstack([np.ones_like(x), x]), sizes), *SPAN)
     assert sizes == [3 * 8 * 16]  # accepted at level 1: one call
     assert vals == pytest.approx([2.0, 2.0], rel=1e-15)
     # a pass with levels above the block size: no call beyond it, the same node total
     nodes = np.linspace(0.0, 2.0, 801)
     sizes, ref_sizes = [], []
     f = lambda x: np.vstack([np.sin(x), np.exp(-x * x)])  # noqa: E731
-    quad.integrate_vec(counted(f, sizes), SPAN, breakpoints=nodes)
-    reference_integrate_vec(counted(f, ref_sizes), SPAN, breakpoints=nodes)
+    quad.integrate_vec(counted(f, sizes), *SPAN, breakpoints=nodes)
+    reference_integrate_vec(counted(f, ref_sizes), *SPAN, breakpoints=nodes)
     assert max(sizes) == quad.EXACT_BLOCK and sum(sizes) == sum(ref_sizes)
 
 
@@ -259,7 +300,7 @@ def test_call_counts_and_node_totals():
 def test_arrays_the_integrand_does_not_own_are_never_written(breakpoints):
     held = []
 
-    def one_row_view(x):  # as `integrate` hands over a scalar integrand's array
+    def one_row_view(x):  # as references.integrate hands over a scalar integrand's array
         held.append(np.sin(x) - 2.0)
         return held[-1][None, :]
 
@@ -270,7 +311,7 @@ def test_arrays_the_integrand_does_not_own_are_never_written(breakpoints):
 
     for f in (one_row_view, read_only):
         held.clear()
-        vals, _ = quad.integrate_vec(f, SPAN, breakpoints=breakpoints)
+        vals, _ = quad.integrate_vec(f, *SPAN, breakpoints=breakpoints)
         assert np.all(vals < 0.0)
         assert held and all(np.all(arr < 0.0) for arr in held)  # never replaced by magnitudes
 
@@ -303,3 +344,11 @@ def traced_peak(call) -> int:
 def test_a_16001_node_pass_peaks_below_32_mib(call):
     assert traced_peak(call) < 32 * MIB
 
+
+
+def test_the_engine_never_holds_a_whole_level():
+    # a cheap integrand on 64 001 breakpoints: level 1 has 2 048 000 nodes,
+    # 31 MiB of nodes and weights at once; the engine holds a block of them
+    nodes = np.linspace(-10.0, 10.0, 64001)
+    peak = traced_peak(lambda: quad.integrate_vec(lambda x: np.exp(-x * x)[None, :], -10.0, 10.0, breakpoints=nodes))
+    assert peak < 8 * MIB

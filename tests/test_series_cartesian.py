@@ -18,6 +18,7 @@ from heatseries.series_cartesian import (
 )
 from heatseries.specfun import KernelParams
 from heatseries.variants import VARIANTS
+from references import hermite_moment
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -34,8 +35,6 @@ def flagged(series):
 
 def hermite_moment_scaled(j, root, a, amp=1.0):
     # int H_j(xi/(2 root)) amp e^{-xi^2/(4a)} dxi = amp 2 root M_j(root^2/a)
-    from heatseries.quad import hermite_moment
-
     return amp * 2.0 * root * hermite_moment(j, root * root / a)
 
 

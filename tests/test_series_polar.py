@@ -13,7 +13,9 @@ from heatseries.series_polar import (
     pi_eval,
     solve_grid_polar,
 )
-from heatseries.specfun import KernelParams, w_poly_coefficients
+from heatseries.specfun import KernelParams
+from references import w_poly_coefficients
+
 
 def value(series):
     """The full-order sum at the first radius of an evaluation."""

@@ -10,13 +10,11 @@ from heatseries.specfun import (
     bessel_i0,
     bessel_i0_scaled,
     bessel_j0,
-    hermite_at_zero,
     hermite_batch,
     scaled_polar_kernel,
     w_poly_batch,
-    w_poly_coefficients,
-    w_poly_eval,
 )
+from references import hermite_at_zero, w_poly_coefficients, w_poly_eval
 
 # --- Hermite ----------------------------------------------------------------
 
