@@ -67,6 +67,11 @@ STUDY_CONFIGS = {
         "[grid]\nlo = 0\nhi = 6\nn = 61\n\n[sweep]\norders = 0:8:4\ndeltas = 0, 1e-4\n"
     ),
     "audit.cfg": "[study]\nkind = audit\n",
+    "audit_extra_keys.cfg": "[study]\nkind = audit\ntau = 0.5\nvariants = CD-A\nprofile = bump:radius=1\n",
+    "grid_infinite_bound.cfg": "[study]\nkind = noise\n\n[grid]\nhi = inf\n",
+    "grid_huge_bounds.cfg": (
+        "[study]\nkind = noise\ntau = 0.3\n\n[grid]\nlo = -1e300\nhi = 1e300\n\n[sweep]\norders = 0:4:2\n"
+    ),
     "unknown_key.cfg": "[study]\nkind = noise\nwidth = 3\n",
     "wrong_geometry.cfg": "[study]\nkind = noise\ngeometry = polar\nvariants = CI-A\n",
     "polar_classical.cfg": "[study]\nkind = classical_compare\ngeometry = polar\n",

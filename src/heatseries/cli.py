@@ -43,7 +43,7 @@ from .experiments import (
 from .profiles import Sampled1D, parse_profile
 from .quad import AccuracyError
 from .series_cartesian import DEFAULT_ORDER
-from .variants import AXIS, CLASSICAL, LINE, POLAR, default_beta, variant_names
+from .variants import AXIS, CLASSICAL, CONSTANTS_MODES, LINE, POLAR, default_beta, variant_names
 
 ORACLE = "oracle"  # the quadrature oracle, a forward pseudo-variant
 FORWARD_VARIANTS = {g: variant_names(g, direct=True) + (ORACLE,) for g in (LINE, POLAR)}
@@ -251,14 +251,6 @@ def _load_data(args, geometry: str):
     return data, {"input": args.input}
 
 
-def _config_echo(args, extra: dict) -> dict:
-    echo = {"command": args.command, "geometry": args.geometry}
-    echo.update(extra)
-    echo["format"] = args.format
-    echo["constants_mode"] = getattr(args, "constants_mode", "oracle_validated")
-    return echo
-
-
 def _check_solve_args(args, variants: dict):
     """The checks forward and inverse share; returns (data, source, xs)."""
     geometry = args.geometry
@@ -295,20 +287,22 @@ def _solve(args, data, xs: np.ndarray, beta: float):
 
 
 def _solve_metadata(args, source: dict, beta: float, extra: dict) -> dict:
-    metadata = _config_echo(args, source)
-    metadata.update(
-        {
-            "variant": args.variant,
-            "tau": args.tau,
-            "beta": beta,
-            "beta_requested": args.beta if args.beta is not None else "",
-            "order": args.order,
-            "eval_grid": args.eval_grid,
-        }
-    )
-    metadata.update(extra)
-    metadata["axis"] = AXIS[args.geometry]
-    return metadata
+    """The header of a forward or inverse output: enough to re-run it."""
+    return {
+        "command": args.command,
+        "geometry": args.geometry,
+        **source,
+        "format": args.format,
+        "constants_mode": args.constants_mode,
+        "variant": args.variant,
+        "tau": args.tau,
+        "beta": beta,
+        "beta_requested": args.beta if args.beta is not None else "",
+        "order": args.order,
+        "eval_grid": args.eval_grid,
+        **extra,
+        "axis": AXIS[args.geometry],
+    }
 
 
 def _emit_field(args, metadata: dict, xs, values, flags) -> None:
@@ -366,9 +360,7 @@ def cmd_validate(args) -> int:
     }
     ratios = report.metadata.get("literal_value_ratios", {})
     if ratios:
-        metadata["literal_value_ratios"] = json.dumps(
-            {k: float(f"{v:.17g}") for k, v in sorted(ratios.items())}, sort_keys=True
-        )
+        metadata["literal_value_ratios"] = json.dumps(ratios, sort_keys=True)
     header = ["variant", "n", "beta", "error", "status", "expected"]
     rows = [
         (r.variant, r.n, r.beta, r.error_max, r.status, expected[r.variant])
@@ -475,6 +467,12 @@ def _parse_study_config(path: str) -> StudyConfig:
             key = sorted(section)[0]
             raise CliError(f"{path}:{section[key][1]}: unknown [{name}] key {key!r}")
 
+    if kind == "audit":  # the audit reads its constants mode and nothing else
+        take(study, "constants_mode", fields)
+        extra = sorted((line_no, name, key) for name, sec in sections.items() for key, (_, line_no) in sec.items())
+        if extra:
+            line_no, name, key = extra[0]
+            raise CliError(f"{path}:{line_no}: an audit reads only constants_mode, got [{name}] key {key!r}")
     take(study, "geometry", fields)
     take(study, "profile", fields, parse=profile)
     take(study, "tau", fields, parse=number("tau"))
@@ -533,12 +531,12 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--constants-mode",
                 dest="constants_mode",
-                choices=("oracle_validated", "paper_literal"),
+                choices=CONSTANTS_MODES,
                 default="oracle_validated",
             )
 
     def common_solve(p, variants):
-        p.add_argument("--geometry", choices=("line", "polar"), default="line")
+        p.add_argument("--geometry", choices=(LINE, POLAR), default=LINE)
         p.add_argument("--variant", required=True, choices=variants)
         p.add_argument("--tau", type=float, required=True)
         p.add_argument("--beta", help="shift parameter: a positive number or 'auto'")

@@ -11,7 +11,8 @@ Five study kinds:
   literal/validated ratio (the same coefficients in both modes) are all
   read from it, as an order sweep reads its orders.
 * convergence: error versus truncation order for the direct variants.
-* beta_map: error and divergence flag over a grid of shift values.
+* beta_map: error and divergence flag over a grid of shift values, at the
+  last listed order.
 * noise: reconstruction error under additive grid noise; locates the
   error-minimizing order and the semi-convergence (U-shape) indicator.
 * classical_compare: the derivative-based inverse baseline against the
@@ -21,9 +22,10 @@ This module also holds the geometry dispatch: the one map from a geometry
 to the functions that serve it - its series module's grid builder and grid
 solve, oracle, exact evolution, scale estimate - and to the study defaults.
 Each series module picks its own coefficient and evaluation functions by
-direction.  The CLI and the beta map solve through `solve_grid_line` /
-`solve_grid_polar`, and the audit and the sweeps (`_sweep_orders`) build
-through the same modules' builders.
+direction.  The CLI solves through `solve_grid_line` / `solve_grid_polar`;
+the audit and the order sweeps (`_sweep_orders`) build through the same
+modules' builders.  Every study row but the audit's comes from one sweep
+(`_sweep_rows`): the beta map sweeps its last listed order once per shift.
 
 Reports are deterministic given (config, seed): noise comes from a recorded
 numpy PCG64 stream, summation orders are fixed, and rows are sorted
@@ -44,7 +46,7 @@ from . import series_cartesian, series_polar
 from .kernels import evolve_line, evolve_polar, forward_line, forward_polar
 from .profiles import AnalyticProfile, Gaussian, Sampled1D, estimate_scale_line, estimate_scale_polar, format_profile
 from .specfun import KernelParams
-from .variants import CLASSICAL, LINE, POLAR, VARIANTS, check_mode, checked, default_beta, geometry_of, variant_names
+from .variants import CLASSICAL, LINE, POLAR, VARIANTS, check_mode, default_beta, geometry_of, variant_names
 
 __all__ = [
     "GridGeom",
@@ -69,8 +71,8 @@ class GridGeom:
     n: int
 
     def __post_init__(self):
-        if self.n < 2 or not (self.lo < self.hi):
-            raise ValueError(f"bad grid geometry [{self.lo}, {self.hi}] n={self.n}")
+        if self.n < 2 or not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo < self.hi):
+            raise ValueError(f"bad grid geometry [{self.lo}, {self.hi}] n={self.n}: need finite lo < hi, n >= 2")
 
 
 # --- geometry dispatch -----------------------------------------------------------
@@ -230,7 +232,8 @@ def _sweep_orders(variant, data, params, n_list, xs, mode, tau=None):
     that order makes), so its values and flag are bit for bit those of
     evaluating the same coefficients truncated to that order.  A C variant's
     term matrix has one column per point, each summed as on its own.  When
-    the build at max(n_list) overflows, each order is built on its own.
+    the build at max(n_list) fails, that order reports its error and each
+    lower order is built on its own.
     Yields (n, values, any_flagged, err) with err set to an exception when
     that order failed.
     """
@@ -243,10 +246,13 @@ def _sweep_orders(variant, data, params, n_list, xs, mode, tau=None):
             yield n, None, True, exc
         return
     try:
-        top = build(n_max)
-    except (OverflowError, ValueError):
-        top = None
+        top, failed = build(n_max), None
+    except (OverflowError, ValueError) as exc:
+        top, failed = None, exc
     for n in n_list:
+        if top is None and n == n_max:
+            yield n, None, True, failed
+            continue
         try:
             terms = top if top is not None else build(n)
             yield n, terms.values(n), bool(np.any(terms.flagged(n))), None
@@ -308,7 +314,7 @@ def run_audit(config: StudyConfig) -> StudyReport:
         orders = (0, 1, 2, full_order)
         t0 = time.perf_counter()
         build = _GRID_TERMS[row.geometry](variant, data, KernelParams(tau=tau, beta=beta), full_order, points, mode)
-        series = checked(build(full_order), variant, points, full_order)
+        series = build(full_order).check(full_order)
         errs = {}
         for n in orders:
             err = float(np.max(np.abs(series.values(n)[on_probes] - truth_vals))) / scale
@@ -460,30 +466,17 @@ def run_convergence(config: StudyConfig) -> StudyReport:
 
 
 def run_beta_map(config: StudyConfig) -> StudyReport:
-    """Error and divergence flag over an explicit grid of shifts."""
+    """Error and divergence flag over an explicit grid of shifts, at the last
+    listed order: one order sweep per (variant, shift)."""
     if config.study_kind != "beta_map":
         raise ValueError("config.study_kind must be 'beta_map'")
-    xs = _COMPARE_GRID[config.geometry]
-    n = int(config.n_range[-1])
+    last = replace(config, n_range=config.n_range[-1:])
     rows: list = []
     for variant in _study_variants(config):
         data, truth = _problem(variant, config.profile, config.tau)
-        truth = truth(xs)
+        truth = truth(_COMPARE_GRID[config.geometry])
         for beta in config.beta_range:
-            params = KernelParams(tau=config.tau, beta=beta)
-            t0 = time.perf_counter()
-            try:
-                series = _SOLVE[geometry_of(variant)](variant, data, params, n, xs, config.constants_mode)
-                err_l2, err_max = _errors(series.values(n), truth)
-                diverged = bool(np.any(series.flagged(n)))
-                status = "ok"
-            except (OverflowError, ValueError) as exc:
-                err_l2 = err_max = float("nan")
-                diverged, status = True, f"error:{type(exc).__name__}"
-            rows.append(
-                StudyRow(variant, n, float(beta), 0.0, err_l2, err_max, diverged, status,
-                         (time.perf_counter() - t0) * 1e3)
-            )
+            rows.extend(_sweep_rows(last, variant, data, KernelParams(tau=config.tau, beta=float(beta)), truth))
     metadata = _base_metadata(config)
     return StudyReport("beta_map", metadata, rows).finalize()
 

@@ -49,7 +49,8 @@ class Gaussian:
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        return self.amplitude * np.exp(-((x - self.center) ** 2) / (4.0 * self.width_a))
+        with np.errstate(over="ignore"):  # far out the square is inf and the value 0
+            return self.amplitude * np.exp(-((x - self.center) ** 2) / (4.0 * self.width_a))
 
     @property
     def sigma(self) -> float:

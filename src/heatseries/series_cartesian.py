@@ -47,12 +47,12 @@ from .profiles import Gaussian, Mixture, Sampled1D, profile_support
 from .quad import TRUNCATION_RADIUS_SIGMAS, integrate_vec
 from .specfun import KernelParams, hermite_batch
 from .variants import (
+    AXIS,
     CLASSICAL,
     LINE,
     SeriesTerms,
     beta_rule,
     check_mode,
-    checked,
     default_beta,
     grid_series,
     lookup,
@@ -198,7 +198,7 @@ def _eval(direct: bool, variant: str, coeffs, params: KernelParams, x, mode: str
     coeffs = np.asarray(coeffs, float)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if row.pointwise:
-        return pointwise_terms(row.kappa(params, mode, coeffs.shape[0] - 1), coeffs, x.size)
+        return pointwise_terms(row.kappa(params, mode, coeffs.shape[0] - 1), coeffs, x, f"{variant} at {AXIS[LINE]}")
     arg, num, den, pref = row.times(params)
     return _hermite_terms(coeffs, arg, math.sqrt(num) / (2.0 * math.sqrt(den)), pref, x)
 
@@ -255,26 +255,21 @@ def _fd_derivs_at_zero(data: Sampled1D, n: int) -> np.ndarray:
     vals = data.values
     out = np.empty(n + 1)
     out[0] = vals[i0]
-    for j in range(1, n + 1):
-        m = j // 2
-        if j % 2 == 0:
-            # 2m-th central difference over 2m+1 points
-            if i0 - m < 0 or i0 + m >= data.n_nodes:
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # a non-finite derivative raises below
+        diffs = np.zeros_like(vals)  # 2h times the first central difference
+        diffs[1:-1] = vals[2:] - vals[:-2]
+        for j in range(1, n + 1):
+            # the 2m-th central difference over 2m+1 points, of vals (even
+            # order) or of the first central differences (odd order)
+            m, odd = divmod(j, 2)
+            if i0 - m - odd < 0 or i0 + m + odd >= data.n_nodes:
                 raise ValueError(f"stencil for order {j} exceeds the grid")
+            src = diffs if odd else vals
             acc, binom = 0.0, 1.0
             for k in range(2 * m + 1):
-                acc += ((-1.0) ** k) * binom * vals[i0 + m - k]
+                acc += ((-1.0) ** k) * binom * src[i0 + m - k]
                 binom *= (2 * m - k) / (k + 1)
-            out[j] = acc / h ** (2 * m)
-        else:
-            # odd order: first central difference composed with the 2m-th
-            if i0 - m - 1 < 0 or i0 + m + 1 >= data.n_nodes:
-                raise ValueError(f"stencil for order {j} exceeds the grid")
-            acc, binom = 0.0, 1.0
-            for k in range(2 * m + 1):
-                acc += ((-1.0) ** k) * binom * (vals[i0 + m - k + 1] - vals[i0 + m - k - 1])
-                binom *= (2 * m - k) / (k + 1)
-            out[j] = acc / (2.0 * h ** (2 * m + 1))
+            out[j] = acc / ((2.0 if odd else 1.0) * h ** (2 * m + odd))
     if not np.all(np.isfinite(out)):
         raise OverflowError("finite-difference derivatives overflowed")
     return out
@@ -336,4 +331,4 @@ def solve_grid_line(
     n (an overflowing CD-C or CI-C point is named); CD-C and CI-C sum each
     point's own coefficients.  CI-classical takes tau, or params.tau when
     tau is None."""
-    return checked(_grid_terms(variant, data, params, n, xs, constants_mode, tau)(n), variant, xs, n)
+    return _grid_terms(variant, data, params, n, xs, constants_mode, tau)(n).check(n)

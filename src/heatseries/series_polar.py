@@ -39,10 +39,10 @@ from .profiles import Sampled1D, profile_support
 from .quad import integrate_vec
 from .specfun import KernelParams, w_poly_batch
 from .variants import (
+    AXIS,
     POLAR,
     SeriesTerms,
     check_mode,
-    checked,
     grid_series,
     lookup,
     pointwise_terms,
@@ -150,7 +150,7 @@ def _eval(direct: bool, variant: str, coeffs, params: KernelParams, r, mode: str
     if np.any(r < 0.0):
         raise ValueError("radius must be non-negative")
     if row.pointwise:
-        return pointwise_terms(row.kappa(params, mode, coeffs.shape[0] - 1), coeffs, r.size)
+        return pointwise_terms(row.kappa(params, mode, coeffs.shape[0] - 1), coeffs, r, f"{variant} at {AXIS[POLAR]}")
     n = coeffs.size - 1
     arg, num, den, pref = row.times(params)
     # an infinite argument fails the W batch; r * r = inf far out: a zero prefactor
@@ -197,4 +197,4 @@ def solve_grid_polar(
     """One polar variant on a grid of radii from one coefficient pass,
     checked at order n (an overflowing PD-C or PI-C radius is named); PD-C
     and PI-C sum each radius's own coefficients."""
-    return checked(_grid_terms(variant, data, params, n, rs, constants_mode)(n), variant, rs, n)
+    return _grid_terms(variant, data, params, n, rs, constants_mode)(n).check(n)

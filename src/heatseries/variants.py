@@ -28,7 +28,9 @@ and scans every point's term magnitudes for divergence.  The matrix is kept
 whole (`SeriesTerms`, the one result of every evaluation) so an order sweep
 can sum each order's own rows, and a grid solve reads its values and flags
 from it.  A/B rows stop together (the largest term of a row decides); every
-C column is a series of its own, with its own early stop and overflow row.
+C column is a series of its own, with its own early stop and overflow row,
+and keeps its point: `SeriesTerms.check` names the first overflowing one
+("CD-C at x = 100: ..."), for a grid solve and a library caller alike.
 
 `grid_series` builds the term matrices of one variant on a grid from one
 coefficient pass, with the public coefficient and evaluation functions of
@@ -288,6 +290,8 @@ class SeriesTerms:
     finite: int | np.ndarray  # rows before the first non-finite term
     fires: np.ndarray         # per point: the row at which divergence is flagged
     growth: np.ndarray        # per point: the first growth index, -1 if none
+    points: np.ndarray | None = None  # C: the evaluation points, one per column
+    label: str = ""                   # C: "<variant> at <axis>", naming an overflowing point
 
     @property
     def order(self) -> int:
@@ -300,13 +304,16 @@ class SeriesTerms:
     def rows(self, m: int):
         return np.minimum(self.stop, m + 1)
 
-    def check(self, m: int) -> None:
-        """Raise the OverflowError of the order-m sums, if they overflow; its
-        `point` is the first overflowing column (C), None for A/B."""
-        if np.any(self.finite <= m):
-            exc = OverflowError("series terms overflowed double precision")
-            exc.point = int(np.argmax(self.finite <= m)) if self.pointwise else None
-            raise exc
+    def check(self, m: int) -> SeriesTerms:
+        """The series, if its order-m sums do not overflow; else their
+        OverflowError, naming the first overflowing point of a C series."""
+        over = self.finite <= m
+        if np.any(over):
+            message = "series terms overflowed double precision"
+            if self.pointwise:
+                message = f"{self.label} = {float(self.points[np.argmax(over)]):g}: {message}"
+            raise OverflowError(message)
+        return self
 
     def values(self, m: int) -> np.ndarray:
         """The order-m sums; raises as `check` does."""
@@ -331,7 +338,8 @@ def _first(flags: np.ndarray) -> np.ndarray:
     return np.where(np.any(flags, axis=0), np.argmax(flags, axis=0), flags.shape[0])
 
 
-def _series(terms: np.ndarray, pointwise: bool) -> SeriesTerms:
+def _series(terms: np.ndarray, points: np.ndarray | None = None, label: str = "") -> SeriesTerms:
+    pointwise = points is not None
     mags = np.abs(terms)
     bad = ~np.isfinite(terms)
     if pointwise:
@@ -344,7 +352,7 @@ def _series(terms: np.ndarray, pointwise: bool) -> SeriesTerms:
     fires, growth = _scan(mags)
     if not pointwise:
         stop, finite = int(stop[0]), int(finite[0])
-    return SeriesTerms(terms, stop, finite, fires, growth)
+    return SeriesTerms(terms, stop, finite, fires, growth, points, label)
 
 
 def series_terms(weights: np.ndarray, basis: np.ndarray, pref) -> SeriesTerms:
@@ -353,17 +361,19 @@ def series_terms(weights: np.ndarray, basis: np.ndarray, pref) -> SeriesTerms:
         terms = weights[:, None] * basis
         if pref is not None:
             terms = terms * pref[None, :]
-    return _series(terms, pointwise=False)
+    return _series(terms)
 
 
-def pointwise_terms(kappa: np.ndarray, coeffs: np.ndarray, points: int) -> SeriesTerms:
-    """terms[j, k] = kappa[j] coeffs[j, k], every column a series of its own
-    (the C variants): early stop, overflow and scan per column, and each
-    column summed as it would be alone.  1-D coeffs serve every point; an
-    overflowing column (inf times a zero kappa: nan) stays non-finite."""
+def pointwise_terms(kappa: np.ndarray, coeffs: np.ndarray, points: np.ndarray, label: str) -> SeriesTerms:
+    """terms[j, k] = kappa[j] coeffs[j, k] at points[k], every column a
+    series of its own (the C variants): early stop, overflow and scan per
+    column, and each column summed as it would be alone.  1-D coeffs serve
+    every point; an overflowing column (inf times a zero kappa: nan) stays
+    non-finite, and `check` names its point after label ("<variant> at
+    <axis>")."""
     with np.errstate(over="ignore", invalid="ignore"):
         terms = kappa[:, None] * coeffs.reshape(kappa.size, -1)
-    return _series(np.broadcast_to(terms, (kappa.size, points)), pointwise=True)
+    return _series(np.broadcast_to(terms, (kappa.size, points.size)), points, label)
 
 
 def grid_series(variant: str, coeffs_fn, eval_fn, data, params, n: int, xs, mode: str):
@@ -380,16 +390,3 @@ def grid_series(variant: str, coeffs_fn, eval_fn, data, params, n: int, xs, mode
     coeffs = np.asarray(coeffs_fn(variant, data, params, n, xs), float)  # the points matter to C only
     points = np.atleast_1d(xs)
     return lambda m, mode=mode: eval_fn(variant, coeffs[: m + 1], params, points, mode)
-
-
-def checked(series: SeriesTerms, name: str, xs, n: int) -> SeriesTerms:
-    """The series with its order-n sums checked; an overflowing pointwise
-    (C) grid names its first overflowing point."""
-    try:
-        series.check(n)
-    except OverflowError as exc:
-        if exc.point is None:
-            raise
-        x = float(np.atleast_1d(xs)[exc.point])  # the first point whose own sum overflows
-        raise OverflowError(f"{name} at {AXIS[geometry_of(name)]} = {x:g}: {exc}") from exc
-    return series

@@ -96,13 +96,23 @@ def test_single_pass_audit_matches_the_per_order_audit(monkeypatch, mode):
     reference, ref_ratios = per_order_audit(mode)
     coeff_calls = counted_coefficients(monkeypatch)
     oracle_calls = counted(experiments._ORACLE, monkeypatch)
-    passes, checked = {}, experiments.checked
+    passes = {}
 
-    def keep(series, name, *args):  # the term matrix of each variant's one pass
-        passes[name] = series
-        return checked(series, name, *args)
+    def keeping(grid_terms):
+        def builder(variant, *args, **kwargs):
+            build = grid_terms(variant, *args, **kwargs)
 
-    monkeypatch.setattr(experiments, "checked", keep)
+            def keep(m, *rest):  # a variant's first build is the term matrix of its one pass
+                series = build(m, *rest)
+                passes.setdefault(variant, series)
+                return series
+
+            return keep
+
+        return builder
+
+    for geometry, grid_terms in list(experiments._GRID_TERMS.items()):
+        monkeypatch.setitem(experiments._GRID_TERMS, geometry, keeping(grid_terms))
     report = run_audit(config)
     assert sorted(coeff_calls) == sorted(VARIANTS) and len(oracle_calls) == 8
     assert set(passes) == set(VARIANTS)

@@ -336,7 +336,7 @@ def test_study_that_evolves_non_gaussian_data_exits_2(tmp_path, capsys, study):
     assert_rejected(capsys, run_cli("study", "--config", str(cfg)), "closed-form", "evolution exists only for")
 
 
-@pytest.mark.parametrize("kind", ["audit", "convergence", "noise"])
+@pytest.mark.parametrize("kind", ["convergence", "noise"])
 @pytest.mark.parametrize("geometry", ["", "geometry = polar\n"])
 def test_study_config_takes_its_defaults_from_study_config(tmp_path, kind, geometry):
     # the parser passes only the keys the file sets; a [grid] key replaces
@@ -348,6 +348,68 @@ def test_study_config_takes_its_defaults_from_study_config(tmp_path, kind, geome
     assert config == default
     cfg.write_text(f"[study]\nkind = {kind}\n{geometry}\n[grid]\nn = 101\n")
     assert cli._parse_study_config(str(cfg)) == dataclasses.replace(default, grid=dataclasses.replace(default.grid, n=101))
+
+
+def test_audit_config_reads_kind_and_constants_mode_only(tmp_path):
+    # the audit runs its own fixed configurations: its config takes the
+    # StudyConfig defaults and, at most, a constants mode
+    cfg = tmp_path / "audit.cfg"
+    cfg.write_text("[study]\nkind = audit\n")
+    assert cli._parse_study_config(str(cfg)) == StudyConfig("audit")
+    cfg.write_text("[study]\nkind = audit\nconstants_mode = paper_literal\n\n[grid]\n\n[sweep]\n")
+    assert cli._parse_study_config(str(cfg)) == StudyConfig("audit", constants_mode="paper_literal")
+
+
+@pytest.mark.parametrize(
+    "text, line, key",
+    [
+        ("[study]\nkind = audit\ngeometry = polar\n", ":3: ", "[study] key 'geometry'"),
+        ("[study]\nkind = audit\n\n[grid]\nn = 101\n", ":5: ", "[grid] key 'n'"),
+        ("[study]\nkind = audit\ntau = 0.5\nvariants = CD-A\nprofile = bump:radius=1\n", ":3: ", "[study] key 'tau'"),
+        ("[sweep]\norders = 3\n\n[study]\nconstants_mode = paper_literal\nkind = audit\nwidth = 3\n",
+         ":2: ", "[sweep] key 'orders'"),
+    ],
+    ids=["geometry", "grid", "study-keys", "first-line"],
+)
+def test_audit_config_rejects_every_other_key(tmp_path, capsys, text, line, key):
+    # an audit used to ignore these keys and run the standard audit, exit 0;
+    # the first such key by line is named
+    cfg = tmp_path / "audit.cfg"
+    cfg.write_text(text)
+    message = f"{cfg}{line}an audit reads only constants_mode, got {key}\n"
+    assert_rejected(capsys, run_cli("study", "--config", str(cfg)), message)
+
+
+@pytest.mark.parametrize(
+    "grid, fragment",
+    [("hi = inf", "[-8.0, inf]"), ("lo = -inf", "[-inf, 8.0]"), ("lo = nan", "[nan, 8.0]")],
+    ids=["inf-hi", "inf-lo", "nan-lo"],
+)
+@pytest.mark.parametrize("kind", ["noise", "convergence"])
+def test_study_grid_bounds_must_be_finite(tmp_path, capsys, grid, fragment, kind):
+    # `hi = inf` used to run to exit 0 with every row error:ValueError after a
+    # RuntimeWarning from np.linspace; a convergence study ignored the grid
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(f"[study]\nkind = {kind}\n\n[grid]\n{grid}\n")
+    assert_rejected(capsys, run_cli("study", "--config", str(cfg)), f"{cfg}: bad grid geometry {fragment}", "finite")
+
+
+def test_study_on_a_grid_too_wide_for_the_data_reports_overflow_rows(tmp_path, capsys):
+    # the evolved Gaussian is 0 far out, without an overflow warning; the
+    # moment passes over a window of width 2e300 overflow, and so do the
+    # finite differences at a spacing of 5e297 (order 0 is the sample at 0)
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text("[study]\nkind = noise\ntau = 0.3\n\n[grid]\nlo = -1e300\nhi = 1e300\n\n[sweep]\norders = 0:4:2\n")
+    assert run_cli("study", "--config", str(cfg)) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    rows = [line.split(",") for line in captured.out.splitlines() if not line.startswith(("#", "variant,"))]
+    assert [(row[0], row[1], row[7]) for row in rows[::2]] == [
+        ("CI-A", "0", "error:OverflowError"), ("CI-A", "2", "error:OverflowError"),
+        ("CI-A", "4", "error:OverflowError"), ("CI-classical", "0", "ok"),
+        ("CI-classical", "2", "error:OverflowError"), ("CI-classical", "4", "error:OverflowError"),
+    ]
+    assert [row[7] for row in rows[1::2]] == [row[7] for row in rows[::2]]  # delta 1e-3 alike
 
 
 def test_study_float_range_is_not_accumulated():

@@ -128,6 +128,8 @@ def test_overflowing_moments_are_exit_3_at_once(capsys, monkeypatch, variant):
         ["forward", "--variant", "CD-C", "--order", "12", "--beta", "1", "--profile", "gaussian:a=1,amp=1e300"],
         ["inverse", "--variant", "CI-C", "--order", "40", "--beta", "auto", "--input", "big.csv"],
         ["inverse", "--variant", "CI-B", "--order", "40", "--beta", "auto", "--input", "big.csv"],
+        # finite differences of order 40 at spacing 0.1
+        ["inverse", "--variant", "CI-classical", "--order", "40", "--input", "big.csv"],
     ],
 )
 def test_overflowing_terms_and_moments_are_exit_3_without_a_warning(capsys, tmp_path, monkeypatch, argv):

@@ -45,6 +45,9 @@ def test_config_validation():
         StudyConfig(study_kind="beta_map", beta_range=())
     with pytest.raises(ValueError):
         GridGeom(1.0, 1.0, 10)
+    for lo, hi in ((-8.0, math.inf), (-math.inf, 8.0), (math.nan, 8.0), (-math.inf, math.inf)):
+        with pytest.raises(ValueError, match="need finite lo < hi"):
+            GridGeom(lo, hi, 401)
     with pytest.raises(ValueError, match="orders"):
         StudyConfig(study_kind="convergence", n_range=(-2, 4))
     for deltas in ((-1e-3,), (0.0, math.nan), (math.inf,)):

@@ -21,6 +21,13 @@ def test_gaussian_basicities():
         Gaussian(width_a=0.0)
 
 
+def test_gaussian_is_zero_far_out_without_a_warning():
+    # the square overflows to inf beyond |x - center| ~ 1.3e154
+    g = Gaussian(width_a=1.0, center=-1e300, amplitude=1e300)
+    x = np.array([-1e300, 0.0, 1e300, 1.7e308, -np.inf, np.inf])
+    assert g(x).tolist() == [1e300, 0.0, 0.0, 0.0, 0.0, 0.0]
+
+
 def test_bump_compact_support():
     b = Bump(center=1.0, radius=0.5, amplitude=3.0)
     assert b(1.0) == pytest.approx(3.0)

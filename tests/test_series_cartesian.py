@@ -7,6 +7,7 @@ import pytest
 from heatseries.kernels import evolve_line, forward_line
 from heatseries.profiles import Gaussian, Mixture, Sampled1D
 from heatseries.series_cartesian import (
+    _fd_derivs_at_zero,
     default_beta,
     beta_rule,
     cd_coeffs,
@@ -285,7 +286,8 @@ def test_convergent_case_not_flagged():
 @pytest.mark.parametrize("variant, coeffs_fn, eval_fn", [("CD-C", cd_coeffs, cd_eval), ("CI-C", ci_coeffs, ci_eval)])
 def test_c_grid_overflow_names_the_first_point_that_overflows_alone(variant, coeffs_fn, eval_fn):
     # the grid is evaluated as one matrix; its error names the first point
-    # whose own evaluation overflows, in that evaluation's words
+    # whose own evaluation overflows, in the words of that evaluation, which
+    # names its point itself
     g, params = Gaussian(width_a=1.0), KernelParams(tau=0.5, beta=0.7)
     xs = np.array([0.0, 20.0, 100.0, -60.0, 60.0, -100.0])
     coeffs = coeffs_fn(variant, g, params, 80, xs)
@@ -294,7 +296,8 @@ def test_c_grid_overflow_names_the_first_point_that_overflows_alone(variant, coe
         try:
             value(eval_fn(variant, coeffs[:, i], params, float(x)))
         except OverflowError as exc:
-            first = f"{variant} at x = {x:g}: {exc}"
+            first = str(exc)
+            assert first == f"{variant} at x = {x:g}: series terms overflowed double precision"
             break
     assert first is not None and not first.startswith(f"{variant} at x = 0:")
     with pytest.raises(OverflowError) as info:
@@ -348,6 +351,37 @@ def test_ci_classical_stencil_exceeding_grid_is_explicit():
     data = Sampled1D(-0.2, 0.2, np.ones(5))
     with pytest.raises(ValueError):
         ci_classical(data, 0.3, 8, 0.0)
+
+
+@pytest.mark.parametrize("lo, nodes", [(-0.25, 5), (-0.125, 6), (-0.5, 6), (0.0, 4)])
+def test_fd_stencil_wider_than_the_grid_names_the_first_order_it_misses(lo, nodes):
+    # orders 2w and 2w+1 reach w and w+1 nodes to each side of x = 0, where w
+    # nodes lie between it and the nearer end of the grid
+    h = 0.125
+    data = Sampled1D(lo, lo + h * (nodes - 1), np.linspace(1.0, 2.0, nodes))
+    zero = round(-lo / h)
+    reach = min(zero, nodes - 1 - zero)
+    assert np.all(np.isfinite(_fd_derivs_at_zero(data, 2 * reach)))
+    with pytest.raises(ValueError, match=f"^stencil for order {2 * reach + 1} exceeds the grid$"):
+        _fd_derivs_at_zero(data, 2 * reach + 1)
+    with pytest.raises(ValueError, match=f"^stencil for order {2 * reach + 1} exceeds the grid$"):
+        ci_classical(data, 0.3, 2 * reach + 1, 0.0)
+
+
+@pytest.mark.parametrize("spacing, changed, order", [
+    (1e-10, {5: 1e300}, 2),  # a second difference beyond the largest double
+    (1e-90, {}, 4),          # h^4 underflows to zero: 0/0 on flat data
+    (1e-90, {7: 0.5}, 4),    # and a nonzero difference over zero
+])
+def test_fd_derivatives_that_overflow_raise_without_a_warning(spacing, changed, order):
+    values = np.ones(11)
+    for i, v in changed.items():
+        values[i] = v
+    data = Sampled1D(-5 * spacing, 5 * spacing, values)
+    with pytest.raises(OverflowError, match="^finite-difference derivatives overflowed$"):
+        _fd_derivs_at_zero(data, order)
+    with pytest.raises(OverflowError, match="^finite-difference derivatives overflowed$"):
+        ci_classical(data, 0.3, order, 0.0)
 
 
 # --- beta rule -------------------------------------------------------------------------

@@ -149,8 +149,14 @@ def same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def at_points(cols):
+    """Distinct points for the columns of a C term matrix, and their label."""
+    return 0.5 * np.arange(cols) - 1.25, "C at x"
+
+
 def assert_pointwise_matches_reference(kappa, coeffs):
-    series = pointwise_terms(kappa, coeffs, coeffs.shape[1])
+    points, label = at_points(coeffs.shape[1])
+    series = pointwise_terms(kappa, coeffs, points, label)
     refs = [reference_point(kappa, coeffs[:, c]) for c in range(coeffs.shape[1])]
     for m in range(coeffs.shape[0]):
         np.testing.assert_array_equal(series.rows(m), [ref.rows(m) for ref in refs])
@@ -158,9 +164,10 @@ def assert_pointwise_matches_reference(kappa, coeffs):
         try:
             expected = np.concatenate([ref.values(m) for ref in refs])
         except OverflowError:
-            with pytest.raises(OverflowError, match="series terms overflowed double precision") as info:
+            with pytest.raises(OverflowError) as info:
                 series.values(m)
-            assert info.value.point == next(c for c, ref in enumerate(refs) if ref.finite <= m)
+            first = next(c for c, ref in enumerate(refs) if ref.finite <= m)
+            assert str(info.value) == f"C at x = {points[first]:g}: series terms overflowed double precision"
             continue
         assert same_bits(series.values(m), expected)
     np.testing.assert_array_equal(series.growth, [ref.growth[0] for ref in refs])
@@ -180,7 +187,7 @@ def test_pointwise_terms_are_the_single_point_series(coeffs, abs_tol, overflow_r
         if not np.all(np.isfinite(coeffs)):
             return
         n = coeffs.shape[0] - 1
-        series = pointwise_terms(kappa, coeffs, coeffs.shape[1])
+        series = pointwise_terms(kappa, coeffs, *at_points(coeffs.shape[1]))
         values, flagged = series.values(n), series.flagged(n)
         rows = np.broadcast_to(series.rows(n), flagged.shape)
         for c in range(coeffs.shape[1]):
@@ -205,15 +212,36 @@ def test_pointwise_sums_are_one_column_sums_on_random_shapes():
         kappa = rng.uniform(0.5, 2.0, size=rows)
         abs_tol = float(10.0 ** rng.integers(-14, 1))
         with early_stop_tol(abs_tol):
-            series = pointwise_terms(kappa, coeffs, cols)
+            series = pointwise_terms(kappa, coeffs, *at_points(cols))
             for m in {0, rows // 3, rows - 1}:
                 expected = [np.sum((kappa * coeffs[:, c])[: ref.rows(m)]) for c, ref in
                             enumerate(reference_point(kappa, coeffs[:, c]) for c in range(cols))]
                 assert same_bits(series.values(m), expected)
 
 
+@pytest.mark.parametrize("variant, coeffs_fn, eval_fn, solve, points", [
+    ("CD-C", cd_coeffs, cd_eval, solve_grid_line, [0.0, 20.0, 100.0, -60.0, 60.0, -100.0]),
+    ("CI-C", ci_coeffs, ci_eval, solve_grid_line, [0.0, 20.0, 100.0, -60.0, 60.0, -100.0]),
+    ("PD-C", pd_coeffs, pd_eval, solve_grid_polar, [0.0, 20.0, 500.0, 100.0, 2000.0]),
+    ("PI-C", pi_coeffs, pi_eval, solve_grid_polar, [0.0, 20.0, 500.0, 100.0, 2000.0]),
+])
+def test_c_overflow_read_through_the_public_evaluator_names_its_point(variant, coeffs_fn, eval_fn, solve, points):
+    # a library caller summing a C evaluation gets the grid solve's error,
+    # which names the first point that overflows (not the first or last point)
+    g, params, n = Gaussian(width_a=1.0), KernelParams(tau=0.5, beta=0.7), 80
+    points = np.asarray(points)
+    with pytest.raises(OverflowError) as grid:
+        solve(variant, g, params, n, points)
+    series = eval_fn(variant, coeffs_fn(variant, g, params, n, points), params, points)
+    with pytest.raises(OverflowError) as summed:
+        series.values(n)
+    assert str(summed.value) == str(grid.value)
+    axis = "x" if variant[0] == "C" else "r"
+    assert str(grid.value) == f"{variant} at {axis} = {points[2]:g}: series terms overflowed double precision"
+
+
 def test_one_coefficient_column_serves_every_point():
-    series = pointwise_terms(np.ones(3), np.array([1.0, 0.5, 0.25]), 4)
+    series = pointwise_terms(np.ones(3), np.array([1.0, 0.5, 0.25]), *at_points(4))
     assert same_bits(series.values(2), np.full(4, 1.75))
 
 
