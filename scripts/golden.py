@@ -72,6 +72,19 @@ STUDY_CONFIGS = {
     "grid_huge_bounds.cfg": (
         "[study]\nkind = noise\ntau = 0.3\n\n[grid]\nlo = -1e300\nhi = 1e300\n\n[sweep]\norders = 0:4:2\n"
     ),
+    "grid_huge_bounds_order0.cfg": (
+        "[study]\nkind = noise\ntau = 0.3\n\n[grid]\nlo = -1e300\nhi = 1e300\n\n[sweep]\norders = 0\n"
+    ),
+    # a variant of the wrong direction, and keys a study would drop or repeat rows for: exit 2
+    "convergence_inverse_variant.cfg": "[study]\nkind = convergence\nvariants = CI-A\n",
+    "noise_direct_variant.cfg": "[study]\nkind = noise\nvariants = CD-A\n",
+    "compare_variants.cfg": "[study]\nkind = classical_compare\nvariants = CI-B\n",
+    "noise_two_betas.cfg": "[study]\nkind = noise\n\n[sweep]\nbetas = 0.5, 0.9\n",
+    "convergence_two_betas.cfg": "[study]\nkind = convergence\n\n[sweep]\nbetas = 0.5, 0.9\n",
+    "repeated_orders.cfg": "[study]\nkind = convergence\n\n[sweep]\norders = 0, 4, 4\n",
+    "repeated_deltas.cfg": "[study]\nkind = noise\n\n[sweep]\ndeltas = 0, 1e-3, 0\n",
+    "repeated_betas.cfg": "[study]\nkind = beta_map\n\n[sweep]\norders = 8\nbetas = 0.5, 1, 0.5\n",
+    "repeated_variants.cfg": "[study]\nkind = noise\nvariants = CI-A, CI-A\n",
     "unknown_key.cfg": "[study]\nkind = noise\nwidth = 3\n",
     "wrong_geometry.cfg": "[study]\nkind = noise\ngeometry = polar\nvariants = CI-A\n",
     "polar_classical.cfg": "[study]\nkind = classical_compare\ngeometry = polar\n",

@@ -8,8 +8,8 @@ Five study kinds:
   for the published-vs-validated constant sets.  Each variant takes one
   coefficient pass at its full order; orders 0, 1, 2, the full order, a C
   variant's off-center probe (one more point of the pass) and its
-  literal/validated ratio (the same coefficients in both modes) are all
-  read from it, as an order sweep reads its orders.
+  literal/validated ratio (its kept coefficients re-weighted by each mode's
+  constants) are all read from it, as an order sweep reads its orders.
 * convergence: error versus truncation order for the direct variants.
 * beta_map: error and divergence flag over a grid of shift values, at the
   last listed order.
@@ -21,10 +21,10 @@ Five study kinds:
 This module also holds the geometry dispatch: the one map from a geometry
 to the functions that serve it - its series module's grid builder and grid
 solve, oracle, exact evolution, scale estimate - and to the study defaults.
-Each series module picks its own coefficient and evaluation functions by
-direction.  The CLI solves through `solve_grid_line` / `solve_grid_polar`;
-the audit and the order sweeps (`_sweep_orders`) build through the same
-modules' builders.  Every study row but the audit's comes from one sweep
+Each series module's builder picks its functions by direction and returns
+the term matrix of one pass: the CLI's `solve_grid_line` / `solve_grid_polar`
+check it, and the audit and the order sweeps (`_sweep_orders`) sum its
+orders.  Every study row but the audit's comes from one sweep
 (`_sweep_rows`): the beta map sweeps its last listed order once per shift.
 
 Reports are deterministic given (config, seed): noise comes from a recorded
@@ -46,7 +46,10 @@ from . import series_cartesian, series_polar
 from .kernels import evolve_line, evolve_polar, forward_line, forward_polar
 from .profiles import AnalyticProfile, Gaussian, Sampled1D, estimate_scale_line, estimate_scale_polar, format_profile
 from .specfun import KernelParams
-from .variants import CLASSICAL, LINE, POLAR, VARIANTS, check_mode, default_beta, geometry_of, variant_names
+from .variants import (
+    CLASSICAL, CONSTANTS_MODES, LINE, POLAR, VARIANTS, check_mode, default_beta, geometry_of, pointwise_terms,
+    variant_names,
+)
 
 __all__ = [
     "GridGeom",
@@ -140,11 +143,22 @@ class StudyConfig:
             raise ValueError(f"deltas (delta_range) must be non-negative and finite, got {list(self.delta_range)}")
         if not all(math.isfinite(b) and b > 0.0 for b in self.beta_range):
             raise ValueError(f"betas (beta_range) must be positive and finite, got {list(self.beta_range)}")
+        if self.study_kind not in ("audit", "beta_map") and len(self.beta_range) > 1:
+            raise ValueError(f"a {self.study_kind} study takes one beta, got {list(self.beta_range)}")
+        for name, values in (("orders (n_range)", self.n_range), ("deltas (delta_range)", self.delta_range),
+                             ("betas (beta_range)", self.beta_range), ("variants", self.variants)):
+            if len(set(values)) < len(values):
+                raise ValueError(f"{name} must not repeat a value, got {list(values)}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if self.study_kind == "classical_compare" and self.variants:
+            raise ValueError(f"classical_compare runs CI-A and CI-classical, no variants; got {list(self.variants)}")
+        wanted = {"convergence": "direct", "noise": "inverse"}.get(self.study_kind)  # the direction of its truth
         for variant in self.variants:
             if geometry_of(variant) != self.geometry:
                 raise ValueError(f"{variant} is not a {self.geometry} variant")
+            if wanted and ("direct" if variant != CLASSICAL and VARIANTS[variant].direct else "inverse") != wanted:
+                raise ValueError(f"a {self.study_kind} study takes {wanted} variants, got {variant}")
         if self.grid is None:
             self.grid = _STUDY_GRID[self.geometry]
 
@@ -195,10 +209,9 @@ def _base_metadata(config: StudyConfig) -> dict:
 
 
 def _errors(values: np.ndarray, truth: np.ndarray) -> tuple[float, float]:
-    denom_l2 = float(np.linalg.norm(truth))
-    denom_max = float(np.max(np.abs(truth)))
-    err_l2 = float(np.linalg.norm(values - truth)) / denom_l2
-    err_max = float(np.max(np.abs(values - truth))) / denom_max
+    with np.errstate(over="ignore"):  # an overflowing error is inf: the row reads error:nonfinite
+        err_l2 = float(np.linalg.norm(values - truth)) / float(np.linalg.norm(truth))
+        err_max = float(np.max(np.abs(values - truth))) / float(np.max(np.abs(truth)))
     return err_l2, err_max
 
 
@@ -225,39 +238,27 @@ def _time(variant: str, tau: float | None) -> dict:
 
 
 def _sweep_orders(variant, data, params, n_list, xs, mode, tau=None):
-    """Values and divergence flags for every order in n_list.
+    """Values and divergence flags for every order in n_list, highest first.
 
-    Coefficients are computed once at max(n_list) and the term matrix is
-    built once from them; each order sums its own rows (up to the early stop
-    that order makes), so its values and flag are bit for bit those of
-    evaluating the same coefficients truncated to that order.  A C variant's
-    term matrix has one column per point, each summed as on its own.  When
-    the build at max(n_list) fails, that order reports its error and each
-    lower order is built on its own.
+    The term matrix built at the highest order (one coefficient pass) serves
+    every order: each order sums its own rows (up to the early stop that
+    order makes), so its values and flag are bit for bit those of evaluating
+    the same coefficients truncated to that order.  A C variant's term
+    matrix has one column per point, each summed as on its own.  An order
+    that fails reports its error and drops the matrix, and the next order
+    down builds its own, so no order fails for a higher one.
     Yields (n, values, any_flagged, err) with err set to an exception when
     that order failed.
     """
-    n_list = sorted(int(n) for n in n_list)
-    n_max = n_list[-1]
-    try:
-        build = _GRID_TERMS[geometry_of(variant)](variant, data, params, n_max, xs, mode, **_time(variant, tau))
-    except (OverflowError, ValueError) as exc:
-        for n in n_list:
-            yield n, None, True, exc
-        return
-    try:
-        top, failed = build(n_max), None
-    except (OverflowError, ValueError) as exc:
-        top, failed = None, exc
-    for n in n_list:
-        if top is None and n == n_max:
-            yield n, None, True, failed
-            continue
+    terms = None
+    for n in sorted((int(n) for n in n_list), reverse=True):
         try:
-            terms = top if top is not None else build(n)
-            yield n, terms.values(n), bool(np.any(terms.flagged(n))), None
+            if terms is None:
+                terms = _GRID_TERMS[geometry_of(variant)](variant, data, params, n, xs, mode, **_time(variant, tau))
+            result = n, terms.values(n), bool(np.any(terms.flagged(n))), None
         except (OverflowError, ValueError) as exc:
-            yield n, None, True, exc
+            terms, result = None, (n, None, True, exc)
+        yield result
 
 
 # --- audit ---------------------------------------------------------------------
@@ -312,9 +313,9 @@ def run_audit(config: StudyConfig) -> StudyReport:
         points = np.asarray(probes + ((_OFF_CENTER_PROBE,) if row.pointwise else ()))
         on_probes = slice(len(probes))
         orders = (0, 1, 2, full_order)
+        params = KernelParams(tau=tau, beta=beta)
         t0 = time.perf_counter()
-        build = _GRID_TERMS[row.geometry](variant, data, KernelParams(tau=tau, beta=beta), full_order, points, mode)
-        series = build(full_order).check(full_order)
+        series = _GRID_TERMS[row.geometry](variant, data, params, full_order, points, mode).check(full_order)
         errs = {}
         for n in orders:
             err = float(np.max(np.abs(series.values(n)[on_probes] - truth_vals))) / scale
@@ -330,7 +331,8 @@ def run_audit(config: StudyConfig) -> StudyReport:
             passed = all(errs[n] <= _AUDIT_TOL_EXACT for n in (0, 1, 2))
         if row.pointwise:
             # value ratio literal/validated of the N=2 truncation at center
-            v_lit, v_ok = (build(2, m).values(2)[0] for m in ("paper_literal", "oracle_validated"))
+            kept = series.coeffs[:3], series.points, series.label
+            v_ok, v_lit = (pointwise_terms(row.kappa(params, m, 2), *kept).values(2)[0] for m in CONSTANTS_MODES)
             ratios[variant] = float(v_lit / v_ok)
             off_val = series.values(full_order)[-1]
             off_err = float(abs(off_val - np.atleast_1d(truth(points[-1:]))[0])) / scale

@@ -27,8 +27,8 @@ Every evaluation (`cd_eval`, `ci_eval`, `ci_classical`) returns the
 (reproducibility), stops early once three consecutive terms drop below
 `variants.EARLY_STOP_TOL`, and scans the term magnitudes for divergence.
 `_grid_terms` is the one place that picks the coefficient and evaluation
-functions of a line variant by its direction; `solve_grid_line`, the CLI and
-the studies all build their term matrices through it.
+functions of a line variant by its direction: `solve_grid_line` checks its
+term matrix at order n, and the studies sum it order by order.
 
 constants_mode selects between the oracle-certified constants
 ("oracle_validated", default) and the originally published ones
@@ -275,14 +275,6 @@ def _fd_derivs_at_zero(data: Sampled1D, n: int) -> np.ndarray:
     return out
 
 
-def classical_time(params: KernelParams | None, tau: float | None) -> float:
-    """The time CI-classical runs at: tau, or params.tau when tau is None (it
-    has no shift, so params may be None)."""
-    if tau is None and params is None:
-        raise ValueError("CI-classical needs tau")
-    return params.tau if tau is None else tau
-
-
 def ci_classical(u, tau: float, n: int, x) -> SeriesTerms:
     """Derivative-based inverse baseline.
 
@@ -302,16 +294,14 @@ def ci_classical(u, tau: float, n: int, x) -> SeriesTerms:
 # --- grid solve --------------------------------------------------------------
 
 def _grid_terms(variant: str, data, params: KernelParams | None, n: int, xs, mode: str, tau: float | None = None):
-    """build(m): the term matrix of orders 0..m <= n of one line variant on
-    the points xs, from one coefficient pass at order n (a series variant's
-    build(m, other_mode) reads the same coefficients under the other
-    constant set).  CI-classical has no shift and no table row: it runs at
-    `classical_time(params, tau)`, and each build takes the data's
-    derivatives (no quadrature)."""
+    """The unchecked term matrix of orders 0..n of one line variant on the
+    points xs, from one coefficient pass at order n.  CI-classical has no
+    shift and no table row: it runs at tau (params.tau when tau is None) and
+    takes the data's derivatives (no quadrature)."""
     if variant == CLASSICAL:
-        tau = classical_time(params, tau)
-        points = np.atleast_1d(np.asarray(xs, dtype=float))
-        return lambda m: ci_classical(data, tau, m, points)
+        if tau is None and params is None:
+            raise ValueError("CI-classical needs tau")
+        return ci_classical(data, params.tau if tau is None else tau, n, xs)
     direct = lookup(variant, LINE).direct
     return grid_series(
         variant, cd_coeffs if direct else ci_coeffs, cd_eval if direct else ci_eval, data, params, n, xs, mode
@@ -331,4 +321,4 @@ def solve_grid_line(
     n (an overflowing CD-C or CI-C point is named); CD-C and CI-C sum each
     point's own coefficients.  CI-classical takes tau, or params.tau when
     tau is None."""
-    return _grid_terms(variant, data, params, n, xs, constants_mode, tau)(n).check(n)
+    return _grid_terms(variant, data, params, n, xs, constants_mode, tau).check(n)

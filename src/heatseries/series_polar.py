@@ -23,9 +23,9 @@ The scales and constants of each variant are rows of `variants.VARIANTS`;
 evaluation (`pd_eval`, `pi_eval`: the `variants.SeriesTerms` at the radii),
 the divergence diagnostic and constants_mode go through the same path as on
 the line, and `_grid_terms` picks the functions of a polar variant by its
-direction for `solve_grid_polar`, the CLI and the studies alike.  The
-published C-variant constants fail the oracle certification by documented
-ratios (ERRATA.md).
+direction for the term matrix `solve_grid_polar` checks and the studies sum.
+The published C-variant constants fail the oracle certification by
+documented ratios (ERRATA.md).
 """
 
 from __future__ import annotations
@@ -176,10 +176,9 @@ def pi_eval(variant: str, coeffs: np.ndarray, params: KernelParams, r, constants
     return _eval(False, variant, coeffs, params, r, constants_mode)
 
 
-def _grid_terms(variant: str, data, params: KernelParams, n: int, rs, mode: str):
-    """build(m): the term matrix of orders 0..m <= n of one polar variant on
-    the radii rs, from one coefficient pass at order n (build(m, other_mode)
-    reads the same coefficients under the other constant set)."""
+def _grid_terms(variant: str, data, params: KernelParams, n: int, rs, mode: str) -> SeriesTerms:
+    """The unchecked term matrix of orders 0..n of one polar variant on the
+    radii rs, from one coefficient pass at order n."""
     direct = lookup(variant, POLAR).direct
     return grid_series(
         variant, pd_coeffs if direct else pi_coeffs, pd_eval if direct else pi_eval, data, params, n, rs, mode
@@ -197,4 +196,4 @@ def solve_grid_polar(
     """One polar variant on a grid of radii from one coefficient pass,
     checked at order n (an overflowing PD-C or PI-C radius is named); PD-C
     and PI-C sum each radius's own coefficients."""
-    return _grid_terms(variant, data, params, n, rs, constants_mode)(n).check(n)
+    return _grid_terms(variant, data, params, n, rs, constants_mode).check(n)

@@ -29,14 +29,15 @@ whole (`SeriesTerms`, the one result of every evaluation) so an order sweep
 can sum each order's own rows, and a grid solve reads its values and flags
 from it.  A/B rows stop together (the largest term of a row decides); every
 C column is a series of its own, with its own early stop and overflow row,
-and keeps its point: `SeriesTerms.check` names the first overflowing one
-("CD-C at x = 100: ..."), for a grid solve and a library caller alike.
+and keeps its point and coefficients: `SeriesTerms.check` names the first
+overflowing point ("CD-C at x = 100: ..."), for a grid solve and a library
+caller alike.
 
-`grid_series` builds the term matrices of one variant on a grid from one
+`grid_series` builds the term matrix of one variant on a grid from one
 coefficient pass, with the public coefficient and evaluation functions of
 its geometry passed in: each series module picks them by direction in its
-own grid builder, which its grid solve (`solve_grid_line`,
-`solve_grid_polar`), the CLI and every study use.
+own grid builder, whose matrix its grid solve (`solve_grid_line`,
+`solve_grid_polar`) checks and every study sums order by order.
 """
 
 from __future__ import annotations
@@ -292,6 +293,7 @@ class SeriesTerms:
     growth: np.ndarray        # per point: the first growth index, -1 if none
     points: np.ndarray | None = None  # C: the evaluation points, one per column
     label: str = ""                   # C: "<variant> at <axis>", naming an overflowing point
+    coeffs: np.ndarray | None = None  # C: the coefficient columns the constants kappa_j weight
 
     @property
     def order(self) -> int:
@@ -338,7 +340,7 @@ def _first(flags: np.ndarray) -> np.ndarray:
     return np.where(np.any(flags, axis=0), np.argmax(flags, axis=0), flags.shape[0])
 
 
-def _series(terms: np.ndarray, points: np.ndarray | None = None, label: str = "") -> SeriesTerms:
+def _series(terms: np.ndarray, points: np.ndarray | None = None, label: str = "", coeffs=None) -> SeriesTerms:
     pointwise = points is not None
     mags = np.abs(terms)
     bad = ~np.isfinite(terms)
@@ -352,7 +354,7 @@ def _series(terms: np.ndarray, points: np.ndarray | None = None, label: str = ""
     fires, growth = _scan(mags)
     if not pointwise:
         stop, finite = int(stop[0]), int(finite[0])
-    return SeriesTerms(terms, stop, finite, fires, growth, points, label)
+    return SeriesTerms(terms, stop, finite, fires, growth, points, label, coeffs)
 
 
 def series_terms(weights: np.ndarray, basis: np.ndarray, pref) -> SeriesTerms:
@@ -370,23 +372,20 @@ def pointwise_terms(kappa: np.ndarray, coeffs: np.ndarray, points: np.ndarray, l
     column, and each column summed as it would be alone.  1-D coeffs serve
     every point; an overflowing column (inf times a zero kappa: nan) stays
     non-finite, and `check` names its point after label ("<variant> at
-    <axis>")."""
+    <axis>").  The series keeps coeffs, for another kappa to re-weight."""
     with np.errstate(over="ignore", invalid="ignore"):
         terms = kappa[:, None] * coeffs.reshape(kappa.size, -1)
-    return _series(np.broadcast_to(terms, (kappa.size, points.size)), points, label)
+    return _series(np.broadcast_to(terms, (kappa.size, points.size)), points, label, coeffs)
 
 
-def grid_series(variant: str, coeffs_fn, eval_fn, data, params, n: int, xs, mode: str):
-    """build(m, mode): the term matrix of orders 0..m <= n of one variant on a
-    grid, from one coefficient call at order n: coeffs_fn and eval_fn are the
+def grid_series(variant: str, coeffs_fn, eval_fn, data, params, n: int, xs, mode: str) -> SeriesTerms:
+    """The term matrix of orders 0..n of one variant on a grid, unchecked,
+    from one coefficient call at order n: coeffs_fn and eval_fn are the
     public coefficient and evaluation functions of its geometry and
     direction.  A pointwise (C) variant's call gives one coefficient column
-    per point, each summed on its own.  The coefficients do not depend on
-    the constants mode, so one pass serves both (mode defaults to the given
-    one)."""
+    per point, each summed on its own, and kept for another constants mode."""
     if params is None:
         raise ValueError(f"{variant} needs KernelParams")
     xs = np.asarray(xs, dtype=float)
     coeffs = np.asarray(coeffs_fn(variant, data, params, n, xs), float)  # the points matter to C only
-    points = np.atleast_1d(xs)
-    return lambda m, mode=mode: eval_fn(variant, coeffs[: m + 1], params, points, mode)
+    return eval_fn(variant, coeffs, params, xs, mode)

@@ -79,12 +79,13 @@ def counted(table, monkeypatch):
     return calls
 
 
-def counted_coefficients(monkeypatch):
-    """Wrap the public coefficient passes of both series modules, which
-    their builders call by name; returns the call counter."""
+def counted_public(monkeypatch, suffix):
+    """Wrap the public coefficient passes (suffix "coeffs") or evaluations
+    ("eval") of both series modules, which their builders call by name;
+    returns the call counter."""
     calls = []
-    for module, names in ((series_cartesian, ("cd_coeffs", "ci_coeffs")), (series_polar, ("pd_coeffs", "pi_coeffs"))):
-        for name in names:
+    for module, prefixes in ((series_cartesian, ("cd", "ci")), (series_polar, ("pd", "pi"))):
+        for name in (f"{prefix}_{suffix}" for prefix in prefixes):
             monkeypatch.setattr(module, name, lambda v, *a, _fn=getattr(module, name), **k:
                                 calls.append(v) or _fn(v, *a, **k))
     return calls
@@ -94,27 +95,24 @@ def counted_coefficients(monkeypatch):
 def test_single_pass_audit_matches_the_per_order_audit(monkeypatch, mode):
     config = StudyConfig(study_kind="audit", constants_mode=mode)
     reference, ref_ratios = per_order_audit(mode)
-    coeff_calls = counted_coefficients(monkeypatch)
+    coeff_calls = counted_public(monkeypatch, "coeffs")
+    eval_calls = counted_public(monkeypatch, "eval")
     oracle_calls = counted(experiments._ORACLE, monkeypatch)
     passes = {}
 
     def keeping(grid_terms):
-        def builder(variant, *args, **kwargs):
-            build = grid_terms(variant, *args, **kwargs)
-
-            def keep(m, *rest):  # a variant's first build is the term matrix of its one pass
-                series = build(m, *rest)
-                passes.setdefault(variant, series)
-                return series
-
-            return keep
+        def builder(variant, *args, **kwargs):  # the term matrix of a variant's one pass
+            series = grid_terms(variant, *args, **kwargs)
+            assert variant not in passes
+            passes[variant] = series
+            return series
 
         return builder
 
     for geometry, grid_terms in list(experiments._GRID_TERMS.items()):
         monkeypatch.setitem(experiments._GRID_TERMS, geometry, keeping(grid_terms))
     report = run_audit(config)
-    assert sorted(coeff_calls) == sorted(VARIANTS) and len(oracle_calls) == 8
+    assert sorted(coeff_calls) == sorted(eval_calls) == sorted(VARIANTS) and len(oracle_calls) == 8
     assert set(passes) == set(VARIANTS)
 
     for row in report.rows:

@@ -297,6 +297,43 @@ def test_study_rejects_negative_seed_and_bad_betas(tmp_path, capsys, study, swee
     assert_rejected(capsys, run_cli("study", "--config", str(cfg)), str(cfg), fragment)
 
 
+ORDERS = "orders = 0:4:2"
+
+
+@pytest.mark.parametrize(
+    "study, sweep, fragment",
+    [
+        ("kind = convergence\nvariants = CI-A", ORDERS, "a convergence study takes direct variants, got CI-A"),
+        ("kind = convergence\nvariants = CD-A, CI-classical", ORDERS,
+         "a convergence study takes direct variants, got CI-classical"),
+        ("kind = noise\nvariants = CD-A", ORDERS, "a noise study takes inverse variants, got CD-A"),
+        ("kind = noise\ngeometry = polar\nvariants = PI-A, PD-B", ORDERS,
+         "a noise study takes inverse variants, got PD-B"),
+        ("kind = classical_compare\nvariants = CI-B", ORDERS,
+         "classical_compare runs CI-A and CI-classical, no variants; got ['CI-B']"),
+        ("kind = classical_compare\nvariants = CD-A", ORDERS,
+         "classical_compare runs CI-A and CI-classical, no variants; got ['CD-A']"),
+        ("kind = noise", f"{ORDERS}\nbetas = 0.5, 0.9", "a noise study takes one beta, got [0.5, 0.9]"),
+        ("kind = convergence", f"{ORDERS}\nbetas = 0.5, 0.9", "a convergence study takes one beta"),
+        ("kind = classical_compare", f"{ORDERS}\nbetas = 0.5, 0.9", "a classical_compare study takes one beta"),
+        ("kind = convergence", "orders = 0, 4, 4", "orders (n_range) must not repeat a value, got [0, 4, 4]"),
+        ("kind = noise", f"{ORDERS}\ndeltas = 0, 1e-3, 0", "deltas (delta_range) must not repeat a value"),
+        ("kind = beta_map", "orders = 8\nbetas = 0.5, 1, 0.5", "betas (beta_range) must not repeat a value"),
+        ("kind = noise\nvariants = CI-A, CI-A", ORDERS, "variants must not repeat a value"),
+    ],
+    ids=["convergence-inverse", "convergence-classical", "noise-direct", "noise-polar-direct",
+         "compare-variants", "compare-direct", "noise-two-betas", "convergence-two-betas",
+         "compare-two-betas", "repeated-order", "repeated-delta", "repeated-beta", "repeated-variant"],
+)
+def test_study_rejects_keys_the_study_would_drop_or_misread(tmp_path, capsys, study, sweep, fragment):
+    # each used to exit 0: a wrong-direction variant measured against the
+    # wrong truth, a classical_compare or noise study ignoring variants or
+    # betas, and repeated values repeating rows
+    cfg = tmp_path / "dropped.cfg"
+    cfg.write_text(f"[study]\ntau = 0.3\n{study}\n\n[sweep]\n{sweep}\n")
+    assert_rejected(capsys, run_cli("study", "--config", str(cfg)), f"{cfg}: {fragment}")
+
+
 @pytest.mark.parametrize(
     "study, fragment",
     [
@@ -396,8 +433,10 @@ def test_study_grid_bounds_must_be_finite(tmp_path, capsys, grid, fragment, kind
 
 def test_study_on_a_grid_too_wide_for_the_data_reports_overflow_rows(tmp_path, capsys):
     # the evolved Gaussian is 0 far out, without an overflow warning; the
-    # moment passes over a window of width 2e300 overflow, and so do the
-    # finite differences at a spacing of 5e297 (order 0 is the sample at 0)
+    # moment passes over a window of width 2e300 overflow at orders 2 and 4,
+    # and so do the finite differences at a spacing of 5e297 (order 0 is the
+    # sample at 0); CI-A's order-0 pass builds, but its values are so large
+    # that the error overflows, without a warning either
     cfg = tmp_path / "wide.cfg"
     cfg.write_text("[study]\nkind = noise\ntau = 0.3\n\n[grid]\nlo = -1e300\nhi = 1e300\n\n[sweep]\norders = 0:4:2\n")
     assert run_cli("study", "--config", str(cfg)) == 0
@@ -405,11 +444,29 @@ def test_study_on_a_grid_too_wide_for_the_data_reports_overflow_rows(tmp_path, c
     assert captured.err == ""
     rows = [line.split(",") for line in captured.out.splitlines() if not line.startswith(("#", "variant,"))]
     assert [(row[0], row[1], row[7]) for row in rows[::2]] == [
-        ("CI-A", "0", "error:OverflowError"), ("CI-A", "2", "error:OverflowError"),
+        ("CI-A", "0", "error:nonfinite"), ("CI-A", "2", "error:OverflowError"),
         ("CI-A", "4", "error:OverflowError"), ("CI-classical", "0", "ok"),
         ("CI-classical", "2", "error:OverflowError"), ("CI-classical", "4", "error:OverflowError"),
     ]
     assert [row[7] for row in rows[1::2]] == [row[7] for row in rows[::2]]  # delta 1e-3 alike
+    assert rows[0][4] == rows[1][4] == "inf"
+
+
+def test_study_whose_errors_overflow_reports_nonfinite_rows_without_a_warning(tmp_path, capsys):
+    # at order 0 CI-A's pass over the 2e300-wide grid builds, and its values
+    # are so large that the error norms overflow: inf, not a RuntimeWarning
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text("[study]\nkind = noise\ntau = 0.3\n\n[grid]\nlo = -1e300\nhi = 1e300\n\n[sweep]\norders = 0\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("study", "--config", str(cfg)) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    rows = [line.split(",") for line in captured.out.splitlines() if not line.startswith(("#", "variant,"))]
+    assert [(row[0], row[1], row[4], row[7]) for row in rows] == [
+        ("CI-A", "0", "inf", "error:nonfinite"), ("CI-A", "0", "inf", "error:nonfinite"),
+        ("CI-classical", "0", "0.67454332410805951", "ok"), ("CI-classical", "0", "0.67366814016758902", "ok"),
+    ]
 
 
 def test_study_float_range_is_not_accumulated():

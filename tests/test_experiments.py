@@ -53,6 +53,9 @@ def test_config_validation():
     for deltas in ((-1e-3,), (0.0, math.nan), (math.inf,)):
         with pytest.raises(ValueError, match="deltas"):
             StudyConfig(study_kind="noise", delta_range=deltas)
+    # a beta map measures each variant against the truth of its own direction
+    StudyConfig(study_kind="beta_map", variants=("CD-B", "CI-A"), beta_range=(0.5, 1.0))
+    StudyConfig(study_kind="beta_map", geometry="polar", variants=("PI-B", "PD-A"), beta_range=(0.5, 1.0))
 
 
 @pytest.mark.parametrize(

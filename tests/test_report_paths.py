@@ -2,6 +2,8 @@
 divergence warning of an inverse header, study rows with error statuses, and
 a quadrature that does not converge (exit 3)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -89,17 +91,25 @@ def test_beta_map_config_reports_the_failed_shift(tmp_path, capsys):
     assert rows[0][4:7] == ["nan", "nan", "1"]
 
 
-def test_an_overflowing_coefficient_pass_fails_every_order_of_its_sweep(monkeypatch):
-    # the pass at the largest order (400) overflows, so no order has
-    # coefficients: every row reads the pass's error
+def test_an_overflowing_order_fails_alone_and_the_orders_below_it_build(monkeypatch):
+    # the passes at 400 (CD-B) and at 200 and 400 (CD-C) overflow; each
+    # order below them reads the row of the same study over only the orders
+    # that build
     sweeps = counted_sweeps(monkeypatch)
     config = StudyConfig(study_kind="convergence", tau=0.5, variants=("CD-B", "CD-C"), n_range=(0, 10, 200, 400))
     report = run_convergence(config)
     assert sweeps == ["CD-B", "CD-C"]
     assert [(r.variant, r.n) for r in report.rows] == [(v, n) for v in ("CD-B", "CD-C") for n in (0, 10, 200, 400)]
+    builds = {"CD-B": (0, 10, 200), "CD-C": (0, 10)}
     for row in report.rows:
-        assert row.status == "error:OverflowError" and row.diverged
-        assert np.isnan(row.error_l2) and np.isnan(row.error_max)
+        if row.n not in builds[row.variant]:
+            assert row.status == "error:OverflowError" and row.diverged
+            assert np.isnan(row.error_l2) and np.isnan(row.error_max)
+    for variant, orders in builds.items():
+        alone = run_convergence(replace(config, variants=(variant,), n_range=orders)).rows
+        got = [row for row in report.rows if row.variant == variant and row.n in orders]
+        assert [row.status for row in got] == ["ok"] * len(orders)
+        assert [replace(row, runtime_ms=0.0) for row in got] == [replace(row, runtime_ms=0.0) for row in alone]
 
 
 def test_oracle_that_does_not_converge_exits_3(capsys):

@@ -19,7 +19,10 @@ from heatseries.series_polar import pd_coeffs, pd_eval, pi_coeffs, pi_eval, solv
 from heatseries.specfun import KernelParams
 from heatseries.variants import (
     CONSTANTS_MODES,
+    LINE,
     VARIANTS,
+    SeriesTerms,
+    default_beta,
     pointwise_terms,
     series_terms,
     variant_names,
@@ -266,9 +269,12 @@ XS = np.linspace(-3.0, 3.0, 13)
 RS = np.linspace(0.0, 3.0, 4)
 _COEFFS_EVAL = {
     "CD-A": (cd_coeffs, cd_eval),
+    "CD-C": (cd_coeffs, cd_eval),
     "CI-B": (ci_coeffs, ci_eval),
+    "CI-C": (ci_coeffs, ci_eval),
     "PD-C": (pd_coeffs, pd_eval),
     "PI-B": (pi_coeffs, pi_eval),
+    "PI-C": (pi_coeffs, pi_eval),
 }
 
 
@@ -296,7 +302,7 @@ def test_sweep_equals_independent_solves(variant, data, params, grid, orders):
     else:
         coeffs = coeffs_fn(variant, data, params, top)
     swept = list(experiments._sweep_orders(variant, data, params, orders, grid, "oracle_validated"))
-    assert [n for n, *_ in swept] == list(orders)
+    assert [n for n, *_ in swept] == sorted(orders, reverse=True)  # highest first
     for n, vals, flagged, err in swept:
         assert err is None
         if pointwise:
@@ -310,8 +316,9 @@ def test_sweep_equals_independent_solves(variant, data, params, grid, orders):
         np.testing.assert_array_equal(vals, ref_vals)
         assert flagged == ref_flag
     solved = solver(variant, data, params, top, grid)
-    np.testing.assert_array_equal(swept[-1][1], solved.values(top))
-    assert swept[-1][2] == bool(np.any(solved.flagged(top)))
+    _, top_vals, top_flag, _ = next(entry for entry in swept if entry[0] == top)
+    np.testing.assert_array_equal(top_vals, solved.values(top))
+    assert top_flag == bool(np.any(solved.flagged(top)))
 
 
 @pytest.mark.parametrize("data", [evolve_line(Gaussian(width_a=1.0), 0.3), "sampled"])
@@ -334,3 +341,74 @@ def test_sweep_equals_independent_solves_classical(data):
         np.testing.assert_array_equal(vals, ref.values(n))
         assert flagged == bool(np.any(ref.flagged(n)))
     assert failed == (4 if isinstance(data, Sampled1D) else 0)
+
+
+# the orders of a convergence sweep on the unit Gaussian at tau = 0.5, the
+# top ones past where the variant's terms overflow (CD-B from 300, CD-C from 150)
+OVERFLOW_POOLS = {"CD-B": (0, 3, 10, 40, 100, 200, 250, 300, 400), "CD-C": (0, 3, 10, 40, 100, 150, 200)}
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("variant", sorted(OVERFLOW_POOLS))
+def test_orders_below_a_failing_one_equal_a_sweep_over_the_orders_that_build(variant, seed):
+    data, tau, grid = Gaussian(width_a=1.0), 0.5, experiments._COMPARE_GRID[LINE]
+    params = KernelParams(tau, default_beta(variant, experiments._SCALE_ESTIMATE[LINE](data), tau))
+
+    def sweep(orders):
+        return {n: rest for n, *rest in experiments._sweep_orders(variant, data, params, orders, grid,
+                                                                    "oracle_validated")}
+
+    pool = OVERFLOW_POOLS[variant]
+    rng = np.random.default_rng(seed)
+    orders = sorted(rng.choice(pool[:-1], size=int(rng.integers(2, 5)), replace=False).tolist() + [pool[-1]])
+    alone = {n: sweep([n])[n] for n in orders}
+    builds = [n for n in orders if alone[n][2] is None]
+    assert builds and builds != orders  # the top order fails; some below it build
+    expected = sweep(builds)
+    for n, (vals, flagged, err) in sweep(orders).items():
+        if n in builds:
+            assert err is None
+            np.testing.assert_array_equal(vals, expected[n][0])
+            assert flagged == expected[n][1]
+        else:
+            assert type(err) is type(alone[n][2]) is OverflowError and vals is None and flagged
+
+
+@pytest.mark.parametrize(
+    "variant, data, params, grid",
+    [
+        ("CD-A", MIX, KernelParams(0.5, 0.8), XS),
+        ("PD-C", Gaussian(width_a=1.3), KernelParams(0.5, 0.8), RS),
+        ("CI-classical", evolve_line(Gaussian(width_a=1.0), 0.3), None, XS),
+    ],
+)
+def test_a_sweep_whose_orders_all_build_takes_one_term_matrix(monkeypatch, variant, data, params, grid):
+    built = []
+    for geometry, grid_terms in list(experiments._GRID_TERMS.items()):
+        monkeypatch.setitem(experiments._GRID_TERMS, geometry, lambda *a, _fn=grid_terms, **k:
+                            built.append((a[3], _fn(*a, **k))) or built[-1][1])
+    swept = list(experiments._sweep_orders(variant, data, params, (0, 1, 4, 9, 16), grid, "oracle_validated",
+                                           tau=0.3))
+    assert len(built) == 1
+    top, series = built[0]
+    assert top == 16 and isinstance(series, SeriesTerms)
+    for n, vals, flagged, err in swept:
+        assert err is None
+        np.testing.assert_array_equal(vals, series.values(n))
+        assert flagged == bool(np.any(series.flagged(n)))
+
+
+@pytest.mark.parametrize("variant", [v for v, row in VARIANTS.items() if row.pointwise])
+def test_kept_coefficients_reweighted_under_each_mode_are_the_public_evaluation(variant):
+    # the audit's literal/validated ratio: one pass, each mode's constants
+    row = VARIANTS[variant]
+    coeffs_fn, eval_fn = _COEFFS_EVAL[variant]
+    data, params = Gaussian(width_a=1.0), KernelParams(0.3, 1.0)
+    points = XS if row.geometry == LINE else RS
+    series = experiments._GRID_TERMS[row.geometry](variant, data, params, 12, points, "oracle_validated")
+    np.testing.assert_array_equal(series.coeffs, coeffs_fn(variant, data, params, 12, points))
+    for mode in CONSTANTS_MODES:
+        reweighted = pointwise_terms(row.kappa(params, mode, 2), series.coeffs[:3], series.points, series.label)
+        public = eval_fn(variant, series.coeffs[:3], params, series.points, mode)
+        np.testing.assert_array_equal(reweighted.terms, public.terms)
+        np.testing.assert_array_equal(reweighted.values(2), public.values(2))
