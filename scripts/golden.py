@@ -52,7 +52,7 @@ STUDY_CONFIGS = {
     "noise_polar_default.cfg": "[study]\nkind = noise\ngeometry = polar\ntau = 0.3\n\n[sweep]\norders = 0:12:3\n",
     "noise_line_default.cfg": "[study]\nkind = noise\ntau = 0.3\n\n[sweep]\norders = 0:12:4\ndeltas = 0, 1e-3\n",
     "convergence_polar_default.cfg": (
-        "[study]\nkind = convergence\ngeometry = polar\ntau = 0.5\n\n[grid]\nn = 101\n\n[sweep]\norders = 0:20:5\n"
+        "[study]\nkind = convergence\ngeometry = polar\ntau = 0.5\n\n[sweep]\norders = 0:20:5\n"
     ),
     "convergence_overflow.cfg": (
         "[study]\nkind = convergence\ntau = 0.5\nvariants = CD-B, CD-C\n\n[sweep]\norders = 0, 10, 200, 400\n"
@@ -61,6 +61,11 @@ STUDY_CONFIGS = {
     "beta_map_pi_b.cfg": (
         "[study]\nkind = beta_map\ngeometry = polar\ntau = 0.3\nvariants = PI-B, PI-C\n\n"
         "[sweep]\norders = 12\nbetas = 0.2, 0.9\n"
+    ),
+    # a PI-B shift below tau: every row reads its error, without a coefficient pass
+    "noise_pi_b_beta_below_tau.cfg": (
+        "[study]\nkind = noise\ngeometry = polar\ntau = 0.3\nvariants = PI-B\n\n"
+        "[sweep]\norders = 0:40:4\nbetas = 0.2\n"
     ),
     "noise_paper_literal.cfg": (
         "[study]\nkind = noise\ngeometry = polar\ntau = 0.3\nvariants = PI-C\nconstants_mode = paper_literal\n\n"
@@ -85,6 +90,11 @@ STUDY_CONFIGS = {
     "repeated_deltas.cfg": "[study]\nkind = noise\n\n[sweep]\ndeltas = 0, 1e-3, 0\n",
     "repeated_betas.cfg": "[study]\nkind = beta_map\n\n[sweep]\norders = 8\nbetas = 0.5, 1, 0.5\n",
     "repeated_variants.cfg": "[study]\nkind = noise\nvariants = CI-A, CI-A\n",
+    "convergence_seed.cfg": "[study]\nkind = convergence\nseed = 3\n",
+    "convergence_deltas.cfg": "[study]\nkind = convergence\n\n[sweep]\ndeltas = 0.5\n",
+    "convergence_grid.cfg": "[study]\nkind = convergence\n\n[grid]\nlo = -1\nhi = 1\nn = 3\n",
+    "beta_map_seed.cfg": "[study]\nkind = beta_map\nseed = 3\n\n[sweep]\norders = 8\nbetas = 0.5\n",
+    "beta_map_grid.cfg": "[study]\nkind = beta_map\n\n[grid]\nn = 101\n\n[sweep]\norders = 8\nbetas = 0.5\n",
     "unknown_key.cfg": "[study]\nkind = noise\nwidth = 3\n",
     "wrong_geometry.cfg": "[study]\nkind = noise\ngeometry = polar\nvariants = CI-A\n",
     "polar_classical.cfg": "[study]\nkind = classical_compare\ngeometry = polar\n",
@@ -101,7 +111,7 @@ STUDY_CONFIGS = {
     "error_range_reversed.cfg": "[study]\nkind = noise\n\n[sweep]\norders = 8:0:2\n",
     "error_empty_list.cfg": "[study]\nkind = noise\n\n[sweep]\ndeltas = ,\n",
     "negative_order.cfg": (
-        "[study]\nkind = convergence\ntau = 0.5\nvariants = CD-A\n\n[grid]\nn = 101\n\n[sweep]\norders = -2, 4\n"
+        "[study]\nkind = convergence\ntau = 0.5\nvariants = CD-A\n\n[sweep]\norders = -2, 4\n"
     ),
     "negative_delta.cfg": "[study]\nkind = noise\ntau = 0.3\n\n[sweep]\norders = 0:4:2\ndeltas = -1e-3\n",
     "negative_seed.cfg": "[study]\nkind = noise\ntau = 0.3\nseed = -1\n\n[sweep]\norders = 0:4:2\n",

@@ -409,6 +409,17 @@ def _parse_number_list(text: str, line_no: int, path: str, integer: bool = False
     return tuple(out)
 
 
+# what a study kind would drop of its config file, yet echo in its metadata:
+# an audit reads its constants mode only, and a convergence study or a beta
+# map (the analytic profile, no sampling) no seed, deltas or [grid] key
+_SAMPLING = {("study", "seed"), ("sweep", "deltas"), ("grid", "lo"), ("grid", "hi"), ("grid", "n")}
+_DROPS = {
+    "audit": (lambda key: key != ("study", "constants_mode"), "an audit reads only constants_mode"),
+    "convergence": (_SAMPLING.__contains__, "a convergence study reads no seed, deltas or [grid] key"),
+    "beta_map": (_SAMPLING.__contains__, "a beta_map study reads no seed, deltas or [grid] key"),
+}
+
+
 def _parse_study_config(path: str) -> StudyConfig:
     """Flat `key = value` lines under [study] / [grid] / [sweep] markers."""
     sections = {"study": {}, "grid": {}, "sweep": {}}
@@ -467,12 +478,13 @@ def _parse_study_config(path: str) -> StudyConfig:
             key = sorted(section)[0]
             raise CliError(f"{path}:{section[key][1]}: unknown [{name}] key {key!r}")
 
-    if kind == "audit":  # the audit reads its constants mode and nothing else
-        take(study, "constants_mode", fields)
-        extra = sorted((line_no, name, key) for name, sec in sections.items() for key, (_, line_no) in sec.items())
-        if extra:
-            line_no, name, key = extra[0]
-            raise CliError(f"{path}:{line_no}: an audit reads only constants_mode, got [{name}] key {key!r}")
+    if kind in _DROPS:
+        drops, what = _DROPS[kind]
+        dropped = sorted((line_no, name, key) for name, sec in sections.items() for key, (_, line_no) in sec.items()
+                         if drops((name, key)))
+        if dropped:
+            line_no, name, key = dropped[0]
+            raise CliError(f"{path}:{line_no}: {what}, got [{name}] key {key!r}")
     take(study, "geometry", fields)
     take(study, "profile", fields, parse=profile)
     take(study, "tau", fields, parse=number("tau"))

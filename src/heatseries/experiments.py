@@ -19,13 +19,13 @@ Five study kinds:
   moment-based series on identical noisy data.
 
 This module also holds the geometry dispatch: the one map from a geometry
-to the functions that serve it - its series module's grid builder and grid
-solve, oracle, exact evolution, scale estimate - and to the study defaults.
-Each series module's builder picks its functions by direction and returns
-the term matrix of one pass: the CLI's `solve_grid_line` / `solve_grid_polar`
-check it, and the audit and the order sweeps (`_sweep_orders`) sum its
-orders.  Every study row but the audit's comes from one sweep
-(`_sweep_rows`): the beta map sweeps its last listed order once per shift.
+to the functions that serve it - its series module's grid solve, oracle,
+exact evolution, scale estimate - and to the study defaults.  The grid
+solve (`solve_grid_line` / `solve_grid_polar`) returns the term matrix of
+one coefficient pass, checked at its order: the CLI reads that order, and
+the audit and the order sweeps (`_sweep_orders`) sum every lower one too.
+Every study row but the audit's comes from one sweep (`_sweep_rows`): the
+beta map sweeps its last listed order once per shift.
 
 Reports are deterministic given (config, seed): noise comes from a recorded
 numpy PCG64 stream, summation orders are fixed, and rows are sorted
@@ -81,10 +81,9 @@ class GridGeom:
 # --- geometry dispatch -----------------------------------------------------------
 # Flat dicts of functions: a wrapper rebound over module globals and the dicts
 # they hold (perfbench's tracer) reaches every call made through them.  A grid
-# builder and a grid solve take (variant, data, params, n, xs, mode), and
-# CI-classical, a line variant without a shift, its time as well (`_time`).
+# solve takes (variant, data, params, n, xs, mode), and CI-classical, a line
+# variant without a shift, its time as well (`_time`).
 
-_GRID_TERMS = {LINE: series_cartesian._grid_terms, POLAR: series_polar._grid_terms}
 _SOLVE = {LINE: series_cartesian.solve_grid_line, POLAR: series_polar.solve_grid_polar}
 _ORACLE = {LINE: forward_line, POLAR: forward_polar}
 _EVOLVE = {LINE: evolve_line, POLAR: evolve_polar}
@@ -232,33 +231,35 @@ def _kernel_params(variant: str, tau: float, beta: float) -> KernelParams | None
 
 
 def _time(variant: str, tau: float | None) -> dict:
-    """The keyword a builder or solve takes for CI-classical: its time, which
+    """The keyword a grid solve takes for CI-classical: its time, which
     no KernelParams carries (`_kernel_params`)."""
     return {"tau": tau} if variant == CLASSICAL else {}
 
 
-def _sweep_orders(variant, data, params, n_list, xs, mode, tau=None):
+def _sweep_orders(variant, data, params, n_list, xs, mode, tau=None) -> list:
     """Values and divergence flags for every order in n_list, highest first.
 
-    The term matrix built at the highest order (one coefficient pass) serves
-    every order: each order sums its own rows (up to the early stop that
-    order makes), so its values and flag are bit for bit those of evaluating
-    the same coefficients truncated to that order.  A C variant's term
-    matrix has one column per point, each summed as on its own.  An order
-    that fails reports its error and drops the matrix, and the next order
-    down builds its own, so no order fails for a higher one.
-    Yields (n, values, any_flagged, err) with err set to an exception when
-    that order failed.
+    The grid solve at the highest order (one coefficient pass, checked at
+    that order and so at every lower one) serves every order: each order
+    sums its own rows (up to the early stop that order makes), so its values
+    and flag are bit for bit those of evaluating the same coefficients
+    truncated to that order.  A C variant's term matrix has one column per
+    point, each summed as on its own.  An order whose solve fails reports
+    its error, and the next order down solves again, so no order fails for a
+    higher one.  Returns (n, values, any_flagged, err) per order, err set to
+    an exception when that order failed, as a list: a span around the sweep
+    holds its solve.
     """
-    terms = None
+    out, terms = [], None
     for n in sorted((int(n) for n in n_list), reverse=True):
         try:
             if terms is None:
-                terms = _GRID_TERMS[geometry_of(variant)](variant, data, params, n, xs, mode, **_time(variant, tau))
+                terms = _SOLVE[geometry_of(variant)](variant, data, params, n, xs, mode, **_time(variant, tau))
             result = n, terms.values(n), bool(np.any(terms.flagged(n))), None
         except (OverflowError, ValueError) as exc:
             terms, result = None, (n, None, True, exc)
-        yield result
+        out.append(result)
+    return out
 
 
 # --- audit ---------------------------------------------------------------------
@@ -291,7 +292,7 @@ _OFF_CENTER_PROBE = 1.0
 def run_audit(config: StudyConfig) -> StudyReport:
     """Certify all 12 series variants at N in {0, 1, 2} against the oracle.
 
-    Each variant takes one coefficient pass at its full order (a C variant's
+    Each variant takes one grid solve at its full order (a C variant's
     off-center probe is one more point of it), and every audited order, the
     full one included, is a truncation of that one term matrix, as in an
     order sweep.  In oracle_validated mode every variant must pass.  In
@@ -315,7 +316,7 @@ def run_audit(config: StudyConfig) -> StudyReport:
         orders = (0, 1, 2, full_order)
         params = KernelParams(tau=tau, beta=beta)
         t0 = time.perf_counter()
-        series = _GRID_TERMS[row.geometry](variant, data, params, full_order, points, mode).check(full_order)
+        series = _SOLVE[row.geometry](variant, data, params, full_order, points, mode)
         errs = {}
         for n in orders:
             err = float(np.max(np.abs(series.values(n)[on_probes] - truth_vals))) / scale

@@ -26,9 +26,9 @@ Every evaluation (`cd_eval`, `ci_eval`, `ci_classical`) returns the
 `variants.SeriesTerms` of the shared path: it sums in ascending order
 (reproducibility), stops early once three consecutive terms drop below
 `variants.EARLY_STOP_TOL`, and scans the term magnitudes for divergence.
-`_grid_terms` is the one place that picks the coefficient and evaluation
-functions of a line variant by its direction: `solve_grid_line` checks its
-term matrix at order n, and the studies sum it order by order.
+`solve_grid_line` is the one place that picks the coefficient and
+evaluation functions of a line variant by its direction: the CLI, the audit
+and the order sweeps all take their term matrix from it, checked at order n.
 
 constants_mode selects between the oracle-certified constants
 ("oracle_validated", default) and the originally published ones
@@ -54,7 +54,6 @@ from .variants import (
     beta_rule,
     check_mode,
     default_beta,
-    grid_series,
     lookup,
     pointwise_terms,
     ratio_products,
@@ -293,21 +292,6 @@ def ci_classical(u, tau: float, n: int, x) -> SeriesTerms:
 
 # --- grid solve --------------------------------------------------------------
 
-def _grid_terms(variant: str, data, params: KernelParams | None, n: int, xs, mode: str, tau: float | None = None):
-    """The unchecked term matrix of orders 0..n of one line variant on the
-    points xs, from one coefficient pass at order n.  CI-classical has no
-    shift and no table row: it runs at tau (params.tau when tau is None) and
-    takes the data's derivatives (no quadrature)."""
-    if variant == CLASSICAL:
-        if tau is None and params is None:
-            raise ValueError("CI-classical needs tau")
-        return ci_classical(data, params.tau if tau is None else tau, n, xs)
-    direct = lookup(variant, LINE).direct
-    return grid_series(
-        variant, cd_coeffs if direct else ci_coeffs, cd_eval if direct else ci_eval, data, params, n, xs, mode
-    )
-
-
 def solve_grid_line(
     variant: str,
     data,
@@ -317,8 +301,18 @@ def solve_grid_line(
     constants_mode: str = "oracle_validated",
     tau: float | None = None,
 ) -> SeriesTerms:
-    """One line variant on a grid from one coefficient pass, checked at order
-    n (an overflowing CD-C or CI-C point is named); CD-C and CI-C sum each
-    point's own coefficients.  CI-classical takes tau, or params.tau when
-    tau is None."""
-    return _grid_terms(variant, data, params, n, xs, constants_mode, tau).check(n)
+    """The term matrix of orders 0..n of one line variant on a grid, from one
+    coefficient pass at order n, checked at order n (an overflowing CD-C or
+    CI-C point is named); CD-C and CI-C sum each point's own coefficients.
+    CI-classical has no shift and no table row: it runs at tau (params.tau
+    when tau is None) and takes the data's derivatives (no quadrature)."""
+    if variant == CLASSICAL:
+        if tau is None and params is None:
+            raise ValueError("CI-classical needs tau")
+        return ci_classical(data, params.tau if tau is None else tau, n, xs).check(n)
+    direct = lookup(variant, LINE).direct
+    if params is None:
+        raise ValueError(f"{variant} needs KernelParams")
+    xs = np.asarray(xs, dtype=float)
+    coeffs = (cd_coeffs if direct else ci_coeffs)(variant, data, params, n, xs)
+    return (cd_eval if direct else ci_eval)(variant, coeffs, params, xs, constants_mode).check(n)

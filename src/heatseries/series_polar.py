@@ -22,10 +22,10 @@ xi d(xi) on [0, inf).  With s = tau + beta:
 The scales and constants of each variant are rows of `variants.VARIANTS`;
 evaluation (`pd_eval`, `pi_eval`: the `variants.SeriesTerms` at the radii),
 the divergence diagnostic and constants_mode go through the same path as on
-the line, and `_grid_terms` picks the functions of a polar variant by its
-direction for the term matrix `solve_grid_polar` checks and the studies sum.
-The published C-variant constants fail the oracle certification by
-documented ratios (ERRATA.md).
+the line.  `solve_grid_polar` picks the functions of a polar variant by its
+direction: the CLI, the audit and the order sweeps all take their term
+matrix from it.  The published C-variant constants fail the oracle
+certification by documented ratios (ERRATA.md).
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from .variants import (
     POLAR,
     SeriesTerms,
     check_mode,
-    grid_series,
     lookup,
     pointwise_terms,
     ratio_products,
@@ -176,15 +175,6 @@ def pi_eval(variant: str, coeffs: np.ndarray, params: KernelParams, r, constants
     return _eval(False, variant, coeffs, params, r, constants_mode)
 
 
-def _grid_terms(variant: str, data, params: KernelParams, n: int, rs, mode: str) -> SeriesTerms:
-    """The unchecked term matrix of orders 0..n of one polar variant on the
-    radii rs, from one coefficient pass at order n."""
-    direct = lookup(variant, POLAR).direct
-    return grid_series(
-        variant, pd_coeffs if direct else pi_coeffs, pd_eval if direct else pi_eval, data, params, n, rs, mode
-    )
-
-
 def solve_grid_polar(
     variant: str,
     data,
@@ -193,7 +183,15 @@ def solve_grid_polar(
     rs: np.ndarray,
     constants_mode: str = "oracle_validated",
 ) -> SeriesTerms:
-    """One polar variant on a grid of radii from one coefficient pass,
-    checked at order n (an overflowing PD-C or PI-C radius is named); PD-C
-    and PI-C sum each radius's own coefficients."""
-    return _grid_terms(variant, data, params, n, rs, constants_mode).check(n)
+    """The term matrix of orders 0..n of one polar variant on a grid of radii,
+    from one coefficient pass at order n, checked at order n (an overflowing
+    PD-C or PI-C radius is named); PD-C and PI-C sum each radius's own
+    coefficients.  A PI-B shift not above tau fails before the pass."""
+    row = lookup(variant, POLAR)
+    if params is None:
+        raise ValueError(f"{variant} needs KernelParams")
+    if not row.pointwise:
+        row.times(params)
+    rs = np.asarray(rs, dtype=float)
+    coeffs = (pd_coeffs if row.direct else pi_coeffs)(variant, data, params, n, rs)
+    return (pd_eval if row.direct else pi_eval)(variant, coeffs, params, rs, constants_mode).check(n)

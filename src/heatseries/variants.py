@@ -33,11 +33,10 @@ and keeps its point and coefficients: `SeriesTerms.check` names the first
 overflowing point ("CD-C at x = 100: ..."), for a grid solve and a library
 caller alike.
 
-`grid_series` builds the term matrix of one variant on a grid from one
-coefficient pass, with the public coefficient and evaluation functions of
-its geometry passed in: each series module picks them by direction in its
-own grid builder, whose matrix its grid solve (`solve_grid_line`,
-`solve_grid_polar`) checks and every study sums order by order.
+Each series module's grid solve (`solve_grid_line`, `solve_grid_polar`)
+builds the term matrix of one variant on a grid from one coefficient pass,
+with the coefficient and evaluation functions of its direction; the CLI,
+the audit and every order sweep take their matrix from it.
 """
 
 from __future__ import annotations
@@ -377,15 +376,3 @@ def pointwise_terms(kappa: np.ndarray, coeffs: np.ndarray, points: np.ndarray, l
         terms = kappa[:, None] * coeffs.reshape(kappa.size, -1)
     return _series(np.broadcast_to(terms, (kappa.size, points.size)), points, label, coeffs)
 
-
-def grid_series(variant: str, coeffs_fn, eval_fn, data, params, n: int, xs, mode: str) -> SeriesTerms:
-    """The term matrix of orders 0..n of one variant on a grid, unchecked,
-    from one coefficient call at order n: coeffs_fn and eval_fn are the
-    public coefficient and evaluation functions of its geometry and
-    direction.  A pointwise (C) variant's call gives one coefficient column
-    per point, each summed on its own, and kept for another constants mode."""
-    if params is None:
-        raise ValueError(f"{variant} needs KernelParams")
-    xs = np.asarray(xs, dtype=float)
-    coeffs = np.asarray(coeffs_fn(variant, data, params, n, xs), float)  # the points matter to C only
-    return eval_fn(variant, coeffs, params, xs, mode)

@@ -81,7 +81,7 @@ def counted(table, monkeypatch):
 
 def counted_public(monkeypatch, suffix):
     """Wrap the public coefficient passes (suffix "coeffs") or evaluations
-    ("eval") of both series modules, which their builders call by name;
+    ("eval") of both series modules, which their grid solves call by name;
     returns the call counter."""
     calls = []
     for module, prefixes in ((series_cartesian, ("cd", "ci")), (series_polar, ("pd", "pi"))):
@@ -100,17 +100,17 @@ def test_single_pass_audit_matches_the_per_order_audit(monkeypatch, mode):
     oracle_calls = counted(experiments._ORACLE, monkeypatch)
     passes = {}
 
-    def keeping(grid_terms):
-        def builder(variant, *args, **kwargs):  # the term matrix of a variant's one pass
-            series = grid_terms(variant, *args, **kwargs)
+    def keeping(solve):
+        def solving(variant, *args, **kwargs):  # the term matrix of a variant's one pass
+            series = solve(variant, *args, **kwargs)
             assert variant not in passes
             passes[variant] = series
             return series
 
-        return builder
+        return solving
 
-    for geometry, grid_terms in list(experiments._GRID_TERMS.items()):
-        monkeypatch.setitem(experiments._GRID_TERMS, geometry, keeping(grid_terms))
+    for geometry, solve in list(experiments._SOLVE.items()):
+        monkeypatch.setitem(experiments._SOLVE, geometry, keeping(solve))
     report = run_audit(config)
     assert sorted(coeff_calls) == sorted(eval_calls) == sorted(VARIANTS) and len(oracle_calls) == 8
     assert set(passes) == set(VARIANTS)

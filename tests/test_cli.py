@@ -377,14 +377,21 @@ def test_study_that_evolves_non_gaussian_data_exits_2(tmp_path, capsys, study):
 @pytest.mark.parametrize("geometry", ["", "geometry = polar\n"])
 def test_study_config_takes_its_defaults_from_study_config(tmp_path, kind, geometry):
     # the parser passes only the keys the file sets; a [grid] key replaces
-    # that one field of the geometry's study grid
+    # that one field of the geometry's study grid (a convergence study reads
+    # no grid: the key is an error)
     cfg = tmp_path / "study.cfg"
     cfg.write_text(f"[study]\nkind = {kind}\n{geometry}")
     config = cli._parse_study_config(str(cfg))
     default = StudyConfig(kind, **({"geometry": "polar"} if geometry else {}))
     assert config == default
     cfg.write_text(f"[study]\nkind = {kind}\n{geometry}\n[grid]\nn = 101\n")
-    assert cli._parse_study_config(str(cfg)) == dataclasses.replace(default, grid=dataclasses.replace(default.grid, n=101))
+    if kind == "noise":
+        assert cli._parse_study_config(str(cfg)) == dataclasses.replace(
+            default, grid=dataclasses.replace(default.grid, n=101))
+    else:
+        with pytest.raises(cli.CliError, match=r"reads no seed, deltas or \[grid\] key, got \[grid\] key 'n'") as exc:
+            cli._parse_study_config(str(cfg))
+        assert exc.value.code == 2
 
 
 def test_audit_config_reads_kind_and_constants_mode_only(tmp_path):
@@ -425,10 +432,38 @@ def test_audit_config_rejects_every_other_key(tmp_path, capsys, text, line, key)
 @pytest.mark.parametrize("kind", ["noise", "convergence"])
 def test_study_grid_bounds_must_be_finite(tmp_path, capsys, grid, fragment, kind):
     # `hi = inf` used to run to exit 0 with every row error:ValueError after a
-    # RuntimeWarning from np.linspace; a convergence study ignored the grid
+    # RuntimeWarning from np.linspace; a convergence study reads no grid, and
+    # names the key it would drop
     cfg = tmp_path / "grid.cfg"
     cfg.write_text(f"[study]\nkind = {kind}\n\n[grid]\n{grid}\n")
-    assert_rejected(capsys, run_cli("study", "--config", str(cfg)), f"{cfg}: bad grid geometry {fragment}", "finite")
+    if kind == "noise":
+        expected = (f"{cfg}: bad grid geometry {fragment}", "finite")
+    else:
+        expected = (f"{cfg}:5: a convergence study reads no seed, deltas or [grid] key, "
+                    f"got [grid] key {grid.split()[0]!r}\n",)
+    assert_rejected(capsys, run_cli("study", "--config", str(cfg)), *expected)
+
+
+@pytest.mark.parametrize(
+    "text, line, key",
+    [
+        ("[study]\nkind = {kind}\ntau = 0.5\nseed = 3\n", 4, "[study] key 'seed'"),
+        ("[study]\nkind = {kind}\n\n[sweep]\norders = 4\ndeltas = 0.5\nbetas = 0.5\n", 6, "[sweep] key 'deltas'"),
+        ("[study]\nkind = {kind}\n\n[grid]\nlo = -1\nhi = 1\nn = 3\n", 5, "[grid] key 'lo'"),
+        ("[study]\nkind = {kind}\n\n[sweep]\nbetas = 0.5\n\n[grid]\nn = 101\n\n[study]\nseed = 3\n", 8,
+         "[grid] key 'n'"),
+    ],
+    ids=["seed", "deltas", "grid", "first-line"],
+)
+@pytest.mark.parametrize("kind", ["convergence", "beta_map"])
+def test_a_study_of_analytic_data_rejects_the_sampling_keys(tmp_path, capsys, kind, text, line, key):
+    # a convergence study and a beta map solve from the analytic profile; a
+    # seed, deltas or [grid] key used to be echoed in the metadata and
+    # dropped, exit 0; the first such key by line is named
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text(text.format(kind=kind))
+    message = f"{cfg}:{line}: a {kind} study reads no seed, deltas or [grid] key, got {key}\n"
+    assert_rejected(capsys, run_cli("study", "--config", str(cfg)), message)
 
 
 def test_study_on_a_grid_too_wide_for_the_data_reports_overflow_rows(tmp_path, capsys):

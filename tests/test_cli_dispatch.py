@@ -38,7 +38,7 @@ COEFFS = {(LINE, True): "cd_coeffs", (LINE, False): "ci_coeffs", (POLAR, True): 
 
 
 def test_the_dispatch_covers_every_geometry_and_direction(monkeypatch):
-    # every variant builds through its geometry's builder, which takes the
+    # every variant builds through its geometry's grid solve, which takes the
     # public coefficient pass of the variant's direction
     calls = []
     for (geometry, _), name in COEFFS.items():
@@ -47,10 +47,10 @@ def test_the_dispatch_covers_every_geometry_and_direction(monkeypatch):
                             calls.append((v, _name)) or _fn(v, *a, **k))
     params = KernelParams(tau=0.3, beta=1.0)
     for variant, row in VARIANTS.items():
-        experiments._GRID_TERMS[row.geometry](variant, Gaussian(width_a=1.0), params, 2, np.array([0.5]),
-                                              "oracle_validated")
+        experiments._SOLVE[row.geometry](variant, Gaussian(width_a=1.0), params, 2, np.array([0.5]),
+                                         "oracle_validated")
     assert calls == [(variant, COEFFS[row.geometry, row.direct]) for variant, row in VARIANTS.items()]
-    for table in (experiments._GRID_TERMS, experiments._SOLVE, experiments._ORACLE, experiments._EVOLVE,
+    for table in (experiments._SOLVE, experiments._ORACLE, experiments._EVOLVE,
                   experiments._SCALE_ESTIMATE, experiments._STUDY_GRID, experiments._COMPARE_GRID):
         assert set(table) == {LINE, POLAR}
 
@@ -100,15 +100,17 @@ def test_c_overflow_is_exit_3_without_a_warning(capsys, variant):
 @pytest.mark.parametrize("variant", ["PD-A", "PD-B", "PI-A", "PI-B", "CD-C", "CI-C"])
 def test_overflowing_moments_are_exit_3_at_once(capsys, monkeypatch, variant):
     # a profile too wide for the moment integrand overflows its first level
-    # sums: one clean error line, no refinement toward 4096 panels
+    # sums: one clean error line, no refinement toward 4096 panels (PI-B
+    # takes a shift above tau, which it checks before its moments)
     row = VARIANTS[variant]
+    beta = "2" if variant == "PI-B" else "1"
     levels = []
     values = quad._values
     monkeypatch.setattr(quad, "_values", lambda f, nodes: levels.append(nodes.size) or values(f, nodes))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = main(["forward" if row.direct else "inverse", "--geometry", row.geometry, "--variant", variant,
-                     "--tau", "1", "--beta", "1", "--order", "1", "--eval-grid", "0:1:2",
+                     "--tau", "1", "--beta", beta, "--order", "1", "--eval-grid", "0:1:2",
                      "--profile", "gaussian:a=1e300"])
     err = capsys.readouterr().err
     assert code == 3

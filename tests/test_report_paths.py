@@ -65,7 +65,7 @@ def counted_sweeps(monkeypatch):
 def test_beta_map_rows_are_sweeps_and_a_failed_shift_reads_its_error(monkeypatch):
     # PI-B needs beta > tau: the shift 0.2 < 0.3 is a row with its error, not
     # a failed study; every row is one order sweep at the last listed order,
-    # with one evaluation, failed or not
+    # and the failed shift fails before its coefficient pass and evaluation
     sweeps = counted_sweeps(monkeypatch)
     evaluations = []
     evaluate = series_polar.pi_eval
@@ -73,7 +73,8 @@ def test_beta_map_rows_are_sweeps_and_a_failed_shift_reads_its_error(monkeypatch
     config = StudyConfig(study_kind="beta_map", geometry="polar", tau=0.3, variants=("PI-B", "PI-C"),
                          n_range=(4, 12), beta_range=(0.2, 0.9))
     report = run_beta_map(config)
-    assert sweeps == evaluations == ["PI-B", "PI-B", "PI-C", "PI-C"]
+    assert sweeps == ["PI-B", "PI-B", "PI-C", "PI-C"]
+    assert evaluations == ["PI-B", "PI-C", "PI-C"]
     got = [(r.variant, r.n, r.beta, r.status, r.diverged) for r in report.rows]
     assert got == [("PI-B", 12, 0.2, "error:ValueError", True), ("PI-B", 12, 0.9, "ok", False),
                    ("PI-C", 12, 0.2, "ok", True), ("PI-C", 12, 0.9, "ok", False)]

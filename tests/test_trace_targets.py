@@ -4,8 +4,9 @@ The stock `perfbench/tracing.py` is loaded from its directory, unchanged,
 and installed against this package.  It wraps the public names of each
 module; a grid solve, a sweep and the audit reach the coefficient passes and
 the evaluators through those names, so a traced command records a solve
-span with its coefficient and evaluation spans inside.  A refactor that
-moves the work off a traced name makes this test fail.
+span with its coefficient and evaluation spans inside, and every solve takes
+one coefficient pass.  A refactor that moves the work off a traced name
+makes this test fail.
 """
 
 import importlib.util
@@ -17,19 +18,20 @@ import heatseries.cli as cli
 from heatseries.profiles import Sampled1D
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-STUDY = "[study]\nkind = convergence\ngeometry = polar\ntau = 0.5\n\n[grid]\nn = 101\n\n[sweep]\norders = 0:4:2\n"
+STUDY = "[study]\nkind = convergence\ngeometry = polar\ntau = 0.5\n\n[sweep]\norders = 0:4:2\n"
 COMMANDS = {
     "line A/B forward": (
         ["forward", "--variant", "CD-A", "--tau", "0.5", "--beta", "1", "--order", "10",
          "--profile", "gaussian:a=1", "--eval-grid", "-2:2:5"],
-        "series_cartesian",
+        ("series_cartesian",),
     ),
     "polar C inverse": (
         ["inverse", "--geometry", "polar", "--variant", "PI-C", "--tau", "0.3", "--beta", "1", "--order", "10",
          "--profile", "gaussian:a=1.3", "--eval-grid", "0:2:5"],
-        "series_polar",
+        ("series_polar",),
     ),
-    "study": (["study", "--config", "study.cfg"], "series_polar"),
+    "study": (["study", "--config", "study.cfg"], ("series_polar",)),
+    "validate": (["validate"], ("series_cartesian", "series_polar")),
 }
 
 
@@ -65,20 +67,21 @@ def test_stock_tracer_records_every_series_layer(tmp_path, monkeypatch, capsys):
     try:
         assert heatseries.cd_eval is not before["heatseries", "cd_eval"]
         spans = {}
-        for label, (argv, module) in COMMANDS.items():
+        for label, (argv, modules) in COMMANDS.items():
             start = len(tracer.names)
             assert cli.main(argv) == 0, (label, capsys.readouterr().err)
-            spans[label] = (set(tracer.names[start:]), module)
+            spans[label] = (set(tracer.names[start:]), modules)
     finally:
         tracer.uninstall()
     capsys.readouterr()
-    for label, (names, module) in spans.items():
-        for layer in ("solve", "coeffs", "eval"):
-            assert f"{module}.{layer}" in names, (label, sorted(names))
+    for label, (names, modules) in spans.items():
+        for module in modules:
+            for layer in ("solve", "coeffs", "eval"):
+                assert f"{module}.{layer}" in names, (label, sorted(names))
     metrics = tracer.metrics(len(COMMANDS))
     for module in ("series_cartesian", "series_polar"):
         assert metrics[f"{module}.eval_points"] > 0
-        assert metrics[f"{module}.passes_per_solve"] > 0
+        assert metrics[f"{module}.passes_per_solve"] == 1.0
     after = bindings()
     moved = [key for key, val in before.items() if after.get(key) is not val]
     assert not moved, moved

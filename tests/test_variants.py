@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heatseries import experiments, variants
+from heatseries import experiments, series_polar, variants
 from heatseries.kernels import evolve_line, evolve_polar
 from heatseries.profiles import Gaussian, Mixture, Sampled1D
 from heatseries.series_cartesian import ci_coeffs, ci_eval, cd_coeffs, cd_eval, solve_grid_line
@@ -384,18 +384,35 @@ def test_orders_below_a_failing_one_equal_a_sweep_over_the_orders_that_build(var
 )
 def test_a_sweep_whose_orders_all_build_takes_one_term_matrix(monkeypatch, variant, data, params, grid):
     built = []
-    for geometry, grid_terms in list(experiments._GRID_TERMS.items()):
-        monkeypatch.setitem(experiments._GRID_TERMS, geometry, lambda *a, _fn=grid_terms, **k:
+    for geometry, solve in list(experiments._SOLVE.items()):
+        monkeypatch.setitem(experiments._SOLVE, geometry, lambda *a, _fn=solve, **k:
                             built.append((a[3], _fn(*a, **k))) or built[-1][1])
-    swept = list(experiments._sweep_orders(variant, data, params, (0, 1, 4, 9, 16), grid, "oracle_validated",
-                                           tau=0.3))
-    assert len(built) == 1
+    swept = experiments._sweep_orders(variant, data, params, (0, 1, 4, 9, 16), grid, "oracle_validated", tau=0.3)
+    # the sweep has run when it returns: a span around it holds its one solve
+    assert type(swept) is list and len(built) == 1
     top, series = built[0]
     assert top == 16 and isinstance(series, SeriesTerms)
     for n, vals, flagged, err in swept:
         assert err is None
         np.testing.assert_array_equal(vals, series.values(n))
         assert flagged == bool(np.any(series.flagged(n)))
+
+
+def test_a_pi_b_shift_below_tau_fails_before_its_coefficient_pass(monkeypatch):
+    # the shift does not depend on the order: every order reads the check's
+    # own error, and no order pays for a pass it cannot use
+    passes = []
+    coeffs = series_polar.pi_coeffs
+    monkeypatch.setattr(series_polar, "pi_coeffs", lambda v, *a, **k: passes.append(v) or coeffs(v, *a, **k))
+    params = KernelParams(0.3, 0.2)
+    with pytest.raises(ValueError) as expected:
+        VARIANTS["PI-B"].times(params)
+    swept = experiments._sweep_orders("PI-B", evolve_polar(Gaussian(width_a=1.0), 0.3), params, range(0, 41, 4), RS,
+                                      "oracle_validated")
+    assert [n for n, *_ in swept] == list(range(40, -1, -4))
+    for _, vals, flagged, err in swept:
+        assert vals is None and flagged and type(err) is ValueError and str(err) == str(expected.value)
+    assert passes == []
 
 
 @pytest.mark.parametrize("variant", [v for v, row in VARIANTS.items() if row.pointwise])
@@ -405,7 +422,7 @@ def test_kept_coefficients_reweighted_under_each_mode_are_the_public_evaluation(
     coeffs_fn, eval_fn = _COEFFS_EVAL[variant]
     data, params = Gaussian(width_a=1.0), KernelParams(0.3, 1.0)
     points = XS if row.geometry == LINE else RS
-    series = experiments._GRID_TERMS[row.geometry](variant, data, params, 12, points, "oracle_validated")
+    series = experiments._SOLVE[row.geometry](variant, data, params, 12, points, "oracle_validated")
     np.testing.assert_array_equal(series.coeffs, coeffs_fn(variant, data, params, 12, points))
     for mode in CONSTANTS_MODES:
         reweighted = pointwise_terms(row.kappa(params, mode, 2), series.coeffs[:3], series.points, series.label)
