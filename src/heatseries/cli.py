@@ -34,8 +34,6 @@ from .experiments import (
     _SOLVE,
     _STUDY_GRID,
     StudyConfig,
-    _kernel_params,
-    _time,
     expected_audit_statuses,
     run_audit,
     run_study,
@@ -275,10 +273,7 @@ def _solve(args, data, xs: np.ndarray, beta: float):
     try:
         if args.variant == ORACLE:
             return _ORACLE[args.geometry](data, args.tau, xs), np.zeros(xs.size, dtype=bool)
-        params = _kernel_params(args.variant, args.tau, beta)
-        series = _SOLVE[args.geometry](
-            args.variant, data, params, args.order, xs, args.constants_mode, **_time(args.variant, args.tau)
-        )
+        series = _SOLVE[args.geometry](args.variant, data, args.tau, beta, args.order, xs, args.constants_mode)
         return series.values(args.order), series.flagged(args.order)
     except AccuracyError as exc:
         raise CliError(f"{args.command} {args.variant}: quadrature did not converge: {exc}", code=3)

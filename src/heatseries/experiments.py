@@ -81,8 +81,8 @@ class GridGeom:
 # --- geometry dispatch -----------------------------------------------------------
 # Flat dicts of functions: a wrapper rebound over module globals and the dicts
 # they hold (perfbench's tracer) reaches every call made through them.  A grid
-# solve takes (variant, data, params, n, xs, mode), and CI-classical, a line
-# variant without a shift, its time as well (`_time`).
+# solve takes (variant, data, tau, beta, n, xs, mode); CI-classical, a line
+# variant without a shift, runs at beta = 0.
 
 _SOLVE = {LINE: series_cartesian.solve_grid_line, POLAR: series_polar.solve_grid_polar}
 _ORACLE = {LINE: forward_line, POLAR: forward_polar}
@@ -225,18 +225,7 @@ def _problem(variant: str, f: AnalyticProfile, tau: float):
     return _EVOLVE[geometry](f, tau), lambda xs: f(np.asarray(xs, dtype=float))
 
 
-def _kernel_params(variant: str, tau: float, beta: float) -> KernelParams | None:
-    """The parameters of a solve; None for CI-classical, which has no shift."""
-    return None if variant == CLASSICAL else KernelParams(tau=tau, beta=beta)
-
-
-def _time(variant: str, tau: float | None) -> dict:
-    """The keyword a grid solve takes for CI-classical: its time, which
-    no KernelParams carries (`_kernel_params`)."""
-    return {"tau": tau} if variant == CLASSICAL else {}
-
-
-def _sweep_orders(variant, data, params, n_list, xs, mode, tau=None) -> list:
+def _sweep_orders(variant, data, tau, beta, n_list, xs, mode) -> list:
     """Values and divergence flags for every order in n_list, highest first.
 
     The grid solve at the highest order (one coefficient pass, checked at
@@ -254,7 +243,7 @@ def _sweep_orders(variant, data, params, n_list, xs, mode, tau=None) -> list:
     for n in sorted((int(n) for n in n_list), reverse=True):
         try:
             if terms is None:
-                terms = _SOLVE[geometry_of(variant)](variant, data, params, n, xs, mode, **_time(variant, tau))
+                terms = _SOLVE[geometry_of(variant)](variant, data, tau, beta, n, xs, mode)
             result = n, terms.values(n), bool(np.any(terms.flagged(n))), None
         except (OverflowError, ValueError) as exc:
             terms, result = None, (n, None, True, exc)
@@ -314,9 +303,8 @@ def run_audit(config: StudyConfig) -> StudyReport:
         points = np.asarray(probes + ((_OFF_CENTER_PROBE,) if row.pointwise else ()))
         on_probes = slice(len(probes))
         orders = (0, 1, 2, full_order)
-        params = KernelParams(tau=tau, beta=beta)
         t0 = time.perf_counter()
-        series = _SOLVE[row.geometry](variant, data, params, full_order, points, mode)
+        series = _SOLVE[row.geometry](variant, data, tau, beta, full_order, points, mode)
         errs = {}
         for n in orders:
             err = float(np.max(np.abs(series.values(n)[on_probes] - truth_vals))) / scale
@@ -332,6 +320,7 @@ def run_audit(config: StudyConfig) -> StudyReport:
             passed = all(errs[n] <= _AUDIT_TOL_EXACT for n in (0, 1, 2))
         if row.pointwise:
             # value ratio literal/validated of the N=2 truncation at center
+            params = KernelParams(tau=tau, beta=beta)
             kept = series.coeffs[:3], series.points, series.label
             v_ok, v_lit = (pointwise_terms(row.kappa(params, m, 2), *kept).values(2)[0] for m in CONSTANTS_MODES)
             ratios[variant] = float(v_lit / v_ok)
@@ -365,13 +354,13 @@ def _study_variants(config: StudyConfig) -> tuple:
     return config.variants or _STUDY_VARIANTS[config.study_kind, config.geometry]
 
 
-def _sweep_rows(config: StudyConfig, variant: str, data, params, truth: np.ndarray, delta: float = 0.0) -> list:
-    """One StudyRow per order of config.n_range: the sweep of one variant on
-    the compare grid against truth (CI-classical: params None, beta 0)."""
+def _sweep_rows(config: StudyConfig, variant: str, data, beta: float, truth: np.ndarray, delta: float = 0.0) -> list:
+    """One StudyRow per order of config.n_range: the sweep of one variant at
+    config.tau and beta on the compare grid against truth."""
     rows = []
     t0 = time.perf_counter()
     for n, vals, diverged, exc in _sweep_orders(
-        variant, data, params, config.n_range, _COMPARE_GRID[config.geometry], config.constants_mode, tau=config.tau
+        variant, data, config.tau, beta, config.n_range, _COMPARE_GRID[config.geometry], config.constants_mode
     ):
         if exc is not None:
             err_l2 = err_max = float("nan")
@@ -381,7 +370,6 @@ def _sweep_rows(config: StudyConfig, variant: str, data, params, truth: np.ndarr
             status = "ok"
             if not (math.isfinite(err_l2) and math.isfinite(err_max)):
                 status = "error:nonfinite"
-        beta = 0.0 if params is None else params.beta
         rows.append(StudyRow(variant, int(n), beta, delta, err_l2, err_max, diverged, status,
                              (time.perf_counter() - t0) * 1e3))
         t0 = time.perf_counter()
@@ -433,7 +421,7 @@ def run_noise_study(config: StudyConfig) -> StudyReport:
     for delta in config.delta_range:
         data = Sampled1D(clean.lo, clean.hi, clean.values + delta * shape)
         for variant in _study_variants(config):
-            rows.extend(_sweep_rows(config, variant, data, _kernel_params(variant, config.tau, beta), truth, delta))
+            rows.extend(_sweep_rows(config, variant, data, 0.0 if variant == CLASSICAL else beta, truth, delta))
     metadata = _base_metadata(config)
     metadata["beta_used"] = beta
     report = StudyReport("noise", metadata, rows).finalize()
@@ -463,7 +451,7 @@ def run_convergence(config: StudyConfig) -> StudyReport:
     rows: list = []
     for variant in _study_variants(config):
         beta = config.beta_range[0] if config.beta_range else default_beta(variant, scale, config.tau)
-        rows.extend(_sweep_rows(config, variant, config.profile, KernelParams(tau=config.tau, beta=beta), truth))
+        rows.extend(_sweep_rows(config, variant, config.profile, beta, truth))
     metadata = _base_metadata(config)
     return StudyReport("convergence", metadata, rows).finalize()
 
@@ -479,7 +467,7 @@ def run_beta_map(config: StudyConfig) -> StudyReport:
         data, truth = _problem(variant, config.profile, config.tau)
         truth = truth(_COMPARE_GRID[config.geometry])
         for beta in config.beta_range:
-            rows.extend(_sweep_rows(last, variant, data, KernelParams(tau=config.tau, beta=float(beta)), truth))
+            rows.extend(_sweep_rows(last, variant, data, float(beta), truth))
     metadata = _base_metadata(config)
     return StudyReport("beta_map", metadata, rows).finalize()
 

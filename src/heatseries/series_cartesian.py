@@ -26,9 +26,10 @@ Every evaluation (`cd_eval`, `ci_eval`, `ci_classical`) returns the
 `variants.SeriesTerms` of the shared path: it sums in ascending order
 (reproducibility), stops early once three consecutive terms drop below
 `variants.EARLY_STOP_TOL`, and scans the term magnitudes for divergence.
-`solve_grid_line` is the one place that picks the coefficient and
-evaluation functions of a line variant by its direction: the CLI, the audit
-and the order sweeps all take their term matrix from it, checked at order n.
+`solve_grid_line(variant, data, tau, beta, n, xs, constants_mode)` is the
+one place that picks the coefficient and evaluation functions of a line
+variant by its direction (CI-classical at beta = 0): the CLI, the audit and
+the order sweeps all take their term matrix from it, checked at order n.
 
 constants_mode selects between the oracle-certified constants
 ("oracle_validated", default) and the originally published ones
@@ -51,9 +52,7 @@ from .variants import (
     CLASSICAL,
     LINE,
     SeriesTerms,
-    beta_rule,
     check_mode,
-    default_beta,
     lookup,
     pointwise_terms,
     ratio_products,
@@ -62,13 +61,11 @@ from .variants import (
 )
 
 __all__ = [
-    "beta_rule",
     "cd_coeffs",
     "cd_eval",
     "ci_classical",
     "ci_coeffs",
     "ci_eval",
-    "default_beta",
     "solve_grid_line",
 ]
 
@@ -282,8 +279,8 @@ def ci_classical(u, tau: float, n: int, x) -> SeriesTerms:
     differences for sampled data.  Returns the `SeriesTerms` at x, as
     cd_eval.
     """
-    if not (tau > 0.0):
-        raise ValueError(f"tau must be positive, got {tau}")
+    if not (tau > 0.0 and math.isfinite(tau)):
+        raise ValueError(f"tau must be positive and finite, got {tau}")
     if n < 0:
         raise ValueError("order must be non-negative")
     derivs = _fd_derivs_at_zero(u, n) if isinstance(u, Sampled1D) else _analytic_derivs_at_zero(u, n)
@@ -295,24 +292,25 @@ def ci_classical(u, tau: float, n: int, x) -> SeriesTerms:
 def solve_grid_line(
     variant: str,
     data,
-    params: KernelParams | None,
+    tau: float,
+    beta: float,
     n: int,
     xs: np.ndarray,
     constants_mode: str = "oracle_validated",
-    tau: float | None = None,
 ) -> SeriesTerms:
-    """The term matrix of orders 0..n of one line variant on a grid, from one
-    coefficient pass at order n, checked at order n (an overflowing CD-C or
-    CI-C point is named); CD-C and CI-C sum each point's own coefficients.
-    CI-classical has no shift and no table row: it runs at tau (params.tau
-    when tau is None) and takes the data's derivatives (no quadrature)."""
+    """The term matrix of orders 0..n of one line variant at times tau and
+    beta on a grid, from one coefficient pass at order n, checked at order n
+    (an overflowing CD-C or CI-C point is named); CD-C and CI-C sum each
+    point's own coefficients.  A bad constants_mode fails before the pass.
+    CI-classical has no shift and no table row: it runs at beta = 0 and
+    takes the data's derivatives (no quadrature)."""
+    check_mode(constants_mode)
     if variant == CLASSICAL:
-        if tau is None and params is None:
-            raise ValueError("CI-classical needs tau")
-        return ci_classical(data, params.tau if tau is None else tau, n, xs).check(n)
+        if beta != 0.0:
+            raise ValueError(f"CI-classical has no shift parameter; got beta={beta}")
+        return ci_classical(data, tau, n, xs).check(n)
     direct = lookup(variant, LINE).direct
-    if params is None:
-        raise ValueError(f"{variant} needs KernelParams")
+    params = KernelParams(tau=tau, beta=beta)
     xs = np.asarray(xs, dtype=float)
     coeffs = (cd_coeffs if direct else ci_coeffs)(variant, data, params, n, xs)
     return (cd_eval if direct else ci_eval)(variant, coeffs, params, xs, constants_mode).check(n)

@@ -22,9 +22,9 @@ xi d(xi) on [0, inf).  With s = tau + beta:
 The scales and constants of each variant are rows of `variants.VARIANTS`;
 evaluation (`pd_eval`, `pi_eval`: the `variants.SeriesTerms` at the radii),
 the divergence diagnostic and constants_mode go through the same path as on
-the line.  `solve_grid_polar` picks the functions of a polar variant by its
-direction: the CLI, the audit and the order sweeps all take their term
-matrix from it.  The published C-variant constants fail the oracle
+the line.  `solve_grid_polar(variant, data, tau, beta, n, rs,
+constants_mode)` picks the functions of a polar variant by its direction:
+the CLI, the audit and the order sweeps all take their term matrix from it.  The published C-variant constants fail the oracle
 certification by documented ratios (ERRATA.md).
 """
 
@@ -178,20 +178,24 @@ def pi_eval(variant: str, coeffs: np.ndarray, params: KernelParams, r, constants
 def solve_grid_polar(
     variant: str,
     data,
-    params: KernelParams,
+    tau: float,
+    beta: float,
     n: int,
     rs: np.ndarray,
     constants_mode: str = "oracle_validated",
 ) -> SeriesTerms:
-    """The term matrix of orders 0..n of one polar variant on a grid of radii,
-    from one coefficient pass at order n, checked at order n (an overflowing
-    PD-C or PI-C radius is named); PD-C and PI-C sum each radius's own
-    coefficients.  A PI-B shift not above tau fails before the pass."""
+    """The term matrix of orders 0..n of one polar variant at times tau and
+    beta on a grid of radii, from one coefficient pass at order n, checked at
+    order n (an overflowing PD-C or PI-C radius is named); PD-C and PI-C sum
+    each radius's own coefficients.  A bad constants_mode, a negative radius
+    and a PI-B shift not above tau fail before the pass."""
     row = lookup(variant, POLAR)
-    if params is None:
-        raise ValueError(f"{variant} needs KernelParams")
+    check_mode(constants_mode)
+    rs = np.asarray(rs, dtype=float)
+    if np.any(rs < 0.0):
+        raise ValueError("radius must be non-negative")
+    params = KernelParams(tau=tau, beta=beta)
     if not row.pointwise:
         row.times(params)
-    rs = np.asarray(rs, dtype=float)
     coeffs = (pd_coeffs if row.direct else pi_coeffs)(variant, data, params, n, rs)
     return (pd_eval if row.direct else pi_eval)(variant, coeffs, params, rs, constants_mode).check(n)

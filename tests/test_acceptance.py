@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from heatseries import default_beta
 from heatseries.cli import main as cli_main
 from heatseries.experiments import (
     StudyConfig,
@@ -28,7 +29,6 @@ from heatseries.series_cartesian import (
     cd_coeffs,
     ci_coeffs,
     ci_eval,
-    default_beta,
     solve_grid_line,
 )
 from heatseries.series_polar import pd_coeffs, pi_coeffs, solve_grid_polar
@@ -173,7 +173,7 @@ def test_criterion_4_direct_problem_equivalence():
         scale_line = float(np.max(np.abs(truth_line)))
         for variant in ("CD-A", "CD-B", "CD-C"):
             params = KernelParams(tau=tau, beta=default_beta(variant, a_line, tau))
-            series = solve_grid_line(variant, LINE_MIX, params, 40, xs)
+            series = solve_grid_line(variant, LINE_MIX, params.tau, params.beta, 40, xs)
             vals = series.values(40)
             assert not np.any(series.flagged(40)), (variant, tau)
             err = float(np.max(np.abs(vals - truth_line))) / scale_line
@@ -182,7 +182,7 @@ def test_criterion_4_direct_problem_equivalence():
         scale_polar = float(np.max(np.abs(truth_polar)))
         for variant in ("PD-A", "PD-B", "PD-C"):
             params = KernelParams(tau=tau, beta=default_beta(variant, a_polar, tau))
-            series = solve_grid_polar(variant, POLAR_MIX, params, 40, rs)
+            series = solve_grid_polar(variant, POLAR_MIX, params.tau, params.beta, 40, rs)
             vals = series.values(40)
             assert not np.any(series.flagged(40)), (variant, tau)
             err = float(np.max(np.abs(vals - truth_polar))) / scale_polar
@@ -198,14 +198,14 @@ def test_criterion_5_inverse_round_trips():
     xs = np.linspace(-3.0, 3.0, 25)
     u = evolve_line(f, tau)
     params = KernelParams(tau=tau, beta=default_beta("CI-A", 1.0 + tau, tau))
-    vals = solve_grid_line("CI-A", u, params, 40, xs).values(40)
+    vals = solve_grid_line("CI-A", u, params.tau, params.beta, 40, xs).values(40)
     rel_line = float(np.linalg.norm(vals - f(xs)) / np.linalg.norm(f(xs)))
     assert rel_line <= 1e-3
 
     rs = np.linspace(0.0, 3.0, 25)
     up = evolve_polar(f, tau)
     params_p = KernelParams(tau=tau, beta=default_beta("PI-A", 1.0 + tau, tau))
-    vals_p = solve_grid_polar("PI-A", up, params_p, 40, rs).values(40)
+    vals_p = solve_grid_polar("PI-A", up, params_p.tau, params_p.beta, 40, rs).values(40)
     rel_polar = float(np.linalg.norm(vals_p - f(rs)) / np.linalg.norm(f(rs)))
     assert rel_polar <= 1e-3
     report(5, f"(CI-A rel L2 {rel_line:.1e}, PI-A rel L2 {rel_polar:.1e})")
@@ -245,13 +245,13 @@ def test_criterion_7_exact_truncation_cases():
     assert np.all(np.abs(pol[1:]) <= 1e-10 * abs(pol[0]))
 
     xs = np.linspace(-3.0, 3.0, 13)
-    vals = solve_grid_line("CD-A", g, params, 0, xs).values(0)
+    vals = solve_grid_line("CD-A", g, params.tau, params.beta, 0, xs).values(0)
     truth = forward_line(g, tau, xs)
     line_err = float(np.max(np.abs(vals - truth)) / np.max(np.abs(truth)))
     assert line_err <= 1e-10
 
     rs = np.linspace(0.0, 3.0, 7)
-    vals_p = solve_grid_polar("PD-A", g, params, 0, rs).values(0)
+    vals_p = solve_grid_polar("PD-A", g, params.tau, params.beta, 0, rs).values(0)
     truth_p = forward_polar(g, tau, rs)
     polar_err = float(np.max(np.abs(vals_p - truth_p)) / np.max(np.abs(truth_p)))
     assert polar_err <= 1e-10

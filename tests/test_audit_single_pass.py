@@ -29,7 +29,6 @@ from heatseries.experiments import (
     run_audit,
 )
 from heatseries.profiles import Gaussian
-from heatseries.specfun import KernelParams
 from heatseries.series_cartesian import solve_grid_line
 from heatseries.series_polar import solve_grid_polar
 from heatseries.variants import CONSTANTS_MODES, LINE, VARIANTS
@@ -45,21 +44,20 @@ def per_order_audit(mode):
         tau, beta, probes, full_order = _AUDIT_SETUP[variant]
         probes = np.asarray(probes)
         data, truth = _problem(variant, Gaussian(width_a=1.0), tau)
-        params = KernelParams(tau=tau, beta=beta)
         truth_vals = np.atleast_1d(truth(probes))
         scale = float(np.max(np.abs(truth_vals)))
         solve = solve_grid_line if row.geometry == LINE else solve_grid_polar
         errs, diverged, off_err = {}, {}, None
         for n in (0, 1, 2, full_order):
-            series = solve(variant, data, params, n, probes, mode)
+            series = solve(variant, data, tau, beta, n, probes, mode)
             errs[n] = float(np.max(np.abs(series.values(n) - truth_vals))) / scale
             diverged[n] = bool(np.any(series.flagged(n)))
         if row.pointwise:
-            v_lit = solve(variant, data, params, 2, probes[:1], "paper_literal").values(2)
-            v_ok = solve(variant, data, params, 2, probes[:1], "oracle_validated").values(2)
+            v_lit = solve(variant, data, tau, beta, 2, probes[:1], "paper_literal").values(2)
+            v_ok = solve(variant, data, tau, beta, 2, probes[:1], "oracle_validated").values(2)
             ratios[variant] = float(v_lit[0] / v_ok[0])
             off = np.array([_OFF_CENTER_PROBE])
-            off_vals = solve(variant, data, params, _AUDIT_FULL_ORDER, off, mode).values(_AUDIT_FULL_ORDER)
+            off_vals = solve(variant, data, tau, beta, _AUDIT_FULL_ORDER, off, mode).values(_AUDIT_FULL_ORDER)
             off_err = float(abs(off_vals[0] - np.atleast_1d(truth(off))[0])) / scale
         if row.weighted:
             passed = errs[2] < 0.8 * errs[0] and errs[full_order] <= _AUDIT_TOL_FULL

@@ -193,7 +193,7 @@ def test_one_pass_matches_the_quadrature_route(variant, kind):
         exact = [exact_fn(data, root, top, float(x)) for x in xs]
         kappa = [mp.mpf(k) for k in row.kappa(params, "oracle_validated", top)]
     for n in (0, 1, 2, 10, 20, 40):
-        new = solve(variant, data, params, n, xs)
+        new = solve(variant, data, params.tau, params.beta, n, xs)
         new_vals, new_flags = new.values(n), new.flagged(n)
         for k, x in enumerate(xs):
             ref_series = eval_fn(variant, ref[k][: n + 1], params, float(x))
@@ -287,7 +287,7 @@ def test_one_quadrature_per_grid(monkeypatch, variant):
 
     def count(name, grid, order=n):
         calls.clear()
-        solve(name, data, params, order, grid)
+        solve(name, data, params.tau, params.beta, order, grid)
         return len(calls), set().union(*calls)
 
     one, seven = count(variant, xs[:1]), count(variant, xs[:7])

@@ -47,7 +47,7 @@ def test_the_dispatch_covers_every_geometry_and_direction(monkeypatch):
                             calls.append((v, _name)) or _fn(v, *a, **k))
     params = KernelParams(tau=0.3, beta=1.0)
     for variant, row in VARIANTS.items():
-        experiments._SOLVE[row.geometry](variant, Gaussian(width_a=1.0), params, 2, np.array([0.5]),
+        experiments._SOLVE[row.geometry](variant, Gaussian(width_a=1.0), params.tau, params.beta, 2, np.array([0.5]),
                                          "oracle_validated")
     assert calls == [(variant, COEFFS[row.geometry, row.direct]) for variant, row in VARIANTS.items()]
     for table in (experiments._SOLVE, experiments._ORACLE, experiments._EVOLVE,
@@ -71,13 +71,13 @@ def test_cli_solve_is_the_library_grid_solve(capsys, variant):
     argv = ["forward" if direct else "inverse", "--geometry", geometry, "--variant", variant, "--tau", "0.3",
             "--order", str(order), "--eval-grid", grid, "--profile", profile]
     if variant == CLASSICAL:
-        ref = solve_grid_line(variant, data, None, order, xs, tau=tau)
+        ref = solve_grid_line(variant, data, tau, 0.0, order, xs)
     else:
         estimate = estimate_scale_line if geometry == LINE else estimate_scale_polar
         beta = default_beta(variant, estimate(data), tau)
         params = KernelParams(tau=tau, beta=beta)
         solver = solve_grid_line if geometry == LINE else solve_grid_polar
-        ref = solver(variant, data, params, order, xs)
+        ref = solver(variant, data, params.tau, params.beta, order, xs)
         argv += ["--beta", "auto"]
     vals, flags = cli_values(capsys, *argv)
     np.testing.assert_array_equal(vals, ref.values(order))

@@ -6,10 +6,9 @@ import pytest
 
 from heatseries.kernels import evolve_line, forward_line
 from heatseries.profiles import Gaussian, Mixture, Sampled1D
+from heatseries import beta_rule, default_beta
 from heatseries.series_cartesian import (
     _fd_derivs_at_zero,
-    default_beta,
-    beta_rule,
     cd_coeffs,
     cd_eval,
     ci_classical,
@@ -120,7 +119,7 @@ def test_direct_series_match_oracle_on_gaussian(variant):
     tau = 0.5
     params = KernelParams(tau=tau, beta=default_beta(variant, 1.0, tau))
     xs = np.linspace(-3.0, 3.0, 9)
-    series = solve_grid_line(variant, g, params, 40, xs)
+    series = solve_grid_line(variant, g, params.tau, params.beta, 40, xs)
     oracle = forward_line(g, tau, xs)
     scale = float(np.max(np.abs(oracle)))
     np.testing.assert_allclose(series.values(40), oracle, rtol=0.0, atol=1e-6 * scale)
@@ -144,7 +143,7 @@ def test_ci_a_round_trip_reconstruction():
     u = evolve_line(f, tau)
     params = KernelParams(tau=tau, beta=beta_rule(1.3, tau))  # evolved scale 1.3
     xs = np.linspace(-3.0, 3.0, 25)
-    vals = solve_grid_line("CI-A", u, params, 40, xs).values(40)
+    vals = solve_grid_line("CI-A", u, params.tau, params.beta, 40, xs).values(40)
     truth = f(xs)
     rel_l2 = np.linalg.norm(vals - truth) / np.linalg.norm(truth)
     assert rel_l2 <= 1e-3
@@ -156,7 +155,7 @@ def test_ci_b_round_trip_reconstruction():
     u = evolve_line(f, tau)
     params = KernelParams(tau=tau, beta=0.25)  # CI-B converges for any beta > 0
     xs = np.linspace(-2.0, 2.0, 9)
-    vals = solve_grid_line("CI-B", u, params, 60, xs).values(60)
+    vals = solve_grid_line("CI-B", u, params.tau, params.beta, 60, xs).values(60)
     np.testing.assert_allclose(vals, f(xs), rtol=0.0, atol=2e-6)
 
 
@@ -166,7 +165,7 @@ def test_ci_c_round_trip_reconstruction():
     u = evolve_line(f, tau)
     params = KernelParams(tau=tau, beta=1.0)
     xs = np.linspace(-2.0, 2.0, 7)
-    vals = solve_grid_line("CI-C", u, params, 40, xs).values(40)
+    vals = solve_grid_line("CI-C", u, params.tau, params.beta, 40, xs).values(40)
     np.testing.assert_allclose(vals, f(xs), rtol=0.0, atol=1e-8)
 
 
@@ -183,7 +182,7 @@ def test_ci_a_small_tau_is_near_self_expansion():
     u = Gaussian(width_a=0.9)
     params = KernelParams(tau=1e-6, beta=0.9)
     xs = np.array([-1.0, 0.0, 0.5, 1.5])
-    vals = solve_grid_line("CI-A", u, params, 40, xs).values(40)
+    vals = solve_grid_line("CI-A", u, params.tau, params.beta, 40, xs).values(40)
     np.testing.assert_allclose(vals, u(xs), rtol=0.0, atol=1e-5)
 
 
@@ -301,7 +300,7 @@ def test_c_grid_overflow_names_the_first_point_that_overflows_alone(variant, coe
             break
     assert first is not None and not first.startswith(f"{variant} at x = 0:")
     with pytest.raises(OverflowError) as info:
-        solve_grid_line(variant, g, params, 80, xs)
+        solve_grid_line(variant, g, params.tau, params.beta, 80, xs)
     assert str(info.value) == first
 
 
@@ -345,6 +344,24 @@ def test_ci_classical_rejects_missing_center_node():
     data = Sampled1D(0.5, 4.5, np.ones(5))
     with pytest.raises(ValueError):
         ci_classical(data, 0.3, 4, 0.0)
+
+
+@pytest.mark.parametrize("tau", [float("inf"), float("nan"), 0.0, -0.3])
+def test_ci_classical_rejects_a_time_that_is_not_positive_and_finite(tau):
+    # as KernelParams: a ValueError before any term, not a RuntimeWarning
+    # (an error under the suite's filterwarnings) or an overflow
+    u = evolve_line(Gaussian(width_a=1.0), 0.3)
+    with pytest.raises(ValueError, match="^tau must be positive and finite, got"):
+        ci_classical(u, tau, 4, np.array([0.5]))
+    with pytest.raises(ValueError, match="^tau must be positive and finite, got"):
+        solve_grid_line("CI-classical", u, tau, 0.0, 4, np.array([0.5]))
+
+
+@pytest.mark.parametrize("beta", [1.0, 1e-300, -1.0, float("nan")])
+def test_ci_classical_takes_no_shift(beta):
+    u = evolve_line(Gaussian(width_a=1.0), 0.3)
+    with pytest.raises(ValueError, match="^CI-classical has no shift parameter"):
+        solve_grid_line("CI-classical", u, 0.3, beta, 4, np.array([0.5]))
 
 
 def test_ci_classical_stencil_exceeding_grid_is_explicit():

@@ -5,7 +5,7 @@ import pytest
 
 from heatseries.kernels import evolve_polar, forward_polar
 from heatseries.profiles import Gaussian, Mixture, Sampled1D
-from heatseries.series_cartesian import default_beta
+from heatseries import default_beta
 from heatseries.series_polar import (
     pd_coeffs,
     pd_eval,
@@ -100,7 +100,7 @@ def test_direct_polar_series_match_oracle(variant):
     params = KernelParams(tau=tau, beta=default_beta(variant, 1.0, tau))
     g = Gaussian(width_a=1.0)
     rs = np.linspace(0.0, 3.0, 7)
-    series = solve_grid_polar(variant, g, params, 40, rs)
+    series = solve_grid_polar(variant, g, params.tau, params.beta, 40, rs)
     oracle = forward_polar(g, tau, rs)
     scale = float(np.max(np.abs(oracle)))
     np.testing.assert_allclose(series.values(40), oracle, rtol=0.0, atol=1e-6 * scale)
@@ -112,7 +112,7 @@ def test_pd_a_expansion_limit_small_tau():
     g = Gaussian(width_a=1.0)
     params = KernelParams(tau=1e-9, beta=1.0)
     rs = np.linspace(0.0, 3.0, 7)
-    vals = solve_grid_polar("PD-A", g, params, 0, rs).values(0)
+    vals = solve_grid_polar("PD-A", g, params.tau, params.beta, 0, rs).values(0)
     np.testing.assert_allclose(vals, g(rs), rtol=0.0, atol=1e-8)
 
 
@@ -120,7 +120,7 @@ def test_direct_polar_nonnegative_data_stays_nonnegative():
     tau = 0.5
     params = KernelParams(tau=tau, beta=default_beta("PD-A", 1.05, tau))
     rs = np.linspace(0.0, 3.0, 13)
-    vals = solve_grid_polar("PD-A", RADIAL_MIX, params, 40, rs).values(40)
+    vals = solve_grid_polar("PD-A", RADIAL_MIX, params.tau, params.beta, 40, rs).values(40)
     assert np.all(vals >= -1e-8 * float(np.max(np.abs(RADIAL_MIX(rs)))))
 
 
@@ -132,7 +132,7 @@ def test_pi_a_round_trip():
     u = evolve_polar(f, tau)
     params = KernelParams(tau=tau, beta=default_beta("PI-A", 1.3, tau))
     rs = np.linspace(0.0, 3.0, 25)
-    vals = solve_grid_polar("PI-A", u, params, 40, rs).values(40)
+    vals = solve_grid_polar("PI-A", u, params.tau, params.beta, 40, rs).values(40)
     rel_l2 = np.linalg.norm(vals - f(rs)) / np.linalg.norm(f(rs))
     assert rel_l2 <= 1e-3
 
@@ -143,7 +143,7 @@ def test_pi_b_round_trip_and_guard():
     u = evolve_polar(f, tau)
     params = KernelParams(tau=tau, beta=1.3)
     rs = np.linspace(0.0, 2.5, 9)
-    vals = solve_grid_polar("PI-B", u, params, 40, rs).values(40)
+    vals = solve_grid_polar("PI-B", u, params.tau, params.beta, 40, rs).values(40)
     np.testing.assert_allclose(vals, f(rs), rtol=0.0, atol=1e-8)
     with pytest.raises(ValueError):
         pi_eval("PI-B", np.ones(3), KernelParams(tau=0.5, beta=0.4), 0.0)
@@ -155,7 +155,7 @@ def test_pi_c_round_trip():
     u = evolve_polar(f, tau)
     params = KernelParams(tau=tau, beta=1.0)
     rs = np.linspace(0.0, 2.0, 5)
-    vals = solve_grid_polar("PI-C", u, params, 30, rs).values(30)
+    vals = solve_grid_polar("PI-C", u, params.tau, params.beta, 30, rs).values(30)
     np.testing.assert_allclose(vals, f(rs), rtol=0.0, atol=1e-7)
 
 

@@ -1,10 +1,13 @@
-"""Every top-level function and class of the package has a caller in it.
+"""Every top-level function and class of the package has a caller in it,
+and every name a module imports is used in that module.
 
 Code that only the tests call belongs with the tests (tests/references.py).
 The package's sources are parsed with ast; a top-level function or class
 that no other code of the package names fails the test.  A definition's
 references to itself (recursion) and the re-exports of __init__ do not
-count.
+count.  A name a module imports and never names (listing it in `__all__`
+is no use: that only re-exports it) fails as well; __init__, whose imports
+are the package's re-exports, is exempt.
 """
 
 import ast
@@ -42,8 +45,32 @@ def unreferenced() -> list:
     return [(module, name) for module, name in defs if uses[name] <= 0 and name not in TRACED_ONLY]
 
 
+def unused_imports() -> list:
+    """(module, name) of every name a module other than __init__ imports
+    and never names."""
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = set(names_in(tree))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        out.append((path.name, name))
+    return out
+
+
 def test_every_top_level_definition_has_a_caller_in_the_package():
     assert unreferenced() == []
+
+
+def test_every_imported_name_is_used_where_it_is_imported():
+    assert unused_imports() == []
 
 
 def test_the_exempt_names_are_the_tracers():

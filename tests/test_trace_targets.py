@@ -33,6 +33,8 @@ COMMANDS = {
     "study": (["study", "--config", "study.cfg"], ("series_polar",)),
     "validate": (["validate"], ("series_cartesian", "series_polar")),
 }
+CLASSICAL = ["inverse", "--variant", "CI-classical", "--tau", "0.3", "--order", "10",
+             "--profile", "gaussian:a=1.3", "--eval-grid", "-2:2:5"]
 
 
 def load_tracing():
@@ -85,3 +87,20 @@ def test_stock_tracer_records_every_series_layer(tmp_path, monkeypatch, capsys):
     after = bindings()
     moved = [key for key, val in before.items() if after.get(key) is not val]
     assert not moved, moved
+
+
+def test_stock_tracer_records_the_classical_solve_and_its_evaluation(capsys):
+    # CI-classical takes the data's derivatives, no moments: its one solve
+    # span holds its evaluation span and no coefficient pass
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        assert cli.main(CLASSICAL) == 0, capsys.readouterr().err
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    names, parents = tracer.names, tracer.parents
+    solves = [i for i, name in enumerate(names) if name == "series_cartesian.classical"]
+    evals = [i for i, name in enumerate(names) if name == "series_cartesian.eval"]
+    assert len(solves) == 1 and len(evals) == 1 and parents[evals[0]] == solves[0]
+    assert "series_cartesian.coeffs" not in names and "series_cartesian.solve" not in names

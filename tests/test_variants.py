@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heatseries import experiments, series_polar, variants
+from heatseries import experiments, series_cartesian, series_polar, variants
 from heatseries.kernels import evolve_line, evolve_polar
 from heatseries.profiles import Gaussian, Mixture, Sampled1D
 from heatseries.series_cartesian import ci_coeffs, ci_eval, cd_coeffs, cd_eval, solve_grid_line
@@ -234,7 +234,7 @@ def test_c_overflow_read_through_the_public_evaluator_names_its_point(variant, c
     g, params, n = Gaussian(width_a=1.0), KernelParams(tau=0.5, beta=0.7), 80
     points = np.asarray(points)
     with pytest.raises(OverflowError) as grid:
-        solve(variant, g, params, n, points)
+        solve(variant, g, params.tau, params.beta, n, points)
     series = eval_fn(variant, coeffs_fn(variant, g, params, n, points), params, points)
     with pytest.raises(OverflowError) as summed:
         series.values(n)
@@ -301,7 +301,7 @@ def test_sweep_equals_independent_solves(variant, data, params, grid, orders):
         coeffs = [coeffs_fn(variant, data, params, top, float(x)) for x in grid]
     else:
         coeffs = coeffs_fn(variant, data, params, top)
-    swept = list(experiments._sweep_orders(variant, data, params, orders, grid, "oracle_validated"))
+    swept = list(experiments._sweep_orders(variant, data, params.tau, params.beta, orders, grid, "oracle_validated"))
     assert [n for n, *_ in swept] == sorted(orders, reverse=True)  # highest first
     for n, vals, flagged, err in swept:
         assert err is None
@@ -315,7 +315,7 @@ def test_sweep_equals_independent_solves(variant, data, params, grid, orders):
             ref_flag = bool(np.any(series.flagged(n)))
         np.testing.assert_array_equal(vals, ref_vals)
         assert flagged == ref_flag
-    solved = solver(variant, data, params, top, grid)
+    solved = solver(variant, data, params.tau, params.beta, top, grid)
     _, top_vals, top_flag, _ = next(entry for entry in swept if entry[0] == top)
     np.testing.assert_array_equal(top_vals, solved.values(top))
     assert top_flag == bool(np.any(solved.flagged(top)))
@@ -328,11 +328,11 @@ def test_sweep_equals_independent_solves_classical(data):
     if data == "sampled":
         data = Sampled1D.from_function(evolve_line(Gaussian(width_a=1.0), 0.3), -8.0, 8.0, 41)
     orders = tuple(range(0, 57, 4))
-    swept = list(experiments._sweep_orders("CI-classical", data, None, orders, XS, "oracle_validated", tau=0.3))
+    swept = list(experiments._sweep_orders("CI-classical", data, 0.3, 0.0, orders, XS, "oracle_validated"))
     failed = 0
     for n, vals, flagged, err in swept:
         try:
-            ref = solve_grid_line("CI-classical", data, None, n, XS, tau=0.3)
+            ref = solve_grid_line("CI-classical", data, 0.3, 0.0, n, XS)
         except ValueError:
             assert isinstance(err, ValueError) and flagged
             failed += 1
@@ -355,7 +355,7 @@ def test_orders_below_a_failing_one_equal_a_sweep_over_the_orders_that_build(var
     params = KernelParams(tau, default_beta(variant, experiments._SCALE_ESTIMATE[LINE](data), tau))
 
     def sweep(orders):
-        return {n: rest for n, *rest in experiments._sweep_orders(variant, data, params, orders, grid,
+        return {n: rest for n, *rest in experiments._sweep_orders(variant, data, params.tau, params.beta, orders, grid,
                                                                     "oracle_validated")}
 
     pool = OVERFLOW_POOLS[variant]
@@ -386,8 +386,9 @@ def test_a_sweep_whose_orders_all_build_takes_one_term_matrix(monkeypatch, varia
     built = []
     for geometry, solve in list(experiments._SOLVE.items()):
         monkeypatch.setitem(experiments._SOLVE, geometry, lambda *a, _fn=solve, **k:
-                            built.append((a[3], _fn(*a, **k))) or built[-1][1])
-    swept = experiments._sweep_orders(variant, data, params, (0, 1, 4, 9, 16), grid, "oracle_validated", tau=0.3)
+                            built.append((a[4], _fn(*a, **k))) or built[-1][1])
+    tau, beta = (0.3, 0.0) if params is None else (params.tau, params.beta)
+    swept = experiments._sweep_orders(variant, data, tau, beta, (0, 1, 4, 9, 16), grid, "oracle_validated")
     # the sweep has run when it returns: a span around it holds its one solve
     assert type(swept) is list and len(built) == 1
     top, series = built[0]
@@ -407,11 +408,40 @@ def test_a_pi_b_shift_below_tau_fails_before_its_coefficient_pass(monkeypatch):
     params = KernelParams(0.3, 0.2)
     with pytest.raises(ValueError) as expected:
         VARIANTS["PI-B"].times(params)
-    swept = experiments._sweep_orders("PI-B", evolve_polar(Gaussian(width_a=1.0), 0.3), params, range(0, 41, 4), RS,
-                                      "oracle_validated")
+    swept = experiments._sweep_orders("PI-B", evolve_polar(Gaussian(width_a=1.0), 0.3), params.tau, params.beta,
+                                      range(0, 41, 4), RS, "oracle_validated")
     assert [n for n, *_ in swept] == list(range(40, -1, -4))
     for _, vals, flagged, err in swept:
         assert vals is None and flagged and type(err) is ValueError and str(err) == str(expected.value)
+    assert passes == []
+
+
+@pytest.mark.parametrize("variant, points, mode", [
+    ("CD-A", XS, "bogus"),
+    ("CI-C", XS, "bogus"),
+    ("PI-B", RS, "bogus"),
+    ("PD-C", RS, "bogus"),
+    ("PI-B", np.array([0.5, -1.0]), "oracle_validated"),
+    ("PD-C", np.array([-1.0, 0.5]), "oracle_validated"),
+])
+def test_a_bad_mode_or_radius_fails_before_the_coefficient_pass(monkeypatch, variant, points, mode):
+    # the grid solve makes the evaluator's checks first: the evaluator's
+    # error, and no pass paid for a solve that cannot finish
+    polar = VARIANTS[variant].geometry == "polar"
+    module = series_polar if polar else series_cartesian
+    passes = []
+    for name in ("pd_coeffs", "pi_coeffs") if polar else ("cd_coeffs", "ci_coeffs"):
+        monkeypatch.setattr(module, name, lambda v, *a, _fn=getattr(module, name), **k:
+                            passes.append(v) or _fn(v, *a, **k))
+    params = KernelParams(0.5, 1.0)
+    with pytest.raises(ValueError) as expected:
+        _COEFFS_EVAL[variant][1](variant, np.ones((3, points.size)), params, points, mode)
+    with pytest.raises(ValueError) as solved:
+        experiments._SOLVE[VARIANTS[variant].geometry](variant, Gaussian(width_a=1.0), params.tau, params.beta, 40,
+                                                       points, mode)
+    assert str(solved.value) == str(expected.value)
+    assert str(expected.value) in (f"unknown constants_mode 'bogus'; choose from {CONSTANTS_MODES}",
+                                   "radius must be non-negative")
     assert passes == []
 
 
@@ -422,7 +452,7 @@ def test_kept_coefficients_reweighted_under_each_mode_are_the_public_evaluation(
     coeffs_fn, eval_fn = _COEFFS_EVAL[variant]
     data, params = Gaussian(width_a=1.0), KernelParams(0.3, 1.0)
     points = XS if row.geometry == LINE else RS
-    series = experiments._SOLVE[row.geometry](variant, data, params, 12, points, "oracle_validated")
+    series = experiments._SOLVE[row.geometry](variant, data, params.tau, params.beta, 12, points, "oracle_validated")
     np.testing.assert_array_equal(series.coeffs, coeffs_fn(variant, data, params, 12, points))
     for mode in CONSTANTS_MODES:
         reweighted = pointwise_terms(row.kappa(params, mode, 2), series.coeffs[:3], series.points, series.label)
