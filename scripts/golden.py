@@ -73,6 +73,7 @@ STUDY_CONFIGS = {
     ),
     "audit.cfg": "[study]\nkind = audit\n",
     "audit_extra_keys.cfg": "[study]\nkind = audit\ntau = 0.5\nvariants = CD-A\nprofile = bump:radius=1\n",
+    "audit_unknown_key.cfg": "[study]\nkind = audit\nwidth = 3\n",
     "grid_infinite_bound.cfg": "[study]\nkind = noise\n\n[grid]\nhi = inf\n",
     "grid_huge_bounds.cfg": (
         "[study]\nkind = noise\ntau = 0.3\n\n[grid]\nlo = -1e300\nhi = 1e300\n\n[sweep]\norders = 0:4:2\n"
@@ -107,6 +108,12 @@ STUDY_CONFIGS = {
     "error_word_tau.cfg": "[study]\nkind = noise\ntau = soon\n",
     "error_word_seed.cfg": "[study]\nkind = noise\nseed = 1.5\n",
     "error_word_grid_n.cfg": "[study]\nkind = noise\n\n[grid]\nn = many\n",
+    "error_word_orders.cfg": "[study]\nkind = noise\n\n[sweep]\norders = 1.5\n",
+    "error_repeated_key.cfg": "[study]\nkind = noise\ntau = 0.3\ntau = 0.5\n",
+    "error_repeated_kind.cfg": "[study]\nkind = noise\nkind = audit\n",
+    # two faults: StudyConfig's own checks come before the [grid] it completes
+    "error_tau_and_grid.cfg": "[study]\nkind = noise\ntau = -1\n\n[grid]\nn = 1\n",
+    "error_geometry_and_grid.cfg": "[study]\nkind = noise\ngeometry = sphere\n\n[grid]\nn = 1\n",
     "error_range_parts.cfg": "[study]\nkind = noise\n\n[sweep]\norders = 0:8\n",
     "error_range_reversed.cfg": "[study]\nkind = noise\n\n[sweep]\norders = 8:0:2\n",
     "error_empty_list.cfg": "[study]\nkind = noise\n\n[sweep]\ndeltas = ,\n",

@@ -32,8 +32,9 @@ from .experiments import (
     _ORACLE,
     _SCALE_ESTIMATE,
     _SOLVE,
-    _STUDY_GRID,
+    STUDY_DROPS,
     StudyConfig,
+    _errors,
     expected_audit_statuses,
     run_audit,
     run_study,
@@ -320,8 +321,7 @@ def cmd_inverse(args) -> int:
             raise CliError("--noise applies to --input sample files only")
         if not (math.isfinite(args.noise) and args.noise >= 0.0):
             raise CliError("--noise must be non-negative and finite")
-        rng = np.random.default_rng(args.seed)
-        data = data.with_noise(args.noise, rng)
+        data = data.with_noise(args.noise, np.random.default_rng(args.seed))
     beta = _resolve_beta(args, args.variant, data, args.geometry, args.tau)
     values, flags = _solve(args, data, xs, beta)
     metadata = _solve_metadata(
@@ -334,10 +334,7 @@ def cmd_inverse(args) -> int:
             truth_profile = parse_profile(args.truth)
         except ValueError as exc:
             raise CliError(f"bad --truth: {exc}") from None
-        truth = truth_profile(xs)
-        err = np.asarray(values) - truth
-        metadata["summary_rel_l2"] = float(np.linalg.norm(err) / np.linalg.norm(truth))
-        metadata["summary_rel_max"] = float(np.max(np.abs(err)) / np.max(np.abs(truth)))
+        metadata["summary_rel_l2"], metadata["summary_rel_max"] = _errors(np.asarray(values), truth_profile(xs))
     _emit_field(args, metadata, xs, values, flags)
     return 0
 
@@ -374,6 +371,7 @@ def cmd_validate(args) -> int:
 
 def _parse_number_list(text: str, line_no: int, path: str, integer: bool = False):
     text = text.strip()
+    word = "integer" if integer else "numeric"
     out = []
     if ":" in text and "," not in text:
         parts = text.split(":")
@@ -382,7 +380,7 @@ def _parse_number_list(text: str, line_no: int, path: str, integer: bool = False
         try:
             lo, hi, step = (int(p) if integer else float(p) for p in parts)
         except ValueError:
-            raise CliError(f"{path}:{line_no}: non-numeric range {text!r}") from None
+            raise CliError(f"{path}:{line_no}: non-{word} range {text!r}") from None
         if not all(math.isfinite(p) for p in (lo, hi, step)) or step <= 0 or hi < lo:
             raise CliError(f"{path}:{line_no}: bad range {text!r}")
         if integer:
@@ -398,26 +396,53 @@ def _parse_number_list(text: str, line_no: int, path: str, integer: bool = False
         try:
             out.append(int(piece) if integer else float(piece))
         except ValueError:
-            raise CliError(f"{path}:{line_no}: non-numeric value {piece!r}") from None
+            raise CliError(f"{path}:{line_no}: non-{word} value {piece!r}") from None
     if not out:
         raise CliError(f"{path}:{line_no}: empty list")
     return tuple(out)
 
 
-# what a study kind would drop of its config file, yet echo in its metadata:
-# an audit reads its constants mode only, and a convergence study or a beta
-# map (the analytic profile, no sampling) no seed, deltas or [grid] key
-_SAMPLING = {("study", "seed"), ("sweep", "deltas"), ("grid", "lo"), ("grid", "hi"), ("grid", "n")}
-_DROPS = {
-    "audit": (lambda key: key != ("study", "constants_mode"), "an audit reads only constants_mode"),
-    "convergence": (_SAMPLING.__contains__, "a convergence study reads no seed, deltas or [grid] key"),
-    "beta_map": (_SAMPLING.__contains__, "a beta_map study reads no seed, deltas or [grid] key"),
-}
+def _reader(parse, fault: str = ""):
+    """A config-value reader, (key, text, line_no, path) -> parse(text); a
+    ValueError from parse exits 2 with fault, formatted with key, val, exc."""
+    def read(key, val, line_no, path):
+        try:
+            return parse(val)
+        except ValueError as exc:
+            raise CliError(f"{path}:{line_no}: " + fault.format(key=key, val=val, exc=exc)) from None
+
+    return read
+
+
+def _numbers(integer: bool):
+    return lambda key, val, line_no, path: _parse_number_list(val, line_no, path, integer=integer)
+
+
+_TEXT, _FLOAT = _reader(str), _reader(float, "{key} must be numeric, got {val!r}")
+_INT = _reader(int, "{key} must be an integer, got {val!r}")
+
+# one row per config key, in the order keys are read and checked: (section,
+# key, field, reader).  A key sets that StudyConfig field, a [grid] key that
+# field of the study grid.  [study] kind, read first, sets study_kind.
+_CONFIG_KEYS = (
+    ("study", "geometry", "geometry", _TEXT),
+    ("study", "profile", "profile", _reader(parse_profile, "bad profile: {exc}")),
+    ("study", "tau", "tau", _FLOAT),
+    ("study", "seed", "seed", _INT),
+    ("study", "constants_mode", "constants_mode", _TEXT),
+    ("study", "variants", "variants", _reader(lambda val: tuple(v.strip() for v in val.split(",") if v.strip()))),
+    ("grid", "lo", "lo", _FLOAT),
+    ("grid", "hi", "hi", _FLOAT),
+    ("grid", "n", "n", _INT),
+    ("sweep", "orders", "n_range", _numbers(integer=True)),
+    ("sweep", "deltas", "delta_range", _numbers(integer=False)),
+    ("sweep", "betas", "beta_range", _numbers(integer=False)),
+)
 
 
 def _parse_study_config(path: str) -> StudyConfig:
     """Flat `key = value` lines under [study] / [grid] / [sweep] markers."""
-    sections = {"study": {}, "grid": {}, "sweep": {}}
+    sections = {section: {} for section, *_ in _CONFIG_KEYS}
     current = None
     try:
         with open(path) as handle:
@@ -439,68 +464,30 @@ def _parse_study_config(path: str) -> StudyConfig:
         if "=" not in line:
             raise CliError(f"{path}:{line_no}: expected key = value, got {raw!r}")
         key, val = (s.strip() for s in line.split("=", 1))
+        if key in sections[current]:
+            raise CliError(f"{path}:{line_no}: [{current}] key {key!r} repeats line {sections[current][key][1]}")
         sections[current][key] = (val, line_no)
-    study, grid_sec, sweep = sections["study"], sections["grid"], sections["sweep"]
-    kind, _ = study.pop("kind", (None, None))
+    kind, _ = sections["study"].pop("kind", (None, None))
     if kind is None:
         raise CliError(f"{path}: [study] must set kind")
-    fields, grid = {"study_kind": kind}, {}  # the keys the file sets: StudyConfig declares the defaults
-
-    def take(section: dict, key: str, into: dict, name: str | None = None, parse=lambda val, line_no: val):
-        if key in section:
-            into[name or key] = parse(*section.pop(key))
-
-    def number(key: str, caster=float):
-        def parse(val, line_no):
-            try:
-                return caster(val)
-            except ValueError:
-                raise CliError(f"{path}:{line_no}: {key} must be numeric, got {val!r}") from None
-
-        return parse
-
-    def profile(val, line_no):
-        try:
-            return parse_profile(val)
-        except ValueError as exc:
-            raise CliError(f"{path}:{line_no}: bad profile: {exc}") from None
-
-    def numbers(integer=False):
-        return lambda val, line_no: _parse_number_list(val, line_no, path, integer=integer)
-
-    def unknown(section: dict, name: str) -> None:
-        if section:
-            key = sorted(section)[0]
-            raise CliError(f"{path}:{section[key][1]}: unknown [{name}] key {key!r}")
-
-    if kind in _DROPS:
-        drops, what = _DROPS[kind]
-        dropped = sorted((line_no, name, key) for name, sec in sections.items() for key, (_, line_no) in sec.items()
-                         if drops((name, key)))
-        if dropped:
-            line_no, name, key = dropped[0]
-            raise CliError(f"{path}:{line_no}: {what}, got [{name}] key {key!r}")
-    take(study, "geometry", fields)
-    take(study, "profile", fields, parse=profile)
-    take(study, "tau", fields, parse=number("tau"))
-    take(study, "seed", fields, parse=number("seed", int))
-    take(study, "constants_mode", fields)
-    take(study, "variants", fields, parse=lambda val, _: tuple(v.strip() for v in val.split(",") if v.strip()))
-    unknown(study, "study")
-    for key, caster in (("lo", float), ("hi", float), ("n", int)):
-        take(grid_sec, key, grid, parse=number(key, caster))
-    unknown(grid_sec, "grid")
-    take(sweep, "orders", fields, "n_range", numbers(integer=True))
-    take(sweep, "deltas", fields, "delta_range", numbers())
-    take(sweep, "betas", fields, "beta_range", numbers())
-    unknown(sweep, "sweep")
-
+    # the keys the file sets: StudyConfig declares the defaults and the fields each kind drops
+    fields, grid = {"study_kind": kind}, {}
+    drops, what = STUDY_DROPS.get(kind, ((), ""))
+    dropped = [(sections[section][key][1], section, key) for section, key, name, _ in _CONFIG_KEYS
+               if key in sections[section] and ("grid" if section == "grid" else name) in drops]
+    if dropped:
+        line_no, section, key = min(dropped)
+        raise CliError(f"{path}:{line_no}: {what}, got [{section}] key {key!r}")
+    for section, unread in sections.items():
+        for _, key, name, read in (row for row in _CONFIG_KEYS if row[0] == section and row[1] in unread):
+            val, line_no = unread.pop(key)
+            (grid if section == "grid" else fields)[name] = read(key, val, line_no, path)
+        if unread:
+            key = min(unread)
+            raise CliError(f"{path}:{unread[key][1]}: unknown [{section}] key {key!r}")
     try:
-        if grid:  # the fields the file leaves unset keep the geometry's study grid
-            geometry = fields.get("geometry", StudyConfig.geometry)
-            default = _STUDY_GRID.get(geometry, _STUDY_GRID[POLAR])  # StudyConfig rejects an unknown geometry
-            fields["grid"] = replace(default, **grid)
-        return StudyConfig(**fields)
+        config = StudyConfig(**fields)  # a partial [grid] completes the geometry's study grid
+        return replace(config, grid=replace(config.grid, **grid)) if grid else config
     except ValueError as exc:
         raise CliError(f"{path}: {exc}") from None
 

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -105,6 +105,16 @@ _STUDY_VARIANTS = {
 # optimum (the scale-matched rule would make order 0 already optimal)
 NOISE_STUDY_BETA = {LINE: 0.6, POLAR: 0.8}
 
+# the StudyConfig fields a study kind never reads: an audit runs its own
+# configurations, a convergence study or a beta map the analytic profile
+_SAMPLING = ("delta_range", "grid", "seed")
+STUDY_DROPS = {
+    "audit": (("geometry", "profile", "tau", "n_range", "delta_range", "beta_range", "grid", "seed", "variants"),
+              "an audit reads only constants_mode"),
+    "convergence": (_SAMPLING, "a convergence study reads no seed, deltas or [grid] key"),
+    "beta_map": (_SAMPLING, "a beta_map study reads no seed, deltas or [grid] key"),
+}
+
 
 @dataclass
 class StudyConfig:
@@ -126,6 +136,15 @@ class StudyConfig:
             raise ValueError(f"study_kind must be one of {kinds}")
         if self.geometry not in ("line", "polar"):
             raise ValueError("geometry must be 'line' or 'polar'")
+        if self.grid is None:
+            self.grid = _STUDY_GRID[self.geometry]
+        dropped, what = STUDY_DROPS.get(self.study_kind, ((), ""))
+        defaults = {f.name: f.default if f.default_factory is MISSING else f.default_factory()
+                    for f in fields(self) if f.name in dropped}
+        defaults["grid"] = _STUDY_GRID[self.geometry]
+        for name in dropped:  # a field set off its default would be echoed in the metadata, unread
+            if getattr(self, name) != defaults[name]:
+                raise ValueError(f"{what}, got {name} = {getattr(self, name)!r}")
         check_mode(self.constants_mode)
         if not (self.tau > 0.0 and math.isfinite(self.tau)):
             raise ValueError(f"tau must be positive and finite, got {self.tau}")
@@ -158,8 +177,6 @@ class StudyConfig:
                 raise ValueError(f"{variant} is not a {self.geometry} variant")
             if wanted and ("direct" if variant != CLASSICAL and VARIANTS[variant].direct else "inverse") != wanted:
                 raise ValueError(f"a {self.study_kind} study takes {wanted} variants, got {variant}")
-        if self.grid is None:
-            self.grid = _STUDY_GRID[self.geometry]
 
 
 @dataclass
@@ -345,11 +362,6 @@ def expected_audit_statuses(mode: str) -> dict:
 
 # --- sampled-data scaffolding -----------------------------------------------------
 
-def _sampled_forward(config: StudyConfig) -> Sampled1D:
-    u = _EVOLVE[config.geometry](config.profile, config.tau)
-    return Sampled1D.from_function(u, config.grid.lo, config.grid.hi, config.grid.n)
-
-
 def _study_variants(config: StudyConfig) -> tuple:
     return config.variants or _STUDY_VARIANTS[config.study_kind, config.geometry]
 
@@ -407,19 +419,19 @@ def _semi_convergence_summary(rows) -> dict:
 def run_noise_study(config: StudyConfig) -> StudyReport:
     """Reconstruction error under additive i.i.d. Gaussian grid noise.
 
-    One noise shape is drawn from the seeded stream and scaled by each delta,
-    so rows across noise levels share the same realization.
+    Each delta perturbs the clean samples as `inverse --noise` does, with a
+    fresh stream of the config's seed: one noise shape, scaled by each
+    delta, so rows across noise levels share the same realization.
     """
     if config.study_kind != "noise":
         raise ValueError("config.study_kind must be 'noise'")
-    clean = _sampled_forward(config)
+    u, grid = _EVOLVE[config.geometry](config.profile, config.tau), config.grid
+    clean = Sampled1D.from_function(u, grid.lo, grid.hi, grid.n)
     beta = config.beta_range[0] if config.beta_range else NOISE_STUDY_BETA[config.geometry]
     truth = config.profile(_COMPARE_GRID[config.geometry])
-    rng = np.random.default_rng(config.seed)
-    shape = rng.standard_normal(clean.n_nodes)
     rows: list = []
     for delta in config.delta_range:
-        data = Sampled1D(clean.lo, clean.hi, clean.values + delta * shape)
+        data = clean.with_noise(delta, np.random.default_rng(config.seed))
         for variant in _study_variants(config):
             rows.extend(_sweep_rows(config, variant, data, 0.0 if variant == CLASSICAL else beta, truth, delta))
     metadata = _base_metadata(config)

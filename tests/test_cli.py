@@ -9,9 +9,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from heatseries import cli
+from heatseries import cli, experiments
 from heatseries.cli import main
-from heatseries.experiments import StudyConfig
+from heatseries.experiments import GridGeom, StudyConfig
 
 ORIGINAL_BUILD = cli.build_parser
 
@@ -464,6 +464,76 @@ def test_a_study_of_analytic_data_rejects_the_sampling_keys(tmp_path, capsys, ki
     cfg.write_text(text.format(kind=kind))
     message = f"{cfg}:{line}: a {kind} study reads no seed, deltas or [grid] key, got {key}\n"
     assert_rejected(capsys, run_cli("study", "--config", str(cfg)), message)
+
+
+def test_the_config_key_table_sets_every_study_config_field_once():
+    # one row per key: a [grid] key sets a GridGeom field, any other key a
+    # StudyConfig field, and every field but study_kind (from [study] kind)
+    # and grid (from the [grid] keys) is set by exactly one key
+    study_fields = [f.name for f in dataclasses.fields(StudyConfig)]
+    grid_fields = [f.name for f in dataclasses.fields(GridGeom)]
+    keys = [(section, key) for section, key, _, _ in cli._CONFIG_KEYS]
+    assert len(set(keys)) == len(keys)
+    set_grid = [name for section, _, name, _ in cli._CONFIG_KEYS if section == "grid"]
+    set_study = [name for section, _, name, _ in cli._CONFIG_KEYS if section != "grid"]
+    assert sorted(set_grid) == sorted(grid_fields)
+    assert sorted(set_study + ["grid"]) == sorted(name for name in study_fields if name != "study_kind")
+    for drops, _ in experiments.STUDY_DROPS.values():
+        assert set(drops) <= set(study_fields) - {"study_kind"}
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[study]\nkind = noise\ntau = 0.3\ntau = 0.5\n", ":4: [study] key 'tau' repeats line 3\n"),
+        ("[study]\nkind = noise\nkind = audit\n", ":3: [study] key 'kind' repeats line 2\n"),
+        ("[study]\nkind = noise\n\n[sweep]\norders = 4\n\n[study]\nseed = 1\n\n[sweep]\norders = 8\n",
+         ":11: [sweep] key 'orders' repeats line 5\n"),
+    ],
+    ids=["tau", "kind", "second-section-marker"],
+)
+def test_a_repeated_key_names_both_lines(tmp_path, capsys, text, message):
+    # the last value used to win, exit 0, and the first was dropped unseen
+    cfg = tmp_path / "repeat.cfg"
+    cfg.write_text(text)
+    assert_rejected(capsys, run_cli("study", "--config", str(cfg)), f"{cfg}{message}")
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("seed = 1.5", 3, "seed must be an integer, got '1.5'"),
+        ("[grid]\nn = 2.5", 4, "n must be an integer, got '2.5'"),
+        ("[sweep]\norders = 0, 1.5", 4, "non-integer value '1.5'"),
+        ("[sweep]\norders = 0:4:0.5", 4, "non-integer range '0:4:0.5'"),
+        ("[sweep]\nbetas = 0.5, wide", 4, "non-numeric value 'wide'"),
+        ("tau = soon", 3, "tau must be numeric, got 'soon'"),
+    ],
+    ids=["seed", "grid-n", "orders", "orders-range", "betas", "tau"],
+)
+def test_an_integer_key_asks_for_an_integer(tmp_path, capsys, text, line, message):
+    # a float given for an integer key used to read "must be numeric" or
+    # "non-numeric value", though it is a number
+    cfg = tmp_path / "word.cfg"
+    cfg.write_text(f"[study]\nkind = noise\n{text}\n")
+    assert_rejected(capsys, run_cli("study", "--config", str(cfg)), f"{cfg}:{line}: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "study, message",
+    [
+        ("tau = -1", "tau must be positive and finite, got -1.0"),
+        ("geometry = sphere", "geometry must be 'line' or 'polar'"),
+    ],
+    ids=["tau", "geometry"],
+)
+def test_a_config_fault_is_named_before_the_grid_it_completes(tmp_path, capsys, study, message):
+    # a partial [grid] completes the grid of the StudyConfig the other keys
+    # make, so that config's checks come first; a geometry that does not
+    # exist used to be named a polar grid's fault
+    cfg = tmp_path / "two.cfg"
+    cfg.write_text(f"[study]\nkind = noise\n{study}\n\n[grid]\nn = 1\n")
+    assert_rejected(capsys, run_cli("study", "--config", str(cfg)), f"{cfg}: {message}\n")
 
 
 def test_study_on_a_grid_too_wide_for_the_data_reports_overflow_rows(tmp_path, capsys):

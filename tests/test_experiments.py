@@ -62,7 +62,7 @@ def test_config_validation():
     "config",
     [
         StudyConfig(study_kind="audit"),
-        StudyConfig(study_kind="convergence", n_range=(0, 2), variants=("CD-A",), grid=GridGeom(-6.0, 6.0, 41)),
+        StudyConfig(study_kind="convergence", n_range=(0, 2), variants=("CD-A",)),
         StudyConfig(study_kind="beta_map", n_range=(2,), beta_range=(0.8,), variants=("CD-B",)),
         StudyConfig(study_kind="noise", geometry="polar", n_range=(0, 2), delta_range=(1e-3,),
                     grid=GridGeom(0.0, 6.0, 41)),
@@ -76,6 +76,40 @@ def test_metadata_records_every_config_field(config):
     report = run_study(config)
     missing = {f.name for f in dataclasses.fields(StudyConfig)} - set(report.metadata)
     assert not missing
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        (dict(study_kind="audit", geometry="polar", tau=9.0, variants=("PD-A",), beta_range=(0.1, 0.2), seed=5),
+         "an audit reads only constants_mode, got geometry = 'polar'"),
+        (dict(study_kind="audit", tau=9.0), "an audit reads only constants_mode, got tau = 9.0"),
+        (dict(study_kind="convergence", seed=3), "a convergence study reads no seed, deltas or [grid] key, got seed"),
+        (dict(study_kind="convergence", grid=GridGeom(-6.0, 6.0, 41)),
+         "a convergence study reads no seed, deltas or [grid] key, got grid"),
+        (dict(study_kind="beta_map", beta_range=(0.5,), delta_range=(0.0,)),
+         "a beta_map study reads no seed, deltas or [grid] key, got delta_range"),
+    ],
+    ids=["audit", "audit-tau", "convergence-seed", "convergence-grid", "beta-map-deltas"],
+)
+def test_a_study_config_rejects_a_field_its_kind_drops(config, message):
+    # the library used to run the study and echo the unread values in its
+    # metadata, as a config file did before it named the key
+    with pytest.raises(ValueError) as exc:
+        StudyConfig(**config)
+    assert str(exc.value).startswith(message)
+
+
+def test_a_dropped_field_at_its_default_passes():
+    # the geometry's study grid is the default of grid, so a copy of a
+    # config, as run_beta_map makes, passes
+    config = StudyConfig(study_kind="beta_map", geometry="polar", n_range=(0, 2), beta_range=(0.8,),
+                         variants=("PD-B",))
+    assert dataclasses.replace(config, n_range=(2,)).grid == GridGeom(0.0, 8.0, 401)
+    StudyConfig(study_kind="convergence", seed=20250808, delta_range=(0.0, 1e-3), grid=GridGeom(-8.0, 8.0, 401))
+    StudyConfig(study_kind="audit", constants_mode="paper_literal", profile=Gaussian(width_a=1.0))
+    report = run_beta_map(config)
+    assert [(r.variant, r.n, r.beta, r.status) for r in report.rows] == [("PD-B", 2, 0.8, "ok")]
 
 
 def test_audit_passes_in_oracle_mode():
