@@ -418,6 +418,14 @@ def _numbers(integer: bool):
     return lambda key, val, line_no, path: _parse_number_list(val, line_no, path, integer=integer)
 
 
+def _names(key, val, line_no, path):
+    """A comma-separated list of names; empty exits 2, as an empty number list."""
+    names = tuple(v.strip() for v in val.split(",") if v.strip())
+    if not names:
+        raise CliError(f"{path}:{line_no}: empty list")
+    return names
+
+
 _TEXT, _FLOAT = _reader(str), _reader(float, "{key} must be numeric, got {val!r}")
 _INT = _reader(int, "{key} must be an integer, got {val!r}")
 
@@ -430,7 +438,7 @@ _CONFIG_KEYS = (
     ("study", "tau", "tau", _FLOAT),
     ("study", "seed", "seed", _INT),
     ("study", "constants_mode", "constants_mode", _TEXT),
-    ("study", "variants", "variants", _reader(lambda val: tuple(v.strip() for v in val.split(",") if v.strip()))),
+    ("study", "variants", "variants", _names),
     ("grid", "lo", "lo", _FLOAT),
     ("grid", "hi", "hi", _FLOAT),
     ("grid", "n", "n", _INT),

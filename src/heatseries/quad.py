@@ -18,12 +18,14 @@ deliver relative accuracy past eps * int|f| / |I|; the floor term makes the
 engine converge to exactly the accuracy that is attainable.
 
 One exact level replaces refinement where the caller knows the integrand
-is a polynomial of at most some degree d between consecutive breakpoints
-(the moments of sampled data, which is linear between its nodes, against a
-polynomial basis): `integrate_vec(..., degree=d)` sums one level of the
-floor(d/2)+1-point rule on each panel between the breakpoints, which is
-exact for degree 2 floor(d/2) + 1 >= d, so the result is the integral up to
-rounding, with no error estimate to trust and no refinement.
+is a polynomial of at most some degree d between consecutive breakpoints:
+`integrate_vec(..., degree=d)` sums one level of the floor(d/2)+1-point
+rule on each panel between the breakpoints, which is exact for degree
+2 floor(d/2) + 1 >= d, so the result is the integral up to rounding, with
+no error estimate to trust and no refinement.  Its one caller is the
+plane's xi W_j moments of sampled data, which is linear between its nodes;
+the line's plain Hermite moments of sampled data need no quadrature at all
+(series_cartesian, in closed form).
 
 Every level, adaptive or exact, is evaluated by one block loop: each
 integrand call gets at most EXACT_BLOCK nodes, built from the panels that

@@ -22,6 +22,13 @@ truncated evaluation and divergence monitoring.  With s = tau + beta:
   data at 0 - the instability baseline that amplifies noise through
   high-order differentiation.
 
+Sampled data is linear between its nodes, so its plain moments (CD-A,
+CD-B, CI-A at order N; CD-C, CI-C at order 2N about each centre) come in
+closed form from the slope jumps and the end values, with no quadrature
+(`_sampled_moments`); the quadrature's exact level serves only the plane's
+xi W_j moments.  CI-B's Gaussian-weighted moments and analytic data take the
+adaptive quadrature.
+
 Every evaluation (`cd_eval`, `ci_eval`, `ci_classical`) returns the
 `variants.SeriesTerms` of the shared path: it sums in ascending order
 (reproducibility), stops early once three consecutive terms drop below
@@ -45,7 +52,7 @@ import math
 import numpy as np
 
 from .profiles import Gaussian, Mixture, Sampled1D, profile_support
-from .quad import TRUNCATION_RADIUS_SIGMAS, integrate_vec
+from .quad import EXACT_BLOCK, TRUNCATION_RADIUS_SIGMAS, integrate_vec
 from .specfun import KernelParams, hermite_batch
 from .variants import (
     AXIS,
@@ -87,17 +94,17 @@ def _hermite_moments(data, root: float, n: int, weight_root: float | None = None
 
     Plain form: int H_j((xi - center)/(2 root)) data(xi) dxi.
     weight_root b: the integrand additionally carries e^{-xi^2/(4b^2)}/(2b sqrt(pi)).
-    Plain moments of sampled data take one exact level: between its nodes
-    the data is linear, so the integrand is a polynomial of degree n + 1.
+    Plain moments of sampled data come in closed form (`_sampled_moments`);
+    every other moment takes the adaptive quadrature.
     """
     if n < 0:
         raise ValueError("order must be non-negative")
+    sampled = isinstance(data, Sampled1D)
+    if sampled and weight_root is None:
+        return _sampled_moments(data, root, n, center)
     lo, hi = _moment_window(data, weight_root)
     if lo >= hi:
         return np.zeros(n + 1)
-    sampled = isinstance(data, Sampled1D)
-    breakpoints = data.nodes if sampled else None
-    degree = n + 1 if sampled and weight_root is None else None
 
     def integrand(xi):
         vals = hermite_batch(n, (xi - center) / (2.0 * root))
@@ -109,8 +116,45 @@ def _hermite_moments(data, root: float, n: int, weight_root: float | None = None
                 )
         return vals
 
-    vals, _ = integrate_vec(integrand, lo, hi, breakpoints=breakpoints, degree=degree)
+    vals, _ = integrate_vec(integrand, lo, hi, breakpoints=data.nodes if sampled else None)
     return vals
+
+
+def _sampled_moments(data: Sampled1D, root: float, n: int, center: float) -> np.ndarray:
+    """The plain moments M_k, k = 0..n, of sampled data, exact for its
+    piecewise-linear interpolant up to rounding.  With y = (xi - center)/(2R)
+    and int H_k dxi = R H_{k+1}/(k+1), integrating by parts twice leaves
+
+        M_k = R^2/((k+1)(k+2)) sum_i w_i H_{k+2}(y_i)
+              + R/(k+1) [f_m H_{k+1}(y_m) - f_0 H_{k+1}(y_0)],
+
+    w = [s_0, diff(s), -s_{m-1}] the slope jumps, s = diff(f)/diff(nodes) at
+    the true node spacing.  The jumps of noisy data cancel massively in the
+    sum, so the rows and the sums run in np.longdouble, in blocks of at most
+    EXACT_BLOCK nodes added in ascending order; OverflowError when a moment
+    does not fit in float64.
+    """
+    ld = np.longdouble
+    r = ld(root)
+    nodes, vals = data.nodes, data.values.astype(ld)
+    y = (nodes.astype(ld) - center) / (2 * r)
+    total = np.zeros(n + 1, dtype=ld)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # a non-finite moment raises below
+        jumps = np.diff(np.diff(vals) / np.diff(nodes), prepend=0.0, append=0.0)
+        for start in range(0, y.size, EXACT_BLOCK):
+            rows = hermite_batch(n + 2, y[start : start + EXACT_BLOCK])
+            # np.dot: numpy's np.longdouble matmul loop is 2.5 times slower
+            total += np.dot(rows[2:], jumps[start : start + EXACT_BLOCK])
+            if start == 0:
+                first = rows[1 : n + 2, 0].copy()  # H_{k+1}(y_0); a view would keep the block alive
+            last = rows[1 : n + 2, -1].copy()
+            del rows  # freed before the next block is evaluated
+        k1 = np.arange(1, n + 2, dtype=ld)  # k + 1
+        moments = (r * r / (k1 * (k1 + 1))) * total + (r / k1) * (vals[-1] * last - vals[0] * first)
+        out = moments.astype(float)
+    if not np.all(np.isfinite(out)):
+        raise OverflowError(f"moments of the sampled data are not finite about {center}")
+    return out
 
 
 def _centres(x: np.ndarray, root: float, n: int) -> np.ndarray:

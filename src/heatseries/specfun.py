@@ -68,7 +68,9 @@ def hermite_batch(n: int, z):
     """H_0(z) .. H_n(z) by the forward recurrence H_{j+1} = 2z H_j - 2j H_{j-1}.
 
     z may be a scalar or an ndarray; the result has shape (n+1,) + z.shape.
-    Raises OverflowError instead of returning infinities.
+    Raises OverflowError instead of returning infinities.  A np.longdouble z
+    is evaluated in that precision (the closed-form moments of sampled
+    data); any other real z in float64.
 
     Each row is written in place into the result, in the operation order of
     (2z) H_j - (2j) H_{j-1}, so the values are those of the plain expression
@@ -79,8 +81,9 @@ def hermite_batch(n: int, z):
     """
     if n < 0:
         raise ValueError("order must be non-negative")
-    z = np.asarray(z, dtype=float)
-    out = np.empty((n + 1,) + z.shape)
+    z = np.asarray(z)
+    z = z.astype(np.result_type(z.dtype, float), copy=False)  # np.longdouble stays extended
+    out = np.empty((n + 1,) + z.shape, dtype=z.dtype)
     rows = out.reshape(n + 1, z.size)  # a view: scalar and 0-d z give one column
     rows[0] = 1.0
     with np.errstate(over="ignore", invalid="ignore"):

@@ -7,8 +7,8 @@ Neumann's addition theorem for I0 (plane, about the origin, in extended
 precision).  This file keeps the per-point quadrature route the library used
 before as a reference, checks the identities behind the recombination,
 checks that it is as accurate as that route up to six moment scales from the
-centre, and pins its cost: one quadrature per grid in the plane, one per
-lattice centre on the line.
+centre, and pins its cost: one quadrature per grid in the plane, one
+closed-form pass of sampled data per lattice centre on the line.
 """
 
 import math
@@ -263,16 +263,18 @@ def test_grid_coefficients_are_the_pointwise_ones(variant):
 
 @pytest.mark.parametrize("variant", C_VARIANTS)
 def test_one_quadrature_per_grid(monkeypatch, variant):
-    # a C grid solve integrates as many rows per quadrature as its A sibling
+    # a C grid solve takes as many moment rows per pass as its A sibling
     # (line: the 2N+1 moments it takes at order 2N), whatever the grid;
-    # the plane makes one quadrature per grid, the line one per lattice
-    # centre, at most one per 12 R / sqrt(N) of the grid's extent
+    # the plane makes one quadrature per grid, the line one closed-form pass
+    # of its sampled data per lattice centre (no quadrature), at most one
+    # per 12 R / sqrt(N) of the grid's extent
     module, solve, _, _ = _solver(variant)
-    calls = []
+    line = VARIANTS[variant].geometry == "line"
+    quadratures, closed_forms = [], []
 
     def counting(f, *args, **kwargs):
         rows = set()
-        calls.append(rows)
+        quadratures.append(rows)
 
         def wrapped(xi):
             out = f(xi)
@@ -281,17 +283,24 @@ def test_one_quadrature_per_grid(monkeypatch, variant):
 
         return integrate_vec(wrapped, *args, **kwargs)
 
+    def closed_form(data, root, n, center, original=sc._sampled_moments):
+        closed_forms.append({n + 1})
+        return original(data, root, n, center)
+
     monkeypatch.setattr(module, "integrate_vec", counting)
+    monkeypatch.setattr(sc, "_sampled_moments", closed_form)
     data, params, _, _, xs = _case(variant, "sampled")
     n = 12
 
     def count(name, grid, order=n):
-        calls.clear()
+        quadratures.clear()
+        closed_forms.clear()
         solve(name, data, params.tau, params.beta, order, grid)
-        return len(calls), set().union(*calls)
+        passes = closed_forms if line else quadratures
+        assert (quadratures if line else closed_forms) == []
+        return len(passes), set().union(*passes)
 
     one, seven = count(variant, xs[:1]), count(variant, xs[:7])
-    line = VARIANTS[variant].geometry == "line"
     sibling = count(SIBLING[variant], xs[:1], 2 * n if line else n)
     assert one == (1, sibling[1])
     assert seven[1] == sibling[1]

@@ -278,6 +278,22 @@ def test_study_rejects_negative_orders_and_bad_deltas(tmp_path, capsys, kind, sw
     assert_rejected(capsys, run_cli("study", "--config", str(cfg)), str(cfg), fragment)
 
 
+@pytest.mark.parametrize("value", [" ,", ""], ids=["comma", "blank"])
+@pytest.mark.parametrize(
+    "text, line_no",
+    [
+        ("[study]\nkind = noise\nvariants ={value}\n\n[sweep]\norders = 0:4:2\n", 3),
+        ("[study]\nkind = noise\n\n[sweep]\norders = 0:4:2\ndeltas ={value}\n", 6),
+    ],
+    ids=["variants", "deltas"],
+)
+def test_study_rejects_an_empty_variant_or_delta_list(tmp_path, capsys, text, line_no, value):
+    # an empty variants list used to run the study kind's default variants
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text.format(value=value))
+    assert_rejected(capsys, run_cli("study", "--config", str(cfg)), f"{cfg}:{line_no}: empty list")
+
+
 @pytest.mark.parametrize(
     "study, sweep, fragment",
     [

@@ -1,17 +1,20 @@
-"""Moments of sampled data from one exact Gauss-Legendre level.
+"""Moments of sampled data, exact for its piecewise-linear interpolant.
 
-Sampled data is linear between its nodes, so every moment integrand is a
-polynomial on each panel between them: degree k + 1 for the Hermite moments
-(2n + 1 for the line C moments, taken at order 2n), 2j + 2 for the radial
-xi W_j moments.  The exact level must give the integral of the interpolant
+Sampled data is linear between its nodes.  The plain Hermite moments of the
+line (order k <= n; the line C moments at order 2n) come in closed form from
+the slope jumps and the end values (`series_cartesian._sampled_moments`),
+with no quadrature.  The radial xi W_j moments take one exact Gauss-Legendre
+level: their integrand is a polynomial of degree 2j + 2 on each panel
+between the nodes.  Either route must give the integral of the interpolant
 up to rounding: within C_EXACT eps int|f_k| of a 30-digit mpmath integral,
-and within the adaptive engine's own tolerance of that engine at
-REL_TOL = 1e-13.  CI-B's Gaussian-weighted moments and the analytic inputs
-stay adaptive.
+smooth or noisy data alike, and within the adaptive engine's own tolerance
+of that engine at REL_TOL = 1e-13.  CI-B's Gaussian-weighted moments and the
+analytic inputs stay adaptive.
 """
 
 import functools
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -24,11 +27,13 @@ from references import quad_settings
 
 EPS = float(np.finfo(float).eps)
 # measured: at most 1.9 (Hermite, k <= 80, both centres), 1.8 (xi W_j,
-# float64) and 0.7 (xi W_j, longdouble: the rule stays float64) eps int|f_k|
+# float64) and 0.7 (xi W_j, longdouble: the rule stays float64) eps int|f_k|;
+# the closed-form Hermite moments of the noisy files below reach 2.0
 C_EXACT = 8.0
 
 LINE_NODES = np.linspace(-8.0, 8.0, 97)
-LINE = Sampled1D(-8.0, 8.0, Mixture((Gaussian(0.9, -0.5, 1.0), Gaussian(1.4, 0.7, 0.7)))(LINE_NODES))
+LINE_MIX = Mixture((Gaussian(0.9, -0.5, 1.0), Gaussian(1.4, 0.7, 0.7)))
+LINE = Sampled1D(-8.0, 8.0, LINE_MIX(LINE_NODES))
 POLAR_NODES = np.linspace(0.0, 8.0, 33)
 POLAR = Sampled1D(0.0, 8.0, np.exp(-POLAR_NODES ** 2 / 4.0))
 ROOT_LINE, ROOT_POLAR = 1.1, 0.9
@@ -118,6 +123,40 @@ def test_hermite_moments_are_the_interpolants_up_to_rounding(center):
     assert np.all(np.abs(exact - ref) <= C_EXACT * EPS * l1)
 
 
+NOISY = {
+    # the evolved Gaussian of the README's inverse example, and the README
+    # mixture, with noise: the slope jumps are noise over the spacing, and
+    # they cancel in every moment
+    "gauss-1601-1e-3": Sampled1D.from_function(Gaussian(1.3, 0.0, math.sqrt(1.0 / 1.3)), -10.0, 10.0, 1601)
+    .with_noise(1e-3, np.random.default_rng(1)),
+    "mix-481-1e-2": Sampled1D.from_function(LINE_MIX, -12.0, 12.0, 481).with_noise(1e-2, np.random.default_rng(1)),
+}
+ROOT_NOISY = 1.1456
+
+
+@pytest.mark.parametrize("center", [0.0, 2.17, -2.17])
+@pytest.mark.parametrize("data", sorted(NOISY))
+def test_hermite_moments_of_noisy_data_are_the_interpolants_up_to_rounding(data, center):
+    data, n = NOISY[data], 80
+    exact = series_cartesian._hermite_moments(data, ROOT_NOISY, n, center=center)
+    ref = mp_hermite_moments(data, ROOT_NOISY, center, n)
+    l1 = l1_norms(hermite_integrand(data, ROOT_NOISY, center, n), data.lo, data.hi, data.nodes)
+    assert np.all(np.abs(exact - ref) <= C_EXACT * EPS * l1)
+
+
+def test_moments_finite_in_longdouble_only_raise_overflow_without_a_warning():
+    # one hat of height 1 and half-width h = 5e297 on a 2e300-wide window:
+    # M_0 = h fits in float64, M_2 = h^3/(6 R^2) - 2h ~ 2e892 only in
+    # np.longdouble (up to 1e4932), where the rows and sums stay finite
+    wide = Sampled1D.from_function(Gaussian(1.3), -1e300, 1e300, 401)
+    h = wide.nodes[201] - wide.nodes[200]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert series_cartesian._hermite_moments(wide, 1.0, 0) == pytest.approx([h], rel=1e-12)
+        with pytest.raises(OverflowError, match="not finite"):
+            series_cartesian._hermite_moments(wide, 1.0, 2)
+
+
 @pytest.mark.parametrize("dtype", [float, np.longdouble])
 def test_radial_moments_are_the_interpolants_up_to_rounding(dtype):
     n = 40
@@ -153,7 +192,7 @@ def test_radial_moments_match_the_adaptive_engine():
     assert np.all(np.abs(exact - adaptive) <= np.maximum(1e-13 * np.abs(adaptive), 32.0 * EPS * l1))
 
 
-# --- which passes take the exact level ------------------------------------------
+# --- which passes take the closed form or the exact level ----------------------
 
 def degrees_passed(module, call):
     """The degree each integrate_vec call of a solve was given."""
@@ -172,16 +211,38 @@ def degrees_passed(module, call):
     return seen
 
 
+def closed_form_rows(call):
+    """The row count (order + 1) of each closed-form moment pass of a solve."""
+    seen = []
+    original = series_cartesian._sampled_moments
+
+    def spy(data, root, n, center):
+        seen.append(n + 1)
+        return original(data, root, n, center)
+
+    series_cartesian._sampled_moments = spy
+    try:
+        call()
+    finally:
+        series_cartesian._sampled_moments = original
+    return seen
+
+
 PARAMS = KernelParams(tau=0.3, beta=0.9)
 
 
-@pytest.mark.parametrize("variant, degree", [("CD-A", 13), ("CI-A", 13), ("CI-B", None), ("CD-C", 25)])
-def test_line_moment_passes_take_the_exact_level_except_ci_b(variant, degree):
+@pytest.mark.parametrize("variant, rows", [("CD-A", 13), ("CI-A", 13), ("CI-B", None), ("CD-C", 25)])
+def test_line_moment_passes_take_the_exact_level_except_ci_b(variant, rows):
+    # the line's exact level is the closed form: one pass of n + 1 rows
+    # (line C: the 2n + 1 of its order-2n moments) and no quadrature; CI-B's
+    # Gaussian-weighted moments and analytic data take the adaptive engine
     coeffs = series_cartesian.cd_coeffs if variant.startswith("CD") else series_cartesian.ci_coeffs
-    seen = degrees_passed(series_cartesian, lambda: coeffs(variant, LINE, PARAMS, 12, 0.0))
-    assert seen == [degree]  # line C: the 2n + 1 of its order-2n moments
-    analytic = degrees_passed(series_cartesian, lambda: coeffs(variant, Gaussian(1.0), PARAMS, 12, 0.0))
-    assert analytic == [None]
+    sampled = lambda: coeffs(variant, LINE, PARAMS, 12, 0.0)  # noqa: E731
+    assert closed_form_rows(sampled) == ([] if rows is None else [rows])
+    assert degrees_passed(series_cartesian, sampled) == ([None] if rows is None else [])
+    analytic = lambda: coeffs(variant, Gaussian(1.0), PARAMS, 12, 0.0)  # noqa: E731
+    assert closed_form_rows(analytic) == []
+    assert degrees_passed(series_cartesian, analytic) == [None]
 
 
 @pytest.mark.parametrize("variant", ["PD-A", "PI-B", "PD-C"])

@@ -32,8 +32,9 @@ def _old_check_finite(out, what, order, z):
 
 
 def old_hermite_batch(n, z):
-    z = np.asarray(z, dtype=float)
-    out = np.empty((n + 1,) + z.shape)
+    z = np.asarray(z)
+    z = z.astype(np.result_type(z.dtype, float), copy=False)
+    out = np.empty((n + 1,) + z.shape, dtype=z.dtype)
     out[0] = 1.0
     with np.errstate(over="ignore", invalid="ignore"):
         if n >= 1:
@@ -161,8 +162,18 @@ def test_w_poly_batch_is_the_allocating_recurrence(n, arg, dtype):
     assert bitwise_equal(new, old)
 
 
+@pytest.mark.parametrize("n", ORDERS)
+@pytest.mark.parametrize("arg", sorted(ARGS))
+def test_hermite_batch_keeps_a_longdouble_argument(n, arg):
+    z = np.asarray(ARGS[arg], dtype=np.longdouble)
+    new = specfun.hermite_batch(n, z)
+    assert new.dtype == np.longdouble
+    assert bitwise_equal(new, old_hermite_batch(n, z))
+
+
 def test_scalar_arguments_keep_their_shape():
     assert specfun.hermite_batch(5, 0.3).shape == (6,)
+    assert specfun.hermite_batch(5, np.longdouble(0.3)).dtype == np.longdouble
     assert specfun.w_poly_batch(5, np.longdouble(0.3)).dtype == np.longdouble
     assert specfun.w_poly_batch(5, 0.3).shape == (6,)
 
@@ -248,21 +259,27 @@ NODES = np.concatenate([np.linspace(-14.0, 14.0, 3001), [0.0, 1e-300, -7.25]])
 @pytest.mark.parametrize("weighted", [False, True])
 @pytest.mark.parametrize("center", [0.0, 1.7])
 @pytest.mark.parametrize("data", sorted(LINE_DATA))
-def test_hermite_moment_integrand_is_the_allocating_one(data, center, weighted):
+def test_hermite_moment_integrand_is_the_allocating_one(monkeypatch, data, center, weighted):
     f, root, n = LINE_DATA[data], 1.1, 80
     weight_root = 0.8 if weighted else None
-    (integrand,), moments = captured_integrands(
+    integrands, moments = captured_integrands(
         series_cartesian,
         lambda: series_cartesian._hermite_moments(f, root, n, weight_root, center),
     )
-    assert bitwise_equal(integrand(NODES), old_hermite_integrand(f, root, n, center, weight_root)(NODES))
     sampled = isinstance(f, Sampled1D)
+    if sampled and not weighted:
+        # plain moments of sampled data: the closed form, no integrand; its
+        # longdouble rows are the allocating recurrence's bit for bit
+        assert integrands == []
+        monkeypatch.setattr(series_cartesian, "hermite_batch", old_hermite_batch)
+        assert bitwise_equal(moments, series_cartesian._hermite_moments(f, root, n, weight_root, center))
+        return
+    (integrand,) = integrands
+    assert bitwise_equal(integrand(NODES), old_hermite_integrand(f, root, n, center, weight_root)(NODES))
     ref, _ = quad.integrate_vec(
         old_hermite_integrand(f, root, n, center, weight_root),
         *series_cartesian._moment_window(f, weight_root),
         breakpoints=f.nodes if sampled else None,
-        # plain moments of sampled data: one exact level for degree n + 1
-        degree=n + 1 if sampled and weight_root is None else None,
     )
     assert bitwise_equal(moments, ref)
 

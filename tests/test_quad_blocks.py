@@ -8,7 +8,8 @@ levels fit in one block must give its values and error estimate bit for bit
 contiguous part).  A level above the block size adds its blocks' sums in
 node order instead: the same acceptance level, and every component within
 4 eps int|f| of the reference.  Integrand memory no longer grows with the
-sample count, which the tracemalloc bounds at the end pin.
+sample count, which the tracemalloc bounds at the end pin, as they pin the
+blocks of the closed-form line moments of sampled data.
 """
 
 import functools
@@ -338,12 +339,20 @@ def traced_peak(call) -> int:
     [
         lambda: series_cartesian.ci_coeffs("CI-B", BIG_FILE, KernelParams(tau=0.3, beta=1.0), 40),
         lambda: kernels.forward_line(BIG_FILE, 0.5, np.linspace(-3.0, 3.0, 121)),
+        lambda: series_cartesian.cd_coeffs("CD-C", BIG_FILE, KernelParams(tau=0.3, beta=1.0), 40, 0.0),
     ],
-    ids=["CI-B-moments-N40", "oracle-line-121"],
+    ids=["CI-B-moments-N40", "oracle-line-121", "CD-C-moments-N40"],
 )
 def test_a_16001_node_pass_peaks_below_32_mib(call):
     assert traced_peak(call) < 32 * MIB
 
+
+def test_the_closed_form_moments_hold_one_block_of_rows():
+    # CD-C's order-80 moments of BIG_FILE: 83 longdouble Hermite rows are
+    # 5.4 MB per block of EXACT_BLOCK nodes and 21 MB for all 16 001 nodes
+    params = KernelParams(tau=0.3, beta=1.0)
+    peak = traced_peak(lambda: series_cartesian.cd_coeffs("CD-C", BIG_FILE, params, 40, 0.0))
+    assert peak < 83 * quad.EXACT_BLOCK * np.dtype(np.longdouble).itemsize + 4 * MIB
 
 
 def test_the_engine_never_holds_a_whole_level():
