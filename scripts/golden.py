@@ -7,8 +7,9 @@ in-process and record the stdout, stderr and exit code of each command.
 The list holds the perfbench commands; forward/inverse of every series
 variant, CI-classical and both oracles in both constants modes, as CSV and
 JSON, on analytic, evolved and sampled data (CI-B and both oracles also on
-16 001-node files, whose quadrature levels span many integrand blocks);
-overflow (exit 3) and
+16 001-node files: the polar oracle's quadrature levels span many
+integrand blocks, and the closed forms of CI-B and the line oracle many
+node blocks); overflow (exit 3) and
 configuration (exit 2) cases; `validate` in both modes; study configs of
 every kind, the shipped ones included; and malformed study configs and
 study flags (exit 2).

@@ -90,12 +90,40 @@ def _render_csv(metadata: dict, header: list, rows: list, row_format: str | None
     return "\n".join(lines) + "\n"
 
 
+def _json_value(value, indent: str) -> str:
+    """json.dumps(value, indent=2, sort_keys=True) as it reads nested at indent."""
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent)
+
+
+def _json_column(values: tuple) -> list:
+    """The JSON text of each value of one row column (_json_value at a row's
+    indent); a column of finite floats, of bools or of ints in one pass
+    without json.dumps."""
+    kinds = set(map(type, values))
+    if kinds == {float} and all(map(math.isfinite, values)):
+        return list(map(float.__repr__, values))
+    if kinds == {bool}:
+        return [("false", "true")[v] for v in values]
+    if kinds == {int}:
+        return list(map(int.__repr__, values))
+    return [_json_value(v, "      ") for v in values]
+
+
 def _render_json(metadata: dict, header: list, rows: list) -> str:
-    payload = {
-        "metadata": metadata,
-        "rows": [dict(zip(header, row)) for row in rows],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """json.dumps({"metadata": metadata, "rows": [dict(zip(header, row)), ...]},
+    indent=2, sort_keys=True) byte for byte, the rows from one template."""
+    column = {key: i for i, key in enumerate(header)}  # a repeated key keeps its last value
+    keys = sorted(column)
+    if not rows:
+        body = "[]"
+    elif not keys:
+        body = "[\n" + ",\n".join("    {}" for _ in rows) + "\n  ]"
+    else:
+        template = "    {\n" + ",\n".join(f"      {json.dumps(key)}: %s" for key in keys) + "\n    }"
+        columns = list(zip(*rows))
+        texts = zip(*(_json_column(columns[column[key]]) for key in keys))
+        body = "[\n" + ",\n".join(template % values for values in texts) + "\n  ]"
+    return '{\n  "metadata": ' + _json_value(metadata, "  ") + ',\n  "rows": ' + body + "\n}\n"
 
 
 def _emit(args, metadata: dict, header: list, rows: list, row_format: str | None = None) -> None:

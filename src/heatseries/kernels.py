@@ -5,6 +5,11 @@ polar coordinates, applied by direct quadrature, are the oracles every
 series formula in this package is audited against.  Gaussian data also has
 exact closed-form evolutions (complete the square in the convolution), and
 the quadrature path must agree with them.
+
+Sampled data on the line is linear between its nodes, so its convolution
+with the Gaussian kernel comes in closed form from the slope jumps, erfc and
+ierfc (`_sampled_line`), with no quadrature.  Analytic data, and sampled data
+in the plane, keep the quadrature.
 """
 
 from __future__ import annotations
@@ -21,8 +26,8 @@ from .profiles import (
     Sampled1D,
     profile_support,
 )
-from .quad import TRUNCATION_RADIUS_SIGMAS, integrate_vec
-from .specfun import scaled_polar_kernel
+from .quad import EXACT_BLOCK, TRUNCATION_RADIUS_SIGMAS, integrate_vec
+from .specfun import erfc, ierfc, scaled_polar_kernel
 
 __all__ = [
     "evolve_line",
@@ -30,6 +35,8 @@ __all__ = [
     "forward_line",
     "forward_polar",
 ]
+
+_CACHE_BLOCK = 1 << 15  # kernel values per closed-form block: its arrays stay in cache
 
 
 def _breakpoints(data) -> np.ndarray | None:
@@ -89,15 +96,58 @@ def _line_window(data, xs: np.ndarray, tau: float) -> tuple[float, float]:
     return lo, hi
 
 
+def _sampled_line(data: Sampled1D, tau: float, x: np.ndarray) -> np.ndarray:
+    """The line oracle on sampled data, exact for its piecewise-linear
+    interpolant f^ up to rounding.  The kernel's second antiderivative in xi
+    is sqrt(tau) (|z| + ierfc|z|), z = (xi - x)/(2 sqrt(tau)); integrating by
+    parts twice against it, the |z| part sums to f^(x) exactly and leaves
+
+        u(x) = f^(x) + sqrt(tau) sum_i w_i ierfc|z_i| + e(x),
+
+    w = [s_0, diff(s), -s_{m-1}] the slope jumps, s = diff(f)/diff(nodes) at
+    the true node spacing.  The end term e is -(f_0 erfc|z_0| +
+    f_m erfc|z_m|)/2 for xi_0 <= x <= xi_m, (f_0 erfc z_0 - f_m erfc z_m)/2
+    left of the data and its mirror right of it.  Every term decays like
+    e^{-z^2}, so nothing cancels far from the data.  The nodes go in blocks
+    of at most EXACT_BLOCK, added in ascending order; OverflowError when a
+    value is not finite.  A block holds about _CACHE_BLOCK kernel values:
+    at 121 points, blocks of 256 nodes run 2.5 times faster than blocks of
+    EXACT_BLOCK (x86-64, numpy 2.4).
+    """
+    nodes, vals = data.nodes, data.values
+    scale = 2.0 * math.sqrt(tau)
+    step = min(EXACT_BLOCK, max(1, _CACHE_BLOCK // max(x.size, 1)))
+    total = np.zeros_like(x)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value raises below
+        jumps = np.diff(np.diff(vals) / np.diff(nodes), prepend=0.0, append=0.0)
+        for start in range(0, nodes.size, step):
+            z = np.subtract(nodes[None, start : start + step], x[:, None])
+            np.abs(z, out=z)
+            z /= scale
+            total += ierfc(z) @ jumps[start : start + step]
+            del z  # freed before the next block
+        first, last = (nodes[0] - x) / scale, (nodes[-1] - x) / scale
+        ends = np.where(first > 0.0, vals[0], -vals[0]) * erfc(np.abs(first))
+        ends += np.where(last < 0.0, vals[-1], -vals[-1]) * erfc(np.abs(last))
+        out = data(x) + math.sqrt(tau) * total + 0.5 * ends
+    if not np.all(np.isfinite(out)):
+        raise OverflowError(f"line oracle of the sampled data is not finite at tau = {tau}")
+    return out
+
+
 def forward_line(data, tau: float, x):
     """Solution of the forward problem on the line at time tau, point(s) x.
 
-    Quadrature of the Gaussian kernel against the data; sampled inputs are
-    zero-extended and linearly interpolated.
+    Quadrature of the Gaussian kernel against analytic data; sampled inputs
+    are zero-extended and linearly interpolated, and take the closed form
+    (`_sampled_line`).
     """
     if not (tau > 0.0):
         raise ValueError(f"tau must be positive, got {tau}")
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+    if isinstance(data, Sampled1D):
+        vals = _sampled_line(data, tau, x_arr)
+        return float(vals[0]) if np.ndim(x) == 0 else vals
     lo, hi = _line_window(data, x_arr, tau)
     if lo >= hi:
         out = np.zeros_like(x_arr)

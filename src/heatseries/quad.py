@@ -24,8 +24,9 @@ rule on each panel between the breakpoints, which is exact for degree
 2 floor(d/2) + 1 >= d, so the result is the integral up to rounding, with
 no error estimate to trust and no refinement.  Its one caller is the
 plane's xi W_j moments of sampled data, which is linear between its nodes;
-the line's plain Hermite moments of sampled data need no quadrature at all
-(series_cartesian, in closed form).
+on the line, sampled data needs no quadrature at all: its moments, plain
+and Gaussian-weighted (series_cartesian), and its kernel integral
+(kernels) come in closed form.
 
 Every level, adaptive or exact, is evaluated by one block loop: each
 integrand call gets at most EXACT_BLOCK nodes, built from the panels that
@@ -125,12 +126,17 @@ def _owned(vals: np.ndarray) -> bool:
 
 def _sums(vals: np.ndarray, weights: np.ndarray, writable: bool, magnitudes: bool = True) -> tuple:
     """The weighted sum of vals and, with magnitudes, of |vals|, taken in
-    place when writable.  Not-finite sums are left to the caller."""
+    place when writable.  Not-finite sums are left to the caller.
+
+    np.longdouble values take np.dot, which gives the bits of numpy's
+    longdouble matmul loop in under half its time; float64 keeps matmul,
+    whose bits np.dot does not give for every layout."""
+    dot = np.dot if vals.dtype == np.longdouble else np.matmul
     with np.errstate(over="ignore", invalid="ignore"):
-        total = vals @ weights
+        total = dot(vals, weights)
         if not magnitudes:
             return (total,)
-        return total, np.abs(vals, out=vals if writable else None) @ weights
+        return total, dot(np.abs(vals, out=vals if writable else None), weights)
 
 
 def _block_sums(f, edges: np.ndarray, rule, magnitudes: bool = True) -> tuple:

@@ -22,12 +22,13 @@ truncated evaluation and divergence monitoring.  With s = tau + beta:
   data at 0 - the instability baseline that amplifies noise through
   high-order differentiation.
 
-Sampled data is linear between its nodes, so its plain moments (CD-A,
-CD-B, CI-A at order N; CD-C, CI-C at order 2N about each centre) come in
-closed form from the slope jumps and the end values, with no quadrature
-(`_sampled_moments`); the quadrature's exact level serves only the plane's
-xi W_j moments.  CI-B's Gaussian-weighted moments and analytic data take the
-adaptive quadrature.
+Sampled data is linear between its nodes, so its moments come in closed
+form from the slope jumps and the end values, with no quadrature: the plain
+ones (CD-A, CD-B, CI-A at order N; CD-C, CI-C at order 2N about each centre)
+from Hermite rows (`_sampled_moments`), CI-B's Gaussian-weighted ones from
+the Hermite functions H_k e^{-y^2} extended by erf and ierfc
+(`_sampled_weighted_moments`).  Analytic data takes the adaptive
+quadrature.
 
 Every evaluation (`cd_eval`, `ci_eval`, `ci_classical`) returns the
 `variants.SeriesTerms` of the shared path: it sums in ascending order
@@ -53,7 +54,7 @@ import numpy as np
 
 from .profiles import Gaussian, Mixture, Sampled1D, profile_support
 from .quad import EXACT_BLOCK, TRUNCATION_RADIUS_SIGMAS, integrate_vec
-from .specfun import KernelParams, hermite_batch
+from .specfun import KernelParams, erfc, hermite_batch, ierfc
 from .variants import (
     AXIS,
     CLASSICAL,
@@ -94,14 +95,18 @@ def _hermite_moments(data, root: float, n: int, weight_root: float | None = None
 
     Plain form: int H_j((xi - center)/(2 root)) data(xi) dxi.
     weight_root b: the integrand additionally carries e^{-xi^2/(4b^2)}/(2b sqrt(pi)).
-    Plain moments of sampled data come in closed form (`_sampled_moments`);
-    every other moment takes the adaptive quadrature.
+    Sampled data takes the closed forms: the plain moments
+    (`_sampled_moments`), and CI-B's weighted ones, at b = root about 0
+    (`_sampled_weighted_moments`).  Every other moment takes the adaptive
+    quadrature.
     """
     if n < 0:
         raise ValueError("order must be non-negative")
     sampled = isinstance(data, Sampled1D)
     if sampled and weight_root is None:
         return _sampled_moments(data, root, n, center)
+    if sampled and weight_root == root and center == 0.0:
+        return _sampled_weighted_moments(data, root, n)
     lo, hi = _moment_window(data, weight_root)
     if lo >= hi:
         return np.zeros(n + 1)
@@ -154,6 +159,63 @@ def _sampled_moments(data: Sampled1D, root: float, n: int, center: float) -> np.
         out = moments.astype(float)
     if not np.all(np.isfinite(out)):
         raise OverflowError(f"moments of the sampled data are not finite about {center}")
+    return out
+
+
+_TWO_OVER_SQRT_PI = 2 / np.sqrt(np.longdouble("3.14159265358979323846264338327950288"))
+
+
+def _weighted_rows(n: int, y: np.ndarray) -> np.ndarray:
+    """r_{-2} .. r_{n-1} at the np.longdouble y, r_k = 2 H_k(y) e^{-y^2}/sqrt(pi)
+    (k >= 0), r_{-1} = -erf y and r_{-2} = |y| + ierfc|y|, so that each is
+    the antiderivative of -r_{k+1}.  erf and ierfc come from float64 erfc in
+    the forms that decay with |y|, so only their decaying parts carry its
+    rounding."""
+    rows = np.empty((n + 2, y.size), dtype=y.dtype)
+    mag = np.abs(y)
+    with np.errstate(over="ignore"):  # |y| past float64: erfc and ierfc are 0
+        far = mag.astype(float)
+    rows[0] = mag + ierfc(far)
+    rows[1] = np.sign(y) * (erfc(far) - 1.0)
+    if n >= 1:
+        rows[2:] = hermite_batch(n - 1, y, weight=_TWO_OVER_SQRT_PI * np.exp(-y * y))
+    return rows
+
+
+def _sampled_weighted_moments(data: Sampled1D, root: float, n: int) -> np.ndarray:
+    """CI-B's moments M_k = int H_k(y) e^{-y^2} data(xi) dxi/(2b sqrt(pi)),
+    y = xi/(2b), b = root, k = 0..n, exact for the piecewise-linear
+    interpolant up to rounding.  With r_k = 2 phi_k/sqrt(pi), phi_k =
+    H_k e^{-y^2} from phi_{k+1} = 2y phi_k - 2k phi_{k-1} (bounded, and an
+    exact 0 where e^{-y^2} underflows), extended downward by r_{-1} = -erf y
+    and r_{-2} = |y| + ierfc|y| (`_weighted_rows`), integrating by parts
+    twice leaves
+
+        M_k = b sum_i w_i r_{k-2}(y_i) - [f_m r_{k-1}(y_m) - f_0 r_{k-1}(y_0)]/2,
+
+    w the slope jumps at the true node spacing (as `_sampled_moments`).
+    M_0 is the line oracle at x = 0 and tau = b^2.  The rows and the sums run
+    in np.longdouble, in blocks of at most EXACT_BLOCK nodes added in
+    ascending order; OverflowError when a moment does not fit in float64.
+    """
+    ld = np.longdouble
+    b = ld(root)
+    nodes, vals = data.nodes, data.values.astype(ld)
+    y = nodes.astype(ld) / (2 * b)
+    total = np.zeros(n + 1, dtype=ld)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # a non-finite moment raises below
+        jumps = np.diff(np.diff(vals) / np.diff(nodes), prepend=0.0, append=0.0)
+        for start in range(0, y.size, EXACT_BLOCK):
+            rows = _weighted_rows(n, y[start : start + EXACT_BLOCK])
+            total += np.dot(rows[: n + 1], jumps[start : start + EXACT_BLOCK])
+            if start == 0:
+                first = rows[1:, 0].copy()  # r_{k-1}(y_0); a view would keep the block alive
+            last = rows[1:, -1].copy()
+            del rows  # freed before the next block is evaluated
+        moments = b * total - (vals[-1] * last - vals[0] * first) / 2
+        out = moments.astype(float)
+    if not np.all(np.isfinite(out)):
+        raise OverflowError("weighted moments of the sampled data are not finite")
     return out
 
 

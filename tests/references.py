@@ -2,9 +2,10 @@
 
 None of these is on a solve path of the package, so they live with the
 tests: a scalar front end to the quadrature engine with the truncation
-windows of infinite domains, the closed forms of Gaussian Hermite moments,
-of H_j(0) and of the monomial coefficients of W_j, and the two Bessel
-identities behind the radial kernel.
+windows of infinite domains, the quadrature routes of the two Gaussian-kernel
+integrals of sampled line data that the package computes in closed form,
+the closed forms of Gaussian Hermite moments, of H_j(0) and of the monomial
+coefficients of W_j, and the two Bessel identities behind the radial kernel.
 """
 
 import contextlib
@@ -13,9 +14,9 @@ import math
 import numpy as np
 import pytest
 
-from heatseries import quad
+from heatseries import kernels, quad, series_cartesian
 from heatseries.quad import TRUNCATION_RADIUS_SIGMAS, integrate_vec
-from heatseries.specfun import _check_finite, bessel_j0, scaled_polar_kernel
+from heatseries.specfun import _check_finite, bessel_j0, hermite_batch, scaled_polar_kernel
 
 _HUGE = 1e300
 
@@ -57,6 +58,46 @@ def integrate(f, lo: float, hi: float, breakpoints=None):
 
     vals, err = integrate_vec(wrapped, lo, hi, breakpoints)
     return float(vals[0]), err
+
+
+def line_kernel_integrand(data, tau: float, x: np.ndarray):
+    """The Gaussian kernel at time tau times the data, one row per point x:
+    the line oracle's integrand, in plain allocating numpy."""
+    norm = 2.0 * math.sqrt(math.pi * tau)
+
+    def integrand(xi):
+        kern = np.exp(-((x[:, None] - xi[None, :]) ** 2) / (4.0 * tau)) / norm
+        return kern * data(xi)[None, :]
+
+    return integrand
+
+
+def line_oracle_by_quadrature(data, tau: float, x) -> np.ndarray:
+    """The line oracle of sampled data by the adaptive engine, on the
+    kernel's window with the nodes as breakpoints: the route the package
+    takes for analytic data (sampled data: kernels._sampled_line)."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    lo, hi = kernels._line_window(data, x, tau)
+    return integrate_vec(line_kernel_integrand(data, tau, x), lo, hi, breakpoints=data.nodes)[0]
+
+
+def weighted_moment_integrand(data, root: float, n: int):
+    """H_k(xi/(2b)) e^{-xi^2/(4b^2)}/(2b sqrt(pi)) times the data, k = 0..n,
+    b = root: CI-B's moment integrand, in plain allocating numpy."""
+
+    def integrand(xi):
+        weight = np.exp(-(xi * xi) / (4.0 * root * root)) / (2.0 * root * math.sqrt(math.pi))
+        return hermite_batch(n, xi / (2.0 * root)) * (weight * data(xi))[None, :]
+
+    return integrand
+
+
+def weighted_moments_by_quadrature(data, root: float, n: int) -> np.ndarray:
+    """CI-B's moments of sampled data by the adaptive engine, on the weight's
+    window with the nodes as breakpoints (the package: the closed form
+    series_cartesian._sampled_weighted_moments)."""
+    lo, hi = series_cartesian._moment_window(data, root)
+    return integrate_vec(weighted_moment_integrand(data, root, n), lo, hi, breakpoints=data.nodes)[0]
 
 
 def hermite_moment(j: int, c: float) -> float:

@@ -802,6 +802,47 @@ def test_row_format_is_the_text_of_fmt(x, flag):
     assert "%.17g,%.17g,%d" % (x, -x, flag) == ",".join(cli._fmt(v) for v in (x, -x, flag))
 
 
+def json_dumps_rows(metadata, header, rows):
+    """The JSON output as json.dumps writes it, which _render_json's template
+    must give byte for byte."""
+    payload = {"metadata": metadata, "rows": [dict(zip(header, row)) for row in rows]}
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+JSON_ROWS = [
+    (0.5, True, 3, "a", -0.0),
+    (float("nan"), False, -7, "b\n\u00e9\"", 1e-300),
+    (float("inf"), True, 0, "", -1e-300),
+    (-float("inf"), False, 10 ** 20, "x,y", 5e-324),
+    (1e300, 1, 2.0, None, 0.1),  # a column of mixed types
+]
+JSON_METADATA = {"command": "forward", "tau": 0.5, "beta": float("nan"), "order": 40, "flag": True,
+                 "beta_requested": "", "tolerances": '{"exact": 1e-09}', "none": None, "nested": {"b": [1, 2.5], "a": {}}}
+
+
+@pytest.mark.parametrize(
+    "metadata, header, rows",
+    [
+        (JSON_METADATA, ["x", "diverged", "n", "name", "value"], JSON_ROWS),
+        ({}, ["value", "x", "diverged"], [(r[4], r[0], r[1]) for r in JSON_ROWS]),  # keys out of order
+        ({"k": 1}, ["a", "b", "a"], [(1, 2, 3), (4.5, -0.0, "z")]),  # a repeated key keeps its last value
+        ({"k": 1}, ["x"], []),
+        ({}, [], [(), ()]),
+        ({"k": [1, {"q": 2}]}, ["x", "v"], [(1.5, [1, {"q": 2}]), (2.5, {"z": [], "a": 1})]),
+    ],
+)
+def test_json_rows_from_the_template_are_json_dumps_byte_for_byte(metadata, header, rows):
+    assert cli._render_json(metadata, header, rows) == json_dumps_rows(metadata, header, rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.tuples(st.floats(allow_nan=True, allow_infinity=True),
+                               st.one_of(st.floats(), st.booleans(), st.integers()), st.booleans()), max_size=6))
+def test_json_float_columns_are_json_dumps_byte_for_byte(rows):
+    assert cli._render_json({"a": 1.0}, ["x", "value", "diverged"], rows) == json_dumps_rows(
+        {"a": 1.0}, ["x", "value", "diverged"], rows)
+
+
 # --- sample files -----------------------------------------------------------------
 
 JUNK_ROWS = [

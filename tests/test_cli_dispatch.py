@@ -147,6 +147,24 @@ def test_overflowing_terms_and_moments_are_exit_3_without_a_warning(capsys, tmp_
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+def test_a_short_time_oracle_of_a_sample_file_is_its_interpolant(capsys, tmp_path, monkeypatch):
+    # tau = 1e-9: kernels 6e-5 wide against 0.05 between samples, which the
+    # adaptive engine did not resolve within 4096 panels (exit 3); the
+    # closed form leaves the interpolant plus sqrt(tau) times the slope jumps
+    # at the nodes the points sit on
+    xs = np.linspace(-12.0, 12.0, 481)
+    (tmp_path / "f_mix.csv").write_text("x,u\n" + "".join(f"{x:.17g},{v:.17g}\n" for x, v in zip(xs, PROFILES[LINE](xs))))
+    monkeypatch.chdir(tmp_path)
+    values, flags = cli_values(capsys, "forward", "--variant", "oracle", "--tau", "1e-9", "--input", "f_mix.csv",
+                               "--eval-grid=-3.01:2.99:7")
+    assert not flags.any()
+    grid = np.linspace(-3.01, 2.99, 7)  # between nodes: every kernel is 100 widths from the nearest
+    assert np.all(np.abs(values - np.interp(grid, xs, PROFILES[LINE](xs))) <= 1e-15)
+    values, _ = cli_values(capsys, "forward", "--variant", "oracle", "--tau", "1e-9", "--input", "f_mix.csv",
+                           "--eval-grid=-3:3:7")
+    assert np.all(np.abs(values - PROFILES[LINE](np.linspace(-3.0, 3.0, 7))) <= 1e-6)
+
+
 @pytest.mark.parametrize("geometry, lo", [(LINE, -8.0), (POLAR, 0.0)])
 def test_study_grid_defaults_are_written_once(tmp_path, geometry, lo):
     # a config with no [grid] and one with only n take the same default grid

@@ -1,15 +1,20 @@
-"""Moments of sampled data, exact for its piecewise-linear interpolant.
+"""Gaussian-kernel integrals and moments of sampled data, exact for its
+piecewise-linear interpolant.
 
-Sampled data is linear between its nodes.  The plain Hermite moments of the
-line (order k <= n; the line C moments at order 2n) come in closed form from
-the slope jumps and the end values (`series_cartesian._sampled_moments`),
-with no quadrature.  The radial xi W_j moments take one exact Gauss-Legendre
-level: their integrand is a polynomial of degree 2j + 2 on each panel
-between the nodes.  Either route must give the integral of the interpolant
-up to rounding: within C_EXACT eps int|f_k| of a 30-digit mpmath integral,
-smooth or noisy data alike, and within the adaptive engine's own tolerance
-of that engine at REL_TOL = 1e-13.  CI-B's Gaussian-weighted moments and the
-analytic inputs stay adaptive.
+Sampled data is linear between its nodes.  On the line every integral the
+package takes of it comes in closed form, with no quadrature: the plain
+Hermite moments (order k <= n; the line C moments at order 2n) from the
+slope jumps and the end values (`series_cartesian._sampled_moments`), CI-B's
+Gaussian-weighted moments from the Hermite functions extended by erf and
+ierfc (`series_cartesian._sampled_weighted_moments`), and the line oracle
+from ierfc and erfc (`kernels._sampled_line`).  The radial xi W_j moments
+take one exact Gauss-Legendre level: their integrand is a polynomial of
+degree 2j + 2 on each panel between the nodes.  Every moment route must give
+the integral of the interpolant up to rounding: within C_EXACT eps int|f_k|
+of a 30-digit mpmath integral, smooth or noisy data alike, and within the
+adaptive engine's own tolerance of that engine at REL_TOL = 1e-13.  The
+oracle must be within a few eps of its size and of its terms' sizes of a
+30-digit per-panel erf integral.  The analytic inputs stay adaptive.
 """
 
 import functools
@@ -20,15 +25,17 @@ import mpmath
 import numpy as np
 import pytest
 
-from heatseries import quad, series_cartesian, series_polar
+from heatseries import kernels, quad, series_cartesian, series_polar
 from heatseries.profiles import Mixture, Gaussian, Sampled1D
-from heatseries.specfun import KernelParams
-from references import quad_settings
+from heatseries.specfun import KernelParams, erfc
+from references import quad_settings, weighted_moment_integrand
 
 EPS = float(np.finfo(float).eps)
 # measured: at most 1.9 (Hermite, k <= 80, both centres), 1.8 (xi W_j,
 # float64) and 0.7 (xi W_j, longdouble: the rule stays float64) eps int|f_k|;
-# the closed-form Hermite moments of the noisy files below reach 2.0
+# the closed-form Hermite moments of the noisy files below reach 2.0, CI-B's
+# weighted ones 2.7 at k = 1 and 0.9 at k = 0 (their erf and ierfc carry
+# float64 rounding) and 0.004 at k >= 2 (longdouble rows)
 C_EXACT = 8.0
 
 LINE_NODES = np.linspace(-8.0, 8.0, 97)
@@ -157,6 +164,103 @@ def test_moments_finite_in_longdouble_only_raise_overflow_without_a_warning():
             series_cartesian._hermite_moments(wide, 1.0, 2)
 
 
+def mp_weighted_moments(data, root, n):
+    """int H_k(y) e^{-y^2} data dxi/(2b sqrt(pi)), y = xi/(2b), b = root,
+    k = 0..n, segment by segment: with phi_k = H_k e^{-y^2}, int phi_k =
+    -phi_{k-1} and int y phi_k = -phi_k/2 - k phi_{k-2} (y H_k = H_{k+1}/2 +
+    k H_{k-1}), phi_{-1} = -(sqrt(pi)/2) erf y, phi_{-2} = (sqrt(pi)/2)
+    (y erf y + e^{-y^2}/sqrt(pi)), in 40 digits."""
+    with mpmath.workdps(40):
+        two_b, half_sqrt_pi = 2 * mpmath.mpf(root), mpmath.sqrt(mpmath.pi) / 2
+        ys = [mpmath.mpf(float(x)) / two_b for x in data.nodes]
+        fs = [mpmath.mpf(float(v)) for v in data.values]
+
+        def phis(y):  # phi_{-2} .. phi_n
+            gauss, erf = mpmath.exp(-y * y), mpmath.erf(y)
+            out = [half_sqrt_pi * (y * erf + gauss / mpmath.sqrt(mpmath.pi)), -half_sqrt_pi * erf, gauss, 2 * y * gauss]
+            for k in range(1, n):
+                out.append(2 * y * out[-1] - 2 * k * out[-2])
+            return out
+
+        ph = [phis(y) for y in ys]
+        out = [mpmath.mpf(0)] * (n + 1)
+        for i in range(len(ys) - 1):
+            slope = (fs[i + 1] - fs[i]) / (ys[i + 1] - ys[i])
+            alpha, a, b = fs[i] - slope * ys[i], ph[i], ph[i + 1]  # data = alpha + slope y
+            for k in range(n + 1):
+                out[k] += alpha * (a[k + 1] - b[k + 1]) + slope * ((a[k + 2] - b[k + 2]) / 2 + k * (a[k] - b[k]))
+        return np.array([float(v / mpmath.sqrt(mpmath.pi)) for v in out])
+
+
+WEIGHTED = {**NOISY, "mix-97": LINE}
+
+
+@pytest.mark.parametrize("root", [0.6, ROOT_NOISY])
+@pytest.mark.parametrize("data", sorted(WEIGHTED))
+def test_weighted_moments_are_the_interpolants_up_to_rounding(data, root):
+    # CI-B's moments: the weight's root is the Hermite root, about 0
+    data, n = WEIGHTED[data], 80
+    exact = series_cartesian._hermite_moments(data, root, n, weight_root=root)
+    ref = mp_weighted_moments(data, root, n)
+    l1 = l1_norms(weighted_moment_integrand(data, root, n), *series_cartesian._moment_window(data, root), data.nodes)
+    assert np.all(np.abs(exact - ref) <= C_EXACT * EPS * l1)
+
+
+def test_weighted_moments_of_a_file_spanning_1e300_are_finite_without_a_warning():
+    # one hat of half-width 5e297 about 0: M_0 is its value there, and the
+    # rows far out are exact zeros (e^{-y^2} underflows in np.longdouble)
+    wide = Sampled1D.from_function(Gaussian(1.3), -1e300, 1e300, 401)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        moments = series_cartesian._hermite_moments(wide, 1.0, 80, weight_root=1.0)
+    assert np.all(np.isfinite(moments))
+    assert moments[0] == pytest.approx(1.0, rel=1e-12)
+
+
+def mp_line_oracle(data, tau, xs):
+    """int K(x - xi) data(xi) dxi panel by panel: with data = a + s (xi - x)
+    and z = (xi - x)/(2 sqrt(tau)), a [erf z]/2 - s sqrt(tau/pi) [e^{-z^2}],
+    in 30 digits."""
+    with mpmath.workdps(30):
+        root = mpmath.sqrt(mpmath.mpf(tau))
+        nodes = [mpmath.mpf(float(v)) for v in data.nodes]
+        fs = [mpmath.mpf(float(v)) for v in data.values]
+        out = []
+        for x in xs:
+            x = mpmath.mpf(float(x))
+            zs = [(xi - x) / (2 * root) for xi in nodes]
+            erf, gauss = [mpmath.erf(z) for z in zs], [mpmath.exp(-z * z) for z in zs]
+            total = mpmath.mpf(0)
+            for i in range(len(nodes) - 1):
+                slope = (fs[i + 1] - fs[i]) / (nodes[i + 1] - nodes[i])
+                a = fs[i] + slope * (x - nodes[i])
+                total += a * (erf[i + 1] - erf[i]) / 2 - slope * root / mpmath.sqrt(mpmath.pi) * (gauss[i + 1] - gauss[i])
+            out.append(float(total))
+        return np.array(out)
+
+
+ORACLE_DATA = {"mix-481": Sampled1D.from_function(LINE_MIX, -12.0, 12.0, 481), "mix-481-1e-2": NOISY["mix-481-1e-2"]}
+
+
+@pytest.mark.parametrize("tau", [1e-9, 0.05, 0.5, 3.0])
+@pytest.mark.parametrize("data", sorted(ORACLE_DATA))
+def test_line_oracle_is_the_interpolants_up_to_rounding(data, tau):
+    # inside and outside the support, and on nodes (the ends among them)
+    data = ORACLE_DATA[data]
+    xs = np.concatenate([np.linspace(-14.5, 14.5, 12), data.nodes[[0, 1, 240, 479, 480]]])
+    got, ref = kernels.forward_line(data, tau, xs), mp_line_oracle(data, tau, xs)
+    # a few eps of each term: the value, sqrt(tau) |w_i| times the two parts
+    # e^{-t^2}/sqrt(pi) and t erfc t of ierfc t (t = |z_i|; they cancel about
+    # 2 t^2-fold far out) and the end terms (measured: at most 2.6 eps of their
+    # sum, on the smooth file 14.5 below the support at tau = 0.05)
+    jumps = np.diff(np.diff(data.values) / np.diff(data.nodes), prepend=0.0, append=0.0)
+    t = np.abs(data.nodes[None, :] - xs[:, None]) / (2.0 * math.sqrt(tau))
+    parts = np.exp(-t * t) / math.sqrt(math.pi) + t * erfc(t)
+    ends = np.abs(data.values[0]) * erfc(t[:, 0]) + np.abs(data.values[-1]) * erfc(t[:, -1])
+    terms = np.abs(ref) + math.sqrt(tau) * (parts @ np.abs(jumps)) + ends
+    assert np.all(np.abs(got - ref) <= 4.0 * EPS * terms)
+
+
 @pytest.mark.parametrize("dtype", [float, np.longdouble])
 def test_radial_moments_are_the_interpolants_up_to_rounding(dtype):
     n = 40
@@ -231,17 +335,36 @@ def closed_form_rows(call):
 PARAMS = KernelParams(tau=0.3, beta=0.9)
 
 
+def weighted_closed_form_rows(call):
+    """The row count (order + 1) of each closed-form CI-B moment pass of a solve."""
+    seen = []
+    original = series_cartesian._sampled_weighted_moments
+
+    def spy(data, root, n):
+        seen.append(n + 1)
+        return original(data, root, n)
+
+    series_cartesian._sampled_weighted_moments = spy
+    try:
+        call()
+    finally:
+        series_cartesian._sampled_weighted_moments = original
+    return seen
+
+
 @pytest.mark.parametrize("variant, rows", [("CD-A", 13), ("CI-A", 13), ("CI-B", None), ("CD-C", 25)])
 def test_line_moment_passes_take_the_exact_level_except_ci_b(variant, rows):
-    # the line's exact level is the closed form: one pass of n + 1 rows
+    # the line's exact level is the plain closed form: one pass of n + 1 rows
     # (line C: the 2n + 1 of its order-2n moments) and no quadrature; CI-B's
-    # Gaussian-weighted moments and analytic data take the adaptive engine
+    # Gaussian-weighted moments take their own closed form, one pass of n + 1
+    # rows; analytic data takes the adaptive engine
     coeffs = series_cartesian.cd_coeffs if variant.startswith("CD") else series_cartesian.ci_coeffs
     sampled = lambda: coeffs(variant, LINE, PARAMS, 12, 0.0)  # noqa: E731
     assert closed_form_rows(sampled) == ([] if rows is None else [rows])
-    assert degrees_passed(series_cartesian, sampled) == ([None] if rows is None else [])
+    assert weighted_closed_form_rows(sampled) == ([13] if rows is None else [])
+    assert degrees_passed(series_cartesian, sampled) == []
     analytic = lambda: coeffs(variant, Gaussian(1.0), PARAMS, 12, 0.0)  # noqa: E731
-    assert closed_form_rows(analytic) == []
+    assert closed_form_rows(analytic) == weighted_closed_form_rows(analytic) == []
     assert degrees_passed(series_cartesian, analytic) == [None]
 
 

@@ -2,8 +2,9 @@
 
 The recurrences, moment integrands and kernel integrands write into their
 result in the operation order of the plain numpy expressions, so every value
-must be bitwise equal to the reference copies below, and the recurrences must
-raise OverflowError exactly where the full-array finiteness check did.
+must be bitwise equal to the reference copies below (the line kernel's is
+`references.line_kernel_integrand`), and the recurrences must raise
+OverflowError exactly where the full-array finiteness check did.
 """
 
 import math
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from heatseries import kernels, quad, series_cartesian, series_polar, specfun
 from heatseries.profiles import Gaussian, Mixture, Sampled1D
-from references import integrate
+from references import integrate, line_kernel_integrand, line_oracle_by_quadrature
 
 # --- reference: the allocating code of the previous implementation ---------------
 
@@ -84,16 +85,6 @@ def old_w_integrand(data, root, n, dtype):
     def integrand(xi):
         w = old_w_poly_batch(n, xi.astype(dtype) / (2.0 * root))
         return w * (xi * data(xi))[None, :]
-
-    return integrand
-
-
-def old_forward_line_integrand(data, tau, x_arr):
-    norm = 2.0 * math.sqrt(math.pi * tau)
-
-    def integrand(xi):
-        kern = np.exp(-((x_arr[:, None] - xi[None, :]) ** 2) / (4.0 * tau)) / norm
-        return kern * data(xi)[None, :]
 
     return integrand
 
@@ -299,12 +290,18 @@ def test_w_moment_integrand_is_the_allocating_one(data, dtype):
 @pytest.mark.parametrize("data", sorted(LINE_DATA))
 def test_forward_line_kernel_is_the_allocating_one(data, tau):
     f, x = LINE_DATA[data], np.linspace(-4.0, 4.0, 121)
-    (integrand,), values = captured_integrands(kernels, lambda: kernels.forward_line(f, tau, x))
-    assert bitwise_equal(integrand(NODES), old_forward_line_integrand(f, tau, x)(NODES))
+    integrands, values = captured_integrands(kernels, lambda: kernels.forward_line(f, tau, x))
+    if isinstance(f, Sampled1D):
+        # sampled data: the closed form, no integrand; the allocating
+        # integrand's quadrature route agrees to within its acceptance test
+        assert integrands == []
+        ref = line_oracle_by_quadrature(f, tau, x)
+        assert np.all(np.abs(values - ref) <= np.maximum(quad.ABS_TOL, quad.REL_TOL * np.abs(ref)))
+        return
+    (integrand,) = integrands
+    assert bitwise_equal(integrand(NODES), line_kernel_integrand(f, tau, x)(NODES))
     lo, hi = kernels._line_window(f, x, tau)
-    ref, _ = quad.integrate_vec(
-        old_forward_line_integrand(f, tau, x), lo, hi, breakpoints=kernels._breakpoints(f)
-    )
+    ref, _ = quad.integrate_vec(line_kernel_integrand(f, tau, x), lo, hi, breakpoints=kernels._breakpoints(f))
     assert bitwise_equal(values, ref)
 
 

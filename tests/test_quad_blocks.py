@@ -7,12 +7,15 @@ levels fit in one block must give its values and error estimate bit for bit
 (levels 0 and 1 now share one integrand call, each summed from its own
 contiguous part).  A level above the block size adds its blocks' sums in
 node order instead: the same acceptance level, and every component within
-4 eps int|f| of the reference.  Integrand memory no longer grows with the
-sample count, which the tracemalloc bounds at the end pin, as they pin the
-blocks of the closed-form line moments of sampled data.
+4 eps int|f| of the reference.  The package's line passes over sampled
+data take closed forms, so the above-block passes run the quadrature routes
+of `references` on a 1601-node file.  Integrand memory no longer grows with
+the sample count, which the tracemalloc bounds at the end pin, as they pin
+the blocks of the closed forms of sampled line data.
 """
 
 import functools
+import math
 import tracemalloc
 
 import numpy as np
@@ -22,6 +25,7 @@ from heatseries import kernels, quad, series_cartesian, series_polar
 from heatseries.profiles import Gaussian, Mixture, Sampled1D
 from heatseries.specfun import KernelParams
 from heatseries.variants import VARIANTS
+import references
 from references import quad_settings
 
 EPS = float(np.finfo(float).eps)
@@ -157,7 +161,7 @@ def variant_pass(variant, n):
 ONE_BLOCK = {f"{variant}-N{n}": variant_pass(variant, n) for variant in VARIANTS for n in (0, 8, 40)}
 ONE_BLOCK["oracle-line"] = lambda: kernels.forward_line(LINE_MIX, 0.5, np.linspace(-3.0, 3.0, 121))
 ONE_BLOCK["oracle-polar"] = lambda: kernels.forward_polar(POLAR_MIX, 0.5, np.linspace(0.0, 3.0, 61))
-MODULES = (kernels, series_cartesian, series_polar)
+MODULES = (kernels, series_cartesian, series_polar, references)
 
 
 # --- equality with the reference -------------------------------------------------------
@@ -183,8 +187,10 @@ def test_passes_within_one_block_are_the_reference_bit_for_bit(name):
 LINE_FILE = Sampled1D(-10.0, 10.0, np.exp(-np.linspace(-10.0, 10.0, 1601) ** 2 / 5.2) * 0.877)
 POLAR_FILE = Sampled1D(0.0, 10.0, np.exp(-np.linspace(0.0, 10.0, 1601) ** 2 / 5.2) * 0.77)
 ABOVE_BLOCK = {
-    "CI-B-file": lambda: series_cartesian.ci_coeffs("CI-B", LINE_FILE, PARAMS, 40),
-    "oracle-line-file": lambda: kernels.forward_line(LINE_FILE, 0.5, np.linspace(-3.0, 3.0, 121)),
+    # the package takes the closed forms on sampled line data; these are
+    # their quadrature routes
+    "CI-B-file": lambda: references.weighted_moments_by_quadrature(LINE_FILE, VARIANTS["CI-B"].moment_root(PARAMS), 40),
+    "oracle-line-file": lambda: references.line_oracle_by_quadrature(LINE_FILE, 0.5, np.linspace(-3.0, 3.0, 121)),
     "oracle-polar-file": lambda: kernels.forward_polar(POLAR_FILE, 0.5, np.linspace(0.0, 3.0, 61)),
 }
 
@@ -199,6 +205,40 @@ def test_levels_above_the_block_size_stay_within_rounding_of_the_reference(name)
     assert max(sizes) <= quad.EXACT_BLOCK
     assert sum(sizes) == sum(ref_sizes)  # the same acceptance level
     assert np.all(np.abs(vals - ref_vals) <= 4.0 * EPS * l1)
+
+
+def test_sampled_line_passes_take_no_quadrature():
+    # the closed forms of the same two passes: no integrand, and the
+    # quadrature route's values up to its acceptance test (rel_tol |I| or
+    # the 32 eps int|f| floor, read off the reference's accepted level)
+    root, x = VARIANTS["CI-B"].moment_root(PARAMS), np.linspace(-3.0, 3.0, 121)
+    cases = [
+        (lambda: series_cartesian.ci_coeffs("CI-B", LINE_FILE, PARAMS, 40), ABOVE_BLOCK["CI-B-file"]),
+        (lambda: kernels.forward_line(LINE_FILE, 0.5, x), ABOVE_BLOCK["oracle-line-file"]),
+    ]
+    assert root == math.sqrt(PARAMS.beta)
+    for closed, route in cases:
+        assert adaptive_passes(MODULES, closed) == []
+        (f, args, kwargs), = adaptive_passes(MODULES, route)
+        ref, _, l1 = reference_integrate_vec(f, *args, **kwargs)
+        assert np.all(np.abs(closed() - ref) <= np.maximum(quad.REL_TOL * np.abs(ref), 32.0 * EPS * l1))
+
+
+def test_longdouble_sums_take_np_dot_with_the_bits_of_matmul():
+    # np.dot sums np.longdouble rows in under half the time of numpy's
+    # longdouble matmul loop, with its bits in every layout; float64 keeps
+    # matmul, whose bits np.dot does not give for 3-D or strided values
+    rng = np.random.default_rng(7)
+    weights = rng.random(700)
+    for shape in [(700,), (1, 700), (41, 700), (3, 5, 700)]:
+        vals = rng.standard_normal(shape) * 10.0 ** rng.integers(-5, 5, size=shape)
+        for dtype in (float, np.longdouble):
+            base = vals.astype(dtype)
+            for layout in (base, base[..., ::-1], np.asfortranarray(base)):
+                want = (layout @ weights, np.abs(layout) @ weights)
+                assert all(bitwise_equal(a, b) for a, b in zip(quad._sums(layout, weights, False), want))
+                if dtype is np.longdouble:
+                    assert bitwise_equal(np.dot(layout, weights), want[0])
 
 
 @pytest.mark.parametrize("size", [3, 16, 21, 41])
@@ -353,6 +393,14 @@ def test_the_closed_form_moments_hold_one_block_of_rows():
     params = KernelParams(tau=0.3, beta=1.0)
     peak = traced_peak(lambda: series_cartesian.cd_coeffs("CD-C", BIG_FILE, params, 40, 0.0))
     assert peak < 83 * quad.EXACT_BLOCK * np.dtype(np.longdouble).itemsize + 4 * MIB
+
+
+def test_the_closed_form_oracle_holds_less_than_one_integrand_block():
+    # 121 points: one quadrature block of the kernel integrand is 121 x
+    # EXACT_BLOCK float64 values (3.8 MiB); the closed form's blocks of about
+    # kernels._CACHE_BLOCK values keep its whole pass below that
+    peak = traced_peak(lambda: kernels.forward_line(BIG_FILE, 0.5, np.linspace(-3.0, 3.0, 121)))
+    assert peak < 121 * quad.EXACT_BLOCK * 8
 
 
 def test_the_engine_never_holds_a_whole_level():

@@ -1,16 +1,22 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mpmath
+
+from heatseries import specfun
 from heatseries.specfun import (
     KernelParams,
     bessel_i0,
     bessel_i0_scaled,
     bessel_j0,
+    erfc,
     hermite_batch,
+    ierfc,
     scaled_polar_kernel,
     w_poly_batch,
 )
@@ -30,6 +36,22 @@ def test_hermite_low_orders_match_explicit_polynomials():
     }
     for j, poly in explicit.items():
         np.testing.assert_allclose(hermite_batch(j, zs)[j], poly(zs), rtol=1e-13)
+
+
+def test_hermite_rows_take_a_weight_as_their_first_row():
+    z = np.linspace(-30.0, 30.0, 121).astype(np.longdouble)
+    weight = np.exp(-z * z)
+    rows = hermite_batch(40, z, weight=weight)
+    assert rows.dtype == np.longdouble and np.all(rows[0] == weight)
+    # H_j e^{-z^2}: bounded where H_40(30) ~ 1e71 alone would not be, and
+    # the product of the plain rows where those fit
+    np.testing.assert_allclose(rows[:, 55:66].astype(float), (hermite_batch(40, z[55:66]) * weight[55:66]).astype(float),
+                               rtol=4e-16, atol=0.0)
+    far = np.array([1e300, -1e300], dtype=np.longdouble)
+    assert np.all(hermite_batch(40, far, weight=np.exp(-far * far)) == 0.0)
+    with pytest.raises(OverflowError):
+        hermite_batch(40, far)
+    assert np.all(hermite_batch(7, 0.3, weight=1.0) == hermite_batch(7, 0.3))
 
 
 def test_hermite_spec_values():
@@ -283,3 +305,81 @@ def test_overflow_names_the_arguments_that_overflowed(batch, n, finite):
         with pytest.raises(OverflowError) as exc:
             batch(n, np.array(z))
         assert str(exc.value).endswith(f"near {np.array(big)}")
+
+
+# --- erfc and ierfc ----------------------------------------------------------
+
+EPS = float(np.finfo(float).eps)
+
+
+def erfc_coefficients():
+    """Weideman's a_1 .. a_40 at L = 3.2 and erf's Taylor coefficients
+    c_0 .. c_12, as specfun hardcodes them.  a_n is the n-th Fourier cosine
+    coefficient of F(theta) = e^{-t^2} (L^2 + t^2), t = L tan(theta/2), by
+    the trapezoid rule on 2m - 1 points (spectrally accurate: F and its
+    derivatives vanish at theta = +-pi)."""
+    with mpmath.workdps(40):
+        n_terms, big_l, m = 40, mpmath.mpf("3.2"), 320
+        thetas = [mpmath.pi * k / m for k in range(1 - m, m)]
+        f = [mpmath.exp(-(big_l * mpmath.tan(th / 2)) ** 2) * (big_l ** 2 + (big_l * mpmath.tan(th / 2)) ** 2)
+             for th in thetas]
+        weideman = [float(mpmath.fsum(v * mpmath.cos(n * th) for v, th in zip(f, thetas)) / (2 * m))
+                    for n in range(1, n_terms + 1)]
+        taylor = [float(2 / mpmath.sqrt(mpmath.pi) * (-1) ** n / (mpmath.factorial(n) * (2 * n + 1)))
+                  for n in range(13)]
+    return weideman, taylor
+
+
+def test_erfc_coefficients_are_the_generated_ones():
+    weideman, taylor = erfc_coefficients()
+    assert specfun._WEIDEMAN_L == 3.2
+    assert specfun._WEIDEMAN.tolist() == weideman
+    assert specfun._ERF_TAYLOR.tolist() == taylor
+
+
+def test_erfc_matches_math_erfc_on_a_dense_grid():
+    # math.erfc is within an ulp or two; the bar is 4 eps absolute, and
+    # relative 1e-13 while erfc >= 1e-300 (measured: 2 eps, and 3.2 eps of
+    # erfc)
+    x = np.concatenate([np.linspace(-8.0, 27.5, 71001), -np.geomspace(1e-300, 1.0, 301), np.geomspace(1e-300, 1.0, 301)])
+    ours, ref = erfc(x), np.array([math.erfc(v) for v in x])
+    assert np.all(np.abs(ours - ref) <= 4.0 * EPS)
+    big = ref >= 1e-300
+    assert np.all(np.abs(ours - ref)[big] <= 1e-13 * ref[big])
+
+
+def test_erfc_meets_its_bar_against_mpmath():
+    rng = np.random.default_rng(11)
+    x = np.concatenate([rng.uniform(-1.0, 1.0, 1500), rng.uniform(-7.0, 27.0, 1500), [0.5, -0.5, 26.5]])
+    ref = np.array([float(mpmath.erfc(mpmath.mpf(v))) for v in x])
+    ours = erfc(x)
+    assert np.all(np.abs(ours - ref) <= 4.0 * EPS)
+    big = ref >= 1e-300
+    assert np.all(np.abs(ours - ref)[big] <= 1e-13 * ref[big])
+
+
+def test_erfc_and_ierfc_at_special_arguments():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert erfc(0.0) == 1.0 and erfc(np.inf) == 0.0 and erfc(-np.inf) == 2.0 and erfc(30.0) == 0.0
+        assert math.isnan(erfc(np.nan)) and math.isnan(ierfc(np.nan))
+        assert ierfc(np.inf) == 0.0 and ierfc(-np.inf) == np.inf
+        assert ierfc(0.0) == pytest.approx(1.0 / math.sqrt(math.pi), rel=4 * EPS)
+    assert isinstance(erfc(0.3), float) and erfc(np.zeros((2, 3))).shape == (2, 3)
+    assert ierfc(np.zeros((2, 3))).shape == (2, 3)
+
+
+def test_ierfc_is_the_integral_of_erfc():
+    # int_x^inf erfc = (2/sqrt(pi)) int_0^inf u e^{-(x + u)^2} du, with
+    # e^{-x^2} taken out of the quadrature so that it stays O(1)
+    x = np.array([-4.0, -1.0, -0.2, 0.0, 0.3, 1.0, 2.5, 6.0, 20.0])
+    with mpmath.workdps(30):
+        ref = []
+        for v in map(mpmath.mpf, x):
+            s = 1 / (1 + abs(v))
+            inner = mpmath.quad(lambda u: u * mpmath.exp(-u * (2 * v + u)), [0, s, 4 * s, mpmath.inf])
+            ref.append(float(2 / mpmath.sqrt(mpmath.pi) * mpmath.exp(-v * v) * inner))
+    ours = ierfc(x)
+    # e^{-t^2}/sqrt(pi) - t erfc t cancels 2 t^2-fold: the error is a few eps
+    # of e^{-t^2}, not of ierfc
+    assert np.all(np.abs(ours - ref) <= 4.0 * EPS * (np.abs(ref) + np.exp(-x * x)))
