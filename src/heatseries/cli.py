@@ -97,15 +97,13 @@ def _json_value(value, indent: str) -> str:
 
 def _json_column(values: tuple) -> list:
     """The JSON text of each value of one row column (_json_value at a row's
-    indent); a column of finite floats, of bools or of ints in one pass
-    without json.dumps."""
+    indent); a column of finite floats or of bools in one pass without
+    json.dumps."""
     kinds = set(map(type, values))
     if kinds == {float} and all(map(math.isfinite, values)):
         return list(map(float.__repr__, values))
     if kinds == {bool}:
         return [("false", "true")[v] for v in values]
-    if kinds == {int}:
-        return list(map(int.__repr__, values))
     return [_json_value(v, "      ") for v in values]
 
 

@@ -7,9 +7,10 @@ exact closed-form evolutions (complete the square in the convolution), and
 the quadrature path must agree with them.
 
 Sampled data on the line is linear between its nodes, so its convolution
-with the Gaussian kernel comes in closed form from the slope jumps, erfc and
-ierfc (`_sampled_line`), with no quadrature.  Analytic data, and sampled data
-in the plane, keep the quadrature.
+with a kernel no wider than the data comes in closed form from the slope
+jumps, erfc and ierfc (`_sampled_line`), with no quadrature.  Analytic data,
+sampled data under a wider kernel, and sampled data in the plane keep the
+quadrature.
 """
 
 from __future__ import annotations
@@ -108,7 +109,10 @@ def _sampled_line(data: Sampled1D, tau: float, x: np.ndarray) -> np.ndarray:
     the true node spacing.  The end term e is -(f_0 erfc|z_0| +
     f_m erfc|z_m|)/2 for xi_0 <= x <= xi_m, (f_0 erfc z_0 - f_m erfc z_m)/2
     left of the data and its mirror right of it.  Every term decays like
-    e^{-z^2}, so nothing cancels far from the data.  The nodes go in blocks
+    e^{-z^2}, so nothing cancels far from the data.  Under a kernel wider
+    than the data the terms would cancel about 2 tau/(xi_m - xi_0)^2-fold
+    (every ierfc|z_i| nears 1/sqrt(pi), and the jumps sum to 0): the caller
+    keeps 2 sqrt(tau) <= xi_m - xi_0.  The nodes go in blocks
     of at most EXACT_BLOCK, added in ascending order; OverflowError when a
     value is not finite.  A block holds about _CACHE_BLOCK kernel values:
     at 121 points, blocks of 256 nodes run 2.5 times faster than blocks of
@@ -140,12 +144,13 @@ def forward_line(data, tau: float, x):
 
     Quadrature of the Gaussian kernel against analytic data; sampled inputs
     are zero-extended and linearly interpolated, and take the closed form
-    (`_sampled_line`).
+    (`_sampled_line`) while the kernel is no wider than the data, 2 sqrt(tau)
+    <= hi - lo, the quadrature beyond.
     """
     if not (tau > 0.0):
         raise ValueError(f"tau must be positive, got {tau}")
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if isinstance(data, Sampled1D):
+    if isinstance(data, Sampled1D) and 2.0 * math.sqrt(tau) <= data.hi - data.lo:
         vals = _sampled_line(data, tau, x_arr)
         return float(vals[0]) if np.ndim(x) == 0 else vals
     lo, hi = _line_window(data, x_arr, tau)

@@ -24,9 +24,9 @@ rule on each panel between the breakpoints, which is exact for degree
 2 floor(d/2) + 1 >= d, so the result is the integral up to rounding, with
 no error estimate to trust and no refinement.  Its one caller is the
 plane's xi W_j moments of sampled data, which is linear between its nodes;
-on the line, sampled data needs no quadrature at all: its moments, plain
-and Gaussian-weighted (series_cartesian), and its kernel integral
-(kernels) come in closed form.
+on the line, sampled data needs no quadrature while its Gaussians are no
+wider than the data: its moments, plain and Gaussian-weighted
+(series_cartesian), and its kernel integral (kernels) come in closed form.
 
 Every level, adaptive or exact, is evaluated by one block loop: each
 integrand call gets at most EXACT_BLOCK nodes, built from the panels that

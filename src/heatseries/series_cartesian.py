@@ -27,7 +27,8 @@ form from the slope jumps and the end values, with no quadrature: the plain
 ones (CD-A, CD-B, CI-A at order N; CD-C, CI-C at order 2N about each centre)
 from Hermite rows (`_sampled_moments`), CI-B's Gaussian-weighted ones from
 the Hermite functions H_k e^{-y^2} extended by erf and ierfc
-(`_sampled_weighted_moments`).  Analytic data takes the adaptive
+(`_sampled_weighted_moments`) while the weight is no wider than the data.
+Analytic data, and CI-B's moments under a wider weight, take the adaptive
 quadrature.
 
 Every evaluation (`cd_eval`, `ci_eval`, `ci_classical`) returns the
@@ -54,7 +55,7 @@ import numpy as np
 
 from .profiles import Gaussian, Mixture, Sampled1D, profile_support
 from .quad import EXACT_BLOCK, TRUNCATION_RADIUS_SIGMAS, integrate_vec
-from .specfun import KernelParams, erfc, hermite_batch, ierfc
+from .specfun import _RSQRT_PI_LD, KernelParams, erfc, hermite_batch
 from .variants import (
     AXIS,
     CLASSICAL,
@@ -90,24 +91,29 @@ def _moment_window(data, weight_root: float | None) -> tuple[float, float]:
     return lo, hi
 
 
-def _hermite_moments(data, root: float, n: int, weight_root: float | None = None, center: float = 0.0) -> np.ndarray:
+def _hermite_moments(data, root: float, n: int, weighted: bool = False, center: float = 0.0) -> np.ndarray:
     """Moments of the data against Hermite polynomials at the given scale.
 
     Plain form: int H_j((xi - center)/(2 root)) data(xi) dxi.
-    weight_root b: the integrand additionally carries e^{-xi^2/(4b^2)}/(2b sqrt(pi)).
+    weighted (CI-B, about 0 only): the integrand additionally carries
+    e^{-xi^2/(4 root^2)}/(2 root sqrt(pi)).
     Sampled data takes the closed forms: the plain moments
-    (`_sampled_moments`), and CI-B's weighted ones, at b = root about 0
-    (`_sampled_weighted_moments`).  Every other moment takes the adaptive
-    quadrature.
+    (`_sampled_moments`), and the weighted ones while the weight is no wider
+    than the data, 2 root <= hi - lo (`_sampled_weighted_moments`; a wider
+    weight varies little across the data, its slope-jump sum cancels
+    about (2 root/(hi - lo))^2-fold, and the adaptive quadrature keeps its
+    accuracy).  Every other moment takes the adaptive quadrature.
     """
     if n < 0:
         raise ValueError("order must be non-negative")
+    if weighted and center != 0.0:
+        raise ValueError("weighted moments are taken about 0")
     sampled = isinstance(data, Sampled1D)
-    if sampled and weight_root is None:
+    if sampled and not weighted:
         return _sampled_moments(data, root, n, center)
-    if sampled and weight_root == root and center == 0.0:
+    if sampled and 2.0 * root <= data.hi - data.lo:
         return _sampled_weighted_moments(data, root, n)
-    lo, hi = _moment_window(data, weight_root)
+    lo, hi = _moment_window(data, root if weighted else None)
     if lo >= hi:
         return np.zeros(n + 1)
 
@@ -115,10 +121,8 @@ def _hermite_moments(data, root: float, n: int, weight_root: float | None = None
         vals = hermite_batch(n, (xi - center) / (2.0 * root))
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite moment fails its level or the series
             vals *= data(xi)
-            if weight_root is not None:
-                vals *= np.exp(-(xi * xi) / (4.0 * weight_root * weight_root)) / (
-                    2.0 * weight_root * math.sqrt(math.pi)
-                )
+            if weighted:
+                vals *= np.exp(-(xi * xi) / (4.0 * root * root)) / (2.0 * root * math.sqrt(math.pi))
         return vals
 
     vals, _ = integrate_vec(integrand, lo, hi, breakpoints=data.nodes if sampled else None)
@@ -146,14 +150,14 @@ def _sampled_moments(data: Sampled1D, root: float, n: int, center: float) -> np.
     total = np.zeros(n + 1, dtype=ld)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # a non-finite moment raises below
         jumps = np.diff(np.diff(vals) / np.diff(nodes), prepend=0.0, append=0.0)
+        ends = []  # H_{k+1} at each block's first and last node, copied out
         for start in range(0, y.size, EXACT_BLOCK):
             rows = hermite_batch(n + 2, y[start : start + EXACT_BLOCK])
             # np.dot: numpy's np.longdouble matmul loop is 2.5 times slower
             total += np.dot(rows[2:], jumps[start : start + EXACT_BLOCK])
-            if start == 0:
-                first = rows[1 : n + 2, 0].copy()  # H_{k+1}(y_0); a view would keep the block alive
-            last = rows[1 : n + 2, -1].copy()
+            ends.append(rows[1 : n + 2, [0, -1]])
             del rows  # freed before the next block is evaluated
+        first, last = ends[0][:, 0], ends[-1][:, 1]  # H_{k+1}(y_0), H_{k+1}(y_m)
         k1 = np.arange(1, n + 2, dtype=ld)  # k + 1
         moments = (r * r / (k1 * (k1 + 1))) * total + (r / k1) * (vals[-1] * last - vals[0] * first)
         out = moments.astype(float)
@@ -162,23 +166,21 @@ def _sampled_moments(data: Sampled1D, root: float, n: int, center: float) -> np.
     return out
 
 
-_TWO_OVER_SQRT_PI = 2 / np.sqrt(np.longdouble("3.14159265358979323846264338327950288"))
-
-
 def _weighted_rows(n: int, y: np.ndarray) -> np.ndarray:
     """r_{-2} .. r_{n-1} at the np.longdouble y, r_k = 2 H_k(y) e^{-y^2}/sqrt(pi)
     (k >= 0), r_{-1} = -erf y and r_{-2} = |y| + ierfc|y|, so that each is
-    the antiderivative of -r_{k+1}.  erf and ierfc come from float64 erfc in
-    the forms that decay with |y|, so only their decaying parts carry its
-    rounding."""
+    the antiderivative of -r_{k+1}.  Every row, erf and ierfc among them
+    (from erfc, ierfc t = e^{-t^2}/sqrt(pi) - t erfc t), is evaluated in
+    np.longdouble: the slope jumps of noisy data amplify the rounding of
+    the rows, not their smooth error."""
     rows = np.empty((n + 2, y.size), dtype=y.dtype)
     mag = np.abs(y)
-    with np.errstate(over="ignore"):  # |y| past float64: erfc and ierfc are 0
-        far = mag.astype(float)
-    rows[0] = mag + ierfc(far)
-    rows[1] = np.sign(y) * (erfc(far) - 1.0)
+    gauss = np.exp(-y * y)
+    tail = erfc(mag)
+    rows[0] = mag + (gauss * _RSQRT_PI_LD - mag * tail)
+    rows[1] = np.sign(y) * (tail - 1)
     if n >= 1:
-        rows[2:] = hermite_batch(n - 1, y, weight=_TWO_OVER_SQRT_PI * np.exp(-y * y))
+        rows[2:] = hermite_batch(n - 1, y, weight=2 * _RSQRT_PI_LD * gauss)
     return rows
 
 
@@ -197,6 +199,8 @@ def _sampled_weighted_moments(data: Sampled1D, root: float, n: int) -> np.ndarra
     M_0 is the line oracle at x = 0 and tau = b^2.  The rows and the sums run
     in np.longdouble, in blocks of at most EXACT_BLOCK nodes added in
     ascending order; OverflowError when a moment does not fit in float64.
+    The sum cancels about (2b/(xi_m - xi_0))^2-fold, which the caller keeps
+    at most 1.
     """
     ld = np.longdouble
     b = ld(root)
@@ -205,13 +209,13 @@ def _sampled_weighted_moments(data: Sampled1D, root: float, n: int) -> np.ndarra
     total = np.zeros(n + 1, dtype=ld)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # a non-finite moment raises below
         jumps = np.diff(np.diff(vals) / np.diff(nodes), prepend=0.0, append=0.0)
+        ends = []  # r_{k-1} at each block's first and last node, copied out
         for start in range(0, y.size, EXACT_BLOCK):
             rows = _weighted_rows(n, y[start : start + EXACT_BLOCK])
             total += np.dot(rows[: n + 1], jumps[start : start + EXACT_BLOCK])
-            if start == 0:
-                first = rows[1:, 0].copy()  # r_{k-1}(y_0); a view would keep the block alive
-            last = rows[1:, -1].copy()
+            ends.append(rows[1:, [0, -1]])
             del rows  # freed before the next block is evaluated
+        first, last = ends[0][:, 0], ends[-1][:, 1]  # r_{k-1}(y_0), r_{k-1}(y_m)
         moments = b * total - (vals[-1] * last - vals[0] * first) / 2
         out = moments.astype(float)
     if not np.all(np.isfinite(out)):
@@ -243,7 +247,7 @@ def _coeffs(direct: bool, variant: str, data, params: KernelParams, n: int, x_ce
     row = lookup(variant, LINE, direct)
     root = row.moment_root(params)
     if not row.pointwise:
-        return _hermite_moments(data, root, n, weight_root=root if row.weighted else None)
+        return _hermite_moments(data, root, n, weighted=row.weighted)
     # table[j, d] = C(2j, d) M_{2j-d}
     binom, shift = _binomials(n)
     x = np.atleast_1d(np.asarray(x_center, dtype=float))

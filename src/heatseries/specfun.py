@@ -162,6 +162,15 @@ def w_poly_batch(n: int, z):
 # erf's Taylor series; erfc(-t) = 2 - erfc(t).  The coefficients are fixed:
 # test_specfun regenerates them with mpmath.  Against mpmath the result is
 # within 2 eps absolute and 4 eps relative, up to erfc's underflow near 27.
+#
+# A np.longdouble argument is evaluated in that precision, with the same
+# Weideman coefficients and, below 1, erf's Taylor series with longdouble
+# coefficients.  The closed-form CI-B moments sum these values against
+# slope jumps that amplify rounding noise and any jump or curvature in the
+# error: the expansion's error stays near 1e-16 relative but is smooth in t
+# (float64 Taylor coefficients, with their cut at 1/2, read 25 eps int|f_k|
+# on a noisy file), and the rounding from one argument to the next is that
+# of np.longdouble.
 # ---------------------------------------------------------------------------
 
 _WEIDEMAN_L = 3.2
@@ -189,8 +198,24 @@ _ERF_TAYLOR = np.array([
     9.422759064650411e-11,
 ])  # erf(t) = t sum_n c_n t^{2n}, c_n = 2 (-1)^n / (sqrt(pi) n! (2n + 1))
 _ERF_TAYLOR_CUT = 0.5
-_ERFC_ZERO = 28.0  # e^{-t^2} and erfc(t) are 0 in float64 beyond
+_ERFC_ZERO = {np.dtype(float): 28.0, np.dtype(np.longdouble): 107.0}  # e^{-t^2} and erfc(t) are 0 beyond
 _RSQRT_PI = 1.0 / math.sqrt(math.pi)
+_RSQRT_PI_LD = 1 / np.sqrt(np.longdouble("3.14159265358979323846264338327950288"))
+_ERF_TAYLOR_CUT_LD = 1.0
+_ERF_TAYLOR_LD = np.array(
+    [2 * _RSQRT_PI_LD * (-1) ** n / np.longdouble(math.factorial(n) * (2 * n + 1)) for n in range(24)]
+)  # np.longdouble: the series to 1.0, where its last term is 2e-23
+
+
+def _erf_arg(x) -> tuple[np.ndarray, np.ndarray]:
+    """x as float64 or np.longdouble, and t = |x| clamped where erfc is 0, 1-d."""
+    x = np.asarray(x)
+    x = x.astype(np.result_type(x.dtype, float), copy=False)  # np.longdouble stays extended
+    return x, np.minimum(np.abs(x.reshape(-1)), _ERFC_ZERO[x.dtype])  # 1-d: the helpers write in place
+
+
+def _rsqrt_pi(dtype) -> float:
+    return _RSQRT_PI_LD if dtype == np.longdouble else _RSQRT_PI
 
 
 def _erfcx(t: np.ndarray) -> np.ndarray:
@@ -199,49 +224,51 @@ def _erfcx(t: np.ndarray) -> np.ndarray:
     np.divide(1.0, u, out=u)
     z = np.subtract(_WEIDEMAN_L, t)
     z *= u
-    acc = np.full_like(t, _WEIDEMAN[-1])
-    for a in _WEIDEMAN[-2::-1]:
+    coeffs = _WEIDEMAN.astype(t.dtype, copy=False)
+    acc = np.full_like(t, coeffs[-1])
+    for a in coeffs[-2::-1]:
         acc *= z
         acc += a
     acc *= 2.0 * u
-    acc += _RSQRT_PI
+    acc += _rsqrt_pi(t.dtype)
     acc *= u
     return acc
 
 
 def erfc(x):
-    """The complementary error function of real x (scalar or ndarray)."""
-    x = np.asarray(x, dtype=float)
-    t = np.minimum(np.abs(x.reshape(-1)), _ERFC_ZERO)  # 1-d: the helpers write in place
+    """The complementary error function of real x (scalar or ndarray).  A
+    np.longdouble x is evaluated in that precision, any other in float64."""
+    x, t = _erf_arg(x)
     out = _erfcx(t)
     s = np.round(t * 65536.0) / 65536.0
     out *= np.exp(-(s * s))
     out *= np.exp((s - t) * (s + t))
-    small = t < _ERF_TAYLOR_CUT
+    cut, coeffs = (_ERF_TAYLOR_CUT, _ERF_TAYLOR) if t.dtype == float else (_ERF_TAYLOR_CUT_LD, _ERF_TAYLOR_LD)
+    small = t < cut
     if np.any(small):
         ts = t[small]
-        sq, acc = ts * ts, np.full_like(ts, _ERF_TAYLOR[-1])
-        for c in _ERF_TAYLOR[-2::-1]:
+        sq, acc = ts * ts, np.full_like(ts, coeffs[-1])
+        for c in coeffs[-2::-1]:
             acc *= sq
             acc += c
         out[small] = 1.0 - ts * acc
     out = np.where(x < 0.0, 2.0 - out.reshape(x.shape), out.reshape(x.shape))
-    return float(out) if out.ndim == 0 else out
+    return out[()] if x.dtype == np.longdouble else float(out) if out.ndim == 0 else out
 
 
 def ierfc(x):
     """The integral of erfc from x to infinity, e^{-x^2}/sqrt(pi) - x erfc(x),
-    of real x (scalar or ndarray).  For x >= 0 it is e^{-x^2} (1/sqrt(pi) -
-    x erfcx(x)): a difference that cancels about 2 x^2-fold, so far out it
-    is accurate to its size times e^{-x^2}, not relative to itself."""
-    x = np.asarray(x, dtype=float)
-    t = np.minimum(np.abs(x.reshape(-1)), _ERFC_ZERO)
+    of real x (scalar or ndarray; np.longdouble as in erfc).  For x >= 0 it
+    is e^{-x^2} (1/sqrt(pi) - x erfcx(x)): a difference that cancels about
+    2 x^2-fold, so far out it is accurate to its size times e^{-x^2}, not
+    relative to itself."""
+    x, t = _erf_arg(x)
     out = _erfcx(t)
     out *= t
-    np.subtract(_RSQRT_PI, out, out=out)
+    np.subtract(_rsqrt_pi(t.dtype), out, out=out)
     out *= np.exp(-(t * t))
     out = out.reshape(x.shape) + 2.0 * np.maximum(-x, 0.0)  # ierfc(-t) = ierfc(t) + 2t
-    return float(out) if out.ndim == 0 else out
+    return out[()] if x.dtype == np.longdouble else float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------

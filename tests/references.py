@@ -33,6 +33,14 @@ def quad_settings(**values):
         yield
 
 
+def l1_norms(integrand, lo: float, hi: float, breakpoints=None) -> np.ndarray:
+    """int |integrand| over [lo, hi], row by row, at a loose tolerance: the
+    scale of an error bar (the engine's floor is 32 eps of it)."""
+    with quad_settings(REL_TOL=1e-4, MAX_PANELS=1 << 14):
+        vals, _ = integrate_vec(lambda xi: np.abs(integrand(xi)), lo, hi, breakpoints)
+    return vals.astype(float)
+
+
 def whole_line(decay_scale: float, center: float = 0.0) -> tuple[float, float]:
     """(-inf, inf) truncated at center +- TRUNCATION_RADIUS_SIGMAS * decay_scale."""
     radius = TRUNCATION_RADIUS_SIGMAS * decay_scale

@@ -1,20 +1,24 @@
 """Gaussian-kernel integrals and moments of sampled data, exact for its
 piecewise-linear interpolant.
 
-Sampled data is linear between its nodes.  On the line every integral the
-package takes of it comes in closed form, with no quadrature: the plain
-Hermite moments (order k <= n; the line C moments at order 2n) from the
-slope jumps and the end values (`series_cartesian._sampled_moments`), CI-B's
-Gaussian-weighted moments from the Hermite functions extended by erf and
-ierfc (`series_cartesian._sampled_weighted_moments`), and the line oracle
-from ierfc and erfc (`kernels._sampled_line`).  The radial xi W_j moments
-take one exact Gauss-Legendre level: their integrand is a polynomial of
-degree 2j + 2 on each panel between the nodes.  Every moment route must give
-the integral of the interpolant up to rounding: within C_EXACT eps int|f_k|
-of a 30-digit mpmath integral, smooth or noisy data alike, and within the
-adaptive engine's own tolerance of that engine at REL_TOL = 1e-13.  The
-oracle must be within a few eps of its size and of its terms' sizes of a
-30-digit per-panel erf integral.  The analytic inputs stay adaptive.
+Sampled data is linear between its nodes.  On the line its integrals come in
+closed form, with no quadrature: the plain Hermite moments (order k <= n;
+the line C moments at order 2n) from the slope jumps and the end values
+(`series_cartesian._sampled_moments`), CI-B's Gaussian-weighted moments from
+the Hermite functions extended by erf and ierfc
+(`series_cartesian._sampled_weighted_moments`), and the line oracle from
+ierfc and erfc (`kernels._sampled_line`).  The last two hold while the
+Gaussian is no wider than the data; under a wider one the slope-jump sums
+cancel about (width/span)^2-fold, and they take the adaptive quadrature.
+The radial xi W_j moments take one exact Gauss-Legendre level: their
+integrand is a polynomial of degree 2j + 2 on each panel between the nodes.
+Every moment route must give the integral of the interpolant up to
+rounding: within C_EXACT eps int|f_k| of a 30-digit mpmath integral, smooth
+or noisy data alike, and within the adaptive engine's own tolerance of that
+engine at REL_TOL = 1e-13.  The closed-form oracle must be within a few eps
+of its size and of its terms' sizes of a 30-digit per-panel erf integral,
+and the oracle under a wider kernel within a few eps of its size.  The
+analytic inputs stay adaptive.
 """
 
 import functools
@@ -28,14 +32,15 @@ import pytest
 from heatseries import kernels, quad, series_cartesian, series_polar
 from heatseries.profiles import Mixture, Gaussian, Sampled1D
 from heatseries.specfun import KernelParams, erfc
-from references import quad_settings, weighted_moment_integrand
+from references import l1_norms, quad_settings, weighted_moment_integrand
 
 EPS = float(np.finfo(float).eps)
 # measured: at most 1.9 (Hermite, k <= 80, both centres), 1.8 (xi W_j,
 # float64) and 0.7 (xi W_j, longdouble: the rule stays float64) eps int|f_k|;
 # the closed-form Hermite moments of the noisy files below reach 2.0, CI-B's
-# weighted ones 2.7 at k = 1 and 0.9 at k = 0 (their erf and ierfc carry
-# float64 rounding) and 0.004 at k >= 2 (longdouble rows)
+# weighted ones 0.92 (the weight as wide as the data: rows that vary least
+# across it) and 0.01 (roots 0.6 and 1.1456), and its quadrature under a
+# wider weight (root 100) 3.3
 C_EXACT = 8.0
 
 LINE_NODES = np.linspace(-8.0, 8.0, 97)
@@ -44,14 +49,6 @@ LINE = Sampled1D(-8.0, 8.0, LINE_MIX(LINE_NODES))
 POLAR_NODES = np.linspace(0.0, 8.0, 33)
 POLAR = Sampled1D(0.0, 8.0, np.exp(-POLAR_NODES ** 2 / 4.0))
 ROOT_LINE, ROOT_POLAR = 1.1, 0.9
-WIDE = dict(REL_TOL=1e-4, MAX_PANELS=1 << 14)  # for int|f_k|, a scale only
-
-
-def l1_norms(integrand, lo, hi, nodes):
-    with quad_settings(**WIDE):
-        vals, _ = quad.integrate_vec(lambda xi: np.abs(integrand(xi)), lo, hi, nodes)
-    return vals.astype(float)
-
 
 def mp_hermite_moments(data, root, center, n):
     """int H_k((xi - c)/(2R)) data(xi) dxi, k = 0..n, segment by segment from
@@ -195,12 +192,15 @@ def mp_weighted_moments(data, root, n):
 WEIGHTED = {**NOISY, "mix-97": LINE}
 
 
-@pytest.mark.parametrize("root", [0.6, ROOT_NOISY])
+@pytest.mark.parametrize("root", [0.6, ROOT_NOISY, "half-span", 100.0])
 @pytest.mark.parametrize("data", sorted(WEIGHTED))
 def test_weighted_moments_are_the_interpolants_up_to_rounding(data, root):
-    # CI-B's moments: the weight's root is the Hermite root, about 0
+    # CI-B's moments: the weight's root is the Hermite root, about 0; the
+    # closed form up to the weight as wide as the data (root = half its
+    # span), and the quadrature under a wider one (root = 100)
     data, n = WEIGHTED[data], 80
-    exact = series_cartesian._hermite_moments(data, root, n, weight_root=root)
+    root = (data.hi - data.lo) / 2.0 if root == "half-span" else root
+    exact = series_cartesian._hermite_moments(data, root, n, weighted=True)
     ref = mp_weighted_moments(data, root, n)
     l1 = l1_norms(weighted_moment_integrand(data, root, n), *series_cartesian._moment_window(data, root), data.nodes)
     assert np.all(np.abs(exact - ref) <= C_EXACT * EPS * l1)
@@ -212,7 +212,7 @@ def test_weighted_moments_of_a_file_spanning_1e300_are_finite_without_a_warning(
     wide = Sampled1D.from_function(Gaussian(1.3), -1e300, 1e300, 401)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        moments = series_cartesian._hermite_moments(wide, 1.0, 80, weight_root=1.0)
+        moments = series_cartesian._hermite_moments(wide, 1.0, 80, weighted=True)
     assert np.all(np.isfinite(moments))
     assert moments[0] == pytest.approx(1.0, rel=1e-12)
 
@@ -242,12 +242,16 @@ def mp_line_oracle(data, tau, xs):
 ORACLE_DATA = {"mix-481": Sampled1D.from_function(LINE_MIX, -12.0, 12.0, 481), "mix-481-1e-2": NOISY["mix-481-1e-2"]}
 
 
-@pytest.mark.parametrize("tau", [1e-9, 0.05, 0.5, 3.0])
+ORACLE_XS = np.concatenate([np.linspace(-14.5, 14.5, 12), np.linspace(-12.0, 12.0, 481)[[0, 1, 240, 479, 480]]])
+
+
+@pytest.mark.parametrize("tau", [1e-9, 0.05, 0.5, 3.0, 144.0])
 @pytest.mark.parametrize("data", sorted(ORACLE_DATA))
 def test_line_oracle_is_the_interpolants_up_to_rounding(data, tau):
-    # inside and outside the support, and on nodes (the ends among them)
-    data = ORACLE_DATA[data]
-    xs = np.concatenate([np.linspace(-14.5, 14.5, 12), data.nodes[[0, 1, 240, 479, 480]]])
+    # inside and outside the support, and on nodes (the ends among them);
+    # tau = 144: the kernel 2 sqrt(tau) as wide as the data, the last closed form
+    data, xs = ORACLE_DATA[data], ORACLE_XS
+    assert kernel_passes(lambda: kernels.forward_line(data, tau, xs)) == []
     got, ref = kernels.forward_line(data, tau, xs), mp_line_oracle(data, tau, xs)
     # a few eps of each term: the value, sqrt(tau) |w_i| times the two parts
     # e^{-t^2}/sqrt(pi) and t erfc t of ierfc t (t = |z_i|; they cancel about
@@ -259,6 +263,18 @@ def test_line_oracle_is_the_interpolants_up_to_rounding(data, tau):
     ends = np.abs(data.values[0]) * erfc(t[:, 0]) + np.abs(data.values[-1]) * erfc(t[:, -1])
     terms = np.abs(ref) + math.sqrt(tau) * (parts @ np.abs(jumps)) + ends
     assert np.all(np.abs(got - ref) <= 4.0 * EPS * terms)
+
+
+@pytest.mark.parametrize("tau", [144.0 * (1.0 + 1e-9), 1e4, 1e8])
+@pytest.mark.parametrize("data", sorted(ORACLE_DATA))
+def test_line_oracle_under_a_kernel_wider_than_the_data_is_relative_to_its_value(data, tau):
+    # the closed form's terms sqrt(tau) |w_i| ierfc|z_i| near sqrt(tau/pi) |w_i|
+    # would cancel to u ~ int f/(2 sqrt(pi tau)), about tau-fold; the
+    # quadrature keeps a few eps of u (measured: at most 3.5 eps)
+    data, xs = ORACLE_DATA[data], ORACLE_XS
+    assert kernel_passes(lambda: kernels.forward_line(data, tau, xs)) == [None]
+    got, ref = kernels.forward_line(data, tau, xs), mp_line_oracle(data, tau, xs)
+    assert np.all(np.abs(got - ref) <= 8.0 * EPS * np.abs(ref))
 
 
 @pytest.mark.parametrize("dtype", [float, np.longdouble])
@@ -315,6 +331,11 @@ def degrees_passed(module, call):
     return seen
 
 
+def kernel_passes(call):
+    """The degree of each quadrature pass of a line oracle: [] for the closed form."""
+    return degrees_passed(kernels, call)
+
+
 def closed_form_rows(call):
     """The row count (order + 1) of each closed-form moment pass of a solve."""
     seen = []
@@ -366,6 +387,15 @@ def test_line_moment_passes_take_the_exact_level_except_ci_b(variant, rows):
     analytic = lambda: coeffs(variant, Gaussian(1.0), PARAMS, 12, 0.0)  # noqa: E731
     assert closed_form_rows(analytic) == weighted_closed_form_rows(analytic) == []
     assert degrees_passed(series_cartesian, analytic) == [None]
+
+
+@pytest.mark.parametrize("beta, adaptive", [(64.0, False), (64.0 * (1.0 + 1e-12), True)])
+def test_ci_b_moments_take_the_quadrature_under_a_weight_wider_than_the_data(beta, adaptive):
+    # the weight's width 2 sqrt(beta) against LINE's span of 16
+    params = KernelParams(tau=0.3, beta=beta)
+    sampled = lambda: series_cartesian.ci_coeffs("CI-B", LINE, params, 12, 0.0)  # noqa: E731
+    assert weighted_closed_form_rows(sampled) == ([] if adaptive else [13])
+    assert degrees_passed(series_cartesian, sampled) == ([None] if adaptive else [])
 
 
 @pytest.mark.parametrize("variant", ["PD-A", "PI-B", "PD-C"])

@@ -17,7 +17,14 @@ from hypothesis import strategies as st
 
 from heatseries import kernels, quad, series_cartesian, series_polar, specfun
 from heatseries.profiles import Gaussian, Mixture, Sampled1D
-from references import integrate, line_kernel_integrand, line_oracle_by_quadrature
+from references import (
+    integrate,
+    l1_norms,
+    line_kernel_integrand,
+    line_oracle_by_quadrature,
+    weighted_moment_integrand,
+    weighted_moments_by_quadrature,
+)
 
 # --- reference: the allocating code of the previous implementation ---------------
 
@@ -252,10 +259,13 @@ NODES = np.concatenate([np.linspace(-14.0, 14.0, 3001), [0.0, 1e-300, -7.25]])
 @pytest.mark.parametrize("data", sorted(LINE_DATA))
 def test_hermite_moment_integrand_is_the_allocating_one(monkeypatch, data, center, weighted):
     f, root, n = LINE_DATA[data], 1.1, 80
-    weight_root = 0.8 if weighted else None
+    if weighted and center:
+        with pytest.raises(ValueError, match="about 0"):
+            series_cartesian._hermite_moments(f, root, n, weighted, center)
+        return
     integrands, moments = captured_integrands(
         series_cartesian,
-        lambda: series_cartesian._hermite_moments(f, root, n, weight_root, center),
+        lambda: series_cartesian._hermite_moments(f, root, n, weighted, center),
     )
     sampled = isinstance(f, Sampled1D)
     if sampled and not weighted:
@@ -263,14 +273,23 @@ def test_hermite_moment_integrand_is_the_allocating_one(monkeypatch, data, cente
         # longdouble rows are the allocating recurrence's bit for bit
         assert integrands == []
         monkeypatch.setattr(series_cartesian, "hermite_batch", old_hermite_batch)
-        assert bitwise_equal(moments, series_cartesian._hermite_moments(f, root, n, weight_root, center))
+        assert bitwise_equal(moments, series_cartesian._hermite_moments(f, root, n, weighted, center))
+        return
+    weight_root = root if weighted else None
+    if sampled:
+        # weighted moments of sampled data under a weight no wider than the
+        # data: the closed form, no integrand; the allocating integrand's
+        # quadrature route agrees to within its acceptance test
+        assert integrands == []
+        ref = weighted_moments_by_quadrature(f, root, n)
+        l1 = l1_norms(weighted_moment_integrand(f, root, n), *series_cartesian._moment_window(f, root), f.nodes)
+        assert np.all(np.abs(moments - ref) <= np.maximum(quad.REL_TOL * np.abs(ref), 32.0 * np.finfo(float).eps * l1))
         return
     (integrand,) = integrands
     assert bitwise_equal(integrand(NODES), old_hermite_integrand(f, root, n, center, weight_root)(NODES))
     ref, _ = quad.integrate_vec(
         old_hermite_integrand(f, root, n, center, weight_root),
         *series_cartesian._moment_window(f, weight_root),
-        breakpoints=f.nodes if sampled else None,
     )
     assert bitwise_equal(moments, ref)
 
