@@ -4,12 +4,12 @@ in-process and record the stdout, stderr and exit code of each command.
     python3 scripts/golden.py OUT.json             # record, with the src/ next to this script
     python3 scripts/golden.py --compare A.json B.json
 
-The list holds the perfbench commands; forward/inverse of every series
-variant, CI-classical and both oracles in both constants modes, as CSV and
-JSON, on analytic, evolved and sampled data (CI-B and both oracles also on
-16 001-node files: the polar oracle's quadrature levels span many
-integrand blocks, and the closed forms of CI-B and the line oracle many
-node blocks); overflow (exit 3) and
+The list, some 350 commands, holds the perfbench commands; forward/inverse
+of every series variant, CI-classical and both oracles in both constants
+modes, as CSV and JSON, on analytic, evolved and sampled data (CI-A, CI-B,
+CI-C and both oracles also on 16 001-node files: the polar oracle's
+quadrature levels span many integrand blocks, and the closed forms of the
+line's moments and oracle many node blocks); overflow (exit 3) and
 configuration (exit 2) cases; `validate` in both modes; study configs of
 every kind, the shipped ones included; and malformed study configs and
 study flags (exit 2).
@@ -219,6 +219,10 @@ def _own_commands() -> list:
                                "--noise", noise, "--seed", seed, "--truth", gauss)))
     out.append(("inv-CI-A-truth-json", _solve("inverse", "line", "CI-A", 0.3, "-3:3:13", "--beta", "auto",
                                                "--profile", line_u, "--truth", line_mix, "--format", "json")))
+    # the plain closed form over four node blocks, its end rows from the first and last
+    for v in ("CI-A", "CI-C"):
+        out.append((f"inv-{v}-line16001", _solve("inverse", "line", v, 0.3, "-1.5:1.5:5", "--beta", "auto",
+                                                 "--order", "8", "--input", "u_line16001.csv")))
     out.append(("inv-CI-B-line16001", _solve("inverse", "line", "CI-B", 0.3, "-3:3:25", "--beta", "auto",
                                               "--input", "u_line16001.csv")))
     out.append(("fwd-oracle-line16001", _solve("forward", "line", "oracle", 0.5, "-3:3:25", "--input",

@@ -74,7 +74,7 @@ class GridGeom:
     n: int
 
     def __post_init__(self):
-        if self.n < 2 or not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo < self.hi):
+        if self.n < 2 or not (self.lo < self.hi and math.isfinite(self.hi - self.lo)):
             raise ValueError(f"bad grid geometry [{self.lo}, {self.hi}] n={self.n}: need finite lo < hi, n >= 2")
 
 

@@ -8,9 +8,9 @@ the quadrature path must agree with them.
 
 Sampled data on the line is linear between its nodes, so its convolution
 with a kernel no wider than the data comes in closed form from the slope
-jumps, erfc and ierfc (`_sampled_line`), with no quadrature.  Analytic data,
-sampled data under a wider kernel, and sampled data in the plane keep the
-quadrature.
+jumps (`Sampled1D.by_parts`), erfc and ierfc (`_sampled_line`), with no
+quadrature.  Analytic data, sampled data under a wider kernel, and sampled
+data in the plane keep the quadrature.
 """
 
 from __future__ import annotations
@@ -105,31 +105,27 @@ def _sampled_line(data: Sampled1D, tau: float, x: np.ndarray) -> np.ndarray:
 
         u(x) = f^(x) + sqrt(tau) sum_i w_i ierfc|z_i| + e(x),
 
-    w = [s_0, diff(s), -s_{m-1}] the slope jumps, s = diff(f)/diff(nodes) at
-    the true node spacing.  The end term e is -(f_0 erfc|z_0| +
-    f_m erfc|z_m|)/2 for xi_0 <= x <= xi_m, (f_0 erfc z_0 - f_m erfc z_m)/2
-    left of the data and its mirror right of it.  Every term decays like
-    e^{-z^2}, so nothing cancels far from the data.  Under a kernel wider
-    than the data the terms would cancel about 2 tau/(xi_m - xi_0)^2-fold
-    (every ierfc|z_i| nears 1/sqrt(pi), and the jumps sum to 0): the caller
-    keeps 2 sqrt(tau) <= xi_m - xi_0.  The nodes go in blocks
-    of at most EXACT_BLOCK, added in ascending order; OverflowError when a
-    value is not finite.  A block holds about _CACHE_BLOCK kernel values:
-    at 121 points, blocks of 256 nodes run 2.5 times faster than blocks of
-    EXACT_BLOCK (x86-64, numpy 2.4).
+    w the slope jumps (`Sampled1D.by_parts`).  The end term e is -(f_0
+    erfc|z_0| + f_m erfc|z_m|)/2 for xi_0 <= x <= xi_m, (f_0 erfc z_0 -
+    f_m erfc z_m)/2 left of the data and its mirror right of it.  Every
+    term decays like e^{-z^2}, so nothing cancels far from the data; the
+    caller keeps the kernel no wider than the data (`Sampled1D.narrower`).
+    OverflowError when a value is not finite.  A block holds about
+    _CACHE_BLOCK kernel values: at 121 points, blocks of 256 nodes run 2.5
+    times faster than blocks of EXACT_BLOCK (x86-64, numpy 2.4).
     """
     nodes, vals = data.nodes, data.values
     scale = 2.0 * math.sqrt(tau)
+
+    def rows(block):
+        z = np.subtract(block[None, :], x[:, None])
+        np.abs(z, out=z)
+        z /= scale
+        return ierfc(z)
+
     step = min(EXACT_BLOCK, max(1, _CACHE_BLOCK // max(x.size, 1)))
-    total = np.zeros_like(x)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value raises below
-        jumps = np.diff(np.diff(vals) / np.diff(nodes), prepend=0.0, append=0.0)
-        for start in range(0, nodes.size, step):
-            z = np.subtract(nodes[None, start : start + step], x[:, None])
-            np.abs(z, out=z)
-            z /= scale
-            total += ierfc(z) @ jumps[start : start + step]
-            del z  # freed before the next block
+        total, _, _ = data.by_parts(rows, step=step)
         first, last = (nodes[0] - x) / scale, (nodes[-1] - x) / scale
         ends = np.where(first > 0.0, vals[0], -vals[0]) * erfc(np.abs(first))
         ends += np.where(last < 0.0, vals[-1], -vals[-1]) * erfc(np.abs(last))
@@ -144,13 +140,13 @@ def forward_line(data, tau: float, x):
 
     Quadrature of the Gaussian kernel against analytic data; sampled inputs
     are zero-extended and linearly interpolated, and take the closed form
-    (`_sampled_line`) while the kernel is no wider than the data, 2 sqrt(tau)
-    <= hi - lo, the quadrature beyond.
+    (`_sampled_line`) while the kernel is no wider than the data
+    (`Sampled1D.narrower`), the quadrature beyond.
     """
     if not (tau > 0.0):
         raise ValueError(f"tau must be positive, got {tau}")
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if isinstance(data, Sampled1D) and 2.0 * math.sqrt(tau) <= data.hi - data.lo:
+    if isinstance(data, Sampled1D) and data.narrower(math.sqrt(tau)):
         vals = _sampled_line(data, tau, x_arr)
         return float(vals[0]) if np.ndim(x) == 0 else vals
     lo, hi = _line_window(data, x_arr, tau)

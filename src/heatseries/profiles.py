@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quad import TRUNCATION_RADIUS_SIGMAS
+from .quad import EXACT_BLOCK, TRUNCATION_RADIUS_SIGMAS
 
 __all__ = [
     "AnalyticProfile",
@@ -105,7 +105,10 @@ class Sampled1D:
     """Values on a uniform grid over [lo, hi]; zero outside, linear between.
 
     Zero extension keeps the integral operators well-defined on compactly
-    recorded data without inventing values.
+    recorded data without inventing values.  Being linear between its
+    nodes, the data integrates by parts into slope-jump sums (`by_parts`),
+    which every Gaussian-kernel integral on the line takes while the
+    Gaussian is no wider than the data (`narrower`).
     """
 
     lo: float
@@ -116,8 +119,8 @@ class Sampled1D:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.ndim != 1 or self.values.size < 2:
             raise ValueError("need a 1-D array of at least 2 samples")
-        if not (self.lo < self.hi):
-            raise ValueError(f"need lo < hi, got [{self.lo}, {self.hi}]")
+        if not (self.lo < self.hi and math.isfinite(self.hi - self.lo)):
+            raise ValueError(f"need lo < hi with hi - lo finite, got [{self.lo}, {self.hi}]")
 
     @property
     def n_nodes(self) -> int:
@@ -134,6 +137,38 @@ class Sampled1D:
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         return np.interp(x, self.nodes, self.values, left=0.0, right=0.0)
+
+    def narrower(self, root: float) -> bool:
+        """Whether a Gaussian of width 2 root is no wider than the data, 2 root
+        <= hi - lo, so that its slope-jump sum (`by_parts`) keeps its
+        accuracy.  Across a wider one every kernel row varies little while
+        the jumps sum to 0, and the sum cancels about (2 root/(hi - lo))^2-fold;
+        the adaptive quadrature takes those integrals."""
+        return 2.0 * root <= self.hi - self.lo
+
+    def by_parts(self, rows, dtype=float, step: int = EXACT_BLOCK) -> tuple:
+        """(sum_i w_i G(xi_i), G(xi_0), G(xi_m)) for G = rows(nodes), whose last
+        axis runs over the nodes: the parts of a kernel integral against the
+        piecewise-linear data integrated by parts twice.  w = [s_0, diff(s),
+        -s_{m-1}] are the slope jumps, s = diff(f)/diff(nodes) at the true node
+        spacing, in dtype: the jumps of noisy data cancel massively in the sum.
+        rows is called on blocks of at most step nodes, whose sums add in
+        ascending order (np.dot for np.longdouble, matmul for float64, as
+        quad._sums), and the end columns are copied out of the first and
+        last blocks.  Not-finite sums are left to the caller."""
+        nodes, vals = self.nodes, self.values.astype(dtype)
+        jumps = np.diff(np.diff(vals) / np.diff(nodes), prepend=0.0, append=0.0)
+        dot = np.dot if jumps.dtype == np.longdouble else np.matmul
+        total = 0.0
+        for start in range(0, nodes.size, step):
+            block = rows(nodes[start : start + step])
+            total = total + dot(block, jumps[start : start + step])
+            if start == 0:
+                first = block[..., 0].copy()
+            if start + step >= nodes.size:
+                last = block[..., -1].copy()
+            del block  # freed before the next block is evaluated
+        return total, first, last
 
     @classmethod
     def from_function(cls, f, lo: float, hi: float, n_nodes: int) -> "Sampled1D":

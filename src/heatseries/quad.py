@@ -26,7 +26,8 @@ no error estimate to trust and no refinement.  Its one caller is the
 plane's xi W_j moments of sampled data, which is linear between its nodes;
 on the line, sampled data needs no quadrature while its Gaussians are no
 wider than the data: its moments, plain and Gaussian-weighted
-(series_cartesian), and its kernel integral (kernels) come in closed form.
+(series_cartesian._sampled_moments), and its kernel integral (kernels) come
+in closed form from its slope jumps (profiles.Sampled1D.by_parts).
 
 Every level, adaptive or exact, is evaluated by one block loop: each
 integrand call gets at most EXACT_BLOCK nodes, built from the panels that

@@ -23,13 +23,13 @@ truncated evaluation and divergence monitoring.  With s = tau + beta:
   high-order differentiation.
 
 Sampled data is linear between its nodes, so its moments come in closed
-form from the slope jumps and the end values, with no quadrature: the plain
-ones (CD-A, CD-B, CI-A at order N; CD-C, CI-C at order 2N about each centre)
-from Hermite rows (`_sampled_moments`), CI-B's Gaussian-weighted ones from
-the Hermite functions H_k e^{-y^2} extended by erf and ierfc
-(`_sampled_weighted_moments`) while the weight is no wider than the data.
-Analytic data, and CI-B's moments under a wider weight, take the adaptive
-quadrature.
+form from the slope jumps and the end values (`Sampled1D.by_parts`), with
+no quadrature (`_sampled_moments`): the plain ones (CD-A, CD-B, CI-A at
+order N; CD-C, CI-C at order 2N about each centre) from Hermite rows,
+CI-B's Gaussian-weighted ones from the Hermite functions H_k e^{-y^2}
+extended by erf and ierfc while the weight is no wider than the data
+(`Sampled1D.narrower`).  Analytic data, and CI-B's moments under a wider
+weight, take the adaptive quadrature.
 
 Every evaluation (`cd_eval`, `ci_eval`, `ci_classical`) returns the
 `variants.SeriesTerms` of the shared path: it sums in ascending order
@@ -54,7 +54,7 @@ import math
 import numpy as np
 
 from .profiles import Gaussian, Mixture, Sampled1D, profile_support
-from .quad import EXACT_BLOCK, TRUNCATION_RADIUS_SIGMAS, integrate_vec
+from .quad import TRUNCATION_RADIUS_SIGMAS, integrate_vec
 from .specfun import _RSQRT_PI_LD, KernelParams, erfc, hermite_batch
 from .variants import (
     AXIS,
@@ -97,22 +97,18 @@ def _hermite_moments(data, root: float, n: int, weighted: bool = False, center: 
     Plain form: int H_j((xi - center)/(2 root)) data(xi) dxi.
     weighted (CI-B, about 0 only): the integrand additionally carries
     e^{-xi^2/(4 root^2)}/(2 root sqrt(pi)).
-    Sampled data takes the closed forms: the plain moments
-    (`_sampled_moments`), and the weighted ones while the weight is no wider
-    than the data, 2 root <= hi - lo (`_sampled_weighted_moments`; a wider
-    weight varies little across the data, its slope-jump sum cancels
-    about (2 root/(hi - lo))^2-fold, and the adaptive quadrature keeps its
-    accuracy).  Every other moment takes the adaptive quadrature.
+    Sampled data takes the closed form (`_sampled_moments`), the weighted
+    moments only while the weight is no wider than the data
+    (`Sampled1D.narrower`).  Every other moment takes the adaptive
+    quadrature.
     """
     if n < 0:
         raise ValueError("order must be non-negative")
     if weighted and center != 0.0:
         raise ValueError("weighted moments are taken about 0")
     sampled = isinstance(data, Sampled1D)
-    if sampled and not weighted:
-        return _sampled_moments(data, root, n, center)
-    if sampled and 2.0 * root <= data.hi - data.lo:
-        return _sampled_weighted_moments(data, root, n)
+    if sampled and (not weighted or data.narrower(root)):
+        return _sampled_moments(data, root, n, center, weighted)
     lo, hi = _moment_window(data, root if weighted else None)
     if lo >= hi:
         return np.zeros(n + 1)
@@ -129,40 +125,47 @@ def _hermite_moments(data, root: float, n: int, weighted: bool = False, center: 
     return vals
 
 
-def _sampled_moments(data: Sampled1D, root: float, n: int, center: float) -> np.ndarray:
-    """The plain moments M_k, k = 0..n, of sampled data, exact for its
-    piecewise-linear interpolant up to rounding.  With y = (xi - center)/(2R)
+def _sampled_moments(data: Sampled1D, root: float, n: int, center: float, weighted: bool = False) -> np.ndarray:
+    """The moments M_k, k = 0..n, of sampled data, exact for its
+    piecewise-linear interpolant up to rounding, from the slope jumps w and
+    the end values (`Sampled1D.by_parts`).  Plain, with y = (xi - center)/(2R)
     and int H_k dxi = R H_{k+1}/(k+1), integrating by parts twice leaves
 
         M_k = R^2/((k+1)(k+2)) sum_i w_i H_{k+2}(y_i)
-              + R/(k+1) [f_m H_{k+1}(y_m) - f_0 H_{k+1}(y_0)],
+              + R/(k+1) [f_m H_{k+1}(y_m) - f_0 H_{k+1}(y_0)].
 
-    w = [s_0, diff(s), -s_{m-1}] the slope jumps, s = diff(f)/diff(nodes) at
-    the true node spacing.  The jumps of noisy data cancel massively in the
-    sum, so the rows and the sums run in np.longdouble, in blocks of at most
-    EXACT_BLOCK nodes added in ascending order; OverflowError when a moment
-    does not fit in float64.
+    weighted (CI-B, center 0): M_k = int H_k(y) e^{-y^2} data(xi) dxi/(2R
+    sqrt(pi)).  With r_k = 2 phi_k/sqrt(pi), phi_k = H_k e^{-y^2} from
+    phi_{k+1} = 2y phi_k - 2k phi_{k-1} (bounded, and an exact 0 where
+    e^{-y^2} underflows), extended downward by r_{-1} = -erf y and r_{-2} =
+    |y| + ierfc|y| (`_weighted_rows`), it leaves
+
+        M_k = R sum_i w_i r_{k-2}(y_i) - [f_m r_{k-1}(y_m) - f_0 r_{k-1}(y_0)]/2,
+
+    and M_0 is the line oracle at x = 0 and tau = R^2.  The rows and the sums
+    run in np.longdouble; OverflowError when a moment does not fit in
+    float64.
     """
     ld = np.longdouble
     r = ld(root)
-    nodes, vals = data.nodes, data.values.astype(ld)
-    y = (nodes.astype(ld) - center) / (2 * r)
-    total = np.zeros(n + 1, dtype=ld)
+
+    def rows(nodes):
+        y = (nodes.astype(ld) - center) / (2 * r)
+        return _weighted_rows(n, y) if weighted else hermite_batch(n + 2, y)
+
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # a non-finite moment raises below
-        jumps = np.diff(np.diff(vals) / np.diff(nodes), prepend=0.0, append=0.0)
-        ends = []  # H_{k+1} at each block's first and last node, copied out
-        for start in range(0, y.size, EXACT_BLOCK):
-            rows = hermite_batch(n + 2, y[start : start + EXACT_BLOCK])
-            # np.dot: numpy's np.longdouble matmul loop is 2.5 times slower
-            total += np.dot(rows[2:], jumps[start : start + EXACT_BLOCK])
-            ends.append(rows[1 : n + 2, [0, -1]])
-            del rows  # freed before the next block is evaluated
-        first, last = ends[0][:, 0], ends[-1][:, 1]  # H_{k+1}(y_0), H_{k+1}(y_m)
-        k1 = np.arange(1, n + 2, dtype=ld)  # k + 1
-        moments = (r * r / (k1 * (k1 + 1))) * total + (r / k1) * (vals[-1] * last - vals[0] * first)
+        total, first, last = data.by_parts(rows, dtype=ld)
+        if weighted:  # rows r_{-2} .. r_{n-1}
+            inner, outer, scale, end_scale = slice(0, n + 1), slice(1, None), r, ld(-0.5)
+        else:  # rows H_0 .. H_{n+2}
+            k1 = np.arange(1, n + 2, dtype=ld)  # k + 1
+            inner, outer, scale, end_scale = slice(2, None), slice(1, n + 2), r * r / (k1 * (k1 + 1)), r / k1
+        f0, fm = ld(data.values[0]), ld(data.values[-1])
+        moments = scale * total[inner] + end_scale * (fm * last[outer] - f0 * first[outer])
         out = moments.astype(float)
     if not np.all(np.isfinite(out)):
-        raise OverflowError(f"moments of the sampled data are not finite about {center}")
+        kind = "weighted moments" if weighted else "moments"
+        raise OverflowError(f"{kind} of the sampled data are not finite about {center}")
     return out
 
 
@@ -182,45 +185,6 @@ def _weighted_rows(n: int, y: np.ndarray) -> np.ndarray:
     if n >= 1:
         rows[2:] = hermite_batch(n - 1, y, weight=2 * _RSQRT_PI_LD * gauss)
     return rows
-
-
-def _sampled_weighted_moments(data: Sampled1D, root: float, n: int) -> np.ndarray:
-    """CI-B's moments M_k = int H_k(y) e^{-y^2} data(xi) dxi/(2b sqrt(pi)),
-    y = xi/(2b), b = root, k = 0..n, exact for the piecewise-linear
-    interpolant up to rounding.  With r_k = 2 phi_k/sqrt(pi), phi_k =
-    H_k e^{-y^2} from phi_{k+1} = 2y phi_k - 2k phi_{k-1} (bounded, and an
-    exact 0 where e^{-y^2} underflows), extended downward by r_{-1} = -erf y
-    and r_{-2} = |y| + ierfc|y| (`_weighted_rows`), integrating by parts
-    twice leaves
-
-        M_k = b sum_i w_i r_{k-2}(y_i) - [f_m r_{k-1}(y_m) - f_0 r_{k-1}(y_0)]/2,
-
-    w the slope jumps at the true node spacing (as `_sampled_moments`).
-    M_0 is the line oracle at x = 0 and tau = b^2.  The rows and the sums run
-    in np.longdouble, in blocks of at most EXACT_BLOCK nodes added in
-    ascending order; OverflowError when a moment does not fit in float64.
-    The sum cancels about (2b/(xi_m - xi_0))^2-fold, which the caller keeps
-    at most 1.
-    """
-    ld = np.longdouble
-    b = ld(root)
-    nodes, vals = data.nodes, data.values.astype(ld)
-    y = nodes.astype(ld) / (2 * b)
-    total = np.zeros(n + 1, dtype=ld)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # a non-finite moment raises below
-        jumps = np.diff(np.diff(vals) / np.diff(nodes), prepend=0.0, append=0.0)
-        ends = []  # r_{k-1} at each block's first and last node, copied out
-        for start in range(0, y.size, EXACT_BLOCK):
-            rows = _weighted_rows(n, y[start : start + EXACT_BLOCK])
-            total += np.dot(rows[: n + 1], jumps[start : start + EXACT_BLOCK])
-            ends.append(rows[1:, [0, -1]])
-            del rows  # freed before the next block is evaluated
-        first, last = ends[0][:, 0], ends[-1][:, 1]  # r_{k-1}(y_0), r_{k-1}(y_m)
-        moments = b * total - (vals[-1] * last - vals[0] * first) / 2
-        out = moments.astype(float)
-    if not np.all(np.isfinite(out)):
-        raise OverflowError("weighted moments of the sampled data are not finite")
-    return out
 
 
 def _centres(x: np.ndarray, root: float, n: int) -> np.ndarray:

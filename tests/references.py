@@ -103,7 +103,7 @@ def weighted_moment_integrand(data, root: float, n: int):
 def weighted_moments_by_quadrature(data, root: float, n: int) -> np.ndarray:
     """CI-B's moments of sampled data by the adaptive engine, on the weight's
     window with the nodes as breakpoints (the package: the closed form
-    series_cartesian._sampled_weighted_moments)."""
+    series_cartesian._sampled_moments)."""
     lo, hi = series_cartesian._moment_window(data, root)
     return integrate_vec(weighted_moment_integrand(data, root, n), lo, hi, breakpoints=data.nodes)[0]
 

@@ -283,9 +283,9 @@ def test_one_quadrature_per_grid(monkeypatch, variant):
 
         return integrate_vec(wrapped, *args, **kwargs)
 
-    def closed_form(data, root, n, center, original=sc._sampled_moments):
+    def closed_form(data, root, n, center, weighted=False, original=sc._sampled_moments):
         closed_forms.append({n + 1})
-        return original(data, root, n, center)
+        return original(data, root, n, center, weighted)
 
     monkeypatch.setattr(module, "integrate_vec", counting)
     monkeypatch.setattr(sc, "_sampled_moments", closed_form)

@@ -2,14 +2,14 @@
 piecewise-linear interpolant.
 
 Sampled data is linear between its nodes.  On the line its integrals come in
-closed form, with no quadrature: the plain Hermite moments (order k <= n;
-the line C moments at order 2n) from the slope jumps and the end values
-(`series_cartesian._sampled_moments`), CI-B's Gaussian-weighted moments from
-the Hermite functions extended by erf and ierfc
-(`series_cartesian._sampled_weighted_moments`), and the line oracle from
-ierfc and erfc (`kernels._sampled_line`).  The last two hold while the
-Gaussian is no wider than the data; under a wider one the slope-jump sums
-cancel about (width/span)^2-fold, and they take the adaptive quadrature.
+closed form from the slope jumps and the end values (`Sampled1D.by_parts`),
+with no quadrature: the plain Hermite moments (order k <= n; the line C
+moments at order 2n) from Hermite rows and CI-B's Gaussian-weighted moments
+from the Hermite functions extended by erf and ierfc
+(`series_cartesian._sampled_moments`), and the line oracle from ierfc and
+erfc (`kernels._sampled_line`).  The last two hold while the Gaussian is no
+wider than the data (`Sampled1D.narrower`); under a wider one they take the
+adaptive quadrature.
 The radial xi W_j moments take one exact Gauss-Legendre level: their
 integrand is a polynomial of degree 2j + 2 on each panel between the nodes.
 Every moment route must give the integral of the interpolant up to
@@ -341,9 +341,10 @@ def closed_form_rows(call):
     seen = []
     original = series_cartesian._sampled_moments
 
-    def spy(data, root, n, center):
-        seen.append(n + 1)
-        return original(data, root, n, center)
+    def spy(data, root, n, center, weighted=False):
+        if not weighted:
+            seen.append(n + 1)
+        return original(data, root, n, center, weighted)
 
     series_cartesian._sampled_moments = spy
     try:
@@ -359,17 +360,18 @@ PARAMS = KernelParams(tau=0.3, beta=0.9)
 def weighted_closed_form_rows(call):
     """The row count (order + 1) of each closed-form CI-B moment pass of a solve."""
     seen = []
-    original = series_cartesian._sampled_weighted_moments
+    original = series_cartesian._sampled_moments
 
-    def spy(data, root, n):
-        seen.append(n + 1)
-        return original(data, root, n)
+    def spy(data, root, n, center, weighted=False):
+        if weighted:
+            seen.append(n + 1)
+        return original(data, root, n, center, weighted)
 
-    series_cartesian._sampled_weighted_moments = spy
+    series_cartesian._sampled_moments = spy
     try:
         call()
     finally:
-        series_cartesian._sampled_weighted_moments = original
+        series_cartesian._sampled_moments = original
     return seen
 
 

@@ -45,7 +45,7 @@ def test_config_validation():
         StudyConfig(study_kind="beta_map", beta_range=())
     with pytest.raises(ValueError):
         GridGeom(1.0, 1.0, 10)
-    for lo, hi in ((-8.0, math.inf), (-math.inf, 8.0), (math.nan, 8.0), (-math.inf, math.inf)):
+    for lo, hi in ((-8.0, math.inf), (-math.inf, 8.0), (math.nan, 8.0), (-math.inf, math.inf), (-1e308, 1e308)):
         with pytest.raises(ValueError, match="need finite lo < hi"):
             GridGeom(lo, hi, 401)
     with pytest.raises(ValueError, match="orders"):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from heatseries.profiles import (
     parse_profile,
     profile_support,
 )
+from heatseries.quad import EXACT_BLOCK
 
 
 def test_gaussian_basicities():
@@ -43,8 +46,39 @@ def test_sampled_interpolation_and_zero_extension():
     assert s(-0.1) == 0.0
     assert s(1.1) == 0.0
     assert s.spacing == pytest.approx(0.5)
-    with pytest.raises(ValueError):
-        Sampled1D(0.0, 1.0, np.array([1.0]))
+    for lo, hi, values in ((0.0, 1.0, [1.0]), (0.0, math.inf, [1.0, 2.0, 1.0]), (-math.inf, 0.0, [1.0, 2.0]),
+                           (math.nan, 1.0, [1.0, 2.0]), (-1.7e308, 1.7e308, [1.0, 2.0, 1.0])):
+        with pytest.raises(ValueError):
+            Sampled1D(lo, hi, np.array(values))
+
+
+def _trapezoid_rows(xi):
+    """xi^2/2 and xi: the second and first antiderivatives of 1."""
+    return np.vstack([0.5 * xi * xi, xi])
+
+
+def test_by_parts_integrates_the_interpolant():
+    # integrating 1 by parts twice: sum_i w_i xi_i^2/2 + f_m xi_m - f_0 xi_0 = int f
+    data = Sampled1D.from_function(Gaussian(0.3, center=0.4), -1.5, 2.5, 1001)
+    total, first, last = data.by_parts(_trapezoid_rows)
+    integral = total[0] + data.values[-1] * last[1] - data.values[0] * first[1]
+    assert integral == pytest.approx(np.trapezoid(data.values, data.nodes), rel=4 * np.finfo(float).eps)
+    np.testing.assert_array_equal(first, _trapezoid_rows(data.nodes[:1])[:, 0])
+    np.testing.assert_array_equal(last, _trapezoid_rows(data.nodes[-1:])[:, 0])
+
+
+def test_by_parts_blocks_agree_and_longdouble_sums():
+    # 4099 nodes (a prime): every step's last block is short.  The sums agree
+    # within 8 eps of the terms' magnitudes; step 1 adds term by term, whose
+    # rounding grows with the node count (27 eps at 5001 nodes)
+    data = Sampled1D.from_function(Gaussian(0.3, center=0.4), -1.5, 2.5, 4099)
+    jumps = np.diff(np.diff(data.values) / np.diff(data.nodes), prepend=0.0, append=0.0)
+    size = np.abs(_trapezoid_rows(data.nodes)) @ np.abs(jumps)
+    exact, _, _ = data.by_parts(_trapezoid_rows, dtype=np.longdouble)
+    assert exact.dtype == np.longdouble
+    for step in (1, 7, 256, EXACT_BLOCK):
+        total, _, _ = data.by_parts(_trapezoid_rows, step=step)
+        assert np.all(np.abs(total - exact) <= 8 * np.finfo(float).eps * size)
 
 
 def test_sampled_noise_reproducible():
