@@ -6,10 +6,11 @@ in-process and record the stdout, stderr and exit code of each command.
 
 The list, some 350 commands, holds the perfbench commands; forward/inverse
 of every series variant, CI-classical and both oracles in both constants
-modes, as CSV and JSON, on analytic, evolved and sampled data (CI-A, CI-B,
-CI-C and both oracles also on 16 001-node files: the polar oracle's
-quadrature levels span many integrand blocks, and the closed forms of the
-line's moments and oracle many node blocks); overflow (exit 3) and
+modes, as CSV and JSON, on analytic, evolved and sampled data (CI-C and PI-C
+also at order 40 on analytic data; CI-A, CI-B, CI-C and both oracles also
+on 16 001-node files: the polar oracle's quadrature levels span many
+integrand blocks, and the closed forms of the line's moments and oracle
+many node blocks); overflow (exit 3) and
 configuration (exit 2) cases; `validate` in both modes; study configs of
 every kind, the shipped ones included; and malformed study configs and
 study flags (exit 2).
@@ -231,6 +232,13 @@ def _own_commands() -> list:
                                                  "u_polar16001.csv")))
     out.append(("fwd-single-point", _solve("forward", "line", "CD-C", 0.5, "0.7:0.7:1", "--beta", "auto",
                                             "--profile", line_mix)))
+    # order-40 C inverses of analytic data, whose adaptive moments' rounding
+    # noise the divergence scan flagged (50 and 38 rows)
+    out.append(("inv-CI-C-N40-mixture", _solve("inverse", "line", "CI-C", 0.3, "-4:4:161", "--beta", "auto",
+                                                "--order", "40", "--profile",
+                                                "mixture:[a=1.2,center=-0.5,amp=1; a=1.7,center=0.7,amp=0.7]")))
+    out.append(("inv-PI-C-N40-gaussian", _solve("inverse", "polar", "PI-C", 0.3, "0:4:81", "--beta", "auto",
+                                                 "--order", "40", "--profile", "gaussian:a=1.3")))
     # configuration errors: exit 2
     bad = {
         "no-beta": _solve("forward", "line", "CD-A", 0.5, "-1:1:3", "--profile", gauss),

@@ -21,6 +21,7 @@ __all__ = [
     "Gaussian",
     "Mixture",
     "Sampled1D",
+    "closed_form_moments",
     "estimate_scale_line",
     "estimate_scale_polar",
     "parse_profile",
@@ -57,6 +58,45 @@ class Gaussian:
         """Standard-deviation-like scale sqrt(2 a)."""
         return math.sqrt(2.0 * self.width_a)
 
+    def hermite_moments(self, root: float, n: int, center: float = 0.0, weighted: bool = False) -> np.ndarray:
+        """int H_k((xi - center)/(2R)) self(xi) dxi, k = 0..n, R = root, in
+        closed form.  The generating function e^{2yt - t^2} of H_k (DLMF
+        18.12.15) integrates against A e^{-(xi - mu)^2/(4a)} to 2A sqrt(pi a)
+        e^{2 y0 t - gamma^2 t^2}, so M_k = 2A sqrt(pi a) P_k with P_0 = 1,
+        P_1 = 2 y0 and P_{k+1} = 2 y0 P_k - 2k gamma^2 P_{k-1}, where y0 =
+        (mu - center)/(2R) and gamma^2 = 1 - a/R^2 of either sign.
+        weighted (CI-B, center 0): the weight e^{-xi^2/(4R^2)}/(2R sqrt(pi))
+        times the data is the Gaussian of width a' = aR^2/(a + R^2), centre
+        mu R^2/(a + R^2) and amplitude A e^{-mu^2/(4(a + R^2))}/(2R sqrt(pi)).
+        Non-finite where a moment overflows."""
+        a, mu, amp, r2 = self.width_a, self.center, self.amplitude, root * root
+        if weighted:
+            amp *= math.exp(-mu * mu / (4.0 * (a + r2))) / (2.0 * root * math.sqrt(math.pi))
+            a, mu = a * (r2 / (a + r2)), mu * (r2 / (a + r2))
+        two_y0, two_g2 = (mu - center) / root, 2.0 * (1.0 - a / r2)
+        p = [2.0 * amp * math.sqrt(math.pi * a)]  # the scale first: 0 stays 0 however far the centre
+        if n >= 1:
+            p.append(two_y0 * p[0])
+        for k in range(1, n):
+            p.append(two_y0 * p[k] - k * two_g2 * p[k - 1])
+        return np.array(p)
+
+    def radial_moments(self, root: float, n: int, dtype=float) -> np.ndarray | None:
+        """int_0^inf xi W_j(xi/(2R)) self(xi) dxi, j = 0..n, R = root, in
+        closed form for a centred Gaussian, in dtype; None off centre.  With
+        W_j(z) = (-1)^j (2j)!/j! L_j(z^2) and the Laplace transform of L_j
+        (DLMF 18.17.34), M_j = 2AR^2 (-1)^j (2j)!/j! (s - 1)^j/s^{j+1}, s =
+        R^2/a: M_0 = 2Aa and M_{j+1} = -2(2j + 1)(1 - a/R^2) M_j, the ratios
+        multiplied up in dtype.  Non-finite where a moment overflows."""
+        if self.center != 0.0:
+            return None
+        q = 1 - dtype(self.width_a) / (dtype(root) * dtype(root))
+        factors = np.empty(n + 1, dtype=dtype)  # M_0, then M_{j+1}/M_j
+        factors[0] = 2 * dtype(self.amplitude) * dtype(self.width_a)
+        factors[1:] = np.arange(1, 2 * n, 2, dtype=dtype) * (-2 * q)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.cumprod(factors)
+
 
 @dataclass(frozen=True)
 class Mixture:
@@ -73,6 +113,25 @@ class Mixture:
         for g in self.components:
             out += g(x)
         return out
+
+    def _sum(self, moments):
+        """The components' moments summed in order; None if any is None."""
+        total = None
+        with np.errstate(over="ignore", invalid="ignore"):
+            for m in moments:
+                if m is None:
+                    return None
+                total = m if total is None else total + m
+        return total
+
+    def hermite_moments(self, root: float, n: int, center: float = 0.0, weighted: bool = False) -> np.ndarray:
+        """The components' `Gaussian.hermite_moments`, summed in order."""
+        return self._sum(g.hermite_moments(root, n, center, weighted) for g in self.components)
+
+    def radial_moments(self, root: float, n: int, dtype=float) -> np.ndarray | None:
+        """The components' `Gaussian.radial_moments`, summed in order; None
+        if any component is off centre."""
+        return self._sum(g.radial_moments(root, n, dtype) for g in self.components)
 
 
 @dataclass(frozen=True)
@@ -181,6 +240,18 @@ class Sampled1D:
             raise ValueError("noise level must be non-negative")
         noisy = self.values + delta * rng.standard_normal(self.n_nodes)
         return Sampled1D(self.lo, self.hi, noisy)
+
+
+def closed_form_moments(data, hook: str, *args) -> np.ndarray | None:
+    """The data's moments from its closed-form hook (`Gaussian.hermite_moments`,
+    `Gaussian.radial_moments` and Mixture's sums), or None where the data has
+    no such hook or the hook declines, and the quadrature must run.
+    OverflowError where a moment is not finite."""
+    method = getattr(data, hook, None)
+    moments = None if method is None else method(*args)
+    if moments is not None and not np.all(np.isfinite(moments)):
+        raise OverflowError(f"closed-form moments of the data are not finite at order {len(moments) - 1}")
+    return moments
 
 
 def profile_support(data) -> tuple[float, float]:

@@ -1,10 +1,19 @@
 """Adaptive composite Gauss-Legendre quadrature on a finite interval.
 
-One engine backs every oracle and every coefficient integral in the package:
-fixed-order Gauss-Legendre panels on [lo, hi], refined by global bisection
-until two successive refinement levels agree.  Callers truncate infinite
-domains, and every profile's support (`profiles.profile_support`), at
-TRUNCATION_RADIUS_SIGMAS decay scales before they call it.
+The engine of the package's integrals that have no closed form: fixed-order
+Gauss-Legendre panels on [lo, hi], refined by global bisection until two
+successive refinement levels agree.  Its callers are the two oracles
+(`kernels.forward_line` for analytic data, and for sampled data under a
+kernel wider than the data; `kernels.forward_polar`), the line's moments of
+a Bump and CI-B's weighted moments of sampled data under a weight wider
+than the data (`series_cartesian._hermite_moments`), and the plane's radial
+moments of a Bump, a ring Gaussian and sampled data
+(`series_polar._w_radial_moments`).  The moments of Gaussians and mixtures
+(`profiles.closed_form_moments`) and the other integrals of sampled line
+data (`profiles.Sampled1D.by_parts`) take closed forms and no quadrature.
+Callers truncate infinite domains, and every profile's support
+(`profiles.profile_support`), at TRUNCATION_RADIUS_SIGMAS decay scales
+before they call it.
 
 The package computes at one quadrature configuration, the one the audit
 certifies: the module constants below.  `integrate_vec(f, lo, hi, ...)` is

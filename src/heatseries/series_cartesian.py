@@ -28,8 +28,11 @@ no quadrature (`_sampled_moments`): the plain ones (CD-A, CD-B, CI-A at
 order N; CD-C, CI-C at order 2N about each centre) from Hermite rows,
 CI-B's Gaussian-weighted ones from the Hermite functions H_k e^{-y^2}
 extended by erf and ierfc while the weight is no wider than the data
-(`Sampled1D.narrower`).  Analytic data, and CI-B's moments under a wider
-weight, take the adaptive quadrature.
+(`Sampled1D.narrower`).  Gaussians and mixtures have every moment in
+closed form (`profiles.closed_form_moments`): the generating function of
+H_k makes each one a three-term recurrence in the order, about any centre
+and under CI-B's weight (`Gaussian.hermite_moments`).  A Bump, and CI-B's
+moments of sampled data under a wider weight, take the adaptive quadrature.
 
 Every evaluation (`cd_eval`, `ci_eval`, `ci_classical`) returns the
 `variants.SeriesTerms` of the shared path: it sums in ascending order
@@ -53,7 +56,7 @@ import math
 
 import numpy as np
 
-from .profiles import Gaussian, Mixture, Sampled1D, profile_support
+from .profiles import Gaussian, Mixture, Sampled1D, closed_form_moments, profile_support
 from .quad import TRUNCATION_RADIUS_SIGMAS, integrate_vec
 from .specfun import _RSQRT_PI_LD, KernelParams, erfc, hermite_batch
 from .variants import (
@@ -99,8 +102,9 @@ def _hermite_moments(data, root: float, n: int, weighted: bool = False, center: 
     e^{-xi^2/(4 root^2)}/(2 root sqrt(pi)).
     Sampled data takes the closed form (`_sampled_moments`), the weighted
     moments only while the weight is no wider than the data
-    (`Sampled1D.narrower`).  Every other moment takes the adaptive
-    quadrature.
+    (`Sampled1D.narrower`); Gaussians and mixtures take theirs
+    (`Gaussian.hermite_moments`).  Every other moment takes the adaptive
+    quadrature.  OverflowError where a moment is not finite.
     """
     if n < 0:
         raise ValueError("order must be non-negative")
@@ -109,6 +113,9 @@ def _hermite_moments(data, root: float, n: int, weighted: bool = False, center: 
     sampled = isinstance(data, Sampled1D)
     if sampled and (not weighted or data.narrower(root)):
         return _sampled_moments(data, root, n, center, weighted)
+    moments = closed_form_moments(data, "hermite_moments", root, n, center, weighted)
+    if moments is not None:
+        return moments
     lo, hi = _moment_window(data, root if weighted else None)
     if lo >= hi:
         return np.zeros(n + 1)

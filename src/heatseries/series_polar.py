@@ -19,6 +19,12 @@ xi d(xi) on [0, inf).  With s = tau + beta:
 * PI-A / PI-B / PI-C (inverse): scale roles exchanged.  PI-B needs
   beta > tau: its prefactor lives at beta - tau.
 
+The radial moments of a centred Gaussian, and of a mixture of them, come in
+closed form from the Laplace transform of L_j (`Gaussian.radial_moments`,
+through `profiles.closed_form_moments`), in the pass's precision.  A ring
+Gaussian (off centre), a Bump and sampled data take the quadrature: sampled
+data one exact level, the others the adaptive engine.
+
 The scales and constants of each variant are rows of `variants.VARIANTS`;
 evaluation (`pd_eval`, `pi_eval`: the `variants.SeriesTerms` at the radii),
 the divergence diagnostic and constants_mode go through the same path as on
@@ -35,7 +41,7 @@ import math
 
 import numpy as np
 
-from .profiles import Sampled1D, profile_support
+from .profiles import Sampled1D, closed_form_moments, profile_support
 from .quad import integrate_vec
 from .specfun import KernelParams, w_poly_batch
 from .variants import (
@@ -72,10 +78,15 @@ def _radial_window(data) -> tuple[float, float]:
 
 def _w_radial_moments(data, root: float, n: int, dtype=float) -> np.ndarray:
     """int_0^inf xi W_j(xi/(2 root)) data(xi) dxi for j = 0..n, evaluated and
-    summed in dtype.  Sampled data takes one exact level: between its nodes
-    the data is linear, so the integrand is a polynomial of degree 2n + 2."""
+    summed in dtype.  Centred Gaussians and their mixtures take the closed
+    form (`Gaussian.radial_moments`; OverflowError where a moment is not
+    finite).  Sampled data takes one exact level: between its nodes the data
+    is linear, so the integrand is a polynomial of degree 2n + 2."""
     if n < 0:
         raise ValueError("order must be non-negative")
+    moments = closed_form_moments(data, "radial_moments", root, n, dtype)
+    if moments is not None:
+        return moments
     lo, hi = _radial_window(data)
     if lo >= hi:
         return np.zeros(n + 1)

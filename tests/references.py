@@ -3,20 +3,22 @@
 None of these is on a solve path of the package, so they live with the
 tests: a scalar front end to the quadrature engine with the truncation
 windows of infinite domains, the quadrature routes of the two Gaussian-kernel
-integrals of sampled line data that the package computes in closed form,
+integrals of sampled line data and of the Hermite and radial moments of
+Gaussians and mixtures, which the package computes in closed form,
 the closed forms of Gaussian Hermite moments, of H_j(0) and of the monomial
 coefficients of W_j, and the two Bessel identities behind the radial kernel.
 """
 
 import contextlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from heatseries import kernels, quad, series_cartesian
+from heatseries import kernels, quad, series_cartesian, series_polar
 from heatseries.quad import TRUNCATION_RADIUS_SIGMAS, integrate_vec
-from heatseries.specfun import _check_finite, bessel_j0, hermite_batch, scaled_polar_kernel
+from heatseries.specfun import _check_finite, bessel_j0, hermite_batch, scaled_polar_kernel, w_poly_batch
 
 _HUGE = 1e300
 
@@ -108,6 +110,52 @@ def weighted_moments_by_quadrature(data, root: float, n: int) -> np.ndarray:
     return integrate_vec(weighted_moment_integrand(data, root, n), lo, hi, breakpoints=data.nodes)[0]
 
 
+def hermite_moment_integrand(data, root: float, n: int, center: float = 0.0, weighted: bool = False):
+    """H_k((xi - center)/(2R)) times the data, k = 0..n, R = root, and for
+    CI-B (weighted) times e^{-xi^2/(4R^2)}/(2R sqrt(pi)), written in place:
+    the line's adaptive moment integrand (series_cartesian._hermite_moments)."""
+
+    def integrand(xi):
+        vals = hermite_batch(n, (xi - center) / (2.0 * root))
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals *= data(xi)
+            if weighted:
+                vals *= np.exp(-(xi * xi) / (4.0 * root * root)) / (2.0 * root * math.sqrt(math.pi))
+        return vals
+
+    return integrand
+
+
+def hermite_moments_by_quadrature(data, root: float, n: int, center: float = 0.0, weighted: bool = False):
+    """The line's Hermite moments of analytic data by the adaptive engine,
+    on the package's moment window: the route Gaussians and mixtures took
+    before their closed forms (Gaussian.hermite_moments)."""
+    lo, hi = series_cartesian._moment_window(data, root if weighted else None)
+    return integrate_vec(hermite_moment_integrand(data, root, n, center, weighted), lo, hi)[0]
+
+
+def w_moment_integrand(data, root: float, n: int, dtype=float):
+    """xi W_j(xi/(2R)) times the data, j = 0..n, R = root, evaluated in dtype
+    and written in place: the plane's adaptive moment integrand
+    (series_polar._w_radial_moments)."""
+
+    def integrand(xi):
+        w = w_poly_batch(n, xi.astype(dtype) / (2.0 * root))
+        with np.errstate(over="ignore"):
+            w *= xi * data(xi)
+        return w
+
+    return integrand
+
+
+def w_moments_by_quadrature(data, root: float, n: int, dtype=float):
+    """The plane's radial moments of analytic data by the adaptive engine,
+    summed in dtype: the route centred Gaussians and mixtures took before
+    their closed forms (Gaussian.radial_moments)."""
+    lo, hi = series_polar._radial_window(data)
+    return integrate_vec(w_moment_integrand(data, root, n, dtype), lo, hi)[0]
+
+
 def hermite_moment(j: int, c: float) -> float:
     """Closed form of int_-inf^inf H_j(y) e^{-c y^2} dy for c > 0.
 
@@ -127,6 +175,24 @@ def hermite_moment(j: int, c: float) -> float:
     for k in range(1, j // 2 + 1):
         val *= ratio * 2.0 * (2 * k - 1)  # ((1-c)/c)^k (2k)!/k! one k at a time
     return val
+
+
+def hermite_gaussian_integral(n: int, y0: Fraction) -> Fraction:
+    """int H_n(y0 + t) e^{-t^2} dt / sqrt(pi), exactly, for a rational y0:
+    the integer monomial coefficients of H_n against J_m = int (y0 + t)^m
+    e^{-t^2} dt / sqrt(pi), J_0 = 1, J_1 = y0 and J_{m+1} = y0 J_m + (m/2)
+    J_{m-1} (by parts).  No generating function, and no rounding: an
+    independent check of the closed-form moments far beyond float64."""
+    coeffs = [[1], [0, 2]]
+    for k in range(1, n):
+        nxt = [0] + [2 * c for c in coeffs[-1]]
+        for m, c in enumerate(coeffs[-2]):
+            nxt[m] -= 2 * k * c
+        coeffs = [coeffs[-1], nxt]
+    powers = [Fraction(1), Fraction(y0)]
+    for m in range(1, n):
+        powers.append(y0 * powers[m] + Fraction(m, 2) * powers[m - 1])
+    return sum(c * powers[m] for m, c in enumerate(coeffs[min(n, 1)]))
 
 
 # --- kernel identities -----------------------------------------------------------

@@ -8,7 +8,10 @@ precision).  This file keeps the per-point quadrature route the library used
 before as a reference, checks the identities behind the recombination,
 checks that it is as accurate as that route up to six moment scales from the
 centre, and pins its cost: one quadrature per grid in the plane, one
-closed-form pass of sampled data per lattice centre on the line.
+closed-form pass of sampled data per lattice centre on the line.  The
+closed-form moments of Gaussians and mixtures leave the divergence scan no
+rounding noise to read as growth: the order-40 C inverses of analytic data
+flag nothing, as their exact terms do not.
 """
 
 import math
@@ -112,10 +115,12 @@ def exact_line_coeffs(data, root: float, n: int, x: float) -> list:
         for g in data.components:
             a, c, amp, R = mp.mpf(g.width_a), mp.mpf(g.center), mp.mpf(g.amplitude), mp.mpf(root)
             y, mu = (mp.mpf(x) - c) / (2 * R), a / R**2
+            shrink = [(mu - 1) ** k for k in range(n + 1)]  # (-1)^k (1 - mu)^k
+            shift = [(2 * y) ** k for k in range(2 * n + 1)]
             for j in range(n + 1):
                 m = 2 * j
                 poly = mp.fsum(
-                    (-1) ** k * mp.factorial(m) / (mp.factorial(k) * mp.factorial(m - 2 * k)) * (1 - mu) ** k * (2 * y) ** (m - 2 * k)
+                    math.factorial(m) // (math.factorial(k) * math.factorial(m - 2 * k)) * shrink[k] * shift[m - 2 * k]
                     for k in range(j + 1)
                 )
                 out[j] += 2 * amp * mp.sqrt(mp.pi * a) * poly
@@ -338,3 +343,66 @@ def test_overflow_is_a_clean_exit_3(variant, capsys):
     assert code == 3
     assert f"{variant} at {'r' if polar else 'x'} = 10000:" in capsys.readouterr().err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+# --- no flags from rounding noise: the closed-form moments of analytic data -----
+
+def cli_rows(capsys, argv):
+    """The points, values and divergence flags a solve prints."""
+    capsys.readouterr()
+    assert main(argv) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines() if not line.startswith("#")][1:]
+    return (np.array([float(r[0]) for r in rows]), np.array([float(r[1]) for r in rows]),
+            np.array([r[2] == "1" for r in rows]))
+
+
+def inverse_truth(components, tau):
+    """The line data whose evolution to tau is the mixture of (a, centre, amp)."""
+    return Mixture(tuple(Gaussian(a - tau, c, amp * math.sqrt(a / (a - tau))) for a, c, amp in components))
+
+
+NOISE_MIX = ((1.2, -0.5, 0.8660254037844386), (1.7, 0.7, 0.6352396490811211))
+
+
+def test_the_analytic_ci_c_mixture_flags_no_rounding_noise(capsys):
+    # the adaptive moments sat at their 32 eps int|f| floor at order 2N = 80,
+    # and the scan read that noise as growth at 33 of these 121 points (x =
+    # 2.4 among them); the closed-form moments leave no flag, as the exact
+    # terms (60 digits) do, and each value is the exact order-40 sum
+    pytest.importorskip("mpmath")
+    spec = "mixture:[" + "; ".join(f"a={a},center={c},amp={amp!r}" for a, c, amp in NOISE_MIX) + "]"
+    xs, values, flags = cli_rows(capsys, ["inverse", "--variant", "CI-C", "--tau", "0.3", "--beta", "auto",
+                                          "--order", "40", "--profile", spec, "--eval-grid=-3:3:121"])
+    assert xs.size == 121 and not flags.any()
+    u = Mixture(tuple(Gaussian(a, c, amp) for a, c, amp in NOISE_MIX))
+    params = KernelParams(0.3, default_beta("CI-C", estimate_scale_line(u), 0.3))
+    root, n = VARIANTS["CI-C"].moment_root(params), 40
+    kappa = [mp.mpf(k) for k in VARIANTS["CI-C"].kappa(params, "oracle_validated", n)]
+    for x, value in zip(xs, values):
+        exact = exact_line_coeffs(u, root, n, float(x))
+        terms = series_terms(np.array([float(k * c) for k, c in zip(kappa, exact)]), np.ones((n + 1, 1)), None)
+        assert not terms.flagged(n)[0]
+        sum_n = float(mp.fsum(k * c for k, c in zip(kappa[: terms.rows(n)], exact)))
+        # measured: at most 2.1e-15 (and 2.6e-15 from the truth)
+        assert abs(value - sum_n) <= 1e-14, (x, value, sum_n)
+    np.testing.assert_allclose(values, inverse_truth(NOISE_MIX, 0.3)(xs), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "argv, truth",
+    [
+        (["inverse", "--variant", "CI-C", "--tau", "0.3", "--beta", "auto", "--order", "40", "--eval-grid=-4:4:161",
+          "--profile", "mixture:[a=1.2,center=-0.5,amp=1; a=1.7,center=0.7,amp=0.7]"],
+         inverse_truth(((1.2, -0.5, 1.0), (1.7, 0.7, 0.7)), 0.3)),
+        (["inverse", "--geometry", "polar", "--variant", "PI-C", "--tau", "0.3", "--beta", "auto", "--order", "40",
+          "--eval-grid=0:4:81", "--profile", "gaussian:a=1.3"],
+         Gaussian(1.0, 0.0, 1.3)),  # e^{-r^2/4} evolves to (1/1.3) e^{-r^2/(4 1.3)}
+    ],
+    ids=["CI-C", "PI-C"],
+)
+def test_the_order_40_c_inverses_of_analytic_data_flag_nothing(capsys, argv, truth):
+    # 50 (CI-C) and 38 (PI-C) flagged rows with the adaptive moments, and
+    # errors up to 1.4e-6 and 1.3e-6 (measured: now at most 9.2e-14 and 4.4e-15)
+    xs, values, flags = cli_rows(capsys, argv)
+    assert not flags.any()
+    assert np.max(np.abs(values - truth(xs))) <= 1e-12

@@ -2,8 +2,10 @@
 public grid solves), and a fuzz of the profile strings and numeric flags at
 the command boundary."""
 
+import sys
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -126,8 +128,9 @@ def test_overflowing_moments_are_exit_3_at_once(capsys, monkeypatch, variant):
         ["inverse", "--variant", "CI-classical", "--order", "6", "--profile", "gaussian:a=1e-150"],
         ["inverse", "--geometry", "polar", "--variant", "PI-B", "--order", "6", "--beta", "auto",
          "--profile", "gaussian:a=1,amp=1e300"],
-        # moments near the overflow threshold, analytic and sampled
-        ["forward", "--variant", "CD-C", "--order", "12", "--beta", "1", "--profile", "gaussian:a=1,amp=1e300"],
+        # moments beyond the overflow threshold, analytic (whose exact M_12
+        # exceeds float64: test_the_analytic_overflow_trigger_is_exact) and sampled
+        ["forward", "--variant", "CD-C", "--order", "12", "--beta", "1", "--profile", "gaussian:a=4,amp=1e300"],
         ["inverse", "--variant", "CI-C", "--order", "40", "--beta", "auto", "--input", "big.csv"],
         ["inverse", "--variant", "CI-B", "--order", "40", "--beta", "auto", "--input", "big.csv"],
         # finite differences of order 40 at spacing 0.1
@@ -145,6 +148,33 @@ def test_overflowing_terms_and_moments_are_exit_3_without_a_warning(capsys, tmp_
     assert code == 3
     assert err.count("\n") == 1 and "overflow" in err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_the_analytic_overflow_trigger_is_exact():
+    # the CD-C case above: at x = 0 its centre is 0, and the order-24 moment
+    # pass holds M_12 = int H_12(xi/2) 1e300 e^{-xi^2/16} dxi = 2e300
+    # sqrt(4 pi) 11!! 6^6, about 3.4e309, in 30 digits
+    with mpmath.workdps(30):
+        exact = mpmath.quad(lambda xi: mpmath.hermite(12, xi / 2) * mpmath.mpf(1e300) * mpmath.exp(-xi * xi / 16),
+                            [-mpmath.inf, 0, mpmath.inf])
+        assert exact > sys.float_info.max
+        assert mpmath.almosteq(exact, 2 * mpmath.mpf(1e300) * mpmath.sqrt(4 * mpmath.pi) * 10395 * 6 ** 6, 1e-25)
+    with pytest.raises(OverflowError, match="not finite"):
+        series_cartesian._hermite_moments(Gaussian(4.0, 0.0, 1e300), 1.0, 24)
+
+
+def test_moments_near_the_overflow_threshold_agree_with_the_oracle(capsys):
+    # amp = 1e300 at a = 1 = beta: the exact moments about 0 are 2e300 sqrt(pi)
+    # and 0 (gamma^2 = 0), so CD-C prints the oracle's 7.07e299 at x = 0;
+    # the moment quadrature's level sums overflowed here (exit 3)
+    common = ["--tau", "1", "--eval-grid", "0:1:3", "--profile", "gaussian:a=1,amp=1e300"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values, flags = cli_values(capsys, "forward", "--variant", "CD-C", "--order", "12", "--beta", "1", *common)
+        oracle, _ = cli_values(capsys, "forward", "--variant", "oracle", *common)
+    assert not flags.any()
+    np.testing.assert_allclose(values, oracle, rtol=1e-14)
+    assert values[0] == pytest.approx(1e300 / np.sqrt(2.0), rel=1e-15)
 
 
 def test_a_short_time_oracle_of_a_sample_file_is_its_interpolant(capsys, tmp_path, monkeypatch):

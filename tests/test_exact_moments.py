@@ -17,8 +17,13 @@ rounding: within C_EXACT eps int|f_k| of a 30-digit mpmath integral, smooth
 or noisy data alike, and within the adaptive engine's own tolerance of that
 engine at REL_TOL = 1e-13.  The closed-form oracle must be within a few eps
 of its size and of its terms' sizes of a 30-digit per-panel erf integral,
-and the oracle under a wider kernel within a few eps of its size.  The
-analytic inputs stay adaptive.
+and the oracle under a wider kernel within a few eps of its size.
+
+Gaussians and mixtures have closed-form moments too (`Gaussian.hermite_moments`,
+plain and CI-B's weighted, and `Gaussian.radial_moments` of a centred one):
+within C_EXACT eps int|f_k| of an 80-digit integral from monomial
+expansions, which shares no formula with them.  A ring Gaussian and a Bump
+take the adaptive engine.
 """
 
 import functools
@@ -30,9 +35,9 @@ import numpy as np
 import pytest
 
 from heatseries import kernels, quad, series_cartesian, series_polar
-from heatseries.profiles import Mixture, Gaussian, Sampled1D
+from heatseries.profiles import Bump, Gaussian, Mixture, Sampled1D
 from heatseries.specfun import KernelParams, erfc
-from references import l1_norms, quad_settings, weighted_moment_integrand
+from references import hermite_moment_integrand, l1_norms, quad_settings, w_moment_integrand, weighted_moment_integrand
 
 EPS = float(np.finfo(float).eps)
 # measured: at most 1.9 (Hermite, k <= 80, both centres), 1.8 (xi W_j,
@@ -312,6 +317,140 @@ def test_radial_moments_match_the_adaptive_engine():
     assert np.all(np.abs(exact - adaptive) <= np.maximum(1e-13 * np.abs(adaptive), 32.0 * EPS * l1))
 
 
+# --- closed forms of Gaussian and mixture moments ------------------------------
+
+def hermite_coefficients(n):
+    """The integer monomial coefficients of H_0 .. H_n."""
+    h = [[1], [0, 2]]
+    for k in range(1, n):
+        nxt = [0] + [2 * c for c in h[k]]
+        for m, c in enumerate(h[k - 1]):
+            nxt[m] -= 2 * k * c
+        h.append(nxt)
+    return h[: n + 1]
+
+
+def mp_gaussian_hermite_moments(g, root, center, n, weighted=False):
+    """int H_k((xi - c)/(2R)) g(xi) dxi, k = 0..n (weighted: times
+    e^{-xi^2/(4R^2)}/(2R sqrt(pi))), in 80 digits, with no generating
+    function: the exponent -p xi^2 + q xi - r completed to a square, xi =
+    q/(2p) + t/sqrt(p), the monomial expansion of H_k(alpha + beta t) and
+    int t^i e^{-t^2} dt = Gamma((i + 1)/2) for even i."""
+    with mpmath.workdps(80):
+        two_r, c = 2 * mpmath.mpf(root), mpmath.mpf(center)
+        a, mu, amp = mpmath.mpf(g.width_a), mpmath.mpf(g.center), mpmath.mpf(g.amplitude)
+        p, q, r = 1 / (4 * a), mu / (2 * a), mu * mu / (4 * a)
+        if weighted:
+            p += 1 / (two_r * two_r)
+            amp /= two_r * mpmath.sqrt(mpmath.pi)
+        scale = amp * mpmath.exp(q * q / (4 * p) - r) / mpmath.sqrt(p)
+        alpha, beta = (q / (2 * p) - c) / two_r, 1 / (two_r * mpmath.sqrt(p))
+        powers = [  # int (alpha + beta t)^m e^{-t^2} dt
+            sum(mpmath.binomial(m, i) * alpha ** (m - i) * beta ** i * mpmath.gamma(mpmath.mpf(i + 1) / 2)
+                for i in range(0, m + 1, 2))
+            for m in range(n + 1)
+        ]
+        return [scale * sum(hc * powers[m] for m, hc in enumerate(h)) for h in hermite_coefficients(n)]
+
+
+def mp_gaussian_w_moments(g, root, n):
+    """int_0^inf xi W_j(xi/(2R)) g(xi) dxi, j = 0..n, for a centred g, in 80
+    digits, with no Laplace transform: the monomials of W_j (as
+    mp_w_moments) against int_0^inf xi^{2k+1} e^{-xi^2/(4a)} dxi = k!
+    (4a)^{k+1}/2."""
+    with mpmath.workdps(80):
+        scale, a = 1 / (2 * mpmath.mpf(root)) ** 2, mpmath.mpf(g.width_a)
+        return [
+            g.amplitude * sum(
+                mpmath.mpf(math.factorial(2 * j) * (-1) ** (j - k)) / (math.factorial(k) ** 2 * math.factorial(j - k))
+                * scale ** k * math.factorial(k) * (4 * a) ** (k + 1) / 2
+                for k in range(j + 1)
+            )
+            for j in range(n + 1)
+        ]
+
+
+def mp_sum(*columns):
+    with mpmath.workdps(80):
+        return [sum(parts) for parts in zip(*columns)]
+
+
+def exact_errors(got, ref):
+    """|got - ref| in float64, ref in 80 digits; an np.longdouble value is
+    read exactly as the sum of two doubles."""
+    with mpmath.workdps(80):
+        out = []
+        for x, y in zip(got, ref):
+            head = float(x)
+            out.append(float(abs(mpmath.mpf(head) + mpmath.mpf(float(x - type(x)(head))) - y)))
+    return np.array(out)
+
+
+GAUSS = Gaussian(1.3, 0.4, 0.9)
+WIDE = (-60.0, 60.0)  # holds |H_80 f| and |xi W_40 f| at these widths; the profiles' 12-sigma windows do not
+
+
+@pytest.mark.parametrize(
+    "width, moment_time, center",
+    [(1.3, 1.7, 0.0), (1.0, 1.0, 0.0), (1.3, 0.8, 0.0), (1.3, 1.7, 2.3), (1.3, 0.8, -2.3)],
+    ids=["gamma2>0", "gamma2=0", "gamma2<0", "gamma2>0-off-centre", "gamma2<0-off-centre"],
+)
+def test_gaussian_hermite_moments_are_exact_up_to_rounding(width, moment_time, center):
+    # gamma^2 = 1 - a/R^2 of either sign and 0 (R = a = 1), about the data's
+    # centre's side and off it, at the line C order 2N = 80 (measured: at
+    # most 2.3 eps int|f_k|)
+    g, root, n = Gaussian(width, 0.4, 0.9), math.sqrt(moment_time), 80
+    assert (1.0 - g.width_a / (root * root) == 0.0) == (moment_time == 1.0)
+    assert degrees_passed(series_cartesian, lambda: series_cartesian._hermite_moments(g, root, n, center=center)) == []
+    got = series_cartesian._hermite_moments(g, root, n, center=center)
+    l1 = l1_norms(hermite_moment_integrand(g, root, n, center), *WIDE)
+    assert np.all(exact_errors(got, mp_gaussian_hermite_moments(g, root, center, n)) <= C_EXACT * EPS * l1)
+
+
+@pytest.mark.parametrize("root", [0.6, ROOT_NOISY, 3.0])
+def test_gaussian_weighted_moments_are_exact_up_to_rounding(root):
+    # CI-B: the weight times the Gaussian is one Gaussian (measured: at most
+    # 0.9 eps int|f_k|)
+    n = 80
+    got = series_cartesian._hermite_moments(GAUSS, root, n, weighted=True)
+    l1 = l1_norms(hermite_moment_integrand(GAUSS, root, n, weighted=True), *WIDE)
+    assert np.all(exact_errors(got, mp_gaussian_hermite_moments(GAUSS, root, 0.0, n, True)) <= C_EXACT * EPS * l1)
+
+
+@pytest.mark.parametrize("dtype", [float, np.longdouble])
+@pytest.mark.parametrize("moment_time", [1.7, 0.8], ids=["s>1", "s<1"])
+def test_centred_gaussian_radial_moments_are_exact_up_to_rounding(moment_time, dtype):
+    # s = R^2/a above and below 1 (measured: at most 0.73 eps int|f_j| in
+    # float64 and 3.4e-4 in np.longdouble)
+    g, root, n = Gaussian(1.3, 0.0, 0.9), math.sqrt(moment_time), 40
+    got = series_polar._w_radial_moments(g, root, n, dtype=dtype)
+    assert got.dtype == np.dtype(dtype)
+    l1 = l1_norms(w_moment_integrand(g, root, n), 0.0, WIDE[1])
+    assert np.all(exact_errors(got, mp_gaussian_w_moments(g, root, n)) <= C_EXACT * EPS * l1)
+
+
+def test_mixture_moments_are_their_components_summed():
+    # the README mixture on the line about an off-centre point, and a centred
+    # one in the plane in np.longdouble
+    root, n = ROOT_LINE, 80
+    got = series_cartesian._hermite_moments(LINE_MIX, root, n, center=1.7)
+    ref = mp_sum(*(mp_gaussian_hermite_moments(g, root, 1.7, n) for g in LINE_MIX.components))
+    l1 = l1_norms(hermite_moment_integrand(LINE_MIX, root, n, 1.7), *WIDE)
+    assert np.all(exact_errors(got, ref) <= C_EXACT * EPS * l1)
+    mix, n = Mixture((Gaussian(0.9, 0.0, 1.0), Gaussian(1.3, 0.0, 0.8))), 40
+    got = series_polar._w_radial_moments(mix, ROOT_POLAR, n, dtype=np.longdouble)
+    ref = mp_sum(*(mp_gaussian_w_moments(g, ROOT_POLAR, n) for g in mix.components))
+    l1 = l1_norms(w_moment_integrand(mix, ROOT_POLAR, n), 0.0, WIDE[1])
+    assert np.all(exact_errors(got, ref) <= C_EXACT * EPS * l1)
+
+
+def test_a_ring_or_a_ring_component_leaves_the_plane_to_the_quadrature():
+    ring = Gaussian(1.3, 0.5, 0.9)
+    assert ring.radial_moments(1.0, 4) is None
+    assert Mixture((Gaussian(1.3), ring)).radial_moments(1.0, 4) is None
+    assert degrees_passed(series_polar, lambda: series_polar._w_radial_moments(ring, 1.0, 4)) == [None]
+
+
 # --- which passes take the closed form or the exact level ----------------------
 
 def degrees_passed(module, call):
@@ -380,15 +519,19 @@ def test_line_moment_passes_take_the_exact_level_except_ci_b(variant, rows):
     # the line's exact level is the plain closed form: one pass of n + 1 rows
     # (line C: the 2n + 1 of its order-2n moments) and no quadrature; CI-B's
     # Gaussian-weighted moments take their own closed form, one pass of n + 1
-    # rows; analytic data takes the adaptive engine
+    # rows; a Gaussian takes its closed form (Gaussian.hermite_moments) and
+    # a Bump the adaptive engine
     coeffs = series_cartesian.cd_coeffs if variant.startswith("CD") else series_cartesian.ci_coeffs
     sampled = lambda: coeffs(variant, LINE, PARAMS, 12, 0.0)  # noqa: E731
     assert closed_form_rows(sampled) == ([] if rows is None else [rows])
     assert weighted_closed_form_rows(sampled) == ([13] if rows is None else [])
     assert degrees_passed(series_cartesian, sampled) == []
-    analytic = lambda: coeffs(variant, Gaussian(1.0), PARAMS, 12, 0.0)  # noqa: E731
-    assert closed_form_rows(analytic) == weighted_closed_form_rows(analytic) == []
-    assert degrees_passed(series_cartesian, analytic) == [None]
+    gaussian = lambda: coeffs(variant, Gaussian(1.0), PARAMS, 12, 0.0)  # noqa: E731
+    assert closed_form_rows(gaussian) == weighted_closed_form_rows(gaussian) == []
+    assert degrees_passed(series_cartesian, gaussian) == []
+    bump = lambda: coeffs(variant, Bump(0.0, 2.0), PARAMS, 12, 0.0)  # noqa: E731
+    assert closed_form_rows(bump) == weighted_closed_form_rows(bump) == []
+    assert degrees_passed(series_cartesian, bump) == [None]
 
 
 @pytest.mark.parametrize("beta, adaptive", [(64.0, False), (64.0 * (1.0 + 1e-12), True)])
@@ -405,7 +548,10 @@ def test_radial_moment_passes_take_the_exact_level(variant):
     coeffs = series_polar.pd_coeffs if variant.startswith("PD") else series_polar.pi_coeffs
     params = KernelParams(tau=0.3, beta=1.2)
     assert degrees_passed(series_polar, lambda: coeffs(variant, POLAR, params, 12, 0.5)) == [26]
-    assert degrees_passed(series_polar, lambda: coeffs(variant, Gaussian(1.0), params, 12, 0.5)) == [None]
+    # a centred Gaussian takes its closed form, a ring Gaussian and a Bump the adaptive engine
+    assert degrees_passed(series_polar, lambda: coeffs(variant, Gaussian(1.0), params, 12, 0.5)) == []
+    assert degrees_passed(series_polar, lambda: coeffs(variant, Gaussian(1.0, 0.5), params, 12, 0.5)) == [None]
+    assert degrees_passed(series_polar, lambda: coeffs(variant, Bump(0.0, 2.0), params, 12, 0.5)) == [None]
 
 
 def test_exact_level_runs_in_bounded_blocks_in_ascending_order():

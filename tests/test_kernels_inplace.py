@@ -3,7 +3,8 @@
 The recurrences, moment integrands and kernel integrands write into their
 result in the operation order of the plain numpy expressions, so every value
 must be bitwise equal to the reference copies below (the line kernel's is
-`references.line_kernel_integrand`), and the recurrences must raise
+`references.line_kernel_integrand`; the moment integrands the closed forms
+of the mixtures replaced are in `references` too), and the recurrences must raise
 OverflowError exactly where the full-array finiteness check did.
 """
 
@@ -16,12 +17,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heatseries import kernels, quad, series_cartesian, series_polar, specfun
-from heatseries.profiles import Gaussian, Mixture, Sampled1D
+from heatseries.profiles import Bump, Gaussian, Mixture, Sampled1D
 from references import (
+    hermite_moment_integrand,
+    hermite_moments_by_quadrature,
     integrate,
     l1_norms,
     line_kernel_integrand,
     line_oracle_by_quadrature,
+    w_moment_integrand,
     weighted_moment_integrand,
     weighted_moments_by_quadrature,
 )
@@ -224,12 +228,17 @@ def test_w_overflow_of_an_inner_row_alone_is_caught(n, z):
 
 # --- the integrands ----------------------------------------------------------------
 
+# the package's moment passes take the closed forms on the mixtures, whose
+# quadrature routes are kept in references, and the quadrature on a Bump and
+# a ring Gaussian
 LINE_DATA = {
+    "bump": Bump(0.3, 2.0),
     "mixture": Mixture((Gaussian(0.9, -0.5, 1.0), Gaussian(1.4, 0.7, 0.7))),
     "sampled": Sampled1D(-12.0, 12.0, np.exp(-np.linspace(-12.0, 12.0, 481) ** 2 / 4.0)),
 }
 POLAR_DATA = {
     "mixture": Mixture((Gaussian(0.9, 0.0, 1.0), Gaussian(1.3, 0.0, 0.8))),
+    "ring": Gaussian(0.9, 1.5, 1.0),
     "sampled": Sampled1D(0.0, 8.0, np.exp(-np.linspace(0.0, 8.0, 33) ** 2 / 4.0)),
 }
 
@@ -285,7 +294,13 @@ def test_hermite_moment_integrand_is_the_allocating_one(monkeypatch, data, cente
         l1 = l1_norms(weighted_moment_integrand(f, root, n), *series_cartesian._moment_window(f, root), f.nodes)
         assert np.all(np.abs(moments - ref) <= np.maximum(quad.REL_TOL * np.abs(ref), 32.0 * np.finfo(float).eps * l1))
         return
-    (integrand,) = integrands
+    if data == "mixture":
+        # the closed form, no integrand; the quadrature route it replaced
+        assert integrands == []
+        integrand = hermite_moment_integrand(f, root, n, center, weighted)
+        moments = hermite_moments_by_quadrature(f, root, n, center, weighted)
+    else:
+        (integrand,) = integrands
     assert bitwise_equal(integrand(NODES), old_hermite_integrand(f, root, n, center, weight_root)(NODES))
     ref, _ = quad.integrate_vec(
         old_hermite_integrand(f, root, n, center, weight_root),
@@ -298,9 +313,14 @@ def test_hermite_moment_integrand_is_the_allocating_one(monkeypatch, data, cente
 @pytest.mark.parametrize("data", sorted(POLAR_DATA))
 def test_w_moment_integrand_is_the_allocating_one(data, dtype):
     f, root, n = POLAR_DATA[data], 0.9, 40
-    (integrand,), _ = captured_integrands(
+    integrands, _ = captured_integrands(
         series_polar, lambda: series_polar._w_radial_moments(f, root, n, dtype=dtype)
     )
+    if data == "mixture":
+        # the closed form, no integrand; the quadrature route it replaced
+        assert integrands == []
+        integrands = [w_moment_integrand(f, root, n, dtype)]
+    (integrand,) = integrands
     xi = np.abs(NODES)
     assert bitwise_equal(integrand(xi), old_w_integrand(f, root, n, dtype)(xi))
 

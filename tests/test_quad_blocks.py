@@ -7,9 +7,11 @@ levels fit in one block must give its values and error estimate bit for bit
 (levels 0 and 1 now share one integrand call, each summed from its own
 contiguous part).  A level above the block size adds its blocks' sums in
 node order instead: the same acceptance level, and every component within
-4 eps int|f| of the reference.  The package's line passes over sampled
-data take closed forms, so the above-block passes run the quadrature routes
-of `references` on a 1601-node file.  Integrand memory no longer grows with
+4 eps int|f| of the reference.  The package's moment passes over Gaussians
+and mixtures, and its line passes over sampled data, take closed forms, so
+those passes run the quadrature routes of `references`; the package's own
+passes over a Bump and a ring Gaussian keep the engine, and run as they
+are.  Integrand memory no longer grows with
 the sample count, which the tracemalloc bounds at the end pin, as they pin
 the blocks of the closed forms of sampled line data.
 """
@@ -22,7 +24,7 @@ import numpy as np
 import pytest
 
 from heatseries import kernels, quad, series_cartesian, series_polar
-from heatseries.profiles import Gaussian, Mixture, Sampled1D
+from heatseries.profiles import Bump, Gaussian, Mixture, Sampled1D
 from heatseries.specfun import KernelParams
 from heatseries.variants import VARIANTS
 import references
@@ -151,14 +153,34 @@ COEFFS = {
 
 
 def variant_pass(variant, n):
+    """The quadrature passes of one variant's coefficients on the mixtures,
+    as the package made them before the closed forms took them: one per
+    line C centre at order 2n, the plane C pass in np.longdouble."""
     row = VARIANTS[variant]
-    data = LINE_MIX if row.geometry == "line" else POLAR_MIX
+    root = row.moment_root(PARAMS)
+    if row.geometry == "polar":
+        dtype = np.longdouble if row.pointwise else float
+        return lambda: references.w_moments_by_quadrature(POLAR_MIX, root, n, dtype)
+    if not row.pointwise:
+        return lambda: references.hermite_moments_by_quadrature(LINE_MIX, root, n, weighted=row.weighted)
+    centres = np.unique(series_cartesian._centres(np.linspace(-3.0, 3.0, 7), root, n))
+    return lambda: [references.hermite_moments_by_quadrature(LINE_MIX, root, 2 * n, center=float(c)) for c in centres]
+
+
+def package_pass(variant, data, n):
+    """The package's own coefficient pass, for data its closed forms leave
+    to the quadrature."""
+    row = VARIANTS[variant]
     points = np.linspace(-3.0, 3.0, 7) if row.geometry == "line" else np.linspace(0.0, 3.0, 7)
     fn = COEFFS[(row.direct, row.geometry)]
     return lambda: fn(variant, data, PARAMS, n, points)
 
 
 ONE_BLOCK = {f"{variant}-N{n}": variant_pass(variant, n) for variant in VARIANTS for n in (0, 8, 40)}
+ONE_BLOCK["CD-C-bump-N40"] = package_pass("CD-C", Bump(0.3, 2.0), 40)
+ONE_BLOCK["CI-B-bump-N40"] = package_pass("CI-B", Bump(0.3, 2.0), 40)
+ONE_BLOCK["PD-C-ring-N40"] = package_pass("PD-C", Gaussian(0.9, 1.5, 1.0), 40)
+ONE_BLOCK["PI-A-bump-N40"] = package_pass("PI-A", Bump(0.0, 2.0), 40)
 ONE_BLOCK["oracle-line"] = lambda: kernels.forward_line(LINE_MIX, 0.5, np.linspace(-3.0, 3.0, 121))
 ONE_BLOCK["oracle-polar"] = lambda: kernels.forward_polar(POLAR_MIX, 0.5, np.linspace(0.0, 3.0, 61))
 MODULES = (kernels, series_cartesian, series_polar, references)
@@ -180,7 +202,7 @@ def test_passes_within_one_block_are_the_reference_bit_for_bit(name):
         assert err == ref_err
         assert sum(sizes) == sum(ref_sizes)
         assert len(sizes) == len(ref_sizes) - 1  # levels 0 and 1 in one call
-    if name.startswith("PD-C"):
+    if name.startswith(("PD-C", "PI-C")):
         assert vals.dtype == np.longdouble
 
 
@@ -222,6 +244,35 @@ def test_sampled_line_passes_take_no_quadrature():
         (f, args, kwargs), = adaptive_passes(MODULES, route)
         ref, _, l1 = reference_integrate_vec(f, *args, **kwargs)
         assert np.all(np.abs(closed() - ref) <= np.maximum(quad.REL_TOL * np.abs(ref), 32.0 * EPS * l1))
+
+
+@pytest.mark.parametrize(
+    "closed, route",
+    [
+        (lambda r: series_cartesian._hermite_moments(LINE_MIX, r, 16, center=1.7),
+         lambda r: references.hermite_moments_by_quadrature(LINE_MIX, r, 16, center=1.7)),
+        (lambda r: series_cartesian._hermite_moments(LINE_MIX, r, 16, weighted=True),
+         lambda r: references.hermite_moments_by_quadrature(LINE_MIX, r, 16, weighted=True)),
+        (lambda r: series_polar._w_radial_moments(POLAR_MIX, r, 16),
+         lambda r: references.w_moments_by_quadrature(POLAR_MIX, r, 16)),
+        (lambda r: series_polar._w_radial_moments(POLAR_MIX, r, 16, dtype=np.longdouble),
+         lambda r: references.w_moments_by_quadrature(POLAR_MIX, r, 16, np.longdouble)),
+    ],
+    ids=["line", "line-weighted", "polar", "polar-longdouble"],
+)
+def test_analytic_moment_passes_take_no_quadrature(closed, route):
+    # the closed forms of the mixtures' moments: no integrand, and the
+    # quadrature route's values up to its acceptance test at an order whose
+    # moments the route's 12-sigma window holds (at order 40 in the plane
+    # and 80 on the line the window cuts off moments far above that floor;
+    # test_exact_moments checks the closed forms there against mpmath)
+    root = math.sqrt(PARAMS.beta)
+    assert adaptive_passes(MODULES, lambda: closed(root)) == []
+    (f, args, kwargs), = adaptive_passes(MODULES, lambda: route(root))
+    ref, _, l1 = reference_integrate_vec(f, *args, **kwargs)
+    got = closed(root)
+    assert got.dtype == ref.dtype
+    assert np.all(np.abs(got - ref) <= np.maximum(quad.REL_TOL * np.abs(ref), 32.0 * EPS * l1))
 
 
 def test_longdouble_sums_take_np_dot_with_the_bits_of_matmul():

@@ -93,15 +93,16 @@ def test_beta_map_config_reports_the_failed_shift(tmp_path, capsys):
 
 
 def test_an_overflowing_order_fails_alone_and_the_orders_below_it_build(monkeypatch):
-    # the passes at 400 (CD-B) and at 200 and 400 (CD-C) overflow; each
-    # order below them reads the row of the same study over only the orders
-    # that build
+    # the passes at 400 overflow: CD-B's H_400 at the grid's end, and CD-C's
+    # exact moments (test_variants.test_cd_c_overflows_where_its_exact_moments_do);
+    # each order below them reads the row of the same study over only the
+    # orders that build
     sweeps = counted_sweeps(monkeypatch)
     config = StudyConfig(study_kind="convergence", tau=0.5, variants=("CD-B", "CD-C"), n_range=(0, 10, 200, 400))
     report = run_convergence(config)
     assert sweeps == ["CD-B", "CD-C"]
     assert [(r.variant, r.n) for r in report.rows] == [(v, n) for v in ("CD-B", "CD-C") for n in (0, 10, 200, 400)]
-    builds = {"CD-B": (0, 10, 200), "CD-C": (0, 10)}
+    builds = {"CD-B": (0, 10, 200), "CD-C": (0, 10, 200)}
     for row in report.rows:
         if row.n not in builds[row.variant]:
             assert row.status == "error:OverflowError" and row.diverged

@@ -5,7 +5,10 @@ per-point loops they replaced, and the order sweep against separate solves.
 """
 
 import contextlib
+import sys
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,6 +30,7 @@ from heatseries.variants import (
     series_terms,
     variant_names,
 )
+from references import hermite_gaussian_integral
 
 # --- reference: the per-point loops of the previous implementation ---------------
 
@@ -344,8 +348,26 @@ def test_sweep_equals_independent_solves_classical(data):
 
 
 # the orders of a convergence sweep on the unit Gaussian at tau = 0.5, the
-# top ones past where the variant's terms overflow (CD-B from 300, CD-C from 150)
-OVERFLOW_POOLS = {"CD-B": (0, 3, 10, 40, 100, 200, 250, 300, 400), "CD-C": (0, 3, 10, 40, 100, 150, 200)}
+# top ones past where the variant overflows: CD-B's H_j from 300; CD-C at
+# 400, whose exact moments about the centre -3 of the grid's end exceed
+# float64 (test_cd_c_overflows_where_its_exact_moments_do).  The pool skips
+# 300, where only the binomial-weighted moments of CD-C's recombination
+# overflow.
+OVERFLOW_POOLS = {"CD-B": (0, 3, 10, 40, 100, 200, 250, 300, 400), "CD-C": (0, 3, 10, 40, 100, 150, 200, 250, 400)}
+
+
+def test_cd_c_overflows_where_its_exact_moments_do():
+    # beta = 1 = a: the order-400 pass about c = -3 holds M_800 = int
+    # H_800((xi + 3)/2) e^{-xi^2/4} dxi = 2 sqrt(pi) J, J exactly 3^800
+    data = Gaussian(width_a=1.0)
+    assert default_beta("CD-C", experiments._SCALE_ESTIMATE[LINE](data), 0.5) == pytest.approx(1.0, rel=1e-15)
+    exact = hermite_gaussian_integral(800, Fraction(3, 2))
+    assert exact == 3 ** 800
+    assert 2 * mpmath.sqrt(mpmath.pi) * mpmath.mpf(exact.numerator) > sys.float_info.max
+    with pytest.raises(OverflowError, match="not finite"):
+        series_cartesian._hermite_moments(data, 1.0, 800, center=-3.0)
+    with pytest.raises(OverflowError, match="CD-C at x = -3: series terms overflowed"):
+        solve_grid_line("CD-C", data, 0.5, 1.0, 400, experiments._COMPARE_GRID[LINE])
 
 
 @pytest.mark.parametrize("seed", range(3))
