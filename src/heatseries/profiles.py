@@ -92,9 +92,9 @@ class Gaussian:
             return None
         q = 1 - dtype(self.width_a) / (dtype(root) * dtype(root))
         factors = np.empty(n + 1, dtype=dtype)  # M_0, then M_{j+1}/M_j
-        factors[0] = 2 * dtype(self.amplitude) * dtype(self.width_a)
-        factors[1:] = np.arange(1, 2 * n, 2, dtype=dtype) * (-2 * q)
         with np.errstate(over="ignore", invalid="ignore"):
+            factors[0] = 2 * dtype(self.amplitude) * dtype(self.width_a)
+            factors[1:] = np.arange(1, 2 * n, 2, dtype=dtype) * (-2 * q)
             return np.cumprod(factors)
 
 

@@ -444,6 +444,19 @@ def test_mixture_moments_are_their_components_summed():
     assert np.all(exact_errors(got, ref) <= C_EXACT * EPS * l1)
 
 
+@pytest.mark.parametrize("dtype", [float, np.longdouble])
+def test_closed_forms_beyond_float64_raise_overflow_without_a_warning(dtype):
+    # a = 1.5e306 at R = 1: the plane's ratio -2(2j + 1)(1 - a/R^2) itself
+    # overflows float64 from j = 30, and the line's moments from k = 2
+    wide = Gaussian(1.5e306)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match="not finite"):
+            series_polar._w_radial_moments(wide, 1.0, 40, dtype=dtype)
+        with pytest.raises(OverflowError, match="not finite"):
+            series_cartesian._hermite_moments(wide, 1.0, 40)
+
+
 def test_a_ring_or_a_ring_component_leaves_the_plane_to_the_quadrature():
     ring = Gaussian(1.3, 0.5, 0.9)
     assert ring.radial_moments(1.0, 4) is None
