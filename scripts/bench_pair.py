@@ -1,20 +1,19 @@
 """Benchmark two revisions with the stock perfbench and record both side by side.
 
-    python3 scripts/bench_pair.py BENCH_21.json --base e6fb6b8 --head HEAD
-    python3 scripts/bench_pair.py out.json --seeds 5 --seconds 20 --workloads studies
+    python3 scripts/bench_pair.py BENCH_21.json --base e6fb6b8 --head HEAD --seeds 10
 
 Each revision's committed tree is exported with `git archive` into its own
 temporary directory, so the benchmark builds what it runs from committed
 files only and the checkout (its index and its git metadata included) is
 left as it is.  Every workload of BENCHMARK.json then runs
 `python3 perfbench/run.py --workload W --seed S --seconds T --trace 0`,
-unmodified, in each tree: for each seed the base and the head run back to
-back, in an order that alternates with the seed, so drifts of machine speed
-fall on both.  The output records the machine, both revisions, every run's
-metrics, and per metric the median and quartiles of each side and the
-number of seeds on which the head is better (in the direction BENCHMARK.json
-gives).  A run that is not correct, or that fails commands, is recorded as
-it is and counted.
+unmodified, in each tree, T being BENCHMARK.json's run_seconds: for each
+seed the base and the head run back to back, in an order that alternates
+with the seed, so drifts of machine speed fall on both.  The output records
+the machine, both revisions, every run's metrics, and per metric the median
+and quartiles of each side and the number of seeds on which the head is
+better (in the direction BENCHMARK.json gives).  A run that is not correct,
+or that fails commands, is recorded as it is and counted.
 """
 
 from __future__ import annotations
@@ -100,15 +99,13 @@ def main(argv=None) -> int:
     parser.add_argument("--base", default="HEAD~1", help="the revision to compare against (default HEAD~1)")
     parser.add_argument("--head", default="HEAD", help="the revision under test (default HEAD)")
     parser.add_argument("--seeds", type=int, default=MIN_SEEDS, help=f"seeds per workload, at least {MIN_SEEDS}")
-    parser.add_argument("--seconds", type=float, default=None, help="seconds per run (default: BENCHMARK.json's)")
-    parser.add_argument("--workloads", nargs="+", default=None, help="default: every workload of BENCHMARK.json")
     args = parser.parse_args(argv)
     if args.seeds < MIN_SEEDS:
         parser.error(f"need at least {MIN_SEEDS} seeds, got {args.seeds}")
     with open(os.path.join(ROOT, "BENCHMARK.json")) as handle:
         spec = json.load(handle)
-    seconds = spec["run_seconds"] if args.seconds is None else args.seconds
-    workloads = args.workloads or [w["name"] for w in spec["workloads"]]
+    seconds = spec["run_seconds"]
+    workloads = [w["name"] for w in spec["workloads"]]
     metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
     work = tempfile.mkdtemp(prefix="bench-pair-")
     try:

@@ -67,7 +67,7 @@ from .variants import (
     check_mode,
     lookup,
     pointwise_terms,
-    ratio_products,
+    ratio_weighted,
     recombine,
     series_terms,
 )
@@ -264,8 +264,7 @@ def _hermite_terms(coeffs: np.ndarray, arg: float, g: float, pref, x: np.ndarray
         h = hermite_batch(n, x / (2.0 * math.sqrt(arg)))
         if pref is not None:
             pref = np.exp(-(x * x) / (4.0 * pref)) / (2.0 * math.sqrt(math.pi * pref))
-    w = ratio_products(1.0, n, lambda w, j: w * g / (j + 1))
-    return series_terms(coeffs * w, h, pref)
+    return series_terms(ratio_weighted(coeffs, lambda w, j: w * g / (j + 1)), h, pref)
 
 
 def _eval(direct: bool, variant: str, coeffs, params: KernelParams, x, mode: str) -> SeriesTerms:

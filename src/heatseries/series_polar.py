@@ -51,7 +51,7 @@ from .variants import (
     check_mode,
     lookup,
     pointwise_terms,
-    ratio_products,
+    ratio_weighted,
     recombine,
     series_terms,
     variant_names,
@@ -168,9 +168,7 @@ def _eval(direct: bool, variant: str, coeffs, params: KernelParams, r, mode: str
         wmat = w_poly_batch(n, r / (2.0 * math.sqrt(arg)))
         pref = np.exp(-(r * r) / (4.0 * pref)) / (2.0 * pref)
     ratio = num / den
-    w = ratio_products(1.0, n, lambda w, j: w * ratio / (2.0 * (2 * j + 1)) ** 2)
-    with np.errstate(over="ignore"):  # an overflowing weight fails the series check
-        weighted = coeffs * w
+    weighted = ratio_weighted(coeffs, lambda w, j: w * ratio / (2.0 * (2 * j + 1)) ** 2)
     return series_terms(weighted, wmat, pref)
 
 

@@ -214,12 +214,29 @@ def default_beta(variant: str, scale_estimate: float, tau: float) -> float:
 
 def ratio_products(first: float, n: int, update) -> np.ndarray:
     """out[0] = first, out[j+1] = update(out[j], j): factorial-bearing weights
-    by multiplicative updates, never by factorials."""
-    out = np.empty(n + 1)
+    by multiplicative updates, never by factorials, in the precision of first
+    (float64 for a Python number)."""
+    out = np.empty(n + 1, dtype=np.result_type(first, 1.0))
     out[0] = first
     with np.errstate(over="ignore", invalid="ignore"):  # an inf weight makes its terms fail `check`
         for j in range(n):
             out[j + 1] = update(out[j], j)
+    return out
+
+
+def ratio_weighted(coeffs: np.ndarray, update) -> np.ndarray:
+    """coeffs[j] times the weights ratio_products(1.0, n, update).  A row
+    whose float64 weight underflows (the factorials outgrow the powers: past
+    j of about 90 in the plane) while its coefficient is not 0 takes the
+    weight in np.longdouble, so its term is neither dropped nor rounded to
+    the few bits of a subnormal."""
+    w = ratio_products(1.0, coeffs.size - 1, update)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite product fails the series check
+        out = coeffs * w
+        low = (w < np.finfo(float).tiny) & (coeffs != 0.0)
+        if np.any(low):
+            wide = ratio_products(np.longdouble(1.0), coeffs.size - 1, update)
+            out[low] = (coeffs[low] * wide[low]).astype(float)
     return out
 
 

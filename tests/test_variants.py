@@ -27,6 +27,7 @@ from heatseries.variants import (
     SeriesTerms,
     default_beta,
     pointwise_terms,
+    ratio_weighted,
     series_terms,
     variant_names,
 )
@@ -368,6 +369,51 @@ def test_cd_c_overflows_where_its_exact_moments_do():
         series_cartesian._hermite_moments(data, 1.0, 800, center=-3.0)
     with pytest.raises(OverflowError, match="CD-C at x = -3: series terms overflowed"):
         solve_grid_line("CD-C", data, 0.5, 1.0, 400, experiments._COMPARE_GRID[LINE])
+
+
+@pytest.mark.parametrize("ratio, step", [
+    (1.0, lambda j: j + 1),                      # the line's g^j / j!
+    (2.5, lambda j: (2.0 * (2 * j + 1)) ** 2),   # the plane's (num/den)^j j!^2 / (2j)!^2
+], ids=["line", "plane"])
+def test_weights_past_their_float64_underflow_keep_their_terms(ratio, step):
+    # coefficients that grow as the weights shrink: the products stay
+    # normal doubles after the weights alone are subnormal or 0
+    n = 240
+    coeffs = np.array([float(mpmath.mpf(10) ** min(3 * j, 300)) for j in range(n + 1)])
+    got = ratio_weighted(coeffs, lambda w, j: w * ratio / step(j))
+    with mpmath.workdps(40):
+        weight, exact = mpmath.mpf(1), []
+        for j in range(n + 1):
+            exact.append(float(mpmath.mpf(coeffs[j]) * weight))
+            weight = weight * ratio / step(j)
+    exact = np.array(exact)
+    normal = np.abs(exact) >= np.finfo(float).tiny
+    assert np.count_nonzero(normal) > 100
+    if np.finfo(np.longdouble).tiny < np.finfo(float).tiny:
+        assert np.all(np.abs(got[normal] - exact[normal]) <= 1e-13 * np.abs(exact[normal]))
+
+
+def test_pi_b_past_its_weight_underflow_is_its_exact_order_130_sum():
+    # the plane's weight underflows float64 near j = 85 while these moments
+    # reach 1e297: every term is kept, and the flags stay on every point
+    data, tau, beta, n = Gaussian(width_a=1.0), 0.3, 0.5, 130
+    rs = np.linspace(0.0, 3.0, 4)
+    series = solve_grid_polar("PI-B", data, tau, beta, n, rs)
+    if np.finfo(np.longdouble).tiny < np.finfo(float).tiny:
+        row, params = VARIANTS["PI-B"], KernelParams(tau, beta)
+        root = row.moment_root(params)
+        arg, num, den, pref = row.times(params)
+        with mpmath.workdps(60):
+            s = (1 - 1 / mpmath.mpf(root) ** 2)  # a = 1: M_j = 2 (-1)^j (2j)!/j! s^j
+            for r, got in zip(rs, series.values(n)):
+                z2 = (mpmath.mpf(r) / (2 * mpmath.sqrt(arg))) ** 2
+                exact = mpmath.exp(-mpmath.mpf(r) ** 2 / (4 * pref)) / (2 * pref) * mpmath.fsum(
+                    2 * s ** j * (mpmath.factorial(2 * j) / mpmath.factorial(j)) ** 2 * mpmath.laguerre(j, 0, z2)
+                    * (mpmath.mpf(num) / den) ** j * mpmath.factorial(j) ** 2 / mpmath.factorial(2 * j) ** 2
+                    for j in range(n + 1)
+                )
+                assert abs(got - exact) <= 1e-13 * abs(exact)
+    assert series.flagged(n).all()
 
 
 @pytest.mark.parametrize("seed", range(3))
