@@ -3,14 +3,10 @@
 The engine of the package's integrals that have no closed form: fixed-order
 Gauss-Legendre panels on [lo, hi], refined by global bisection until two
 successive refinement levels agree.  Its callers are the two oracles
-(`kernels.forward_line` for analytic data, and for sampled data under a
-kernel wider than the data; `kernels.forward_polar`), the line's moments of
-a Bump and CI-B's weighted moments of sampled data under a weight wider
-than the data (`series_cartesian._hermite_moments`), and the plane's radial
-moments of a Bump, a ring Gaussian and sampled data
-(`series_polar._w_radial_moments`).  The moments of Gaussians and mixtures
-(`profiles.closed_form_moments`) and the other integrals of sampled line
-data (`profiles.Sampled1D.by_parts`) take closed forms and no quadrature.
+(`kernels.forward_line`, `kernels.forward_polar`), the moment passes
+(`series_cartesian._hermite_moments`, `series_polar._w_radial_moments`)
+and the radial moments of sampled data (`profiles.Sampled1D.radial_moments`),
+wherever the data has no closed form of its own (`profiles.data_fact`).
 Callers truncate infinite domains, and every profile's support
 (`profiles.profile_support`), at TRUNCATION_RADIUS_SIGMAS decay scales
 before they call it.
@@ -32,11 +28,8 @@ is a polynomial of at most some degree d between consecutive breakpoints:
 rule on each panel between the breakpoints, which is exact for degree
 2 floor(d/2) + 1 >= d, so the result is the integral up to rounding, with
 no error estimate to trust and no refinement.  Its one caller is the
-plane's xi W_j moments of sampled data, which is linear between its nodes;
-on the line, sampled data needs no quadrature while its Gaussians are no
-wider than the data: its moments, plain and Gaussian-weighted
-(series_cartesian._sampled_moments), and its kernel integral (kernels) come
-in closed form from its slope jumps (profiles.Sampled1D.by_parts).
+plane's xi W_j moments of sampled data, which is linear between its nodes
+(`profiles.Sampled1D.radial_moments`).
 
 Every level, adaptive or exact, is evaluated by one block loop: each
 integrand call gets at most EXACT_BLOCK nodes, built from the panels that

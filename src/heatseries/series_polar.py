@@ -19,19 +19,20 @@ xi d(xi) on [0, inf).  With s = tau + beta:
 * PI-A / PI-B / PI-C (inverse): scale roles exchanged.  PI-B needs
   beta > tau: its prefactor lives at beta - tau.
 
-The radial moments of a centred Gaussian, and of a mixture of them, come in
-closed form from the Laplace transform of L_j (`Gaussian.radial_moments`,
-through `profiles.closed_form_moments`), in the pass's precision.  A ring
-Gaussian (off centre), a Bump and sampled data take the quadrature: sampled
-data one exact level, the others the adaptive engine.
+The moment pass asks the data first (`profiles.data_fact`), in the pass's
+precision: centred Gaussians and their mixtures answer from the Laplace
+transform of L_j (`Gaussian.radial_moments`), sampled data by one exact
+quadrature level (`Sampled1D.radial_moments`).  A ring Gaussian (off
+centre) and a Bump take the adaptive engine.
 
 The scales and constants of each variant are rows of `variants.VARIANTS`;
 evaluation (`pd_eval`, `pi_eval`: the `variants.SeriesTerms` at the radii),
 the divergence diagnostic and constants_mode go through the same path as on
 the line.  `solve_grid_polar(variant, data, tau, beta, n, rs,
 constants_mode)` picks the functions of a polar variant by its direction:
-the CLI, the audit and the order sweeps all take their term matrix from it.  The published C-variant constants fail the oracle
-certification by documented ratios (ERRATA.md).
+the CLI, the audit and the order sweeps all take their term matrix from it.
+The published C-variant constants fail the oracle certification by
+documented ratios (ERRATA.md).
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import math
 
 import numpy as np
 
-from .profiles import Sampled1D, closed_form_moments, profile_support
+from .profiles import data_fact, profile_support, radial_moment_integrand
 from .quad import integrate_vec
 from .specfun import KernelParams, w_poly_batch
 from .variants import (
@@ -78,29 +79,18 @@ def _radial_window(data) -> tuple[float, float]:
 
 def _w_radial_moments(data, root: float, n: int, dtype=float) -> np.ndarray:
     """int_0^inf xi W_j(xi/(2 root)) data(xi) dxi for j = 0..n, evaluated and
-    summed in dtype.  Centred Gaussians and their mixtures take the closed
-    form (`Gaussian.radial_moments`; OverflowError where a moment is not
-    finite).  Sampled data takes one exact level: between its nodes the data
-    is linear, so the integrand is a polynomial of degree 2n + 2."""
+    summed in dtype: the data's own (`Gaussian.radial_moments`, OverflowError
+    where a moment is not finite; `Sampled1D.radial_moments`), or else by
+    the adaptive engine."""
     if n < 0:
         raise ValueError("order must be non-negative")
-    moments = closed_form_moments(data, "radial_moments", root, n, dtype)
+    moments = data_fact(data, "radial_moments", root, n, dtype)
     if moments is not None:
         return moments
     lo, hi = _radial_window(data)
     if lo >= hi:
         return np.zeros(n + 1)
-    sampled = isinstance(data, Sampled1D)
-    breakpoints = data.nodes if sampled else None
-
-    def integrand(xi):
-        w = w_poly_batch(n, xi.astype(dtype) / (2.0 * root))
-        with np.errstate(over="ignore"):  # an overflowing moment fails its level sum (integrate_vec)
-            w *= xi * data(xi)
-        return w
-
-    vals, _ = integrate_vec(integrand, lo, hi, breakpoints=breakpoints, degree=2 * n + 2 if sampled else None)
-    return vals
+    return integrate_vec(radial_moment_integrand(data, root, n, dtype), lo, hi)[0]
 
 
 @functools.lru_cache(maxsize=16)

@@ -15,6 +15,7 @@ flag nothing, as their exact terms do not.
 """
 
 import math
+import time
 import warnings
 
 import numpy as np
@@ -22,7 +23,7 @@ import pytest
 
 import heatseries.series_cartesian as sc
 import heatseries.series_polar as sp
-from heatseries import quad
+from heatseries import profiles, quad
 from heatseries.cli import main
 from heatseries.kernels import evolve_line, evolve_polar
 from heatseries.profiles import (
@@ -288,12 +289,13 @@ def test_one_quadrature_per_grid(monkeypatch, variant):
 
         return integrate_vec(wrapped, *args, **kwargs)
 
-    def closed_form(data, root, n, center, weighted=False, original=sc._sampled_moments):
+    def closed_form(data, root, n, center=0.0, weighted=False, original=Sampled1D.hermite_moments):
         closed_forms.append({n + 1})
         return original(data, root, n, center, weighted)
 
-    monkeypatch.setattr(module, "integrate_vec", counting)
-    monkeypatch.setattr(sc, "_sampled_moments", closed_form)
+    for bound in (module, profiles):  # sampled radial moments integrate in profiles
+        monkeypatch.setattr(bound, "integrate_vec", counting)
+    monkeypatch.setattr(Sampled1D, "hermite_moments", closed_form)
     data, params, _, _, xs = _case(variant, "sampled")
     n = 12
 
@@ -343,6 +345,30 @@ def test_overflow_is_a_clean_exit_3(variant, capsys):
     assert code == 3
     assert f"{variant} at {'r' if polar else 'x'} = 10000:" in capsys.readouterr().err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("variant", ["CD-C", "CI-C"])
+def test_line_c_orders_past_float64_fail_fast_naming_the_order(variant, capsys):
+    # C(2n, n) exceeds the largest double from n = 515; the table used to be
+    # built in big integers first (16.5 s at order 800) and then fail with
+    # "int too large to convert to float"
+    argv = ["forward" if VARIANTS[variant].direct else "inverse", "--variant", variant, "--tau", "0.5",
+            "--beta", "1", "--order", "515", "--profile", "gaussian:a=1", "--eval-grid", "0:1:2"]
+    start = time.perf_counter()
+    code = main(argv)
+    elapsed = time.perf_counter() - start
+    assert code == 3
+    assert "order 515" in capsys.readouterr().err
+    assert elapsed < 1.0
+
+
+def test_line_binomials_are_the_exact_ones():
+    # the recurrence of each row against math.comb at the largest order
+    # whose weights fit in float64
+    n = 514
+    binom, _ = sc._binomials(n)
+    ref = np.array([[math.comb(2 * j, d) for d in range(2 * n + 1)] for j in range(n + 1)], dtype=float)
+    np.testing.assert_array_equal(binom, ref)
 
 
 # --- no flags from rounding noise: the closed-form moments of analytic data -----

@@ -668,6 +668,14 @@ def assert_rejected(capsys, code, *fragments):
         assert fragment in captured.err
 
 
+def test_ci_classical_of_a_bump_is_rejected(capsys):
+    code = run_cli(
+        "inverse", "--variant", "CI-classical", "--tau", "0.3", "--order", "4",
+        "--profile", "bump:radius=1", "--eval-grid", "0:1:2",
+    )
+    assert_rejected(capsys, code, "analytic derivatives are available for Gaussian data only")
+
+
 def test_input_row_with_non_numeric_value_is_rejected(tmp_path, capsys):
     # the row used to be dropped after its x was kept, shifting every later
     # sample; CI-A at x = 0 then printed 0.977 with exit 0

@@ -125,6 +125,14 @@ def test_evolve_polar_requires_centered_gaussians():
         evolve_polar(Gaussian(width_a=1.0, center=0.5), 0.1)
 
 
+@pytest.mark.parametrize("data", [Bump(0.0, 1.0), Sampled1D(-1.0, 1.0, np.ones(3))], ids=["bump", "sampled"])
+def test_evolution_without_a_closed_form_is_refused(data):
+    with pytest.raises(ValueError, match="^closed-form line evolution exists only for Gaussian data$"):
+        evolve_line(data, 0.1)
+    with pytest.raises(ValueError, match="^closed-form polar evolution exists only for radial Gaussians$"):
+        evolve_polar(data, 0.1)
+
+
 # --- kernel identities -----------------------------------------------------------
 
 def test_weber_integral_identity_values():

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heatseries import kernels, quad, series_cartesian, series_polar, specfun
+from heatseries import kernels, profiles, quad, series_cartesian, series_polar, specfun
 from heatseries.profiles import Bump, Gaussian, Mixture, Sampled1D
 from references import (
     hermite_moment_integrand,
@@ -25,6 +25,7 @@ from references import (
     l1_norms,
     line_kernel_integrand,
     line_oracle_by_quadrature,
+    rebound,
     w_moment_integrand,
     weighted_moment_integrand,
     weighted_moments_by_quadrature,
@@ -244,7 +245,9 @@ POLAR_DATA = {
 
 
 def captured_integrands(module, call):
-    """The integrands a call hands to integrate_vec, and the call's result."""
+    """The integrands a call hands to integrate_vec, in module or any other
+    module of the package that binds the same function, and the call's
+    result."""
     seen = []
     original = module.integrate_vec
 
@@ -252,11 +255,8 @@ def captured_integrands(module, call):
         seen.append(f)
         return original(f, *args, **kwargs)
 
-    module.integrate_vec = spy
-    try:
+    with rebound(original, spy):
         result = call()
-    finally:
-        module.integrate_vec = original
     return seen, result
 
 
@@ -281,7 +281,7 @@ def test_hermite_moment_integrand_is_the_allocating_one(monkeypatch, data, cente
         # plain moments of sampled data: the closed form, no integrand; its
         # longdouble rows are the allocating recurrence's bit for bit
         assert integrands == []
-        monkeypatch.setattr(series_cartesian, "hermite_batch", old_hermite_batch)
+        monkeypatch.setattr(profiles, "hermite_batch", old_hermite_batch)
         assert bitwise_equal(moments, series_cartesian._hermite_moments(f, root, n, weighted, center))
         return
     weight_root = root if weighted else None
@@ -340,7 +340,8 @@ def test_forward_line_kernel_is_the_allocating_one(data, tau):
     (integrand,) = integrands
     assert bitwise_equal(integrand(NODES), line_kernel_integrand(f, tau, x)(NODES))
     lo, hi = kernels._line_window(f, x, tau)
-    ref, _ = quad.integrate_vec(line_kernel_integrand(f, tau, x), lo, hi, breakpoints=kernels._breakpoints(f))
+    breakpoints = profiles.data_fact(f, "breakpoints")
+    ref, _ = quad.integrate_vec(line_kernel_integrand(f, tau, x), lo, hi, breakpoints=breakpoints)
     assert bitwise_equal(values, ref)
 
 

@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from heatseries.kernels import evolve_line, forward_line
-from heatseries.profiles import Gaussian, Mixture, Sampled1D
+from heatseries.profiles import Bump, Gaussian, Mixture, Sampled1D
 from heatseries import beta_rule, default_beta
 from heatseries.series_cartesian import (
-    _fd_derivs_at_zero,
     cd_coeffs,
     cd_eval,
     ci_classical,
@@ -370,6 +369,12 @@ def test_ci_classical_stencil_exceeding_grid_is_explicit():
         ci_classical(data, 0.3, 8, 0.0)
 
 
+def test_ci_classical_refuses_data_without_derivatives():
+    with pytest.raises(ValueError, match="^analytic derivatives are available for Gaussian data only; sample "
+                                         "other profiles onto a grid first$"):
+        ci_classical(Bump(0.0, 1.0), 0.3, 4, 0.0)
+
+
 @pytest.mark.parametrize("lo, nodes", [(-0.25, 5), (-0.125, 6), (-0.5, 6), (0.0, 4)])
 def test_fd_stencil_wider_than_the_grid_names_the_first_order_it_misses(lo, nodes):
     # orders 2w and 2w+1 reach w and w+1 nodes to each side of x = 0, where w
@@ -378,9 +383,9 @@ def test_fd_stencil_wider_than_the_grid_names_the_first_order_it_misses(lo, node
     data = Sampled1D(lo, lo + h * (nodes - 1), np.linspace(1.0, 2.0, nodes))
     zero = round(-lo / h)
     reach = min(zero, nodes - 1 - zero)
-    assert np.all(np.isfinite(_fd_derivs_at_zero(data, 2 * reach)))
+    assert np.all(np.isfinite(data.derivs_at_zero(2 * reach)))
     with pytest.raises(ValueError, match=f"^stencil for order {2 * reach + 1} exceeds the grid$"):
-        _fd_derivs_at_zero(data, 2 * reach + 1)
+        data.derivs_at_zero(2 * reach + 1)
     with pytest.raises(ValueError, match=f"^stencil for order {2 * reach + 1} exceeds the grid$"):
         ci_classical(data, 0.3, 2 * reach + 1, 0.0)
 
@@ -396,7 +401,7 @@ def test_fd_derivatives_that_overflow_raise_without_a_warning(spacing, changed, 
         values[i] = v
     data = Sampled1D(-5 * spacing, 5 * spacing, values)
     with pytest.raises(OverflowError, match="^finite-difference derivatives overflowed$"):
-        _fd_derivs_at_zero(data, order)
+        data.derivs_at_zero(order)
     with pytest.raises(OverflowError, match="^finite-difference derivatives overflowed$"):
         ci_classical(data, 0.3, order, 0.0)
 

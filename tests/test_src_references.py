@@ -8,6 +8,11 @@ references to itself (recursion) and the re-exports of __init__ do not
 count.  A name a module imports and never names (listing it in `__all__`
 is no use: that only re-exports it) fails as well; __init__, whose imports
 are the package's re-exports, is exempt.
+
+No module but profiles.py passes a data class (Gaussian, Mixture, Bump,
+Sampled1D) to isinstance: each data kind answers for its own facts
+(`profiles.data_fact`).  The CLI's one check, that --noise perturbs sample
+files only, is the exemption.
 """
 
 import ast
@@ -77,3 +82,27 @@ def test_the_exempt_names_are_the_tracers():
     tracer = (ROOT / "perfbench" / "tracing.py").read_text()
     for name in TRACED_ONLY:
         assert f'("specfun", "{name}"' in tracer
+
+
+DATA_CLASSES = {"Gaussian", "Mixture", "Bump", "Sampled1D"}
+# the one test of a data kind outside profiles.py: --noise perturbs sample files only
+DATA_KIND_TESTS_ALLOWED = Counter({("cli.py", "Sampled1D"): 1})
+
+
+def data_kind_tests() -> Counter:
+    """(module, class) of every isinstance call on a data class outside
+    profiles.py, counted."""
+    out = Counter()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "profiles.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance":
+                out.update((path.name, name) for name in names_in(node.args[1]) if name in DATA_CLASSES)
+    return out
+
+
+def test_only_profiles_tells_the_data_kinds_apart():
+    # each data kind answers for its own facts (profiles.data_fact); the
+    # other modules ask it rather than test its class
+    assert data_kind_tests() == DATA_KIND_TESTS_ALLOWED
