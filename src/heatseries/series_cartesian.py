@@ -14,7 +14,11 @@ truncated evaluation and divergence monitoring.  With s = tau + beta:
   (CD-A's at c = 0).  The binomial weights amplify the moments' rounding
   noise about e^{|x - c| sqrt(N)/R}-fold, so each point takes the nearest
   centre of a lattice with |x - c|/R <= 6/sqrt(N), and one moment pass per
-  centre serves every point near it.
+  centre serves every point near it.  Sampled data snaps the lattice step
+  down to whole node spacings (`Sampled1D.lattice_centres`), so that all
+  its centres take their moments from one shared Hermite batch
+  (`Sampled1D.lattice_moments`); each point then sums its centre's table
+  in one recombination for the whole grid (`variants.recombine`).
 * CI-A / CI-B / CI-C (inverse): the same structures with the roles of the
   two scales exchanged; CI-B weights its moments with the Gaussian kernel at
   scale beta instead of carrying a prefactor.
@@ -123,14 +127,34 @@ def _hermite_moments(data, root: float, n: int, weighted: bool = False, center: 
     return integrate_vec(integrand, lo, hi, breakpoints=data_fact(data, "breakpoints"))[0]
 
 
-def _centres(x: np.ndarray, root: float, n: int) -> np.ndarray:
+def _centres(x: np.ndarray, root: float, n: int, data=None) -> np.ndarray:
     """Each point's expansion centre: the nearest node of the lattice with
-    spacing 12 root / sqrt(n), so that |x - c| / root <= 6 / sqrt(n).  It
-    depends on the point alone, and x = 0 is its own centre."""
+    spacing 12 root / sqrt(n), so that |x - c| / root <= 6 / sqrt(n), or of
+    the data's own lattice of no larger step (`Sampled1D.lattice_centres`:
+    whole node spacings).  It depends on the point alone, and x = 0 is its
+    own centre."""
     if n == 0:
         return np.zeros_like(x)  # c_0 = M_0 about any centre
     step = 12.0 * root / math.sqrt(n)
-    return step * np.round(x / step)
+    snapped = data_fact(data, "lattice_centres", x, step)
+    return step * np.round(x / step) if snapped is None else snapped
+
+
+def _lattice_moments(data, root: float, n: int, lattice: np.ndarray) -> np.ndarray:
+    """The moments of orders 0..n about each lattice centre, one row each,
+    NaN where they are not finite (far from the data: those points' sums
+    overflow as well).  Sampled data takes its whole lattice at once
+    (`Sampled1D.lattice_moments`), any other data one pass per centre."""
+    moments = data_fact(data, "lattice_moments", root, n, lattice)
+    if moments is not None:
+        return moments
+    moments = np.full((lattice.size, n + 1), np.nan)
+    for k in np.flatnonzero(np.isfinite(lattice)):
+        try:
+            moments[k] = _hermite_moments(data, root, n, center=float(lattice[k]))
+        except OverflowError:
+            pass
+    return moments
 
 
 @functools.lru_cache(maxsize=16)
@@ -158,20 +182,17 @@ def _coeffs(direct: bool, variant: str, data, params: KernelParams, n: int, x_ce
     root = row.moment_root(params)
     if not row.pointwise:
         return _hermite_moments(data, root, n, weighted=row.weighted)
-    # table[j, d] = C(2j, d) M_{2j-d}
+    # one table per lattice centre, table[j, d] = C(2j, d) M_{2j-d}, and
+    # each point sums its centre's; a point without a centre (x = nan)
+    # stays non-finite
     binom, shift = _binomials(n)
     x = np.atleast_1d(np.asarray(x_center, dtype=float))
-    centres = _centres(x, root, n)
-    out = np.full((n + 1, x.size), np.nan)  # a point without a centre (x = nan) stays non-finite
-    for c in np.unique(centres):
-        at = centres == c
-        try:
-            moments = _hermite_moments(data, root, 2 * n, center=float(c))
-        except OverflowError:  # far from the data: these points' sums overflow as well
-            moments = np.full(2 * n + 1, np.nan)
-        with np.errstate(over="ignore"):  # an overflowing term fails the series check
-            table = binom * moments[shift]
-        out[:, at] = recombine(table, x[at] - c, lambda d: -d / root)
+    centres = _centres(x, root, n, data)
+    lattice, which = np.unique(centres, return_inverse=True)
+    moments = _lattice_moments(data, root, 2 * n, lattice)
+    with np.errstate(over="ignore"):  # an overflowing term fails the series check
+        tables = binom * moments[:, shift]
+    out = recombine(tables, x - centres, lambda d: -d / root, which)
     return out[:, 0] if np.ndim(x_center) == 0 else out
 
 

@@ -97,11 +97,15 @@ def _w_radial_moments(data, root: float, n: int, dtype=float) -> np.ndarray:
 def _binomials(n: int) -> tuple[np.ndarray, np.ndarray]:
     """pi C(2j, 2d) C(2d, d) in np.longdouble and the moment index j - d (0
     where d > j, where C(2j, 2d) = 0), j, d = 0..n; read-only, shared by
-    every call at order n."""
-    binom = np.array(
-        [[math.comb(2 * j, 2 * d) * math.comb(2 * d, d) for d in range(n + 1)] for j in range(n + 1)],
-        dtype=np.longdouble,
-    )
+    every call at order n.  Each row by the exact integer recurrence
+    P_{j,d+1} = P_{j,d} (2j - 2d)(2j - 2d - 1)/(d + 1)^2 from P_{j,0} = 1."""
+    rows = []
+    for j in range(n + 1):
+        row = [1]
+        for d in range(j):
+            row.append(row[d] * (2 * j - 2 * d) * (2 * j - 2 * d - 1) // ((d + 1) * (d + 1)))
+        rows.append(row + [0] * (n - j))
+    binom = np.array(rows, dtype=np.longdouble)
     weights = math.pi * binom
     shift = np.maximum(np.arange(n + 1)[:, None] - np.arange(n + 1), 0)
     weights.flags.writeable = shift.flags.writeable = False

@@ -240,21 +240,29 @@ def ratio_weighted(coeffs: np.ndarray, update) -> np.ndarray:
     return out
 
 
-def recombine(table: np.ndarray, x, shift) -> np.ndarray:
+def recombine(tables: np.ndarray, x, shift, which=None) -> np.ndarray:
     """C coefficients at the points x from moments that do not depend on them.
 
     Column k is sum_d table[:, d] u_k^d with u_k = shift(x_k), the addition
     theorem of the geometry written as a polynomial in u (orders x points;
-    1-D for a scalar x).  The sum runs in the table's precision and returns
-    float64.  Where it overflows, the coefficients are non-finite and the
-    evaluation at that point raises OverflowError.
+    1-D for a scalar x).  tables is one table (orders x powers) for every
+    point, or a stack of them with which[k] the index of point k's.  The
+    sum runs in the tables' precision and returns float64.  Where it
+    overflows, the coefficients are non-finite and the evaluation at that
+    point raises OverflowError.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        u = shift(np.atleast_1d(np.asarray(x, dtype=table.dtype)))
-        powers = u[None, :] ** np.arange(table.shape[1])[:, None]
-        # summed column by column in ascending d, so a point's coefficients
-        # do not depend on the other points of the grid
-        coeffs = sum(table[:, d, None] * powers[d] for d in range(table.shape[1])).astype(float)
+        u = shift(np.atleast_1d(np.asarray(x, dtype=tables.dtype)))
+        powers = u[None, :] ** np.arange(tables.shape[-1])[:, None]
+        tables = tables.reshape((-1,) + tables.shape[-2:])
+        which = np.zeros(u.size, dtype=np.intp) if which is None else which
+        # one pass over the powers for the whole grid, each point's own
+        # table gathered, summed in ascending d: a point's coefficients do
+        # not depend on the other points of the grid
+        coeffs = 0
+        for d in range(tables.shape[-1]):
+            coeffs = coeffs + tables[which, :, d].T * powers[d]
+        coeffs = coeffs.astype(float)
     return coeffs[:, 0] if np.ndim(x) == 0 else coeffs
 
 

@@ -16,6 +16,7 @@ flag nothing, as their exact terms do not.
 
 import math
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -272,8 +273,10 @@ def test_one_quadrature_per_grid(monkeypatch, variant):
     # a C grid solve takes as many moment rows per pass as its A sibling
     # (line: the 2N+1 moments it takes at order 2N), whatever the grid;
     # the plane makes one quadrature per grid, the line one closed-form pass
-    # of its sampled data per lattice centre (no quadrature), at most one
-    # per 12 R / sqrt(N) of the grid's extent
+    # of its sampled data per group of lattice centres (no quadrature): the
+    # seven points' centres, at most one per 12 R / sqrt(N) of the grid's
+    # extent, share one Hermite batch of 2N+3 rows over the m nodes widened
+    # by the centres' span
     module, solve, _, _ = _solver(variant)
     line = VARIANTS[variant].geometry == "line"
     quadratures, closed_forms = [], []
@@ -307,6 +310,13 @@ def test_one_quadrature_per_grid(monkeypatch, variant):
         assert (quadratures if line else closed_forms) == []
         return len(passes), set().union(*passes)
 
+    batches = []
+
+    def batch(order, z, *args, original=profiles.hermite_batch, **kwargs):
+        batches.append((order + 1) * np.size(z))
+        return original(order, z, *args, **kwargs)
+
+    monkeypatch.setattr(profiles, "hermite_batch", batch)
     one, seven = count(variant, xs[:1]), count(variant, xs[:7])
     sibling = count(SIBLING[variant], xs[:1], 2 * n if line else n)
     assert one == (1, sibling[1])
@@ -314,8 +324,13 @@ def test_one_quadrature_per_grid(monkeypatch, variant):
     if not line:
         assert seven[0] == 1
         return
-    step = 12.0 * VARIANTS[variant].moment_root(params) / math.sqrt(n)
-    assert 1 < seven[0] <= np.ptp(xs[:7]) / step + 1
+    root = VARIANTS[variant].moment_root(params)
+    centres = np.unique(sc._centres(xs[:7], root, n, data))
+    assert 1 < centres.size <= np.ptp(xs[:7]) / (12.0 * root / math.sqrt(n)) + 1
+    batches.clear()
+    assert count(variant, xs[:7]) == (1, sibling[1])
+    assert len(batches) == 1  # one group, and the data's m < EXACT_BLOCK nodes one block
+    assert sum(batches) <= (2 * n + 3) * (data.n_nodes + np.ptp(centres) / data.spacing + 1e-9)
 
 
 def test_line_centres_stay_within_the_measured_offset():
@@ -328,6 +343,69 @@ def test_line_centres_stay_within_the_measured_offset():
         np.testing.assert_array_equal(sc._centres(xs[:1], 1.3, n), centres[:1])
         assert sc._centres(np.zeros(1), 1.3, n)[0] == 0.0
     np.testing.assert_array_equal(sc._centres(xs, 1.3, 0), 0.0)
+
+
+@pytest.mark.parametrize("nodes", [481, 7])
+def test_sampled_centres_are_whole_spacings_apart(nodes):
+    # sampled data snaps the lattice to its nodes: on 481 nodes over [-12,
+    # 12] (h = 0.05) the centres are whole multiples p h, s spacings apart
+    # (s h the largest no wider than 12 R / sqrt(N)), which the shared
+    # Hermite batch needs; 7 nodes (h = 4) are coarser than that step at
+    # N = 40 and 80, which then becomes h / ceil(h / step).  Either way a
+    # centre stays within 6 R / sqrt(N) of its point, depends on the point
+    # alone, and x = 0 is its own centre
+    data = Sampled1D.from_function(LINE_MIX, -12.0, 12.0, nodes)
+    h, root = data.spacing, 1.1
+    xs = np.linspace(-9.0, 9.0, 181)
+    for n in (1, 8, 40, 80):
+        step = 12.0 * root / math.sqrt(n)
+        centres = sc._centres(xs, root, n, data)
+        assert np.all(np.abs(xs - centres) <= 6.0 * root / math.sqrt(n) + 1e-12)
+        np.testing.assert_array_equal(sc._centres(xs[:1], root, n, data), centres[:1])
+        assert sc._centres(np.zeros(1), root, n, data)[0] == 0.0
+        if step >= h:
+            p = np.rint(centres / h)
+            np.testing.assert_array_equal(p * h, centres)
+            assert np.all(np.diff(np.unique(p)) == math.floor(step / h))
+        else:
+            fine = h / math.ceil(h / step)
+            np.testing.assert_array_equal(np.rint(centres / fine) * fine, centres)
+
+
+def test_a_lattice_group_that_overflows_loses_only_its_far_centre():
+    # centres 0 and 2045 lie 4090 spacings apart on 41 nodes over [-10, 10]:
+    # one group, one batch, whose far moments overflow float64 at order 80;
+    # the group retries its centres one at a time, and the near centre keeps
+    # the bits it has alone
+    data = Sampled1D.from_function(Gaussian(1.0), -10.0, 10.0, 41)
+    rows = data.lattice_moments(0.27, 80, np.array([0.0, 2045.0]))
+    assert np.all(np.isfinite(rows[0])) and np.all(np.isnan(rows[1]))
+    np.testing.assert_array_equal(rows[0], data.lattice_moments(0.27, 80, np.zeros(1))[0])
+
+
+def test_a_far_point_of_a_sample_file_exits_3_naming_it(tmp_path, capsys):
+    # x = 10000 lies 200 000 spacings from the centre of x = 0: its centre
+    # takes a batch of its own over the file's 481 nodes (a group spans at
+    # most EXACT_BLOCK spacings), and only its own series overflows; one
+    # batch spanning both centres held 300 MB and failed the whole grid
+    path = tmp_path / "f_mix.csv"
+    nodes = np.linspace(-12.0, 12.0, 481)
+    path.write_text("".join(f"{x:.17g},{v:.17g}\n" for x, v in zip(nodes, LINE_MIX(nodes))))
+    argv = ["forward", "--variant", "CD-C", "--tau", "0.5", "--beta", "auto", "--input", str(path),
+            "--eval-grid", "0:10000:2"]
+    start = time.perf_counter()
+    code = main(argv)
+    elapsed = time.perf_counter() - start
+    assert code == 3
+    assert "CD-C at x = 10000:" in capsys.readouterr().err
+    assert elapsed < 1.0
+    tracemalloc.start()
+    try:
+        assert main(argv) == 3
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * (1 << 20)
 
 
 @pytest.mark.parametrize("variant", C_VARIANTS)
@@ -369,6 +447,15 @@ def test_line_binomials_are_the_exact_ones():
     binom, _ = sc._binomials(n)
     ref = np.array([[math.comb(2 * j, d) for d in range(2 * n + 1)] for j in range(n + 1)], dtype=float)
     np.testing.assert_array_equal(binom, ref)
+
+
+def test_plane_binomials_are_the_exact_ones():
+    # the integer recurrence of each row against products of math.comb
+    for n in (0, 1, 40, 120):
+        weights, _ = sp._binomials(n)
+        ref = np.array([[math.comb(2 * j, 2 * d) * math.comb(2 * d, d) for d in range(n + 1)] for j in range(n + 1)],
+                       dtype=np.longdouble)
+        np.testing.assert_array_equal(weights, math.pi * ref)
 
 
 # --- no flags from rounding noise: the closed-form moments of analytic data -----

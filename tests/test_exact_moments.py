@@ -161,6 +161,24 @@ def test_hermite_moments_of_noisy_data_are_the_interpolants_up_to_rounding(data,
     assert np.all(np.abs(exact - ref) <= C_EXACT * EPS * l1)
 
 
+@pytest.mark.parametrize("data", sorted(NOISY))
+def test_lattice_moments_of_noisy_data_are_the_interpolants_up_to_rounding(data):
+    # the line C lattice at N = 40 (moments to order 80) about off-middle
+    # centres: one Hermite batch on the exact lattice lo + j h serves them
+    # all, and the float nodes' and centres' offsets from it, which the
+    # noise amplifies (measured without the first-order correction: up to
+    # 5200 eps int|f_k|), are corrected; each row is the centre's alone
+    data, n = NOISY[data], 80
+    centres = np.unique(series_cartesian._centres(np.array([-2.3, 3.3]), ROOT_NOISY, n // 2, data))
+    rows = data.lattice_moments(ROOT_NOISY, n, centres)
+    for c, row in zip(centres, rows):
+        assert c != 0.0
+        ref = mp_hermite_moments(data, ROOT_NOISY, c, n)
+        l1 = l1_norms(hermite_integrand(data, ROOT_NOISY, c, n), data.lo, data.hi, data.nodes)
+        assert np.all(np.abs(row - ref) <= C_EXACT * EPS * l1)
+        np.testing.assert_array_equal(data.lattice_moments(ROOT_NOISY, n, np.array([c]))[0], row)
+
+
 def test_moments_finite_in_longdouble_only_raise_overflow_without_a_warning():
     # one hat of height 1 and half-width h = 5e297 on a 2e300-wide window:
     # M_0 = h fits in float64, M_2 = h^3/(6 R^2) - 2h ~ 2e892 only in

@@ -431,8 +431,10 @@ def traced_peak(call) -> int:
         lambda: series_cartesian.ci_coeffs("CI-B", BIG_FILE, KernelParams(tau=0.3, beta=1.0), 40),
         lambda: kernels.forward_line(BIG_FILE, 0.5, np.linspace(-3.0, 3.0, 121)),
         lambda: series_cartesian.cd_coeffs("CD-C", BIG_FILE, KernelParams(tau=0.3, beta=1.0), 40, 0.0),
+        lambda: series_cartesian.cd_coeffs("CD-C", BIG_FILE, KernelParams(tau=0.3, beta=1.0), 40,
+                                           np.linspace(-3.0, 3.0, 121)),
     ],
-    ids=["CI-B-moments-N40", "oracle-line-121", "CD-C-moments-N40"],
+    ids=["CI-B-moments-N40", "oracle-line-121", "CD-C-moments-N40", "CD-C-grid-121"],
 )
 def test_a_16001_node_pass_peaks_below_32_mib(call):
     assert traced_peak(call) < 32 * MIB
