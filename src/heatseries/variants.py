@@ -254,14 +254,15 @@ def recombine(tables: np.ndarray, x, shift, which=None) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         u = shift(np.atleast_1d(np.asarray(x, dtype=tables.dtype)))
         powers = u[None, :] ** np.arange(tables.shape[-1])[:, None]
-        tables = tables.reshape((-1,) + tables.shape[-2:])
-        which = np.zeros(u.size, dtype=np.intp) if which is None else which
-        # one pass over the powers for the whole grid, each point's own
-        # table gathered, summed in ascending d: a point's coefficients do
-        # not depend on the other points of the grid
+        stack = tables.reshape((-1,) + tables.shape[-2:])
+        # one pass over the powers for the whole grid, summed in ascending
+        # d, so a point's coefficients do not depend on the other points:
+        # a lone table's columns broadcast, several are gathered per point
+        lone = stack.shape[0] == 1
         coeffs = 0
-        for d in range(tables.shape[-1]):
-            coeffs = coeffs + tables[which, :, d].T * powers[d]
+        for d in range(stack.shape[-1]):
+            column = stack[0, :, d, None] if lone else stack[which, :, d].T
+            coeffs = coeffs + column * powers[d]
         coeffs = coeffs.astype(float)
     return coeffs[:, 0] if np.ndim(x) == 0 else coeffs
 
