@@ -8,10 +8,11 @@ precision).  This file keeps the per-point quadrature route the library used
 before as a reference, checks the identities behind the recombination,
 checks that it is as accurate as that route up to six moment scales from the
 centre, and pins its cost: one quadrature per grid in the plane, one
-closed-form pass of sampled data per lattice centre on the line.  The
-closed-form moments of Gaussians and mixtures leave the divergence scan no
-rounding noise to read as growth: the order-40 C inverses of analytic data
-flag nothing, as their exact terms do not.
+closed-form pass of sampled data and one Hermite batch per group of
+lattice centres on the line.  The closed-form moments of Gaussians and
+mixtures leave the divergence scan no rounding noise to read as growth:
+the order-40 C inverses of analytic data flag nothing, as their exact
+terms do not.
 """
 
 import math
@@ -386,8 +387,9 @@ def test_a_lattice_group_that_overflows_loses_only_its_far_centre():
 def test_a_far_point_of_a_sample_file_exits_3_naming_it(tmp_path, capsys):
     # x = 10000 lies 200 000 spacings from the centre of x = 0: its centre
     # takes a batch of its own over the file's 481 nodes (a group spans at
-    # most EXACT_BLOCK spacings), and only its own series overflows; one
-    # batch spanning both centres held 300 MB and failed the whole grid
+    # most EXACT_BLOCK spacings), and only its own series overflows; a
+    # single batch spanning both centres would hold about 300 MB, and its
+    # overflow would fail the whole grid
     path = tmp_path / "f_mix.csv"
     nodes = np.linspace(-12.0, 12.0, 481)
     path.write_text("".join(f"{x:.17g},{v:.17g}\n" for x, v in zip(nodes, LINE_MIX(nodes))))
