@@ -247,6 +247,8 @@ def _own_commands() -> list:
         "bad-profile": _solve("forward", "line", "CD-A", 0.5, "-1:1:3", "--beta", "1", "--profile", "gaussian:a=-1"),
         "junk-profile": _solve("forward", "line", "CD-A", 0.5, "-1:1:3", "--beta", "1", "--profile", "blob"),
         "bad-grid": _solve("forward", "line", "CD-A", 0.5, "1:-1:3", "--beta", "1", "--profile", gauss),
+        "huge-grid": _solve("forward", "line", "CD-A", 0.5, "0:1:100000000000", "--beta", "1", "--order", "4",
+                            "--profile", gauss),
         "negative-radius": _solve("forward", "polar", "PD-A", 0.5, "-1:1:3", "--beta", "1", "--profile", gauss),
         "wrong-geometry": _solve("forward", "polar", "CD-A", 0.5, "0:1:3", "--beta", "1", "--profile", gauss),
         "negative-tau": _solve("forward", "line", "oracle", -0.5, "-1:1:3", "--profile", gauss),

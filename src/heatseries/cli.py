@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -45,6 +46,7 @@ from .series_cartesian import DEFAULT_ORDER
 from .variants import AXIS, CLASSICAL, CONSTANTS_MODES, LINE, POLAR, default_beta, variant_names
 
 ORACLE = "oracle"  # the quadrature oracle, a forward pseudo-variant
+MAX_TERMS = 2**24  # (order + 1) x points, the largest term matrix a solve may build (128 MiB)
 FORWARD_VARIANTS = {g: variant_names(g, direct=True) + (ORACLE,) for g in (LINE, POLAR)}
 INVERSE_VARIANTS = {
     LINE: variant_names(LINE, direct=False) + (CLASSICAL,),
@@ -84,7 +86,8 @@ def _render_csv(metadata: dict, header: list, rows: list, row_format: str | None
     lines = [f"# {key} = {_fmt(val)}" for key, val in metadata.items()]
     lines.append(",".join(header))
     if row_format is not None:
-        lines.extend(row_format % row for row in rows)
+        if rows:  # one % for the whole table, the template repeated: faster than one per row
+            lines.append("\n".join([row_format] * len(rows)) % tuple(itertools.chain.from_iterable(rows)))
     else:
         lines.extend(",".join(_fmt(v) for v in row) for row in rows)
     return "\n".join(lines) + "\n"
@@ -135,7 +138,8 @@ def _emit(args, metadata: dict, header: list, rows: list, row_format: str | None
         sys.stdout.write(text)
 
 
-def _parse_eval_grid(text: str) -> np.ndarray:
+def _parse_eval_grid(text: str, order: int) -> np.ndarray:
+    """The grid of --eval-grid lo:hi:n, if its term matrix fits MAX_TERMS."""
     parts = text.split(":")
     if len(parts) != 3:
         raise CliError(f"--eval-grid must be lo:hi:n, got {text!r}")
@@ -147,6 +151,11 @@ def _parse_eval_grid(text: str) -> np.ndarray:
         raise CliError("--eval-grid bounds must be finite")
     if n < 1:
         raise CliError("--eval-grid needs at least one point")
+    if (order + 1) * n > MAX_TERMS:
+        raise CliError(
+            f"--eval-grid has {n} points; at order {order} the term matrix would hold "
+            f"{(order + 1) * n} values, over the {MAX_TERMS} a solve may build"
+        )
     if n == 1:
         if lo != hi:
             raise CliError("--eval-grid with n=1 needs lo == hi")
@@ -289,7 +298,7 @@ def _check_solve_args(args, variants: dict):
     if args.order < 0:
         raise CliError("--order must be non-negative")
     data, source = _load_data(args, geometry)
-    xs = _parse_eval_grid(args.eval_grid)
+    xs = _parse_eval_grid(args.eval_grid, args.order)
     if geometry == POLAR and np.any(xs < 0.0):
         raise CliError("polar evaluation radii must be non-negative")
     return data, source, xs

@@ -24,7 +24,11 @@ precision).
 Evaluation builds the term matrix (orders x points), stops early after
 EARLY_STOP_RUN consecutive rows below EARLY_STOP_TOL (one threshold for
 every series; no caller sets another), sums each point in ascending order,
-and scans every point's term magnitudes for divergence.  The matrix is kept
+and scans every point's term magnitudes for divergence.  The early stop's
+run of small rows and the scan's run of growing terms are both shifted
+ANDs; the scan (`_scan`) lists every point's visible terms column after
+column in one flat array and finds each point's first growth run there,
+with no sort and no accumulate down the orders.  The matrix is kept
 whole (`SeriesTerms`, the one result of every evaluation) so an order sweep
 can sum each order's own rows, and a grid solve reads its values and flags
 from it.  A/B rows stop together (the largest term of a row decides); every
@@ -267,36 +271,63 @@ def recombine(tables: np.ndarray, x, shift, which=None) -> np.ndarray:
     return coeffs[:, 0] if np.ndim(x) == 0 else coeffs
 
 
-def _run_lengths(flags: np.ndarray) -> np.ndarray:
-    """Length of the run of True ending at each row, down axis 0."""
-    k = np.arange(flags.shape[0]).reshape((-1,) + (1,) * (flags.ndim - 1))
-    return k - np.maximum.accumulate(np.where(flags, -1, k), axis=0)
+def _runs(flags: np.ndarray, length: int) -> np.ndarray:
+    """Row i is True where rows i .. i + length - 1 of flags all are, down
+    axis 0: length - 1 shifted ANDs, one row per run start (none if flags
+    has fewer than length rows)."""
+    n = max(flags.shape[0] - length + 1, 0)
+    runs = flags[:n].copy()
+    for k in range(1, length):
+        runs &= flags[k:k + n]
+    return runs
+
+
+def _visible(mags: np.ndarray) -> np.ndarray:
+    """The terms the divergence scan sees: those above GROWTH_NOISE_REL times
+    the running max of their column (floored at 1e-300).  Exact zeros,
+    rounding noise and every term from a non-finite one on are skipped.  The
+    running max doubles its span each step, so it takes log2(rows) maxima of
+    the whole matrix instead of an accumulate down each column."""
+    running = np.maximum(mags, 1e-300)
+    span = 1
+    while span < running.shape[0]:
+        running[span:] = np.maximum(running[span:], running[:-span])
+        span *= 2
+    return mags > GROWTH_NOISE_REL * running
 
 
 def _scan(mags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Divergence scan of every column of a magnitude matrix.
 
-    Returns, per column, the row at which the flag fires (the row count if
-    it never does) and the first growth index (-1 if none).  Whether a row
-    fires depends on the rows above it only, so a truncation to L rows is
-    flagged exactly when its column fires at a row below L.
+    A column is flagged where GROWTH_RUN of its visible terms (`_visible`)
+    in a row each exceed the one before, the run starting at row
+    GROWTH_MIN_INDEX or later.  Returns, per column, the row at which the
+    flag fires (the row count if it never does) and the row its first run
+    starts at (-1 if none).  Whether a row fires depends on the rows above
+    it only, so a truncation to L rows is flagged exactly when its column
+    fires at a row below L.
+
+    The scan is one flat pass over every column's visible terms, listed
+    column after column in ascending rows: the growths are compared once,
+    a run is GROWTH_RUN - 1 shifted ANDs of them, and it counts only if it
+    starts and ends in one column.  Nothing is sorted.
     """
-    rows = mags.shape[0]
-    running_max = np.maximum.accumulate(np.maximum(mags, 1e-300), axis=0)
-    visible = mags > GROWTH_NOISE_REL * running_max
-    # each column's visible rows first, in ascending order
-    order = np.argsort(~visible, axis=0, kind="stable")
-    seq = np.take_along_axis(mags, order, axis=0)
-    valid = np.arange(rows)[:, None] < np.count_nonzero(visible, axis=0)
-    grows = np.zeros_like(valid)
-    grows[1:] = valid[1:] & (seq[1:] > seq[:-1])
-    start = np.full_like(order, -1)
-    start[GROWTH_RUN:] = order[:-GROWTH_RUN]
-    fires = (_run_lengths(grows) >= GROWTH_RUN) & (start >= GROWTH_MIN_INDEX)
-    first = np.argmax(fires, axis=0)
-    cols = np.arange(mags.shape[1])
-    hit = fires[first, cols]
-    return np.where(hit, order[first, cols], rows), np.where(hit, start[first, cols], -1)
+    rows, cols = mags.shape
+    at = np.flatnonzero(_visible(mags).T)  # column after column, rows ascending
+    col = at // rows
+    row = at - col * rows
+    seq = mags.T.ravel()[at]
+    hit = _runs(seq[1:] > seq[:-1], GROWTH_RUN)  # seq[i] < seq[i + 1] < ... < seq[i + GROWTH_RUN]
+    n = hit.size
+    hit &= (col[GROWTH_RUN:] == col[:n]) & (row[:n] >= GROWTH_MIN_INDEX)
+    start = np.flatnonzero(hit)
+    first = np.ones(start.size, dtype=bool)  # each column's first run
+    first[1:] = col[start[1:]] != col[start[:-1]]
+    start = start[first]
+    fires, growth = np.full(cols, rows), np.full(cols, -1)
+    fires[col[start]] = row[start + GROWTH_RUN]
+    growth[col[start]] = row[start]
+    return fires, growth
 
 
 @dataclass(frozen=True)
@@ -362,7 +393,7 @@ class SeriesTerms:
 
 def _first(flags: np.ndarray) -> np.ndarray:
     """Per column, the first row that is True (the row count if none)."""
-    return np.where(np.any(flags, axis=0), np.argmax(flags, axis=0), flags.shape[0])
+    return np.argmax(np.concatenate([flags, np.ones((1,) + flags.shape[1:], dtype=bool)]), axis=0)
 
 
 def _series(terms: np.ndarray, points: np.ndarray | None = None, label: str = "", coeffs=None) -> SeriesTerms:
@@ -374,7 +405,7 @@ def _series(terms: np.ndarray, points: np.ndarray | None = None, label: str = ""
     else:  # one stop for the grid: the largest term of each row decides
         small = np.max(mags, axis=1, keepdims=True) < EARLY_STOP_TOL
         bad = np.any(bad, axis=1, keepdims=True)
-    stop = np.minimum(_first(_run_lengths(small) >= EARLY_STOP_RUN) + 1, terms.shape[0])
+    stop = np.minimum(_first(_runs(small, EARLY_STOP_RUN)) + EARLY_STOP_RUN, terms.shape[0])
     finite = _first(bad)
     fires, growth = _scan(mags)
     if not pointwise:

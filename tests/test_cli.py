@@ -755,6 +755,16 @@ def test_infinite_eval_grid_rejected(capsys):
     assert_rejected(capsys, forward_cd_a("--eval-grid", "0:inf:3"), "--eval-grid")
 
 
+def test_eval_grid_whose_term_matrix_exceeds_the_budget_rejected(capsys):
+    # 1e11 points used to reach np.linspace and end in numpy's memory error
+    # for 745 GiB; the budget rejects it before any array is made
+    code = run_cli(
+        "forward", "--variant", "CD-A", "--tau", "0.5", "--beta", "1", "--order", "4",
+        "--eval-grid=0:1:100000000000", "--profile", "gaussian:a=1",
+    )
+    assert_rejected(capsys, code, "100000000000 points", "order 4", str(cli.MAX_TERMS))
+
+
 @pytest.mark.parametrize("variants", ["XX-Q", "PD-A"])
 def test_study_variant_outside_geometry_rejected(tmp_path, capsys, variants):
     # an unknown name used to escape as a KeyError traceback from the sweep

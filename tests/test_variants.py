@@ -94,9 +94,22 @@ def columns(draw, rows):
 
 @st.composite
 def term_matrices(draw):
+    """Up to 64 columns, each one of a few drawn columns, and sometimes a
+    growth run down the bottom of one column that goes on at the top of the
+    next: six growing terms in a row of the scan's flat list, which must
+    not fire in either column."""
     rows = draw(st.integers(1, 24))
-    cols = draw(st.integers(1, 5))
-    return np.array([draw(columns(rows)) for _ in range(cols)]).T
+    drawn = draw(st.lists(columns(rows), min_size=1, max_size=5))
+    cols = draw(st.integers(len(drawn), 64))
+    picks = draw(st.lists(st.integers(0, len(drawn) - 1), min_size=cols - len(drawn), max_size=cols - len(drawn)))
+    terms = np.array(drawn + [drawn[k] for k in picks]).T
+    if rows >= 2 * variants.GROWTH_RUN and cols > 1 and draw(st.booleans()):
+        c = draw(st.integers(0, cols - 2))
+        tail = draw(st.integers(1, variants.GROWTH_RUN))
+        run = 1.5 ** np.arange(variants.GROWTH_RUN + 1)
+        terms[rows - tail:, c] = run[:tail]
+        terms[: run.size - tail, c + 1] = run[tail:]
+    return terms
 
 
 @given(term_matrices(), st.sampled_from([1e-14, 1e-12, 0.3, 1.0, 5.0]))
@@ -135,6 +148,38 @@ def test_scan_flags_growth_run_that_starts_before_index_4():
     assert reference_scan(col) == (True, 4)
     assert bool(series.flagged(9)[0]) and int(series.growth[0]) == 4
     assert not series.flagged(8)[0]
+
+
+def test_growth_run_across_two_columns_does_not_fire():
+    # the bottom of column 0 and the top of column 1 are six growing terms
+    # in a row of the scan's flat list, but neither column grows five times
+    terms = np.zeros((10, 2))
+    terms[7:, 0] = [1.0, 2.0, 4.0]
+    terms[:3, 1] = [8.0, 16.0, 32.0]
+    series = series_terms(np.ones(10), terms, None)
+    assert reference_scan(terms[:, 0]) == reference_scan(terms[:, 1]) == (False, None)
+    np.testing.assert_array_equal(series.fires, [10, 10])
+    np.testing.assert_array_equal(series.growth, [-1, -1])
+
+
+def test_scan_of_a_workload_sized_cd_b_matrix_is_the_per_column_references():
+    # 41 x 1001, the shape of the benchmark's analytic grids: CD-B of a wide
+    # Gaussian diverges away from its centre and converges near it
+    xs = np.linspace(-8.0, 8.0, 1001)
+    series = solve_grid_line("CD-B", Gaussian(width_a=4.0), 0.5, 1.0, 40, xs, "oracle_validated")
+    assert series.terms.shape == (41, 1001)
+    assert 0 < np.count_nonzero(series.flagged(40)) < xs.size
+    kept = reference_early_stop(series.terms, variants.EARLY_STOP_TOL)
+    assert series.stop == kept.shape[0]
+    # each column fires at the first row whose prefix the reference flags,
+    # with the reference's growth index
+    for c in range(xs.size):
+        fires, growth = int(series.fires[c]), int(series.growth[c])
+        assert reference_scan(kept[:fires, c]) == (False, None)
+        if fires < kept.shape[0]:
+            assert reference_scan(kept[: fires + 1, c]) == (True, growth)
+        else:
+            assert growth == -1
 
 
 def test_overflow_reported_per_order():
