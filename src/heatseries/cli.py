@@ -86,8 +86,8 @@ def _render_csv(metadata: dict, header: list, rows: list, row_format: str | None
     lines = [f"# {key} = {_fmt(val)}" for key, val in metadata.items()]
     lines.append(",".join(header))
     if row_format is not None:
-        if rows:  # one % for the whole table, the template repeated: faster than one per row
-            lines.append("\n".join([row_format] * len(rows)) % tuple(itertools.chain.from_iterable(rows)))
+        # one % for the whole table, the template repeated: faster than one per row
+        lines.append("\n".join([row_format] * len(rows)) % tuple(itertools.chain.from_iterable(rows)))
     else:
         lines.extend(",".join(_fmt(v) for v in row) for row in rows)
     return "\n".join(lines) + "\n"
@@ -151,10 +151,11 @@ def _parse_eval_grid(text: str, order: int) -> np.ndarray:
         raise CliError("--eval-grid bounds must be finite")
     if n < 1:
         raise CliError("--eval-grid needs at least one point")
-    if (order + 1) * n > MAX_TERMS:
+    values = (order + 1) * n
+    if values > MAX_TERMS:
         raise CliError(
             f"--eval-grid has {n} points; at order {order} the term matrix would hold "
-            f"{(order + 1) * n} values, over the {MAX_TERMS} a solve may build"
+            f"{values} values, over the {MAX_TERMS} a solve may build"
         )
     if n == 1:
         if lo != hi:

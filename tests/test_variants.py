@@ -150,18 +150,6 @@ def test_scan_flags_growth_run_that_starts_before_index_4():
     assert not series.flagged(8)[0]
 
 
-def test_growth_run_across_two_columns_does_not_fire():
-    # the bottom of column 0 and the top of column 1 are six growing terms
-    # in a row of the scan's flat list, but neither column grows five times
-    terms = np.zeros((10, 2))
-    terms[7:, 0] = [1.0, 2.0, 4.0]
-    terms[:3, 1] = [8.0, 16.0, 32.0]
-    series = series_terms(np.ones(10), terms, None)
-    assert reference_scan(terms[:, 0]) == reference_scan(terms[:, 1]) == (False, None)
-    np.testing.assert_array_equal(series.fires, [10, 10])
-    np.testing.assert_array_equal(series.growth, [-1, -1])
-
-
 def test_scan_of_a_workload_sized_cd_b_matrix_is_the_per_column_references():
     # 41 x 1001, the shape of the benchmark's analytic grids: CD-B of a wide
     # Gaussian diverges away from its centre and converges near it
