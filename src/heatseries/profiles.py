@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quad import EXACT_BLOCK, TRUNCATION_RADIUS_SIGMAS, integrate_vec
+from .quad import EXACT_BLOCK, TRUNCATION_RADIUS_SIGMAS
 from .specfun import _RSQRT_PI_LD, erfc, hermite_batch, ierfc, w_poly_batch
 
 __all__ = [
@@ -209,8 +209,9 @@ class Sampled1D:
     Zero extension keeps the integral operators well-defined on compactly
     recorded data without inventing values.  Being linear between its
     nodes, the data integrates by parts into slope-jump sums (`by_parts`),
-    which every Gaussian-kernel integral on the line takes while the
-    Gaussian is no wider than the data (`narrower`).
+    which every Gaussian-kernel integral on the line and the radial moments
+    in the plane take while the Gaussian, or the moments' root, is no wider
+    than the data (`narrower`).
     """
 
     lo: float
@@ -241,11 +242,12 @@ class Sampled1D:
         return np.interp(x, self.nodes, self.values, left=0.0, right=0.0)
 
     def narrower(self, root: float) -> bool:
-        """Whether a Gaussian of width 2 root is no wider than the data, 2 root
-        <= hi - lo, so that its slope-jump sum (`by_parts`) keeps its
-        accuracy.  Across a wider one every kernel row varies little while
-        the jumps sum to 0, and the sum cancels about (2 root/(hi - lo))^2-fold;
-        the adaptive quadrature takes those integrals."""
+        """Whether a Gaussian of width 2 root (or the radial moments' 2 root)
+        is no wider than the data, 2 root <= hi - lo, so that its slope-jump
+        sum (`by_parts`) keeps its accuracy.  Across a wider one every kernel
+        row varies little while the jumps sum to 0, and the sum cancels about
+        (2 root/(hi - lo))^2-fold; the adaptive quadrature takes those
+        integrals."""
         return 2.0 * root <= self.hi - self.lo
 
     def by_parts(self, rows, dtype=float, step: int = EXACT_BLOCK, points=None, offsets=None) -> tuple | list:
@@ -416,15 +418,33 @@ class Sampled1D:
                     pending += [group[k : k + 1] for k in range(group.size)]
         return out
 
-    def radial_moments(self, root: float, n: int, dtype=float) -> np.ndarray:
+    def radial_moments(self, root: float, n: int, dtype=float) -> np.ndarray | None:
         """int_0^inf xi W_j(xi/(2R)) self(xi) dxi, j = 0..n, R = root, in
-        dtype, by one exact quadrature level: between the nodes the integrand
-        is a polynomial of degree 2n + 2.  Not-finite sums are left as they are."""
-        lo = max(0.0, self.lo)
-        if lo >= self.hi:
-            return np.zeros(n + 1)
-        integrand = radial_moment_integrand(self, root, n, dtype)
-        return integrate_vec(integrand, lo, self.hi, breakpoints=self.nodes, degree=2 * n + 2)[0]
+        dtype, exact for the piecewise-linear interpolant up to rounding, from
+        the slope jumps w and the end values (`by_parts`).  With s = xi/(2R),
+        W_j(z) = (-1)^j (2j)!/j! L_j(z^2) and int L_j = L_j - L_{j+1}, the
+        first antiderivative of xi W_j(xi/(2R)) is 2R^2 [W_j + W_{j+1}/(2(2j
+        + 1))](s) and the second 4R^3 [V_j + V_{j+1}/(2(2j + 1))](s), V_k =
+        int_0^s W_k (`_radial_rows`).  Both vanish at xi = 0, so with V = 0
+        and the end values taken as 0 at the nodes xi <= 0 (the data cut at
+        0), integrating by parts twice leaves
+
+            M_j = X_j + X_{j+1}/(2(2j + 1)),
+            X_k = 4R^3 sum_i w_i V_k(s_i) + 2R^2 [f_m W_k(s_m) - f_0 W_k(s_0)].
+
+        The rows and sums run in np.longdouble; OverflowError when a moment
+        is not finite; None under a root wider than the data (`narrower`)."""
+        if not self.narrower(root):
+            return None
+        r = np.longdouble(root)
+        f0, fm = np.where(self.nodes[[0, -1]] > 0.0, self.values[[0, -1]], 0.0)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite moment raises below
+            (total, _, _), (_, first, last) = self.by_parts(lambda nodes: _radial_rows(n, nodes, r), dtype=np.longdouble)
+            x = 4 * r * r * r * total + 2 * r * r * (fm * last - f0 * first)
+            out = (x[:-1] + x[1:] / (2 * np.arange(1, 2 * n + 2, 2, dtype=np.longdouble))).astype(dtype)
+        if not np.all(np.isfinite(out)):
+            raise OverflowError(f"radial moments of the sampled data are not finite at order {n}")
+        return out
 
     def line_kernel(self, tau: float, x: np.ndarray) -> np.ndarray | None:
         """The line oracle at the points x, exact for the piecewise-linear
@@ -528,16 +548,20 @@ def _weighted_rows(n: int, y: np.ndarray) -> np.ndarray:
     return rows
 
 
-def radial_moment_integrand(data, root: float, n: int, dtype=float):
-    """xi W_j(xi/(2 root)) data(xi), j = 0..n, in dtype: the radial moments' integrand."""
-
-    def integrand(xi):
-        w = w_poly_batch(n, xi.astype(dtype) / (2.0 * root))
-        with np.errstate(over="ignore"):  # an overflowing moment fails its level sum (integrate_vec)
-            w *= xi * data(xi)
-        return w
-
-    return integrand
+def _radial_rows(n: int, xi: np.ndarray, r) -> list[np.ndarray]:
+    """[V_0 .. V_{n+1}, W_0 .. W_{n+1}] at s = max(xi, 0)/(2r), in
+    np.longdouble (`Sampled1D.radial_moments`): one W batch, and V_k = int_0^s
+    W_k by V_0 = s and V_k = (s W_k - 4k(2k - 1) V_{k-1})/(2k + 1) (from t
+    L_k'(t) = k (L_k - L_{k-1}), DLMF 18.9), which is exactly 0 at s = 0."""
+    s = np.maximum(xi, 0.0).astype(np.longdouble) / (2 * r)
+    w = w_poly_batch(n + 1, s)
+    v = np.empty_like(w)
+    v[0] = s
+    for k in range(1, n + 2):
+        np.multiply(s, w[k], out=v[k])
+        v[k] -= 4 * k * (2 * k - 1) * v[k - 1]
+        v[k] /= 2 * k + 1
+    return [v, w]
 
 
 def data_fact(data, fact: str, *args):

@@ -4,8 +4,7 @@ The engine of the package's integrals that have no closed form: fixed-order
 Gauss-Legendre panels on [lo, hi], refined by global bisection until two
 successive refinement levels agree.  Its callers are the two oracles
 (`kernels.forward_line`, `kernels.forward_polar`), the moment passes
-(`series_cartesian._hermite_moments`, `series_polar._w_radial_moments`)
-and the radial moments of sampled data (`profiles.Sampled1D.radial_moments`),
+(`series_cartesian._hermite_moments`, `series_polar._w_radial_moments`),
 wherever the data has no closed form of its own (`profiles.data_fact`).
 Callers truncate infinite domains, and every profile's support
 (`profiles.profile_support`), at TRUNCATION_RADIUS_SIGMAS decay scales
@@ -22,27 +21,17 @@ Gaussian integrands of high order cancel massively, and no quadrature can
 deliver relative accuracy past eps * int|f| / |I|; the floor term makes the
 engine converge to exactly the accuracy that is attainable.
 
-One exact level replaces refinement where the caller knows the integrand
-is a polynomial of at most some degree d between consecutive breakpoints:
-`integrate_vec(..., degree=d)` sums one level of the floor(d/2)+1-point
-rule on each panel between the breakpoints, which is exact for degree
-2 floor(d/2) + 1 >= d, so the result is the integral up to rounding, with
-no error estimate to trust and no refinement.  Its one caller is the
-plane's xi W_j moments of sampled data, which is linear between its nodes
-(`profiles.Sampled1D.radial_moments`).
-
-Every level, adaptive or exact, is evaluated by one block loop: each
-integrand call gets at most EXACT_BLOCK nodes, built from the panels that
-block covers only, and the blocks' sums are added in ascending order of the
-nodes.  Every sample of sampled data is a breakpoint, so a level can hold
-far more nodes than a block; neither the integrand's memory nor the
-engine's grows with the number of panels beyond their edges.
-The first two levels of a refinement, which every adaptive integral
-computes, take one integrand call when together they fit in a block; each
-level is summed from its own contiguous part of the values, so the sums are
-bitwise those of two calls.  A non-finite level-0 sum raises after
-that call, and an integrand that raises in it is called again level by
-level, so the exception is the one the levels raise.
+Every level is evaluated by one block loop: each integrand call gets at
+most EXACT_BLOCK nodes, built from the panels that block covers only, and
+the blocks' sums are added in ascending order of the nodes.  Every sample
+of sampled data is a breakpoint, so a level can hold far more nodes than a
+block; neither the integrand's memory nor the engine's grows with the
+number of panels beyond their edges.  The first two levels, which every
+integral computes, take one integrand call when together they fit in a
+block; each level is summed from its own contiguous part of the values, so
+the sums are bitwise those of two calls.  A non-finite level-0 sum raises
+after that call, and an integrand that raises in it is called again level
+by level, so the exception is the one the levels raise.
 
 The integrand hands over the array it returns: the engine may overwrite an
 array that owns its memory (it takes the magnitudes for the floor in place)
@@ -127,8 +116,8 @@ def _owned(vals: np.ndarray) -> bool:
     return vals.flags.owndata and vals.flags.writeable
 
 
-def _sums(vals: np.ndarray, weights: np.ndarray, writable: bool, magnitudes: bool = True) -> tuple:
-    """The weighted sum of vals and, with magnitudes, of |vals|, taken in
+def _sums(vals: np.ndarray, weights: np.ndarray, writable: bool) -> tuple:
+    """The weighted sums of vals and of |vals|, the magnitudes taken in
     place when writable.  Not-finite sums are left to the caller.
 
     np.longdouble values take np.dot, which gives the bits of numpy's
@@ -137,12 +126,10 @@ def _sums(vals: np.ndarray, weights: np.ndarray, writable: bool, magnitudes: boo
     dot = np.dot if vals.dtype == np.longdouble else np.matmul
     with np.errstate(over="ignore", invalid="ignore"):
         total = dot(vals, weights)
-        if not magnitudes:
-            return (total,)
         return total, dot(np.abs(vals, out=vals if writable else None), weights)
 
 
-def _block_sums(f, edges: np.ndarray, rule, magnitudes: bool = True) -> tuple:
+def _block_sums(f, edges: np.ndarray, rule) -> tuple:
     """The sums of one level (as _sums), EXACT_BLOCK nodes per integrand call,
     each block's nodes built from its own panels, and the blocks' sums added
     in ascending order of the nodes."""
@@ -151,7 +138,7 @@ def _block_sums(f, edges: np.ndarray, rule, magnitudes: bool = True) -> tuple:
     for start in range(0, total, EXACT_BLOCK):
         nodes, weights = _level(edges, rule, start, min(start + EXACT_BLOCK, total))
         vals = _values(f, nodes)
-        parts.append(_sums(vals, weights, _owned(vals), magnitudes))
+        parts.append(_sums(vals, weights, _owned(vals)))
         del vals  # freed before the next block is evaluated, which then reuses its memory
     with np.errstate(over="ignore", invalid="ignore"):
         return tuple(functools.reduce(np.add, column) for column in zip(*parts))
@@ -203,7 +190,7 @@ def _bisect(edges: np.ndarray) -> np.ndarray:
     return out
 
 
-def integrate_vec(f, lo: float, hi: float, breakpoints=None, degree: int | None = None):
+def integrate_vec(f, lo: float, hi: float, breakpoints=None):
     """Integrate a vector-valued integrand over [lo, hi]; returns (values,
     err_estimate).
 
@@ -214,10 +201,6 @@ def integrate_vec(f, lo: float, hi: float, breakpoints=None, degree: int | None 
     MAX_PANELS is exhausted, and OverflowError at the first level whose sum
     is not finite.
 
-    degree: f is a polynomial of at most this degree between consecutive
-    breakpoints (and lo, hi); one exact level replaces the refinement
-    (module docstring) and err_estimate is 0.
-
     f is called with at most EXACT_BLOCK nodes at a time.  It returns a
     fresh array; the engine may overwrite it.  An array that does not own
     its memory (a view) is never written to.
@@ -225,10 +208,6 @@ def integrate_vec(f, lo: float, hi: float, breakpoints=None, degree: int | None 
     if not (lo < hi):
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
     edges = _panel_edges(lo, hi, min(8, MAX_PANELS), breakpoints)
-    if degree is not None:
-        if degree < 0:
-            raise ValueError(f"degree must be non-negative, got {degree}")
-        return _block_sums(f, edges, _gl_rule(degree // 2 + 1), magnitudes=False)[0], 0.0
     rule = _gl_rule(NODES_PER_PANEL)
     (prev, _), edges, (cur, l1) = _first_levels(f, edges, rule)
     while True:

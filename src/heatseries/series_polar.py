@@ -21,9 +21,11 @@ xi d(xi) on [0, inf).  With s = tau + beta:
 
 The moment pass asks the data first (`profiles.data_fact`), in the pass's
 precision: centred Gaussians and their mixtures answer from the Laplace
-transform of L_j (`Gaussian.radial_moments`), sampled data by one exact
-quadrature level (`Sampled1D.radial_moments`).  A ring Gaussian (off
-centre) and a Bump take the adaptive engine.
+transform of L_j (`Gaussian.radial_moments`), sampled data from its slope
+jumps against the antiderivatives of xi W_j (`Sampled1D.radial_moments`),
+as on the line.  A ring Gaussian (off centre), a Bump and sampled data
+under a root wider than the data take the adaptive engine, sampled data
+with its nodes as breakpoints.
 
 The scales and constants of each variant are rows of `variants.VARIANTS`;
 evaluation (`pd_eval`, `pi_eval`: the `variants.SeriesTerms` at the radii),
@@ -42,7 +44,7 @@ import math
 
 import numpy as np
 
-from .profiles import data_fact, profile_support, radial_moment_integrand
+from .profiles import data_fact, profile_support
 from .quad import integrate_vec
 from .specfun import KernelParams, w_poly_batch
 from .variants import (
@@ -79,9 +81,9 @@ def _radial_window(data) -> tuple[float, float]:
 
 def _w_radial_moments(data, root: float, n: int, dtype=float) -> np.ndarray:
     """int_0^inf xi W_j(xi/(2 root)) data(xi) dxi for j = 0..n, evaluated and
-    summed in dtype: the data's own (`Gaussian.radial_moments`, OverflowError
-    where a moment is not finite; `Sampled1D.radial_moments`), or else by
-    the adaptive engine."""
+    summed in dtype: the data's own closed form (`Gaussian.radial_moments`,
+    `Sampled1D.radial_moments`; OverflowError where a moment is not finite),
+    or else the adaptive engine, with the data's nodes as breakpoints."""
     if n < 0:
         raise ValueError("order must be non-negative")
     moments = data_fact(data, "radial_moments", root, n, dtype)
@@ -89,8 +91,15 @@ def _w_radial_moments(data, root: float, n: int, dtype=float) -> np.ndarray:
         return moments
     lo, hi = _radial_window(data)
     if lo >= hi:
-        return np.zeros(n + 1)
-    return integrate_vec(radial_moment_integrand(data, root, n, dtype), lo, hi)[0]
+        return np.zeros(n + 1, dtype=dtype)
+
+    def integrand(xi):
+        w = w_poly_batch(n, xi.astype(dtype) / (2.0 * root))
+        with np.errstate(over="ignore"):  # an overflowing moment fails its level sum (integrate_vec)
+            w *= xi * data(xi)
+        return w
+
+    return integrate_vec(integrand, lo, hi, breakpoints=data_fact(data, "breakpoints"))[0]
 
 
 @functools.lru_cache(maxsize=16)

@@ -270,36 +270,33 @@ def test_grid_coefficients_are_the_pointwise_ones(variant):
 # --- cost ------------------------------------------------------------------------
 
 @pytest.mark.parametrize("variant", C_VARIANTS)
-def test_one_quadrature_per_grid(monkeypatch, variant):
+def test_one_closed_form_pass_per_grid_or_lattice_group(monkeypatch, variant):
     # a C grid solve takes as many moment rows per pass as its A sibling
-    # (line: the 2N+1 moments it takes at order 2N), whatever the grid;
-    # the plane makes one quadrature per grid, the line one closed-form pass
-    # of its sampled data per group of lattice centres (no quadrature): the
-    # seven points' centres, at most one per 12 R / sqrt(N) of the grid's
-    # extent, share one Hermite batch of 2N+3 rows over the m nodes widened
-    # by the centres' span
+    # (line: the 2N+1 moments it takes at order 2N), whatever the grid, in
+    # closed-form passes of its sampled data (no quadrature): the plane one
+    # per grid, the line one per group of lattice centres, the seven
+    # points' centres, at most one per 12 R / sqrt(N) of the grid's extent,
+    # sharing one Hermite batch of 2N+3 rows over the m nodes widened by
+    # the centres' span
     module, solve, _, _ = _solver(variant)
     line = VARIANTS[variant].geometry == "line"
     quadratures, closed_forms = [], []
 
-    def counting(f, *args, **kwargs):
-        rows = set()
-        quadratures.append(rows)
-
-        def wrapped(xi):
-            out = f(xi)
-            rows.add(out.shape[0])
-            return out
-
-        return integrate_vec(wrapped, *args, **kwargs)
+    def counting(*args, **kwargs):
+        quadratures.append(args)
+        return integrate_vec(*args, **kwargs)
 
     def closed_form(data, root, n, center=0.0, weighted=False, original=Sampled1D.hermite_moments):
         closed_forms.append({n + 1})
         return original(data, root, n, center, weighted)
 
-    for bound in (module, profiles):  # sampled radial moments integrate in profiles
-        monkeypatch.setattr(bound, "integrate_vec", counting)
+    def radial_closed_form(data, root, n, dtype=float, original=Sampled1D.radial_moments):
+        closed_forms.append({n + 1})
+        return original(data, root, n, dtype)
+
+    monkeypatch.setattr(module, "integrate_vec", counting)
     monkeypatch.setattr(Sampled1D, "hermite_moments", closed_form)
+    monkeypatch.setattr(Sampled1D, "radial_moments", radial_closed_form)
     data, params, _, _, xs = _case(variant, "sampled")
     n = 12
 
@@ -307,9 +304,8 @@ def test_one_quadrature_per_grid(monkeypatch, variant):
         quadratures.clear()
         closed_forms.clear()
         solve(name, data, params.tau, params.beta, order, grid)
-        passes = closed_forms if line else quadratures
-        assert (quadratures if line else closed_forms) == []
-        return len(passes), set().union(*passes)
+        assert quadratures == []
+        return len(closed_forms), set().union(*closed_forms)
 
     batches = []
 

@@ -7,12 +7,13 @@ with no quadrature: the plain Hermite moments (order k <= n; the line C
 moments at order 2n) from Hermite rows and CI-B's Gaussian-weighted moments
 from the Hermite functions extended by erf and ierfc
 (`Sampled1D.hermite_moments`), and the line oracle from ierfc and
-erfc (`Sampled1D.line_kernel`).  The last two hold while the Gaussian is no
-wider than the data (`Sampled1D.narrower`); under a wider one they take the
-adaptive quadrature.
-The radial xi W_j moments take one exact Gauss-Legendre level
-(`Sampled1D.radial_moments`): their integrand is a polynomial of degree
-2j + 2 on each panel between the nodes.
+erfc (`Sampled1D.line_kernel`).  In the plane, the radial xi W_j moments
+come from the same slope jumps against the two antiderivatives of xi W_j,
+built from one W batch (`Sampled1D.radial_moments`), with a file that
+reaches below 0 cut there.  All but the plain Hermite moments hold while
+the Gaussian, or the root, is no wider than the data
+(`Sampled1D.narrower`); under a wider one they take the adaptive
+quadrature with the nodes as breakpoints.
 Every moment route must give the integral of the interpolant up to
 rounding: within C_EXACT eps int|f_k| of a 30-digit mpmath integral, smooth
 or noisy data alike, and within the adaptive engine's own tolerance of that
@@ -48,12 +49,13 @@ from references import (
 )
 
 EPS = float(np.finfo(float).eps)
-# measured: at most 1.9 (Hermite, k <= 80, both centres), 1.8 (xi W_j,
-# float64) and 0.7 (xi W_j, longdouble: the rule stays float64) eps int|f_k|;
-# the closed-form Hermite moments of the noisy files below reach 2.0, CI-B's
-# weighted ones 0.92 (the weight as wide as the data: rows that vary least
-# across it) and 0.01 (roots 0.6 and 1.1456), and its quadrature under a
-# wider weight (root 100) 3.3
+# measured: at most 1.9 (Hermite, k <= 80, both centres) and 0.46 (xi W_j)
+# eps int|f_k|; the closed-form Hermite moments of the noisy files below
+# reach 2.0, the radial ones 0.44 (401 nodes, R = 0.9, 60-digit reference:
+# too slow for the suite), CI-B's weighted ones 0.92 (the weight as wide as
+# the data: rows that vary least across it) and 0.01 (roots 0.6 and
+# 1.1456), and its quadrature under a wider weight (root 100) 3.3; the
+# radial quadrature under a root wider than the data 4.6
 C_EXACT = 8.0
 
 LINE_NODES = np.linspace(-8.0, 8.0, 97)
@@ -303,7 +305,7 @@ def test_line_oracle_under_a_kernel_wider_than_the_data_is_relative_to_its_value
     # would cancel to u ~ int f/(2 sqrt(pi tau)), about tau-fold; the
     # quadrature keeps a few eps of u (measured: at most 3.5 eps)
     data, xs = ORACLE_DATA[data], ORACLE_XS
-    assert kernel_passes(lambda: kernels.forward_line(data, tau, xs)) == [None]
+    assert kernel_passes(lambda: kernels.forward_line(data, tau, xs)) == [data.n_nodes]
     got, ref = kernels.forward_line(data, tau, xs), mp_line_oracle(data, tau, xs)
     assert np.all(np.abs(got - ref) <= 8.0 * EPS * np.abs(ref))
 
@@ -329,16 +331,14 @@ def noisy_polar_reference(root, n):
 
 
 @pytest.mark.parametrize("dtype", [float, np.longdouble])
-@pytest.mark.parametrize("root", [
-    1.2,
-    pytest.param(ROOT_POLAR, marks=pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP item 9: the exact level reads 9.6 (float64) and 10.2 (longdouble) eps int|f_j| here"))),
-])
+@pytest.mark.parametrize("root", [1.2, ROOT_POLAR])
 def test_radial_moments_of_noisy_data_are_the_interpolants_up_to_rounding(root, dtype):
-    # the slope jumps of noisy data cancel in every moment (measured at R =
-    # 1.2: 4.3 eps int|f_j| in float64 and 1.5 in np.longdouble)
+    # the slope jumps of noisy data cancel in every moment (measured: at
+    # most 0.38 eps int|f_j| at R = 0.9 and 0.15 at R = 1.2; one exact
+    # Gauss-Legendre level of the integrand read 9.6 and 4.3)
     n = 40
     exact = series_polar._w_radial_moments(NOISY_POLAR, root, n, dtype=dtype)
+    assert exact.dtype == np.dtype(dtype)
     ref = noisy_polar_reference(root, n)
     l1 = l1_norms(w_integrand(NOISY_POLAR, root, n), NOISY_POLAR.lo, NOISY_POLAR.hi, NOISY_POLAR.nodes)
     assert np.all(np.abs(exact - ref).astype(float) <= C_EXACT * EPS * l1)
@@ -359,14 +359,36 @@ def test_hermite_moments_match_the_adaptive_engine(center):
     assert np.all(np.abs(exact - adaptive) <= np.maximum(1e-13 * np.abs(adaptive), 32.0 * EPS * l1))
 
 
-def test_radial_moments_match_the_adaptive_engine():
-    n = 40
-    exact = series_polar._w_radial_moments(POLAR, ROOT_POLAR, n)
-    f = w_integrand(POLAR, ROOT_POLAR, n)
+CUT = {
+    # files reaching below 0, integrated from 0: on 182 nodes 0 is a node,
+    # on 181 it lies between two
+    "cut-182": Sampled1D.from_function(lambda xi: np.exp(-xi * xi / 4.0), -1.05, 8.0, 182),
+    "cut-181": Sampled1D.from_function(lambda xi: np.exp(-xi * xi / 4.0), -1.05, 8.0, 181),
+}
+
+
+@pytest.mark.parametrize("data", ["polar-33", *sorted(CUT)])
+def test_radial_moments_match_the_adaptive_engine(data):
+    # the cut files against a 60-digit integral of the file cut at 0
+    # (measured: 2e-4 eps int|f_j| in float64 and 0.32 in np.longdouble)
+    data, n = CUT.get(data, POLAR), 40
+    exact = series_polar._w_radial_moments(data, ROOT_POLAR, n)
+    f = w_integrand(data, ROOT_POLAR, n)
     with quad_settings(**TIGHT):
-        adaptive, _ = quad.integrate_vec(f, POLAR.lo, POLAR.hi, POLAR.nodes)
-    l1 = l1_norms(f, POLAR.lo, POLAR.hi, POLAR.nodes)
+        adaptive, _ = quad.integrate_vec(f, 0.0, data.hi, data.nodes)
+    l1 = l1_norms(f, 0.0, data.hi, data.nodes)
     assert np.all(np.abs(exact - adaptive) <= np.maximum(1e-13 * np.abs(adaptive), 32.0 * EPS * l1))
+
+
+@pytest.mark.parametrize("dtype", [float, np.longdouble])
+@pytest.mark.parametrize("root", [0.5, 100.0])
+def test_radial_moments_of_a_file_below_0_are_zeros_of_the_pass_dtype(root, dtype):
+    # the closed form (root 0.5) and the quadrature's empty window (root 100)
+    below = Sampled1D.from_function(lambda xi: np.exp(-xi * xi / 4.0), -8.0, -1.0, 57)
+    assert below.narrower(root) == (root == 0.5)
+    moments = series_polar._w_radial_moments(below, root, 12, dtype=dtype)
+    assert moments.dtype == np.dtype(dtype)
+    np.testing.assert_array_equal(moments, np.zeros(13))
 
 
 # --- closed forms of Gaussian and mixture moments ------------------------------
@@ -453,7 +475,7 @@ def test_gaussian_hermite_moments_are_exact_up_to_rounding(width, moment_time, c
     # most 2.3 eps int|f_k|)
     g, root, n = Gaussian(width, 0.4, 0.9), math.sqrt(moment_time), 80
     assert (1.0 - g.width_a / (root * root) == 0.0) == (moment_time == 1.0)
-    assert degrees_passed(series_cartesian, lambda: series_cartesian._hermite_moments(g, root, n, center=center)) == []
+    assert quadrature_passes(series_cartesian, lambda: series_cartesian._hermite_moments(g, root, n, center=center)) == []
     got = series_cartesian._hermite_moments(g, root, n, center=center)
     l1 = l1_norms(hermite_moment_integrand(g, root, n, center), *WIDE)
     assert np.all(exact_errors(got, mp_gaussian_hermite_moments(g, root, center, n)) <= C_EXACT * EPS * l1)
@@ -513,20 +535,21 @@ def test_a_ring_or_a_ring_component_leaves_the_plane_to_the_quadrature():
     ring = Gaussian(1.3, 0.5, 0.9)
     assert ring.radial_moments(1.0, 4) is None
     assert Mixture((Gaussian(1.3), ring)).radial_moments(1.0, 4) is None
-    assert degrees_passed(series_polar, lambda: series_polar._w_radial_moments(ring, 1.0, 4)) == [None]
+    assert quadrature_passes(series_polar, lambda: series_polar._w_radial_moments(ring, 1.0, 4)) == [0]
 
 
-# --- which passes take the closed form or the exact level ----------------------
+# --- which passes take a closed form or the quadrature -------------------------
 
-def degrees_passed(module, call):
-    """The degree each integrate_vec call of a solve was given, in module or
-    any other module of the package that binds the same function."""
+def quadrature_passes(module, call):
+    """The number of breakpoints (0 for none) of each integrate_vec call of
+    a solve, in module or any other module of the package that binds the
+    same function: [] where the solve takes closed forms only."""
     seen = []
     original = module.integrate_vec
 
-    def spy(f, *args, **kwargs):
-        seen.append(kwargs.get("degree"))
-        return original(f, *args, **kwargs)
+    def spy(f, lo, hi, breakpoints=None):
+        seen.append(0 if breakpoints is None else len(breakpoints))
+        return original(f, lo, hi, breakpoints)
 
     with rebound(original, spy):
         call()
@@ -534,8 +557,8 @@ def degrees_passed(module, call):
 
 
 def kernel_passes(call):
-    """The degree of each quadrature pass of a line oracle: [] for the closed form."""
-    return degrees_passed(kernels, call)
+    """quadrature_passes of a line oracle."""
+    return quadrature_passes(kernels, call)
 
 
 def closed_form_rows(call):
@@ -586,13 +609,13 @@ def test_line_moment_passes_take_the_exact_level_except_ci_b(variant, rows):
     sampled = lambda: coeffs(variant, LINE, PARAMS, 12, 0.0)  # noqa: E731
     assert closed_form_rows(sampled) == ([] if rows is None else [rows])
     assert weighted_closed_form_rows(sampled) == ([13] if rows is None else [])
-    assert degrees_passed(series_cartesian, sampled) == []
+    assert quadrature_passes(series_cartesian, sampled) == []
     gaussian = lambda: coeffs(variant, Gaussian(1.0), PARAMS, 12, 0.0)  # noqa: E731
     assert closed_form_rows(gaussian) == weighted_closed_form_rows(gaussian) == []
-    assert degrees_passed(series_cartesian, gaussian) == []
+    assert quadrature_passes(series_cartesian, gaussian) == []
     bump = lambda: coeffs(variant, Bump(0.0, 2.0), PARAMS, 12, 0.0)  # noqa: E731
     assert closed_form_rows(bump) == weighted_closed_form_rows(bump) == []
-    assert degrees_passed(series_cartesian, bump) == [None]
+    assert quadrature_passes(series_cartesian, bump) == [0]
 
 
 @pytest.mark.parametrize("beta, adaptive", [(64.0, False), (64.0 * (1.0 + 1e-12), True)])
@@ -601,56 +624,32 @@ def test_ci_b_moments_take_the_quadrature_under_a_weight_wider_than_the_data(bet
     params = KernelParams(tau=0.3, beta=beta)
     sampled = lambda: series_cartesian.ci_coeffs("CI-B", LINE, params, 12, 0.0)  # noqa: E731
     assert weighted_closed_form_rows(sampled) == ([] if adaptive else [13])
-    assert degrees_passed(series_cartesian, sampled) == ([None] if adaptive else [])
+    assert quadrature_passes(series_cartesian, sampled) == ([LINE.n_nodes] if adaptive else [])
 
 
 @pytest.mark.parametrize("variant", ["PD-A", "PI-B", "PD-C"])
-def test_radial_moment_passes_take_the_exact_level(variant):
+def test_radial_moment_passes_take_the_closed_form(variant):
     coeffs = series_polar.pd_coeffs if variant.startswith("PD") else series_polar.pi_coeffs
     params = KernelParams(tau=0.3, beta=1.2)
-    assert degrees_passed(series_polar, lambda: coeffs(variant, POLAR, params, 12, 0.5)) == [26]
-    # a centred Gaussian takes its closed form, a ring Gaussian and a Bump the adaptive engine
-    assert degrees_passed(series_polar, lambda: coeffs(variant, Gaussian(1.0), params, 12, 0.5)) == []
-    assert degrees_passed(series_polar, lambda: coeffs(variant, Gaussian(1.0, 0.5), params, 12, 0.5)) == [None]
-    assert degrees_passed(series_polar, lambda: coeffs(variant, Bump(0.0, 2.0), params, 12, 0.5)) == [None]
+    # sampled data and a centred Gaussian take their closed forms, a ring
+    # Gaussian and a Bump the adaptive engine
+    assert quadrature_passes(series_polar, lambda: coeffs(variant, POLAR, params, 12, 0.5)) == []
+    assert quadrature_passes(series_polar, lambda: coeffs(variant, Gaussian(1.0), params, 12, 0.5)) == []
+    assert quadrature_passes(series_polar, lambda: coeffs(variant, Gaussian(1.0, 0.5), params, 12, 0.5)) == [0]
+    assert quadrature_passes(series_polar, lambda: coeffs(variant, Bump(0.0, 2.0), params, 12, 0.5)) == [0]
 
 
-def test_exact_level_runs_in_bounded_blocks_in_ascending_order():
-    sizes, firsts = [], []
-
-    def integrand(xi):
-        sizes.append(xi.size)
-        firsts.append(xi[0])
-        return np.vstack([np.ones_like(xi), xi ** 3])
-
-    nodes = np.linspace(-1.0, 3.0, 4001)
-    vals, err = quad.integrate_vec(integrand, -1.0, 3.0, breakpoints=nodes, degree=3)
-    assert err == 0.0
-    assert max(sizes) <= quad.EXACT_BLOCK and len(sizes) > 1
-    assert firsts == sorted(firsts)
-    assert vals == pytest.approx([4.0, (3.0 ** 4 - 1.0) / 4.0], rel=1e-14)
-
-
-def test_one_exact_level_integrates_its_degree_exactly():
-    rng = np.random.default_rng(3)
-    coeffs = rng.normal(size=12)
-    seen = []
-
-    def poly(degree):
-        def f(xi):
-            seen.append(xi.size)
-            return np.polynomial.polynomial.polyval(xi, coeffs[: degree + 1])[None, :]
-
-        return f
-
-    def exact(degree):
-        anti = np.polynomial.polynomial.polyint(coeffs[: degree + 1])
-        return np.polynomial.polynomial.polyval(2.0, anti) - np.polynomial.polynomial.polyval(-1.0, anti)
-
-    for degree in range(11):
-        seen.clear()
-        vals, _ = quad.integrate_vec(poly(degree), -1.0, 2.0, degree=degree)
-        assert vals[0] == pytest.approx(exact(degree), rel=1e-13, abs=1e-13)
-        assert seen == [8 * (degree // 2 + 1)]  # floor(d/2) + 1 nodes on each of the 8 panels
-    with pytest.raises(ValueError, match="degree"):
-        quad.integrate_vec(poly(1), -1.0, 2.0, degree=-1)
+@pytest.mark.parametrize("dtype", [float, np.longdouble])
+@pytest.mark.parametrize("root, adaptive", [(4.0, False), (4.0 * (1.0 + 1e-12), True), (64.0, True)])
+def test_radial_moments_take_the_quadrature_under_a_root_wider_than_the_data(root, adaptive, dtype):
+    # 2 root against NOISY_POLAR's span of 8: the slope-jump sum of a wider
+    # root cancels (measured unguarded: 92 eps int|f_j| at root 256 and 825
+    # at 1024), and the adaptive engine takes the nodes as breakpoints
+    # (measured: at most 4.6 eps int|f_j| in float64 and 0.68 in np.longdouble)
+    n = 40
+    call = lambda: series_polar._w_radial_moments(NOISY_POLAR, root, n, dtype=dtype)  # noqa: E731
+    assert quadrature_passes(series_polar, call) == ([NOISY_POLAR.n_nodes] if adaptive else [])
+    got = call()
+    assert got.dtype == np.dtype(dtype)
+    l1 = l1_norms(w_integrand(NOISY_POLAR, root, n), NOISY_POLAR.lo, NOISY_POLAR.hi, NOISY_POLAR.nodes)
+    assert np.all(np.abs(got - noisy_polar_reference(root, n)).astype(float) <= C_EXACT * EPS * l1)
