@@ -22,7 +22,7 @@ deliver relative accuracy past eps * int|f| / |I|; the floor term makes the
 engine converge to exactly the accuracy that is attainable.
 
 Every level is evaluated by one block loop: each integrand call gets at
-most EXACT_BLOCK nodes, built from the panels that block covers only, and
+most BLOCK_NODES nodes, built from the panels that block covers only, and
 the blocks' sums are added in ascending order of the nodes.  Every sample
 of sampled data is a breakpoint, so a level can hold far more nodes than a
 block; neither the integrand's memory nor the engine's grows with the
@@ -51,7 +51,7 @@ import numpy as np
 __all__ = ["AccuracyError", "integrate_vec"]
 
 _EPS = float(np.finfo(float).eps)
-EXACT_BLOCK = 4096  # most nodes per integrand call, on every level
+BLOCK_NODES = 4096  # most nodes per integrand call, on every level
 TRUNCATION_RADIUS_SIGMAS = 12.0  # decay scales kept of an infinite domain or a profile's tails
 NODES_PER_PANEL = 16  # Gauss-Legendre nodes per panel of an adaptive level
 REL_TOL = 1e-10  # acceptance: relative refinement difference
@@ -130,13 +130,13 @@ def _sums(vals: np.ndarray, weights: np.ndarray, writable: bool) -> tuple:
 
 
 def _block_sums(f, edges: np.ndarray, rule) -> tuple:
-    """The sums of one level (as _sums), EXACT_BLOCK nodes per integrand call,
+    """The sums of one level (as _sums), BLOCK_NODES nodes per integrand call,
     each block's nodes built from its own panels, and the blocks' sums added
     in ascending order of the nodes."""
     parts = []
     total = (edges.size - 1) * rule[0].size
-    for start in range(0, total, EXACT_BLOCK):
-        nodes, weights = _level(edges, rule, start, min(start + EXACT_BLOCK, total))
+    for start in range(0, total, BLOCK_NODES):
+        nodes, weights = _level(edges, rule, start, min(start + BLOCK_NODES, total))
         vals = _values(f, nodes)
         parts.append(_sums(vals, weights, _owned(vals)))
         del vals  # freed before the next block is evaluated, which then reuses its memory
@@ -163,7 +163,7 @@ def _first_levels(f, edges: np.ndarray, rule) -> tuple:
     each level summed from its own contiguous part of the values, which gives
     the sums of separate calls bit for bit."""
     fine = _bisect(edges)
-    if 3 * (edges.size - 1) * rule[0].size <= EXACT_BLOCK:  # level 1 has twice the panels of level 0
+    if 3 * (edges.size - 1) * rule[0].size <= BLOCK_NODES:  # level 1 has twice the panels of level 0
         (x0, w0), (x1, w1) = _level(edges, rule), _level(fine, rule)
         try:
             vals = _values(f, np.concatenate([x0, x1]))
@@ -201,7 +201,7 @@ def integrate_vec(f, lo: float, hi: float, breakpoints=None):
     MAX_PANELS is exhausted, and OverflowError at the first level whose sum
     is not finite.
 
-    f is called with at most EXACT_BLOCK nodes at a time.  It returns a
+    f is called with at most BLOCK_NODES nodes at a time.  It returns a
     fresh array; the engine may overwrite it.  An array that does not own
     its memory (a view) is never written to.
     """

@@ -326,7 +326,7 @@ def test_one_closed_form_pass_per_grid_or_lattice_group(monkeypatch, variant):
     assert 1 < centres.size <= np.ptp(xs[:7]) / (12.0 * root / math.sqrt(n)) + 1
     batches.clear()
     assert count(variant, xs[:7]) == (1, sibling[1])
-    assert len(batches) == 1  # one group, and the data's m < EXACT_BLOCK nodes one block
+    assert len(batches) == 1  # one group, and the data's m < BLOCK_NODES nodes one block
     assert sum(batches) <= (2 * n + 3) * (data.n_nodes + np.ptp(centres) / data.spacing + 1e-9)
 
 
@@ -383,7 +383,7 @@ def test_a_lattice_group_that_overflows_loses_only_its_far_centre():
 def test_a_far_point_of_a_sample_file_exits_3_naming_it(tmp_path, capsys):
     # x = 10000 lies 200 000 spacings from the centre of x = 0: its centre
     # takes a batch of its own over the file's 481 nodes (a group spans at
-    # most EXACT_BLOCK spacings), and only its own series overflows; a
+    # most BLOCK_NODES spacings), and only its own series overflows; a
     # single batch spanning both centres would hold about 300 MB, and its
     # overflow would fail the whole grid
     path = tmp_path / "f_mix.csv"

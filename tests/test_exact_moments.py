@@ -15,8 +15,8 @@ the Gaussian, or the root, is no wider than the data
 (`Sampled1D.narrower`); under a wider one they take the adaptive
 quadrature with the nodes as breakpoints.
 Every moment route must give the integral of the interpolant up to
-rounding: within C_EXACT eps int|f_k| of a 30-digit mpmath integral, smooth
-or noisy data alike, and within the adaptive engine's own tolerance of that
+rounding: within C_EXACT eps int|f_k| of a 30-digit mpmath integral (60
+digits for the radial moments), smooth or noisy data alike, and within the adaptive engine's own tolerance of that
 engine at REL_TOL = 1e-13.  The closed-form oracle must be within a few eps
 of its size and of its terms' sizes of a 30-digit per-panel erf integral,
 and the oracle under a wider kernel within a few eps of its size.
@@ -95,9 +95,9 @@ def mp_hermite_moments(data, root, center, n):
 
 
 def mp_w_moments(data, root, n):
-    """int xi W_j(xi/(2R)) data(xi) dxi, j = 0..n, from the monomial form
-    W_j(z) = sum_k (2j)! (-1)^{j-k} / (k!^2 (j-k)!) z^{2k}, in 60 digits
-    (the alternating monomial sums cancel)."""
+    """int_0^inf xi W_j(xi/(2R)) data(xi) dxi, j = 0..n, from the monomial
+    form W_j(z) = sum_k (2j)! (-1)^{j-k} / (k!^2 (j-k)!) z^{2k}, in 60 digits
+    (the alternating monomial sums cancel), segment by segment above 0."""
     with mpmath.workdps(60):
         scale = 1 / (2 * mpmath.mpf(root)) ** 2
         xs = [mpmath.mpf(float(x)) for x in data.nodes]
@@ -108,6 +108,8 @@ def mp_w_moments(data, root, n):
                       / (math.factorial(k) ** 2 * math.factorial(j - k)) * scale ** k for k in range(j + 1)]
             total = mpmath.mpf(0)
             for i in range(len(xs) - 1):
+                if xs[i + 1] <= 0:
+                    continue
                 slope = (fs[i + 1] - fs[i]) / (xs[i + 1] - xs[i])
                 p = fs[i] - slope * xs[i]  # data = p + slope xi
 
@@ -115,7 +117,7 @@ def mp_w_moments(data, root, n):
                     return sum(ck * (p * x ** (2 * k + 2) / (2 * k + 2) + slope * x ** (2 * k + 3) / (2 * k + 3))
                                for k, ck in enumerate(coeffs))
 
-                total += anti(xs[i + 1]) - anti(xs[i])
+                total += anti(xs[i + 1]) - anti(max(xs[i], 0))
             out.append(float(total))
         return np.array(out)
 
@@ -320,27 +322,32 @@ def test_radial_moments_are_the_interpolants_up_to_rounding(dtype):
     assert np.all(np.abs(exact - ref).astype(float) <= C_EXACT * EPS * l1)
 
 
-NOISY_POLAR = Sampled1D.from_function(lambda xi: np.exp(-xi * xi / 4.0), 0.0, 8.0, 101).with_noise(
-    1e-3, np.random.default_rng(1)
-)
+NOISY_POLAR = {
+    "noisy-101": Sampled1D.from_function(lambda xi: np.exp(-xi * xi / 4.0), 0.0, 8.0, 101).with_noise(
+        1e-3, np.random.default_rng(1)
+    ),
+    # a file reaching far below 0: its span above 0 is 8, not 108
+    "far-below-271": Sampled1D.from_function(lambda xi: np.exp(-xi * xi / 4.0), -100.0, 8.0, 271).with_noise(
+        1e-3, np.random.default_rng(1)
+    ),
+}
 
 
 @functools.lru_cache(maxsize=None)
-def noisy_polar_reference(root, n):
-    return mp_w_moments(NOISY_POLAR, root, n)
+def noisy_polar_reference(data, root, n):
+    return mp_w_moments(NOISY_POLAR[data], root, n)
 
 
 @pytest.mark.parametrize("dtype", [float, np.longdouble])
 @pytest.mark.parametrize("root", [1.2, ROOT_POLAR])
 def test_radial_moments_of_noisy_data_are_the_interpolants_up_to_rounding(root, dtype):
     # the slope jumps of noisy data cancel in every moment (measured: at
-    # most 0.38 eps int|f_j| at R = 0.9 and 0.15 at R = 1.2; one exact
-    # Gauss-Legendre level of the integrand read 9.6 and 4.3)
-    n = 40
-    exact = series_polar._w_radial_moments(NOISY_POLAR, root, n, dtype=dtype)
+    # most 0.38 eps int|f_j| at R = 0.9 and 0.15 at R = 1.2)
+    data, n = NOISY_POLAR["noisy-101"], 40
+    exact = series_polar._w_radial_moments(data, root, n, dtype=dtype)
     assert exact.dtype == np.dtype(dtype)
-    ref = noisy_polar_reference(root, n)
-    l1 = l1_norms(w_integrand(NOISY_POLAR, root, n), NOISY_POLAR.lo, NOISY_POLAR.hi, NOISY_POLAR.nodes)
+    ref = noisy_polar_reference("noisy-101", root, n)
+    l1 = l1_norms(w_integrand(data, root, n), data.lo, data.hi, data.nodes)
     assert np.all(np.abs(exact - ref).astype(float) <= C_EXACT * EPS * l1)
 
 
@@ -369,8 +376,8 @@ CUT = {
 
 @pytest.mark.parametrize("data", ["polar-33", *sorted(CUT)])
 def test_radial_moments_match_the_adaptive_engine(data):
-    # the cut files against a 60-digit integral of the file cut at 0
-    # (measured: 2e-4 eps int|f_j| in float64 and 0.32 in np.longdouble)
+    # against a 60-digit integral, the cut files read at most 1e-3 eps
+    # int|f_j| in float64 and 0.32 in np.longdouble
     data, n = CUT.get(data, POLAR), 40
     exact = series_polar._w_radial_moments(data, ROOT_POLAR, n)
     f = w_integrand(data, ROOT_POLAR, n)
@@ -381,14 +388,26 @@ def test_radial_moments_match_the_adaptive_engine(data):
 
 
 @pytest.mark.parametrize("dtype", [float, np.longdouble])
-@pytest.mark.parametrize("root", [0.5, 100.0])
-def test_radial_moments_of_a_file_below_0_are_zeros_of_the_pass_dtype(root, dtype):
-    # the closed form (root 0.5) and the quadrature's empty window (root 100)
+def test_radial_moments_of_a_file_below_0_are_zeros_of_the_pass_dtype(dtype):
+    # no part above 0: an empty window, whatever the root
     below = Sampled1D.from_function(lambda xi: np.exp(-xi * xi / 4.0), -8.0, -1.0, 57)
-    assert below.narrower(root) == (root == 0.5)
-    moments = series_polar._w_radial_moments(below, root, 12, dtype=dtype)
+    moments = series_polar._w_radial_moments(below, 0.5, 12, dtype=dtype)
     assert moments.dtype == np.dtype(dtype)
     np.testing.assert_array_equal(moments, np.zeros(13))
+
+
+def test_radial_moments_finite_in_longdouble_only_raise_overflow_without_a_warning():
+    # one hat of height 1 and width h = 2.5e297 from 0: M_0 = h^2/6 ~ 1e594
+    # fits in np.longdouble only; at order 40 the W rows themselves overflow
+    wide = Sampled1D.from_function(Gaussian(1.3), 0.0, 1e300, 401)
+    h = np.longdouble(wide.nodes[1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = series_polar._w_radial_moments(wide, 1.0, 0, dtype=np.longdouble)
+        assert abs(got[0] / (h * h / 6) - 1) < 1e-15
+        for dtype, n in [(float, 0), (float, 40), (np.longdouble, 40)]:
+            with pytest.raises(OverflowError):
+                series_polar._w_radial_moments(wide, 1.0, n, dtype=dtype)
 
 
 # --- closed forms of Gaussian and mixture moments ------------------------------
@@ -640,16 +659,19 @@ def test_radial_moment_passes_take_the_closed_form(variant):
 
 
 @pytest.mark.parametrize("dtype", [float, np.longdouble])
-@pytest.mark.parametrize("root, adaptive", [(4.0, False), (4.0 * (1.0 + 1e-12), True), (64.0, True)])
-def test_radial_moments_take_the_quadrature_under_a_root_wider_than_the_data(root, adaptive, dtype):
-    # 2 root against NOISY_POLAR's span of 8: the slope-jump sum of a wider
-    # root cancels (measured unguarded: 92 eps int|f_j| at root 256 and 825
-    # at 1024), and the adaptive engine takes the nodes as breakpoints
-    # (measured: at most 4.6 eps int|f_j| in float64 and 0.68 in np.longdouble)
-    n = 40
-    call = lambda: series_polar._w_radial_moments(NOISY_POLAR, root, n, dtype=dtype)  # noqa: E731
-    assert quadrature_passes(series_polar, call) == ([NOISY_POLAR.n_nodes] if adaptive else [])
+@pytest.mark.parametrize("root, adaptive", [(4.0, False), (4.0 * (1.0 + 1e-12), True), (54.0, True)])
+@pytest.mark.parametrize("data", sorted(NOISY_POLAR))
+def test_radial_moments_take_the_quadrature_under_a_root_wider_than_the_data(data, root, adaptive, dtype):
+    # 2 root against the files' span of 8 above 0: the slope-jump sum of a
+    # wider root cancels (measured unguarded on noisy-101: 92 eps int|f_j|
+    # at root 256 and 825 at 1024; on 1081 nodes on [-100, 8], 8.2 at root
+    # 54), and the adaptive engine takes the nodes as breakpoints (measured
+    # on noisy-101 up to root 64: at most 4.6 eps int|f_j| in float64 and
+    # 0.68 in np.longdouble)
+    name, data, n = data, NOISY_POLAR[data], 40
+    call = lambda: series_polar._w_radial_moments(data, root, n, dtype=dtype)  # noqa: E731
+    assert quadrature_passes(series_polar, call) == ([data.n_nodes] if adaptive else [])
     got = call()
     assert got.dtype == np.dtype(dtype)
-    l1 = l1_norms(w_integrand(NOISY_POLAR, root, n), NOISY_POLAR.lo, NOISY_POLAR.hi, NOISY_POLAR.nodes)
-    assert np.all(np.abs(got - noisy_polar_reference(root, n)).astype(float) <= C_EXACT * EPS * l1)
+    l1 = l1_norms(w_integrand(data, root, n), 0.0, data.hi, data.nodes)
+    assert np.all(np.abs(got - noisy_polar_reference(name, root, n)).astype(float) <= C_EXACT * EPS * l1)

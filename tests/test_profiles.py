@@ -13,7 +13,7 @@ from heatseries.profiles import (
     parse_profile,
     profile_support,
 )
-from heatseries.quad import EXACT_BLOCK
+from heatseries.quad import BLOCK_NODES
 
 
 def test_gaussian_basicities():
@@ -76,7 +76,7 @@ def test_by_parts_blocks_agree_and_longdouble_sums():
     size = np.abs(_trapezoid_rows(data.nodes)) @ np.abs(jumps)
     exact, _, _ = data.by_parts(_trapezoid_rows, dtype=np.longdouble)
     assert exact.dtype == np.longdouble
-    for step in (1, 7, 256, EXACT_BLOCK):
+    for step in (1, 7, 256, BLOCK_NODES):
         total, _, _ = data.by_parts(_trapezoid_rows, step=step)
         assert np.all(np.abs(total - exact) <= 8 * np.finfo(float).eps * size)
 

@@ -8,7 +8,7 @@ levels fit in one block must give its values and error estimate bit for bit
 contiguous part).  A level above the block size adds its blocks' sums in
 node order instead: the same acceptance level, and every component within
 4 eps int|f| of the reference.  The package's moment passes over Gaussians
-and mixtures, and its line passes over sampled data, take closed forms, so
+and mixtures, and its passes over sampled data, take closed forms, so
 those passes run the quadrature routes of `references`; the package's own
 passes over a Bump and a ring Gaussian keep the engine, and run as they
 are.  Integrand memory no longer grows with
@@ -79,10 +79,10 @@ def reference_integrate_vec(f, lo, hi, breakpoints=None):
 
 def reference_block_sums(f, nodes, weights):
     """A level's sums from its whole node and weight arrays, cut into blocks
-    of EXACT_BLOCK nodes."""
+    of BLOCK_NODES nodes."""
     parts = []
-    for start in range(0, nodes.size, quad.EXACT_BLOCK):
-        block = slice(start, start + quad.EXACT_BLOCK)
+    for start in range(0, nodes.size, quad.BLOCK_NODES):
+        block = slice(start, start + quad.BLOCK_NODES)
         vals = quad._values(f, nodes[block])
         parts.append(quad._sums(vals, weights[block], quad._owned(vals)))
     return tuple(functools.reduce(np.add, column) for column in zip(*parts))
@@ -196,7 +196,7 @@ def test_passes_within_one_block_are_the_reference_bit_for_bit(name):
         sizes, ref_sizes = [], []
         vals, err = quad.integrate_vec(counted(f, sizes), *args, **kwargs)
         ref_vals, ref_err, _ = reference_integrate_vec(counted(f, ref_sizes), *args, **kwargs)
-        assert max(ref_sizes) <= quad.EXACT_BLOCK  # every level fits in one block
+        assert max(ref_sizes) <= quad.BLOCK_NODES  # every level fits in one block
         assert bitwise_equal(vals, ref_vals)
         assert err == ref_err
         assert sum(sizes) == sum(ref_sizes)
@@ -213,6 +213,8 @@ ABOVE_BLOCK = {
     "CI-B-file": lambda: references.weighted_moments_by_quadrature(LINE_FILE, VARIANTS["CI-B"].moment_root(PARAMS), 40),
     "oracle-line-file": lambda: references.line_oracle_by_quadrature(LINE_FILE, 0.5, np.linspace(-3.0, 3.0, 121)),
     "oracle-polar-file": lambda: kernels.forward_polar(POLAR_FILE, 0.5, np.linspace(0.0, 3.0, 61)),
+    # the radial moments under a root wider than the data take the engine
+    "radial-file-wide-root": lambda: series_polar._w_radial_moments(POLAR_FILE, 6.0, 40),
 }
 
 
@@ -222,8 +224,8 @@ def test_levels_above_the_block_size_stay_within_rounding_of_the_reference(name)
     sizes, ref_sizes = [], []
     vals, _ = quad.integrate_vec(counted(f, sizes), *args, **kwargs)
     ref_vals, _, l1 = reference_integrate_vec(counted(f, ref_sizes), *args, **kwargs)
-    assert min(ref_sizes) > quad.EXACT_BLOCK
-    assert max(sizes) <= quad.EXACT_BLOCK
+    assert min(ref_sizes) > quad.BLOCK_NODES
+    assert max(sizes) <= quad.BLOCK_NODES
     assert sum(sizes) == sum(ref_sizes)  # the same acceptance level
     assert np.all(np.abs(vals - ref_vals) <= 4.0 * EPS * l1)
 
@@ -293,13 +295,13 @@ def test_longdouble_sums_take_np_dot_with_the_bits_of_matmul():
 
 @pytest.mark.parametrize("size", [3, 16, 21, 41])
 def test_each_block_is_built_from_its_own_panels_bit_for_bit(size):
-    # blocks of EXACT_BLOCK nodes start inside a panel unless the rule's size
+    # blocks of BLOCK_NODES nodes start inside a panel unless the rule's size
     # divides it; each is the same slice of the whole level, and so are the sums
     rule = quad._gl_rule(size)
     edges = quad._panel_edges(-10.0, 10.0, 8, np.linspace(-10.0, 10.0, 1601))
     nodes, weights = whole_level(edges, rule)
-    for start in range(0, nodes.size, quad.EXACT_BLOCK):
-        stop = min(start + quad.EXACT_BLOCK, nodes.size)
+    for start in range(0, nodes.size, quad.BLOCK_NODES):
+        stop = min(start + quad.BLOCK_NODES, nodes.size)
         block_nodes, block_weights = quad._level(edges, rule, start, stop)
         assert bitwise_equal(block_nodes, nodes[start:stop])
         assert bitwise_equal(block_weights, weights[start:stop])
@@ -382,7 +384,7 @@ def test_call_counts_and_node_totals():
     f = lambda x: np.vstack([np.sin(x), np.exp(-x * x)])  # noqa: E731
     quad.integrate_vec(counted(f, sizes), *SPAN, breakpoints=nodes)
     reference_integrate_vec(counted(f, ref_sizes), *SPAN, breakpoints=nodes)
-    assert max(sizes) == quad.EXACT_BLOCK and sum(sizes) == sum(ref_sizes)
+    assert max(sizes) == quad.BLOCK_NODES and sum(sizes) == sum(ref_sizes)
 
 
 @pytest.mark.parametrize("breakpoints", [None, np.linspace(0.0, 2.0, 801)])
@@ -439,18 +441,18 @@ def test_a_16001_node_pass_peaks_below_32_mib(call):
 
 def test_the_closed_form_moments_hold_one_block_of_rows():
     # CD-C's order-80 moments of BIG_FILE: 83 longdouble Hermite rows are
-    # 5.4 MB per block of EXACT_BLOCK nodes and 21 MB for all 16 001 nodes
+    # 5.4 MB per block of BLOCK_NODES nodes and 21 MB for all 16 001 nodes
     params = KernelParams(tau=0.3, beta=1.0)
     peak = traced_peak(lambda: series_cartesian.cd_coeffs("CD-C", BIG_FILE, params, 40, 0.0))
-    assert peak < 83 * quad.EXACT_BLOCK * np.dtype(np.longdouble).itemsize + 4 * MIB
+    assert peak < 83 * quad.BLOCK_NODES * np.dtype(np.longdouble).itemsize + 4 * MIB
 
 
 def test_the_closed_form_oracle_holds_less_than_one_integrand_block():
     # 121 points: one quadrature block of the kernel integrand is 121 x
-    # EXACT_BLOCK float64 values (3.8 MiB); the closed form's blocks of about
+    # BLOCK_NODES float64 values (3.8 MiB); the closed form's blocks of about
     # kernels._CACHE_BLOCK values keep its whole pass below that
     peak = traced_peak(lambda: kernels.forward_line(BIG_FILE, 0.5, np.linspace(-3.0, 3.0, 121)))
-    assert peak < 121 * quad.EXACT_BLOCK * 8
+    assert peak < 121 * quad.BLOCK_NODES * 8
 
 
 def test_the_engine_never_holds_a_whole_level():
