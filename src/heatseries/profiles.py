@@ -43,10 +43,16 @@ def _check_finite_params(profile) -> None:
             raise ValueError(f"{name} must be finite, got {value}")
 
 
-def _finite(moments: np.ndarray | None) -> np.ndarray | None:
-    """Closed-form moments as given; OverflowError where one is not finite."""
-    if moments is not None and not np.all(np.isfinite(moments)):
-        raise OverflowError(f"closed-form moments of the data are not finite at order {len(moments) - 1}")
+def _finite(moments: np.ndarray | None, center=0.0) -> np.ndarray | None:
+    """Closed-form moments as given; OverflowError where one is not finite.
+    About an array of centres (one row each), NaN rows where they are not."""
+    if moments is None:
+        return None
+    bad = ~np.isfinite(moments)
+    if np.ndim(center):
+        moments[np.any(bad, axis=-1)] = np.nan
+    elif np.any(bad):
+        raise OverflowError(f"closed-form moments of the data are not finite at order {moments.shape[-1] - 1}")
     return moments
 
 
@@ -73,7 +79,7 @@ class Gaussian:
         """Standard-deviation-like scale sqrt(2 a)."""
         return math.sqrt(2.0 * self.width_a)
 
-    def hermite_moments(self, root: float, n: int, center: float = 0.0, weighted: bool = False) -> np.ndarray:
+    def hermite_moments(self, root: float, n: int, center=0.0, weighted: bool = False) -> np.ndarray:
         """int H_k((xi - center)/(2R)) self(xi) dxi, k = 0..n, R = root, in
         closed form.  The generating function e^{2yt - t^2} of H_k (DLMF
         18.12.15) integrates against A e^{-(xi - mu)^2/(4a)} to 2A sqrt(pi a)
@@ -83,18 +89,27 @@ class Gaussian:
         weighted (CI-B, center 0): the weight e^{-xi^2/(4R^2)}/(2R sqrt(pi))
         times the data is the Gaussian of width a' = aR^2/(a + R^2), centre
         mu R^2/(a + R^2) and amplitude A e^{-mu^2/(4(a + R^2))}/(2R sqrt(pi)).
-        OverflowError where a moment is not finite."""
+        OverflowError where a moment is not finite.
+
+        center may also be an array of any centres (`point_moments`): the
+        same recurrence runs once over all their y0 (`_generating_rows`),
+        one row per centre, the same bits as the call about that centre
+        alone, and NaN where it is not finite."""
+        return _finite(_generating_rows(n, *self._generating(root, center, weighted)).T, center)
+
+    def _generating(self, root: float, center, weighted: bool) -> tuple:
+        """(2A sqrt(pi a), 2 y0, 2 gamma^2) of `hermite_moments`."""
         a, mu, amp, r2 = self.width_a, self.center, self.amplitude, root * root
         if weighted:
             amp *= math.exp(-mu * mu / (4.0 * (a + r2))) / (2.0 * root * math.sqrt(math.pi))
             a, mu = a * (r2 / (a + r2)), mu * (r2 / (a + r2))
-        two_y0, two_g2 = (mu - center) / root, 2.0 * (1.0 - a / r2)
-        p = [2.0 * amp * math.sqrt(math.pi * a)]  # the scale first: 0 stays 0 however far the centre
-        if n >= 1:
-            p.append(two_y0 * p[0])
-        for k in range(1, n):
-            p.append(two_y0 * p[k] - k * two_g2 * p[k - 1])
-        return _finite(np.array(p))
+        return 2.0 * amp * math.sqrt(math.pi * a), (mu - center) / root, 2.0 * (1.0 - a / r2)
+
+    def point_moments(self, root: float, n: int, x: np.ndarray) -> np.ndarray:
+        """The moments about each point of x itself, one row per point, NaN
+        where they are not finite (`hermite_moments`): the line C
+        coefficients need no lattice of centres."""
+        return self.hermite_moments(root, n, x)
 
     def radial_moments(self, root: float, n: int, dtype=float) -> np.ndarray | None:
         """int_0^inf xi W_j(xi/(2R)) self(xi) dxi, j = 0..n, R = root, in
@@ -159,9 +174,17 @@ class Mixture:
                 total = m if total is None else total + m
         return total
 
-    def hermite_moments(self, root: float, n: int, center: float = 0.0, weighted: bool = False) -> np.ndarray:
-        """The components' `Gaussian.hermite_moments`, summed in order."""
-        return _finite(self._sum(g.hermite_moments(root, n, center, weighted) for g in self.components))
+    def hermite_moments(self, root: float, n: int, center=0.0, weighted: bool = False) -> np.ndarray:
+        """The components' `Gaussian.hermite_moments`, summed in order.  About
+        an array of centres one recurrence runs over every component and
+        centre at once, each entry the bits of its component's own run."""
+        if not np.ndim(center):
+            return _finite(self._sum(g.hermite_moments(root, n, center, weighted) for g in self.components))
+        scale, two_y0, two_g2 = map(np.array, zip(*(g._generating(root, center, weighted) for g in self.components)))
+        rows = _generating_rows(n, scale[:, None], two_y0, two_g2[:, None])
+        return _finite(self._sum(rows[:, c] for c in range(len(self.components))).T, center)
+
+    point_moments = Gaussian.point_moments  # through the components' sum above
 
     def radial_moments(self, root: float, n: int, dtype=float) -> np.ndarray | None:
         """The components' `Gaussian.radial_moments`, summed in order; None
@@ -323,8 +346,15 @@ class Sampled1D:
             y = (nodes.astype(ld) - center) / (2 * r)
             return _weighted_rows(n, y) if weighted else hermite_batch(n + 2, y)
 
+        def failed():  # named at order n: the Hermite batch names its own, n + 2
+            kind = "weighted moments" if weighted else "moments"
+            return OverflowError(f"{kind} of the sampled data are not finite at order {n} about {center}")
+
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # a non-finite moment raises below
-            parts = self._lattice_parts(r, n + 2, center) if np.ndim(center) else [self.by_parts(rows, dtype=ld)]
+            try:
+                parts = self._lattice_parts(r, n + 2, center) if np.ndim(center) else [self.by_parts(rows, dtype=ld)]
+            except OverflowError:
+                raise failed() from None
             if weighted:  # rows r_{-2} .. r_{n-1}
                 inner, outer, scale, end_scale = slice(0, n + 1), slice(1, None), r, ld(-0.5)
             else:  # rows H_0 .. H_{n+2}
@@ -336,8 +366,7 @@ class Sampled1D:
                 for total, first, last in parts
             ])
         if not np.all(np.isfinite(out)):
-            kind = "weighted moments" if weighted else "moments"
-            raise OverflowError(f"{kind} of the sampled data are not finite about {center}")
+            raise failed()
         return out if np.ndim(center) else out[0]
 
     def _lattice_parts(self, r, n: int, centres: np.ndarray) -> list:
@@ -441,7 +470,10 @@ class Sampled1D:
         r = np.longdouble(root)
         f0, fm = np.where(self.nodes[[0, -1]] > 0.0, self.values[[0, -1]], 0.0)
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite moment raises below
-            (total, _, _), (_, first, last) = self.by_parts(lambda nodes: _radial_rows(n, nodes, r), dtype=np.longdouble)
+            try:
+                (total, _, _), (_, first, last) = self.by_parts(lambda nodes: _radial_rows(n, nodes, r), dtype=np.longdouble)
+            except OverflowError:  # the W batch names its own order, n + 1
+                raise OverflowError(f"radial moments of the sampled data are not finite at order {n}") from None
             x = 4 * r * r * r * total + 2 * r * r * (fm * last - f0 * first)
             return _finite((x[:-1] + x[1:] / (2 * np.arange(1, 2 * n + 2, 2, dtype=np.longdouble))).astype(dtype))
 
@@ -529,6 +561,24 @@ class Sampled1D:
         return Sampled1D(self.lo, self.hi, noisy)
 
 
+def _generating_rows(n: int, scale, two_y0, two_g2) -> np.ndarray:
+    """P_0 .. P_n of `Gaussian.hermite_moments`, one row per order: P_0 =
+    scale, P_1 = 2 y0 P_0 and P_{k+1} = 2 y0 P_k - 2k gamma^2 P_{k-1}, the
+    last two rows carried as Python floats for one centre, or as arrays
+    (scale and two_g2 broadcast against two_y0: a mixture's components by
+    its centres), each entry the bits of its own scalar run.  Not-finite
+    entries are left to the caller."""
+    p = np.empty((n + 1,) + np.shape(two_y0))
+    p[0] = scale  # first: 0 stays 0 however far the centre
+    steps = np.multiply.outer(np.arange(1, n + 1), two_g2)  # 2k gamma^2, k = 1..n
+    with np.errstate(over="ignore", invalid="ignore"):
+        prev, cur = scale, two_y0 * scale
+        for k, step in enumerate(steps.tolist() if np.ndim(two_g2) == 0 else steps, 1):
+            p[k] = cur
+            prev, cur = cur, two_y0 * cur - step * prev
+    return p
+
+
 def _weighted_rows(n: int, y: np.ndarray) -> np.ndarray:
     """r_{-2} .. r_{n-1} at the np.longdouble y, r_k = 2 H_k(y) e^{-y^2}/sqrt(pi)
     (k >= 0), r_{-1} = -erf y and r_{-2} = |y| + ierfc|y|, so that each is
@@ -565,9 +615,9 @@ def _radial_rows(n: int, xi: np.ndarray, r) -> list[np.ndarray]:
 
 def data_fact(data, fact: str, *args):
     """data.fact(*args) for a method name fact (`breakpoints`, `evolved`,
-    `derivs_at_zero`, `hermite_moments`, `lattice_centres`,
-    `lattice_moments`, `radial_moments`, `line_kernel`), or None where the
-    data has no such method."""
+    `derivs_at_zero`, `hermite_moments`, `point_moments`,
+    `lattice_centres`, `lattice_moments`, `radial_moments`, `line_kernel`),
+    or None where the data has no such method."""
     method = getattr(data, fact, None)
     return None if method is None else method(*args)
 

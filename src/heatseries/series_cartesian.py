@@ -8,17 +8,22 @@ truncated evaluation and divergence monitoring.  With s = tau + beta:
   the Gaussian prefactor at scale s.
 * CD-B (direct): moments at scale sqrt(s), prefactor at scale 2*tau + beta.
 * CD-C (direct): even-order moments in the shifted argument
-  (x - xi)/(2 R), R = sqrt(beta).  By the Hermite addition formula (DLMF
-  18.18) they are c_j(x) = sum_d C(2j, d) (-(x - c)/R)^d M_{2j-d}(c) with
-  the moments M_k(c) = int H_k((xi - c)/(2R)) f(xi) dxi about any centre c
-  (CD-A's at c = 0).  The binomial weights amplify the moments' rounding
-  noise about e^{|x - c| sqrt(N)/R}-fold, so each point takes the nearest
-  centre of a lattice with |x - c|/R <= 6/sqrt(N), and one moment pass per
-  centre serves every point near it.  Sampled data snaps the lattice step
-  down to whole node spacings (`Sampled1D.lattice_centres`), so that all
-  its centres take their moments from one shared Hermite batch
-  (`Sampled1D.lattice_moments`); each point then sums its centre's table
-  in one recombination for the whole grid (`variants.recombine`).
+  (x - xi)/(2 R), R = sqrt(beta): with the moments M_k(c) = int H_k((xi -
+  c)/(2R)) f(xi) dxi about a centre c (CD-A's at c = 0), and H_{2j} even,
+  c_j(x) = M_{2j}(x).  Gaussians and mixtures have those moments about
+  every point at once (`Gaussian.point_moments`: one recurrence over all
+  points), so each point is its own centre.  Other data takes them about a
+  lattice centre c near x and recombines them by the Hermite addition
+  formula (DLMF 18.18), c_j(x) = sum_d C(2j, d) (-(x - c)/R)^d M_{2j-d}(c).
+  The binomial weights amplify the moments' rounding noise about
+  e^{|x - c| sqrt(N)/R}-fold, so the lattice keeps |x - c|/R <= 6/sqrt(N),
+  and one moment pass per centre serves every point near it.  Sampled data
+  snaps the lattice step down to whole node spacings
+  (`Sampled1D.lattice_centres`), so that all its centres take their
+  moments from one shared Hermite batch (`Sampled1D.lattice_moments`);
+  each point then sums its centre's table in one recombination for the
+  whole grid (`variants.recombine`).  Every order past 514, where C(2N, N)
+  exceeds float64, fails at once on either path.
 * CI-A / CI-B / CI-C (inverse): the same structures with the roles of the
   two scales exchanged; CI-B weights its moments with the Gaussian kernel at
   scale beta instead of carrying a prefactor.
@@ -30,9 +35,10 @@ The moment passes, and CI-classical's derivatives, ask the data first
 (`profiles.data_fact`): sampled data has its moments in closed form from
 its slope jumps (`Sampled1D.hermite_moments`; CI-B's weighted ones while
 the weight is no wider than the data), Gaussians and mixtures from the
-generating function of H_k, about any centre and under CI-B's weight
-(`Gaussian.hermite_moments`).  A Bump, and CI-B's moments of sampled data
-under a wider weight, take the adaptive quadrature.
+generating function of H_k, about any centre or every point of a grid at
+once and under CI-B's weight (`Gaussian.hermite_moments`).  A Bump, and
+CI-B's moments of sampled data under a wider weight, take the adaptive
+quadrature.
 
 Every evaluation (`cd_eval`, `ci_eval`, `ci_classical`) returns the
 `variants.SeriesTerms` of the shared path: it sums in ascending order
@@ -161,10 +167,8 @@ def _lattice_moments(data, root: float, n: int, lattice: np.ndarray) -> np.ndarr
 def _binomials(n: int) -> tuple[np.ndarray, np.ndarray]:
     """C(2j, d) and the moment index 2j - d (0 where d > 2j, where C(2j, d)
     = 0), j = 0..n, d = 0..2n; read-only, shared by every call at order n.
-    Rows by C(m, d + 1) = C(m, d) (m - d)/(d + 1), exactly; OverflowError
-    first where C(2n, n) exceeds float64 (from n = 515)."""
-    if math.comb(2 * n, n) > sys.float_info.max:
-        raise OverflowError(f"binomial weights C(2j, d) exceed double precision at order {n}")
+    Rows by C(m, d + 1) = C(m, d) (m - d)/(d + 1), exactly (n <= 514:
+    `_coeffs` checks C(2n, n) first)."""
     rows = []
     for j in range(n + 1):
         row = [1]
@@ -182,28 +186,37 @@ def _coeffs(direct: bool, variant: str, data, params: KernelParams, n: int, x_ce
     root = row.moment_root(params)
     if not row.pointwise:
         return _hermite_moments(data, root, n, weighted=row.weighted)
-    # one table per lattice centre, table[j, d] = C(2j, d) M_{2j-d}, and
-    # each point sums its centre's; a point without a centre (x = nan)
-    # stays non-finite
-    binom, shift = _binomials(n)
+    if math.comb(2 * n, n) > sys.float_info.max:  # from n = 515, whichever path runs
+        raise OverflowError(f"binomial weights C(2j, d) exceed double precision at order {n}")
     x = np.atleast_1d(np.asarray(x_center, dtype=float))
-    centres = _centres(x, root, n, data)
-    lattice, which = np.unique(centres, return_inverse=True)
-    moments = _lattice_moments(data, root, 2 * n, lattice)
-    with np.errstate(over="ignore"):  # an overflowing term fails the series check
-        tables = binom * moments[:, shift]
-    out = recombine(tables, x - centres, lambda d: -d / root, which)
+    # each point its own centre where the data has its moments about any
+    # point (H_{2j} is even: c_j(x) = M_{2j}(x)); else one table per lattice
+    # centre, table[j, d] = C(2j, d) M_{2j-d}, and each point sums its
+    # centre's.  A point whose moments are not finite, or without a centre
+    # (x = nan), has a non-finite column
+    moments = data_fact(data, "point_moments", root, 2 * n, x)
+    if moments is not None:
+        out = moments[:, ::2].T
+    else:
+        binom, shift = _binomials(n)
+        centres = _centres(x, root, n, data)
+        lattice, which = np.unique(centres, return_inverse=True)
+        moments = _lattice_moments(data, root, 2 * n, lattice)
+        with np.errstate(over="ignore"):  # an overflowing term fails the series check
+            tables = binom * moments[:, shift]
+        out = recombine(tables, x - centres, lambda d: -d / root, which)
     return out[:, 0] if np.ndim(x_center) == 0 else out
 
 
 def cd_coeffs(variant: str, f, params: KernelParams, n: int, x_center: float | np.ndarray = 0.0) -> np.ndarray:
     """Direct-problem moments f_j.
 
-    CD-C: the shifted even moments f_{2j}(x) at x_center, recombined from
-    one moment pass about the point's lattice centre (README, "C
-    variants"); an array of points gives one column per point and one pass
-    per centre.  Where the shift overflows, a column is non-finite and
-    evaluating it raises OverflowError.
+    CD-C: the shifted even moments f_{2j}(x) at x_center: the moments about
+    the point itself for Gaussians and mixtures, else recombined from one
+    moment pass about the point's lattice centre (README, "C variants"); an
+    array of points gives one column per point.  Where the moments or the
+    shift overflow, a column is non-finite and evaluating it raises
+    OverflowError naming the point.
     """
     return _coeffs(True, variant, f, params, n, x_center)
 

@@ -11,11 +11,13 @@ xi d(xi) on [0, inf).  With s = tau + beta:
   but Neumann's addition theorem for I0 (DLMF 10.44) writes them through the
   radial moments M_k of PD-A:
   c_j(r) = pi sum_d C(2j, 2d) C(2d, d) (r/(2 sqrt(beta)))^{2d} M_{j-d},
-  so one moment pass serves the whole grid.  The theorem expands about the
-  origin only, and its binomial weights amplify the moments' rounding noise
-  (measured: up to 3e3-fold for r/(2 sqrt(beta)) <= 6, N <= 40), so that
-  pass and the recombination run in np.longdouble (2048 times finer than
-  float64 on x86-64; where longdouble is float64 the noise stays amplified).
+  so one moment pass serves the whole grid, and each radius sums the
+  triangle d <= j of that table by Horner's rule in (r/(2 sqrt(beta)))^2
+  (`variants.recombine`).  The theorem expands about the origin only, and
+  its binomial weights amplify the moments' rounding noise (measured: up
+  to 3e3-fold for r/(2 sqrt(beta)) <= 6, N <= 40), so that pass and the
+  recombination run in np.longdouble (2048 times finer than float64 on
+  x86-64; where longdouble is float64 the noise stays amplified).
 * PI-A / PI-B / PI-C (inverse): scale roles exchanged.  PI-B needs
   beta > tau: its prefactor lives at beta - tau.
 

@@ -16,10 +16,13 @@ at another.  With s = tau + beta, one row of VARIANTS records:
   the oracle certification by the ratios recorded in ERRATA.md;
 * the beta alignment that matches the moment scale with the data scale.
 
-A C variant recombines moments like its A sibling's, which do not depend on
-the evaluation point, at each point by an addition theorem (`recombine`;
-series_cartesian and series_polar say about which centre and in which
-precision).
+A C variant's coefficients depend on the evaluation point.  Where the data
+has its moments about every point in closed form (Gaussians and mixtures on
+the line), each point takes its own; otherwise moments like the A
+sibling's, which do not depend on the point, are recombined at each point
+by an addition theorem (`recombine`, Horner's rule over a triangular
+table; series_cartesian and series_polar say about which centre and in
+which precision).
 
 Evaluation builds the term matrix (orders x points), stops early after
 EARLY_STOP_RUN consecutive rows below EARLY_STOP_TOL (one threshold for
@@ -250,24 +253,35 @@ def recombine(tables: np.ndarray, x, shift, which=None) -> np.ndarray:
     Column k is sum_d table[:, d] u_k^d with u_k = shift(x_k), the addition
     theorem of the geometry written as a polynomial in u (orders x points;
     1-D for a scalar x).  tables is one table (orders x powers) for every
-    point, or a stack of them with which[k] the index of point k's.  The
-    sum runs in the tables' precision and returns float64.  Where it
-    overflows, the coefficients are non-finite and the evaluation at that
-    point raises OverflowError.
+    point, or a stack of them with which[k] the index of point k's.  A
+    table is triangular: row j has degree s j, s = (powers - 1)/(orders -
+    1) (2 on the line, 1 in the plane), and its entries past that degree
+    are never read (the line's C(2j, d) and the plane's C(2j, 2d) are 0
+    there).  The sum runs in the tables' precision, by Horner's
+    rule from the top power down, in place: each power updates only the
+    rows whose degree reaches it, a suffix of the orders, and a stack's
+    entries are gathered per point for that suffix alone.  Each column's
+    arithmetic is its own, so a point's coefficients do not depend on the
+    others.  Returns float64, an exact zero as +0.  Where the sum overflows, or u is not finite, the column
+    is not finite and the evaluation at that point raises OverflowError.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         u = shift(np.atleast_1d(np.asarray(x, dtype=tables.dtype)))
-        powers = u[None, :] ** np.arange(tables.shape[-1])[:, None]
         stack = tables.reshape((-1,) + tables.shape[-2:])
-        # one pass over the powers for the whole grid, summed in ascending
-        # d, so a point's coefficients do not depend on the other points:
-        # a lone table's columns broadcast, several are gathered per point
+        orders, powers = stack.shape[1:]
+        step = max((powers - 1) // max(orders - 1, 1), 1)  # degree per order
+        # powers x orders x tables: a lone table's rows broadcast over the
+        # points, a stack's are taken per point from contiguous rows
+        by_power = np.ascontiguousarray(stack.transpose(2, 1, 0))
         lone = stack.shape[0] == 1
-        coeffs = 0
-        for d in range(stack.shape[-1]):
-            column = stack[0, :, d, None] if lone else stack[which, :, d].T
-            coeffs = coeffs + column * powers[d]
-        coeffs = coeffs.astype(float)
+        acc = np.zeros((orders, u.size), dtype=tables.dtype)
+        for d in range(powers - 1, -1, -1):
+            j = -(-d // step)  # the orders from j on have degree step j >= d
+            rows = acc[j:]  # a view: updated in place, with no copy back
+            rows *= u
+            rows += by_power[d, j:] if lone else by_power[d, j:].take(which, axis=1)
+        acc += 0.0  # -0 to +0
+        coeffs = acc.astype(float, copy=False)
     return coeffs[:, 0] if np.ndim(x) == 0 else coeffs
 
 

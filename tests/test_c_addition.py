@@ -1,18 +1,20 @@
 """The C variants' coefficients from moments that do not depend on the point.
 
 CD-C, CI-C, PD-C and PI-C integrate their data against polynomials in a
-shifted argument.  The library recombines moments like the A sibling's by
-the Hermite addition formula (line, about each point's lattice centre) and
-Neumann's addition theorem for I0 (plane, about the origin, in extended
-precision).  This file keeps the per-point quadrature route the library used
-before as a reference, checks the identities behind the recombination,
-checks that it is as accurate as that route up to six moment scales from the
-centre, and pins its cost: one quadrature per grid in the plane, one
-closed-form pass of sampled data and one Hermite batch per group of
-lattice centres on the line.  The closed-form moments of Gaussians and
-mixtures leave the divergence scan no rounding noise to read as growth:
-the order-40 C inverses of analytic data flag nothing, as their exact
-terms do not.
+shifted argument.  On the line, Gaussians and mixtures take their moments
+about each point itself, with no recombination.  Other data recombines
+moments like the A sibling's by the Hermite addition formula (line, about
+each point's lattice centre) and Neumann's addition theorem for I0 (plane,
+about the origin, in extended precision).  This file keeps the per-point
+quadrature route the library used before as a reference, checks the
+identities behind the recombination, checks that both routes are as
+accurate as that one up to six moment scales from the centre, and pins
+their cost: one quadrature per grid in the plane, one closed-form pass of
+sampled data and one Hermite batch per group of lattice centres on the
+line, and no recombination for analytic line data.  The closed-form
+moments of Gaussians and mixtures leave the divergence scan no rounding
+noise to read as growth: the order-40 C inverses of analytic data flag
+nothing, as their exact terms do not.
 """
 
 import math
@@ -328,6 +330,21 @@ def test_one_closed_form_pass_per_grid_or_lattice_group(monkeypatch, variant):
     assert count(variant, xs[:7]) == (1, sibling[1])
     assert len(batches) == 1  # one group, and the data's m < BLOCK_NODES nodes one block
     assert sum(batches) <= (2 * n + 3) * (data.n_nodes + np.ptp(centres) / data.spacing + 1e-9)
+
+
+@pytest.mark.parametrize("variant", ["CD-C", "CI-C"])
+def test_analytic_line_data_takes_its_moments_about_each_point(monkeypatch, variant):
+    # Gaussians and mixtures answer point_moments: each point is its own
+    # centre, its coefficients the even rows of the moments about it, bit
+    # for bit, with no lattice, binomial table or recombination
+    _, _, _, coeffs_fn = _solver(variant)
+    data, params, _, _, xs = _case(variant, "mix")
+    root, n = VARIANTS[variant].moment_root(params), 12
+    for name in ("recombine", "_binomials", "_centres"):
+        monkeypatch.setattr(sc, name, lambda *a, _name=name, **k: pytest.fail(f"{_name} called"))
+    grid = coeffs_fn(variant, data, params, n, xs)
+    np.testing.assert_array_equal(grid, data.point_moments(root, 2 * n, xs)[:, ::2].T)
+    np.testing.assert_array_equal(coeffs_fn(variant, data, params, n, float(xs[1])), grid[:, 1])
 
 
 def test_line_centres_stay_within_the_measured_offset():

@@ -5,6 +5,7 @@ import math
 import sys
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -937,3 +938,25 @@ def test_sample_files_read_as_the_line_loop_reads_them(tmp_path, monkeypatch, ca
     assert "Traceback" not in err
     if isinstance(loop, str):
         assert err == f"heatseries inverse: {loop}\n"
+
+
+@pytest.mark.parametrize("command, geometry, variant, lo", [
+    ("forward", "polar", "PD-A", 0.0),
+    ("inverse", "polar", "PI-A", 0.0),
+    ("forward", "line", "CD-A", -1e300),
+    ("inverse", "line", "CI-A", -1e300),
+])
+def test_an_overflow_of_sampled_moments_names_the_commands_order(tmp_path, capsys, command, geometry, variant, lo):
+    # 401 nodes of e^{-x^2/5.2} up to 1e300: the moment rows overflow, and
+    # the message names order 40, not the order its rows run to (the plane's
+    # W rows to 41, the line's Hermite rows to 42)
+    path = tmp_path / "wide.csv"
+    nodes = np.linspace(lo, 1e300, 401)
+    with np.errstate(over="ignore"):
+        values = np.exp(-nodes ** 2 / 5.2)
+    path.write_text("".join(f"{x:.17g},{v:.17g}\n" for x, v in zip(nodes, values)))
+    code = run_cli(command, "--geometry", geometry, "--variant", variant, "--tau", "0.5", "--beta", "1",
+                   "--order", "40", "--input", str(path), "--eval-grid", "0:1:2")
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "not finite at order 40" in err and "order 41" not in err and "order 42" not in err

@@ -537,6 +537,50 @@ def test_mixture_moments_are_their_components_summed():
     assert np.all(exact_errors(got, ref) <= C_EXACT * EPS * l1)
 
 
+POINTS = np.array([0.0, 1.71, -2.91, 3.0, -3.5, 4.4, -6.0, 8.0])  # |x| >= 3R from -3.5 on
+
+
+@pytest.mark.parametrize("data", [GAUSS, LINE_MIX], ids=["gaussian", "mixture"])
+def test_point_moments_are_exact_up_to_rounding_far_from_the_data(data):
+    # the line C coefficients of analytic data: the moments about each point
+    # itself from one recurrence over all points (orders 2j = 20, 50, 80 and
+    # every other up to 80), against the 80-digit reference, and each
+    # point's row the bits of the call about it alone.  Within 3R of 0 they
+    # hold C_EXACT eps int|H_k f| (measured: at most 1.2).  Further out the
+    # recurrence's terms stop cancelling, M_k nears int|H_k f|, and each of
+    # its k float64 steps adds its rounding: the bound gains k eps int|H_k f|
+    # (measured: 8.5 at x = -6 = -5.5R, k = 20, on the Gaussian; the
+    # lattice recombination read 6.5 at x = -3.5 at k = 12)
+    root, n = ROOT_LINE, 80
+    k = np.arange(n + 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = data.point_moments(root, n, POINTS)
+    assert rows.shape == (POINTS.size, n + 1)
+    components = data.components if isinstance(data, Mixture) else (data,)
+    for x, row in zip(POINTS, rows):
+        np.testing.assert_array_equal(row, data.hermite_moments(root, n, float(x)))
+        ref = mp_sum(*(mp_gaussian_hermite_moments(g, root, x, n) for g in components))
+        l1 = l1_norms(hermite_moment_integrand(data, root, n, x), *WIDE)
+        bound = C_EXACT if abs(x) < 3.0 * root else C_EXACT + k
+        assert np.all(exact_errors(row, ref) <= bound * EPS * l1), x
+
+
+def test_a_point_whose_moments_overflow_has_a_nan_row_alone():
+    # about x = 1e5 the order-80 moments exceed float64; that point's row is
+    # NaN (its C series fails naming it), every other keeps its bits, and
+    # numpy warns about nothing
+    xs = np.array([-1.0, 1e5, 2.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = LINE_MIX.point_moments(ROOT_LINE, 80, xs)
+        with pytest.raises(OverflowError, match="not finite"):
+            LINE_MIX.hermite_moments(ROOT_LINE, 80, 1e5)
+    assert np.all(np.isnan(rows[1]))
+    for k in (0, 2):
+        np.testing.assert_array_equal(rows[k], LINE_MIX.hermite_moments(ROOT_LINE, 80, float(xs[k])))
+
+
 @pytest.mark.parametrize("dtype", [float, np.longdouble])
 def test_closed_forms_beyond_float64_raise_overflow_without_a_warning(dtype):
     # a = 1.5e306 at R = 1: the plane's ratio -2(2j + 1)(1 - a/R^2) itself

@@ -385,8 +385,8 @@ def test_sweep_equals_independent_solves_classical(data):
 # top ones past where the variant overflows: CD-B's H_j from 300; CD-C at
 # 400, whose exact moments about the centre -3 of the grid's end exceed
 # float64 (test_cd_c_overflows_where_its_exact_moments_do).  The pool skips
-# 300, where only the binomial-weighted moments of CD-C's recombination
-# overflow.
+# 300, where CD-C's coefficients, the moments about each point, still fit
+# (the binomial-weighted moments of a lattice recombination did not).
 OVERFLOW_POOLS = {"CD-B": (0, 3, 10, 40, 100, 200, 250, 300, 400), "CD-C": (0, 3, 10, 40, 100, 150, 200, 250, 400)}
 
 
@@ -560,3 +560,87 @@ def test_kept_coefficients_reweighted_under_each_mode_are_the_public_evaluation(
         public = eval_fn(variant, series.coeffs[:3], params, series.points, mode)
         np.testing.assert_array_equal(reweighted.terms, public.terms)
         np.testing.assert_array_equal(reweighted.values(2), public.values(2))
+
+
+# --- recombine: triangular Horner -------------------------------------------------
+
+def ascending_recombine(stack, u, which):
+    """sum_d table[:, d] u^d over every power, ascending from 0, each point
+    its table: the sum `recombine` ran before it turned to Horner's rule."""
+    powers = u[None, :] ** np.arange(stack.shape[-1])[:, None]
+    out = 0
+    for d in range(stack.shape[-1]):
+        out = out + stack[which, :, d].T * powers[d]
+    return out.astype(float)
+
+
+def exact(value) -> Fraction:
+    """A float64 or np.longdouble read exactly, as the sum of two doubles."""
+    head = float(value)
+    return Fraction(head) + Fraction(float(value - type(value)(head)))
+
+
+def triangular_stack(rng, dtype, tables, n, degree, zeros=0.0):
+    """tables x (n+1) x (degree n + 1): row j of degree `degree` j, NaN past it
+    (never read), a share `zeros` of the rest exact zeros of either sign."""
+    stack = rng.standard_normal((tables, n + 1, degree * n + 1)).astype(dtype)
+    stack[rng.random(stack.shape) < zeros] = 0.0
+    stack[rng.random(stack.shape) < zeros / 2] = -0.0
+    for j in range(n + 1):
+        stack[:, j, degree * j + 1:] = np.nan
+    return stack
+
+
+SHAPES = {"line": (float, 3, 2), "plane": (np.longdouble, 1, 1)}  # dtype, tables, degree step
+
+
+@pytest.mark.parametrize("geometry", SHAPES)
+def test_horner_recombination_is_the_exact_sum_up_to_its_rounding(geometry):
+    # random triangular tables of the line's shape (a float64 stack, each
+    # point its table) and the plane's (one np.longdouble table), at points
+    # of either sign and both zeros: each coefficient within Higham's bound
+    # for Horner's rule, gamma_{2g} sum_d |t_d| |u|^d with g the row's degree
+    # and gamma_m = m r/(1 - m r), r the unit roundoff of the tables, plus
+    # the rounding to float64, of the exact rational sum; and the entries
+    # past a row's degree (NaN here) are never read
+    dtype, tables, degree = SHAPES[geometry]
+    rng = np.random.default_rng(11)
+    n = 12
+    stack = triangular_stack(rng, dtype, tables, n, degree)
+    u = np.concatenate([rng.uniform(-3.0, 3.0, 7), [0.0, -0.0, 2.5]]).astype(dtype)
+    which = rng.integers(0, tables, u.size)
+    got = variants.recombine(stack if tables > 1 else stack[0], u, lambda v: v, which)
+    assert got.dtype == np.float64 and got.shape == (n + 1, u.size)
+    r = np.finfo(dtype).eps / 2
+    for k in range(u.size):
+        for j in range(n + 1):
+            terms = [exact(t) * exact(u[k]) ** d for d, t in enumerate(stack[which[k], j, : degree * j + 1])]
+            m = 2 * degree * j
+            bound = float(m * r / (1 - m * r)) * float(sum(abs(t) for t in terms))
+            assert abs(Fraction(got[j, k]) - sum(terms)) <= bound + float(abs(sum(terms))) * np.finfo(float).eps / 2
+
+
+@pytest.mark.parametrize("geometry", SHAPES)
+def test_horner_recombination_keeps_the_ascending_sums_zeros_and_non_finite_columns(geometry):
+    # tables where half the entries are exact zeros of either sign, at u =
+    # +-0 among others: every exact-zero coefficient is +0, as the ascending
+    # sum from 0 gave (no flip of 0/-0); and an infinite or NaN u gives an
+    # all-NaN column, as 0 u^d did there
+    dtype, tables, degree = SHAPES[geometry]
+    rng = np.random.default_rng(5)
+    n = 8
+    stack = triangular_stack(rng, dtype, tables, n, degree, zeros=0.5)
+    stack[:, 1] = 0.0  # a row of zeros alone
+    stack[:, 2, : 2 * degree + 1] = -0.0
+    u = np.array([0.0, -0.0, 1.5, -1.5, 0.0, -0.0], dtype=dtype)
+    which = np.arange(u.size) % tables
+    got = variants.recombine(stack if tables > 1 else stack[0], u, lambda v: v, which)
+    before = ascending_recombine(np.nan_to_num(stack, nan=0.0), u, which)
+    zero = got == 0.0
+    assert zero.sum() >= 2 * u.size
+    np.testing.assert_array_equal(zero, before == 0.0)
+    assert not np.any(np.signbit(got[zero])) and not np.any(np.signbit(before[zero]))
+    with np.errstate(invalid="ignore"):
+        bad = variants.recombine(stack if tables > 1 else stack[0], np.array([np.inf, -np.inf, np.nan, 1.0]),
+                                 lambda v: v, which[:4])
+    assert np.all(np.isnan(bad[:, :3])) and np.all(np.isfinite(bad[:, 3]))
