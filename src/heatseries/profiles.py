@@ -91,19 +91,21 @@ class Gaussian:
         mu R^2/(a + R^2) and amplitude A e^{-mu^2/(4(a + R^2))}/(2R sqrt(pi)).
         OverflowError where a moment is not finite.
 
-        center may also be an array of any centres (`point_moments`): the
-        same recurrence runs once over all their y0 (`_generating_rows`),
-        one row per centre, the same bits as the call about that centre
-        alone, and NaN where it is not finite."""
-        return _finite(_generating_rows(n, *self._generating(root, center, weighted)).T, center)
+        center may also be an array of any centres (`point_moments`): one
+        recurrence runs over all of them (`_closed_moments`), one row per
+        centre, the same bits as the call about that centre alone, and NaN
+        where it is not finite."""
+        return _closed_moments((self,), root, n, center, weighted)
 
-    def _generating(self, root: float, center, weighted: bool) -> tuple:
-        """(2A sqrt(pi a), 2 y0, 2 gamma^2) of `hermite_moments`."""
-        a, mu, amp, r2 = self.width_a, self.center, self.amplitude, root * root
+    def _generating(self, root: float, center, weighted: bool, dtype=float) -> tuple:
+        """(2A sqrt(pi a), 2 y0, 2 gamma^2) of `hermite_moments`, 2 y0 and
+        2 gamma^2 in dtype."""
+        a, mu, r = dtype(self.width_a), dtype(self.center), dtype(root)
+        r2, amp = r * r, self.amplitude
         if weighted:
             amp *= math.exp(-mu * mu / (4.0 * (a + r2))) / (2.0 * root * math.sqrt(math.pi))
             a, mu = a * (r2 / (a + r2)), mu * (r2 / (a + r2))
-        return 2.0 * amp * math.sqrt(math.pi * a), (mu - center) / root, 2.0 * (1.0 - a / r2)
+        return 2.0 * amp * math.sqrt(math.pi * a), (mu - center) / r, 2.0 * (1.0 - a / r2)
 
     def point_moments(self, root: float, n: int, x: np.ndarray) -> np.ndarray:
         """The moments about each point of x itself, one row per point, NaN
@@ -175,16 +177,11 @@ class Mixture:
         return total
 
     def hermite_moments(self, root: float, n: int, center=0.0, weighted: bool = False) -> np.ndarray:
-        """The components' `Gaussian.hermite_moments`, summed in order.  About
-        an array of centres one recurrence runs over every component and
-        centre at once, each entry the bits of its component's own run."""
-        if not np.ndim(center):
-            return _finite(self._sum(g.hermite_moments(root, n, center, weighted) for g in self.components))
-        scale, two_y0, two_g2 = map(np.array, zip(*(g._generating(root, center, weighted) for g in self.components)))
-        rows = _generating_rows(n, scale[:, None], two_y0, two_g2[:, None])
-        return _finite(self._sum(rows[:, c] for c in range(len(self.components))).T, center)
+        """The components' `Gaussian.hermite_moments`, summed in order: each
+        component's recurrence adds into one table in turn (`_closed_moments`)."""
+        return _closed_moments(self.components, root, n, center, weighted)
 
-    point_moments = Gaussian.point_moments  # through the components' sum above
+    point_moments = Gaussian.point_moments
 
     def radial_moments(self, root: float, n: int, dtype=float) -> np.ndarray | None:
         """The components' `Gaussian.radial_moments`, summed in order; None
@@ -561,22 +558,59 @@ class Sampled1D:
         return Sampled1D(self.lo, self.hi, noisy)
 
 
-def _generating_rows(n: int, scale, two_y0, two_g2) -> np.ndarray:
-    """P_0 .. P_n of `Gaussian.hermite_moments`, one row per order: P_0 =
-    scale, P_1 = 2 y0 P_0 and P_{k+1} = 2 y0 P_k - 2k gamma^2 P_{k-1}, the
-    last two rows carried as Python floats for one centre, or as arrays
-    (scale and two_g2 broadcast against two_y0: a mixture's components by
-    its centres), each entry the bits of its own scalar run.  Not-finite
-    entries are left to the caller."""
-    p = np.empty((n + 1,) + np.shape(two_y0))
-    p[0] = scale  # first: 0 stays 0 however far the centre
-    steps = np.multiply.outer(np.arange(1, n + 1), two_g2)  # 2k gamma^2, k = 1..n
+# |2 y0| = |mu - centre|/R past which a component's moments take
+# np.longdouble.  Far out the recurrence's terms stop cancelling, M_k nears
+# int|H_k f|, and the float64 roundings of y0 and gamma^2 (each amplified
+# about k-fold in P_k) and of the k steps reach 21 eps int|H_k f| by k = 80
+# (measured about 12 R and 16 R from the data); up to 4 they stayed within
+# 3.6 for k <= 80 on data of widths a from 0.4 R^2 to 2 R^2
+FAR_Y0 = 4.0
+
+
+def _closed_moments(components, root: float, n: int, center, weighted: bool) -> np.ndarray:
+    """The Gaussian components' `hermite_moments` summed, about the centre or
+    each of an array of centres (one row each): a centre beyond FAR_Y0 of
+    any component runs the recurrence (`_generating_rows`) in np.longdouble,
+    from 2 y0 and 2 gamma^2 in np.longdouble, the others in float64.  Both
+    kinds add into one float64 table, so the state beyond it is the last
+    two rows of one component.  A centre's row is the bits of the call
+    about it alone."""
+    terms = [g._generating(root, center, weighted) for g in components]
+    far = abs(terms[0][1]) > FAR_Y0
+    for _, two_y0, _ in terms[1:]:
+        far = far | (abs(two_y0) > FAR_Y0)
+    rows = np.empty((n + 1,) + np.shape(center))
+    n_far = np.count_nonzero(far)
+    if 0 < n_far < rows.size // (n + 1):  # centres of both kinds: each kind writes its columns
+        for part, dtype in ((~far, float), (far, np.longdouble)):
+            terms = [g._generating(root, center[part], weighted, dtype) for g in components]
+            _generating_rows(n, terms, rows, np.flatnonzero(part))
+    else:
+        if n_far:
+            terms = [g._generating(root, center, weighted, np.longdouble) for g in components]
+        _generating_rows(n, terms, rows)
+    return _finite(rows.T, center)
+
+
+def _generating_rows(n: int, terms, out: np.ndarray, columns=None) -> np.ndarray:
+    """out[k] (or out[k, columns]) = the sum in order over terms (scale,
+    2 y0, 2 gamma^2) of P_k, k = 0..n, of `Gaussian.hermite_moments`: P_0 =
+    scale, P_1 = 2 y0 P_0 and P_{k+1} = 2 y0 P_k - 2k gamma^2 P_{k-1}, one
+    term after another, each carrying its last two rows in its own
+    precision (Python floats for one float64 centre, arrays for many) and
+    writing (the first) or adding P_k into row k.  Not-finite entries are
+    left to the caller."""
+    rows = range(n + 1) if columns is None else [(k, columns) for k in range(n + 1)]
     with np.errstate(over="ignore", invalid="ignore"):
-        prev, cur = scale, two_y0 * scale
-        for k, step in enumerate(steps.tolist() if np.ndim(two_g2) == 0 else steps, 1):
-            p[k] = cur
-            prev, cur = cur, two_y0 * cur - step * prev
-    return p
+        for first, (scale, two_y0, two_g2) in zip([True] + [False] * (len(terms) - 1), terms):
+            prev, cur = scale, two_y0 * scale  # P_0 first: 0 stays 0 however far the centre
+            for k, row in enumerate(rows, 1):
+                if first:
+                    out[row] = prev
+                else:
+                    out[row] += prev
+                prev, cur = cur, two_y0 * cur - (k * two_g2) * prev
+    return out
 
 
 def _weighted_rows(n: int, y: np.ndarray) -> np.ndarray:

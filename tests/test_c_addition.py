@@ -17,6 +17,7 @@ noise to read as growth: the order-40 C inverses of analytic data flag
 nothing, as their exact terms do not.
 """
 
+import functools
 import math
 import time
 import tracemalloc
@@ -29,8 +30,9 @@ import heatseries.series_cartesian as sc
 import heatseries.series_polar as sp
 from heatseries import profiles, quad
 from heatseries.cli import main
-from heatseries.kernels import evolve_line, evolve_polar
+from heatseries.kernels import evolve_line, evolve_polar, forward_line
 from heatseries.profiles import (
+    Bump,
     Gaussian,
     Mixture,
     Sampled1D,
@@ -165,6 +167,9 @@ def _case(variant: str, kind: str):
     if not isinstance(data, Mixture):
         data = Mixture((data,))
     truth = evolve(f, tau) if row.direct else f
+    if kind == "bump":  # direct only: no closed form to evolve, the truth by quadrature
+        data = Bump(0.3, 2.0)
+        truth = functools.partial(forward_line, data, tau)
     if kind == "sampled":
         data = Sampled1D.from_function(data, 0.0, 12.0, 49) if polar else Sampled1D.from_function(data, -12.0, 12.0, 481)
     scale = (estimate_scale_polar if polar else estimate_scale_line)(data)
@@ -176,8 +181,11 @@ def _case(variant: str, kind: str):
     return data, params, truth, t, t * (2.0 * root if polar else root)
 
 
-@pytest.mark.parametrize("kind", ["gauss", "mix", "sampled"])
-@pytest.mark.parametrize("variant", C_VARIANTS)
+@pytest.mark.parametrize(
+    "variant, kind",
+    [(v, k) for v in C_VARIANTS for k in ("gauss", "mix", "sampled")] + [("CD-C", "bump")],
+    ids=lambda value: value,
+)
 def test_one_pass_matches_the_quadrature_route(variant, kind):
     # At every order and every point up to 6 moment scales out (|x|/R, r/(2R);
     # 4 for sampled data): |new - ref| <= 1e-12 max|truth| + 1e-2 |ref - truth|,
@@ -186,7 +194,9 @@ def test_one_pass_matches_the_quadrature_route(variant, kind):
     # order-N sum by more than that (the angular rule stops at rel_tol 1e-10;
     # rounding noise, which two summations cannot share), the one-pass value
     # must be at most twice as far from the exact sum, and a flag that
-    # differs must be the flag of the exact terms.
+    # differs must be the flag of the exact terms.  On the line, Gaussians
+    # and mixtures take their moments about each point; a Bump (its truth by
+    # quadrature) and sampled data check the lattice's recombination.
     pytest.importorskip("mpmath")
     row = VARIANTS[variant]
     polar = row.geometry == "polar"
@@ -198,7 +208,7 @@ def test_one_pass_matches_the_quadrature_route(variant, kind):
     top = 40
     ref = [(ref_polar_coeffs if polar else ref_line_coeffs)(data, root, top, float(x)) for x in xs]
     exact = None
-    if kind != "sampled":
+    if kind in ("gauss", "mix"):
         exact_fn = exact_polar_coeffs if polar else exact_line_coeffs
         exact = [exact_fn(data, root, top, float(x)) for x in xs]
         kappa = [mp.mpf(k) for k in row.kappa(params, "oracle_validated", top)]

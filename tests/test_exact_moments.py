@@ -30,6 +30,7 @@ take the adaptive engine.
 
 import functools
 import math
+import tracemalloc
 import warnings
 
 import mpmath
@@ -537,7 +538,7 @@ def test_mixture_moments_are_their_components_summed():
     assert np.all(exact_errors(got, ref) <= C_EXACT * EPS * l1)
 
 
-POINTS = np.array([0.0, 1.71, -2.91, 3.0, -3.5, 4.4, -6.0, 8.0])  # |x| >= 3R from -3.5 on
+POINTS = np.array([0.0, 1.71, -2.91, 3.0, -3.5, 4.4, -6.0, 8.0, -10.0, 12.0, -16.0])  # |x| >= 3R from -3.5 on
 
 
 @pytest.mark.parametrize("data", [GAUSS, LINE_MIX], ids=["gaussian", "mixture"])
@@ -545,14 +546,11 @@ def test_point_moments_are_exact_up_to_rounding_far_from_the_data(data):
     # the line C coefficients of analytic data: the moments about each point
     # itself from one recurrence over all points (orders 2j = 20, 50, 80 and
     # every other up to 80), against the 80-digit reference, and each
-    # point's row the bits of the call about it alone.  Within 3R of 0 they
-    # hold C_EXACT eps int|H_k f| (measured: at most 1.2).  Further out the
-    # recurrence's terms stop cancelling, M_k nears int|H_k f|, and each of
-    # its k float64 steps adds its rounding: the bound gains k eps int|H_k f|
-    # (measured: 8.5 at x = -6 = -5.5R, k = 20, on the Gaussian; the
-    # lattice recombination read 6.5 at x = -3.5 at k = 12)
+    # point's row the bits of the call about it alone.  Points within
+    # FAR_Y0 R of every component take float64 (measured: at most 1.2 eps
+    # int|H_k f|), the others np.longdouble (at most 0.9); in float64 alone
+    # those reached 8.8 at x = -6 (k = 21) and 21 at x = 12 (k = 62)
     root, n = ROOT_LINE, 80
-    k = np.arange(n + 1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rows = data.point_moments(root, n, POINTS)
@@ -562,8 +560,25 @@ def test_point_moments_are_exact_up_to_rounding_far_from_the_data(data):
         np.testing.assert_array_equal(row, data.hermite_moments(root, n, float(x)))
         ref = mp_sum(*(mp_gaussian_hermite_moments(g, root, x, n) for g in components))
         l1 = l1_norms(hermite_moment_integrand(data, root, n, x), *WIDE)
-        bound = C_EXACT if abs(x) < 3.0 * root else C_EXACT + k
-        assert np.all(exact_errors(row, ref) <= bound * EPS * l1), x
+        assert np.all(exact_errors(row, ref) <= C_EXACT * EPS * l1), x
+
+
+def test_point_moments_hold_one_table_whatever_the_number_of_components():
+    # each component's recurrence adds its P_k into one float64 table in
+    # turn: the peak is that table and a few rows of one component, however
+    # many components there are (an 8-component mixture over 20 000 points
+    # on [-20, 20], in both precisions; measured 1.3 tables, where keeping
+    # every component's rows took 10)
+    mix = Mixture(tuple(Gaussian(0.9 + 0.1 * c, -0.5 + 0.2 * c) for c in range(8)))
+    x, n = np.linspace(-20.0, 20.0, 20_000), 80
+    tracemalloc.start()
+    try:
+        rows = mix.point_moments(ROOT_LINE, n, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows.shape == (x.size, n + 1) and np.all(np.isfinite(rows))
+    assert peak < 2 * rows.nbytes
 
 
 def test_a_point_whose_moments_overflow_has_a_nan_row_alone():
