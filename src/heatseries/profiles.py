@@ -177,8 +177,8 @@ class Mixture:
         return total
 
     def hermite_moments(self, root: float, n: int, center=0.0, weighted: bool = False) -> np.ndarray:
-        """The components' `Gaussian.hermite_moments`, summed in order: each
-        component's recurrence adds into one table in turn (`_closed_moments`)."""
+        """The components' `Gaussian.hermite_moments`, summed in order
+        (`_closed_moments`)."""
         return _closed_moments(self.components, root, n, center, weighted)
 
     point_moments = Gaussian.point_moments
@@ -565,46 +565,63 @@ class Sampled1D:
 # (measured about 12 R and 16 R from the data); up to 4 they stayed within
 # 3.6 for k <= 80 on data of widths a from 0.4 R^2 to 2 R^2
 FAR_Y0 = 4.0
+GENERATING_BLOCK = 1 << 18  # values of the per-term rows a mixture keeps for one block of centres
 
 
 def _closed_moments(components, root: float, n: int, center, weighted: bool) -> np.ndarray:
-    """The Gaussian components' `hermite_moments` summed, about the centre or
-    each of an array of centres (one row each): a centre beyond FAR_Y0 of
-    any component runs the recurrence (`_generating_rows`) in np.longdouble,
-    from 2 y0 and 2 gamma^2 in np.longdouble, the others in float64.  Both
-    kinds add into one float64 table, so the state beyond it is the last
-    two rows of one component.  A centre's row is the bits of the call
-    about it alone."""
+    """The Gaussian components' `hermite_moments` summed in order, about the
+    centre or each of an array of centres (one row each), into one float64
+    table (`_generating_rows`).  A centre beyond FAR_Y0 of any component
+    runs the recurrence in np.longdouble, from 2 y0 and 2 gamma^2 in
+    np.longdouble, as a row of an array call; every row is the bits of the
+    call about its centre alone."""
     terms = [g._generating(root, center, weighted) for g in components]
-    far = abs(terms[0][1]) > FAR_Y0
+    if not np.ndim(center):
+        if all(abs(two_y0) <= FAR_Y0 for _, two_y0, _ in terms):
+            return _finite(_generating_rows(n, terms, np.empty(n + 1)))
+        return _finite(_closed_moments(components, root, n, np.array([center]), weighted)[0])
+    far = np.abs(terms[0][1]) > FAR_Y0
     for _, two_y0, _ in terms[1:]:
-        far = far | (abs(two_y0) > FAR_Y0)
-    rows = np.empty((n + 1,) + np.shape(center))
-    n_far = np.count_nonzero(far)
-    if 0 < n_far < rows.size // (n + 1):  # centres of both kinds: each kind writes its columns
-        for part, dtype in ((~far, float), (far, np.longdouble)):
-            terms = [g._generating(root, center[part], weighted, dtype) for g in components]
-            _generating_rows(n, terms, rows, np.flatnonzero(part))
-    else:
-        if n_far:
-            terms = [g._generating(root, center, weighted, np.longdouble) for g in components]
+        far |= np.abs(two_y0) > FAR_Y0
+    rows = np.empty((n + 1, center.size))
+    if not far.all():  # every centre in float64: the far ones are overwritten below
         _generating_rows(n, terms, rows)
+    if far.any():
+        terms = [g._generating(root, center[far], weighted, np.longdouble) for g in components]
+        _generating_rows(n, terms, rows, None if far.all() else np.flatnonzero(far))
     return _finite(rows.T, center)
 
 
 def _generating_rows(n: int, terms, out: np.ndarray, columns=None) -> np.ndarray:
-    """out[k] (or out[k, columns]) = the sum in order over terms (scale,
-    2 y0, 2 gamma^2) of P_k, k = 0..n, of `Gaussian.hermite_moments`: P_0 =
-    scale, P_1 = 2 y0 P_0 and P_{k+1} = 2 y0 P_k - 2k gamma^2 P_{k-1}, one
-    term after another, each carrying its last two rows in its own
-    precision (Python floats for one float64 centre, arrays for many) and
-    writing (the first) or adding P_k into row k.  Not-finite entries are
-    left to the caller."""
-    rows = range(n + 1) if columns is None else [(k, columns) for k in range(n + 1)]
+    """out[:, columns] (all of out by default) = the sum in order over terms
+    (scale, 2 y0, 2 gamma^2) of P_k, k = 0..n, of `Gaussian.hermite_moments`:
+    P_0 = scale, P_1 = 2 y0 P_0 and P_{k+1} = 2 y0 P_k - 2k gamma^2 P_{k-1},
+    in the precision of 2 y0.  Several terms over an array of centres run
+    at once, the terms by a block of centres, into a table of every term's
+    rows (at most GENERATING_BLOCK values) that is summed once per block;
+    otherwise each term runs in turn on its last two rows (Python floats
+    for one centre), its P_k written (the first) or added into row k.
+    Not-finite entries are left to the caller."""
     with np.errstate(over="ignore", invalid="ignore"):
+        if len(terms) > 1 and np.ndim(terms[0][1]):
+            scale, two_y0, two_g2 = (np.array(part) for part in zip(*terms))
+            steps = np.multiply.outer(np.arange(1, n + 1), two_g2)[:, :, None]  # 2k gamma^2 by term
+            width = max(GENERATING_BLOCK // ((n + 1) * len(terms)), 1)
+            for lo in range(0, two_y0.shape[1], width):
+                y = two_y0[:, lo:lo + width]
+                p = np.empty((n + 1,) + y.shape, dtype=y.dtype)
+                p[0] = scale[:, None]
+                prev, cur = scale[:, None], y * scale[:, None]
+                for k, step in enumerate(steps, 1):
+                    p[k] = cur
+                    prev, cur = cur, y * cur - step * prev
+                block = slice(lo, lo + width) if columns is None else columns[lo:lo + width]
+                out[:, block] = np.add.reduce(p, axis=1)  # the terms in order
+            return out
+        index = range(n + 1) if columns is None else [(k, columns) for k in range(n + 1)]
         for first, (scale, two_y0, two_g2) in zip([True] + [False] * (len(terms) - 1), terms):
             prev, cur = scale, two_y0 * scale  # P_0 first: 0 stays 0 however far the centre
-            for k, row in enumerate(rows, 1):
+            for k, row in enumerate(index, 1):
                 if first:
                     out[row] = prev
                 else:

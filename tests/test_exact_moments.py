@@ -563,12 +563,13 @@ def test_point_moments_are_exact_up_to_rounding_far_from_the_data(data):
         assert np.all(exact_errors(row, ref) <= C_EXACT * EPS * l1), x
 
 
-def test_point_moments_hold_one_table_whatever_the_number_of_components():
-    # each component's recurrence adds its P_k into one float64 table in
-    # turn: the peak is that table and a few rows of one component, however
-    # many components there are (an 8-component mixture over 20 000 points
-    # on [-20, 20], in both precisions; measured 1.3 tables, where keeping
-    # every component's rows took 10)
+def test_point_moments_hold_one_table_and_a_few_values_per_component_and_point():
+    # the components' rows are kept for one block of points at a time and
+    # summed into one float64 table: the peak is that table, a block and a
+    # few arrays of components by points (in np.longdouble far out), not a
+    # table per component (an 8-component mixture over 20 000 points on
+    # [-20, 20], in both precisions; measured 2.0 tables, where keeping
+    # every component's rows for every point took 10.1)
     mix = Mixture(tuple(Gaussian(0.9 + 0.1 * c, -0.5 + 0.2 * c) for c in range(8)))
     x, n = np.linspace(-20.0, 20.0, 20_000), 80
     tracemalloc.start()
@@ -578,7 +579,10 @@ def test_point_moments_hold_one_table_whatever_the_number_of_components():
     finally:
         tracemalloc.stop()
     assert rows.shape == (x.size, n + 1) and np.all(np.isfinite(rows))
-    assert peak < 2 * rows.nbytes
+    state = 6 * len(mix.components) * x.size * np.dtype(np.longdouble).itemsize
+    assert peak < 1.2 * rows.nbytes + state
+    for k in (0, 10_000, 19_999):  # far, near and far: eight terms summed in order, as one centre sums them
+        np.testing.assert_array_equal(rows[k], mix.hermite_moments(ROOT_LINE, n, float(x[k])))
 
 
 def test_a_point_whose_moments_overflow_has_a_nan_row_alone():
