@@ -11,8 +11,8 @@ double precision (relative error):
 * Hermite values: 1e-12 for order <= 60, |z| <= 10
 * erfc: 4 eps absolute on the whole line, and 1e-13 relative wherever
   erfc >= 1e-300
-* I0, J0: 1e-12 on |x| <= 700 (I0, before the overflow guard) and
-  x <= 1e4 (J0)
+* I0: 1e-15 for e^{-|x|} I0(x) on |x| <= 1e4 (I0 itself up to its
+  overflow guard at 709); J0: 1e-12 on x <= 1e4
 * the scaled radial kernel never overflows for r, xi <= 100*sqrt(t)
 
 All factorial-bearing quantities are produced by multiplicative ratio
@@ -274,10 +274,15 @@ def ierfc(x):
 # ---------------------------------------------------------------------------
 # Bessel I0 / J0
 #
-# I0: defining power series up to x = 30 (all terms positive, no
-# cancellation), then the large-argument expansion
-#   I0(x) ~ e^x / sqrt(2 pi x) * sum_k prod_i (2i-1)^2 / (k! (8x)^k),
-# truncated at its smallest term (< 1e-15 relative for x >= 30).
+# I0: e^{-x} I0(x) is one Chebyshev series in t = x/4 - 1 on [0, 8] (30
+# terms), and sqrt(x) e^{-x} I0(x) a second one in t = 16/x - 1 for x > 8
+# (27 terms, tending to 1/sqrt(2 pi) as x -> inf), both summed by
+# Clenshaw's recurrence; the split and the variables are those of Cephes'
+# i0e (Moshier, Methods and Programs for Mathematical Functions, 1989).
+# The coefficients are printed by scripts/i0e_chebyshev.py (an mpmath
+# interpolation at 40 digits on 64 Chebyshev nodes, cut below 1e-18), and
+# test_specfun reruns it and checks them digit for digit.  Against 30-digit
+# mpmath on [0, 1e4] the result is within 5.6e-16 relative (5 ulp).
 #
 # J0: alternating power series up to x = 8 (max term ~ 1e2, so ~1e-13
 # relative), the averaged-cosine integral representation on (8, 18]
@@ -288,36 +293,50 @@ def ierfc(x):
 # 1e-12 in double precision, hence the integral branch.
 # ---------------------------------------------------------------------------
 
-_I0_SERIES_CUT = 30.0
+_I0E_LOW = (
+    0.33839763720473803, -0.3046826723431984, 0.17162090152220877,
+    -0.09490109704804764, 0.04930528423967071, -0.02373741480589947,
+    0.010546460394594998, -0.004324309995050576, 0.0016394756169413357,
+    -0.0005763755745385824, 0.00018850288509584165, -5.754195010082104e-05,
+    1.6448448070728896e-05, -4.4167383584587505e-06, 1.1173875391201037e-06,
+    -2.670793853940612e-07, 6.046995022541919e-08, -1.300025009986248e-08,
+    2.6598237246823866e-09, -5.189795601635263e-10, 9.675809035373237e-11,
+    -1.726826291441556e-11, 2.95505266312964e-12, -4.856446783111929e-13,
+    7.676185498604936e-14, -1.1685332877993451e-14, 1.715391285555133e-15,
+    -2.431279846547955e-16, 3.3307945188222384e-17, -4.4153416464793395e-18,
+)  # c_0 .. c_29 of e^{-x} I0(x) in t = x/4 - 1, 0 <= x <= 8
+_I0E_HIGH = (
+    0.4022452055070544, 0.0033691164782556943, 6.889758346916825e-05,
+    2.8913705208347567e-06, 2.0489185894690638e-07, 2.266668990498178e-08,
+    3.3962320257083865e-09, 4.94060238822497e-10, 1.1889147107846439e-11,
+    -3.1499165279632416e-11, -1.3215811840447713e-11, -1.7941785315068062e-12,
+    7.180124451383666e-13, 3.8527783827421426e-13, 1.54008621752141e-14,
+    -4.150569347287222e-14, -9.554846698828307e-15, 3.8116806693526224e-15,
+    1.7725601330565263e-15, -3.425485619677219e-16, -2.8276239805165836e-16,
+    3.461222867697461e-17, 4.46562142029676e-17, -4.830504485944182e-18,
+    -7.233180487874754e-18, 9.921475412173699e-19, 1.193650890845982e-18,
+)  # c_0 .. c_26 of sqrt(x) e^{-x} I0(x) in t = 16/x - 1, x > 8
+_I0E_SEAM = 8.0
 _J0_SERIES_CUT = 8.0
 _J0_ASYMPTOTIC_CUT = 18.0
 
 
-def _i0_series(x: np.ndarray) -> np.ndarray:
-    q = 0.25 * x * x
-    term = np.ones_like(x)
-    acc = np.ones_like(x)
-    for k in range(1, 120):
-        term = term * q / (k * k)
-        acc += term
-        if np.all(term <= 1e-17 * acc):
-            break
-    return acc
-
-
-def _i0_scaled_asymptotic(x: np.ndarray) -> np.ndarray:
-    # e^{-x} I0(x); terms t_k = t_{k-1} (2k-1)^2/(8 k x), stop at smallest
-    acc = np.ones_like(x)
-    term = np.ones_like(x)
-    active = np.ones_like(x, dtype=bool)
-    for k in range(1, 40):
-        nxt = term * (2 * k - 1) ** 2 / (8.0 * k * x)
-        active &= np.abs(nxt) < np.abs(term)
-        term = np.where(active, nxt, 0.0)
-        acc += term
-        if not np.any(np.abs(term) > 1e-17 * np.abs(acc)):
-            break
-    return acc / np.sqrt(2.0 * math.pi * x)
+def _clenshaw(coeffs: tuple, t: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[k] T_k(t) by Clenshaw's recurrence
+    b_k = 2t b_{k+1} - b_{k+2} + c_k, the sum being c_0 + t b_1 - b_2; the
+    three rows are rotated in place, with no temporary per term."""
+    t2 = t + t
+    b1, b2 = np.full_like(t, coeffs[-1]), np.zeros_like(t)
+    work = np.empty_like(t)
+    for c in coeffs[-2:0:-1]:
+        np.multiply(t2, b1, out=work)
+        work -= b2
+        work += c
+        b1, b2, work = work, b1, b2
+    np.multiply(t, b1, out=work)
+    work -= b2
+    work += coeffs[0]
+    return work
 
 
 def bessel_i0_scaled(x):
@@ -326,11 +345,13 @@ def bessel_i0_scaled(x):
     scalar = x.shape == ()
     x = np.atleast_1d(x)
     out = np.empty_like(x)
-    small = x <= _I0_SERIES_CUT
-    if np.any(small):
-        out[small] = np.exp(-x[small]) * _i0_series(x[small])
-    if np.any(~small):
-        out[~small] = _i0_scaled_asymptotic(x[~small])
+    low = x <= _I0E_SEAM
+    if np.any(low):
+        out[low] = _clenshaw(_I0E_LOW, x[low] / 4.0 - 1.0)
+    high = ~low  # nan included: it stays nan
+    if np.any(high):
+        xh = x[high]
+        out[high] = _clenshaw(_I0E_HIGH, 16.0 / xh - 1.0) / np.sqrt(xh)  # inf: t = -1, a finite sum over inf
     return float(out[0]) if scalar else out
 
 

@@ -1,4 +1,6 @@
+import importlib.util
 import math
+import os
 import warnings
 
 import numpy as np
@@ -207,10 +209,45 @@ def test_i0_scaled_against_series_oracle(x):
 
 
 def test_i0_internal_branch_consistency():
-    # series and asymptotic branches agree across the seam
-    for x in (28.0, 29.5, 30.0, 30.5, 32.0):
+    # the two Chebyshev ranges agree across their seam at 8, and the upper
+    # one across 30, where the power series used to hand over to the
+    # asymptotic expansion
+    for x in (7.5, 7.99, 8.0, 8.01, 8.5, 28.0, 29.5, 30.0, 30.5, 32.0):
         series = math.exp(-x) * _i0_series_oracle(x, terms=200)
         assert bessel_i0_scaled(x) == pytest.approx(series, rel=5e-14)
+
+
+def _load_script(name: str):
+    path = os.path.join(os.path.dirname(__file__), "..", "scripts", f"{name}.py")
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_i0_chebyshev_coefficients_are_the_generated_ones():
+    low, high = _load_script("i0e_chebyshev").coefficients()
+    assert (len(low), len(high)) == (30, 27)
+    assert specfun._I0E_LOW == low
+    assert specfun._I0E_HIGH == high
+
+
+def test_i0_scaled_meets_its_bar_against_mpmath():
+    # 1e-15 relative on both ranges, at the seam and its neighbours, past
+    # I0's overflow and out to 1e4 (measured: 5.6e-16)
+    rng = np.random.default_rng(5)
+    seam = [np.nextafter(8.0, 0.0), 8.0, np.nextafter(8.0, 9.0)]
+    x = np.concatenate([
+        rng.uniform(0.0, 8.0, 1500), rng.uniform(8.0, 60.0, 1500), np.geomspace(60.0, 1e4, 400),
+        np.geomspace(1e-12, 1.0, 60), [0.0, 7.0, 9.0, 30.0, 709.0, 800.0, 1e4], seam,
+    ])
+    with mpmath.workdps(30):
+        ref = np.array([float(mpmath.exp(-mpmath.mpf(v)) * mpmath.besseli(0, mpmath.mpf(v))) for v in x])
+    ours = bessel_i0_scaled(x)
+    assert np.all(np.abs(ours - ref) <= 1e-15 * ref)
+    assert np.array_equal(bessel_i0_scaled(-x), ours)  # even
+    assert bessel_i0_scaled(0.0) == 1.0
+    assert bessel_i0_scaled(math.inf) == 0.0 and bessel_i0_scaled(-math.inf) == 0.0
 
 
 def test_i0_overflow_guard():

@@ -41,9 +41,11 @@ def test_w_poly_batch_matches_eval_laguerre(dtype):
 
 def test_bessel_i0_scaled_matches_i0e():
     x = np.concatenate([np.linspace(-40.0, 50.0, 1801), np.geomspace(1e-8, 1e5, 500)])
-    # relative error 1e-13 over both branches (series below 30, asymptotic
-    # above) and far past I0's overflow; measured at most 1.7e-15
-    assert np.all(np.abs(specfun.bessel_i0_scaled(x) - special.i0e(x)) <= 1e-13 * special.i0e(x))
+    # relative error 2e-15 over both Chebyshev ranges (seam at 8) and far
+    # past I0's overflow: Cephes sums the same two expansions with its own
+    # coefficients, each within about 6e-16 of the truth; measured at most
+    # 2.8e-16
+    assert np.all(np.abs(specfun.bessel_i0_scaled(x) - special.i0e(x)) <= 2e-15 * special.i0e(x))
 
 
 def test_erfc_matches_scipy_erfc():
