@@ -36,6 +36,7 @@ from .experiments import (
     STUDY_DROPS,
     StudyConfig,
     _errors,
+    _norms,
     expected_audit_statuses,
     run_audit,
     run_study,
@@ -370,7 +371,8 @@ def cmd_inverse(args) -> int:
             truth_profile = parse_profile(args.truth)
         except ValueError as exc:
             raise CliError(f"bad --truth: {exc}") from None
-        metadata["summary_rel_l2"], metadata["summary_rel_max"] = _errors(np.asarray(values), truth_profile(xs))
+        truth = truth_profile(xs)
+        metadata["summary_rel_l2"], metadata["summary_rel_max"] = _errors(np.asarray(values), truth, _norms(truth))
     _emit_field(args, metadata, xs, values, flags)
     return 0
 

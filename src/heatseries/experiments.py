@@ -224,11 +224,16 @@ def _base_metadata(config: StudyConfig) -> dict:
     }
 
 
-def _errors(values: np.ndarray, truth: np.ndarray) -> tuple[float, float]:
+def _norms(a: np.ndarray) -> tuple[float, float]:
+    """The l2 norm and the largest magnitude of a."""
+    return float(np.linalg.norm(a)), float(np.max(np.abs(a)))
+
+
+def _errors(values: np.ndarray, truth: np.ndarray, truth_norms: tuple[float, float]) -> tuple[float, float]:
+    """The l2 and max errors of values against truth, relative to truth_norms = _norms(truth)."""
     with np.errstate(over="ignore"):  # an overflowing error is inf: the row reads error:nonfinite
-        err_l2 = float(np.linalg.norm(values - truth)) / float(np.linalg.norm(truth))
-        err_max = float(np.max(np.abs(values - truth))) / float(np.max(np.abs(truth)))
-    return err_l2, err_max
+        err_l2, err_max = _norms(values - truth)
+    return err_l2 / truth_norms[0], err_max / truth_norms[1]
 
 
 def _problem(variant: str, f: AnalyticProfile, tau: float):
@@ -369,7 +374,7 @@ def _study_variants(config: StudyConfig) -> tuple:
 def _sweep_rows(config: StudyConfig, variant: str, data, beta: float, truth: np.ndarray, delta: float = 0.0) -> list:
     """One StudyRow per order of config.n_range: the sweep of one variant at
     config.tau and beta on the compare grid against truth."""
-    rows = []
+    rows, truth_norms = [], _norms(truth)
     t0 = time.perf_counter()
     for n, vals, diverged, exc in _sweep_orders(
         variant, data, config.tau, beta, config.n_range, _COMPARE_GRID[config.geometry], config.constants_mode
@@ -378,7 +383,7 @@ def _sweep_rows(config: StudyConfig, variant: str, data, beta: float, truth: np.
             err_l2 = err_max = float("nan")
             status = f"error:{type(exc).__name__}"
         else:
-            err_l2, err_max = _errors(vals, truth)
+            err_l2, err_max = _errors(vals, truth, truth_norms)
             status = "ok"
             if not (math.isfinite(err_l2) and math.isfinite(err_max)):
                 status = "error:nonfinite"
