@@ -209,24 +209,19 @@ def test_i0_scaled_against_series_oracle(x):
 
 
 def test_i0_internal_branch_consistency():
-    # the two Chebyshev ranges agree across their seam at 8, and the upper
-    # one across 30, where the power series used to hand over to the
-    # asymptotic expansion
+    # the defining series agrees with both Chebyshev ranges across their
+    # seam at 8, and with the upper one on either side of 30
     for x in (7.5, 7.99, 8.0, 8.01, 8.5, 28.0, 29.5, 30.0, 30.5, 32.0):
         series = math.exp(-x) * _i0_series_oracle(x, terms=200)
         assert bessel_i0_scaled(x) == pytest.approx(series, rel=5e-14)
 
 
-def _load_script(name: str):
-    path = os.path.join(os.path.dirname(__file__), "..", "scripts", f"{name}.py")
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_i0_chebyshev_coefficients_are_the_generated_ones():
-    low, high = _load_script("i0e_chebyshev").coefficients()
+    path = os.path.join(os.path.dirname(__file__), "..", "scripts", "i0e_chebyshev.py")
+    spec = importlib.util.spec_from_file_location("i0e_chebyshev", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    low, high = script.coefficients()
     assert (len(low), len(high)) == (30, 27)
     assert specfun._I0E_LOW == low
     assert specfun._I0E_HIGH == high
