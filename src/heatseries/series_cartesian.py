@@ -40,14 +40,14 @@ once and under CI-B's weight (`Gaussian.hermite_moments`).  A Bump, and
 CI-B's moments of sampled data under a wider weight, take the adaptive
 quadrature.
 
-Every evaluation (`cd_eval`, `ci_eval`, `ci_classical`) returns the
-`variants.SeriesTerms` of the shared path: it sums in ascending order
-(reproducibility), stops early once three consecutive terms drop below
-`variants.EARLY_STOP_TOL`, and scans the term magnitudes for divergence.
-`solve_grid_line(variant, data, tau, beta, n, xs, constants_mode)` is the
-one place that picks the coefficient and evaluation functions of a line
-variant by its direction (CI-classical at beta = 0): the CLI, the audit and
-the order sweeps all take their term matrix from it, checked at order n.
+This module keeps the line's facts in its `GEOMETRY` record (the Hermite
+batch, the kernel's normaliser, the weight ratio and step, the moment pass,
+the C builder `_point_coeffs`); its public entries call `variants.coeffs`,
+`variants.evaluate` and `variants.solve_grid` with it.  Every evaluation,
+`ci_classical`'s too, returns a `variants.SeriesTerms` (ascending sums, the
+early stop, the divergence scan); `solve_grid_line` (CI-classical at beta =
+0) gives the CLI, the audit and the order sweeps their term matrix, checked
+at order n.
 
 constants_mode selects between the oracle-certified constants
 ("oracle_validated", default) and the originally published ones
@@ -66,18 +66,7 @@ import numpy as np
 from .profiles import data_fact, profile_support
 from .quad import TRUNCATION_RADIUS_SIGMAS, integrate_vec
 from .specfun import KernelParams, hermite_batch
-from .variants import (
-    AXIS,
-    CLASSICAL,
-    LINE,
-    SeriesTerms,
-    check_mode,
-    lookup,
-    pointwise_terms,
-    ratio_weighted,
-    recombine,
-    series_terms,
-)
+from .variants import LINE, Geometry, SeriesTerms, basis_terms, coeffs, evaluate, recombine, solve_grid
 
 __all__ = [
     "cd_coeffs",
@@ -168,7 +157,7 @@ def _binomials(n: int) -> tuple[np.ndarray, np.ndarray]:
     """C(2j, d) and the moment index 2j - d (0 where d > 2j, where C(2j, d)
     = 0), j = 0..n, d = 0..2n; read-only, shared by every call at order n.
     Rows by C(m, d + 1) = C(m, d) (m - d)/(d + 1), exactly (n <= 514:
-    `_coeffs` checks C(2n, n) first)."""
+    `_point_coeffs` checks C(2n, n) first)."""
     rows = []
     for j in range(n + 1):
         row = [1]
@@ -181,11 +170,8 @@ def _binomials(n: int) -> tuple[np.ndarray, np.ndarray]:
     return binom, shift
 
 
-def _coeffs(direct: bool, variant: str, data, params: KernelParams, n: int, x_center):
-    row = lookup(variant, LINE, direct)
-    root = row.moment_root(params)
-    if not row.pointwise:
-        return _hermite_moments(data, root, n, weighted=row.weighted)
+def _point_coeffs(data, root: float, n: int, x_center):
+    """CD-C and CI-C coefficient columns at x_center (1-D for a scalar)."""
     if math.comb(2 * n, n) > sys.float_info.max:  # from n = 515, whichever path runs
         raise OverflowError(f"binomial weights C(2j, d) exceed double precision at order {n}")
     x = np.atleast_1d(np.asarray(x_center, dtype=float))
@@ -208,6 +194,18 @@ def _coeffs(direct: bool, variant: str, data, params: KernelParams, n: int, x_ce
     return out[:, 0] if np.ndim(x_center) == 0 else out
 
 
+# the weights are g^j / j!; the batch is looked up at call time, where a tracer may have rebound it
+GEOMETRY = Geometry(
+    LINE,
+    basis=lambda n, z: hermite_batch(n, z),
+    norm=lambda t: 2.0 * math.sqrt(math.pi * t),
+    ratio=lambda num, den: math.sqrt(num) / (2.0 * math.sqrt(den)),
+    step=lambda j: j + 1,
+    moments=_hermite_moments,
+    c_coeffs=_point_coeffs,
+)
+
+
 def cd_coeffs(variant: str, f, params: KernelParams, n: int, x_center: float | np.ndarray = 0.0) -> np.ndarray:
     """Direct-problem moments f_j.
 
@@ -218,39 +216,16 @@ def cd_coeffs(variant: str, f, params: KernelParams, n: int, x_center: float | n
     shift overflow, a column is non-finite and evaluating it raises
     OverflowError naming the point.
     """
-    return _coeffs(True, variant, f, params, n, x_center)
+    return coeffs(GEOMETRY, True, variant, f, params, n, x_center)
 
 
 def ci_coeffs(variant: str, u, params: KernelParams, n: int, x_center: float | np.ndarray = 0.0) -> np.ndarray:
     """Inverse-problem moments u_j; the two scales swap roles versus cd_coeffs
     (CI-C at x_center, as CD-C)."""
-    return _coeffs(False, variant, u, params, n, x_center)
+    return coeffs(GEOMETRY, False, variant, u, params, n, x_center)
 
 
 # --- truncated evaluation ---------------------------------------------------
-
-def _hermite_terms(coeffs: np.ndarray, arg: float, g: float, pref, x: np.ndarray):
-    """Terms c_j H_j(x/(2 sqrt(arg))) g^j / j! [* Gaussian prefactor at time pref]."""
-    n = coeffs.size - 1
-    # an infinite argument fails the Hermite batch; x * x = inf far out: a zero prefactor
-    with np.errstate(over="ignore"):
-        h = hermite_batch(n, x / (2.0 * math.sqrt(arg)))
-        if pref is not None:
-            pref = np.exp(-(x * x) / (4.0 * pref)) / (2.0 * math.sqrt(math.pi * pref))
-    return series_terms(ratio_weighted(coeffs, lambda w, j: w * g / (j + 1)), h, pref)
-
-
-def _eval(direct: bool, variant: str, coeffs, params: KernelParams, x, mode: str) -> SeriesTerms:
-    """The term matrix of one line variant at the points x (cd_eval, ci_eval)."""
-    row = lookup(variant, LINE, direct)
-    check_mode(mode)
-    coeffs = np.asarray(coeffs, float)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if row.pointwise:
-        return pointwise_terms(row.kappa(params, mode, coeffs.shape[0] - 1), coeffs, x, f"{variant} at {AXIS[LINE]}")
-    arg, num, den, pref = row.times(params)
-    return _hermite_terms(coeffs, arg, math.sqrt(num) / (2.0 * math.sqrt(den)), pref, x)
-
 
 def cd_eval(variant: str, coeffs: np.ndarray, params: KernelParams, x, constants_mode: str = "oracle_validated"):
     """The truncated direct series at x (scalar or array): its `SeriesTerms`,
@@ -259,12 +234,12 @@ def cd_eval(variant: str, coeffs: np.ndarray, params: KernelParams, x, constants
     CD-C coefficients are tied to the x they were computed for; pass the
     same point here (or the same points, one coefficient column each).
     """
-    return _eval(True, variant, coeffs, params, x, constants_mode)
+    return evaluate(GEOMETRY, True, variant, coeffs, params, x, constants_mode)
 
 
 def ci_eval(variant: str, coeffs: np.ndarray, params: KernelParams, x, constants_mode: str = "oracle_validated"):
     """The truncated inverse series at x, as cd_eval."""
-    return _eval(False, variant, coeffs, params, x, constants_mode)
+    return evaluate(GEOMETRY, False, variant, coeffs, params, x, constants_mode)
 
 
 # --- classical derivative-based inverse baseline -----------------------------
@@ -285,7 +260,7 @@ def ci_classical(u, tau: float, n: int, x) -> SeriesTerms:
     if derivs is None:
         raise ValueError("analytic derivatives are available for Gaussian data only; sample "
                          "other profiles onto a grid first")
-    return _hermite_terms(derivs, tau, math.sqrt(tau), None, np.atleast_1d(np.asarray(x, dtype=float)))
+    return basis_terms(GEOMETRY, derivs, tau, math.sqrt(tau), None, np.atleast_1d(np.asarray(x, dtype=float)))
 
 
 # --- grid solve --------------------------------------------------------------
@@ -305,13 +280,5 @@ def solve_grid_line(
     point's own coefficients.  A bad constants_mode fails before the pass.
     CI-classical has no shift and no table row: it runs at beta = 0 and
     takes the data's derivatives (no quadrature)."""
-    check_mode(constants_mode)
-    if variant == CLASSICAL:
-        if beta != 0.0:
-            raise ValueError(f"CI-classical has no shift parameter; got beta={beta}")
-        return ci_classical(data, tau, n, xs).check(n)
-    direct = lookup(variant, LINE).direct
-    params = KernelParams(tau=tau, beta=beta)
-    xs = np.asarray(xs, dtype=float)
-    coeffs = (cd_coeffs if direct else ci_coeffs)(variant, data, params, n, xs)
-    return (cd_eval if direct else ci_eval)(variant, coeffs, params, xs, constants_mode).check(n)
+    return solve_grid(GEOMETRY, variant, data, tau, beta, n, xs, constants_mode,
+                      (cd_coeffs, cd_eval), (ci_coeffs, ci_eval), ci_classical)

@@ -29,12 +29,11 @@ as on the line.  A ring Gaussian (off centre), a Bump and sampled data
 under a root wider than the data take the adaptive engine, sampled data
 with its nodes as breakpoints.
 
-The scales and constants of each variant are rows of `variants.VARIANTS`;
-evaluation (`pd_eval`, `pi_eval`: the `variants.SeriesTerms` at the radii),
-the divergence diagnostic and constants_mode go through the same path as on
-the line.  `solve_grid_polar(variant, data, tau, beta, n, rs,
-constants_mode)` picks the functions of a polar variant by its direction:
-the CLI, the audit and the order sweeps all take their term matrix from it.
+The scales and constants of each variant are rows of `variants.VARIANTS`,
+and this module's `GEOMETRY` record holds the plane's facts (the W batch,
+the kernel's normaliser, the weight ratio and step, the moment pass, the C
+builder `_point_coeffs`, the radius check); `pd_coeffs` .. `pi_eval` and
+`solve_grid_polar` call the line's solve in `variants` with it.
 The published C-variant constants fail the oracle certification by
 documented ratios (ERRATA.md).
 """
@@ -49,18 +48,7 @@ import numpy as np
 from .profiles import data_fact, profile_support
 from .quad import integrate_vec
 from .specfun import KernelParams, w_poly_batch
-from .variants import (
-    AXIS,
-    POLAR,
-    SeriesTerms,
-    check_mode,
-    lookup,
-    pointwise_terms,
-    ratio_weighted,
-    recombine,
-    series_terms,
-    variant_names,
-)
+from .variants import POLAR, Geometry, SeriesTerms, coeffs, evaluate, recombine, solve_grid, variant_names
 
 __all__ = [
     "PD_VARIANTS",
@@ -123,15 +111,31 @@ def _binomials(n: int) -> tuple[np.ndarray, np.ndarray]:
     return weights, shift
 
 
-def _coeffs(direct: bool, variant: str, data, params: KernelParams, n: int, r_center):
-    row = lookup(variant, POLAR, direct)
-    root = row.moment_root(params)
-    if not row.pointwise:
-        return _w_radial_moments(data, root, n)
+def _point_coeffs(data, root: float, n: int, r_center):
+    """PD-C and PI-C coefficient columns at r_center: one extended-precision
+    moment pass, recombined at each radius."""
     moments = _w_radial_moments(data, root, n, dtype=np.longdouble)
     # table[j, d] = pi C(2j, 2d) C(2d, d) M_{j-d}
     weights, shift = _binomials(n)
     return recombine(weights * moments[shift], r_center, lambda r: (r / (2.0 * root)) ** 2)
+
+
+def _check_radii(r: np.ndarray) -> None:
+    if np.any(r < 0.0):
+        raise ValueError("radius must be non-negative")
+
+
+# the weights are (num/den)^j j!^2/(2j)!^2; the batch is looked up at call time (see the line's)
+GEOMETRY = Geometry(
+    POLAR,
+    basis=lambda n, z: w_poly_batch(n, z),
+    norm=lambda t: 2.0 * t,
+    ratio=lambda num, den: num / den,
+    step=lambda j: (2.0 * (2 * j + 1)) ** 2,
+    moments=lambda data, root, n, weighted: _w_radial_moments(data, root, n),
+    c_coeffs=_point_coeffs,
+    check=_check_radii,
+)
 
 
 def pd_coeffs(variant: str, f, params: KernelParams, n: int, r_center: float | np.ndarray = 0.0) -> np.ndarray:
@@ -142,51 +146,27 @@ def pd_coeffs(variant: str, f, params: KernelParams, n: int, r_center: float | n
     gives one column per radius.  Where the shift overflows, a column is
     non-finite and evaluating it raises OverflowError.
     """
-    return _coeffs(True, variant, f, params, n, r_center)
+    return coeffs(GEOMETRY, True, variant, f, params, n, r_center)
 
 
 def pi_coeffs(variant: str, u, params: KernelParams, n: int, r_center: float | np.ndarray = 0.0) -> np.ndarray:
     """Inverse radial moments u_j; scales swapped versus pd_coeffs (PI-C at
     r_center, as PD-C)."""
-    return _coeffs(False, variant, u, params, n, r_center)
+    return coeffs(GEOMETRY, False, variant, u, params, n, r_center)
 
 
 # --- evaluation ---------------------------------------------------------------
-
-def _eval(direct: bool, variant: str, coeffs, params: KernelParams, r, mode: str) -> SeriesTerms:
-    """The term matrix of one polar variant at the radii r (pd_eval, pi_eval).
-
-    A/B terms: c_j W_j(r/(2 sqrt(arg))) (num/den)^j j!^2/(2j)!^2 * kernel prefactor.
-    """
-    row = lookup(variant, POLAR, direct)
-    check_mode(mode)
-    coeffs = np.asarray(coeffs, float)
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    if np.any(r < 0.0):
-        raise ValueError("radius must be non-negative")
-    if row.pointwise:
-        return pointwise_terms(row.kappa(params, mode, coeffs.shape[0] - 1), coeffs, r, f"{variant} at {AXIS[POLAR]}")
-    n = coeffs.size - 1
-    arg, num, den, pref = row.times(params)
-    # an infinite argument fails the W batch; r * r = inf far out: a zero prefactor
-    with np.errstate(over="ignore"):
-        wmat = w_poly_batch(n, r / (2.0 * math.sqrt(arg)))
-        pref = np.exp(-(r * r) / (4.0 * pref)) / (2.0 * pref)
-    ratio = num / den
-    weighted = ratio_weighted(coeffs, lambda w, j: w * ratio / (2.0 * (2 * j + 1)) ** 2)
-    return series_terms(weighted, wmat, pref)
-
 
 def pd_eval(variant: str, coeffs: np.ndarray, params: KernelParams, r, constants_mode: str = "oracle_validated"):
     """The truncated direct polar series at r (scalar or array): its
     `SeriesTerms`, one column per radius, unchecked (`values(n)` raises an
     overflow)."""
-    return _eval(True, variant, coeffs, params, r, constants_mode)
+    return evaluate(GEOMETRY, True, variant, coeffs, params, r, constants_mode)
 
 
 def pi_eval(variant: str, coeffs: np.ndarray, params: KernelParams, r, constants_mode: str = "oracle_validated"):
     """The truncated inverse polar series at r, as pd_eval."""
-    return _eval(False, variant, coeffs, params, r, constants_mode)
+    return evaluate(GEOMETRY, False, variant, coeffs, params, r, constants_mode)
 
 
 def solve_grid_polar(
@@ -203,13 +183,5 @@ def solve_grid_polar(
     order n (an overflowing PD-C or PI-C radius is named); PD-C and PI-C sum
     each radius's own coefficients.  A bad constants_mode, a negative radius
     and a PI-B shift not above tau fail before the pass."""
-    row = lookup(variant, POLAR)
-    check_mode(constants_mode)
-    rs = np.asarray(rs, dtype=float)
-    if np.any(rs < 0.0):
-        raise ValueError("radius must be non-negative")
-    params = KernelParams(tau=tau, beta=beta)
-    if not row.pointwise:
-        row.times(params)
-    coeffs = (pd_coeffs if row.direct else pi_coeffs)(variant, data, params, n, rs)
-    return (pd_eval if row.direct else pi_eval)(variant, coeffs, params, rs, constants_mode).check(n)
+    return solve_grid(GEOMETRY, variant, data, tau, beta, n, rs, constants_mode,
+                      (pd_coeffs, pd_eval), (pi_coeffs, pi_eval))

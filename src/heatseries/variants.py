@@ -40,10 +40,12 @@ and keeps its point and coefficients: `SeriesTerms.check` names the first
 overflowing point ("CD-C at x = 100: ..."), for a grid solve and a library
 caller alike.
 
-Each series module's grid solve (`solve_grid_line`, `solve_grid_polar`)
-builds the term matrix of one variant on a grid from one coefficient pass,
-with the coefficient and evaluation functions of its direction; the CLI,
-the audit and every order sweep take their matrix from it.
+Each series module describes its geometry by a `Geometry` record (the
+basis batch, the kernel's normaliser, the weight ratio and step, the moment
+pass, the C builder, the point check); the rest of a solve lives here once:
+`coeffs`, `evaluate` (with `basis_terms`, CI-classical's too) and
+`solve_grid`, which the CLI, the audit and every order sweep reach through
+`solve_grid_line` and `solve_grid_polar`.
 """
 
 from __future__ import annotations
@@ -53,6 +55,8 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
+
+from .specfun import KernelParams
 
 LINE, POLAR = "line", "polar"
 CLASSICAL = "CI-classical"  # the derivative-based line baseline; no shift, no table row
@@ -447,3 +451,79 @@ def pointwise_terms(kappa: np.ndarray, coeffs: np.ndarray, points: np.ndarray, l
         terms = kappa[:, None] * coeffs.reshape(kappa.size, -1)
     return _series(np.broadcast_to(terms, (kappa.size, points.size)), points, label, coeffs)
 
+
+
+# --- the geometry-free solve ------------------------------------------------------
+
+@dataclass(frozen=True)
+class Geometry:
+    """What a series solve takes from its geometry.  A field that a tracer
+    may rebind (the basis batch) calls the module's global at call time."""
+
+    name: str           # LINE or POLAR
+    basis: Callable     # (n, z): the basis polynomials of orders 0..n at z, orders x points
+    norm: Callable      # (t): the heat kernel at time t is exp(-x^2/(4t)) / norm(t)
+    ratio: Callable     # (num, den): the weight ratio g of an A/B sum
+    step: Callable      # (j): the weights are w_0 = 1, w_{j+1} = w_j g / step(j)
+    moments: Callable   # (data, root, n, weighted): an A/B row's moment pass
+    c_coeffs: Callable  # (data, root, n, points): a C row's coefficient columns
+    check: Callable = lambda points: None  # raises ValueError on a point outside the domain
+
+
+def coeffs(geometry: Geometry, direct: bool, variant: str, data, params, n: int, points):
+    """The coefficients of a variant of the geometry and direction: an A/B
+    row's moment pass, or a C row's columns at the points."""
+    row = lookup(variant, geometry.name, direct)
+    root = row.moment_root(params)
+    if row.pointwise:
+        return geometry.c_coeffs(data, root, n, points)
+    return geometry.moments(data, root, n, row.weighted)
+
+
+def basis_terms(geometry: Geometry, coeffs: np.ndarray, arg: float, ratio: float, pref, x: np.ndarray) -> SeriesTerms:
+    """Terms c_j B_j(x/(2 sqrt(arg))) w_j [* heat kernel at time pref] of
+    an A/B sum, with the weights of the geometry's ratio and step."""
+    # an infinite argument fails the basis batch; x * x = inf far out: a zero prefactor
+    with np.errstate(over="ignore"):
+        basis = geometry.basis(coeffs.size - 1, x / (2.0 * math.sqrt(arg)))
+        if pref is not None:
+            pref = np.exp(-(x * x) / (4.0 * pref)) / geometry.norm(pref)
+    return series_terms(ratio_weighted(coeffs, lambda w, j: w * ratio / geometry.step(j)), basis, pref)
+
+
+def evaluate(geometry: Geometry, direct: bool, variant: str, coeffs, params, x, mode: str) -> SeriesTerms:
+    """The term matrix of a variant of the geometry and direction at the
+    points x, unchecked: a C row's pointwise terms, or an A/B row's basis
+    terms times the ratio weights times the heat-kernel prefactor."""
+    row = lookup(variant, geometry.name, direct)
+    check_mode(mode)
+    coeffs = np.asarray(coeffs, float)
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    geometry.check(x)
+    if row.pointwise:
+        kappa = row.kappa(params, mode, coeffs.shape[0] - 1)
+        return pointwise_terms(kappa, coeffs, x, f"{variant} at {AXIS[geometry.name]}")
+    arg, num, den, pref = row.times(params)
+    return basis_terms(geometry, coeffs, arg, geometry.ratio(num, den), pref, x)
+
+
+def solve_grid(geometry: Geometry, variant: str, data, tau: float, beta: float, n: int, points, mode: str,
+               direct: tuple, inverse: tuple, classical=None) -> SeriesTerms:
+    """The term matrix of orders 0..n of a variant on a grid, from one pass
+    of the (coeffs, eval) entries of its direction, checked at order n.
+    The mode, the points and an A/B row's times are checked before the
+    pass.  classical, on the line, evaluates CI-classical, which has no
+    shift (it runs at beta = 0) and no moment pass."""
+    check_mode(mode)
+    if classical is not None and variant == CLASSICAL:
+        if beta != 0.0:
+            raise ValueError(f"CI-classical has no shift parameter; got beta={beta}")
+        return classical(data, tau, n, points).check(n)
+    row = lookup(variant, geometry.name)
+    points = np.asarray(points, dtype=float)
+    geometry.check(points)
+    params = KernelParams(tau=tau, beta=beta)
+    if not row.pointwise:
+        row.times(params)
+    coeffs_fn, eval_fn = direct if row.direct else inverse
+    return eval_fn(variant, coeffs_fn(variant, data, params, n, points), params, points, mode).check(n)
