@@ -106,3 +106,29 @@ def test_only_profiles_tells_the_data_kinds_apart():
     # each data kind answers for its own facts (profiles.data_fact); the
     # other modules ask it rather than test its class
     assert data_kind_tests() == DATA_KIND_TESTS_ALLOWED
+
+
+# the geometry-free part of a series solve lives in variants (`coeffs`,
+# `evaluate`, `solve_grid`): a series module keeps its geometry's facts and
+# neither picks a table row's scales nor builds a term matrix itself
+SHARED_SOLVE = {"lookup", "check_mode", "series_terms", "pointwise_terms", "ratio_weighted"}
+ROW_FACTS = {"times", "kappa", "moment_root"}
+
+
+def shared_solve_calls() -> list:
+    """(module, name) of every call a series module makes to the shared
+    solve's own steps or to a table row's times, constants or moment root."""
+    out = []
+    for name in ("series_cartesian.py", "series_polar.py"):
+        for node in ast.walk(ast.parse((SRC / name).read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            called = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+            if called in SHARED_SOLVE or (isinstance(func, ast.Attribute) and called in ROW_FACTS):
+                out.append((name, called))
+    return out
+
+
+def test_series_modules_leave_the_solve_to_variants():
+    assert shared_solve_calls() == []

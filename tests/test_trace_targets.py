@@ -104,3 +104,36 @@ def test_stock_tracer_records_the_classical_solve_and_its_evaluation(capsys):
     evals = [i for i, name in enumerate(names) if name == "series_cartesian.eval"]
     assert len(solves) == 1 and len(evals) == 1 and parents[evals[0]] == solves[0]
     assert "series_cartesian.coeffs" not in names and "series_cartesian.solve" not in names
+
+
+A_B_COMMANDS = {
+    "series_cartesian": (COMMANDS["line A/B forward"][0], "specfun.hermite"),
+    "series_polar": (
+        ["forward", "--geometry", "polar", "--variant", "PD-A", "--tau", "0.5", "--beta", "1", "--order", "10",
+         "--profile", "gaussian:a=1", "--eval-grid", "0:2:5"],
+        "specfun.w_poly",
+    ),
+}
+
+
+def test_the_basis_batch_of_an_a_b_sum_is_traced_inside_its_evaluation(capsys):
+    # each series module's geometry record calls its basis batch through the
+    # module global, where the tracer has rebound it; a record that held the
+    # batch itself would evaluate untraced and lose this span without an error
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        starts = {}
+        for module, (argv, _) in A_B_COMMANDS.items():
+            starts[module] = len(tracer.names)
+            assert cli.main(argv) == 0, capsys.readouterr().err
+        ends = dict(zip(starts, list(starts.values())[1:] + [len(tracer.names)]))
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    names, parents = tracer.names, tracer.parents
+    for module, (_, batch) in A_B_COMMANDS.items():
+        spans = range(starts[module], ends[module])
+        evals = [i for i in spans if names[i] == f"{module}.eval"]
+        assert len(evals) == 1
+        assert any(names[i] == batch and parents[i] == evals[0] for i in spans), [names[i] for i in spans]
