@@ -122,6 +122,7 @@ STUDY_CONFIGS = {
     "negative_order.cfg": (
         "[study]\nkind = convergence\ntau = 0.5\nvariants = CD-A\n\n[sweep]\norders = -2, 4\n"
     ),
+    "huge_order.cfg": "[study]\nkind = convergence\ntau = 0.5\n\n[sweep]\norders = 100000\n",
     "negative_delta.cfg": "[study]\nkind = noise\ntau = 0.3\n\n[sweep]\norders = 0:4:2\ndeltas = -1e-3\n",
     "negative_seed.cfg": "[study]\nkind = noise\ntau = 0.3\nseed = -1\n\n[sweep]\norders = 0:4:2\n",
     "negative_beta.cfg": "[study]\nkind = beta_map\ntau = 0.3\n\n[sweep]\norders = 8\nbetas = 0.5, -1\n",
@@ -264,6 +265,11 @@ def _own_commands() -> list:
         "pi-b-beta-below-tau": _solve("inverse", "polar", "PI-B", 0.3, "0:1:3", "--beta", "0.2", "--profile", gauss),
         "classical-no-zero-node": _solve("inverse", "line", "CI-classical", 0.3, "-1:1:3", "--input", "shifted.csv"),
         "unknown-variant": _solve("forward", "line", "CD-Z", 0.5, "-1:1:3", "--profile", gauss),
+        # a shift on a variant without one, and an order whose moment pass outgrows the budget
+        "oracle-beta": _solve("forward", "line", "oracle", 0.5, "0:1:2", "--beta", "7", "--profile", gauss),
+        "classical-beta": _solve("inverse", "line", "CI-classical", 0.5, "0:1:2", "--beta", "2", "--profile", gauss),
+        "huge-order": _solve("forward", "line", "CD-A", 0.5, "0:0:1", "--beta", "1", "--order", "100000",
+                             "--profile", "bump:radius=1"),
     }
     out.extend((f"error-{name}", argv) for name, argv in bad.items())
     for name in sorted(STUDY_CONFIGS):

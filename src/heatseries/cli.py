@@ -30,6 +30,8 @@ from dataclasses import replace
 import numpy as np
 
 from .experiments import (
+    MAX_ORDER,
+    MAX_TERMS,
     _ORACLE,
     _SCALE_ESTIMATE,
     _SOLVE,
@@ -47,7 +49,6 @@ from .series_cartesian import DEFAULT_ORDER
 from .variants import AXIS, CLASSICAL, CONSTANTS_MODES, LINE, POLAR, default_beta, variant_names
 
 ORACLE = "oracle"  # the quadrature oracle, a forward pseudo-variant
-MAX_TERMS = 2**24  # (order + 1) x points, the largest term matrix a solve may build (128 MiB)
 FORWARD_VARIANTS = {g: variant_names(g, direct=True) + (ORACLE,) for g in (LINE, POLAR)}
 INVERSE_VARIANTS = {
     LINE: variant_names(LINE, direct=False) + (CLASSICAL,),
@@ -260,6 +261,8 @@ def _read_sampled(path: str) -> Sampled1D:
 
 def _resolve_beta(args, variant: str, data, geometry: str, tau: float) -> float:
     if variant in (ORACLE, CLASSICAL):
+        if args.beta is not None:
+            raise CliError(f"{variant} has no shift parameter; drop --beta (got {args.beta!r})")
         return 0.0
     raw = args.beta
     if raw is None:
@@ -299,6 +302,9 @@ def _check_solve_args(args, variants: dict):
         raise CliError("--tau must be positive and finite (the kernel and every series need it)")
     if args.order < 0:
         raise CliError("--order must be non-negative")
+    if args.order > MAX_ORDER:
+        raise CliError(f"--order {args.order} is over {MAX_ORDER}, the largest whose moment pass fits the "
+                       f"{MAX_TERMS} values a solve may build")
     data, source = _load_data(args, geometry)
     xs = _parse_eval_grid(args.eval_grid, args.order)
     if geometry == POLAR and np.any(xs < 0.0):

@@ -45,6 +45,7 @@ from . import __version__ as _pkg_version
 from . import series_cartesian, series_polar
 from .kernels import evolve_line, evolve_polar, forward_line, forward_polar
 from .profiles import AnalyticProfile, Gaussian, Sampled1D, estimate_scale_line, estimate_scale_polar, format_profile
+from .quad import BLOCK_NODES
 from .specfun import KernelParams
 from .variants import (
     CLASSICAL, CONSTANTS_MODES, LINE, POLAR, VARIANTS, check_mode, default_beta, geometry_of, pointwise_terms,
@@ -65,6 +66,11 @@ __all__ = [
 ]
 
 PRNG_NAME = "numpy-PCG64"
+# the most values one array of a solve may hold (128 MiB of float64): its
+# term matrix, (order + 1) x points; a moment pass's integrand block,
+# (order + 1) x BLOCK_NODES; the plane's C table, (order + 1)^2
+MAX_TERMS = 2**24
+MAX_ORDER = min(MAX_TERMS // BLOCK_NODES, math.isqrt(MAX_TERMS)) - 1
 
 
 @dataclass(frozen=True)
@@ -157,6 +163,9 @@ class StudyConfig:
                 raise ValueError("beta_map needs an explicit beta_range")
         if any(n < 0 for n in self.n_range):
             raise ValueError(f"orders (n_range) must be non-negative, got {min(self.n_range)}")
+        if any(n > MAX_ORDER for n in self.n_range):
+            raise ValueError(f"orders (n_range) must be at most {MAX_ORDER}, whose moment pass fits the "
+                             f"{MAX_TERMS} values a solve may build; got {max(self.n_range)}")
         if not all(math.isfinite(d) and d >= 0.0 for d in self.delta_range):
             raise ValueError(f"deltas (delta_range) must be non-negative and finite, got {list(self.delta_range)}")
         if not all(math.isfinite(b) and b > 0.0 for b in self.beta_range):

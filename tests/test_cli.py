@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from heatseries import cli, experiments
 from heatseries.cli import main
 from heatseries.experiments import GridGeom, StudyConfig
+from heatseries.quad import BLOCK_NODES
 
 ORIGINAL_BUILD = cli.build_parser
 
@@ -764,6 +765,59 @@ def test_eval_grid_whose_term_matrix_exceeds_the_budget_rejected(capsys):
         "--eval-grid=0:1:100000000000", "--profile", "gaussian:a=1",
     )
     assert_rejected(capsys, code, "100000000000 points", "order 4", str(cli.MAX_TERMS))
+
+
+@pytest.mark.parametrize("command, variant, beta", [
+    ("forward", "oracle", "7"),
+    ("inverse", "CI-classical", "2"),
+    ("inverse", "CI-classical", "auto"),
+])
+def test_a_shift_on_a_variant_without_one_rejected(capsys, command, variant, beta):
+    # the oracle and CI-classical have no shift: a --beta used to be echoed
+    # as beta_requested while the solve ran at beta = 0
+    code = run_cli(
+        command, "--variant", variant, "--tau", "0.5", "--beta", beta, "--profile", "gaussian:a=1",
+        "--eval-grid", "0:1:2",
+    )
+    assert_rejected(capsys, code, f"{variant} has no shift parameter", repr(beta))
+
+
+@pytest.mark.parametrize("order", ["4096", "100000"])
+def test_order_whose_moment_pass_exceeds_the_budget_rejected(capsys, order):
+    # a Bump's moment pass holds (order + 1) x BLOCK_NODES values a block:
+    # order 100000 used to take 324 MB before the overflow's exit 3
+    code = run_cli(
+        "forward", "--variant", "CD-A", "--tau", "0.5", "--beta", "1", "--order", order,
+        "--profile", "bump:radius=1", "--eval-grid", "0:0:1",
+    )
+    assert_rejected(capsys, code, f"--order {order}", str(experiments.MAX_ORDER), str(cli.MAX_TERMS))
+
+
+def test_the_order_budget_is_the_moment_pass_and_the_plane_c_table():
+    assert cli.MAX_TERMS is experiments.MAX_TERMS and cli.MAX_ORDER is experiments.MAX_ORDER
+    order = experiments.MAX_ORDER
+    assert (order + 1) * BLOCK_NODES <= cli.MAX_TERMS and (order + 1) ** 2 <= cli.MAX_TERMS
+    assert (order + 2) * BLOCK_NODES > cli.MAX_TERMS or (order + 2) ** 2 > cli.MAX_TERMS
+
+
+def test_highest_budgeted_order_is_not_refused(capsys):
+    # order MAX_ORDER passes the budget and fails numerically, at once
+    code = run_cli(
+        "forward", "--variant", "CD-A", "--tau", "0.5", "--beta", "1", "--order", str(experiments.MAX_ORDER),
+        "--profile", "bump:radius=1", "--eval-grid", "0:0:1",
+    )
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == "" and "overflow" in captured.err
+
+
+@pytest.mark.parametrize("orders", ["100000", "0, 4096"])
+def test_study_order_over_the_budget_rejected(tmp_path, capsys, orders):
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(f"[study]\nkind = convergence\ntau = 0.5\n\n[sweep]\norders = {orders}\n")
+    assert_rejected(capsys, run_cli("study", "--config", str(cfg)), str(cfg), "orders (n_range)",
+                    f"at most {experiments.MAX_ORDER}", f"got {orders.split(', ')[-1]}")
+    with pytest.raises(ValueError, match="orders"):
+        StudyConfig(study_kind="noise", n_range=(0, experiments.MAX_ORDER + 1))
 
 
 @pytest.mark.parametrize("variants", ["XX-Q", "PD-A"])
