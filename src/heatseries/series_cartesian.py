@@ -41,7 +41,7 @@ CI-B's moments of sampled data under a wider weight, take the adaptive
 quadrature.
 
 This module keeps the line's facts in its `GEOMETRY` record (the Hermite
-batch, the kernel's normaliser, the weight ratio and step, the moment pass,
+batch, the kernel's normaliser, the weight ratio and update, the moment pass,
 the C builder `_point_coeffs`); its public entries call `variants.coeffs`,
 `variants.evaluate` and `variants.solve_grid` with it.  Every evaluation,
 `ci_classical`'s too, returns a `variants.SeriesTerms` (ascending sums, the
@@ -200,7 +200,7 @@ GEOMETRY = Geometry(
     basis=lambda n, z: hermite_batch(n, z),
     norm=lambda t: 2.0 * math.sqrt(math.pi * t),
     ratio=lambda num, den: math.sqrt(num) / (2.0 * math.sqrt(den)),
-    step=lambda j: j + 1,
+    update=lambda g: lambda w, j: w * g / (j + 1),
     moments=_hermite_moments,
     c_coeffs=_point_coeffs,
 )

@@ -31,7 +31,7 @@ with its nodes as breakpoints.
 
 The scales and constants of each variant are rows of `variants.VARIANTS`,
 and this module's `GEOMETRY` record holds the plane's facts (the W batch,
-the kernel's normaliser, the weight ratio and step, the moment pass, the C
+the kernel's normaliser, the weight ratio and update, the moment pass, the C
 builder `_point_coeffs`, the radius check); `pd_coeffs` .. `pi_eval` and
 `solve_grid_polar` call the line's solve in `variants` with it.
 The published C-variant constants fail the oracle certification by
@@ -131,7 +131,7 @@ GEOMETRY = Geometry(
     basis=lambda n, z: w_poly_batch(n, z),
     norm=lambda t: 2.0 * t,
     ratio=lambda num, den: num / den,
-    step=lambda j: (2.0 * (2 * j + 1)) ** 2,
+    update=lambda g: lambda w, j: w * g / (2.0 * (2 * j + 1)) ** 2,
     moments=lambda data, root, n, weighted: _w_radial_moments(data, root, n),
     c_coeffs=_point_coeffs,
     check=_check_radii,

@@ -41,7 +41,7 @@ overflowing point ("CD-C at x = 100: ..."), for a grid solve and a library
 caller alike.
 
 Each series module describes its geometry by a `Geometry` record (the
-basis batch, the kernel's normaliser, the weight ratio and step, the moment
+basis batch, the kernel's normaliser, the weight ratio and update, the moment
 pass, the C builder, the point check); the rest of a solve lives here once:
 `coeffs`, `evaluate` (with `basis_terms`, CI-classical's too) and
 `solve_grid`, which the CLI, the audit and every order sweep reach through
@@ -464,7 +464,7 @@ class Geometry:
     basis: Callable     # (n, z): the basis polynomials of orders 0..n at z, orders x points
     norm: Callable      # (t): the heat kernel at time t is exp(-x^2/(4t)) / norm(t)
     ratio: Callable     # (num, den): the weight ratio g of an A/B sum
-    step: Callable      # (j): the weights are w_0 = 1, w_{j+1} = w_j g / step(j)
+    update: Callable    # (g): the update of the weights w_0 = 1, w_{j+1} = update(w_j, j)
     moments: Callable   # (data, root, n, weighted): an A/B row's moment pass
     c_coeffs: Callable  # (data, root, n, points): a C row's coefficient columns
     check: Callable = lambda points: None  # raises ValueError on a point outside the domain
@@ -482,13 +482,13 @@ def coeffs(geometry: Geometry, direct: bool, variant: str, data, params, n: int,
 
 def basis_terms(geometry: Geometry, coeffs: np.ndarray, arg: float, ratio: float, pref, x: np.ndarray) -> SeriesTerms:
     """Terms c_j B_j(x/(2 sqrt(arg))) w_j [* heat kernel at time pref] of
-    an A/B sum, with the weights of the geometry's ratio and step."""
+    an A/B sum, with the weights of the geometry's ratio and update."""
     # an infinite argument fails the basis batch; x * x = inf far out: a zero prefactor
     with np.errstate(over="ignore"):
         basis = geometry.basis(coeffs.size - 1, x / (2.0 * math.sqrt(arg)))
         if pref is not None:
             pref = np.exp(-(x * x) / (4.0 * pref)) / geometry.norm(pref)
-    return series_terms(ratio_weighted(coeffs, lambda w, j: w * ratio / geometry.step(j)), basis, pref)
+    return series_terms(ratio_weighted(coeffs, geometry.update(ratio)), basis, pref)
 
 
 def evaluate(geometry: Geometry, direct: bool, variant: str, coeffs, params, x, mode: str) -> SeriesTerms:
