@@ -173,42 +173,20 @@ def _parse_eval_grid(text: str, order: int) -> np.ndarray:
 _PLAIN_TEXT = bytes(range(0x20, 0x7F)) + b"\t\n"
 
 
-def _load_samples(path: str):
-    """(x, values) of a sample file in one vectorised pass, or None where the
-    line loop must decide: it names a bad line, and reports a file it cannot
-    read or decode as it reads.
+def _sample_table(lines: list):
+    """(x, values) of the rows from the first sample on in one np.loadtxt
+    pass, or None where the line loop must decide.
 
-    The rows before the first sample are classified as the loop does; the
-    rest go to np.loadtxt, which on plain text parses exactly the fields
-    float() parses, to the same values.  A row the loop would reject (short,
-    non-numeric or non-finite) makes this pass give up, and so do rows the
-    loop skips after the first sample (blank-looking or commented) and rows
-    with a different number of columns."""
-    try:
-        with open(path) as handle:
-            lines = handle.read().split("\n")
-    except (OSError, ValueError):
-        return None
-    for start, line in enumerate(lines):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split(",")
-        if len(parts) < 2:
-            return None
-        try:
-            float(parts[0]), float(parts[1])
-        except ValueError:
-            continue  # column-header row
-        break
-    else:
-        return None
-    body = lines[start:]
-    joined = "\n".join(body)
+    On plain text np.loadtxt parses exactly the fields float() parses, to
+    the same values.  A row the loop would reject (short, non-numeric or
+    non-finite) makes this pass give up, and so do rows the loop skips
+    after the first sample (blank-looking or commented) and rows with a
+    different number of columns."""
+    joined = "\n".join(lines)
     if not joined.isascii() or joined.encode("ascii").translate(None, _PLAIN_TEXT):
         return None
     try:
-        table = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+        table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
     except ValueError:
         return None
     if table.shape[1] < 2 or not np.all(np.isfinite(table[:, :2])):
@@ -216,39 +194,40 @@ def _load_samples(path: str):
     return table[:, 0].copy(), table[:, 1].copy()
 
 
-def _scan_samples(path: str):
-    """(x, values) of a sample file, line by line; raises CliError naming the
-    first bad line."""
-    xs, vals = [], []
-    try:
-        with open(path) as handle:
-            for line_no, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                parts = line.split(",")
-                if len(parts) < 2:
-                    raise CliError(f"{path}: expected x,value per line, got {line!r}")
-                try:
-                    x, val = float(parts[0]), float(parts[1])
-                except ValueError:
-                    if xs:
-                        raise CliError(f"{path}:{line_no}: non-numeric sample {line!r}") from None
-                    continue  # column-header row
-                if not (math.isfinite(x) and math.isfinite(val)):
-                    raise CliError(f"{path}:{line_no}: non-finite sample {line!r}")
-                xs.append(x)
-                vals.append(val)
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}") from None
-    return np.asarray(xs), np.asarray(vals)
-
-
 def _read_sampled(path: str) -> Sampled1D:
     """Read `x,value` pairs; `#` lines and non-numeric header rows before the
-    first sample are ignored, any other unreadable or non-finite row is an error."""
-    samples = _load_samples(path)
-    xs_arr, vals = samples if samples is not None else _scan_samples(path)
+    first sample are ignored, any other unreadable or non-finite row is an
+    error naming its line.  From the first sample on, the rows go to
+    `_sample_table` in one pass; where it declines, the loop reads on."""
+    try:
+        with open(path) as handle:
+            lines = handle.read().split("\n")
+    except OSError as exc:
+        raise CliError(f"cannot read {path}: {exc}") from None
+    xs, vals = [], []
+    for line_no, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split(",")
+        if len(parts) < 2:
+            raise CliError(f"{path}: expected x,value per line, got {line!r}")
+        try:
+            x, val = float(parts[0]), float(parts[1])
+        except ValueError:
+            if xs:
+                raise CliError(f"{path}:{line_no}: non-numeric sample {line!r}") from None
+            continue  # column-header row
+        if not xs:
+            table = _sample_table(lines[line_no - 1:])
+            if table is not None:
+                xs, vals = table
+                break
+        if not (math.isfinite(x) and math.isfinite(val)):
+            raise CliError(f"{path}:{line_no}: non-finite sample {line!r}")
+        xs.append(x)
+        vals.append(val)
+    xs_arr = np.asarray(xs)
     if xs_arr.size < 2:
         raise CliError(f"{path}: need at least two samples")
     steps = np.diff(xs_arr)
@@ -256,7 +235,7 @@ def _read_sampled(path: str) -> Sampled1D:
         raise CliError(f"{path}: sample abscissae must be strictly increasing")
     if np.max(np.abs(steps - steps[0])) > 1e-9 * max(abs(steps[0]), 1e-300):
         raise CliError(f"{path}: samples must sit on a uniform grid")
-    return Sampled1D(float(xs_arr[0]), float(xs_arr[-1]), vals)
+    return Sampled1D(float(xs_arr[0]), float(xs_arr[-1]), np.asarray(vals))
 
 
 def _resolve_beta(args, variant: str, data, geometry: str, tau: float) -> float:

@@ -958,7 +958,7 @@ def test_every_junk_row_reads_as_the_line_loop_reads_it(tmp_path, monkeypatch, j
     path = tmp_path / "u.csv"
     path.write_text("# header\nx,value\n" + "\n".join(rows) + "\n")
     fast = read_outcome(str(path))
-    monkeypatch.setattr(cli, "_load_samples", lambda _: None)
+    monkeypatch.setattr(cli, "_sample_table", lambda _: None)
     assert fast == read_outcome(str(path))
 
 
@@ -979,7 +979,7 @@ def test_sample_files_read_as_the_line_loop_reads_them(tmp_path, monkeypatch, ca
         handle.write(text)
     fast = read_outcome(str(path))
     with monkeypatch.context() as patch:
-        patch.setattr(cli, "_load_samples", lambda _: None)  # the line loop alone
+        patch.setattr(cli, "_sample_table", lambda _: None)  # the line loop alone
         loop = read_outcome(str(path))
     assert fast == loop
     capsys.readouterr()
