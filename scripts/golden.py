@@ -4,13 +4,14 @@ in-process and record the stdout, stderr and exit code of each command.
     python3 scripts/golden.py OUT.json             # record, with the src/ next to this script
     python3 scripts/golden.py --compare A.json B.json
 
-The list, some 350 commands, holds the perfbench commands; forward/inverse
+The list, some 380 commands, holds the perfbench commands; forward/inverse
 of every series variant, CI-classical and both oracles in both constants
 modes, as CSV and JSON, on analytic, evolved and sampled data (CI-C and PI-C
 also at order 40 on analytic data; CI-A, CI-B, CI-C and both oracles also
 on 16 001-node files: the polar oracle's quadrature levels span many
 integrand blocks, and the closed forms of the line's moments and oracle
-many node blocks); overflow (exit 3) and
+many node blocks); data whose moments take the adaptive quadrature; one
+file for each path of the sample-file reader; overflow (exit 3) and
 configuration (exit 2) cases; `validate` in both modes; study configs of
 every kind, the shipped ones included; and malformed study configs and
 study flags (exit 2).
@@ -123,6 +124,8 @@ STUDY_CONFIGS = {
         "[study]\nkind = convergence\ntau = 0.5\nvariants = CD-A\n\n[sweep]\norders = -2, 4\n"
     ),
     "huge_order.cfg": "[study]\nkind = convergence\ntau = 0.5\n\n[sweep]\norders = 100000\n",
+    # one node over the budget: refused before any sampling (a tree without the budget samples 16.7 M nodes)
+    "grid_over_budget.cfg": "[study]\nkind = noise\ntau = 0.3\n\n[grid]\nn = 16777217\n\n[sweep]\norders = 0\n",
     "negative_delta.cfg": "[study]\nkind = noise\ntau = 0.3\n\n[sweep]\norders = 0:4:2\ndeltas = -1e-3\n",
     "negative_seed.cfg": "[study]\nkind = noise\ntau = 0.3\nseed = -1\n\n[sweep]\norders = 0:4:2\n",
     "negative_beta.cfg": "[study]\nkind = beta_map\ntau = 0.3\n\n[sweep]\norders = 8\nbetas = 0.5, -1\n",
@@ -144,6 +147,34 @@ STUDY_CONFIGS = {
 # 16 001 samples of the Gaussian evolved to tau = 0.3: every sample is a
 # breakpoint, so an adaptive level holds some 256 000 nodes, 63 blocks
 LARGE_FILES = {"u_line16001.csv": (ref.line_field, -10.0), "u_polar16001.csv": (ref.polar_field, 0.0)}
+
+
+def _byte_files() -> dict:
+    """Input files written as bytes: a sample file for each path of the
+    reader (21 samples of the evolved Gaussian on [-2, 2], broken or
+    decorated one way each), and a study config that is not UTF-8."""
+    xs = np.linspace(-2.0, 2.0, 21)
+    rows = [f"{x:.17g},{v:.17g}" for x, v in zip(xs, ref.line_field(GAUSS, 0.3, xs))]
+    head = ["# written by golden.py", "x,value"]
+
+    def text(lines, newline="\n"):
+        return (newline.join(lines) + newline).encode("ascii")
+
+    uneven = rows[:10] + [f"{xs[10] + 0.05:.17g},1"] + rows[11:]
+    return {
+        "reader_trailing_text.csv": text(head + rows + ["end,of data"]),
+        "reader_short_row.csv": text(head + rows[:7] + ["0.5"] + rows[7:]),
+        "reader_non_finite.csv": text(head + rows[:12] + ["0.45,nan"] + rows[12:]),
+        "reader_decreasing.csv": text(head + rows[::-1]),
+        "reader_uneven.csv": text(head + uneven),
+        "reader_single.csv": text(head + rows[10:11]),
+        "reader_headers_only.csv": text(head + ["r,u"]),
+        "reader_crlf.csv": text(["# a comment", "# another", "x,value"] + rows, "\r\n"),
+        "reader_comment_after.csv": text(head + rows[:10] + ["# midway"] + rows[10:]),
+        # 0xff is no UTF-8 byte; the file is under the 8 KiB a text reader decodes at once
+        "reader_undecodable.csv": text(head + rows[:5]) + b"\xff" + text(rows[5:]),
+        "error_undecodable.cfg": b"[study]\nkind = noise\n# caf\xe9\n",
+    }
 
 
 def _solve(command, geometry, variant, tau, grid, *rest):
@@ -240,6 +271,29 @@ def _own_commands() -> list:
                                                 "mixture:[a=1.2,center=-0.5,amp=1; a=1.7,center=0.7,amp=0.7]")))
     out.append(("inv-PI-C-N40-gaussian", _solve("inverse", "polar", "PI-C", 0.3, "0:4:81", "--beta", "auto",
                                                  "--order", "40", "--profile", "gaussian:a=1.3")))
+    # data without a closed-form moment at the asked scale: the adaptive quadrature's passes
+    for name, argv in (
+        ("fwd-CD-A-bump", _solve("forward", "line", "CD-A", 0.5, "-2:2:9", "--beta", "1", "--profile",
+                                 "bump:radius=1.5")),
+        ("fwd-CD-C-bump", _solve("forward", "line", "CD-C", 0.5, "-2:2:9", "--beta", "1", "--profile",
+                                 "bump:radius=1.5")),
+        ("inv-CI-B-bump", _solve("inverse", "line", "CI-B", 0.3, "-2:2:9", "--beta", "1", "--profile",
+                                 "bump:radius=2")),
+        ("fwd-PD-A-bump", _solve("forward", "polar", "PD-A", 0.5, "0:2:9", "--beta", "1", "--profile",
+                                 "bump:radius=2")),
+        ("fwd-PD-C-off-centre", _solve("forward", "polar", "PD-C", 0.5, "0:2:9", "--beta", "1", "--profile",
+                                       "gaussian:a=0.9,center=1.5")),
+        ("fwd-PD-A-beta20-file", _solve("forward", "polar", "PD-A", 0.5, "0:2:9", "--beta", "20", "--input",
+                                        "f_polar33.csv")),
+        ("inv-CI-B-beta4-file", _solve("inverse", "line", "CI-B", 0.3, "-1:1:9", "--beta", "4", "--input",
+                                       "u_line41.csv")),
+    ):
+        out.append((f"quadrature-{name}", argv))
+    # each path of the sample-file reader
+    for name in sorted(_byte_files()):
+        if name.startswith("reader_"):
+            out.append((f"inv-{name[:-4]}", _solve("inverse", "line", "CI-A", 0.3, "-1:1:5", "--beta", "auto",
+                                                   "--order", "8", "--input", name)))
     # configuration errors: exit 2
     bad = {
         "no-beta": _solve("forward", "line", "CD-A", 0.5, "-1:1:3", "--profile", gauss),
@@ -276,6 +330,7 @@ def _own_commands() -> list:
         out.append((f"study-{name}", ["study", "--config", name]))
     out.append(("study-noise-line-json", ["study", "--config", "scripts/configs/noise_line.cfg", "--format", "json"]))
     out.append(("study-missing", ["study", "--config", "none.cfg"]))
+    out.append(("study-error_undecodable.cfg", ["study", "--config", "error_undecodable.cfg"]))
     # a study takes its constants mode from its config file only
     out.append(("study-constants-mode-flag",
                 ["study", "--config", "noise_polar_default.cfg", "--constants-mode", "paper_literal"]))
@@ -334,6 +389,12 @@ def record(path: str) -> int:
             xs = np.linspace(lo, 10.0, 16001)
             with open(name, "w") as handle:
                 handle.write(ref.samples_text(xs, field(GAUSS, 0.3, xs)))
+        xs = np.linspace(-1.0, 1.0, 41)
+        with open("u_line41.csv", "w") as handle:
+            handle.write(ref.samples_text(xs, ref.line_field(GAUSS, 0.3, xs)))
+        for name, data in _byte_files().items():
+            with open(name, "wb") as handle:
+                handle.write(data)
         commands += [(name, argv, None) for name, argv in _own_commands()]
         results = {}
         for name, argv, output in commands:

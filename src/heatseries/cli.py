@@ -202,7 +202,7 @@ def _read_sampled(path: str) -> Sampled1D:
     try:
         with open(path) as handle:
             lines = handle.read().split("\n")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}") from None
     xs, vals = [], []
     for line_no, line in enumerate(lines, start=1):
@@ -339,7 +339,7 @@ def cmd_forward(args) -> int:
 def cmd_inverse(args) -> int:
     data, source, xs = _check_solve_args(args, INVERSE_VARIANTS)
     if args.noise is not None:
-        if not isinstance(data, Sampled1D):
+        if "input" not in source:
             raise CliError("--noise applies to --input sample files only")
         if not (math.isfinite(args.noise) and args.noise >= 0.0):
             raise CliError("--noise must be non-negative and finite")
@@ -478,7 +478,7 @@ def _parse_study_config(path: str) -> StudyConfig:
     try:
         with open(path) as handle:
             lines = handle.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}") from None
     for line_no, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()

@@ -166,6 +166,8 @@ class StudyConfig:
         if any(n > MAX_ORDER for n in self.n_range):
             raise ValueError(f"orders (n_range) must be at most {MAX_ORDER}, whose moment pass fits the "
                              f"{MAX_TERMS} values a solve may build; got {max(self.n_range)}")
+        if self.grid.n > MAX_TERMS:
+            raise ValueError(f"[grid] n = {self.grid.n} is over {MAX_TERMS}, the most nodes a study may sample")
         if not all(math.isfinite(d) and d >= 0.0 for d in self.delta_range):
             raise ValueError(f"deltas (delta_range) must be non-negative and finite, got {list(self.delta_range)}")
         if not all(math.isfinite(b) and b > 0.0 for b in self.beta_range):

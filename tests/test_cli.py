@@ -820,6 +820,18 @@ def test_study_order_over_the_budget_rejected(tmp_path, capsys, orders):
         StudyConfig(study_kind="noise", n_range=(0, experiments.MAX_ORDER + 1))
 
 
+def test_study_grid_over_the_budget_rejected(tmp_path, capsys, monkeypatch):
+    # refused before any sampling: 92 bytes a node would make 1e8 nodes some 9 GB
+    n = experiments.MAX_TERMS + 1
+    monkeypatch.setattr(cli, "run_study", lambda config: pytest.fail("the study ran"))
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(f"[study]\nkind = noise\ntau = 0.3\n\n[grid]\nn = {n}\n\n[sweep]\norders = 0\n")
+    assert_rejected(capsys, run_cli("study", "--config", str(cfg)), str(cfg), f"n = {n}", str(cli.MAX_TERMS))
+    with pytest.raises(ValueError, match="grid"):
+        StudyConfig(study_kind="noise", grid=GridGeom(-8.0, 8.0, n))
+    assert StudyConfig(study_kind="noise", grid=GridGeom(-8.0, 8.0, n - 1)).grid.n == n - 1
+
+
 @pytest.mark.parametrize("variants", ["XX-Q", "PD-A"])
 def test_study_variant_outside_geometry_rejected(tmp_path, capsys, variants):
     # an unknown name used to escape as a KeyError traceback from the sweep
@@ -992,6 +1004,30 @@ def test_sample_files_read_as_the_line_loop_reads_them(tmp_path, monkeypatch, ca
     assert "Traceback" not in err
     if isinstance(loop, str):
         assert err == f"heatseries inverse: {loop}\n"
+
+
+def test_an_undecodable_sample_file_is_named(tmp_path, capsys):
+    # the byte sits past the first 8 KiB, behind a bad row: the file is named,
+    # with the byte's offset from its start, and the bad row is not reached
+    path = tmp_path / "u.csv"
+    rows = "".join(f"{0.01 * i:.17g},1\n" for i in range(2000)).encode("ascii")
+    path.write_bytes(b"x,value\n0,1\nbad,row\n" + rows[:20000 - 20] + b"\xff" + rows[20000 - 20:])
+    code = run_cli("inverse", "--variant", "CI-A", "--tau", "0.3", "--beta", "1", "--input", str(path),
+                   "--eval-grid", "0:0:1")
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (f"heatseries inverse: cannot read {path}: 'utf-8' codec can't decode byte 0xff in "
+                            "position 20000: invalid start byte\n")
+
+
+def test_an_undecodable_study_config_is_named(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"[study]\nkind = noise\n# caf\xe9\n")
+    code = run_cli("study", "--config", str(cfg))
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (f"heatseries study: cannot read {cfg}: 'utf-8' codec can't decode byte 0xe9 in "
+                            "position 26: invalid continuation byte\n")
 
 
 @pytest.mark.parametrize("command, geometry, variant, lo", [

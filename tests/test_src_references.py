@@ -11,8 +11,7 @@ are the package's re-exports, is exempt.
 
 No module but profiles.py passes a data class (Gaussian, Mixture, Bump,
 Sampled1D) to isinstance: each data kind answers for its own facts
-(`profiles.data_fact`).  The CLI's one check, that --noise perturbs sample
-files only, is the exemption.
+(`profiles.data_fact`).
 """
 
 import ast
@@ -85,8 +84,7 @@ def test_the_exempt_names_are_the_tracers():
 
 
 DATA_CLASSES = {"Gaussian", "Mixture", "Bump", "Sampled1D"}
-# the one test of a data kind outside profiles.py: --noise perturbs sample files only
-DATA_KIND_TESTS_ALLOWED = Counter({("cli.py", "Sampled1D"): 1})
+DATA_KIND_TESTS_ALLOWED = Counter()
 
 
 def data_kind_tests() -> Counter:
