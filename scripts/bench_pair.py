@@ -1,11 +1,13 @@
 """Benchmark two revisions with the stock perfbench and record both side by side.
 
     python3 scripts/bench_pair.py BENCH_21.json --base e6fb6b8 --head HEAD --seeds 10
+    python3 scripts/bench_pair.py control.json --base HEAD~1 --head HEAD~1 --workload solve_c
 
 Each revision's committed tree is exported with `git archive` into its own
 temporary directory, so the benchmark builds what it runs from committed
 files only and the checkout (its index and its git metadata included) is
-left as it is.  Every workload of BENCHMARK.json then runs
+left as it is.  Every workload of BENCHMARK.json (or each one named by
+--workload, a repeatable option) then runs
 `python3 perfbench/run.py --workload W --seed S --seconds T --trace 0`,
 unmodified, in each tree, T being BENCHMARK.json's run_seconds: for each
 seed the base and the head run back to back, in an order that alternates
@@ -99,6 +101,8 @@ def main(argv=None) -> int:
     parser.add_argument("--base", default="HEAD~1", help="the revision to compare against (default HEAD~1)")
     parser.add_argument("--head", default="HEAD", help="the revision under test (default HEAD)")
     parser.add_argument("--seeds", type=int, default=MIN_SEEDS, help=f"seeds per workload, at least {MIN_SEEDS}")
+    parser.add_argument("--workload", action="append", metavar="NAME",
+                        help="run this workload of BENCHMARK.json only (repeatable; default: every one)")
     args = parser.parse_args(argv)
     if args.seeds < MIN_SEEDS:
         parser.error(f"need at least {MIN_SEEDS} seeds, got {args.seeds}")
@@ -106,6 +110,10 @@ def main(argv=None) -> int:
         spec = json.load(handle)
     seconds = spec["run_seconds"]
     workloads = [w["name"] for w in spec["workloads"]]
+    unknown = sorted(set(args.workload or ()) - set(workloads))
+    if unknown:
+        parser.error(f"no workload {', '.join(unknown)} in BENCHMARK.json; choose from {workloads}")
+    workloads = [w for w in workloads if w in (args.workload or workloads)]
     metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
     work = tempfile.mkdtemp(prefix="bench-pair-")
     try:

@@ -2,6 +2,7 @@
 in-process and record the stdout, stderr and exit code of each command.
 
     python3 scripts/golden.py OUT.json             # record, with the src/ next to this script
+    python3 scripts/golden.py OUT.json --skip NAME # record all but the command NAME (repeatable)
     python3 scripts/golden.py --compare A.json B.json
 
 The list, some 380 commands, holds the perfbench commands; forward/inverse
@@ -20,7 +21,10 @@ Commands run in a fresh temporary directory that holds their input files,
 so every path they echo is relative and a record does not depend on where
 the checkout lives.  A command that writes --output has that file recorded
 too.  The runtime_ms column of study reports is wall-clock time and is
-masked.  --compare lists the commands whose records differ and exits 1 if
+masked.  --skip leaves a command out of the record, by the name it is
+recorded under: a copy of this script in an older tree records that tree
+without the commands it cannot run (say, one that a refusal it lacks would
+turn into a 16.7 M-node sampling).  A name that no command has is an error.  --compare lists the commands whose records differ and exits 1 if
 any does; where two records differ in numeric tokens only, it adds how many
 numbers differ and the largest absolute and relative difference.
 """
@@ -152,7 +156,8 @@ LARGE_FILES = {"u_line16001.csv": (ref.line_field, -10.0), "u_polar16001.csv": (
 def _byte_files() -> dict:
     """Input files written as bytes: a sample file for each path of the
     reader (21 samples of the evolved Gaussian on [-2, 2], broken or
-    decorated one way each), and a study config that is not UTF-8."""
+    decorated one way each, one with a UTF-8 comment), and a study config
+    that is not UTF-8."""
     xs = np.linspace(-2.0, 2.0, 21)
     rows = [f"{x:.17g},{v:.17g}" for x, v in zip(xs, ref.line_field(GAUSS, 0.3, xs))]
     head = ["# written by golden.py", "x,value"]
@@ -173,6 +178,8 @@ def _byte_files() -> dict:
         "reader_comment_after.csv": text(head + rows[:10] + ["# midway"] + rows[10:]),
         # 0xff is no UTF-8 byte; the file is under the 8 KiB a text reader decodes at once
         "reader_undecodable.csv": text(head + rows[:5]) + b"\xff" + text(rows[5:]),
+        # a UTF-8 comment row: read alike whatever the locale's encoding
+        "reader_utf8_comment.csv": "# r\u00e9sum\u00e9 of the run\n".encode("utf-8") + text(head[1:] + rows),
         "error_undecodable.cfg": b"[study]\nkind = noise\n# caf\xe9\n",
     }
 
@@ -367,7 +374,7 @@ def _run(argv: list, output: str | None) -> dict:
     return record
 
 
-def record(path: str) -> int:
+def record(path: str, skip=()) -> int:
     target = os.path.abspath(path)
     workdir = tempfile.mkdtemp(prefix="golden-")
     cwd = os.getcwd()
@@ -396,11 +403,15 @@ def record(path: str) -> int:
             with open(name, "wb") as handle:
                 handle.write(data)
         commands += [(name, argv, None) for name, argv in _own_commands()]
+        unknown = sorted(set(skip) - {name for name, _, _ in commands})
+        if unknown:
+            raise SystemExit(f"--skip names no command: {', '.join(unknown)}")
         results = {}
         for name, argv, output in commands:
             if name in results:
                 raise SystemExit(f"duplicate command name {name}")
-            results[name] = _run(list(argv), output)
+            if name not in skip:
+                results[name] = _run(list(argv), output)
     finally:
         os.chdir(cwd)
         shutil.rmtree(workdir, ignore_errors=True)
@@ -458,14 +469,18 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("paths", nargs="+", help="OUT.json to record, or A.json B.json with --compare")
     parser.add_argument("--compare", action="store_true", help="list the commands whose records differ")
+    parser.add_argument("--skip", action="append", default=[], metavar="NAME",
+                        help="record without the command NAME (repeatable)")
     args = parser.parse_args(argv)
     if args.compare:
         if len(args.paths) != 2:
             parser.error("--compare needs two record files")
+        if args.skip:
+            parser.error("--skip applies to recording")
         return compare(*args.paths)
     if len(args.paths) != 1:
         parser.error("recording needs one output file")
-    return record(args.paths[0])
+    return record(args.paths[0], set(args.skip))
 
 
 if __name__ == "__main__":

@@ -74,7 +74,7 @@ def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-heatseries-")
     try:
-        with os.fdopen(fd, "w") as handle:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -83,15 +83,19 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _render_csv(metadata: dict, header: list, rows: list, row_format: str | None = None) -> str:
+# the row templates of the validate and study tables: the text _fmt gives
+# their str, int, float and bool fields (nan and inf included)
+_VALIDATE_ROW = "%s,%d,%.17g,%.17g,%s,%s"
+_STUDY_ROW = "%s,%d,%.17g,%.17g,%.17g,%.17g,%d,%s,%.17g"
+
+
+def _render_csv(metadata: dict, header: list, rows: list, row_format: str) -> str:
     """row_format: one %-format for every row, the text _fmt gives its values."""
     lines = [f"# {key} = {_fmt(val)}" for key, val in metadata.items()]
     lines.append(",".join(header))
-    if row_format is not None:
+    if rows:
         # one % for the whole table, the template repeated: faster than one per row
         lines.append("\n".join([row_format] * len(rows)) % tuple(itertools.chain.from_iterable(rows)))
-    else:
-        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -129,7 +133,7 @@ def _render_json(metadata: dict, header: list, rows: list) -> str:
     return '{\n  "metadata": ' + _json_value(metadata, "  ") + ',\n  "rows": ' + body + "\n}\n"
 
 
-def _emit(args, metadata: dict, header: list, rows: list, row_format: str | None = None) -> None:
+def _emit(args, metadata: dict, header: list, rows: list, row_format: str) -> None:
     if args.format == "json":
         text = _render_json(metadata, header, rows)
     else:
@@ -200,7 +204,7 @@ def _read_sampled(path: str) -> Sampled1D:
     error naming its line.  From the first sample on, the rows go to
     `_sample_table` in one pass; where it declines, the loop reads on."""
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             lines = handle.read().split("\n")
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}") from None
@@ -357,7 +361,7 @@ def cmd_inverse(args) -> int:
         except ValueError as exc:
             raise CliError(f"bad --truth: {exc}") from None
         truth = truth_profile(xs)
-        metadata["summary_rel_l2"], metadata["summary_rel_max"] = _errors(np.asarray(values), truth, _norms(truth))
+        (metadata["summary_rel_l2"],), (metadata["summary_rel_max"],) = _errors(values[None], truth, _norms(truth))
     _emit_field(args, metadata, xs, values, flags)
     return 0
 
@@ -381,7 +385,7 @@ def cmd_validate(args) -> int:
         (r.variant, r.n, r.beta, r.error_max, r.status, expected[r.variant])
         for r in report.rows
     ]
-    _emit(args, metadata, header, rows)
+    _emit(args, metadata, header, rows, _VALIDATE_ROW)
     mismatches = {v: (observed[v], expected[v]) for v in observed if observed[v] != expected[v]}
     if mismatches:
         detail = ", ".join(f"{v}: got {o}, expected {e}" for v, (o, e) in sorted(mismatches.items()))
@@ -476,7 +480,7 @@ def _parse_study_config(path: str) -> StudyConfig:
     sections = {section: {} for section, *_ in _CONFIG_KEYS}
     current = None
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             lines = handle.read().splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}") from None
@@ -537,7 +541,7 @@ def cmd_study(args) -> int:
         (r.variant, r.n, r.beta, r.delta, r.error_l2, r.error_max, r.diverged, r.status, r.runtime_ms)
         for r in report.rows
     ]
-    _emit(args, metadata, header, rows)
+    _emit(args, metadata, header, rows, _STUDY_ROW)
     return 0
 
 

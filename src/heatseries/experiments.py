@@ -8,8 +8,9 @@ Five study kinds:
   for the published-vs-validated constant sets.  Each variant takes one
   coefficient pass at its full order; orders 0, 1, 2, the full order, a C
   variant's off-center probe (one more point of the pass) and its
-  literal/validated ratio (its kept coefficients re-weighted by each mode's
-  constants) are all read from it, as an order sweep reads its orders.
+  literal/validated ratio (its three kept coefficients weighted by each
+  mode's constants) are all read from it, the orders in one read as an
+  order sweep reads its orders.
 * convergence: error versus truncation order for the direct variants.
 * beta_map: error and divergence flag over a grid of shift values, at the
   last listed order.
@@ -22,10 +23,14 @@ This module also holds the geometry dispatch: the one map from a geometry
 to the functions that serve it - its series module's grid solve, oracle,
 exact evolution, scale estimate - and to the study defaults.  The grid
 solve (`solve_grid_line` / `solve_grid_polar`) returns the term matrix of
-one coefficient pass, checked at its order: the CLI reads that order, and
-the audit and the order sweeps (`_sweep_orders`) sum every lower one too.
-Every study row but the audit's comes from one sweep (`_sweep_rows`): the
-beta map sweeps its last listed order once per shift.
+one coefficient pass, checked at its order: the CLI reads that order alone
+(`SeriesTerms.values`), and the audit and the order sweeps (`_sweep_orders`)
+read every order they need in one call (`SeriesTerms.sweep`), an A/B grid
+of two or more points from one cumulative sum down the orders, a one-point
+grid and each point of a C variant summed as on its own.  Every study row
+but the audit's comes from one sweep (`_sweep_rows`), whose orders' errors
+come from one difference matrix: the beta map sweeps its last listed order
+once per shift.
 
 Reports are deterministic given (config, seed): noise comes from a recorded
 numpy PCG64 stream, summation orders are fixed, and rows are sorted
@@ -48,8 +53,7 @@ from .profiles import AnalyticProfile, Gaussian, Sampled1D, estimate_scale_line,
 from .quad import BLOCK_NODES
 from .specfun import KernelParams
 from .variants import (
-    CLASSICAL, CONSTANTS_MODES, LINE, POLAR, VARIANTS, check_mode, default_beta, geometry_of, pointwise_terms,
-    variant_names,
+    CLASSICAL, CONSTANTS_MODES, LINE, POLAR, VARIANTS, check_mode, default_beta, geometry_of, variant_names,
 )
 
 __all__ = [
@@ -240,11 +244,15 @@ def _norms(a: np.ndarray) -> tuple[float, float]:
     return float(np.linalg.norm(a)), float(np.max(np.abs(a)))
 
 
-def _errors(values: np.ndarray, truth: np.ndarray, truth_norms: tuple[float, float]) -> tuple[float, float]:
-    """The l2 and max errors of values against truth, relative to truth_norms = _norms(truth)."""
+def _errors(values: np.ndarray, truth: np.ndarray, truth_norms: tuple[float, float]) -> tuple[list, list]:
+    """The l2 and max errors of each row of values against truth, relative to
+    truth_norms = _norms(truth): two lists of floats.  A row's l2 norm is
+    np.linalg.norm's, the root of its dot product with itself."""
     with np.errstate(over="ignore"):  # an overflowing error is inf: the row reads error:nonfinite
-        err_l2, err_max = _norms(values - truth)
-    return err_l2 / truth_norms[0], err_max / truth_norms[1]
+        d = values - truth
+        err_l2 = np.sqrt([row.dot(row) for row in d]).tolist()
+        err_max = np.max(np.abs(d), axis=1).tolist()
+    return [e / truth_norms[0] for e in err_l2], [e / truth_norms[1] for e in err_max]
 
 
 def _problem(variant: str, f: AnalyticProfile, tau: float):
@@ -262,25 +270,28 @@ def _sweep_orders(variant, data, tau, beta, n_list, xs, mode) -> list:
     """Values and divergence flags for every order in n_list, highest first.
 
     The grid solve at the highest order (one coefficient pass, checked at
-    that order and so at every lower one) serves every order: each order
-    sums its own rows (up to the early stop that order makes), so its values
-    and flag are bit for bit those of evaluating the same coefficients
-    truncated to that order.  A C variant's term matrix has one column per
-    point, each summed as on its own.  An order whose solve fails reports
-    its error, and the next order down solves again, so no order fails for a
-    higher one.  Returns (n, values, any_flagged, err) per order, err set to
-    an exception when that order failed, as a list: a span around the sweep
-    holds its solve.
+    that order and so at every lower one) serves every order, and one read
+    of its term matrix (`SeriesTerms.sweep`) takes them all: each order sums
+    its own rows (up to the early stop that order makes), so its values and
+    flag are bit for bit those of evaluating the same coefficients truncated
+    to that order.  An A/B grid of two or more points takes every order from
+    one cumulative sum; a one-point grid, and each point of a C variant,
+    whose term matrix has one series per column, is summed as on its own.
+    An order whose solve fails reports its error, and the next order down
+    solves again, so no order fails for a higher one.  Returns (n, values,
+    any_flagged, err) per order, err set to an exception when that order
+    failed, as a list: a span around the sweep holds its solve.
     """
-    out, terms = [], None
-    for n in sorted((int(n) for n in n_list), reverse=True):
+    out, orders = [], sorted((int(n) for n in n_list), reverse=True)
+    for i, n in enumerate(orders):
         try:
-            if terms is None:
-                terms = _SOLVE[geometry_of(variant)](variant, data, tau, beta, n, xs, mode)
-            result = n, terms.values(n), bool(np.any(terms.flagged(n))), None
+            terms = _SOLVE[geometry_of(variant)](variant, data, tau, beta, n, xs, mode)
         except (OverflowError, ValueError) as exc:
-            terms, result = None, (n, None, True, exc)
-        out.append(result)
+            out.append((n, None, True, exc))
+            continue
+        values, flagged = terms.sweep(orders[i:])
+        out.extend(zip(orders[i:], values, flagged.tolist(), [None] * len(values)))
+        break
     return out
 
 
@@ -316,8 +327,8 @@ def run_audit(config: StudyConfig) -> StudyReport:
 
     Each variant takes one grid solve at its full order (a C variant's
     off-center probe is one more point of it), and every audited order, the
-    full one included, is a truncation of that one term matrix, as in an
-    order sweep.  In oracle_validated mode every variant must pass.  In
+    full one included, is a truncation of that one term matrix, all read in
+    one call as in an order sweep.  In oracle_validated mode every variant must pass.  In
     paper_literal mode the C variants fail by their documented constant
     ratios, which the report records in metadata["literal_value_ratios"]
     (the truncated-value ratio at the exact-truncation configuration, from
@@ -338,12 +349,11 @@ def run_audit(config: StudyConfig) -> StudyReport:
         orders = (0, 1, 2, full_order)
         t0 = time.perf_counter()
         series = _SOLVE[row.geometry](variant, data, tau, beta, full_order, points, mode)
-        errs = {}
-        for n in orders:
-            err = float(np.max(np.abs(series.values(n)[on_probes] - truth_vals))) / scale
-            errs[n] = err
-            diverged = bool(np.any(series.flagged(n)[on_probes]))
-            rows.append(StudyRow(variant, n, beta, 0.0, err, err, diverged, "", (time.perf_counter() - t0) * 1e3))
+        values, flagged = series.sweep(orders, on_probes)
+        errs = dict(zip(orders, (np.max(np.abs(values[:, on_probes] - truth_vals), axis=1) / scale).tolist()))
+        for n, diverged in zip(orders, flagged.tolist()):
+            rows.append(StudyRow(variant, n, beta, 0.0, errs[n], errs[n], diverged, "",
+                                 (time.perf_counter() - t0) * 1e3))
         if row.weighted:
             # no exact-truncation configuration exists for the weighted
             # moments; certified by strict error decrease plus full-order
@@ -352,13 +362,15 @@ def run_audit(config: StudyConfig) -> StudyReport:
         else:
             passed = all(errs[n] <= _AUDIT_TOL_EXACT for n in (0, 1, 2))
         if row.pointwise:
-            # value ratio literal/validated of the N=2 truncation at center
+            # value ratio literal/validated of the N=2 truncation at center:
+            # its three kept coefficients weighted by each mode's constants
+            # and summed as the series sums one point
             params = KernelParams(tau=tau, beta=beta)
-            kept = series.coeffs[:3], series.points, series.label
-            v_ok, v_lit = (pointwise_terms(row.kappa(params, m, 2), *kept).values(2)[0] for m in CONSTANTS_MODES)
+            kept = np.reshape(series.coeffs[:3], (3, -1))[:, 0]
+            with np.errstate(over="ignore", invalid="ignore"):
+                v_ok, v_lit = (np.sum(row.kappa(params, m, 2) * kept) for m in CONSTANTS_MODES)
             ratios[variant] = float(v_lit / v_ok)
-            off_val = series.values(full_order)[-1]
-            off_err = float(abs(off_val - np.atleast_1d(truth(points[-1:]))[0])) / scale
+            off_err = float(abs(values[-1, -1] - np.atleast_1d(truth(points[-1:]))[0])) / scale
             passed = passed and off_err <= _AUDIT_TOL_FULL
         for audited in rows[-len(orders):]:
             audited.status = "pass" if passed else "fail"
@@ -384,17 +396,20 @@ def _study_variants(config: StudyConfig) -> tuple:
 
 def _sweep_rows(config: StudyConfig, variant: str, data, beta: float, truth: np.ndarray, delta: float = 0.0) -> list:
     """One StudyRow per order of config.n_range: the sweep of one variant at
-    config.tau and beta on the compare grid against truth."""
-    rows, truth_norms = [], _norms(truth)
+    config.tau and beta on the compare grid against truth, every order's
+    errors from one difference matrix."""
     t0 = time.perf_counter()
-    for n, vals, diverged, exc in _sweep_orders(
-        variant, data, config.tau, beta, config.n_range, _COMPARE_GRID[config.geometry], config.constants_mode
-    ):
+    swept = _sweep_orders(variant, data, config.tau, beta, config.n_range, _COMPARE_GRID[config.geometry],
+                          config.constants_mode)
+    built = [vals for _, vals, _, exc in swept if exc is None]
+    errors = zip(*_errors(np.reshape(built, (-1, truth.size)), truth, _norms(truth)))
+    rows = []
+    for n, _, diverged, exc in swept:
         if exc is not None:
             err_l2 = err_max = float("nan")
             status = f"error:{type(exc).__name__}"
         else:
-            err_l2, err_max = _errors(vals, truth, truth_norms)
+            err_l2, err_max = next(errors)
             status = "ok"
             if not (math.isfinite(err_l2) and math.isfinite(err_max)):
                 status = "error:nonfinite"

@@ -32,13 +32,13 @@ run of small rows and the scan's run of growing terms are both shifted
 ANDs; the scan (`_scan`) lists every point's visible terms column after
 column in one flat array and finds each point's first growth run there,
 with no sort and no accumulate down the orders.  The matrix is kept
-whole (`SeriesTerms`, the one result of every evaluation) so an order sweep
-can sum each order's own rows, and a grid solve reads its values and flags
-from it.  A/B rows stop together (the largest term of a row decides); every
-C column is a series of its own, with its own early stop and overflow row,
-and keeps its point and coefficients: `SeriesTerms.check` names the first
-overflowing point ("CD-C at x = 100: ..."), for a grid solve and a library
-caller alike.
+whole (`SeriesTerms`, the one result of every evaluation): a grid solve
+reads one order's values and flags from it (`values`, `flagged`), and an
+order sweep reads every order's in one call (`sweep`).  A/B rows stop
+together (the largest term of a row decides); every C column is a series
+of its own, with its own early stop and overflow row, and keeps its point
+and coefficients: `SeriesTerms.check` names the first overflowing point
+("CD-C at x = 100: ..."), for a grid solve and a library caller alike.
 
 Each series module describes its geometry by a `Geometry` record (the
 basis batch, the kernel's normaliser, the weight ratio and update, the moment
@@ -357,7 +357,9 @@ class SeriesTerms:
     the divergence scan, so slicing gives exactly what a separate evaluation
     at order m would.  stop and finite are one count for the grid (A/B: the
     largest term of a row decides), or one per point when every column is a
-    series of its own (C: `pointwise_terms`).
+    series of its own (C: `pointwise_terms`).  One order is read by
+    `values` and `flagged`; any number of them by one `sweep`, whose every
+    row is that order's `values`.
     """
 
     terms: np.ndarray
@@ -407,6 +409,42 @@ class SeriesTerms:
 
     def flagged(self, m: int) -> np.ndarray:
         return self.fires < self.rows(m)
+
+    def sweep(self, orders, cols=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+        """Every order of orders in one read: a row of sums per order, bit
+        for bit `values(m)`, and whether `flagged(m)` holds at any point of
+        cols; raises as `check` does at the highest order.
+
+        A/B rows stop together, so order m keeps rows(m) rows of every
+        column.  numpy sums axis 0 of a C-contiguous matrix of two or more
+        columns row after row, from +0, so those sums are row rows(m) - 1
+        of one cumulative sum down the orders, with -0 read as +0.  A
+        one-column grid (which numpy sums pairwise) and a C series (each
+        column summed as it would be alone) sum each distinct row count
+        once for all the orders."""
+        orders = np.asarray(orders, dtype=int)
+        self.check(int(orders.max()))
+        terms = self.terms
+        if not self.pointwise:
+            keep = np.minimum(self.stop, orders + 1)
+            flagged = np.min(self.fires[cols]) < keep
+            if terms.shape[1] > 1 and terms.flags.c_contiguous:
+                out = np.cumsum(terms[:keep.max()], axis=0)[keep - 1]
+                out += 0.0  # np.sum adds the first row to +0, so a -0 sum reads +0
+                return out, flagged
+            out = np.empty((orders.size, terms.shape[1]))
+            for r in np.unique(keep):
+                out[keep == r] = np.sum(terms[:r], axis=0)
+            return out, flagged
+        keep = np.minimum(self.stop, orders[:, None] + 1)  # orders x points
+        flagged = np.any(self.fires[cols] < keep[:, cols], axis=1)
+        out, sums = np.empty(keep.shape), np.empty(terms.shape[1])
+        for r in np.unique(keep):
+            at = keep == r
+            points = np.any(at, axis=0)
+            sums[points] = np.sum(np.ascontiguousarray(terms[:r].T[points]), axis=1)
+            out[at] = np.broadcast_to(sums, out.shape)[at]
+        return out, flagged
 
 
 def _first(flags: np.ndarray) -> np.ndarray:

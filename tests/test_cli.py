@@ -2,8 +2,12 @@ import dataclasses
 import gc
 import json
 import math
+import os
+import re
+import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -887,6 +891,27 @@ def test_row_format_is_the_text_of_fmt(x, flag):
     assert "%.17g,%.17g,%d" % (x, -x, flag) == ",".join(cli._fmt(v) for v in (x, -x, flag))
 
 
+STUDY_ROWS = [
+    ("CI-A", 0, 0.6, 0.0, 0.25, 1.5, False, "ok", 3.25),
+    ("CI-classical", 12, 0.0, 1e-3, float("nan"), float("nan"), True, "error:ValueError", 0.0),
+    ("PI-B", 40, 0.2, 1e-4, float("inf"), -float("inf"), True, "error:nonfinite", 1e-300),
+    ("CD-C", 400, 1.0, 1e300, 5e-324, -0.0, False, "error:OverflowError", 12.000000000000002),
+]
+
+
+@pytest.mark.parametrize("row_format, rows", [
+    (cli._STUDY_ROW, STUDY_ROWS),
+    (cli._VALIDATE_ROW, [(v, n, beta, err, status, "pass") for v, n, beta, _, err, _, _, status, _ in STUDY_ROWS]),
+], ids=["study", "validate"])
+def test_table_templates_are_the_text_of_fmt(row_format, rows):
+    # nan and inf errors, error:* statuses, integer orders and bool flags
+    metadata, header = {"command": "study", "tau": 0.3}, ["h"] * len(rows[0])
+    expected = "".join(f"# {k} = {cli._fmt(v)}\n" for k, v in metadata.items()) + ",".join(header) + "\n"
+    expected += "".join(",".join(cli._fmt(v) for v in row) + "\n" for row in rows)
+    assert cli._render_csv(metadata, header, rows, row_format) == expected
+    assert cli._render_csv(metadata, header, [], row_format) == expected.split("h\n")[0] + "h\n"
+
+
 def json_dumps_rows(metadata, header, rows):
     """The JSON output as json.dumps writes it, which _render_json's template
     must give byte for byte."""
@@ -1050,3 +1075,52 @@ def test_an_overflow_of_sampled_moments_names_the_commands_order(tmp_path, capsy
     err = capsys.readouterr().err
     assert code == 3
     assert "not finite at order 40" in err and "order 41" not in err and "order 42" not in err
+
+
+# the environment of a UTF-8 locale, and of the C locale with Python's UTF-8
+# mode and locale coercion off: there the locale's encoding is ASCII
+LOCALES = {
+    "utf-8": {"LC_ALL": "C.UTF-8", "PYTHONUTF8": "1"},
+    "C": {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"},
+}
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def run_under(locale, argv, cwd):
+    """(exit code, stdout bytes) of `python -m heatseries.cli argv` under one of LOCALES."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith(("LC_", "LANG", "PYTHONUTF8", "PYTHONCOERCE"))}
+    env.update(LOCALES[locale], PYTHONPATH=os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, *argv], cwd=cwd, env=env, capture_output=True, timeout=300)
+    assert b"Traceback" not in proc.stderr, proc.stderr.decode("utf-8", "replace")
+    return proc.returncode, proc.stdout
+
+
+def test_files_with_utf8_comments_read_alike_under_any_locale(tmp_path):
+    # a sample file and a study config whose comment rows are UTF-8, read
+    # and reported (to stdout and through --output) under a UTF-8 locale and
+    # under the C locale, whose ASCII encoding cannot decode them
+    code, encoding = run_under("C", ["-c", "import locale; print(locale.getpreferredencoding(False))"], tmp_path)
+    assert code == 0 and encoding.strip().decode() not in ("UTF-8", "utf-8")
+    xs = np.linspace(-4.0, 4.0, 81)
+    rows = "".join(f"{x:.17g},{math.exp(-x * x / 5.2):.17g}\n" for x in xs)
+    (tmp_path / "u.csv").write_bytes("# r\u00e9sum\u00e9 of the run\nx,value\n".encode() + rows.encode())
+    (tmp_path / "s.cfg").write_bytes("[study]\n# caf\u00e9 \u2014 a comment\nkind = noise\ntau = 0.3\n\n"
+                                     "[grid]\nn = 41\n\n[sweep]\norders = 0, 4\n".encode())
+    solve = ["-m", "heatseries.cli", "inverse", "--variant", "CI-A", "--tau", "0.3", "--beta", "1", "--order", "8",
+             "--input", "u.csv", "--eval-grid", "0:1:3"]
+    study = ["-m", "heatseries.cli", "study", "--config", "s.cfg"]
+    out = {}
+    for locale in LOCALES:
+        out[locale, "solve"] = run_under(locale, solve, tmp_path)
+        out[locale, "study"] = run_under(locale, study, tmp_path)
+        written = tmp_path / f"{locale}.csv"
+        code, _ = run_under(locale, solve + ["--output", written.name], tmp_path)
+        out[locale, "output"] = code, written.read_bytes() if code == 0 else b""
+    assert b"# input = u.csv" in out["utf-8", "solve"][1]
+    assert out["utf-8", "output"] == out["utf-8", "solve"]
+    for what in ("solve", "study", "output"):
+        (code, text), (utf8_code, utf8) = out["C", what], out["utf-8", what]
+        if what == "study":  # the runtime_ms column is wall-clock time
+            text, utf8 = (re.sub(rb",[^,\n]*$", b",*", t, flags=re.M) for t in (text, utf8))
+            assert b",ok," in text and b"error:" not in text
+        assert (code, text) == (utf8_code, utf8) and code == 0

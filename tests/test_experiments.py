@@ -1,11 +1,14 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from heatseries.experiments import (
     GridGeom,
     StudyConfig,
+    _errors,
+    _norms,
     expected_audit_statuses,
     run_audit,
     run_beta_map,
@@ -247,3 +250,23 @@ def test_run_study_dispatch_and_row_ordering():
     assert keys == sorted(keys)
     assert report.metadata["prng"] == "numpy-PCG64"
     assert report.metadata["library_version"]
+
+
+def test_each_rows_errors_are_those_of_the_row_alone():
+    # a sweep takes every order's errors from one difference matrix: each
+    # row's l2 error has np.linalg.norm's bits, its max error np.max's, at
+    # grid sizes around the dot product's unrolled blocks, and an
+    # overflowing square reads inf without a warning
+    rng = np.random.default_rng(2)
+    for points in (1, 2, 3, 4, 7, 8, 9, 15, 16, 17, 33, 61, 121, 401, 1000):
+        truth = rng.normal(size=points)
+        values = truth + rng.normal(size=(6, points)) * 10.0 ** rng.integers(-12, 0, size=(6, 1))
+        values[5, 0] = 1.7e308 if truth[0] < 0 else -1.7e308
+        norms = _norms(truth)
+        l2, max_ = _errors(values, truth, norms)
+        assert len(l2) == len(max_) == 6 and math.isinf(l2[5])
+        for row, got_l2, got_max in zip(values, l2, max_):
+            with np.errstate(over="ignore"):
+                d = row - truth
+                assert got_l2 == float(np.linalg.norm(d)) / norms[0]
+                assert got_max == float(np.max(np.abs(d))) / norms[1]

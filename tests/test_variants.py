@@ -5,6 +5,7 @@ per-point loops they replaced, and the order sweep against separate solves.
 """
 
 import contextlib
+import dataclasses
 import sys
 from fractions import Fraction
 
@@ -515,6 +516,86 @@ def test_a_pi_b_shift_below_tau_fails_before_its_coefficient_pass(monkeypatch):
     for _, vals, flagged, err in swept:
         assert vals is None and flagged and type(err) is ValueError and str(err) == str(expected.value)
     assert passes == []
+
+
+# --- one read of every order ------------------------------------------------------
+
+def assert_one_read_is_each_order_read_alone(series, orders, cols=slice(None)):
+    values, flagged = series.sweep(orders, cols)
+    assert values.shape == (len(orders), series.terms.shape[1]) and flagged.shape == (len(orders),)
+    for m, row, flag in zip(orders, values, flagged):
+        assert same_bits(row, series.values(m))
+        assert bool(flag) == bool(np.any(series.flagged(m)[cols]))
+
+
+def test_one_read_of_a_b_terms_is_each_order_read_alone():
+    # one column (numpy sums it pairwise), two and more (one cumulative sum
+    # down the orders) and a matrix that is not C-contiguous, asked for
+    # orders in any order; rows of terms under the early-stop threshold stop
+    # some series early, and some entries are -0
+    rng = np.random.default_rng(3)
+    stopped = 0
+    for _ in range(300):
+        rows, cols = int(rng.integers(1, 150)), int(rng.choice([1, 2, 3, 17, 300]))
+        basis = rng.normal(size=(rows, cols)) * 10.0 ** rng.integers(-20, 3, size=(rows, 1))
+        basis[rng.random(basis.shape) < 0.05] = -0.0
+        series = series_terms(rng.uniform(0.5, 2.0, rows), basis, None)
+        stopped += series.stop < rows
+        orders = rng.permutation(rows)[: int(rng.integers(1, rows + 1))]
+        assert_one_read_is_each_order_read_alone(series, orders)
+        assert_one_read_is_each_order_read_alone(dataclasses.replace(series, terms=np.asfortranarray(series.terms)),
+                                                 orders)
+    assert stopped > 50
+
+
+def test_one_read_of_a_c_series_is_each_order_read_alone():
+    # points whose series stop early at different rows, two at the same one,
+    # one that runs to the full order and one whose terms grow until they
+    # are flagged: every order in one read, flagged at all points or some
+    n = 30
+    rng = np.random.default_rng(5)
+    coeffs = rng.uniform(0.5, 1.0, size=(n + 1, 8))
+    for c, small_from in enumerate((1, 6, 6, 12, 19, 26)):  # stops at small_from + 3 rows
+        coeffs[small_from:, c] *= 1e-16
+    coeffs[:, 7] = 1.5 ** np.arange(n + 1)
+    series = pointwise_terms(np.ones(n + 1), coeffs, *at_points(coeffs.shape[1]))
+    assert len(set(series.stop.tolist())) == 6 and series.flagged(n)[7] and not series.flagged(n)[:7].any()
+    orders = rng.permutation(n + 1)
+    for cols in (slice(None), slice(0, 3), [1, 4, 7]):
+        assert_one_read_is_each_order_read_alone(series, orders, cols)
+    assert_one_read_is_each_order_read_alone(series, (0, 5, 30, 5))
+
+
+def test_one_read_raises_as_the_highest_order_does():
+    terms = np.array([[1.0, 2.0], [0.5, 0.5], [np.inf, 1.0], [1.0, 1.0]])
+    series = series_terms(np.ones(4), terms, None)
+    values, _ = series.sweep((1, 0))
+    assert same_bits(values, [series.values(1), series.values(0)])
+    with pytest.raises(OverflowError):
+        series.sweep((0, 2))
+
+
+@pytest.mark.parametrize("variant, data, params", [
+    ("CD-A", MIX, KernelParams(0.5, 0.8)),
+    ("CI-B", evolve_line(MIX, 0.3), KernelParams(0.3, 0.8)),
+    ("CD-C", Gaussian(width_a=1.3), KernelParams(0.5, 0.8)),
+])
+@pytest.mark.parametrize("grid", [np.array([0.7]), np.array([-1.1, 0.7])], ids=["one point", "two points"])
+def test_a_sweep_on_one_or_two_points_is_each_order_evaluated_alone(variant, data, params, grid):
+    # a one-point A/B grid is summed pairwise, a two-point one by the
+    # cumulative sum; either way each order is, bit for bit, the evaluation
+    # of the sweep's coefficients truncated to that order
+    coeffs_fn, eval_fn = _COEFFS_EVAL[variant]
+    orders = (0, 1, 2, 5, 10, 20, 40)
+    extra = (grid,) if VARIANTS[variant].pointwise else ()
+    coeffs = coeffs_fn(variant, data, params, orders[-1], *extra)
+    swept = experiments._sweep_orders(variant, data, params.tau, params.beta, orders, grid, "oracle_validated")
+    assert [n for n, *_ in swept] == sorted(orders, reverse=True)
+    for n, vals, flagged, err in swept:
+        alone = eval_fn(variant, coeffs[: n + 1], params, grid)
+        assert err is None and type(flagged) is bool
+        assert same_bits(vals, alone.values(n))
+        assert flagged == bool(np.any(alone.flagged(n)))
 
 
 @pytest.mark.parametrize("variant, points, mode", [
