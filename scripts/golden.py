@@ -24,7 +24,8 @@ too.  The runtime_ms column of study reports is wall-clock time and is
 masked.  --skip leaves a command out of the record, by the name it is
 recorded under: a copy of this script in an older tree records that tree
 without the commands it cannot run (say, one that a refusal it lacks would
-turn into a 16.7 M-node sampling).  A name that no command has is an error.  --compare lists the commands whose records differ and exits 1 if
+turn into a 16.7 M-node sampling).  A name that no command has is an
+error.  --compare lists the commands whose records differ and exits 1 if
 any does; where two records differ in numeric tokens only, it adds how many
 numbers differ and the largest absolute and relative difference.
 """

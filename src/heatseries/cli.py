@@ -71,10 +71,13 @@ def _fmt(value) -> str:
 
 
 def _atomic_write(path: str, text: str) -> None:
+    """text to path as UTF-8, whatever the locale; an argument that was not
+    valid text in the locale's encoding (a path echoed in the metadata) is
+    written back as the bytes it came from, as stdout writes it."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-heatseries-")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+        with os.fdopen(fd, "w", encoding="utf-8", errors="surrogateescape") as handle:
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:

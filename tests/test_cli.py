@@ -1087,7 +1087,7 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run_under(locale, argv, cwd):
-    """(exit code, stdout bytes) of `python -m heatseries.cli argv` under one of LOCALES."""
+    """(exit code, stdout bytes) of `python argv` under one of LOCALES, the package's src on the path."""
     env = {k: v for k, v in os.environ.items() if not k.startswith(("LC_", "LANG", "PYTHONUTF8", "PYTHONCOERCE"))}
     env.update(LOCALES[locale], PYTHONPATH=os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH")))))
     proc = subprocess.run([sys.executable, *argv], cwd=cwd, env=env, capture_output=True, timeout=300)
@@ -1098,16 +1098,17 @@ def run_under(locale, argv, cwd):
 def test_files_with_utf8_comments_read_alike_under_any_locale(tmp_path):
     # a sample file and a study config whose comment rows are UTF-8, read
     # and reported (to stdout and through --output) under a UTF-8 locale and
-    # under the C locale, whose ASCII encoding cannot decode them
+    # under the C locale, whose ASCII encoding cannot decode them; the sample
+    # file's name, echoed in the report, is not ASCII either
     code, encoding = run_under("C", ["-c", "import locale; print(locale.getpreferredencoding(False))"], tmp_path)
     assert code == 0 and encoding.strip().decode() not in ("UTF-8", "utf-8")
     xs = np.linspace(-4.0, 4.0, 81)
     rows = "".join(f"{x:.17g},{math.exp(-x * x / 5.2):.17g}\n" for x in xs)
-    (tmp_path / "u.csv").write_bytes("# r\u00e9sum\u00e9 of the run\nx,value\n".encode() + rows.encode())
+    (tmp_path / "r\u00e9sum\u00e9.csv").write_bytes("# r\u00e9sum\u00e9 of the run\nx,value\n".encode() + rows.encode())
     (tmp_path / "s.cfg").write_bytes("[study]\n# caf\u00e9 \u2014 a comment\nkind = noise\ntau = 0.3\n\n"
                                      "[grid]\nn = 41\n\n[sweep]\norders = 0, 4\n".encode())
     solve = ["-m", "heatseries.cli", "inverse", "--variant", "CI-A", "--tau", "0.3", "--beta", "1", "--order", "8",
-             "--input", "u.csv", "--eval-grid", "0:1:3"]
+             "--input", "r\u00e9sum\u00e9.csv", "--eval-grid", "0:1:3"]
     study = ["-m", "heatseries.cli", "study", "--config", "s.cfg"]
     out = {}
     for locale in LOCALES:
@@ -1116,7 +1117,7 @@ def test_files_with_utf8_comments_read_alike_under_any_locale(tmp_path):
         written = tmp_path / f"{locale}.csv"
         code, _ = run_under(locale, solve + ["--output", written.name], tmp_path)
         out[locale, "output"] = code, written.read_bytes() if code == 0 else b""
-    assert b"# input = u.csv" in out["utf-8", "solve"][1]
+    assert "# input = r\u00e9sum\u00e9.csv".encode() in out["utf-8", "solve"][1]
     assert out["utf-8", "output"] == out["utf-8", "solve"]
     for what in ("solve", "study", "output"):
         (code, text), (utf8_code, utf8) = out["C", what], out["utf-8", what]
