@@ -47,13 +47,18 @@ def _export(rev: str, into: str) -> str:
     return sha
 
 
-def _machine() -> dict:
+def machine() -> dict:
+    """The host: the timings of a BENCH file and the bits of the golden
+    record depend on it (numpy's BLAS build and the SIMD extensions it
+    dispatches to included)."""
     model = ""
     try:
         with open("/proc/cpuinfo") as handle:
             model = next((line.split(":", 1)[1].strip() for line in handle if line.startswith("model name")), "")
     except OSError:
         pass
+    build = np.show_config(mode="dicts")
+    blas = build["Build Dependencies"]["blas"]
     return {
         "platform": platform.platform(),
         "machine": platform.machine(),
@@ -61,6 +66,8 @@ def _machine() -> dict:
         "cpu_count": os.cpu_count(),
         "python": platform.python_version(),
         "numpy": np.__version__,
+        "blas": blas.get("openblas configuration") or f"{blas.get('name')} {blas.get('version')}",
+        "simd": build["SIMD Extensions"],
     }
 
 
@@ -138,7 +145,7 @@ def main(argv=None) -> int:
         shutil.rmtree(work, ignore_errors=True)
     record = {
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds!r} --trace 0",
-        "machine": _machine(),
+        "machine": machine(),
         "revisions": revisions,
         "seeds": list(range(1, args.seeds + 1)),
         "seconds": seconds,

@@ -1,38 +1,36 @@
 """Golden CLI outputs: run a fixed command list through `heatseries.cli.main`
 in-process and record the stdout, stderr and exit code of each command.
 
-    python3 scripts/golden.py OUT.json             # record, with the src/ next to this script
-    python3 scripts/golden.py OUT.json --skip NAME # record all but the command NAME (repeatable)
-    python3 scripts/golden.py --compare A.json B.json
+    python3 scripts/golden.py tests/golden/record.jsonl   # re-record, with the src/ next to this script
+    python3 scripts/golden.py --compare A.jsonl B.jsonl
 
 The list, some 380 commands, holds the perfbench commands; forward/inverse
 of every series variant, CI-classical and both oracles in both constants
-modes, as CSV and JSON, on analytic, evolved and sampled data (CI-C and PI-C
-also at order 40 on analytic data; CI-A, CI-B, CI-C and both oracles also
-on 16 001-node files: the polar oracle's quadrature levels span many
-integrand blocks, and the closed forms of the line's moments and oracle
-many node blocks); data whose moments take the adaptive quadrature; one
-file for each path of the sample-file reader; overflow (exit 3) and
-configuration (exit 2) cases; `validate` in both modes; study configs of
-every kind, the shipped ones included; and malformed study configs and
-study flags (exit 2).
+modes, as CSV and JSON, on analytic, evolved and sampled data (some at
+order 40, some on 16 001-node files); data whose moments take the adaptive
+quadrature; one file for each path of the sample-file reader; overflow
+(exit 3) and configuration (exit 2) cases, a zero truth and an unwritable
+--output among them; `validate` in both modes; study configs of every
+kind, the shipped ones included; and malformed study configs and study
+flags (exit 2).
 
 Commands run in a fresh temporary directory that holds their input files,
 so every path they echo is relative and a record does not depend on where
 the checkout lives.  A command that writes --output has that file recorded
 too.  The runtime_ms column of study reports is wall-clock time and is
-masked.  --skip leaves a command out of the record, by the name it is
-recorded under: a copy of this script in an older tree records that tree
-without the commands it cannot run (say, one that a refusal it lacks would
-turn into a 16.7 M-node sampling).  A name that no command has is an
-error.  --compare lists the commands whose records differ and exits 1 if
-any does; where two records differ in numeric tokens only, it adds how many
-numbers differ and the largest absolute and relative difference.
+masked.  The record is JSON lines: first the host the bits depend on
+(`bench_pair.machine`'s HOST fields), then one record per command, sorted
+by name, so `git diff` of the committed tests/golden/record.jsonl shows
+what moved; tests/test_golden.py re-records it.  --compare lists the
+commands whose records differ and exits 1 if any does; where two records
+differ in numeric tokens only, it adds how many numbers differ and the
+largest absolute and relative difference.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import io
 import json
@@ -45,16 +43,19 @@ import tempfile
 import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench"), os.path.join(ROOT, "scripts")]
 
 import reference as ref  # noqa: E402  perfbench's closed-form evolutions and sample writer
 import workloads  # noqa: E402
+from bench_pair import machine  # noqa: E402
 
 from heatseries import cli  # noqa: E402
 
 MODES = ("oracle_validated", "paper_literal")
 NOISE_SEED = 1
 MIX, PMIX, GAUSS = workloads.MIX, workloads.PMIX, workloads.GAUSS
+# the host facts a record's bits depend on: not the kernel release or the CPU count
+HOST = ("machine", "cpu_model", "python", "numpy", "blas", "simd")
 
 STUDY_CONFIGS = {
     "noise_polar_default.cfg": "[study]\nkind = noise\ngeometry = polar\ntau = 0.3\n\n[sweep]\norders = 0:12:3\n",
@@ -129,6 +130,11 @@ STUDY_CONFIGS = {
         "[study]\nkind = convergence\ntau = 0.5\nvariants = CD-A\n\n[sweep]\norders = -2, 4\n"
     ),
     "huge_order.cfg": "[study]\nkind = convergence\ntau = 0.5\n\n[sweep]\norders = 100000\n",
+    # the oracle underflows to 0 on the compare grid: no relative error, exit 2 before any solve
+    "zero_truth.cfg": (
+        "[study]\nkind = convergence\ntau = 0.5\nprofile = gaussian:a=1,center=1000\nvariants = CD-A\n\n"
+        "[sweep]\norders = 0, 4\n"
+    ),
     # one node over the budget: refused before any sampling (a tree without the budget samples 16.7 M nodes)
     "grid_over_budget.cfg": "[study]\nkind = noise\ntau = 0.3\n\n[grid]\nn = 16777217\n\n[sweep]\norders = 0\n",
     "negative_delta.cfg": "[study]\nkind = noise\ntau = 0.3\n\n[sweep]\norders = 0:4:2\ndeltas = -1e-3\n",
@@ -149,9 +155,15 @@ STUDY_CONFIGS = {
 }
 
 
-# 16 001 samples of the Gaussian evolved to tau = 0.3: every sample is a
-# breakpoint, so an adaptive level holds some 256 000 nodes, 63 blocks
-LARGE_FILES = {"u_line16001.csv": (ref.line_field, -10.0), "u_polar16001.csv": (ref.polar_field, 0.0)}
+# samples of the Gaussian evolved to tau = 0.3: 16 001 of them, every one a
+# breakpoint, so an adaptive level holds some 256 000 nodes, 63 blocks; 41;
+# and a uniform grid without the node x = 0
+SAMPLE_FILES = {
+    "u_line16001.csv": (ref.line_field, np.linspace(-10.0, 10.0, 16001)),
+    "u_polar16001.csv": (ref.polar_field, np.linspace(0.0, 10.0, 16001)),
+    "u_line41.csv": (ref.line_field, np.linspace(-1.0, 1.0, 41)),
+    "shifted.csv": (ref.line_field, [0.05 + 0.1 * k for k in range(-20, 20)]),
+}
 
 
 def _byte_files() -> dict:
@@ -332,6 +344,15 @@ def _own_commands() -> list:
         "classical-beta": _solve("inverse", "line", "CI-classical", 0.5, "0:1:2", "--beta", "2", "--profile", gauss),
         "huge-order": _solve("forward", "line", "CD-A", 0.5, "0:0:1", "--beta", "1", "--order", "100000",
                              "--profile", "bump:radius=1"),
+        # a truth that is 0, and one whose l2 norm underflows to 0
+        "zero-truth": _solve("inverse", "line", "CI-A", 0.3, "-1:1:3", "--beta", "1", "--profile", gauss,
+                             "--truth", "gaussian:a=1,amp=0"),
+        "underflowing-truth": _solve("inverse", "line", "CI-A", 0.3, "-1:1:3", "--beta", "1", "--profile", gauss,
+                                     "--truth", "gaussian:a=1,amp=1e-320"),
+        "output-missing-dir": _solve("forward", "line", "CD-A", 0.5, "-1:1:3", "--beta", "1", "--profile", gauss,
+                                     "--output", "missing_dir/x.csv"),
+        "output-directory": _solve("forward", "line", "CD-A", 0.5, "-1:1:3", "--beta", "1", "--profile", gauss,
+                                   "--output", "scripts"),
     }
     out.extend((f"error-{name}", argv) for name, argv in bad.items())
     for name in sorted(STUDY_CONFIGS):
@@ -375,8 +396,7 @@ def _run(argv: list, output: str | None) -> dict:
     return record
 
 
-def record(path: str, skip=()) -> int:
-    target = os.path.abspath(path)
+def record(path: str) -> int:
     workdir = tempfile.mkdtemp(prefix="golden-")
     cwd = os.getcwd()
     try:
@@ -387,41 +407,27 @@ def record(path: str, skip=()) -> int:
             load = workloads.build(name, ".", ".")
             load.write_inputs()
             commands += [(f"perfbench-{name}-{c.name}", c.concrete_argv(NOISE_SEED), c.output) for c in load.commands]
-        for name, text in STUDY_CONFIGS.items():
-            with open(name, "w") as handle:
-                handle.write(text)
-        xs = [0.05 + 0.1 * k for k in range(-20, 20)]  # a uniform grid without the node x = 0
-        with open("shifted.csv", "w") as handle:
-            handle.write(ref.samples_text(xs, ref.line_field(GAUSS, 0.3, xs)))
-        for name, (field, lo) in LARGE_FILES.items():
-            xs = np.linspace(lo, 10.0, 16001)
-            with open(name, "w") as handle:
-                handle.write(ref.samples_text(xs, field(GAUSS, 0.3, xs)))
-        xs = np.linspace(-1.0, 1.0, 41)
-        with open("u_line41.csv", "w") as handle:
-            handle.write(ref.samples_text(xs, ref.line_field(GAUSS, 0.3, xs)))
-        for name, data in _byte_files().items():
+        files = {name: text.encode("ascii") for name, text in STUDY_CONFIGS.items()}
+        for name, (field, xs) in SAMPLE_FILES.items():
+            files[name] = ref.samples_text(xs, field(GAUSS, 0.3, xs)).encode("ascii")
+        for name, data in {**files, **_byte_files()}.items():
             with open(name, "wb") as handle:
                 handle.write(data)
         commands += [(name, argv, None) for name, argv in _own_commands()]
-        unknown = sorted(set(skip) - {name for name, _, _ in commands})
-        if unknown:
-            raise SystemExit(f"--skip names no command: {', '.join(unknown)}")
         results = {}
         for name, argv, output in commands:
             if name in results:
                 raise SystemExit(f"duplicate command name {name}")
-            if name not in skip:
-                results[name] = _run(list(argv), output)
+            results[name] = _run(list(argv), output)
     finally:
         os.chdir(cwd)
         shutil.rmtree(workdir, ignore_errors=True)
-    with open(target, "w") as handle:
-        json.dump(results, handle, indent=1, sort_keys=True)
-        handle.write("\n")
-    codes = {}
-    for res in results.values():
-        codes[str(res["exit"])] = codes.get(str(res["exit"]), 0) + 1
+    host = machine()
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(json.dumps({"host": {key: host[key] for key in HOST}}, sort_keys=True) + "\n")
+        for name in sorted(results):
+            handle.write(json.dumps({"name": name, **results[name]}) + "\n")
+    codes = collections.Counter(str(res["exit"]) for res in results.values())
     print(f"{len(results)} commands recorded in {path}; exit codes {dict(sorted(codes.items()))}")
     return 0
 
@@ -440,13 +446,16 @@ def _numeric_diff(a, b):
     return len(pairs), max(diffs, default=0.0), max(rels, default=0.0)
 
 
+def _load(path: str) -> dict:
+    """{name: record} of a record file, its first line (the host) left out."""
+    with open(path, encoding="utf-8") as handle:
+        return {row.pop("name"): row for row in map(json.loads, handle.readlines()[1:])}
+
+
 def compare(path_a: str, path_b: str) -> int:
-    with open(path_a) as handle:
-        a = json.load(handle)
-    with open(path_b) as handle:
-        b = json.load(handle)
-    differ, same = [], 0
-    for name in sorted(set(a) | set(b)):
+    a, b = _load(path_a), _load(path_b)
+    names, differ = sorted(set(a) | set(b)), []
+    for name in names:
         if name not in a or name not in b:
             differ.append(f"{name}: only in {path_a if name in a else path_b}")
             continue
@@ -458,30 +467,20 @@ def compare(path_a: str, path_b: str) -> int:
                 counts, d_abs, d_rel = zip(*numeric)
                 line += f" in {sum(counts)} numbers only (max abs {max(d_abs):.3g}, max rel {max(d_rel):.3g})"
             differ.append(line)
-        else:
-            same += 1
     for line in differ:
         print(line)
-    print(f"{same} identical, {len(differ)} differ")
+    print(f"{len(names) - len(differ)} identical, {len(differ)} differ")
     return 1 if differ else 0
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("paths", nargs="+", help="OUT.json to record, or A.json B.json with --compare")
-    parser.add_argument("--compare", action="store_true", help="list the commands whose records differ")
-    parser.add_argument("--skip", action="append", default=[], metavar="NAME",
-                        help="record without the command NAME (repeatable)")
+    parser.add_argument("output", nargs="?", help="the record to write, e.g. tests/golden/record.jsonl")
+    parser.add_argument("--compare", nargs=2, metavar=("A", "B"), help="list the commands whose records differ")
     args = parser.parse_args(argv)
-    if args.compare:
-        if len(args.paths) != 2:
-            parser.error("--compare needs two record files")
-        if args.skip:
-            parser.error("--skip applies to recording")
-        return compare(*args.paths)
-    if len(args.paths) != 1:
-        parser.error("recording needs one output file")
-    return record(args.paths[0], set(args.skip))
+    if (args.output is None) == (args.compare is None):
+        parser.error("give one record to write, or --compare A B")
+    return compare(*args.compare) if args.compare else record(args.output)
 
 
 if __name__ == "__main__":

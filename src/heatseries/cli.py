@@ -73,16 +73,21 @@ def _fmt(value) -> str:
 def _atomic_write(path: str, text: str) -> None:
     """text to path as UTF-8, whatever the locale; an argument that was not
     valid text in the locale's encoding (a path echoed in the metadata) is
-    written back as the bytes it came from, as stdout writes it."""
+    written back as the bytes it came from, as stdout writes it.  A path that
+    cannot be written exits 2, naming the OS's reason (not the temporary
+    file's random name)."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-heatseries-")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-heatseries-")
         with os.fdopen(fd, "w", encoding="utf-8", errors="surrogateescape") as handle:
             handle.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise CliError(f"cannot write {path}: {exc.strerror or type(exc).__name__}") from None
         raise
 
 

@@ -240,8 +240,13 @@ def _base_metadata(config: StudyConfig) -> dict:
 
 
 def _norms(a: np.ndarray) -> tuple[float, float]:
-    """The l2 norm and the largest magnitude of a."""
-    return float(np.linalg.norm(a)), float(np.max(np.abs(a)))
+    """The l2 norm and the largest magnitude of a, the truth on an evaluation
+    grid; ValueError where either is 0, as errors relative to it are undefined."""
+    l2, largest = float(np.linalg.norm(a)), float(np.max(np.abs(a)))
+    if l2 == 0.0:  # the l2 norm underflows first: its square sums squares
+        raise ValueError(f"the truth's l2 norm on the evaluation grid is 0 (its largest magnitude is {largest!r}); "
+                         "errors relative to it are undefined")
+    return l2, largest
 
 
 def _errors(values: np.ndarray, truth: np.ndarray, truth_norms: tuple[float, float]) -> tuple[list, list]:
@@ -398,11 +403,12 @@ def _sweep_rows(config: StudyConfig, variant: str, data, beta: float, truth: np.
     """One StudyRow per order of config.n_range: the sweep of one variant at
     config.tau and beta on the compare grid against truth, every order's
     errors from one difference matrix."""
+    norms = _norms(truth)
     t0 = time.perf_counter()
     swept = _sweep_orders(variant, data, config.tau, beta, config.n_range, _COMPARE_GRID[config.geometry],
                           config.constants_mode)
     built = [vals for _, vals, _, exc in swept if exc is None]
-    errors = zip(*_errors(np.reshape(built, (-1, truth.size)), truth, _norms(truth)))
+    errors = zip(*_errors(np.reshape(built, (-1, truth.size)), truth, norms))
     rows = []
     for n, _, diverged, exc in swept:
         if exc is not None:

@@ -18,6 +18,8 @@ from heatseries import cli, experiments
 from heatseries.cli import main
 from heatseries.experiments import GridGeom, StudyConfig
 from heatseries.quad import BLOCK_NODES
+from test_golden import SCRIPT as GOLDEN_SCRIPT
+from test_golden import assert_is_the_committed_record
 
 ORIGINAL_BUILD = cli.build_parser
 
@@ -1125,3 +1127,11 @@ def test_files_with_utf8_comments_read_alike_under_any_locale(tmp_path):
             text, utf8 = (re.sub(rb",[^,\n]*$", b",*", t, flags=re.M) for t in (text, utf8))
             assert b",ok," in text and b"error:" not in text
         assert (code, text) == (utf8_code, utf8) and code == 0
+
+
+def test_the_golden_record_is_the_same_under_the_c_locale(tmp_path):
+    # every golden command, run under the C locale, whose encoding is not
+    # UTF-8, gives the committed record byte for byte
+    code, _ = run_under("C", [str(GOLDEN_SCRIPT), "record.jsonl"], tmp_path)
+    assert code == 0
+    assert_is_the_committed_record(tmp_path / "record.jsonl")

@@ -1,6 +1,6 @@
 """The CLI's solve path through the geometry dispatch of `experiments` (the
-public grid solves), and a fuzz of the profile strings and numeric flags at
-the command boundary."""
+public grid solves), and fuzzes of the profile strings, numeric flags and
+study configs at the command boundary."""
 
 import sys
 import warnings
@@ -275,24 +275,60 @@ _GRIDS = _mostly(
     order=_mostly(st.integers(0, 12), st.just(-1)),
     grid=_GRIDS,
     mode=st.sampled_from(["oracle_validated", "paper_literal"]),
+    truth=st.one_of(st.none(), profile_strings()),
 )
+# a truth that is 0 on the grid: no relative error
+@example(command="inverse", geometry=LINE, pick=0, profile="gaussian:a=1", tau="0.3", beta="1", order=4,
+         grid="-1:1:3", mode="oracle_validated", truth="gaussian:a=1,amp=0")
 # a shift of 1e-300 overflows the basis argument (far grid) or the terms
 @example(command="inverse", geometry=LINE, pick=0, profile="bump:center=0.0,radius=1.0", tau="1.0", beta="1e-300",
-         order=2, grid="-1e300:1e300:5", mode="oracle_validated")
+         order=2, grid="-1e300:1e300:5", mode="oracle_validated", truth=None)
 @example(command="inverse", geometry=LINE, pick=0, profile="bump:center=0.0,radius=1.0", tau="1.0", beta="1e-300",
-         order=2, grid="0.0:1.0:2", mode="oracle_validated")
+         order=2, grid="0.0:1.0:2", mode="oracle_validated", truth=None)
 @example(command="inverse", geometry=POLAR, pick=0, profile="bump:center=0.0,radius=1.0", tau="1.0", beta="1e-300",
-         order=2, grid="0:1e300:3", mode="oracle_validated")
+         order=2, grid="0:1e300:3", mode="oracle_validated", truth=None)
 def test_fuzzed_profiles_and_flags_exit_cleanly(capsys, command, geometry, pick, profile, tau, beta, order, grid,
-                                                mode):
+                                                mode, truth):
     variants = (FORWARD_VARIANTS if command == "forward" else INVERSE_VARIANTS)[geometry]
     argv = [command, f"--geometry={geometry}", f"--variant={variants[pick % len(variants)]}", f"--tau={tau}",
             f"--order={order}", f"--eval-grid={grid}", f"--profile={profile}", f"--constants-mode={mode}"]
     if beta is not None:
         argv.append(f"--beta={beta}")
+    if truth is not None and command == "inverse":
+        argv.append(f"--truth={truth}")
     capsys.readouterr()
     code = main(argv)
     err = capsys.readouterr().err
     assert code in (0, 2, 3), (argv, err)
     assert "Traceback" not in err
     assert err.count("\n") == (0 if code == 0 else 1), (argv, err)
+
+
+# --- fuzz: study configs ----------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    kind=st.sampled_from(["noise", "convergence", "beta_map", "classical_compare"]),
+    geometry=st.sampled_from([LINE, POLAR]),
+    width=st.one_of(st.sampled_from(["1e-6", "1e-3", "1e3", "1e6"]), st.floats(0.05, 20.0).map(repr)),
+    center=st.one_of(st.sampled_from(["40", "-1000", "1e6"]), st.floats(-5.0, 5.0).map(repr)),
+    amp=st.one_of(st.sampled_from(["1e-160", "1e-300", "1e-320", "-1e-310", "0"]), st.floats(-3.0, 3.0).map(repr)),
+    orders=st.lists(st.integers(0, 12), min_size=1, max_size=3, unique=True),
+    n=st.integers(2, 41),
+    tau=st.sampled_from(["0.3", "1"]),
+)
+# the oracle underflows to 0 on the compare grid: no relative error
+@example(kind="convergence", geometry=LINE, width="1", center="1000", amp="1", orders=[0, 4], n=2, tau="0.5")
+def test_fuzzed_study_configs_exit_cleanly(capsys, tmp_path, kind, geometry, width, center, amp, orders, n, tau):
+    sweep = f"orders = {', '.join(map(str, orders))}\n" + ("betas = 0.5, 1.5\n" if kind == "beta_map" else "")
+    grid = f"\n[grid]\nn = {n}\n" if kind in ("noise", "classical_compare") else ""  # the others take none
+    config = tmp_path / "fuzz.cfg"
+    config.write_text(f"[study]\nkind = {kind}\ngeometry = {geometry}\ntau = {tau}\n"
+                      f"profile = gaussian:a={width},center={center},amp={amp}\n\n[sweep]\n{sweep}{grid}")
+    capsys.readouterr()
+    code = main(["study", "--config", str(config)])
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3), (config.read_text(), err)
+    assert "Traceback" not in err
+    assert err.count("\n") == (0 if code == 0 else 1), (config.read_text(), err)
