@@ -87,7 +87,7 @@ def _atomic_write(path: str, text: str) -> None:
         if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
         if isinstance(exc, OSError):
-            raise CliError(f"cannot write {path}: {exc.strerror or type(exc).__name__}") from None
+            raise CliError(f"cannot write {path}: {exc.strerror}") from None
         raise
 
 

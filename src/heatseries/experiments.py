@@ -243,7 +243,7 @@ def _norms(a: np.ndarray) -> tuple[float, float]:
     """The l2 norm and the largest magnitude of a, the truth on an evaluation
     grid; ValueError where either is 0, as errors relative to it are undefined."""
     l2, largest = float(np.linalg.norm(a)), float(np.max(np.abs(a)))
-    if l2 == 0.0:  # the l2 norm underflows first: its square sums squares
+    if l2 == 0.0:  # where largest is 0, and where every square underflows (|a| below about 1.5e-162)
         raise ValueError(f"the truth's l2 norm on the evaluation grid is 0 (its largest magnitude is {largest!r}); "
                          "errors relative to it are undefined")
     return l2, largest
