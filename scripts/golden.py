@@ -4,15 +4,16 @@ in-process and record the stdout, stderr and exit code of each command.
     python3 scripts/golden.py tests/golden/record.jsonl   # re-record, with the src/ next to this script
     python3 scripts/golden.py --compare A.jsonl B.jsonl
 
-The list, some 380 commands, holds the perfbench commands; forward/inverse
+The list, some 390 commands, holds the perfbench commands; forward/inverse
 of every series variant, CI-classical and both oracles in both constants
 modes, as CSV and JSON, on analytic, evolved and sampled data (some at
 order 40, some on 16 001-node files); data whose moments take the adaptive
-quadrature; one file for each path of the sample-file reader; overflow
-(exit 3) and configuration (exit 2) cases, a zero truth and an unwritable
---output among them; `validate` in both modes; study configs of every
-kind, the shipped ones included; and malformed study configs and study
-flags (exit 2).
+quadrature, or none where the data lies outside its window; one file for
+each path of the sample-file reader; overflow and a quadrature that does
+not converge (exit 3); configuration cases (exit 2), a zero truth and an
+unwritable --output among them; `validate` in both modes; study configs
+of every kind, the shipped ones included; and malformed study configs and
+study flags (exit 2).
 
 Commands run in a fresh temporary directory that holds their input files,
 so every path they echo is relative and a record does not depend on where
@@ -307,6 +308,15 @@ def _own_commands() -> list:
                                         "f_polar33.csv")),
         ("inv-CI-B-beta4-file", _solve("inverse", "line", "CI-B", 0.3, "-1:1:9", "--beta", "4", "--input",
                                        "u_line41.csv")),
+        # data outside the integral's window: zeros without a quadrature
+        ("fwd-oracle-polar-empty", _solve("forward", "polar", "oracle", 0.5, "0:2:3", "--profile",
+                                          "bump:center=-5,radius=1")),
+        ("fwd-PD-A-empty", _solve("forward", "polar", "PD-A", 0.5, "0:2:3", "--beta", "1", "--profile",
+                                  "bump:center=-5,radius=1")),
+        ("inv-CI-B-empty", _solve("inverse", "line", "CI-B", 0.3, "-1:1:3", "--beta", "0.01", "--profile",
+                                  "bump:center=50,radius=1")),
+        # a kernel too narrow for the panel budget: exit 3
+        ("fwd-oracle-tau1e-8", _solve("forward", "line", "oracle", 1e-8, "-2:2:5", "--profile", "gaussian:a=1")),
     ):
         out.append((f"quadrature-{name}", argv))
     # each path of the sample-file reader
