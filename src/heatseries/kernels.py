@@ -10,7 +10,8 @@ Sampled data on the line is linear between its nodes, so its convolution
 with a kernel no wider than the data comes in closed form from the slope
 jumps, erfc and ierfc (`profiles.Sampled1D.line_kernel`), with no
 quadrature.  Analytic data, sampled data under a wider kernel, and sampled
-data in the plane keep the quadrature.  The data answers for each fact
+data in the plane keep the quadrature, on the kernel's window cut to the
+data's support (`profiles.data_integral`).  The data answers for each fact
 about itself (`profiles.data_fact`).
 """
 
@@ -20,8 +21,8 @@ import math
 
 import numpy as np
 
-from .profiles import data_fact, profile_support
-from .quad import TRUNCATION_RADIUS_SIGMAS, integrate_vec
+from .profiles import data_fact, data_integral
+from .quad import TRUNCATION_RADIUS_SIGMAS
 from .specfun import scaled_polar_kernel
 
 __all__ = ["evolve_line", "evolve_polar", "forward_line", "forward_polar"]
@@ -52,19 +53,8 @@ def evolve_polar(profile, tau: float):
     return _evolved(profile, tau, True, "closed-form polar evolution exists only for radial Gaussians")
 
 
-def _line_window(data, xs: np.ndarray, tau: float) -> tuple[float, float]:
-    lo_f, hi_f = profile_support(data)
-    reach = TRUNCATION_RADIUS_SIGMAS * math.sqrt(2.0 * tau)
-    lo = max(lo_f, float(np.min(xs)) - reach)
-    hi = min(hi_f, float(np.max(xs)) + reach)
-    return lo, hi
-
-
 def _line_quadrature(data, tau: float, x: np.ndarray) -> np.ndarray:
     """The line oracle at the points x by quadrature, on the kernel's window."""
-    lo, hi = _line_window(data, x, tau)
-    if lo >= hi:
-        return np.zeros_like(x)
     norm = 2.0 * math.sqrt(math.pi * tau)
 
     def integrand(xi):
@@ -79,7 +69,8 @@ def _line_quadrature(data, tau: float, x: np.ndarray) -> np.ndarray:
         kern *= data(xi)
         return kern
 
-    return integrate_vec(integrand, lo, hi, breakpoints=data_fact(data, "breakpoints"))[0]
+    reach = TRUNCATION_RADIUS_SIGMAS * math.sqrt(2.0 * tau)
+    return data_integral(data, integrand, float(np.min(x)) - reach, float(np.max(x)) + reach, np.zeros_like(x))
 
 
 def forward_line(data, tau: float, x):
@@ -109,18 +100,12 @@ def forward_polar(data, tau: float, r):
     r_arr = np.atleast_1d(np.asarray(r, dtype=float))
     if np.any(r_arr < 0.0):
         raise ValueError("radius must be non-negative")
-    lo_f, hi_f = profile_support(data)
-    reach = TRUNCATION_RADIUS_SIGMAS * math.sqrt(2.0 * tau)
-    lo = max(0.0, lo_f)
-    hi = min(hi_f, float(np.max(r_arr)) + reach)
-    if lo >= hi:
-        out = np.zeros_like(r_arr)
-        return float(out[0]) if np.ndim(r) == 0 else out
 
     def integrand(xi):
         kern = scaled_polar_kernel(r_arr[:, None], xi[None, :], tau)
         kern *= xi * data(xi)
         return kern
 
-    vals, _ = integrate_vec(integrand, lo, hi, breakpoints=data_fact(data, "breakpoints"))
+    reach = TRUNCATION_RADIUS_SIGMAS * math.sqrt(2.0 * tau)
+    vals = data_integral(data, integrand, 0.0, float(np.max(r_arr)) + reach, np.zeros_like(r_arr))
     return float(vals[0]) if np.ndim(r) == 0 else vals

@@ -7,7 +7,9 @@ callables on ndarrays.
 
 Each data kind answers for its own facts through methods that the solvers
 ask for by name (`data_fact`); where a kind has no such method, or it
-returns None, the caller runs its quadrature or refuses the data.
+returns None, the caller refuses the data or takes the adaptive quadrature
+on its own window cut to the data's support (`data_integral`, the package's
+one call of `quad.integrate_vec`).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quad import BLOCK_NODES, TRUNCATION_RADIUS_SIGMAS
+from .quad import BLOCK_NODES, TRUNCATION_RADIUS_SIGMAS, integrate_vec
 from .specfun import _RSQRT_PI_LD, erfc, hermite_batch, ierfc, w_poly_batch
 
 __all__ = [
@@ -27,6 +29,7 @@ __all__ = [
     "Mixture",
     "Sampled1D",
     "data_fact",
+    "data_integral",
     "estimate_scale_line",
     "estimate_scale_polar",
     "parse_profile",
@@ -671,6 +674,18 @@ def data_fact(data, fact: str, *args):
     or None where the data has no such method."""
     method = getattr(data, fact, None)
     return None if method is None else method(*args)
+
+
+def data_integral(data, integrand, lo: float, hi: float, empty):
+    """The integral of integrand over [lo, hi] cut to the data's support
+    (`profile_support`), by the adaptive engine with the data's nodes as
+    breakpoints; empty where the cut window is empty.  The oracles and the
+    moment passes take it where the data has no closed form."""
+    lo_f, hi_f = profile_support(data)
+    lo, hi = max(lo_f, lo), min(hi_f, hi)
+    if lo >= hi:
+        return empty
+    return integrate_vec(integrand, lo, hi, breakpoints=data_fact(data, "breakpoints"))[0]
 
 
 def profile_support(data) -> tuple[float, float]:

@@ -2,13 +2,14 @@
 
 The engine of the package's integrals that have no closed form: fixed-order
 Gauss-Legendre panels on [lo, hi], refined by global bisection until two
-successive refinement levels agree.  Its callers are the two oracles
-(`kernels.forward_line`, `kernels.forward_polar`), the moment passes
-(`series_cartesian._hermite_moments`, `series_polar._w_radial_moments`),
-wherever the data has no closed form of its own (`profiles.data_fact`).
-Callers truncate infinite domains, and every profile's support
-(`profiles.profile_support`), at TRUNCATION_RADIUS_SIGMAS decay scales
-before they call it.
+successive refinement levels agree.  Its one caller is
+`profiles.data_integral`, which the two oracles (`kernels.forward_line`,
+`kernels.forward_polar`) and the moment passes
+(`series_cartesian._hermite_moments`, `series_polar._w_radial_moments`)
+take wherever the data has no closed form of its own (`profiles.data_fact`).
+It cuts each caller's window to the data's support
+(`profiles.profile_support`); kernels, weights and Gaussian tails are
+truncated at TRUNCATION_RADIUS_SIGMAS decay scales.
 
 The package computes at one quadrature configuration, the one the audit
 certifies: the module constants below.  `integrate_vec(f, lo, hi, ...)` is

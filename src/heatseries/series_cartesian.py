@@ -38,7 +38,8 @@ the weight is no wider than the data), Gaussians and mixtures from the
 generating function of H_k, about any centre or every point of a grid at
 once and under CI-B's weight (`Gaussian.hermite_moments`).  A Bump, and
 CI-B's moments of sampled data under a wider weight, take the adaptive
-quadrature.
+quadrature on the data's support (`profiles.data_integral`), cut to the
+weight's window for CI-B.
 
 This module keeps the line's facts in its `GEOMETRY` record (the Hermite
 batch, the kernel's normaliser, the weight ratio and update, the moment pass,
@@ -63,8 +64,8 @@ import sys
 
 import numpy as np
 
-from .profiles import data_fact, profile_support
-from .quad import TRUNCATION_RADIUS_SIGMAS, integrate_vec
+from .profiles import data_fact, data_integral
+from .quad import TRUNCATION_RADIUS_SIGMAS
 from .specfun import KernelParams, hermite_batch
 from .variants import LINE, Geometry, SeriesTerms, basis_terms, coeffs, evaluate, recombine, solve_grid
 
@@ -81,14 +82,6 @@ DEFAULT_ORDER = 40
 
 
 # --- coefficient integrals --------------------------------------------------
-
-def _moment_window(data, weight_root: float | None) -> tuple[float, float]:
-    lo, hi = profile_support(data)
-    if weight_root is not None:
-        reach = TRUNCATION_RADIUS_SIGMAS * weight_root * math.sqrt(2.0)
-        lo, hi = max(lo, -reach), min(hi, reach)
-    return lo, hi
-
 
 def _hermite_moments(data, root: float, n: int, weighted: bool = False, center: float = 0.0) -> np.ndarray:
     """Moments of the data against Hermite polynomials at the given scale.
@@ -107,9 +100,6 @@ def _hermite_moments(data, root: float, n: int, weighted: bool = False, center: 
     moments = data_fact(data, "hermite_moments", root, n, center, weighted)
     if moments is not None:
         return moments
-    lo, hi = _moment_window(data, root if weighted else None)
-    if lo >= hi:
-        return np.zeros(n + 1)
 
     def integrand(xi):
         vals = hermite_batch(n, (xi - center) / (2.0 * root))
@@ -119,7 +109,8 @@ def _hermite_moments(data, root: float, n: int, weighted: bool = False, center: 
                 vals *= np.exp(-(xi * xi) / (4.0 * root * root)) / (2.0 * root * math.sqrt(math.pi))
         return vals
 
-    return integrate_vec(integrand, lo, hi, breakpoints=data_fact(data, "breakpoints"))[0]
+    reach = TRUNCATION_RADIUS_SIGMAS * root * math.sqrt(2.0) if weighted else math.inf
+    return data_integral(data, integrand, -reach, reach, np.zeros(n + 1))
 
 
 def _centres(x: np.ndarray, root: float, n: int, data=None) -> np.ndarray:

@@ -26,8 +26,9 @@ precision: centred Gaussians and their mixtures answer from the Laplace
 transform of L_j (`Gaussian.radial_moments`), sampled data from its slope
 jumps against the antiderivatives of xi W_j (`Sampled1D.radial_moments`),
 as on the line.  A ring Gaussian (off centre), a Bump and sampled data
-under a root wider than the data take the adaptive engine, sampled data
-with its nodes as breakpoints.
+under a root wider than the data take the adaptive engine on the data's
+support in [0, inf) (`profiles.data_integral`), sampled data with its
+nodes as breakpoints.
 
 The scales and constants of each variant are rows of `variants.VARIANTS`,
 and this module's `GEOMETRY` record holds the plane's facts (the W batch,
@@ -45,8 +46,7 @@ import math
 
 import numpy as np
 
-from .profiles import data_fact, profile_support
-from .quad import integrate_vec
+from .profiles import data_fact, data_integral
 from .specfun import KernelParams, w_poly_batch
 from .variants import POLAR, Geometry, SeriesTerms, coeffs, evaluate, recombine, solve_grid, variant_names
 
@@ -64,11 +64,6 @@ PD_VARIANTS = variant_names(POLAR, direct=True)
 PI_VARIANTS = variant_names(POLAR, direct=False)
 
 
-def _radial_window(data) -> tuple[float, float]:
-    lo, hi = profile_support(data)
-    return max(0.0, lo), hi
-
-
 def _w_radial_moments(data, root: float, n: int, dtype=float) -> np.ndarray:
     """int_0^inf xi W_j(xi/(2 root)) data(xi) dxi for j = 0..n, evaluated and
     summed in dtype: the data's own closed form (`Gaussian.radial_moments`,
@@ -79,9 +74,6 @@ def _w_radial_moments(data, root: float, n: int, dtype=float) -> np.ndarray:
     moments = data_fact(data, "radial_moments", root, n, dtype)
     if moments is not None:
         return moments
-    lo, hi = _radial_window(data)
-    if lo >= hi:
-        return np.zeros(n + 1, dtype=dtype)
 
     def integrand(xi):
         w = w_poly_batch(n, xi.astype(dtype) / (2.0 * root))
@@ -89,7 +81,7 @@ def _w_radial_moments(data, root: float, n: int, dtype=float) -> np.ndarray:
             w *= xi * data(xi)
         return w
 
-    return integrate_vec(integrand, lo, hi, breakpoints=data_fact(data, "breakpoints"))[0]
+    return data_integral(data, integrand, 0.0, math.inf, np.zeros(n + 1, dtype=dtype))
 
 
 @functools.lru_cache(maxsize=16)

@@ -17,7 +17,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from heatseries import kernels, quad, series_cartesian, series_polar
+from heatseries import quad
+from heatseries.profiles import profile_support
 from heatseries.quad import TRUNCATION_RADIUS_SIGMAS, integrate_vec
 from heatseries.specfun import _check_finite, bessel_j0, hermite_batch, scaled_polar_kernel, w_poly_batch
 
@@ -71,6 +72,32 @@ def half_line(decay_scale: float, center: float = 0.0) -> tuple[float, float]:
     return max(0.0, center - radius), center + radius
 
 
+def line_kernel_window(data, x, tau: float) -> tuple[float, float]:
+    """The data's support cut to the points x widened by the line kernel's
+    reach at time tau, TRUNCATION_RADIUS_SIGMAS of its widths sqrt(2 tau):
+    the line oracle's window."""
+    lo_f, hi_f = profile_support(data)
+    reach = TRUNCATION_RADIUS_SIGMAS * math.sqrt(2.0 * tau)
+    return max(lo_f, float(np.min(x)) - reach), min(hi_f, float(np.max(x)) + reach)
+
+
+def moment_window(data, weight_root: float | None) -> tuple[float, float]:
+    """The data's support, cut for CI-B's weight of root weight_root to
+    TRUNCATION_RADIUS_SIGMAS of its widths root sqrt(2): the line's moment
+    window."""
+    lo, hi = profile_support(data)
+    if weight_root is None:
+        return lo, hi
+    reach = TRUNCATION_RADIUS_SIGMAS * weight_root * math.sqrt(2.0)
+    return max(lo, -reach), min(hi, reach)
+
+
+def radial_window(data) -> tuple[float, float]:
+    """The data's support cut to [0, inf): the plane's moment window."""
+    lo, hi = profile_support(data)
+    return max(lo, 0.0), hi
+
+
 def integrate(f, lo: float, hi: float, breakpoints=None):
     """Integrate a scalar integrand over [lo, hi]; returns (value, err_estimate).
 
@@ -102,7 +129,7 @@ def line_oracle_by_quadrature(data, tau: float, x) -> np.ndarray:
     kernel's window with the nodes as breakpoints: the route the package
     takes for analytic data (sampled data: Sampled1D.line_kernel)."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    lo, hi = kernels._line_window(data, x, tau)
+    lo, hi = line_kernel_window(data, x, tau)
     return integrate_vec(line_kernel_integrand(data, tau, x), lo, hi, breakpoints=data.nodes)[0]
 
 
@@ -121,7 +148,7 @@ def weighted_moments_by_quadrature(data, root: float, n: int) -> np.ndarray:
     """CI-B's moments of sampled data by the adaptive engine, on the weight's
     window with the nodes as breakpoints (the package: the closed form
     Sampled1D.hermite_moments)."""
-    lo, hi = series_cartesian._moment_window(data, root)
+    lo, hi = moment_window(data, root)
     return integrate_vec(weighted_moment_integrand(data, root, n), lo, hi, breakpoints=data.nodes)[0]
 
 
@@ -145,7 +172,7 @@ def hermite_moments_by_quadrature(data, root: float, n: int, center: float = 0.0
     """The line's Hermite moments of analytic data by the adaptive engine,
     on the package's moment window: the route Gaussians and mixtures took
     before their closed forms (Gaussian.hermite_moments)."""
-    lo, hi = series_cartesian._moment_window(data, root if weighted else None)
+    lo, hi = moment_window(data, root if weighted else None)
     return integrate_vec(hermite_moment_integrand(data, root, n, center, weighted), lo, hi)[0]
 
 
@@ -167,7 +194,7 @@ def w_moments_by_quadrature(data, root: float, n: int, dtype=float):
     """The plane's radial moments of analytic data by the adaptive engine,
     summed in dtype: the route centred Gaussians and mixtures took before
     their closed forms (Gaussian.radial_moments)."""
-    lo, hi = series_polar._radial_window(data)
+    lo, hi = radial_window(data)
     return integrate_vec(w_moment_integrand(data, root, n, dtype), lo, hi)[0]
 
 

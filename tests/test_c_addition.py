@@ -290,7 +290,7 @@ def test_one_closed_form_pass_per_grid_or_lattice_group(monkeypatch, variant):
     # points' centres, at most one per 12 R / sqrt(N) of the grid's extent,
     # sharing one Hermite batch of 2N+3 rows over the m nodes widened by
     # the centres' span
-    module, solve, _, _ = _solver(variant)
+    _, solve, _, _ = _solver(variant)
     line = VARIANTS[variant].geometry == "line"
     quadratures, closed_forms = [], []
 
@@ -306,7 +306,7 @@ def test_one_closed_form_pass_per_grid_or_lattice_group(monkeypatch, variant):
         closed_forms.append({n + 1})
         return original(data, root, n, dtype)
 
-    monkeypatch.setattr(module, "integrate_vec", counting)
+    monkeypatch.setattr(profiles, "integrate_vec", counting)
     monkeypatch.setattr(Sampled1D, "hermite_moments", closed_form)
     monkeypatch.setattr(Sampled1D, "radial_moments", radial_closed_form)
     data, params, _, _, xs = _case(variant, "sampled")

@@ -37,12 +37,13 @@ import mpmath
 import numpy as np
 import pytest
 
-from heatseries import kernels, quad, series_cartesian, series_polar
+from heatseries import kernels, profiles, quad, series_cartesian, series_polar
 from heatseries.profiles import Bump, Gaussian, Mixture, Sampled1D
 from heatseries.specfun import KernelParams, erfc
 from references import (
     hermite_moment_integrand,
     l1_norms,
+    moment_window,
     quad_settings,
     rebound,
     w_moment_integrand,
@@ -238,7 +239,7 @@ def test_weighted_moments_are_the_interpolants_up_to_rounding(data, root):
     root = (data.hi - data.lo) / 2.0 if root == "half-span" else root
     exact = series_cartesian._hermite_moments(data, root, n, weighted=True)
     ref = mp_weighted_moments(data, root, n)
-    l1 = l1_norms(weighted_moment_integrand(data, root, n), *series_cartesian._moment_window(data, root), data.nodes)
+    l1 = l1_norms(weighted_moment_integrand(data, root, n), *moment_window(data, root), data.nodes)
     assert np.all(np.abs(exact - ref) <= C_EXACT * EPS * l1)
 
 
@@ -287,7 +288,7 @@ def test_line_oracle_is_the_interpolants_up_to_rounding(data, tau):
     # inside and outside the support, and on nodes (the ends among them);
     # tau = 144: the kernel 2 sqrt(tau) as wide as the data, the last closed form
     data, xs = ORACLE_DATA[data], ORACLE_XS
-    assert kernel_passes(lambda: kernels.forward_line(data, tau, xs)) == []
+    assert quadrature_passes(lambda: kernels.forward_line(data, tau, xs)) == []
     got, ref = kernels.forward_line(data, tau, xs), mp_line_oracle(data, tau, xs)
     # a few eps of each term: the value, sqrt(tau) |w_i| times the two parts
     # e^{-t^2}/sqrt(pi) and t erfc t of ierfc t (t = |z_i|; they cancel about
@@ -308,7 +309,7 @@ def test_line_oracle_under_a_kernel_wider_than_the_data_is_relative_to_its_value
     # would cancel to u ~ int f/(2 sqrt(pi tau)), about tau-fold; the
     # quadrature keeps a few eps of u (measured: at most 3.5 eps)
     data, xs = ORACLE_DATA[data], ORACLE_XS
-    assert kernel_passes(lambda: kernels.forward_line(data, tau, xs)) == [data.n_nodes]
+    assert quadrature_passes(lambda: kernels.forward_line(data, tau, xs)) == [data.n_nodes]
     got, ref = kernels.forward_line(data, tau, xs), mp_line_oracle(data, tau, xs)
     assert np.all(np.abs(got - ref) <= 8.0 * EPS * np.abs(ref))
 
@@ -495,7 +496,7 @@ def test_gaussian_hermite_moments_are_exact_up_to_rounding(width, moment_time, c
     # most 2.3 eps int|f_k|)
     g, root, n = Gaussian(width, 0.4, 0.9), math.sqrt(moment_time), 80
     assert (1.0 - g.width_a / (root * root) == 0.0) == (moment_time == 1.0)
-    assert quadrature_passes(series_cartesian, lambda: series_cartesian._hermite_moments(g, root, n, center=center)) == []
+    assert quadrature_passes(lambda: series_cartesian._hermite_moments(g, root, n, center=center)) == []
     got = series_cartesian._hermite_moments(g, root, n, center=center)
     l1 = l1_norms(hermite_moment_integrand(g, root, n, center), *WIDE)
     assert np.all(exact_errors(got, mp_gaussian_hermite_moments(g, root, center, n)) <= C_EXACT * EPS * l1)
@@ -617,17 +618,18 @@ def test_a_ring_or_a_ring_component_leaves_the_plane_to_the_quadrature():
     ring = Gaussian(1.3, 0.5, 0.9)
     assert ring.radial_moments(1.0, 4) is None
     assert Mixture((Gaussian(1.3), ring)).radial_moments(1.0, 4) is None
-    assert quadrature_passes(series_polar, lambda: series_polar._w_radial_moments(ring, 1.0, 4)) == [0]
+    assert quadrature_passes(lambda: series_polar._w_radial_moments(ring, 1.0, 4)) == [0]
 
 
 # --- which passes take a closed form or the quadrature -------------------------
 
-def quadrature_passes(module, call):
+def quadrature_passes(call):
     """The number of breakpoints (0 for none) of each integrate_vec call of
-    a solve, in module or any other module of the package that binds the
-    same function: [] where the solve takes closed forms only."""
+    a solve, in profiles.data_integral or any other module of the package
+    that binds the same function: [] where the solve takes closed forms
+    only."""
     seen = []
-    original = module.integrate_vec
+    original = profiles.integrate_vec
 
     def spy(f, lo, hi, breakpoints=None):
         seen.append(0 if breakpoints is None else len(breakpoints))
@@ -636,11 +638,6 @@ def quadrature_passes(module, call):
     with rebound(original, spy):
         call()
     return seen
-
-
-def kernel_passes(call):
-    """quadrature_passes of a line oracle."""
-    return quadrature_passes(kernels, call)
 
 
 def closed_form_rows(call):
@@ -691,13 +688,13 @@ def test_line_moment_passes_take_the_exact_level_except_ci_b(variant, rows):
     sampled = lambda: coeffs(variant, LINE, PARAMS, 12, 0.0)  # noqa: E731
     assert closed_form_rows(sampled) == ([] if rows is None else [rows])
     assert weighted_closed_form_rows(sampled) == ([13] if rows is None else [])
-    assert quadrature_passes(series_cartesian, sampled) == []
+    assert quadrature_passes(sampled) == []
     gaussian = lambda: coeffs(variant, Gaussian(1.0), PARAMS, 12, 0.0)  # noqa: E731
     assert closed_form_rows(gaussian) == weighted_closed_form_rows(gaussian) == []
-    assert quadrature_passes(series_cartesian, gaussian) == []
+    assert quadrature_passes(gaussian) == []
     bump = lambda: coeffs(variant, Bump(0.0, 2.0), PARAMS, 12, 0.0)  # noqa: E731
     assert closed_form_rows(bump) == weighted_closed_form_rows(bump) == []
-    assert quadrature_passes(series_cartesian, bump) == [0]
+    assert quadrature_passes(bump) == [0]
 
 
 @pytest.mark.parametrize("beta, adaptive", [(64.0, False), (64.0 * (1.0 + 1e-12), True)])
@@ -706,7 +703,7 @@ def test_ci_b_moments_take_the_quadrature_under_a_weight_wider_than_the_data(bet
     params = KernelParams(tau=0.3, beta=beta)
     sampled = lambda: series_cartesian.ci_coeffs("CI-B", LINE, params, 12, 0.0)  # noqa: E731
     assert weighted_closed_form_rows(sampled) == ([] if adaptive else [13])
-    assert quadrature_passes(series_cartesian, sampled) == ([LINE.n_nodes] if adaptive else [])
+    assert quadrature_passes(sampled) == ([LINE.n_nodes] if adaptive else [])
 
 
 @pytest.mark.parametrize("variant", ["PD-A", "PI-B", "PD-C"])
@@ -715,10 +712,10 @@ def test_radial_moment_passes_take_the_closed_form(variant):
     params = KernelParams(tau=0.3, beta=1.2)
     # sampled data and a centred Gaussian take their closed forms, a ring
     # Gaussian and a Bump the adaptive engine
-    assert quadrature_passes(series_polar, lambda: coeffs(variant, POLAR, params, 12, 0.5)) == []
-    assert quadrature_passes(series_polar, lambda: coeffs(variant, Gaussian(1.0), params, 12, 0.5)) == []
-    assert quadrature_passes(series_polar, lambda: coeffs(variant, Gaussian(1.0, 0.5), params, 12, 0.5)) == [0]
-    assert quadrature_passes(series_polar, lambda: coeffs(variant, Bump(0.0, 2.0), params, 12, 0.5)) == [0]
+    assert quadrature_passes(lambda: coeffs(variant, POLAR, params, 12, 0.5)) == []
+    assert quadrature_passes(lambda: coeffs(variant, Gaussian(1.0), params, 12, 0.5)) == []
+    assert quadrature_passes(lambda: coeffs(variant, Gaussian(1.0, 0.5), params, 12, 0.5)) == [0]
+    assert quadrature_passes(lambda: coeffs(variant, Bump(0.0, 2.0), params, 12, 0.5)) == [0]
 
 
 @pytest.mark.parametrize("dtype", [float, np.longdouble])
@@ -733,7 +730,7 @@ def test_radial_moments_take_the_quadrature_under_a_root_wider_than_the_data(dat
     # 0.68 in np.longdouble)
     name, data, n = data, NOISY_POLAR[data], 40
     call = lambda: series_polar._w_radial_moments(data, root, n, dtype=dtype)  # noqa: E731
-    assert quadrature_passes(series_polar, call) == ([data.n_nodes] if adaptive else [])
+    assert quadrature_passes(call) == ([data.n_nodes] if adaptive else [])
     got = call()
     assert got.dtype == np.dtype(dtype)
     l1 = l1_norms(w_integrand(data, root, n), 0.0, data.hi, data.nodes)

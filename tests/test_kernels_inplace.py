@@ -24,7 +24,9 @@ from references import (
     integrate,
     l1_norms,
     line_kernel_integrand,
+    line_kernel_window,
     line_oracle_by_quadrature,
+    moment_window,
     rebound,
     w_moment_integrand,
     weighted_moment_integrand,
@@ -244,12 +246,12 @@ POLAR_DATA = {
 }
 
 
-def captured_integrands(module, call):
-    """The integrands a call hands to integrate_vec, in module or any other
-    module of the package that binds the same function, and the call's
-    result."""
+def captured_integrands(call):
+    """The integrands a call hands to integrate_vec, in
+    profiles.data_integral or any other module of the package that binds
+    the same function, and the call's result."""
     seen = []
-    original = module.integrate_vec
+    original = profiles.integrate_vec
 
     def spy(f, *args, **kwargs):
         seen.append(f)
@@ -272,10 +274,7 @@ def test_hermite_moment_integrand_is_the_allocating_one(monkeypatch, data, cente
         with pytest.raises(ValueError, match="about 0"):
             series_cartesian._hermite_moments(f, root, n, weighted, center)
         return
-    integrands, moments = captured_integrands(
-        series_cartesian,
-        lambda: series_cartesian._hermite_moments(f, root, n, weighted, center),
-    )
+    integrands, moments = captured_integrands(lambda: series_cartesian._hermite_moments(f, root, n, weighted, center))
     sampled = isinstance(f, Sampled1D)
     if sampled and not weighted:
         # plain moments of sampled data: the closed form, no integrand; its
@@ -291,7 +290,7 @@ def test_hermite_moment_integrand_is_the_allocating_one(monkeypatch, data, cente
         # quadrature route agrees to within its acceptance test
         assert integrands == []
         ref = weighted_moments_by_quadrature(f, root, n)
-        l1 = l1_norms(weighted_moment_integrand(f, root, n), *series_cartesian._moment_window(f, root), f.nodes)
+        l1 = l1_norms(weighted_moment_integrand(f, root, n), *moment_window(f, root), f.nodes)
         assert np.all(np.abs(moments - ref) <= np.maximum(quad.REL_TOL * np.abs(ref), 32.0 * np.finfo(float).eps * l1))
         return
     if data == "mixture":
@@ -304,7 +303,7 @@ def test_hermite_moment_integrand_is_the_allocating_one(monkeypatch, data, cente
     assert bitwise_equal(integrand(NODES), old_hermite_integrand(f, root, n, center, weight_root)(NODES))
     ref, _ = quad.integrate_vec(
         old_hermite_integrand(f, root, n, center, weight_root),
-        *series_cartesian._moment_window(f, weight_root),
+        *moment_window(f, weight_root),
     )
     assert bitwise_equal(moments, ref)
 
@@ -315,9 +314,7 @@ def test_w_moment_integrand_is_the_allocating_one(data, dtype):
     # sampled data under a root wider than its span of 8 (under a narrower
     # one it takes the closed form, and no integrand)
     f, root, n = POLAR_DATA[data], 5.0 if data == "sampled" else 0.9, 40
-    integrands, _ = captured_integrands(
-        series_polar, lambda: series_polar._w_radial_moments(f, root, n, dtype=dtype)
-    )
+    integrands, _ = captured_integrands(lambda: series_polar._w_radial_moments(f, root, n, dtype=dtype))
     if data == "mixture":
         # the closed form, no integrand; the quadrature route it replaced
         assert integrands == []
@@ -331,7 +328,7 @@ def test_w_moment_integrand_is_the_allocating_one(data, dtype):
 @pytest.mark.parametrize("data", sorted(LINE_DATA))
 def test_forward_line_kernel_is_the_allocating_one(data, tau):
     f, x = LINE_DATA[data], np.linspace(-4.0, 4.0, 121)
-    integrands, values = captured_integrands(kernels, lambda: kernels.forward_line(f, tau, x))
+    integrands, values = captured_integrands(lambda: kernels.forward_line(f, tau, x))
     if isinstance(f, Sampled1D):
         # sampled data: the closed form, no integrand; the allocating
         # integrand's quadrature route agrees to within its acceptance test
@@ -341,7 +338,7 @@ def test_forward_line_kernel_is_the_allocating_one(data, tau):
         return
     (integrand,) = integrands
     assert bitwise_equal(integrand(NODES), line_kernel_integrand(f, tau, x)(NODES))
-    lo, hi = kernels._line_window(f, x, tau)
+    lo, hi = line_kernel_window(f, x, tau)
     breakpoints = profiles.data_fact(f, "breakpoints")
     ref, _ = quad.integrate_vec(line_kernel_integrand(f, tau, x), lo, hi, breakpoints=breakpoints)
     assert bitwise_equal(values, ref)
@@ -350,7 +347,7 @@ def test_forward_line_kernel_is_the_allocating_one(data, tau):
 @pytest.mark.parametrize("data", sorted(POLAR_DATA))
 def test_forward_polar_product_is_the_allocating_one(data):
     f, r, tau = POLAR_DATA[data], np.linspace(0.0, 4.0, 41), 0.4
-    (integrand,), _ = captured_integrands(kernels, lambda: kernels.forward_polar(f, tau, r))
+    (integrand,), _ = captured_integrands(lambda: kernels.forward_polar(f, tau, r))
     xi = np.abs(NODES)
     assert bitwise_equal(integrand(xi), old_forward_polar_integrand(f, tau, r)(xi))
 

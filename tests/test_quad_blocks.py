@@ -23,7 +23,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from heatseries import kernels, quad, series_cartesian, series_polar
+from heatseries import kernels, profiles, quad, series_cartesian, series_polar
 from heatseries.profiles import Bump, Gaussian, Mixture, Sampled1D
 from heatseries.specfun import KernelParams
 from heatseries.variants import VARIANTS
@@ -182,7 +182,7 @@ ONE_BLOCK["PD-C-ring-N40"] = package_pass("PD-C", Gaussian(0.9, 1.5, 1.0), 40)
 ONE_BLOCK["PI-A-bump-N40"] = package_pass("PI-A", Bump(0.0, 2.0), 40)
 ONE_BLOCK["oracle-line"] = lambda: kernels.forward_line(LINE_MIX, 0.5, np.linspace(-3.0, 3.0, 121))
 ONE_BLOCK["oracle-polar"] = lambda: kernels.forward_polar(POLAR_MIX, 0.5, np.linspace(0.0, 3.0, 61))
-MODULES = (kernels, series_cartesian, series_polar, references)
+MODULES = (profiles, references)
 
 
 # --- equality with the reference -------------------------------------------------------

@@ -11,7 +11,10 @@ are the package's re-exports, is exempt.
 
 No module but profiles.py passes a data class (Gaussian, Mixture, Bump,
 Sampled1D) to isinstance: each data kind answers for its own facts
-(`profiles.data_fact`).
+(`profiles.data_fact`).  Nor does any other module call the quadrature
+engine or the data's support, or ask the data for its breakpoints: the
+window, the breakpoints and the engine are one step
+(`profiles.data_integral`), the engine's one caller.
 """
 
 import ast
@@ -130,3 +133,32 @@ def shared_solve_calls() -> list:
 
 def test_series_modules_leave_the_solve_to_variants():
     assert shared_solve_calls() == []
+
+
+# the oracles and the moment passes take the adaptive quadrature through
+# `profiles.data_integral` alone
+QUADRATURE_STEPS = {"integrate_vec", "profile_support"}
+
+
+def quadrature_steps() -> list:
+    """(module, top-level definition, name) of every call of the engine or
+    of the data's support, and of every "breakpoints" the package asks for,
+    sorted."""
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    if called in QUADRATURE_STEPS:
+                        out.append((path.name, top.name, called))
+                elif isinstance(node, ast.Constant) and node.value == "breakpoints":
+                    out.append((path.name, top.name, "breakpoints"))
+    return sorted(out)
+
+
+def test_only_data_integral_calls_the_engine():
+    steps = quadrature_steps()
+    assert [step for step in steps if step[2] == "integrate_vec"] == [("profiles.py", "data_integral", "integrate_vec")]
+    assert {module for module, _, _ in steps} == {"profiles.py"}
