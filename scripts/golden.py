@@ -10,10 +10,11 @@ modes, as CSV and JSON, on analytic, evolved and sampled data (some at
 order 40, some on 16 001-node files); data whose moments take the adaptive
 quadrature, or none where the data lies outside its window; one file for
 each path of the sample-file reader; overflow and a quadrature that does
-not converge (exit 3); configuration cases (exit 2), a zero truth and an
-unwritable --output among them; `validate` in both modes; study configs
-of every kind, the shipped ones included; and malformed study configs and
-study flags (exit 2).
+not converge (exit 3); configuration cases (exit 2), a zero truth, an
+unwritable --output and an --eval-grid span or --noise that overflows
+among them; `validate` in both modes; study configs of every kind, the
+shipped ones included; and malformed study configs and study flags (exit
+2).
 
 Commands run in a fresh temporary directory that holds their input files,
 so every path they echo is relative and a record does not depend on where
@@ -76,6 +77,10 @@ STUDY_CONFIGS = {
     "noise_pi_b_beta_below_tau.cfg": (
         "[study]\nkind = noise\ngeometry = polar\ntau = 0.3\nvariants = PI-B\n\n"
         "[sweep]\norders = 0:40:4\nbetas = 0.2\n"
+    ),
+    # noise that overflows the samples: error rows, without a warning
+    "noise_overflowing_delta.cfg": (
+        "[study]\nkind = noise\ntau = 0.3\n\n[sweep]\norders = 0, 4\ndeltas = 0, 1e308\n"
     ),
     "noise_paper_literal.cfg": (
         "[study]\nkind = noise\ngeometry = polar\ntau = 0.3\nvariants = PI-C\nconstants_mode = paper_literal\n\n"
@@ -332,6 +337,8 @@ def _own_commands() -> list:
         "bad-profile": _solve("forward", "line", "CD-A", 0.5, "-1:1:3", "--beta", "1", "--profile", "gaussian:a=-1"),
         "junk-profile": _solve("forward", "line", "CD-A", 0.5, "-1:1:3", "--beta", "1", "--profile", "blob"),
         "bad-grid": _solve("forward", "line", "CD-A", 0.5, "1:-1:3", "--beta", "1", "--profile", gauss),
+        "grid-span-overflows": _solve("forward", "line", "CD-C", 0.5, "-1e308:1e308:3", "--beta", "1", "--profile",
+                                      gauss),
         "huge-grid": _solve("forward", "line", "CD-A", 0.5, "0:1:100000000000", "--beta", "1", "--order", "4",
                             "--profile", gauss),
         "negative-radius": _solve("forward", "polar", "PD-A", 0.5, "-1:1:3", "--beta", "1", "--profile", gauss),
@@ -346,6 +353,8 @@ def _own_commands() -> list:
                                    "--noise", "0.1"),
         "bad-truth": _solve("inverse", "line", "CI-A", 0.3, "-1:1:3", "--beta", "1", "--profile", gauss,
                             "--truth", "blob"),
+        "noise-overflows": _solve("inverse", "line", "CI-A", 0.3, "-1:1:3", "--beta", "auto", "--input", "u_mix.csv",
+                                  "--noise", "1e308"),
         "pi-b-beta-below-tau": _solve("inverse", "polar", "PI-B", 0.3, "0:1:3", "--beta", "0.2", "--profile", gauss),
         "classical-no-zero-node": _solve("inverse", "line", "CI-classical", 0.3, "-1:1:3", "--input", "shifted.csv"),
         "unknown-variant": _solve("forward", "line", "CD-Z", 0.5, "-1:1:3", "--profile", gauss),
@@ -359,6 +368,8 @@ def _own_commands() -> list:
                              "--truth", "gaussian:a=1,amp=0"),
         "underflowing-truth": _solve("inverse", "line", "CI-A", 0.3, "-1:1:3", "--beta", "1", "--profile", gauss,
                                      "--truth", "gaussian:a=1,amp=1e-320"),
+        "far-bump-truth": _solve("inverse", "line", "CI-A", 0.3, "-1:1:3", "--beta", "1", "--profile", gauss,
+                                 "--truth", "bump:center=1e300,radius=1"),
         "output-missing-dir": _solve("forward", "line", "CD-A", 0.5, "-1:1:3", "--beta", "1", "--profile", gauss,
                                      "--output", "missing_dir/x.csv"),
         "output-directory": _solve("forward", "line", "CD-A", 0.5, "-1:1:3", "--beta", "1", "--profile", gauss,

@@ -153,7 +153,8 @@ def _emit(args, metadata: dict, header: list, rows: list, row_format: str) -> No
 
 
 def _parse_eval_grid(text: str, order: int) -> np.ndarray:
-    """The grid of --eval-grid lo:hi:n, if its term matrix fits MAX_TERMS."""
+    """The grid of --eval-grid lo:hi:n, if its span is finite and its term
+    matrix fits MAX_TERMS."""
     parts = text.split(":")
     if len(parts) != 3:
         raise CliError(f"--eval-grid must be lo:hi:n, got {text!r}")
@@ -163,6 +164,8 @@ def _parse_eval_grid(text: str, order: int) -> np.ndarray:
         raise CliError(f"--eval-grid must be numeric lo:hi:n, got {text!r}") from None
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise CliError("--eval-grid bounds must be finite")
+    if not math.isfinite(hi - lo):
+        raise CliError(f"--eval-grid span hi - lo must be finite, got {text!r}")
     if n < 1:
         raise CliError("--eval-grid needs at least one point")
     values = (order + 1) * n
@@ -356,6 +359,8 @@ def cmd_inverse(args) -> int:
         if not (math.isfinite(args.noise) and args.noise >= 0.0):
             raise CliError("--noise must be non-negative and finite")
         data = data.with_noise(args.noise, np.random.default_rng(args.seed))
+        if not np.all(np.isfinite(data.values)):
+            raise CliError(f"--noise {args.noise!r} overflows the samples to non-finite values")
     beta = _resolve_beta(args, args.variant, data, args.geometry, args.tau)
     values, flags = _solve(args, data, xs, beta)
     metadata = _solve_metadata(

@@ -215,7 +215,8 @@ class Bump:
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        s2 = ((x - self.center) / self.radius) ** 2
+        with np.errstate(over="ignore"):  # far out the square is inf and the value 0
+            s2 = ((x - self.center) / self.radius) ** 2
         out = np.zeros_like(x)
         inside = s2 < 1.0
         out[inside] = self.amplitude * np.exp(1.0 - 1.0 / (1.0 - s2[inside]))
@@ -554,10 +555,12 @@ class Sampled1D:
         return cls(lo, hi, np.asarray(f(nodes), dtype=float))
 
     def with_noise(self, delta: float, rng: np.random.Generator) -> "Sampled1D":
-        """Additive i.i.d. Gaussian perturbation of standard deviation delta."""
+        """Additive i.i.d. Gaussian perturbation of standard deviation delta;
+        an overflowing sample is infinite (the caller refuses or reports it)."""
         if delta < 0.0:
             raise ValueError("noise level must be non-negative")
-        noisy = self.values + delta * rng.standard_normal(self.n_nodes)
+        with np.errstate(over="ignore"):
+            noisy = self.values + delta * rng.standard_normal(self.n_nodes)
         return Sampled1D(self.lo, self.hi, noisy)
 
 

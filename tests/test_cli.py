@@ -750,6 +750,35 @@ def test_nan_noise_rejected(tmp_path, capsys):
     assert_rejected(capsys, code, "--noise")
 
 
+def test_noise_that_overflows_the_samples_rejected(tmp_path, capsys):
+    # the noisy samples used to reach the scale estimate, which read them as
+    # zero mass, after a RuntimeWarning from the noise
+    path = evolved_samples(tmp_path)
+    capsys.readouterr()
+    code = run_cli(
+        "inverse", "--variant", "CI-A", "--tau", "0.3", "--beta", "auto", "--input", str(path),
+        "--noise", "1e308", "--eval-grid=-1:1:3",
+    )
+    assert_rejected(capsys, code, "--noise 1e+308 overflows the samples")
+
+
+def test_noise_study_whose_noise_overflows_keeps_its_error_rows(tmp_path, capsys):
+    # the noise is computed without a warning; the samples it overflows give
+    # error rows, as every other failed solve of a study
+    cfg = tmp_path / "loud.cfg"
+    cfg.write_text("[study]\nkind = noise\ntau = 0.3\n\n[sweep]\norders = 0, 4\ndeltas = 0, 1e308\n")
+    assert run_cli("study", "--config", str(cfg)) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    rows = [line.split(",") for line in captured.out.splitlines() if not line.startswith(("#", "variant,"))]
+    assert [(row[0], row[1], row[3], row[7]) for row in rows] == [
+        ("CI-A", "0", "0", "ok"), ("CI-A", "0", "1e+308", "error:OverflowError"),
+        ("CI-A", "4", "0", "ok"), ("CI-A", "4", "1e+308", "error:OverflowError"),
+        ("CI-classical", "0", "0", "ok"), ("CI-classical", "0", "1e+308", "error:nonfinite"),
+        ("CI-classical", "4", "0", "ok"), ("CI-classical", "4", "1e+308", "error:OverflowError"),
+    ]
+
+
 def test_library_value_error_exits_2(capsys):
     # PI-B's own precondition, raised inside the library
     code = run_cli(
@@ -761,6 +790,16 @@ def test_library_value_error_exits_2(capsys):
 
 def test_infinite_eval_grid_rejected(capsys):
     assert_rejected(capsys, forward_cd_a("--eval-grid", "0:inf:3"), "--eval-grid")
+
+
+@pytest.mark.parametrize("variant", ["CD-C", "oracle"])
+def test_eval_grid_whose_span_overflows_rejected(capsys, variant):
+    # finite bounds 2e308 apart: np.linspace warned and made NaN points,
+    # which CD-C named as x = nan and the oracle's window made non-finite
+    beta = () if variant == "oracle" else ("--beta", "1")
+    code = run_cli("forward", "--variant", variant, "--tau", "0.5", *beta, "--profile", "gaussian:a=1",
+                   "--eval-grid=-1e308:1e308:3")
+    assert_rejected(capsys, code, "--eval-grid span hi - lo must be finite")
 
 
 def test_eval_grid_whose_term_matrix_exceeds_the_budget_rejected(capsys):

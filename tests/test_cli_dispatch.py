@@ -287,6 +287,9 @@ _GRIDS = _mostly(
          order=2, grid="0.0:1.0:2", mode="oracle_validated", truth=None)
 @example(command="inverse", geometry=POLAR, pick=0, profile="bump:center=0.0,radius=1.0", tau="1.0", beta="1e-300",
          order=2, grid="0:1e300:3", mode="oracle_validated", truth=None)
+# a truth far out: the Bump's square overflows to inf, where it is 0
+@example(command="inverse", geometry=LINE, pick=0, profile="gaussian:a=1", tau="0.3", beta="1", order=4,
+         grid="-1:1:3", mode="oracle_validated", truth="bump:center=1e300,radius=1")
 def test_fuzzed_profiles_and_flags_exit_cleanly(capsys, command, geometry, pick, profile, tau, beta, order, grid,
                                                 mode, truth):
     variants = (FORWARD_VARIANTS if command == "forward" else INVERSE_VARIANTS)[geometry]

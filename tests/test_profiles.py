@@ -40,6 +40,13 @@ def test_bump_compact_support():
     assert (lo, hi) == (0.5, 1.5)
 
 
+def test_bump_is_zero_far_out_without_a_warning():
+    # the square overflows to inf beyond |x - center| ~ 1.3e154 radii
+    b = Bump(center=1e300, radius=1.0)
+    x = np.array([-1.0, 0.0, 1e300, 1e300 + 1e284, -1.7e308, -np.inf, np.inf])
+    assert b(x).tolist() == [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0]
+
+
 def test_sampled_interpolation_and_zero_extension():
     s = Sampled1D(0.0, 1.0, np.array([0.0, 1.0, 0.0]))
     assert s(0.25) == pytest.approx(0.5)
@@ -87,6 +94,16 @@ def test_sampled_noise_reproducible():
     b = s.with_noise(1e-3, np.random.default_rng(7))
     np.testing.assert_array_equal(a.values, b.values)
     assert not np.array_equal(a.values, s.values)
+
+
+def test_noise_that_overflows_a_sample_is_infinite_without_a_warning():
+    # 1e308 times a draw past about 1.798 in magnitude overflows
+    s = Sampled1D(-1.0, 1.0, np.zeros(401))
+    z = np.random.default_rng(1).standard_normal(401)
+    noisy = s.with_noise(1e308, np.random.default_rng(1))
+    big, small = np.abs(z) > 1.8, np.abs(z) < 1.79
+    assert np.any(big) and np.all(np.isinf(noisy.values[big]))
+    assert noisy.values[small].tolist() == (1e308 * z[small]).tolist()
 
 
 def test_scale_estimates_recover_gaussian_width():
