@@ -43,8 +43,8 @@ def test_bump_compact_support():
 def test_bump_is_zero_far_out_without_a_warning():
     # the square overflows to inf beyond |x - center| ~ 1.3e154 radii
     b = Bump(center=1e300, radius=1.0)
-    x = np.array([-1.0, 0.0, 1e300, 1e300 + 1e284, -1.7e308, -np.inf, np.inf])
-    assert b(x).tolist() == [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0]
+    x = np.array([-1.0, 0.0, 1e300, -1.7e308, -np.inf, np.inf])
+    assert b(x).tolist() == [0.0, 0.0, 1.0, 0.0, 0.0, 0.0]
 
 
 def test_sampled_interpolation_and_zero_extension():

@@ -143,18 +143,19 @@ QUADRATURE_STEPS = {"integrate_vec", "profile_support"}
 def quadrature_steps() -> list:
     """(module, top-level definition, name) of every call of the engine or
     of the data's support, and of every "breakpoints" the package asks for,
-    sorted."""
+    sorted; a module-level statement counts as the definition "<module>"."""
     out = []
     for path in sorted(SRC.glob("*.py")):
         for top in ast.parse(path.read_text()).body:
+            where = getattr(top, "name", "<module>")
             for node in ast.walk(top):
                 if isinstance(node, ast.Call):
                     func = node.func
                     called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
                     if called in QUADRATURE_STEPS:
-                        out.append((path.name, top.name, called))
+                        out.append((path.name, where, called))
                 elif isinstance(node, ast.Constant) and node.value == "breakpoints":
-                    out.append((path.name, top.name, "breakpoints"))
+                    out.append((path.name, where, "breakpoints"))
     return sorted(out)
 
 
