@@ -11,8 +11,8 @@ order 40, some on 16 001-node files); data whose moments take the adaptive
 quadrature, or none where the data lies outside its window; one file for
 each path of the sample-file reader; overflow and a quadrature that does
 not converge (exit 3); configuration cases (exit 2), a zero truth, an
-unwritable --output and an --eval-grid span or --noise that overflows
-among them; `validate` in both modes; study configs of every kind, the
+unwritable --output, an --eval-grid span or --noise that overflows and
+times that overflow the kernel's normaliser among them; `validate` in both modes; study configs of every kind, the
 shipped ones included; and malformed study configs and study flags (exit
 2).
 
@@ -132,6 +132,14 @@ STUDY_CONFIGS = {
     "error_range_parts.cfg": "[study]\nkind = noise\n\n[sweep]\norders = 0:8\n",
     "error_range_reversed.cfg": "[study]\nkind = noise\n\n[sweep]\norders = 8:0:2\n",
     "error_empty_list.cfg": "[study]\nkind = noise\n\n[sweep]\ndeltas = ,\n",
+    # ranges counted before they are built: an infinite count, one that never ends, 3 M orders
+    "error_range_betas_overflows.cfg": (
+        "[study]\nkind = beta_map\ntau = 0.3\n\n[sweep]\norders = 20\nbetas = 1e-308:1e308:1e-308\n"
+    ),
+    "error_range_deltas_too_long.cfg": (
+        "[study]\nkind = noise\ntau = 0.3\n\n[sweep]\norders = 0:12:4\ndeltas = 0:1:1e-300\n"
+    ),
+    "error_range_orders_too_long.cfg": "[study]\nkind = convergence\ntau = 0.5\n\n[sweep]\norders = 0:3000000:1\n",
     "negative_order.cfg": (
         "[study]\nkind = convergence\ntau = 0.5\nvariants = CD-A\n\n[sweep]\norders = -2, 4\n"
     ),
@@ -370,6 +378,12 @@ def _own_commands() -> list:
                                      "--truth", "gaussian:a=1,amp=1e-320"),
         "far-bump-truth": _solve("inverse", "line", "CI-A", 0.3, "-1:1:3", "--beta", "1", "--profile", gauss,
                                  "--truth", "bump:center=1e300,radius=1"),
+        # times whose heat-kernel normaliser overflows: every value would read 0
+        "oracle-normaliser-overflows": _solve("forward", "line", "oracle", 1e308, "0:1:2", "--profile", gauss),
+        "oracle-polar-normaliser-overflows": _solve("forward", "polar", "oracle", 1e308, "0:1:2", "--profile",
+                                                    gauss),
+        "cd-a-normaliser-overflows": _solve("forward", "line", "CD-A", 1e308, "0:1:2", "--beta", "1", "--order", "4",
+                                            "--profile", gauss),
         "output-missing-dir": _solve("forward", "line", "CD-A", 0.5, "-1:1:3", "--beta", "1", "--profile", gauss,
                                      "--output", "missing_dir/x.csv"),
         "output-directory": _solve("forward", "line", "CD-A", 0.5, "-1:1:3", "--beta", "1", "--profile", gauss,

@@ -43,12 +43,15 @@ from .experiments import (
     run_audit,
     run_study,
 )
+from . import series_cartesian, series_polar
 from .profiles import Sampled1D, parse_profile
 from .quad import AccuracyError
 from .series_cartesian import DEFAULT_ORDER
-from .variants import AXIS, CLASSICAL, CONSTANTS_MODES, LINE, POLAR, default_beta, variant_names
+from .specfun import KernelParams
+from .variants import AXIS, CLASSICAL, CONSTANTS_MODES, LINE, POLAR, VARIANTS, default_beta, variant_names
 
 ORACLE = "oracle"  # the quadrature oracle, a forward pseudo-variant
+_GEOMETRY = {LINE: series_cartesian.GEOMETRY, POLAR: series_polar.GEOMETRY}
 FORWARD_VARIANTS = {g: variant_names(g, direct=True) + (ORACLE,) for g in (LINE, POLAR)}
 INVERSE_VARIANTS = {
     LINE: variant_names(LINE, direct=False) + (CLASSICAL,),
@@ -272,8 +275,8 @@ def _resolve_beta(args, variant: str, data, geometry: str, tau: float) -> float:
     return default_beta(variant, _SCALE_ESTIMATE[geometry](data), tau)
 
 
-def _load_data(args, geometry: str):
-    if (args.profile is None) == (getattr(args, "input", None) is None):
+def _load_data(args):
+    if (args.profile is None) == (args.input is None):
         raise CliError("provide exactly one of --profile or --input")
     if args.profile is not None:
         try:
@@ -299,15 +302,39 @@ def _check_solve_args(args, variants: dict):
     if args.order > MAX_ORDER:
         raise CliError(f"--order {args.order} is over {MAX_ORDER}, the largest whose moment pass fits the "
                        f"{MAX_TERMS} values a solve may build")
-    data, source = _load_data(args, geometry)
+    data, source = _load_data(args)
     xs = _parse_eval_grid(args.eval_grid, args.order)
     if geometry == POLAR and np.any(xs < 0.0):
         raise CliError("polar evaluation radii must be non-negative")
     return data, source, xs
 
 
+def _check_normaliser(args, beta: float) -> None:
+    """Refuse times whose heat-kernel normaliser overflows double precision
+    (2 sqrt(pi t) on the line past t of about 5.7e307, 2t in the plane past
+    9e307): every value would be divided to 0.  A C variant's kappa_0 has
+    its normaliser as divisor, so it reads 0 there."""
+    if args.variant == CLASSICAL:
+        return
+    norm = _GEOMETRY[args.geometry].norm
+    if args.variant == ORACLE:
+        if math.isinf(norm(args.tau)):
+            raise CliError(f"--tau {args.tau!r} overflows the heat kernel's normaliser; every value would read 0")
+        return
+    row, params = VARIANTS[args.variant], KernelParams(tau=args.tau, beta=beta)
+    if row.pointwise:
+        overflows = row.kappa(params, args.constants_mode, 0)[0] == 0.0
+    else:
+        pref = row.times(params)[3]
+        overflows = pref is not None and math.isinf(norm(pref))
+    if overflows:
+        raise CliError(f"--tau {args.tau!r} and --beta {beta!r} overflow the heat kernel's normaliser; "
+                       "every value would read 0")
+
+
 def _solve(args, data, xs: np.ndarray, beta: float):
     """Values and divergence flags of the requested variant on xs."""
+    _check_normaliser(args, beta)
     try:
         if args.variant == ORACLE:
             return _ORACLE[args.geometry](data, args.tau, xs), np.zeros(xs.size, dtype=bool)
@@ -409,7 +436,9 @@ def cmd_validate(args) -> int:
 
 # --- study config files ---------------------------------------------------------
 
-def _parse_number_list(text: str, line_no: int, path: str, integer: bool = False):
+def _parse_number_list(text: str, line_no: int, path: str, integer: bool = False, most: int = MAX_TERMS):
+    """A list `a, b, ...` or a range `lo:hi:step`, which is counted before
+    it is built: one of more than `most` values exits 2."""
     text = text.strip()
     word = "integer" if integer else "numeric"
     out = []
@@ -425,9 +454,11 @@ def _parse_number_list(text: str, line_no: int, path: str, integer: bool = False
             raise CliError(f"{path}:{line_no}: bad range {text!r}")
         if integer:
             steps = (hi - lo) // step
-        else:  # hi is kept when it is a whole number of steps up to rounding
-            span = (hi - lo) / step
+        else:  # hi is kept when it is a whole number of steps up to rounding; a span past most (inf too) is too long
+            span = min((hi - lo) / step, most)
             steps = round(span) if math.isclose(span, round(span), rel_tol=1e-9) else math.floor(span)
+        if steps >= most:
+            raise CliError(f"{path}:{line_no}: range {text!r} holds more than the {most} values this key may hold")
         return tuple(lo + k * step for k in range(steps + 1))
     for piece in text.split(","):
         piece = piece.strip()
@@ -454,8 +485,8 @@ def _reader(parse, fault: str = ""):
     return read
 
 
-def _numbers(integer: bool):
-    return lambda key, val, line_no, path: _parse_number_list(val, line_no, path, integer=integer)
+def _numbers(integer: bool, most: int):
+    return lambda key, val, line_no, path: _parse_number_list(val, line_no, path, integer=integer, most=most)
 
 
 def _names(key, val, line_no, path):
@@ -482,9 +513,9 @@ _CONFIG_KEYS = (
     ("grid", "lo", "lo", _FLOAT),
     ("grid", "hi", "hi", _FLOAT),
     ("grid", "n", "n", _INT),
-    ("sweep", "orders", "n_range", _numbers(integer=True)),
-    ("sweep", "deltas", "delta_range", _numbers(integer=False)),
-    ("sweep", "betas", "beta_range", _numbers(integer=False)),
+    ("sweep", "orders", "n_range", _numbers(integer=True, most=MAX_ORDER + 1)),
+    ("sweep", "deltas", "delta_range", _numbers(integer=False, most=MAX_TERMS)),
+    ("sweep", "betas", "beta_range", _numbers(integer=False, most=MAX_TERMS)),
 )
 
 

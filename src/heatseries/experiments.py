@@ -25,12 +25,12 @@ exact evolution, scale estimate - and to the study defaults.  The grid
 solve (`solve_grid_line` / `solve_grid_polar`) returns the term matrix of
 one coefficient pass, checked at its order: the CLI reads that order alone
 (`SeriesTerms.values`), and the audit and the order sweeps (`_sweep_orders`)
-read every order they need in one call (`SeriesTerms.sweep`), an A/B grid
-of two or more points from one cumulative sum down the orders, a one-point
-grid and each point of a C variant summed as on its own.  Every study row
-but the audit's comes from one sweep (`_sweep_rows`), whose orders' errors
-come from one difference matrix: the beta map sweeps its last listed order
-once per shift.
+read every order they need in one call (`SeriesTerms.sweep`), from one
+cumulative sum down the orders: every point is summed over its kept rows
+in ascending order, whatever the grid.  Every study row but the audit's
+comes from one sweep (`_sweep_rows`), whose orders' errors come from one
+difference matrix: the beta map sweeps its last listed order once per
+shift.
 
 Reports are deterministic given (config, seed): noise comes from a recorded
 numpy PCG64 stream, summation orders are fixed, and rows are sorted
@@ -279,9 +279,8 @@ def _sweep_orders(variant, data, tau, beta, n_list, xs, mode) -> list:
     of its term matrix (`SeriesTerms.sweep`) takes them all: each order sums
     its own rows (up to the early stop that order makes), so its values and
     flag are bit for bit those of evaluating the same coefficients truncated
-    to that order.  An A/B grid of two or more points takes every order from
-    one cumulative sum; a one-point grid, and each point of a C variant,
-    whose term matrix has one series per column, is summed as on its own.
+    to that order.  Every order comes from one cumulative sum down the
+    orders, each point summed over its kept rows in ascending order.
     An order whose solve fails reports its error, and the next order down
     solves again, so no order fails for a higher one.  Returns (n, values,
     any_flagged, err) per order, err set to an exception when that order

@@ -26,15 +26,16 @@ which precision).
 
 Evaluation builds the term matrix (orders x points), stops early after
 EARLY_STOP_RUN consecutive rows below EARLY_STOP_TOL (one threshold for
-every series; no caller sets another), sums each point in ascending order,
-and scans every point's term magnitudes for divergence.  The early stop's
-run of small rows and the scan's run of growing terms are both shifted
-ANDs; the scan (`_scan`) lists every point's visible terms column after
-column in one flat array and finds each point's first growth run there,
-with no sort and no accumulate down the orders.  The matrix is kept
-whole (`SeriesTerms`, the one result of every evaluation): a grid solve
-reads one order's values and flags from it (`values`, `flagged`), and an
-order sweep reads every order's in one call (`sweep`).  A/B rows stop
+every series; no caller sets another), sums each point over its kept rows
+in ascending order (one rule for every series and grid), and scans every
+point's term magnitudes for divergence.  The early stop's run of small
+rows and the scan's run of growing terms are both shifted ANDs; the scan
+(`_scan`) lists every point's visible terms column after column in one
+flat array and finds each point's first growth run there, with no sort
+and no accumulate down the orders.  The matrix is kept whole
+(`SeriesTerms`, the one result of every evaluation): a grid solve reads
+one order's values and flags from it (`values`, `flagged`), and an order
+sweep reads every order's in one call (`sweep`).  A/B rows stop
 together (the largest term of a row decides); every C column is a series
 of its own, with its own early stop and overflow row, and keeps its point
 and coefficients: `SeriesTerms.check` names the first overflowing point
@@ -357,9 +358,11 @@ class SeriesTerms:
     the divergence scan, so slicing gives exactly what a separate evaluation
     at order m would.  stop and finite are one count for the grid (A/B: the
     largest term of a row decides), or one per point when every column is a
-    series of its own (C: `pointwise_terms`).  One order is read by
-    `values` and `flagged`; any number of them by one `sweep`, whose every
-    row is that order's `values`.
+    series of its own (C: `pointwise_terms`).  Every column is summed over
+    its kept rows in ascending order, from +0, so a point's sum depends on
+    its own terms and stop only.  One order is read by `values` and
+    `flagged`; any number of them by one `sweep`, whose every row is that
+    order's `values`.
     """
 
     terms: np.ndarray
@@ -394,57 +397,43 @@ class SeriesTerms:
         return self
 
     def values(self, m: int) -> np.ndarray:
-        """The order-m sums; raises as `check` does."""
+        """The order-m sums, each column's kept rows in ascending order from
+        +0 (a C column's rows past its own stop add +0); raises as `check`
+        does.  numpy adds the rows of a C-contiguous matrix one after
+        another, but sums a lone column pairwise, so that one takes the
+        cumulative sum."""
         self.check(m)
         rows = self.rows(m)
-        if not self.pointwise:
-            return np.sum(self.terms[:rows], axis=0)
-        # each point alone, as numpy sums one column: a contiguous (pairwise)
-        # sum of its kept rows, for the points of each row count together
-        out = np.empty(self.terms.shape[1])
-        for r in np.unique(rows):
-            at = rows == r
-            out[at] = np.sum(np.ascontiguousarray(self.terms[:r].T[at]), axis=1)
+        kept = self.terms[:rows.max()]
+        if self.pointwise:
+            kept = np.where(np.arange(kept.shape[0])[:, None] < rows, kept, 0.0)
+        out = np.cumsum(kept, axis=0)[-1] if kept.shape[1] == 1 else np.sum(np.ascontiguousarray(kept), axis=0)
+        out += 0.0  # -0 to +0
         return out
 
     def flagged(self, m: int) -> np.ndarray:
         return self.fires < self.rows(m)
 
     def sweep(self, orders, cols=slice(None)) -> tuple[np.ndarray, np.ndarray]:
-        """Every order of orders in one read: a row of sums per order, bit
-        for bit `values(m)`, and whether `flagged(m)` holds at any point of
-        cols; raises as `check` does at the highest order.
+        """Every order of orders in one read: a row of sums per order, and
+        whether `flagged(m)` holds at any point of cols; raises as `check`
+        does at the highest order.
 
-        A/B rows stop together, so order m keeps rows(m) rows of every
-        column.  numpy sums axis 0 of a C-contiguous matrix of two or more
-        columns row after row, from +0, so those sums are row rows(m) - 1
-        of one cumulative sum down the orders, with -0 read as +0.  A
-        one-column grid (which numpy sums pairwise) and a C series (each
-        column summed as it would be alone) sum each distinct row count
-        once for all the orders."""
+        Every column is summed over its kept rows in ascending order, from
+        +0, whatever the grid: one cumulative sum down the orders, read at
+        each column's last kept row (A/B: one row for the grid), with -0
+        read as +0.  So a point's sum depends on its own terms and kept
+        rows only; only an A/B grid's shared stop ties it to the others."""
         orders = np.asarray(orders, dtype=int)
         self.check(int(orders.max()))
-        terms = self.terms
-        if not self.pointwise:
-            keep = np.minimum(self.stop, orders + 1)
-            flagged = np.min(self.fires[cols]) < keep
-            if terms.shape[1] > 1 and terms.flags.c_contiguous:
-                out = np.cumsum(terms[:keep.max()], axis=0)[keep - 1]
-                out += 0.0  # np.sum adds the first row to +0, so a -0 sum reads +0
-                return out, flagged
-            out = np.empty((orders.size, terms.shape[1]))
-            for r in np.unique(keep):
-                out[keep == r] = np.sum(terms[:r], axis=0)
-            return out, flagged
-        keep = np.minimum(self.stop, orders[:, None] + 1)  # orders x points
-        flagged = np.any(self.fires[cols] < keep[:, cols], axis=1)
-        out, sums = np.empty(keep.shape), np.empty(terms.shape[1])
-        for r in np.unique(keep):
-            at = keep == r
-            points = np.any(at, axis=0)
-            sums[points] = np.sum(np.ascontiguousarray(terms[:r].T[points]), axis=1)
-            out[at] = np.broadcast_to(sums, out.shape)[at]
-        return out, flagged
+        keep = np.minimum(self.stop, orders[:, None] + 1)  # orders x points (A/B: orders x 1)
+        sums = np.cumsum(self.terms[:keep.max()], axis=0)
+        if self.pointwise:
+            out, keep = np.take_along_axis(sums, keep - 1, axis=0), keep[:, cols]
+        else:
+            out = sums[keep[:, 0] - 1]
+        out += 0.0  # -0 to +0
+        return out, np.any(self.fires[cols] < keep, axis=1)
 
 
 def _first(flags: np.ndarray) -> np.ndarray:
@@ -481,7 +470,8 @@ def series_terms(weights: np.ndarray, basis: np.ndarray, pref) -> SeriesTerms:
 def pointwise_terms(kappa: np.ndarray, coeffs: np.ndarray, points: np.ndarray, label: str) -> SeriesTerms:
     """terms[j, k] = kappa[j] coeffs[j, k] at points[k], every column a
     series of its own (the C variants): early stop, overflow and scan per
-    column, and each column summed as it would be alone.  1-D coeffs serve
+    column, and each column summed over its own kept rows in ascending
+    order, as every series is, so alone or in any grid.  1-D coeffs serve
     every point; an overflowing column (inf times a zero kappa: nan) stays
     non-finite, and `check` names its point after label ("<variant> at
     <axis>").  The series keeps coeffs, for another kappa to re-weight."""

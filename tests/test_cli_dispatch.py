@@ -310,6 +310,23 @@ def test_fuzzed_profiles_and_flags_exit_cleanly(capsys, command, geometry, pick,
 # --- fuzz: study configs ----------------------------------------------------------
 
 
+def _range_text(key, lo, span_exp, step_exp):
+    """(key, "lo:hi:step") with a span of 10^span_exp and a step of
+    10^step_exp, as integers where an orders range can write them."""
+    def power(exp):
+        return 10 ** exp if key == "orders" and exp >= 0 else 10.0 ** exp
+
+    return key, f"{lo}:{lo + power(span_exp)}:{power(step_exp)}"
+
+
+# a range for one sweep key, its span and step from 1e-300 to 1e300: at most
+# two values, or more than any key may hold (none in between, which would run
+# a long study)
+_SWEEP_RANGES = st.tuples(st.integers(-300, 300), st.integers(-300, 300)).filter(
+    lambda e: e[0] <= e[1] or e[0] - e[1] >= 8).flatmap(lambda e: st.sampled_from([
+        _range_text("orders", 0, *e), _range_text("deltas", 0.0, *e), _range_text("betas", 0.5, *e)]))
+
+
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     kind=st.sampled_from(["noise", "convergence", "beta_map", "classical_compare"]),
@@ -320,11 +337,26 @@ def test_fuzzed_profiles_and_flags_exit_cleanly(capsys, command, geometry, pick,
     orders=st.lists(st.integers(0, 12), min_size=1, max_size=3, unique=True),
     n=st.integers(2, 41),
     tau=st.sampled_from(["0.3", "1"]),
+    ranged=st.one_of(st.none(), _SWEEP_RANGES),
 )
 # the oracle underflows to 0 on the compare grid: no relative error
-@example(kind="convergence", geometry=LINE, width="1", center="1000", amp="1", orders=[0, 4], n=2, tau="0.5")
-def test_fuzzed_study_configs_exit_cleanly(capsys, tmp_path, kind, geometry, width, center, amp, orders, n, tau):
-    sweep = f"orders = {', '.join(map(str, orders))}\n" + ("betas = 0.5, 1.5\n" if kind == "beta_map" else "")
+@example(kind="convergence", geometry=LINE, width="1", center="1000", amp="1", orders=[0, 4], n=2, tau="0.5",
+         ranged=None)
+# ranges whose count overflows, never ends or builds millions of values
+@example(kind="beta_map", geometry=LINE, width="1", center="0", amp="1", orders=[4], n=2, tau="0.3",
+         ranged=("betas", "1e-308:1e308:1e-308"))
+@example(kind="noise", geometry=LINE, width="1", center="0", amp="1", orders=[4], n=2, tau="0.3",
+         ranged=("deltas", "0:1:1e-300"))
+@example(kind="convergence", geometry=LINE, width="1", center="0", amp="1", orders=[4], n=2, tau="0.3",
+         ranged=("orders", "0:3000000:1"))
+def test_fuzzed_study_configs_exit_cleanly(capsys, tmp_path, kind, geometry, width, center, amp, orders, n, tau,
+                                           ranged):
+    keys = {"orders": ", ".join(map(str, orders))}
+    if kind == "beta_map":
+        keys["betas"] = "0.5, 1.5"
+    if ranged is not None:
+        keys[ranged[0]] = ranged[1]
+    sweep = "".join(f"{key} = {val}\n" for key, val in keys.items())
     grid = f"\n[grid]\nn = {n}\n" if kind in ("noise", "classical_compare") else ""  # the others take none
     config = tmp_path / "fuzz.cfg"
     config.write_text(f"[study]\nkind = {kind}\ngeometry = {geometry}\ntau = {tau}\n"

@@ -123,7 +123,7 @@ def test_vectorised_scan_matches_reference_loops(terms, abs_tol):
     for m in range(terms.shape[0]):
         kept = reference_early_stop(terms[: m + 1], abs_tol)
         assert series.rows(m) == kept.shape[0]
-        np.testing.assert_array_equal(series.values(m), np.sum(kept, axis=0))
+        np.testing.assert_array_equal(series.values(m), np.cumsum(kept, axis=0)[-1] + 0.0)
         flagged = series.flagged(m)
         for c in range(terms.shape[1]):
             ref_flag, ref_idx = reference_scan(kept[:, c])
@@ -243,9 +243,9 @@ def test_pointwise_terms_are_the_single_point_series(coeffs, abs_tol, overflow_r
 
 
 def test_pointwise_sums_are_one_column_sums_on_random_shapes():
-    # numpy sums a lone column pairwise and a matrix row by row; at more than
-    # eight rows the two differ in the last bits, and each C point keeps the
-    # former whatever the other points' row counts
+    # each C point is the ascending sum of its kept rows from +0, whatever the
+    # other points' row counts (numpy's own sum of a lone column is pairwise,
+    # which differs in the last bits at more than eight rows)
     rng = np.random.default_rng(7)
     for _ in range(300):
         rows, cols = int(rng.integers(1, 200)), int(rng.integers(1, 12))
@@ -256,7 +256,7 @@ def test_pointwise_sums_are_one_column_sums_on_random_shapes():
         with early_stop_tol(abs_tol):
             series = pointwise_terms(kappa, coeffs, *at_points(cols))
             for m in {0, rows // 3, rows - 1}:
-                expected = [np.sum((kappa * coeffs[:, c])[: ref.rows(m)]) for c, ref in
+                expected = [np.cumsum((kappa * coeffs[:, c])[: ref.rows(m)])[-1] + 0.0 for c, ref in
                             enumerate(reference_point(kappa, coeffs[:, c]) for c in range(cols))]
                 assert same_bits(series.values(m), expected)
 
@@ -280,6 +280,29 @@ def test_c_overflow_read_through_the_public_evaluator_names_its_point(variant, c
     assert str(summed.value) == str(grid.value)
     axis = "x" if variant[0] == "C" else "r"
     assert str(grid.value) == f"{variant} at {axis} = {points[2]:g}: series terms overflowed double precision"
+
+
+@pytest.mark.parametrize("variant", [*(v for v, row in VARIANTS.items() if row.pointwise), "CD-A"])
+def test_a_point_reads_the_same_bits_in_any_grid(variant):
+    # 0.7 alone, beside one more point and as the last of 121: a C column is
+    # a series of its own, and an A/B point whose grids keep the same rows
+    # (the README mixture under CD-A, tau 0.5, beta 1.2) sums them alike
+    row = VARIANTS[variant]
+    tau, beta = (0.5, 1.2) if row.direct else (0.3, 0.8)
+    if row.geometry == LINE:
+        data, grids = MIX, ([0.7], [-1.1, 0.7], np.linspace(-3.0, 0.7, 121))
+    else:
+        data, grids = Mixture((Gaussian(width_a=0.9), Gaussian(width_a=1.3, amplitude=0.8))), \
+            ([0.7], [0.2, 0.7], np.linspace(0.0, 0.7, 121))
+    if not row.direct:
+        data = (evolve_line if row.geometry == LINE else evolve_polar)(data, tau)
+    solved = [experiments._SOLVE[row.geometry](variant, data, tau, beta, 40, np.asarray(grid), "oracle_validated")
+              for grid in grids]
+    kept = [np.atleast_1d(series.rows(40))[-1] for series in solved]
+    assert kept[0] > 8 and kept.count(kept[0]) == len(kept)
+    alone = solved[0].values(40)
+    for series in solved[1:]:
+        assert same_bits(series.values(40)[-1:], alone)
 
 
 def test_one_coefficient_column_serves_every_point():
