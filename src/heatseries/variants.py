@@ -415,9 +415,9 @@ class SeriesTerms:
         return self.fires < self.rows(m)
 
     def sweep(self, orders, cols=slice(None)) -> tuple[np.ndarray, np.ndarray]:
-        """Every order of orders in one read: a row of sums per order, and
-        whether `flagged(m)` holds at any point of cols; raises as `check`
-        does at the highest order.
+        """Every order of orders in one read: a row of sums per order, bit
+        for bit `values(m)`, and whether `flagged(m)` holds at any point of
+        cols; raises as `check` does at the highest order.
 
         Every column is summed over its kept rows in ascending order, from
         +0, whatever the grid: one cumulative sum down the orders, read at

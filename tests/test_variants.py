@@ -605,8 +605,8 @@ def test_one_read_raises_as_the_highest_order_does():
 ])
 @pytest.mark.parametrize("grid", [np.array([0.7]), np.array([-1.1, 0.7])], ids=["one point", "two points"])
 def test_a_sweep_on_one_or_two_points_is_each_order_evaluated_alone(variant, data, params, grid):
-    # a one-point A/B grid is summed pairwise, a two-point one by the
-    # cumulative sum; either way each order is, bit for bit, the evaluation
+    # a one-point A/B grid (whose lone column numpy would sum pairwise) and a
+    # two-point one: either way each order is, bit for bit, the evaluation
     # of the sweep's coefficients truncated to that order
     coeffs_fn, eval_fn = _COEFFS_EVAL[variant]
     orders = (0, 1, 2, 5, 10, 20, 40)
